@@ -4,8 +4,8 @@ This module owns the low-level numerical machinery: a double-exponential
 (tanh-sinh) rule for integrals with algebraic endpoint singularities, an
 adaptive 15-point Gauss-Kronrod rule for smooth complex legs, continuous
 branch tracking for the multivalued power (1 - z**n)**(-(n-1)/n), exact
-rational series reversion, a damped Newton inverter, and a discrete
-winding-number count.
+rational series reversion, the binomial series of the sector map at 0 and
+at infinity, a damped Newton inverter, and a discrete winding-number count.
 
 Integrands may be passed in two forms:
 
@@ -24,7 +24,9 @@ which limits them to roughly 1e-9 absolute accuracy.
 
 from __future__ import annotations
 
+import bisect
 import cmath
+import functools
 import inspect
 import math
 import os
@@ -910,6 +912,113 @@ def revert_series(series: RationalSeries, terms: int) -> RationalSeries:
 
 
 # ---------------------------------------------------------------------------
+# Binomial series of the sector map
+# ---------------------------------------------------------------------------
+
+# |u**n| bounds of the two series regimes of F: the series at 0 holds for
+# |u**n| <= SERIES_INNER, the series at infinity for |u**n| >= SERIES_OUTER.
+SERIES_INNER = 0.5
+SERIES_OUTER = 2.0
+
+# A series is cut once its remainder bound is below this fraction of its
+# leading term, i.e. half an ulp.
+_SERIES_EPS = 2.0 ** -54
+
+
+def gamma_pi_n(n: int) -> float:
+    """Gamma-function closed form for the half period, no quadrature involved."""
+    return 2.0 * math.gamma(1.0 / n) ** 2 / (n * math.gamma(2.0 / n))
+
+
+def gamma_corner_radius(n: int) -> float:
+    """|P| = |F(infinity)|, the length of each slit-edge image, in closed form."""
+    return gamma_pi_n(n) / (4.0 * math.cos(math.pi / n))
+
+
+def _binomial_table(n: int, d: int):
+    """Coefficients and term counts of sum_k c_k x**k / (d + n*k), |x| <= 1/2.
+
+    c_k = (beta)_k / k! with beta = (n-1)/n satisfies 0 < c_k <= 1, so the
+    remainder after term K is at most |x|**(K+1) / ((d + n*(K+1)) (1 - |x|)).
+    With 1 - |x| >= 1/2 that is below _SERIES_EPS / d once |x| <= radii[K];
+    terms are added until radii covers |x| = 1/2.
+    """
+    beta = (n - 1) / n
+    coeffs = []
+    radii = []
+    c = 1.0
+    k = 0
+    while not radii or radii[-1] < 0.5:
+        coeffs.append(c / (d + n * k))
+        c *= (beta + k) / (k + 1)
+        k += 1
+        radii.append((0.5 * _SERIES_EPS * (d + n * k) / d) ** (1.0 / k))
+    return coeffs, radii
+
+
+@functools.lru_cache(maxsize=None)
+def _series_tables(n: int):
+    """Per-n constants of the kernel: both binomial tables, P and e^(i pi beta)."""
+    corner = gamma_corner_radius(n) * cmath.exp(1j * math.pi / n)
+    phase = cmath.exp(1j * math.pi * (n - 1) / n)
+    return _binomial_table(n, 1), _binomial_table(n, n - 2), corner, phase
+
+
+def _binomial_sum(table, x: complex) -> complex:
+    """sum_k c_k x**k / (d + n*k) by Horner, to half an ulp of its leading term."""
+    coeffs, radii = table
+    last = bisect.bisect_left(radii, abs(x))
+    acc = 0j
+    for a in coeffs[last::-1]:
+        acc = acc * x + a
+    return acc
+
+
+def _series_tail(n: int, u: complex) -> complex | None:
+    """Integral of t**(1-n) (1 - t**-n)**(-beta) from u to infinity, or None.
+
+    Equals sum_k c_k u**(2-n-nk) / (n-2+nk) when |u**n| >= SERIES_OUTER and
+    is None otherwise.  Only integer powers of u appear, so the value is the
+    continuation from inside the sector onto both of its boundary rays.
+    """
+    if abs(u) <= 1.0:
+        return None
+    v = 1.0 / u
+    lead = v ** (n - 2)
+    y = lead * v * v
+    if abs(y) > 1.0 / SERIES_OUTER:
+        return None
+    return lead * _binomial_sum(_series_tables(n)[1], y)
+
+
+def _series_F(n: int, u: complex) -> complex | None:
+    """F(u) from its binomial series, or None in the annulus between them.
+
+    With x = u**n, beta = (n-1)/n and c_k = (beta)_k / k!:
+
+    * |x| <= SERIES_INNER:  F(u) = u * sum_k c_k x**k / (n*k + 1);
+    * |x| >= SERIES_OUTER:  F(u) = P - e^(i pi beta) * _series_tail(n, u),
+      with P from the gamma closed form.  This holds on the open sector and
+      on its boundary rays continued from inside, the lower slit edge
+      included; the leading term is the pole asymptote of F.
+
+    Each sum is cut by its proven remainder bound at half an ulp of its
+    leading term, so the result carries only rounding error (about 1e-15
+    relative).
+    """
+    if abs(u) <= 1.0:
+        x = u ** n
+        if abs(x) > SERIES_INNER:
+            return None
+        return u * _binomial_sum(_series_tables(n)[0], x)
+    tail = _series_tail(n, u)
+    if tail is None:
+        return None
+    _, _, corner, phase = _series_tables(n)
+    return corner - phase * tail
+
+
+# ---------------------------------------------------------------------------
 # Newton inversion of the sector integral
 # ---------------------------------------------------------------------------
 
@@ -945,10 +1054,15 @@ def sector_ray_integral(n: int, z: complex, tol: float = DEFAULT_QUAD_TOL) -> co
 
     Valid for z in the closed base sector, excluding the boundary rays past
     their roots of unity (those need the explicit crossing phase).  The ray
-    endpoint may itself be a root of unity.
+    endpoint may itself be a root of unity.  Outside the annulus
+    SERIES_INNER < |z**n| < SERIES_OUTER the binomial series gives the value
+    to rounding error and ``tol`` is not used; inside it, quadrature does.
     """
     if z == 0:
         return 0j
+    series = _series_F(n, z)
+    if series is not None:
+        return series
     f3, singular = _sector_ray_integrand(n, z)
     if singular:
         value, _, _, _ = _tanh_sinh(f3, 0.0, 1.0, tol, _max_quad_level())
@@ -1011,6 +1125,9 @@ def _newton_basic(n: int, w: complex, z0: complex, tol: float,
     qtol = min(1e-13, tol * 0.05)
 
     def advance(z_old: complex, Fz_old: complex, z_new: complex) -> complex:
+        series = _series_F(n, z_new)
+        if series is not None:
+            return series
         # Incremental segment update is cheap, but next to a root of unity
         # the segment quadrature degrades; the ray integral has a dedicated
         # singular mode and stays robust there.

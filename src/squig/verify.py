@@ -20,6 +20,8 @@ from typing import Callable, Mapping, Sequence
 from .errors import SquigError
 from .geometry import SquigContext, contains_Pi, make_context
 from .numerics import (
+    gamma_corner_radius,
+    gamma_pi_n,
     integrate_endpoint_singular,
     integrate_smooth,
     integrate_tail,
@@ -109,16 +111,6 @@ def _tol(family: str, tolerance: float | None) -> float:
     return DEFAULT_TOLERANCES[_FAMILY_CLASS[family]] if tolerance is None else float(tolerance)
 
 
-def gamma_pi_n(n: int) -> float:
-    """Gamma-function closed form for the half period, no quadrature involved."""
-    return 2.0 * math.gamma(1.0 / n) ** 2 / (n * math.gamma(2.0 / n))
-
-
-def _corner_radius_closed_form(n: int) -> float:
-    # distance from the real vertex to the reentrant corner
-    return gamma_pi_n(n) / (4.0 * math.cos(math.pi / n))
-
-
 # ---------------------------------------------------------------------------
 # integral identities
 
@@ -127,11 +119,14 @@ def _slit_edge_integral(n: int) -> float:
     """Integrate (t**n - 1)**(-(n-1)/n) over [1, inf) by split quadrature."""
     beta = (n - 1.0) / n
 
-    def head(t: float, dl: float, dr: float) -> float:
-        poly = sum(t ** j for j in range(n))    # t**n - 1 == dl * poly exactly
-        return (dl * poly) ** -beta
+    def head(s: float) -> float:
+        # t = 1 + s**n on [1, 2]: t**n - 1 == s**n * poly(t), so the integrand
+        # n * poly(t)**-beta is bounded
+        t = 1.0 + s ** n
+        poly = sum(t ** j for j in range(n))
+        return n * poly ** -beta
 
-    h = integrate_endpoint_singular(head, 1.0, 2.0, left_exp=beta, tol=_QUAD_TOL)
+    h = integrate_smooth(head, 0.0, 1.0, _QUAD_TOL)
     tail = integrate_tail(lambda t: (t ** n - 1.0) ** -beta, 2.0, n - 1.0, tol=_QUAD_TOL)
     return (h.value + tail.value).real
 
@@ -142,7 +137,7 @@ def check_integral_slit(ctx: SquigContext, tolerance: float | None = None) -> Ve
     t0 = time.perf_counter()
     try:
         lhs = _slit_edge_integral(ctx.n)
-        rhs = _corner_radius_closed_form(ctx.n)
+        rhs = gamma_corner_radius(ctx.n)
     except SquigError as exc:
         return _failed("integral_slit", ctx.n, tol, t0, exc)
     return _finish("integral_slit", ctx.n, tol, t0, lhs, rhs, abs(lhs - rhs))
@@ -158,7 +153,7 @@ def check_integral_ray(ctx: SquigContext, tolerance: float | None = None) -> Ver
         head = integrate_smooth(lambda t: (1.0 + t ** n) ** -beta, 0.0, 2.0, _QUAD_TOL)
         tail = integrate_tail(lambda t: (1.0 + t ** n) ** -beta, 2.0, n - 1.0, tol=_QUAD_TOL)
         lhs = (head.value + tail.value).real
-        rhs = _corner_radius_closed_form(n)
+        rhs = gamma_corner_radius(n)
     except SquigError as exc:
         return _failed("integral_ray", ctx.n, tol, t0, exc)
     return _finish("integral_ray", ctx.n, tol, t0, lhs, rhs, abs(lhs - rhs))
@@ -399,12 +394,9 @@ def check_trisection(tolerance: float | None = None) -> VerificationReport:
 def _triangle_map(n: int, w: complex) -> complex:
     """(1/n) * integral of u**(1/n-1) (1-u)**(1/n-1) along [0, w], |w| < 1."""
     a = 1.0 / n - 1.0
-    scale = (w ** (1.0 / n)) / n
-
-    def g(t: float, dl: float, dr: float) -> complex:
-        return (dl ** a) * scale * (1.0 - t * w) ** a
-
-    return integrate_endpoint_singular(g, 0.0, 1.0, left_exp=-a, tol=_QUAD_TOL).value
+    # u = s**n * w absorbs the u**(1/n-1) endpoint singularity
+    return (w ** (1.0 / n)) * integrate_smooth(
+        lambda s: (1.0 - s ** n * w) ** a, 0.0, 1.0, _QUAD_TOL).value
 
 
 def check_sc_factorization(ctx: SquigContext, samples: Sequence[complex],
