@@ -42,6 +42,7 @@ from .errors import (
 from .geometry import SquigContext, contains_Sigma, fold
 from .numerics import (
     RationalSeries,
+    _in_sector,
     _series_F,
     _series_tail,
     gamma_corner_radius,
@@ -369,6 +370,12 @@ def _invert_to_triangle(ctx: SquigContext, t: complex, tol: float):
 
     last_exc: Exception | None = None
     for seed in seeds:
+        # Newton accepts no iterate outside the sector or, beyond the unit
+        # circle, within 1e-7 of a boundary ray (a slit there).  A seed in
+        # that margin can only fail, after a ray integral along the slit that
+        # runs GK15 to its evaluation cap.
+        if not _in_sector(n, seed):
+            continue
         try:
             res = newton_invert(n, t, seed, tol=tol)
             return res.z, None, res.residual

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from squig.errors import DomainError, InvalidSeriesError, ParameterError
-from squig.geometry import make_context, sample_domain
+from squig import squigfn
+from squig.errors import ConvergenceError, DomainError, InvalidSeriesError, ParameterError
+from squig.geometry import fold, make_context, sample_domain
+from squig.numerics import _in_sector
 from squig.squigfn import (
     EvalResult,
     arcsin_n,
@@ -328,6 +330,27 @@ class TestEdgeSegment:
                 assert c.value == pytest.approx(want, abs=1e-9)
                 so, co = rk4_pair_continuation(n, z, steps=12000)
                 assert c.value == pytest.approx(co, abs=1e-8)
+
+    def test_newton_skips_seeds_on_a_slit(self, monkeypatch):
+        # a target 3e-8 |A| inside the edge image A-P for n = 8: its pole seed
+        # lies within 1e-7 of the real ray beyond 1, where Newton accepts no
+        # iterate and the ray integral runs GK15 to its evaluation cap
+        ctx = make_context(8)
+        z = 1.0254746069342198 - 0.5187932217320739j
+        assert not _in_sector(8, squigfn._pole_seed(ctx, fold(ctx, z).folded))
+        seeds = []
+        newton_invert = squigfn.newton_invert
+
+        def spy(n, w, z0, **kw):
+            seeds.append(z0)
+            return newton_invert(n, w, z0, **kw)
+
+        monkeypatch.setattr(squigfn, "newton_invert", spy)
+        try:
+            cos_n(ctx, z)
+        except ConvergenceError:
+            pass  # a known failure this close to the edge image
+        assert seeds and all(_in_sector(8, s) for s in seeds)
 
 
 class TestSin3Global:
