@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, ParameterError, SquigError
-from .geometry import SquigContext, boundary_polyline, contains_Pi, make_context
+from .geometry import SquigContext, boundary_polyline, in_rosette, make_context
 from .squigfn import arcsin_n, cos_n, maclaurin, radius_estimate, sin_n
 from .verify import DEFAULT_TOLERANCES, VerifyConfig, _FAMILY_CLASS, run_all
 
@@ -270,10 +270,6 @@ def _svg_polyline(points: list[complex], stroke: str, width: float) -> str:
             f'stroke-width="{_SVG_PRECISION % width}"/>')
 
 
-def _in_region(ctx: SquigContext, z: complex) -> bool:
-    return any(contains_Pi(ctx, z * ctx.omega ** -k) for k in range(ctx.n))
-
-
 def _split_runs(points: list[complex | None]) -> list[list[complex]]:
     runs: list[list[complex]] = []
     cur: list[complex] = []
@@ -329,7 +325,7 @@ def _grid_image_sin(ctx: SquigContext, density: int) -> list[list[complex]]:
             for j in range(samples):
                 t = -half + (2.0 * half) * j / (samples - 1)
                 z = complex(t, c) if horizontal else complex(c, t)
-                if not _in_region(ctx, z) or any(abs(z - p) < 0.08 * abs(ctx.P)
+                if not in_rosette(ctx, z) or any(abs(z - p) < 0.08 * abs(ctx.P)
                                                  for p in poles):
                     pts.append(None)
                     continue

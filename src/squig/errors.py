@@ -24,10 +24,6 @@ class SingularityError(SquigError):
     """Evaluation was requested inside the guard band of a singular point."""
 
 
-class BranchAmbiguityError(SquigError):
-    """A branch-tracking step moved the argument too far to unwrap safely."""
-
-
 class QuadratureError(SquigError):
     """A quadrature did not converge to the requested tolerance."""
 

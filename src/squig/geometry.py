@@ -155,6 +155,11 @@ def contains_Pi(ctx: SquigContext, z: complex) -> bool:
     )
 
 
+def in_rosette(ctx: SquigContext, z: complex) -> bool:
+    """Closed-rosette membership: ``z`` lies in one of the n rotated kites."""
+    return any(contains_Pi(ctx, z * ctx.omega ** -k) for k in range(ctx.n))
+
+
 def contains_Sigma(ctx: SquigContext, w: complex) -> bool:
     """True unless ``w`` sits within 1e-8 of one of the n slit rays."""
     w = complex(w)

@@ -1,25 +1,23 @@
-"""Quadrature, branch tracking, series reversion, and root finding.
+"""Quadrature, series reversion, the sector-map series, and root finding.
 
 This module owns the low-level numerical machinery: a double-exponential
 (tanh-sinh) rule for integrals with algebraic endpoint singularities, an
-adaptive 15-point Gauss-Kronrod rule for smooth complex legs, continuous
-branch tracking for the multivalued power (1 - z**n)**(-(n-1)/n), exact
-rational series reversion, the binomial series of the sector map at 0 and
-at infinity, a damped Newton inverter, and a discrete winding-number count.
+adaptive 15-point Gauss-Kronrod rule for smooth complex legs, exact rational
+series reversion, the binomial series of the sector map at 0 and at
+infinity, a damped Newton inverter on the principal branch, and a discrete
+winding-number count.
 
-Integrands may be passed in two forms:
+Each rule takes one integrand form:
 
-* ``f(x)`` -- plain callable of one real argument.
-* ``f(x, dl, dr)`` -- offset-aware callable that additionally receives the
-  exact distances ``dl = x - a`` and ``dr = b - x`` to the interval ends.
-
-The offset-aware form matters near endpoint singularities: for nodes placed
-within a few ulps of an endpoint, ``x`` alone can no longer resolve the
-distance to the endpoint, while ``dl``/``dr`` are computed exactly by the
-transformation.  Library-internal integrands always use the second form.
-Plain integrands with known singularity exponents are regularized by
-extrapolating their smooth factor onto the last stretch before the endpoint,
-which limits them to roughly 1e-9 absolute accuracy.
+* Gauss-Kronrod (``integrate_smooth``) takes ``f(x)``, a callable of one
+  real argument; its nodes never come near the interval ends.
+* tanh-sinh (``integrate_endpoint_singular``, ``integrate_tail``) takes
+  ``f(x, dl, dr)``, which additionally receives the exact distances
+  ``dl = x - a`` and ``dr = b - x`` to the interval ends (``dr`` is infinite
+  for a tail).  For nodes placed within a few ulps of an endpoint, ``x``
+  alone can no longer resolve the distance to the endpoint, while
+  ``dl``/``dr`` are computed exactly by the transformation.  Integrands
+  without an endpoint singularity simply ignore them.
 """
 
 from __future__ import annotations
@@ -27,15 +25,12 @@ from __future__ import annotations
 import bisect
 import cmath
 import functools
-import inspect
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import (
-    BranchAmbiguityError,
     ConvergenceError,
     DegenerateLoopError,
     DivergenceError,
@@ -48,24 +43,11 @@ from .errors import (
 
 TWO_PI = 2.0 * math.pi
 
-# Hard floor used to detect evaluation on top of a branch point.
-_BRANCH_POINT_EPS = 1e-300
-
 # Default absolute tolerance for quadratures; individual ops may tighten it.
 DEFAULT_QUAD_TOL = 1e-12
 
-
-def _max_quad_level(default: int = 10) -> int:
-    raw = os.environ.get("SQUIG_MAX_QUAD_LEVEL")
-    if raw is None:
-        return default
-    try:
-        level = int(raw)
-    except ValueError as exc:
-        raise ParameterError(f"SQUIG_MAX_QUAD_LEVEL must be an integer, got {raw!r}") from exc
-    if not 3 <= level <= 16:
-        raise ParameterError("SQUIG_MAX_QUAD_LEVEL must lie in 3..16")
-    return level
+# Cap on tanh-sinh level doublings (the step halves ten times from 1/2).
+_MAX_QUAD_LEVEL = 10
 
 
 @dataclass(frozen=True)
@@ -84,20 +66,6 @@ class QuadratureResult:
     @property
     def real(self) -> float:
         return self.value.real
-
-
-def _wants_offsets(f) -> bool:
-    try:
-        sig = inspect.signature(f)
-    except (TypeError, ValueError):
-        return False
-    count = 0
-    for p in sig.parameters.values():
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD):
-            count += 1
-        elif p.kind == p.VAR_POSITIONAL:
-            return True
-    return count >= 3
 
 
 # ---------------------------------------------------------------------------
@@ -191,123 +159,46 @@ def _tanh_sinh(f3, a: float, b: float, tol: float, max_level: int):
     )
 
 
-def _regularized(f, a: float, b: float, left_exp: float, right_exp: float):
-    """Wrap a plain integrand into offset-aware form.
-
-    The smooth factor s(x) = f(x) * dl**left_exp * dr**right_exp is sampled
-    just outside a safety band and extrapolated linearly across it, so the
-    wrapped integrand stays meaningful where x can no longer resolve the
-    offset.  Exponent zero on a side disables the treatment there.
-    """
-    width = b - a
-    safe = 3e-8 * width
-
-    def smooth(x: float, dl: float, dr: float) -> complex:
-        return f(x) * dl ** left_exp * dr ** right_exp
-
-    models = {}
-
-    def model(side: str):
-        if side in models:
-            return models[side]
-        if side == "left":
-            d1, d2 = safe, 2.0 * safe
-            s1 = smooth(a + d1, d1, width - d1)
-            s2 = smooth(a + d2, d2, width - d2)
-        else:
-            d1, d2 = safe, 2.0 * safe
-            s1 = smooth(b - d1, width - d1, d1)
-            s2 = smooth(b - d2, width - d2, d2)
-        slope = (s2 - s1) / (d2 - d1)
-        models[side] = (s1, d1, slope)
-        return models[side]
-
-    def wrapped(x: float, dl: float, dr: float) -> complex:
-        if left_exp > 0.0 and dl < safe:
-            s0, d0, slope = model("left")
-            s = s0 + slope * (dl - d0)
-            return s * dl ** (-left_exp) * dr ** (-right_exp)
-        if right_exp > 0.0 and dr < safe:
-            s0, d0, slope = model("right")
-            s = s0 + slope * (dr - d0)
-            return s * dl ** (-left_exp) * dr ** (-right_exp)
-        return f(x)
-
-    return wrapped
-
-
 def integrate_endpoint_singular(f, a: float, b: float,
                                 left_exp: float = 0.0, right_exp: float = 0.0,
-                                tol: float = DEFAULT_QUAD_TOL,
-                                max_level: int | None = None) -> QuadratureResult:
-    """Integrate f over [a, b] allowing algebraic endpoint singularities.
+                                tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
+    """Integrate f(x, dl, dr) over [a, b] allowing algebraic endpoint singularities.
 
     left_exp / right_exp are the singularity orders (f ~ dl**-left_exp near a,
     f ~ dr**-right_exp near b); both must be < 1 so the integral converges.
-    Offset-aware integrands f(x, dl, dr) get full double-precision accuracy;
-    plain integrands are regularized using the exponents, which costs a little
-    accuracy near the endpoints (about 1e-9 absolute at worst).
+    With the exact offsets dl and dr the result reaches full double precision.
     """
     if not (left_exp < 1.0 and right_exp < 1.0):
         raise DivergenceError(
             f"endpoint exponents must be < 1 for an integrable singularity, "
             f"got ({left_exp}, {right_exp})")
-    if max_level is None:
-        max_level = _max_quad_level()
-    floor = 0.0
-    if _wants_offsets(f):
-        f3 = f
-    elif left_exp > 0.0 or right_exp > 0.0:
-        f3 = _regularized(f, a, b, left_exp, right_exp)
-        # The endpoint extrapolation band limits what plain integrands can
-        # achieve; below this the level iteration only chases its own noise.
-        floor = 2e-9
-    else:
-        f3 = lambda x, dl, dr: f(x)
-    value, err, evals, _ = _tanh_sinh(f3, a, b, max(tol, floor), max_level)
-    return QuadratureResult(value, max(err, floor * 0.5), evals)
-
-
-def endpoint_singular_levels(f3, a: float, b: float,
-                             tol: float = DEFAULT_QUAD_TOL,
-                             max_level: int | None = None) -> list:
-    """Per-level tanh-sinh estimates; used to test convergence behaviour."""
-    if max_level is None:
-        max_level = _max_quad_level()
-    _, _, _, history = _tanh_sinh(f3, a, b, tol, max_level)
-    return history
+    value, err, evals, _ = _tanh_sinh(f, a, b, tol, _MAX_QUAD_LEVEL)
+    return QuadratureResult(value, err, evals)
 
 
 def integrate_tail(f, a: float, decay_exp: float,
-                   tol: float = DEFAULT_QUAD_TOL,
-                   max_level: int | None = None) -> QuadratureResult:
-    """Integrate f from a to infinity given algebraic decay |f| ~ t**-decay_exp.
+                   tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
+    """Integrate f(t, dl, dr) from a to infinity given algebraic decay |f| ~ t**-decay_exp.
 
     The tail beyond max(a, 1) is folded onto a bounded interval with u = 1/t.
     decay_exp must exceed 1 or the integral diverges.  An integrable
-    singularity of f at a itself is handled by the endpoint rule; offset-aware
-    integrands receive dl = t - a exactly.
+    singularity of f at a itself is handled by the endpoint rule: f receives
+    dl = t - a exactly and dr = inf.
     """
     if decay_exp <= 1.0:
         raise DivergenceError(
             f"decay exponent {decay_exp} <= 1: tail integral diverges")
     if a < 0.0:
         raise ParameterError("tail integration requires a >= 0")
-    if max_level is None:
-        max_level = _max_quad_level()
 
-    offsets = _wants_offsets(f)
     cut = max(a, 1.0)
     total = 0j
     err = 0.0
     evals = 0
 
     if a < cut:
-        if offsets:
-            head = lambda x, dl, dr: f(x, dl, math.inf)
-        else:
-            head = lambda x, dl, dr: f(x)
-        v, e, ne, _ = _tanh_sinh(head, a, cut, tol * 0.5, max_level)
+        head = lambda x, dl, dr: f(x, dl, math.inf)
+        v, e, ne, _ = _tanh_sinh(head, a, cut, tol * 0.5, _MAX_QUAD_LEVEL)
         total += v
         err += e
         evals += ne
@@ -316,16 +207,11 @@ def integrate_tail(f, a: float, decay_exp: float,
     # dl_t = t - a maps to (1 - a*u)/u; exact at the u = 1/cut end when a = cut.
     inv_cut = 1.0 / cut
 
-    def eval_f(t: float) -> complex:
-        if offsets:
-            return f(t, t - a, math.inf)
-        return f(t)
-
     # The substituted integrand behaves like u**(decay_exp - 2) near u = 0;
     # estimate its scale once and drop nodes whose whole remaining mass is
     # negligible, so f is never evaluated at overflow-inducing arguments.
     t_ref = 8.0 * cut
-    scale = abs(eval_f(t_ref)) * t_ref ** decay_exp
+    scale = abs(f(t_ref, t_ref - a, math.inf)) * t_ref ** decay_exp
     chop_mass = tol * 1e-2
 
     def tail_part(u: float, dl: float, dr: float) -> complex:
@@ -334,17 +220,13 @@ def integrate_tail(f, a: float, decay_exp: float,
             if remaining < chop_mass:
                 return 0j
         t = 1.0 / u
-        if offsets:
-            if a == cut:
-                dl_t = a * dr * t  # t - a = a*(1/cut - u)/u exactly
-            else:
-                dl_t = (1.0 - a * u) * t
-            val = f(t, dl_t, math.inf)
+        if a == cut:
+            dl_t = a * dr * t  # t - a = a*(1/cut - u)/u exactly
         else:
-            val = f(t)
-        return val * t * t
+            dl_t = (1.0 - a * u) * t
+        return f(t, dl_t, math.inf) * t * t
 
-    v, e, ne, _ = _tanh_sinh(tail_part, 0.0, inv_cut, tol * 0.5, max_level)
+    v, e, ne, _ = _tanh_sinh(tail_part, 0.0, inv_cut, tol * 0.5, _MAX_QUAD_LEVEL)
     total += v
     err += e
     evals += ne
@@ -441,12 +323,8 @@ def integrate_smooth(f, a: float, b: float, tol: float = DEFAULT_QUAD_TOL,
 
 
 # ---------------------------------------------------------------------------
-# Branch tracking for (1 - z**n) ** (-(n-1)/n)
+# The principal branch of (1 - z**n) ** exponent
 # ---------------------------------------------------------------------------
-
-def nth_roots(n: int) -> tuple:
-    return tuple(cmath.exp(2j * math.pi * k / n) for k in range(n))
-
 
 def nearest_root_distance(n: int, z: complex) -> float:
     """Distance from z to the nearest n-th root of unity."""
@@ -457,94 +335,6 @@ def nearest_root_distance(n: int, z: complex) -> float:
         root = cmath.exp(2j * math.pi * kk / n)
         best = min(best, abs(z - root))
     return best
-
-
-class BranchTracker:
-    """Continuously tracked argument of w(z) = 1 - z**n along a path.
-
-    A fresh tracker starts at z = 0 where w = 1 and the argument is 0 (the
-    principal branch).  Each update unwraps the principal argument of w
-    against the current state; steps must move the argument by less than
-    pi/2, except for the two sanctioned boundary-ray crossings through the
-    roots at angle 0 and 2*pi/n, where the argument jumps by -pi (outward on
-    the lower ray) or +pi (outward on the upper ray).  These jump signs make
-    the branch the continuous extension from inside the sector
-    0 < arg z < 2*pi/n.
-    """
-
-    __slots__ = ("n", "current_arg", "last_z")
-
-    def __init__(self, n: int):
-        if n < 2:
-            raise ParameterError("branch tracking requires n >= 2")
-        self.n = n
-        self.current_arg = 0.0
-        self.last_z = 0j
-
-    def copy(self) -> "BranchTracker":
-        other = BranchTracker(self.n)
-        other.current_arg = self.current_arg
-        other.last_z = self.last_z
-        return other
-
-    def _crossing_jump(self, z: complex) -> float:
-        # Only the two boundary rays of the base sector have a defined
-        # continuation through their root; decide the jump sign from the ray
-        # and the marching direction.
-        phi = cmath.phase(z) % TWO_PI
-        step = TWO_PI / self.n
-        m = round(phi / step) % self.n
-        ray_angle = m * step
-        off = abs(((phi - ray_angle) + math.pi) % TWO_PI - math.pi)
-        if off > 1e-9 * max(1.0, abs(z)) and off > 1e-12:
-            raise BranchAmbiguityError(
-                f"argument step of size ~pi away from a sector boundary ray "
-                f"(z={z:.6g}); refine the path")
-        outward = abs(z) >= abs(self.last_z)
-        if m == 0:
-            return -math.pi if outward else math.pi
-        if m == 1:
-            return math.pi if outward else -math.pi
-        raise BranchAmbiguityError(
-            f"crossing through a root on ray {m} has no sanctioned branch "
-            f"continuation; displace the path into the sector")
-
-    def update(self, z: complex) -> float:
-        w = 1.0 - z ** self.n
-        if abs(w) < _BRANCH_POINT_EPS:
-            raise SingularityError(f"z={z:.6g} sits on a branch point")
-        phi = cmath.phase(w)
-        k = round((self.current_arg - phi) / TWO_PI)
-        theta = phi + TWO_PI * k
-        delta = theta - self.current_arg
-        if abs(delta) < 0.5 * math.pi * (1.0 - 1e-12):
-            self.current_arg = theta
-        elif abs(abs(delta) - math.pi) < 1e-6:
-            self.current_arg += self._crossing_jump(z)
-        else:
-            raise BranchAmbiguityError(
-                f"branch step too large: tracked argument moved by {delta:.4f} "
-                f"(>= pi/2) between {self.last_z:.6g} and {z:.6g}")
-        self.last_z = z
-        return self.current_arg
-
-
-def branch_power(tracker: BranchTracker, z: complex) -> complex:
-    """(1 - z**n) ** (-(n-1)/n) on the branch tracked by ``tracker``.
-
-    Advances the tracker to z.  Raises SingularityError at the roots of
-    unity and BranchAmbiguityError when the step is too large to unwrap.
-    """
-    n = tracker.n
-    w = 1.0 - z ** n
-    mag = abs(w)
-    if mag < 1e-15:
-        raise SingularityError(
-            f"branch_power evaluated within guard distance of a root of "
-            f"unity (|1 - z^n| = {mag:.3g})")
-    theta = tracker.update(z)
-    beta = (n - 1) / n
-    return mag ** (-beta) * cmath.exp(-1j * beta * theta)
 
 
 def principal_power(n: int, z: complex, exponent: float) -> complex:
@@ -558,246 +348,6 @@ def principal_power(n: int, z: complex, exponent: float) -> complex:
     if w == 0:
         raise SingularityError(f"z={z:.6g} is a root of unity")
     return cmath.exp(exponent * cmath.log(w))
-
-
-# ---------------------------------------------------------------------------
-# Paths and path integration of the arcsine integrand
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PathSpec:
-    """Piecewise-linear path (node list) for branch-tracked integration."""
-
-    nodes: tuple
-    max_step: float | None = None
-
-    def __post_init__(self):
-        if len(self.nodes) < 2:
-            raise ParameterError("a path needs at least two nodes")
-        if self.max_step is not None and self.max_step <= 0:
-            raise ParameterError("max_step must be positive")
-
-
-def make_path(n: int, nodes, max_step: float | None = None) -> PathSpec:
-    """Build a PathSpec, inserting nodes so steps satisfy the step rule.
-
-    Without an explicit max_step every step is capped at
-    0.05 * min(1, distance to the nearest root of unity) measured at the
-    step midpoint, which keeps branch unwrapping unambiguous.
-    """
-    nodes = [complex(v) for v in nodes]
-    refined = [nodes[0]]
-    for a, b in zip(nodes, nodes[1:]):
-        stack = [(a, b)]
-        out = []
-        while stack:
-            lo, hi = stack.pop()
-            mid = 0.5 * (lo + hi)
-            if max_step is not None:
-                cap = max_step
-            else:
-                cap = 0.05 * min(1.0, max(nearest_root_distance(n, mid), 1e-3))
-            if abs(hi - lo) > cap and abs(hi - lo) > 1e-9:
-                stack.append((mid, hi))
-                stack.append((lo, mid))
-            else:
-                out.append((lo, hi))
-        for _, hi in out:
-            refined.append(hi)
-    return PathSpec(tuple(refined), max_step)
-
-
-def _root_on_segment(n: int, a: complex, b: complex):
-    """Return the root of unity lying on open segment (a, b), if any."""
-    length = abs(b - a)
-    if length == 0:
-        return None
-    direction = (b - a) / length
-    for root in nth_roots(n):
-        s = ((root - a) / direction).real
-        off = abs(root - (a + s * direction))
-        if 1e-12 < s < length - 1e-12 and off < 1e-9:
-            return root
-    return None
-
-
-def _integrate_leg_tracked(n: int, za: complex, zb: complex,
-                           tracker: BranchTracker, tol: float,
-                           state: dict) -> complex:
-    """Adaptive GK15 along [za, zb] with sequential branch unwrapping."""
-    beta = (n - 1) / n
-    seg = zb - za
-
-    class _Refine(Exception):
-        pass
-
-    def panel(lo: float, hi: float, arg_lo: float):
-        # Evaluate all 15 nodes in position order, unwrapping the argument
-        # of 1 - z^n node to node; a jump >= pi/2 forces a split.
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        pts = [mid]
-        for x in _XGK[:-1]:
-            off = half * x
-            pts.append(mid - off)
-            pts.append(mid + off)
-        arg = arg_lo
-        values = {}
-        for t in sorted(pts):
-            z = za + t * seg
-            w = 1.0 - z ** n
-            if abs(w) < 1e-14:
-                raise SingularityError(
-                    f"path passes over a root of unity near z={z:.6g}")
-            phi = cmath.phase(w)
-            k = round((arg - phi) / TWO_PI)
-            theta = phi + TWO_PI * k
-            if abs(theta - arg) >= 0.5 * math.pi * (1.0 - 1e-12):
-                raise _Refine()
-            arg = theta
-            values[t] = abs(w) ** (-beta) * cmath.exp(-1j * beta * theta)
-        state["evals"] += len(values)
-        kron = _WGK[7] * values[mid]
-        gauss = _WG[3] * values[mid]
-        kabs = _WGK[7] * abs(values[mid])
-        for i in range(7):
-            off = half * _XGK[i]
-            va, vb = values[mid - off], values[mid + off]
-            kron += _WGK[i] * (va + vb)
-            kabs += _WGK[i] * (abs(va) + abs(vb))
-            if i % 2 == 1:
-                gauss += _WG[i // 2] * (va + vb)
-        scale = half * abs(seg)
-        return (kron * half * seg, abs(kron - gauss) * scale,
-                kabs * scale, arg)
-
-    def rec(lo: float, hi: float, arg_lo: float, budget: float, depth: int):
-        if depth > 48:
-            raise QuadratureError(
-                f"tracked leg refinement exceeded depth 48 near "
-                f"{za + lo * seg:.6g}")
-        try:
-            val, err, kabs, arg_hi = panel(lo, hi, arg_lo)
-        except _Refine:
-            mid = 0.5 * (lo + hi)
-            v1, a1 = rec(lo, mid, arg_lo, budget * 0.5, depth + 1)
-            v2, a2 = rec(mid, hi, a1, budget * 0.5, depth + 1)
-            return v1 + v2, a2
-        if err <= budget or err <= 1e-15 * kabs:
-            return val, arg_hi
-        mid = 0.5 * (lo + hi)
-        v1, a1 = rec(lo, mid, arg_lo, budget * 0.5, depth + 1)
-        v2, a2 = rec(mid, hi, a1, budget * 0.5, depth + 1)
-        return v1 + v2, a2
-
-    value, arg_end = rec(0.0, 1.0, tracker.current_arg, tol, 0)
-    tracker.current_arg = arg_end
-    tracker.last_z = zb
-    return value
-
-
-def _integrate_radial_singular(n: int, za: complex, zb: complex,
-                               tracker: BranchTracker, tol: float,
-                               state: dict) -> complex:
-    """Leg along a ray through the origin with a root of unity at one end.
-
-    On such legs 1 - z^n keeps a constant argument (the tracker supplies it
-    on the regular part), so the integral reduces to a real endpoint-singular
-    quadrature times a phase.
-    """
-    beta = (n - 1) / n
-    ra, rb = abs(za), abs(zb)
-    root_at_a = nearest_root_distance(n, za) < 1e-9
-    root_at_b = nearest_root_distance(n, zb) < 1e-9
-    if not (root_at_a or root_at_b):
-        raise ParameterError("singular leg handler called away from a root")
-    if ra > 1e-12 and rb > 1e-12:
-        cross = (za.conjugate() * zb).imag
-        dot = (za.conjugate() * zb).real
-        if abs(cross) > 1e-9 * ra * rb or dot <= 0.0:
-            raise ParameterError(
-                "a path leg touching a root of unity must run along the ray "
-                "through that root; split the path there")
-    unit = zb / rb if rb >= ra else za / ra
-
-    lo, hi = min(ra, rb), max(ra, rb)
-    singular_hi = (root_at_b and rb >= ra) or (root_at_a and ra > rb)
-
-    # Tracked argument on the regular interior of the leg.
-    probe = unit * (0.5 * (lo + hi))
-    theta = tracker.copy().update(probe) if abs(probe) > 1e-12 else tracker.current_arg
-    ph = cmath.exp(-1j * beta * theta)
-
-    def f3(r, dl, dr):
-        # The root on this ray sits at radius 1, so |1 - r^n| factors as
-        # |1 - r| * (1 + r + ... + r^(n-1)); use the exact endpoint offset
-        # for |1 - r| when it is the vanishing distance.
-        d = dr if singular_hi else dl
-        if d < 1e-7:
-            poly = 0.0
-            rk = 1.0
-            for _ in range(n):
-                poly += rk
-                rk *= r
-            mag = d * poly
-        else:
-            mag = abs(1.0 - r ** n)
-        return mag ** (-beta)
-
-    v, _, ne, _ = _tanh_sinh(f3, lo, hi, tol, _max_quad_level())
-    state["evals"] += ne
-    sign = 1.0 if rb >= ra else -1.0
-    value = sign * unit * ph * v
-
-    # Commit the tracker at the far node; the crossing rule applies when a
-    # following leg continues through the root.
-    if nearest_root_distance(n, zb) < 1e-9:
-        tracker.last_z = zb  # argument stays frozen at the pre-root value
-    else:
-        tracker.last_z = za
-        tracker.update(zb)
-    return value
-
-
-def integrate_path(n: int, path: PathSpec, tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
-    """Branch-tracked integral of (1 - z**n)**(-(n-1)/n) along a path from 0.
-
-    Legs are integrated with the adaptive Kronrod rule while threading a
-    BranchTracker along the nodes; a leg that ends on (or passes through) a
-    root of unity is handled by the radial endpoint-singular rule.  Interior
-    nodes must keep clear of the guard band around the roots of unity.
-    """
-    nodes = list(path.nodes)
-    if abs(nodes[0]) > 1e-12:
-        raise ParameterError("integration paths must start at 0")
-    # Split legs that pass through a root of unity.
-    split_nodes = [nodes[0]]
-    for a, b in zip(nodes, nodes[1:]):
-        root = _root_on_segment(n, a, b)
-        if root is not None:
-            split_nodes.append(root)
-        split_nodes.append(b)
-    # Guard band applies to nodes that are not themselves roots.
-    for z in split_nodes[1:-1]:
-        d = nearest_root_distance(n, z)
-        if 1e-12 < d < 1e-8:
-            raise SingularityError(
-                f"path node {z:.8g} lies inside the singularity guard band")
-
-    tracker = BranchTracker(n)
-    state = {"evals": 0}
-    total = 0j
-    leg_tol = tol / max(1, len(split_nodes) - 1)
-    for a, b in zip(split_nodes, split_nodes[1:]):
-        if abs(b - a) < 1e-15:
-            continue
-        a_is_root = nearest_root_distance(n, a) < 1e-9
-        b_is_root = nearest_root_distance(n, b) < 1e-9
-        if a_is_root or b_is_root:
-            total += _integrate_radial_singular(n, a, b, tracker, leg_tol, state)
-        else:
-            total += _integrate_leg_tracked(n, a, b, tracker, leg_tol, state)
-    return QuadratureResult(total, tol, state["evals"])
 
 
 # ---------------------------------------------------------------------------
@@ -854,9 +404,6 @@ class RationalSeries:
             total += complex(c)
             prev_degree = d
         return total * z ** prev_degree if prev_degree else total
-
-    def float_terms(self):
-        return [(d, float(c)) for d, c in zip(self.degrees, self.coeffs)]
 
 
 def revert_series(series: RationalSeries, terms: int) -> RationalSeries:
@@ -1065,7 +612,7 @@ def sector_ray_integral(n: int, z: complex, tol: float = DEFAULT_QUAD_TOL) -> co
         return series
     f3, singular = _sector_ray_integrand(n, z)
     if singular:
-        value, _, _, _ = _tanh_sinh(f3, 0.0, 1.0, tol, _max_quad_level())
+        value, _, _, _ = _tanh_sinh(f3, 0.0, 1.0, tol, _MAX_QUAD_LEVEL)
         return value
     res = integrate_smooth(lambda s: f3(s, s, 1.0 - s), 0.0, 1.0, tol)
     return res.value

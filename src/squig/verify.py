@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .errors import SquigError
-from .geometry import SquigContext, contains_Pi, make_context
+from .geometry import SquigContext, in_rosette, make_context
 from .numerics import (
     gamma_corner_radius,
     gamma_pi_n,
@@ -127,7 +127,8 @@ def _slit_edge_integral(n: int) -> float:
         return n * poly ** -beta
 
     h = integrate_smooth(head, 0.0, 1.0, _QUAD_TOL)
-    tail = integrate_tail(lambda t: (t ** n - 1.0) ** -beta, 2.0, n - 1.0, tol=_QUAD_TOL)
+    tail = integrate_tail(lambda t, dl, dr: (t ** n - 1.0) ** -beta, 2.0, n - 1.0,
+                          tol=_QUAD_TOL)
     return (h.value + tail.value).real
 
 
@@ -151,7 +152,8 @@ def check_integral_ray(ctx: SquigContext, tolerance: float | None = None) -> Ver
     beta = (n - 1.0) / n
     try:
         head = integrate_smooth(lambda t: (1.0 + t ** n) ** -beta, 0.0, 2.0, _QUAD_TOL)
-        tail = integrate_tail(lambda t: (1.0 + t ** n) ** -beta, 2.0, n - 1.0, tol=_QUAD_TOL)
+        tail = integrate_tail(lambda t, dl, dr: (1.0 + t ** n) ** -beta, 2.0, n - 1.0,
+                              tol=_QUAD_TOL)
         lhs = (head.value + tail.value).real
         rhs = gamma_corner_radius(n)
     except SquigError as exc:
@@ -261,10 +263,6 @@ def _boundary_image_loop(ctx: SquigContext, R: float) -> list[complex]:
     return dedup
 
 
-def _in_polygon_region(ctx: SquigContext, w: complex) -> bool:
-    return any(contains_Pi(ctx, w * ctx.omega ** -k) for k in range(ctx.n))
-
-
 def check_winding(ctx: SquigContext, R: float, w: complex,
                   tolerance: float | None = None) -> VerificationReport:
     """Winding of the boundary image loop about w versus region membership.
@@ -279,7 +277,7 @@ def check_winding(ctx: SquigContext, R: float, w: complex,
         got = winding_number(loop, complex(w))
     except SquigError as exc:
         return _failed("winding", ctx.n, tol, t0, exc)
-    expected = 1 if _in_polygon_region(ctx, complex(w)) else 0
+    expected = 1 if in_rosette(ctx, complex(w)) else 0
     return _finish("winding", ctx.n, tol, t0, complex(got), complex(expected),
                    float(abs(got - expected)), f"target={w!r}")
 
@@ -375,7 +373,7 @@ def check_trisection(tolerance: float | None = None) -> VerificationReport:
             lambda x, dl, dr: (dl * (1.0 + x + x * x)) ** third,
             1.0, 2.0, left_exp=-third, tol=_QUAD_TOL).value.real
         tail = integrate_tail(
-            lambda x: -x * math.expm1(math.log1p(-x ** -3) / 3.0),
+            lambda x, dl, dr: -x * math.expm1(math.log1p(-x ** -3) / 3.0),
             2.0, 2.0, tol=_QUAD_TOL).value.real
         q4 = 0.5 + (1.5 - cube) + tail
     except SquigError as exc:

@@ -1,4 +1,4 @@
-"""Branch tracking and path integration of the degree-n arcsine kernel."""
+"""The principal branch of the arcsine kernel and its continuation across the roots."""
 
 import cmath
 import math
@@ -6,21 +6,15 @@ import math
 import pytest
 import scipy.integrate
 
-from squig.errors import (
-    BranchAmbiguityError,
-    ParameterError,
-    SingularityError,
-)
+from squig.errors import SingularityError
+from squig.geometry import make_context
 from squig.numerics import (
-    BranchTracker,
-    branch_power,
-    integrate_path,
-    make_path,
     nearest_root_distance,
     principal_power,
     sector_ray_integral,
-    PathSpec,
+    sector_segment_integral,
 )
+from squig.squigfn import arcsin_n_sector
 
 from conftest import gamma_half_period
 
@@ -34,47 +28,7 @@ def _beyond_root_magnitude(n, x):
     return val
 
 
-class TestTracker:
-    def test_starts_on_principal_branch(self):
-        tr = BranchTracker(4)
-        assert tr.current_arg == 0.0
-        v = branch_power(tr, 0.3 + 0.2j)
-        assert abs(v - principal_power(4, 0.3 + 0.2j, -0.75)) < 1e-15
-
-    def test_unwraps_along_in_sector_arc(self):
-        # Walk out radially, then sweep an arc of radius 1.4 across the
-        # n=4 sector; every tracked step must stay below the pi/2 window
-        # and the total unwrapped argument must return near where the
-        # principal value sits at the end of the sweep.
-        n = 4
-        tr = BranchTracker(n)
-        ang0 = (math.pi / 2) * 0.05
-        for k in range(1, 41):
-            tr.update((1.4 * k / 40) * cmath.exp(1j * ang0))
-        prev = tr.current_arg
-        for k in range(1, 201):
-            ang = (math.pi / 2) * (0.05 + 0.90 * k / 200)
-            arg = tr.update(1.4 * cmath.exp(1j * ang))
-            assert abs(arg - prev) < 0.5 * math.pi
-            prev = arg
-
-    def test_large_step_rejected(self):
-        # Hopping across the root at 1 between conjugate points swings the
-        # argument of 1 - z^4 by well over pi/2 in one step.
-        tr = BranchTracker(4)
-        tr.update(1.0 + 0.2j)
-        with pytest.raises(BranchAmbiguityError):
-            tr.update(1.0 - 0.2j)
-
-    def test_root_evaluation_rejected(self):
-        tr = BranchTracker(4)
-        with pytest.raises(SingularityError):
-            branch_power(tr, 1.0 + 0j)
-
-    def test_bad_degree(self):
-        with pytest.raises(ParameterError):
-            BranchTracker(1)
-
+class TestRootsOfUnity:
     def test_nearest_root_distance_brute_force(self, rng):
         for n in (3, 4, 7):
             roots = [cmath.exp(2j * math.pi * k / n) for k in range(n)]
@@ -83,84 +37,53 @@ class TestTracker:
                 brute = min(abs(z - r) for r in roots)
                 assert abs(nearest_root_distance(n, z) - brute) < 1e-12
 
+    def test_principal_power_matches_direct_power(self, rng):
+        # Inside the sector 1 - z^n stays off the negative reals, so the
+        # principal branch is Python's own complex power.
+        for n in (3, 4, 7):
+            beta = (n - 1) / n
+            for _ in range(50):
+                z = rng.uniform(0.0, 2.0) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi / n))
+                for exponent in (-beta, beta):
+                    direct = (1.0 - z ** n) ** exponent
+                    assert abs(principal_power(n, z, exponent) - direct) <= 1e-14 * abs(direct)
 
-class TestMakePath:
-    def test_explicit_step_cap(self):
-        p = make_path(4, [0, 1j], max_step=0.125)
-        steps = [abs(b - a) for a, b in zip(p.nodes, p.nodes[1:])]
-        assert all(s <= 0.125 + 1e-12 for s in steps)
-        assert p.nodes[0] == 0 and p.nodes[-1] == 1j
-
-    def test_default_rule_tightens_near_roots(self):
-        p = make_path(4, [0, 0.999])
-        steps = [(0.5 * (a + b), abs(b - a)) for a, b in zip(p.nodes, p.nodes[1:])]
-        for mid, s in steps:
-            cap = 0.05 * min(1.0, max(nearest_root_distance(4, mid), 1e-3))
-            assert s <= cap * 1.0001
-
-    def test_too_few_nodes(self):
-        with pytest.raises(ParameterError):
-            PathSpec((0j,))
-
-    def test_nonpositive_step(self):
-        with pytest.raises(ParameterError):
-            PathSpec((0j, 1j), max_step=0.0)
+    def test_root_evaluation_rejected(self):
+        for z in (1.0 + 0j, -1.0 + 0j, 1j):
+            with pytest.raises(SingularityError):
+                principal_power(4, z, -0.75)
 
 
 class TestPathIntegral:
-    def test_must_start_at_zero(self):
-        with pytest.raises(ParameterError):
-            integrate_path(4, PathSpec((0.5 + 0j, 1j)))
-
     def test_in_sector_path_independence(self):
+        # The ray integral (binomial series here) and a dog-leg through a
+        # GK15 segment integral must reach the same value.
         n = 4
         z = 0.5 + 0.5j
+        mid = 0.45 + 0.05j
         direct = sector_ray_integral(n, z, 1e-13)
-        dog_leg = integrate_path(n, make_path(n, [0, 0.45 + 0.05j, z]), tol=1e-12)
-        assert abs(direct - dog_leg.value) < 1e-11
+        dog_leg = sector_ray_integral(n, mid, 1e-13) + sector_segment_integral(n, mid, z, 1e-13)
+        assert abs(direct - dog_leg) < 1e-11
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_real_ray_crossing_picks_upper_phase(self, n):
         # Beyond the root at 1 the integrand continues with the phase factor
         # exp(i pi (n-1)/n) when approached from inside the sector.
         x = 1.8
-        res = integrate_path(n, make_path(n, [0, x], max_step=0.25), tol=1e-12)
+        value = arcsin_n_sector(make_context(n), x)
         beta = (n - 1) / n
         expect = (gamma_half_period(n)
                   + cmath.exp(1j * math.pi * beta) * _beyond_root_magnitude(n, x))
-        assert abs(res.value - expect) < 5e-10
+        assert abs(value - expect) < 5e-10
 
     def test_rotated_ray_is_conjugate_symmetric(self):
         # The ray through the root at angle 2 pi / n carries the conjugate
         # phase, which makes the two boundary values reflections of each
         # other: value(omega * x) = omega * conj(value(x)).
         n = 4
+        ctx = make_context(n)
         omega = cmath.exp(2j * math.pi / n)
         x = 1.8
-        lower = integrate_path(n, make_path(n, [0, x], max_step=0.25), tol=1e-12)
-        upper = integrate_path(n, make_path(n, [0, omega * x], max_step=0.25), tol=1e-12)
-        assert abs(upper.value - omega * lower.value.conjugate()) < 5e-10
-
-    def test_crossing_other_ray_is_ambiguous(self):
-        # The ray at angle pi passes through the root -1 for n = 4; no
-        # sanctioned continuation exists there.
-        with pytest.raises(BranchAmbiguityError):
-            integrate_path(4, make_path(4, [0, -1.8], max_step=0.25), tol=1e-10)
-
-    def test_guard_band_node_rejected(self):
-        with pytest.raises(SingularityError):
-            integrate_path(4, PathSpec((0j, 1.0 + 1e-9 + 0j, 1.5 + 0.5j)))
-
-    def test_non_radial_leg_at_root_rejected(self):
-        with pytest.raises(ParameterError):
-            integrate_path(4, PathSpec((0j, 0.5 + 0.5j, 1.0 + 0j)))
-
-    def test_matches_ode_oracle_mid_sector(self):
-        # Tracked integral from 0 to z must agree with the directly
-        # integrated value for an in-sector z (cross-checked elsewhere
-        # against the differential-equation oracle via inversion).
-        n = 3
-        z = 0.9 * cmath.exp(1j * math.pi / 5)
-        res = integrate_path(n, make_path(n, [0, z]), tol=1e-12)
-        direct = sector_ray_integral(n, z, 1e-13)
-        assert abs(res.value - direct) < 1e-11
+        lower = arcsin_n_sector(ctx, x)
+        upper = arcsin_n_sector(ctx, omega * x)
+        assert abs(upper - omega * lower.conjugate()) < 5e-10

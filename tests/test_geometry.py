@@ -13,6 +13,7 @@ from squig.geometry import (
     contains_Pi,
     contains_Sigma,
     fold,
+    in_rosette,
     make_context,
     sample_domain,
     unfold,
@@ -104,6 +105,25 @@ class TestContainsPi:
             if want > math.pi:  # phase folds angles beyond pi
                 want = 2.0 * math.pi - want
             assert ang == pytest.approx(want, abs=1e-12)
+
+
+class TestInRosette:
+    @pytest.mark.parametrize("n", [4, 5, 8])
+    def test_agrees_with_fold(self, n, rng):
+        # fold raises DomainError exactly outside the closed rosette
+        ctx = make_context(n)
+        half = 1.2 * abs(ctx.P)
+        inside = 0
+        for _ in range(400):
+            z = complex(rng.uniform(-half, half), rng.uniform(-half, half))
+            try:
+                fold(ctx, z)
+                folds = True
+            except DomainError:
+                folds = False
+            assert in_rosette(ctx, z) == folds, z
+            inside += folds
+        assert 0 < inside < 400
 
 
 class TestContainsSigma:

@@ -7,8 +7,9 @@ import scipy.integrate
 
 from squig.errors import DivergenceError, ParameterError, QuadratureError
 from squig.numerics import (
+    _MAX_QUAD_LEVEL,
     QuadratureResult,
-    endpoint_singular_levels,
+    _tanh_sinh,
     integrate_endpoint_singular,
     integrate_smooth,
     integrate_tail,
@@ -41,15 +42,6 @@ class TestEndpointSingular:
         assert abs(res.value.real - gamma_half_period(n)) < 1e-12
         assert abs(res.value.imag) == 0.0
 
-    @pytest.mark.parametrize("n", [3, 4, 8])
-    def test_half_period_plain_regularized(self, n):
-        beta = (n - 1) / n
-        res = integrate_endpoint_singular(
-            lambda x: (1.0 - x ** n) ** (-beta), 0.0, 1.0,
-            right_exp=beta, tol=1e-13)
-        # Plain integrands lose precision in the endpoint extrapolation band.
-        assert abs(res.value.real - gamma_half_period(n)) < 5e-9
-
     def test_both_endpoints_singular(self):
         # arcsine kernel: integral of (x(1-x))^(-1/2) over [0,1] is pi
         res = integrate_endpoint_singular(
@@ -58,45 +50,31 @@ class TestEndpointSingular:
         assert abs(res.value.real - math.pi) < 1e-12
 
     def test_smooth_case_matches_closed_form(self):
-        res = integrate_endpoint_singular(lambda x: math.exp(x), 0.0, 1.0, tol=1e-13)
+        res = integrate_endpoint_singular(lambda x, dl, dr: math.exp(x), 0.0, 1.0, tol=1e-13)
         assert abs(res.value.real - (math.e - 1.0)) < 1e-12
 
     def test_divergent_exponent_rejected(self):
         with pytest.raises(DivergenceError):
-            integrate_endpoint_singular(lambda x: 1.0 / x, 0.0, 1.0, left_exp=1.0)
+            integrate_endpoint_singular(lambda x, dl, dr: 1.0 / dl, 0.0, 1.0, left_exp=1.0)
 
     def test_bad_interval_rejected(self):
         with pytest.raises(ParameterError):
-            integrate_endpoint_singular(lambda x: x, 1.0, 0.0)
+            integrate_endpoint_singular(lambda x, dl, dr: x, 1.0, 0.0)
 
     def test_err_estimate_bounds_final_doubling(self):
         # The reported estimate must cover what the last level change was.
-        history = endpoint_singular_levels(_period_integrand(4), 0.0, 1.0, tol=1e-13)
+        history = _tanh_sinh(_period_integrand(4), 0.0, 1.0, 1e-13, _MAX_QUAD_LEVEL)[3]
         res = integrate_endpoint_singular(
             _period_integrand(4), 0.0, 1.0, right_exp=0.75, tol=1e-13)
         final_change = abs(history[-1] - history[-2])
         assert final_change <= res.err_estimate * 1.0000001
 
-    def test_level_cap_env_limits_refinement(self, monkeypatch):
+    def test_level_cap_limits_refinement(self):
         # An interior kink converges too slowly for 3 doublings; the capped
         # run must fail loudly and carry its last estimates.
-        monkeypatch.setenv("SQUIG_MAX_QUAD_LEVEL", "3")
         with pytest.raises(QuadratureError) as exc_info:
-            integrate_endpoint_singular(
-                lambda x: abs(x - 1.0 / math.pi), 0.0, 1.0, tol=1e-13)
+            _tanh_sinh(lambda x, dl, dr: abs(x - 1.0 / math.pi), 0.0, 1.0, 1e-13, 3)
         assert exc_info.value.last_estimates
-
-    def test_level_cap_env_invalid(self, monkeypatch):
-        monkeypatch.setenv("SQUIG_MAX_QUAD_LEVEL", "junk")
-        with pytest.raises(ParameterError):
-            integrate_endpoint_singular(
-                _period_integrand(4), 0.0, 1.0, right_exp=0.75)
-
-    def test_level_cap_env_out_of_range(self, monkeypatch):
-        monkeypatch.setenv("SQUIG_MAX_QUAD_LEVEL", "2")
-        with pytest.raises(ParameterError):
-            integrate_endpoint_singular(
-                _period_integrand(4), 0.0, 1.0, right_exp=0.75)
 
 
 class TestSmoothRule:
@@ -148,25 +126,25 @@ class TestTail:
     def test_zero_start_allowed(self):
         # Whole-ray variant of the same value, no singular point at all.
         n = 4
-        res = integrate_tail(lambda t: (1.0 + t ** n) ** (-0.75), 0.0,
+        res = integrate_tail(lambda t, dl, dr: (1.0 + t ** n) ** (-0.75), 0.0,
                              decay_exp=3.0, tol=1e-13)
         assert abs(res.value.real - slit_integral_oracle(n)) < 1e-11
 
     def test_generic_tail_matches_atan(self):
-        res = integrate_tail(lambda t: 1.0 / (1.0 + t * t), 1.0,
+        res = integrate_tail(lambda t, dl, dr: 1.0 / (1.0 + t * t), 1.0,
                              decay_exp=2.0, tol=1e-13)
         assert abs(res.value.real - math.pi / 4.0) < 1e-12
 
     def test_scipy_cross_check(self):
         f = lambda t: t ** -2.5 * math.cos(1.0 / t)
-        ours = integrate_tail(f, 2.0, decay_exp=2.5, tol=1e-12)
+        ours = integrate_tail(lambda t, dl, dr: f(t), 2.0, decay_exp=2.5, tol=1e-12)
         ref, _ = scipy.integrate.quad(f, 2.0, math.inf, epsabs=1e-13)
         assert abs(ours.value.real - ref) < 1e-10
 
     def test_divergent_decay_rejected(self):
         with pytest.raises(DivergenceError):
-            integrate_tail(lambda t: 1.0 / t, 1.0, decay_exp=1.0)
+            integrate_tail(lambda t, dl, dr: 1.0 / t, 1.0, decay_exp=1.0)
 
     def test_negative_start_rejected(self):
         with pytest.raises(ParameterError):
-            integrate_tail(lambda t: t ** -3.0, -1.0, decay_exp=3.0)
+            integrate_tail(lambda t, dl, dr: t ** -3.0, -1.0, decay_exp=3.0)
