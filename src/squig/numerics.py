@@ -237,20 +237,21 @@ def integrate_tail(f, a: float, decay_exp: float,
 # Gauss-Kronrod 15 on complex-valued legs
 # ---------------------------------------------------------------------------
 
-# Standard 15-point Kronrod extension of 7-point Gauss (nodes on [-1, 1]).
+# Standard 15-point Kronrod extension of 7-point Gauss (nodes on [-1, 1]),
+# QUADPACK's qk15 values rounded to the nearest double.
 _XGK = (
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
+    0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
+    0.7415311855993945, 0.5860872354676911, 0.4058451513773972,
+    0.20778495500789848, 0.0,
 )
 _WGK = (
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
+    0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
+    0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
+    0.20443294007529889, 0.20948214108472782,
 )
 _WG = (
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
+    0.1294849661688697, 0.27970539148927664, 0.3818300505051189,
+    0.4179591836734694,
 )
 
 

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import mpmath
 import pytest
 
 from squig.errors import DomainError, ParameterError
@@ -33,6 +34,14 @@ class TestMakeContext:
         for n in (32, 48, 64):
             ctx = make_context(n)
             assert ctx.pi_n == pytest.approx(gamma_full_period(n), abs=1e-12)
+
+    def test_period_to_double_precision(self):
+        # 30-digit gamma form; the quadrature must be good to rounding error
+        for n in range(3, 65):
+            with mpmath.workdps(30):
+                ref = float(2 * mpmath.gamma(mpmath.mpf(1) / n) ** 2
+                            / (n * mpmath.gamma(mpmath.mpf(2) / n)))
+            assert abs(make_context(n).pi_n - ref) <= 1e-15 * ref, n
 
     def test_vertices(self):
         for n in (3, 5, 8):

@@ -152,7 +152,11 @@ class TestScFactorization:
 
     def test_tolerance_override(self):
         ctx = make_context(4)
-        rep = check_sc_factorization(ctx, [0.5], tolerance=1e-16)
+        # both routes agree to 2.2e-16 and 2.5e-16 here; at z = 0.5 they
+        # agree exactly, which no tolerance can fail
+        rep = check_sc_factorization(ctx, [0.9, 0.85 * cmath.exp(1j * math.pi / 4)],
+                                     tolerance=1e-16)
+        assert rep.abs_error > 0.0
         assert not rep.passed
 
 
