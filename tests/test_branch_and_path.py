@@ -16,7 +16,7 @@ from squig.numerics import (
 )
 from squig.squigfn import arcsin_n_sector
 
-from conftest import gamma_half_period
+from conftest import gamma_half_period, rk4_sine_continuation
 
 
 def _beyond_root_magnitude(n, x):
@@ -87,3 +87,12 @@ class TestPathIntegral:
         lower = arcsin_n_sector(ctx, x)
         upper = arcsin_n_sector(ctx, omega * x)
         assert abs(upper - omega * lower.conjugate()) < 5e-10
+
+    def test_matches_ode_oracle_mid_sector(self):
+        # In the annulus 1/2 < |z^n| < 2 the ray integral is a quadrature;
+        # continuing the sine's differential equation from 0 to that value
+        # must land back on z.
+        n = 3
+        z = 0.9 * cmath.exp(1j * math.pi / 5)
+        w = sector_ray_integral(n, z, 1e-13)
+        assert abs(rk4_sine_continuation(n, w) - z) < 1e-11
