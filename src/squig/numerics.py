@@ -3,11 +3,14 @@
 This module owns the low-level numerical machinery: a double-exponential
 (tanh-sinh) rule for integrals with algebraic endpoint singularities, an
 adaptive 15-point Gauss-Kronrod rule for smooth complex legs, exact rational
-series reversion, the binomial series of the sector map at 0 and at
-infinity, a damped Newton inverter on the principal branch, and a discrete
-winding-number count.
+series reversion, the three series of the sector map (at 0, at infinity and
+the corner chart between them), a damped Newton inverter on the principal
+branch, and a discrete winding-number count.
 
-Each rule takes one integrand form:
+The sector map is evaluated by its series alone.  The quadrature rules serve
+``verify``, as the independent route its checks compare against, and
+``make_context``, whose period is computed by quadrature for the same
+reason.  Each rule takes one integrand form:
 
 * Gauss-Kronrod (``integrate_smooth``) takes ``f(x)``, a callable of one
   real argument; its nodes never come near the interval ends.
@@ -29,6 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import (
     ConvergenceError,
@@ -504,12 +508,73 @@ def _binomial_table(n: int, d: int):
     return coeffs, radii
 
 
+def _miller_power(p: list, alpha: float, terms: int) -> list:
+    """First ``terms`` coefficients of p**alpha, for a power series with p[0] == 1.
+
+    Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), in floats.
+    """
+    q = [1.0]
+    for m in range(1, terms):
+        acc = 0.0
+        for j in range(1, min(m, len(p) - 1) + 1):
+            acc += ((alpha + 1.0) * j - m) * p[j] * q[m - j]
+        q.append(acc / m)
+    return q
+
+
+def _corner_polynomial(n: int) -> list:
+    """Coefficients of h(delta) = (1 - (1-delta)**n) / (n delta), with h(0) = 1."""
+    return [math.comb(n, j + 1) / n * (-1) ** j for j in range(n)]
+
+
+def _corner_table(n: int):
+    """Coefficients and term counts of the corner chart Q(delta) = sum_k q_k delta**k.
+
+    A - F(1 - delta) = n^(1/n) delta^(1/n) Q(delta) with q_k = g_k / (n*k + 1),
+    g = h**(-beta) and h = _corner_polynomial(n) = prod_j (1 - delta/(1 - omega**j))
+    over j = 1..n-1.  On |delta| = r below rho = 2 sin(pi/n), the distance to
+    the nearest root, |g| <= M(r) = prod_j (1 - r/|1 - omega**j|)**(-beta), so
+    by Cauchy's estimate the remainder after k terms at |delta| = t*r is at
+    most M(r) t**k / ((n*k + 1) (1 - t)).  radii[k-1] is a |delta| where that
+    is below _SERIES_EPS; r = rho k / (k + 2 beta) minimises the bound for the
+    two nearest roots.  Terms are added until radii covers the half-sector
+    annulus, |delta| <= |1 - 2**(+-1/n) e^(i pi/n)|.
+    """
+    beta = (n - 1) / n
+    rho = 2.0 * math.sin(math.pi / n)
+    dist = [2.0 * math.sin(math.pi * j / n) for j in range(1, n)]
+    reach = max(abs(1.0 - 2.0 ** (s / n) * cmath.exp(1j * math.pi / n)) for s in (-1, 1))
+    radii = []
+    while not radii or radii[-1] < reach:
+        k = len(radii) + 1
+        r = rho * k / (k + 2.0 * beta)
+        log_m = -beta * sum(math.log1p(-r / d) for d in dist)
+        c = _SERIES_EPS * (n * k + 1) * math.exp(-log_m)
+        # t = c**(1/k) overshoots the root of t**k / (1 - t) = c; one step of
+        # t -> (c (1 - t))**(1/k) from there lands below it
+        t = (c * (1.0 - c ** (1.0 / k))) ** (1.0 / k)
+        radii.append(t * r)
+    g = _miller_power(_corner_polynomial(n), -beta, len(radii))
+    return [a / (n * k + 1) for k, a in enumerate(g)], radii
+
+
+class _SeriesTables(NamedTuple):
+    """Per-n constants of the kernel; P and A come from the gamma closed form."""
+
+    inner: tuple      # binomial table of the series at 0
+    outer: tuple      # binomial table of the series at infinity
+    chart: tuple      # table of Q, the corner chart
+    corner: complex   # P
+    phase: complex    # e^(i pi beta)
+    half: float       # A, the half period
+
+
 @functools.lru_cache(maxsize=None)
-def _series_tables(n: int):
-    """Per-n constants of the kernel: both binomial tables, P and e^(i pi beta)."""
-    corner = gamma_corner_radius(n) * cmath.exp(1j * math.pi / n)
-    phase = cmath.exp(1j * math.pi * (n - 1) / n)
-    return _binomial_table(n, 1), _binomial_table(n, n - 2), corner, phase
+def _series_tables(n: int) -> _SeriesTables:
+    return _SeriesTables(
+        _binomial_table(n, 1), _binomial_table(n, n - 2), _corner_table(n),
+        gamma_corner_radius(n) * cmath.exp(1j * math.pi / n),
+        cmath.exp(1j * math.pi * (n - 1) / n), 0.5 * gamma_pi_n(n))
 
 
 def _binomial_sum(table, x: complex) -> complex:
@@ -536,98 +601,69 @@ def _series_tail(n: int, u: complex) -> complex | None:
     y = lead * v * v
     if abs(y) > 1.0 / SERIES_OUTER:
         return None
-    return lead * _binomial_sum(_series_tables(n)[1], y)
+    return lead * _binomial_sum(_series_tables(n).outer, y)
 
 
-def _series_F(n: int, u: complex) -> complex | None:
-    """F(u) from its binomial series, or None in the annulus between them.
+def sector_ray_integral(n: int, u: complex) -> complex:
+    """F(u), the integral of the arcsine kernel along [0, u], from three series.
 
     With x = u**n, beta = (n-1)/n and c_k = (beta)_k / k!:
 
     * |x| <= SERIES_INNER:  F(u) = u * sum_k c_k x**k / (n*k + 1);
     * |x| >= SERIES_OUTER:  F(u) = P - e^(i pi beta) * _series_tail(n, u),
-      with P from the gamma closed form.  This holds on the open sector and
-      on its boundary rays continued from inside, the lower slit edge
-      included; the leading term is the pole asymptote of F.
+      with P from the gamma closed form; the leading term is the pole
+      asymptote of F;
+    * in the annulus between them, the chart at the corner
+      F(1 - delta) = A - n^(1/n) delta^(1/n) Q(delta), with A from the gamma
+      closed form.  Points of phase above pi/n use the chart at omega
+      through F(omega v) = omega F(v), with the real coefficients of Q.
 
-    Each sum is cut by its proven remainder bound at half an ulp of its
-    leading term, so the result carries only rounding error (about 1e-15
-    relative).
+    Valid on the closed base sector: the boundary rays past their roots of
+    unity take the value continued from inside, the lower slit edge
+    included.  Each sum is cut by its proven remainder bound at half an ulp
+    of its leading term, so the result carries only rounding error (about
+    1e-15 relative).
     """
     if abs(u) <= 1.0:
         x = u ** n
-        if abs(x) > SERIES_INNER:
-            return None
-        return u * _binomial_sum(_series_tables(n)[0], x)
-    tail = _series_tail(n, u)
-    if tail is None:
-        return None
-    _, _, corner, phase = _series_tables(n)
-    return corner - phase * tail
+        if abs(x) <= SERIES_INNER:
+            return u * _binomial_sum(_series_tables(n).inner, x)
+    else:
+        tail = _series_tail(n, u)
+        if tail is not None:
+            tables = _series_tables(n)
+            return tables.corner - tables.phase * tail
+    if cmath.phase(u) > math.pi / n:
+        omega = cmath.exp(2j * math.pi / n)
+        return omega * _corner_series(n, omega * u.conjugate()).conjugate()
+    return _corner_series(n, u)
 
 
-# ---------------------------------------------------------------------------
-# Newton inversion of the sector integral
-# ---------------------------------------------------------------------------
+def _corner_series(n: int, u: complex) -> complex:
+    """F(u) from the chart at 1, for u in the lower half of the annulus.
 
-def _sector_ray_integrand(n: int, z: complex):
-    """Offset-aware integrand for the ray integral of the arcsine kernel."""
-    beta = (n - 1) / n
-    zn = z ** n
-    # Anywhere near a root of unity the s = 1 end is singular or sharp;
-    # only the double-exponential rule resolves that to full precision.
-    sharp_end = abs(zn - 1.0) < 0.5
-
-    if sharp_end:
-        def f3(s, dl, dr):
-            # 1 - (s z)^n = (1 - s^n) + s^n (1 - z^n) exactly, and
-            # 1 - s^n = dr * (1 + s + ... + s^(n-1)) exactly.
-            poly = 0.0
-            sk = 1.0
-            for _ in range(n):
-                poly += sk
-                sk *= s
-            w = dr * poly + (s ** n) * (1.0 - zn)
-            return z * cmath.exp(-beta * cmath.log(w))
-        return f3, True
-
-    def f3(s, dl, dr):
-        w = 1.0 - (s ** n) * zn
-        return z * cmath.exp(-beta * cmath.log(w))
-    return f3, False
-
-
-def sector_ray_integral(n: int, z: complex, tol: float = DEFAULT_QUAD_TOL) -> complex:
-    """Integral of the arcsine kernel along the ray [0, z], principal branch.
-
-    Valid for z in the closed base sector, excluding the boundary rays past
-    their roots of unity (those need the explicit crossing phase).  The ray
-    endpoint may itself be a root of unity.  Outside the annulus
-    SERIES_INNER < |z**n| < SERIES_OUTER the binomial series gives the value
-    to rounding error and ``tol`` is not used; inside it, quadrature does.
+    On the real ray beyond 1, delta^(1/n) takes the branch continued from
+    inside the sector, |delta|^(1/n) e^(-i pi/n).
     """
-    if z == 0:
-        return 0j
-    series = _series_F(n, z)
-    if series is not None:
-        return series
-    f3, singular = _sector_ray_integrand(n, z)
-    if singular:
-        value, _, _, _ = _tanh_sinh(f3, 0.0, 1.0, tol, _MAX_QUAD_LEVEL)
-        return value
-    res = integrate_smooth(lambda s: f3(s, s, 1.0 - s), 0.0, 1.0, tol)
-    return res.value
+    tables = _series_tables(n)
+    delta = 1.0 - u
+    if delta.imag == 0.0 and delta.real < 0.0:
+        root = (-delta.real) ** (1.0 / n) * cmath.exp(-1j * math.pi / n)
+    else:
+        root = delta ** (1.0 / n)
+    return tables.half - n ** (1.0 / n) * root * _binomial_sum(tables.chart, delta)
 
 
 def sector_segment_integral(n: int, za: complex, zb: complex,
                             tol: float = DEFAULT_QUAD_TOL,
                             max_evals: int = 8_000) -> complex:
-    """Principal-branch integral of the arcsine kernel along [za, zb].
+    """Principal-branch integral of the arcsine kernel along [za, zb], by GK15.
 
     Both endpoints (and hence the whole segment) must lie in the closed base
     sector away from the slit part of its boundary, where the principal
-    branch is the continuous one.  The evaluation budget is deliberately
-    small; segments hugging a root of unity should use the ray integral.
+    branch is the continuous one.  No evaluation route uses it; it is the
+    independent quadrature that ``verify`` checks the series against.  The
+    evaluation budget is deliberately small.
     """
     beta = (n - 1) / n
     seg = zb - za
@@ -640,6 +676,10 @@ def sector_segment_integral(n: int, za: complex, zb: complex,
     res = integrate_smooth(f, 0.0, 1.0, tol, max_evals=max_evals)
     return res.value * seg
 
+
+# ---------------------------------------------------------------------------
+# Newton inversion of the sector integral
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class NewtonResult:
@@ -670,27 +710,9 @@ def _in_sector(n: int, z: complex, slack: float = 1e-9) -> bool:
 def _newton_basic(n: int, w: complex, z0: complex, tol: float,
                   max_iter: int) -> NewtonResult:
     beta = (n - 1) / n
-    qtol = min(1e-13, tol * 0.05)
-
-    def advance(z_old: complex, Fz_old: complex, z_new: complex) -> complex:
-        series = _series_F(n, z_new)
-        if series is not None:
-            return series
-        # Incremental segment update is cheap, but next to a root of unity
-        # the segment quadrature degrades; the ray integral has a dedicated
-        # singular mode and stays robust there.
-        if (nearest_root_distance(n, z_new) < 1e-2
-                or nearest_root_distance(n, z_old) < 1e-2):
-            return sector_ray_integral(n, z_new, qtol)
-        try:
-            return Fz_old + sector_segment_integral(n, z_old, z_new, qtol)
-        except QuadratureError:
-            return sector_ray_integral(n, z_new, qtol)
-
     z = z0
-    Fz = sector_ray_integral(n, z, qtol)
+    Fz = sector_ray_integral(n, z)
     resid = abs(Fz - w)
-    since_refresh = 0
     for it in range(1, max_iter + 1):
         if resid <= tol:
             return NewtonResult(z, resid, it - 1)
@@ -707,7 +729,7 @@ def _newton_basic(n: int, w: complex, z0: complex, tol: float,
                     nearest_root_distance(n, z_new) < 1e-10):
                 lam *= 0.5
                 continue
-            F_new = advance(z, Fz, z_new)
+            F_new = sector_ray_integral(n, z_new)
             r_new = abs(F_new - w)
             if r_new < resid:
                 z, Fz, resid = z_new, F_new, r_new
@@ -716,14 +738,6 @@ def _newton_basic(n: int, w: complex, z0: complex, tol: float,
             lam *= 0.5
         if not accepted:
             break
-        since_refresh += 1
-        if since_refresh >= 8:
-            Fz = sector_ray_integral(n, z, qtol)
-            resid = abs(Fz - w)
-            since_refresh = 0
-    # Final full re-evaluation guards against incremental drift.
-    Fz = sector_ray_integral(n, z, qtol)
-    resid = abs(Fz - w)
     return NewtonResult(z, resid, max_iter)
 
 
@@ -741,9 +755,8 @@ def newton_invert(n: int, w: complex, z0: complex,
         return res
 
     # Path continuation: walk the target from F(z0) to w.
-    qtol = min(1e-13, tol * 0.05)
     z = z0
-    base = sector_ray_integral(n, z, qtol)
+    base = sector_ray_integral(n, z)
     stages = 10
     last = res
     for j in range(1, stages + 1):

@@ -8,21 +8,24 @@ inverse sine is ``F`` itself continued over the slit plane.
 
 Evaluation strategy for the inverse problem, in order of preference:
 
-1. an exact local chart around the corner ``u = 1`` (series with rational
-   coefficients, iterated in the n-th-root variable so no branch is ever
-   chosen explicitly),
+1. a local chart around the corner ``u = 1`` (series iterated in the
+   n-th-root variable so no branch is ever chosen explicitly),
 2. a one-dimensional real solve for targets on the slit-edge image
    segment ``[A, P]``,
-3. damped Newton on the tracked sector map, seeded from the Maclaurin
-   series, a pole asymptote, or a precomputed grid, whichever is closest.
+3. damped Newton on the principal-branch sector map, seeded from the
+   Maclaurin series, a pole asymptote, or a precomputed grid, whichever is
+   closest.
 
-Every forward value of ``F`` away from the corner chart comes from one
-kernel, ``numerics._series_F``.  With ``x = u**n`` it sums the binomial
-series at 0 for ``|x| <= 1/2`` and the series at infinity,
-``F(u) = P - e^{i pi (n-1)/n} sum_k c_k u^(2-n-nk) / (n-2+nk)`` with ``P``
-from the gamma closed form, for ``|x| >= 2``.  Both are cut by a proven
-remainder bound and are accurate to about 1e-15 relative.  Quadrature is
-left to the annulus ``1/2 < |x| < 2``.
+Every forward value of ``F`` comes from one kernel,
+``numerics.sector_ray_integral``, which sums one of three series.  With
+``x = u**n`` they are the binomial series at 0 for ``|x| <= 1/2``, the
+series at infinity,
+``F(u) = P - e^{i pi (n-1)/n} sum_k c_k u^(2-n-nk) / (n-2+nk)``, for
+``|x| >= 2``, and in the annulus between them the corner chart
+``F(1 - delta) = A - n^(1/n) delta^(1/n) Q(delta)`` at the nearest of the
+roots 1 and omega.  ``A`` and ``P`` come from the gamma closed form.  Each
+series is cut by a proven remainder bound, so every value is accurate to
+about 1e-15 relative.
 """
 
 from __future__ import annotations
@@ -42,11 +45,13 @@ from .errors import (
 from .geometry import SquigContext, contains_Sigma, fold
 from .numerics import (
     RationalSeries,
+    _binomial_sum,
+    _corner_polynomial,
     _in_sector,
-    _series_F,
+    _miller_power,
+    _series_tables,
     _series_tail,
     gamma_corner_radius,
-    integrate_smooth,
     newton_invert,
     revert_series,
     sector_ray_integral,
@@ -144,35 +149,19 @@ def radius_estimate(series: RationalSeries) -> float:
 # corner chart around u = 1
 
 
-def _miller_power(p: list[Fraction], alpha: Fraction, terms: int) -> list[Fraction]:
-    # q = p**alpha for p with p[0] == 1, by the power-series recurrence
-    q = [Fraction(1)]
-    for m in range(1, terms):
-        acc = Fraction(0)
-        for j in range(1, min(m, len(p) - 1) + 1):
-            acc += ((alpha + 1) * j - m) * p[j] * q[m - j]
-        q.append(acc / m)
-    return q
-
-
 def _corner_chart(ctx: SquigContext):
     """Chart constants: (Q coeffs, cosine coeffs, delta radius, image radius).
 
     With delta = 1 - u,  A - F(u) = n^(1/n) * delta^(1/n) * Q(delta)  and
-    cos = n^(1/n) * delta^(1/n) * H(delta), both series exact rationals.
+    cos = n^(1/n) * delta^(1/n) * H(delta).  Q is the head of the kernel's
+    chart table; both series are summed to _CORNER_TERMS terms.
     """
     cached = ctx.series_cache.get("corner")
     if cached is not None:
         return cached
     n = ctx.n
-    h = [
-        Fraction(math.comb(n, j + 1), n) * (-1) ** j if j + 1 <= n else Fraction(0)
-        for j in range(_CORNER_TERMS)
-    ]
-    hm = _miller_power(h, Fraction(-(n - 1), n), _CORNER_TERMS)
-    hc = _miller_power(h, Fraction(1, n), _CORNER_TERMS)
-    q = [complex(hm[k] / (n * k + 1)) for k in range(_CORNER_TERMS)]
-    hcos = [complex(c) for c in hc]
+    q = _series_tables(n).chart[0][:_CORNER_TERMS]
+    hcos = _miller_power(_corner_polynomial(n), 1.0 / n, _CORNER_TERMS)
     delta_max = _CORNER_FRAC * 2.0 * math.sin(math.pi / n)
     band = n ** (1.0 / n) * (0.8 * delta_max) ** (1.0 / n)
     chart = (q, hcos, delta_max, band)
@@ -234,26 +223,18 @@ def _corner_invert(ctx: SquigContext, y: complex):
 # slit-edge image segment [A, P]
 
 
-def _edge_integral(ctx: SquigContext, x: float, tol: float = 1e-12) -> float:
+def _edge_integral(ctx: SquigContext, x: float) -> float:
     """Real integral of (t^n - 1)^(-(n-1)/n) over [1, x], for x > 1."""
     n = ctx.n
-    beta = ctx.beta
     if x <= 1.0:
         return 0.0
     tail = _series_tail(n, x)
     if tail is not None:
         # the full-ray value is |P|; the series gives the rest beyond x
         return gamma_corner_radius(n) - tail.real
-
-    # t = 1 + s^n turns t^n - 1 into s^n * (n + ...), cancelling the endpoint
-    # singularity: the integrand n * ((t^n - 1) / s^n)^(-beta) is bounded
-    def g(s):
-        e = s**n
-        if e == 0.0:
-            return n ** (1.0 - beta)
-        return n * (math.expm1(n * math.log1p(e)) / e) ** (-beta)
-
-    return integrate_smooth(g, 0.0, (x - 1.0) ** (1.0 / n), tol=tol).value.real
+    # the corner chart on the lower slit edge, F(x) = A + e^(i pi beta) * edge
+    chart = _series_tables(n).chart
+    return n ** (1.0 / n) * (x - 1.0) ** (1.0 / n) * _binomial_sum(chart, 1.0 - x).real
 
 
 def _invert_slit_edge(ctx: SquigContext, m: float, tol: float):
@@ -271,32 +252,26 @@ def _invert_slit_edge(ctx: SquigContext, m: float, tol: float):
     else:
         x = 1.0 + 0.5 * delta_max
     x = max(x, 1.0 + 1e-15)
-    val = _edge_integral(ctx, x, tol)
-    lo, hi = 1.0, None
+    val = _edge_integral(ctx, x)
+    lo = 1.0
     if val < m:
         lo = x
         while val < m:
             x *= 2.0
-            val = _edge_integral(ctx, x, tol)
+            val = _edge_integral(ctx, x)
             if x > 1e12:
                 break
-        hi = x
-    else:
-        hi = x
+    hi = x
     # Newton with bisection safety; derivative is (x^n - 1)^(-beta)
     for _ in range(80):
         err = val - m
         if abs(err) <= tol:
             break
-        step = -err * (x**n - 1.0) ** beta
-        cand = x + step
-        if not (lo < cand < (hi if hi is not None else math.inf)):
-            cand = 0.5 * (lo + hi) if hi is not None else 2.0 * x
-        inc = integrate_smooth(
-            lambda t: (t**n - 1.0) ** (-beta), min(x, cand), max(x, cand), tol=tol * 0.1
-        ).value.real
-        val = val + inc if cand > x else val - inc
+        cand = x - err * (x**n - 1.0) ** beta
+        if not lo < cand < hi:
+            cand = 0.5 * (lo + hi)
         x = cand
+        val = _edge_integral(ctx, x)
         if val < m:
             lo = x
         else:
@@ -330,11 +305,7 @@ def _seed_table(ctx: SquigContext):
     for r in _SEED_RADII:
         for a in _SEED_ANGLES:
             u = r * cmath.exp(1j * math.pi / ctx.n * a)
-            try:
-                t = sector_ray_integral(ctx.n, u, tol=1e-10)
-            except SquigError:
-                continue
-            table.append((t, u))
+            table.append((sector_ray_integral(ctx.n, u), u))
     ctx.series_cache["seeds"] = table
     return table
 
@@ -372,8 +343,7 @@ def _invert_to_triangle(ctx: SquigContext, t: complex, tol: float):
     for seed in seeds:
         # Newton accepts no iterate outside the sector or, beyond the unit
         # circle, within 1e-7 of a boundary ray (a slit there).  A seed in
-        # that margin can only fail, after a ray integral along the slit that
-        # runs GK15 to its evaluation cap.
+        # that margin can only fail.
         if not _in_sector(n, seed):
             continue
         try:
@@ -390,7 +360,7 @@ def _invert_to_triangle(ctx: SquigContext, t: complex, tol: float):
 # public maps
 
 
-def arcsin_n_sector(ctx: SquigContext, z: complex, tol: float = _DEFAULT_TOL) -> complex:
+def arcsin_n_sector(ctx: SquigContext, z: complex) -> complex:
     """Sector map F on the closed fundamental sector, boundary rays included."""
     z = complex(z)
     n = ctx.n
@@ -413,31 +383,23 @@ def arcsin_n_sector(ctx: SquigContext, z: complex, tol: float = _DEFAULT_TOL) ->
     if abs(u - 1.0) <= 1e-14:
         u = 1.0 + 0j
 
-    val = _sector_value(ctx, u, tol)
+    val = _sector_value(ctx, u)
     return ctx.omega * val.conjugate() if reflected else val
 
 
-def _sector_value(ctx: SquigContext, u: complex, tol: float) -> complex:
+def _sector_value(ctx: SquigContext, u: complex) -> complex:
     """F(u) for u in the closed lower half-sector (phase in [0, pi/n])."""
-    n = ctx.n
-    delta_max = _corner_chart(ctx)[2]
-    if u.imag == 0.0:
-        x = u.real
-        if x <= 1.0 - 0.8 * delta_max:
-            return sector_ray_integral(n, u, tol)
-        if x <= 1.0 + 0.8 * delta_max:
+    if abs(1.0 - u) <= 0.8 * _corner_chart(ctx)[2]:
+        # Im u > 0 makes arg(1 - u) negative: principal root is the sector
+        # branch; the real ray beyond 1 is the lower slit edge
+        if u.imag == 0.0:
+            x = u.real
             return ctx.A - _corner_forward(ctx, 1.0 - x, lower_edge=x > 1.0)
-        series = _series_F(n, u)
-        if series is not None:
-            return series
-        return ctx.A + cmath.exp(1j * math.pi * ctx.beta) * _edge_integral(ctx, x, tol)
-    if abs(1.0 - u) <= 0.8 * delta_max:
-        # Im u > 0 makes arg(1 - u) negative: principal root is the sector branch
         return ctx.A - _corner_forward(ctx, 1.0 - u)
-    return sector_ray_integral(n, u, tol)
+    return sector_ray_integral(ctx.n, u)
 
 
-def arcsin_n(ctx: SquigContext, w: complex, tol: float = _DEFAULT_TOL) -> complex:
+def arcsin_n(ctx: SquigContext, w: complex) -> complex:
     """Global inverse sine on the slit plane."""
     w = complex(w)
     if not contains_Sigma(ctx, w):
@@ -453,7 +415,7 @@ def arcsin_n(ctx: SquigContext, w: complex, tol: float = _DEFAULT_TOL) -> comple
     flip = u.imag < 0.0
     if flip:
         u = u.conjugate()
-    val = _sector_value(ctx, u, tol)
+    val = _sector_value(ctx, u)
     if flip:
         val = val.conjugate()
     return val * cmath.exp(2j * math.pi * k / n)

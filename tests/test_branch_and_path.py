@@ -61,8 +61,8 @@ class TestPathIntegral:
         n = 4
         z = 0.5 + 0.5j
         mid = 0.45 + 0.05j
-        direct = sector_ray_integral(n, z, 1e-13)
-        dog_leg = sector_ray_integral(n, mid, 1e-13) + sector_segment_integral(n, mid, z, 1e-13)
+        direct = sector_ray_integral(n, z)
+        dog_leg = sector_ray_integral(n, mid) + sector_segment_integral(n, mid, z, 1e-13)
         assert abs(direct - dog_leg) < 1e-11
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -89,10 +89,10 @@ class TestPathIntegral:
         assert abs(upper - omega * lower.conjugate()) < 5e-10
 
     def test_matches_ode_oracle_mid_sector(self):
-        # In the annulus 1/2 < |z^n| < 2 the ray integral is a quadrature;
-        # continuing the sine's differential equation from 0 to that value
-        # must land back on z.
+        # In the annulus 1/2 < |z^n| < 2 the ray integral is the corner
+        # chart; continuing the sine's differential equation from 0 to that
+        # value must land back on z.
         n = 3
         z = 0.9 * cmath.exp(1j * math.pi / 5)
-        w = sector_ray_integral(n, z, 1e-13)
+        w = sector_ray_integral(n, z)
         assert abs(rk4_sine_continuation(n, w) - z) < 1e-11

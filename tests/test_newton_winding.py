@@ -26,7 +26,7 @@ class TestNewton:
             r = rng.uniform(0.2, 0.85)
             ang = rng.uniform(0.1, 0.9) * math.pi / n
             z_true = r * cmath.exp(1j * ang)
-            w = sector_ray_integral(n, z_true, 1e-13)
+            w = sector_ray_integral(n, z_true)
             res = newton_invert(n, w, 0.3 * cmath.exp(1j * math.pi / (2 * n)))
             assert isinstance(res, NewtonResult)
             assert res.residual <= 1e-12
@@ -35,7 +35,7 @@ class TestNewton:
     def test_real_axis_target(self):
         n = 4
         z_true = 0.9999
-        w = sector_ray_integral(n, z_true, 1e-13)
+        w = sector_ray_integral(n, z_true)
         res = newton_invert(n, w, 0.5)
         assert abs(res.z - z_true) < 1e-8
         assert abs(res.z.imag) < 1e-12
@@ -43,14 +43,14 @@ class TestNewton:
     def test_above_slit_target(self):
         n = 4
         z_true = 1.4 * cmath.exp(0.04j)
-        w = sector_ray_integral(n, z_true, 1e-13)
+        w = sector_ray_integral(n, z_true)
         res = newton_invert(n, w, 0.5 * cmath.exp(1j * math.pi / 8))
         assert abs(res.z - z_true) < 1e-9
 
     def test_far_bisector_target_uses_continuation(self):
         n = 4
         z_true = 3.0 * cmath.exp(1j * math.pi / 4)
-        w = sector_ray_integral(n, z_true, 1e-13)
+        w = sector_ray_integral(n, z_true)
         res = newton_invert(n, w, 0.2 * cmath.exp(1j * math.pi / 4))
         assert abs(res.z - z_true) < 1e-8
 
@@ -58,7 +58,7 @@ class TestNewton:
         # A target whose preimage sits inside the root guard band is
         # unreachable for the iteration by design.
         n = 4
-        corner = sector_ray_integral(n, 1.0, 1e-13)
+        corner = sector_ray_integral(n, 1.0)
         with pytest.raises(ConvergenceError) as exc_info:
             newton_invert(n, corner * (1.0 - 1e-4), 0.5, max_iter=12)
         assert exc_info.value.residual > 0.0

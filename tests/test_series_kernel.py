@@ -1,11 +1,15 @@
-"""Binomial series kernel of the sector map F against independent routes.
+"""Series kernel of the sector map F against independent routes.
 
 The oracle is mpmath's Gauss hypergeometric function through DLMF 15.6.1,
-F(u) = u * 2F1((n-1)/n, 1/n; 1 + 1/n; u**n), evaluated at 30 digits.
+F(u) = u * 2F1((n-1)/n, 1/n; 1 + 1/n; u**n), evaluated at 30 digits.  The
+corner-chart coefficients are checked against Miller's recurrence in exact
+rational arithmetic, and the kernel against GK15 quadrature of the ray.
 """
 
 import cmath
 import math
+import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -14,14 +18,16 @@ from squig.geometry import make_context
 from squig.numerics import (
     SERIES_INNER,
     SERIES_OUTER,
-    _series_F,
     _series_tables,
+    nearest_root_distance,
     sector_ray_integral,
+    sector_segment_integral,
 )
 from squig.squigfn import arcsin_n, arcsin_n_sector
 from squig.verify import VerifyConfig, run_all
 
 NS = (3, 4, 5, 8, 16, 32, 64)
+ALL_NS = tuple(range(3, 65))
 
 
 def hyp2f1_oracle(n: int, u: complex) -> complex:
@@ -34,19 +40,32 @@ def hyp2f1_oracle(n: int, u: complex) -> complex:
         return complex(uu * mpmath.hyp2f1(a, b, 1 + b, uu ** n))
 
 
-def threshold_pair(n: int, x_abs: float, theta: float):
-    """Adjacent radii around |u**n| = x_abs: (kernel point, annulus point)."""
+def straddle(n: int, x_abs: float, theta: float, width: int = 8) -> list:
+    """2*width adjacent float radii on the ray at theta around |u**n| = x_abs."""
     r = x_abs ** (1.0 / n)
-    inward = -1.0 if x_abs == SERIES_INNER else 1.0
-    outward = -inward
-    # walk to the last float radius the kernel still accepts
-    while _series_F(n, r * cmath.exp(1j * theta)) is None:
-        r = math.nextafter(r, inward * math.inf)
-    while _series_F(n, math.nextafter(r, outward * math.inf) * cmath.exp(1j * theta)) is not None:
-        r = math.nextafter(r, outward * math.inf)
-    inside = r * cmath.exp(1j * theta)
-    outside = math.nextafter(r, outward * math.inf) * cmath.exp(1j * theta)
-    return inside, outside
+    while abs((r * cmath.exp(1j * theta)) ** n) > x_abs:
+        r = math.nextafter(r, 0.0)
+    while abs((r * cmath.exp(1j * theta)) ** n) <= x_abs:
+        r = math.nextafter(r, 2.0)
+    for _ in range(width):
+        r = math.nextafter(r, 0.0)
+    radii = [r]
+    for _ in range(2 * width - 1):
+        radii.append(math.nextafter(radii[-1], 2.0))
+    return [rr * cmath.exp(1j * theta) for rr in radii]
+
+
+def exact_chart_coefficients(n: int, terms: int) -> list:
+    """q_k = [delta**k] h**(-(n-1)/n) / (n*k + 1) by Miller's recurrence in Fractions."""
+    h = [Fraction(math.comb(n, j + 1), n) * (-1) ** j for j in range(n)]
+    alpha = Fraction(-(n - 1), n)
+    g = [Fraction(1)]
+    for m in range(1, terms):
+        acc = Fraction(0)
+        for j in range(1, min(m, n - 1) + 1):
+            acc += ((alpha + 1) * j - m) * h[j] * g[m - j]
+        g.append(acc / m)
+    return [c / (n * k + 1) for k, c in enumerate(g)]
 
 
 @pytest.mark.parametrize("n", NS)
@@ -55,32 +74,68 @@ def test_matches_hypergeometric_oracle(n):
     worst = 0.0
     for theta in angles:
         points = [x_abs ** (1.0 / n) * cmath.exp(1j * theta) for x_abs in (1e-8, 0.2, 7.0, 1e6)]
-        points += [threshold_pair(n, x_abs, theta)[0] for x_abs in (SERIES_INNER, SERIES_OUTER)]
+        for x_abs in (SERIES_INNER, SERIES_OUTER):
+            points += straddle(n, x_abs, theta, width=1)
         for u in points:
-            got = _series_F(n, u)
+            got = sector_ray_integral(n, u)
             ref = hyp2f1_oracle(n, u)
             worst = max(worst, abs(got - ref) / abs(ref))
     assert worst <= 2e-15
 
 
-@pytest.mark.parametrize("n", NS)
-def test_annulus_returns_none(n):
-    for x_abs in (0.51, 1.0, 1.99):
-        assert _series_F(n, x_abs ** (1.0 / n) * cmath.exp(0.5j * math.pi / n)) is None
+@pytest.mark.parametrize("n", ALL_NS)
+def test_annulus_matches_hypergeometric_oracle(n):
+    # Seeded points of the annulus 1/2 < |u**n| < 2 over the whole sector,
+    # both half-sectors, plus the real ray beyond 1 (the lower slit edge).
+    # Within 1e-6 of a root the value is dominated by the conditioning of
+    # delta^(1/n) for the rounded input, so those draws are skipped.
+    rng = random.Random(1000 + n)
+    points = []
+    while len(points) < 16:
+        x_abs = rng.uniform(SERIES_INNER, SERIES_OUTER)
+        u = x_abs ** (1.0 / n) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi / n))
+        if SERIES_INNER < abs(u ** n) < SERIES_OUTER and nearest_root_distance(n, u) >= 1e-6:
+            points.append(u)
+    upper = sum(1 for u in points if cmath.phase(u) > math.pi / n)
+    assert 0 < upper < len(points)
+    points += [complex(rng.uniform(1.0 + 1e-6, 2.0 ** (1.0 / n)), 0.0) for _ in range(4)]
+    worst = 0.0
+    for u in points:
+        ref = hyp2f1_oracle(n, u)
+        worst = max(worst, abs(sector_ray_integral(n, u) - ref) / abs(ref))
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("n", ALL_NS)
+def test_chart_coefficients_match_exact_recurrence(n):
+    # Scaled by rho**k, rho = 2 sin(pi/n) the radius of convergence, every
+    # coefficient is O(1) and errors weigh as they do at the chart's edge.
+    coeffs, _ = _series_tables(n).chart
+    exact = exact_chart_coefficients(n, len(coeffs))
+    rho = 2.0 * math.sin(math.pi / n)
+    worst = max(abs(c - float(e)) * rho ** k for k, (c, e) in enumerate(zip(coeffs, exact)))
+    assert worst <= 2e-15
 
 
 @pytest.mark.parametrize("n", NS)
 def test_continuous_with_quadrature_at_thresholds(n):
+    # Across |u**n| = 1/2 and 2 the kernel switches between a binomial series
+    # and the corner chart: adjacent floats agree, and both sides agree with
+    # GK15 quadrature of the ray.
     for x_abs in (SERIES_INNER, SERIES_OUTER):
-        for theta in (0.5 * math.pi / n, math.pi / n):
-            inside, outside = threshold_pair(n, x_abs, theta)
-            quad = sector_ray_integral(n, outside, 1e-14)
-            assert abs(_series_F(n, inside) - quad) <= 1e-13
+        for theta in (0.5 * math.pi / n, math.pi / n, 1.5 * math.pi / n):
+            window = straddle(n, x_abs, theta)
+            values = [sector_ray_integral(n, u) for u in window]
+            for a, b in zip(values, values[1:]):
+                assert abs(a - b) <= 1e-14 * abs(a)
+            quad = sector_segment_integral(n, 0j, window[0], 1e-14)
+            assert abs(values[0] - quad) <= 1e-13
 
 
 @pytest.mark.parametrize("n", NS)
 def test_slit_edge_band_and_series(n):
-    # real x > 1: quadrature in t = 1 + s^n below x^n = 2, the series above
+    # real x > 1: the corner chart on the lower slit edge below x^n = 2,
+    # the series at infinity above
     ctx = make_context(n)
     edge = 2.0 ** (1.0 / n)
     for x in (1.0 + 0.5 / n, math.nextafter(edge, 0.0), math.nextafter(edge, 2.0), 1e3):
@@ -89,9 +144,10 @@ def test_slit_edge_band_and_series(n):
 
 @pytest.mark.parametrize("n", NS)
 def test_gamma_corner_matches_context(n):
-    corner = _series_tables(n)[2]
+    tables = _series_tables(n)
     ctx = make_context(n)
-    assert abs(corner - ctx.P) <= 1e-14
+    assert abs(tables.corner - ctx.P) <= 1e-14
+    assert abs(tables.half - ctx.A) <= 1e-14
 
 
 @pytest.mark.parametrize("n", (24, 32, 64))
@@ -103,6 +159,17 @@ def test_far_field_arcsin_reaches_corner(n):
         assert abs(arcsin_n(ctx, w) - ctx.P) <= 1e-13
     far = arcsin_n_sector(ctx, 1000.0 * cmath.exp(1j * math.pi / n))
     assert abs(far - ctx.P) <= 1e-13
+
+
+@pytest.mark.parametrize("n, w", [
+    # the ray quadrature raised QuadratureError here
+    (4, 1.1039169525660633 + 0.0006760534113132978j),
+    # a slit guard-band cell: 2e-13 relative off, after 23 ms of quadrature
+    (16, 1.0316227766016839 + 4.162277660168379e-08j),
+])
+def test_annulus_arcsin_regressions(n, w):
+    ref = hyp2f1_oracle(n, w)
+    assert abs(arcsin_n(make_context(n), w) - ref) <= 1e-14 * abs(ref)
 
 
 def test_verify_suite_runs_at_large_n():
