@@ -5,9 +5,11 @@ Output documents are deterministic byte sequences: JSON payloads are sorted
 and schema-conforming, SVG coordinates are fixed-precision, and `--stable`
 drops the per-check runtime so repeated verification runs compare equal.
 
-Exit codes: 0 success or all checks passing, 1 verification failure, 2 usage,
-3 domain violation (the message names the offending region), 4 numeric
-failure.
+Exit codes: 0 success or all checks passing, 1 verification failure (a check
+ran and missed its tolerance), 2 usage, 3 domain violation (the message names
+the offending region), 4 numeric failure (for ``verify``: some check could not
+produce a value; its report row still prints, with the failure sentinel as
+``abs_error``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from .errors import DomainError, ParameterError, SquigError
 from .geometry import SquigContext, boundary_polyline, in_rosette, make_context
 from .squigfn import arcsin_n, cos_n, maclaurin, radius_estimate, sin_n
-from .verify import DEFAULT_TOLERANCES, VerifyConfig, _FAMILY_CLASS, run_all
+from .verify import DEFAULT_TOLERANCES, VerifyConfig, _FAIL_SENTINEL, _FAMILY_CLASS, run_all
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -234,7 +236,12 @@ def cmd_verify(n_values: tuple[int, ...], only: tuple[str, ...] | None,
     cfg = VerifyConfig(n_values=n_values, tolerances=tolerances,
                        families=tuple(only) if only else None)
     reports = run_all(cfg)
-    code = EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
+    if any(r.abs_error == _FAIL_SENTINEL for r in reports):
+        code = EXIT_NUMERIC
+    elif all(r.passed for r in reports):
+        code = EXIT_OK
+    else:
+        code = EXIT_VERIFY_FAILED
     if fmt == "json":
         return _json_doc([_report_dict(r, stable) for r in reports]), code
     if fmt == "csv":

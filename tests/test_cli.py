@@ -119,7 +119,7 @@ class TestEval:
     def test_numeric_failure_exit_4(self, tmp_path, monkeypatch):
         from squig.errors import ConvergenceError
 
-        def boom(ctx, z, tol=1e-12):
+        def boom(ctx, z):
             raise ConvergenceError("no convergence")
         monkeypatch.setattr(cli, "arcsin_n", boom)
         code, _ = run_cli(tmp_path, "eval", "--n", "4", "--fn", "arcsin", "--z", "0.5")
@@ -206,6 +206,20 @@ class TestVerifyCommand:
         assert lines[0] == ("name,n,lhs_re,lhs_im,rhs_re,rhs_im,"
                             "abs_error,tolerance,pass,note")
         assert lines[1].startswith("winding,4,")
+
+    def test_raised_check_exit_4(self, tmp_path, monkeypatch):
+        from squig import verify
+        from squig.errors import ConvergenceError
+
+        def boom(ctx, w):
+            raise ConvergenceError("no convergence")
+        monkeypatch.setattr(verify, "arcsin_n", boom)
+        code, payload = run_cli(tmp_path, "verify", "--n", "4",
+                                "--only", "limit_at_infinity", "--stable")
+        arr = json.loads(payload)
+        assert code == 4
+        assert arr[0]["pass"] is False
+        assert arr[0]["note"].startswith("ConvergenceError")
 
     def test_unknown_family_exit_2(self, tmp_path):
         code, _ = run_cli(tmp_path, "verify", "--only", "nonsense")
