@@ -642,13 +642,16 @@ def sector_ray_integral(n: int, u: complex) -> complex:
 def _corner_series(n: int, u: complex) -> complex:
     """F(u) from the chart at 1, for u in the lower half of the annulus.
 
-    On the real ray beyond 1, delta^(1/n) takes the branch continued from
-    inside the sector, |delta|^(1/n) e^(-i pi/n).
+    Beyond the root, delta^(1/n) takes the branch continued from inside the
+    sector, where Im u > 0 and arg delta lies in (-pi, 0).  That is the
+    principal root, except on the real ray itself, where it is
+    |delta|^(1/n) e^(-i pi/n), and a hair below it, where rounding can put
+    the reflection of a point on the upper ray.
     """
     tables = _series_tables(n)
     delta = 1.0 - u
-    if delta.imag == 0.0 and delta.real < 0.0:
-        root = (-delta.real) ** (1.0 / n) * cmath.exp(-1j * math.pi / n)
+    if delta.real < 0.0 and delta.imag >= 0.0:
+        root = abs(delta) ** (1.0 / n) * cmath.exp(-1j * abs(cmath.phase(delta)) / n)
     else:
         root = delta ** (1.0 / n)
     return tables.half - n ** (1.0 / n) * root * _binomial_sum(tables.chart, delta)

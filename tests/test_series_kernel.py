@@ -87,8 +87,9 @@ def test_matches_hypergeometric_oracle(n):
 def test_annulus_matches_hypergeometric_oracle(n):
     # Seeded points of the annulus 1/2 < |u**n| < 2 over the whole sector,
     # both half-sectors, plus the real ray beyond 1 (the lower slit edge).
-    # Within 1e-6 of a root the value is dominated by the conditioning of
-    # delta^(1/n) for the rounded input, so those draws are skipped.
+    # The chart at omega rotates u, and near a root one ulp of u moves F by
+    # |F'(u)| = |1 - u**n|**(-beta) ulps, so draws within 1e-6 of a root,
+    # where that alone exceeds the tolerance, are skipped.
     rng = random.Random(1000 + n)
     points = []
     while len(points) < 16:
@@ -104,6 +105,17 @@ def test_annulus_matches_hypergeometric_oracle(n):
         ref = hyp2f1_oracle(n, u)
         worst = max(worst, abs(sector_ray_integral(n, u) - ref) / abs(ref))
     assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("n", NS)
+def test_upper_ray_continues_from_inside(n):
+    # Past omega the chart at omega must give the value continued from inside
+    # the sector, the mirror image of the lower slit edge, although the
+    # rotated point may land a hair off the real ray.
+    omega = cmath.exp(2j * math.pi / n)
+    for r in (1.0 + 0.1 / n, 0.5 * (1.0 + 2.0 ** (1.0 / n))):
+        mirror = omega * sector_ray_integral(n, complex(r, 0.0)).conjugate()
+        assert abs(sector_ray_integral(n, r * omega) - mirror) <= 1e-14 * abs(mirror)
 
 
 @pytest.mark.parametrize("n", ALL_NS)
