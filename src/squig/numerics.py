@@ -578,7 +578,7 @@ def _series_tables(n: int) -> _SeriesTables:
 
 
 def _binomial_sum(table, x: complex) -> complex:
-    """sum_k c_k x**k / (d + n*k) by Horner, to half an ulp of its leading term."""
+    """A table's series at x by Horner, cut at half an ulp of its leading term."""
     coeffs, radii = table
     last = bisect.bisect_left(radii, abs(x))
     acc = 0j
