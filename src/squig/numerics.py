@@ -716,9 +716,8 @@ def _newton_basic(n: int, w: complex, z0: complex, tol: float,
     z = z0
     Fz = sector_ray_integral(n, z)
     resid = abs(Fz - w)
-    for it in range(1, max_iter + 1):
-        if resid <= tol:
-            return NewtonResult(z, resid, it - 1)
+    steps = 0
+    while resid > tol and steps < max_iter:
         try:
             slope_inv = principal_power(n, z, beta)
         except SingularityError:
@@ -741,39 +740,28 @@ def _newton_basic(n: int, w: complex, z0: complex, tol: float,
             lam *= 0.5
         if not accepted:
             break
-    return NewtonResult(z, resid, max_iter)
+        steps += 1
+    return NewtonResult(z, resid, steps)
 
 
 def newton_invert(n: int, w: complex, z0: complex,
                   tol: float = 1e-12, max_iter: int = 50) -> NewtonResult:
     """Solve F(z) = w for the sector integral F, starting from z0.
 
-    Damped Newton steps use the closed-form reciprocal slope
-    (1 - z**n)**((n-1)/n); on stagnation the solver re-seeds itself by
-    marching w from F(z0) toward the target.  Raises ConvergenceError with
-    the last residual when both strategies fail.
+    One pass of damped Newton steps with the closed-form reciprocal slope
+    (1 - z**n)**((n-1)/n).  A step is halved, at most six times, until it
+    lowers the residual |F(z) - w| and its iterate stays in ``_in_sector``
+    and 1e-10 away from the roots of unity; the pass ends when the residual
+    is at most ``tol``, after ``max_iter`` steps, or when no halving helps.
+    ``iterations`` counts the steps taken.  Raises ConvergenceError with the
+    last residual if the pass ends above ``tol``.
     """
     res = _newton_basic(n, w, z0, tol, max_iter)
-    if res.residual <= tol:
-        return res
-
-    # Path continuation: walk the target from F(z0) to w.
-    z = z0
-    base = sector_ray_integral(n, z)
-    stages = 10
-    last = res
-    for j in range(1, stages + 1):
-        wj = base + (w - base) * (j / stages)
-        stage_tol = tol if j == stages else max(tol, 1e-10)
-        last = _newton_basic(n, wj, z, stage_tol, max_iter)
-        if last.residual > stage_tol and j < stages:
-            continue
-        z = last.z
-    if last.residual <= tol:
-        return last
-    raise ConvergenceError(
-        f"newton_invert stalled at residual {last.residual:.3g} "
-        f"(target {tol:g})", residual=last.residual)
+    if res.residual > tol:
+        raise ConvergenceError(
+            f"could not invert the sector map at target {w}: Newton stalled "
+            f"at residual {res.residual:.3g} (tol {tol:g})", residual=res.residual)
+    return res
 
 
 # ---------------------------------------------------------------------------

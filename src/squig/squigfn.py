@@ -12,9 +12,11 @@ Evaluation strategy for the inverse problem, in order of preference:
    n-th-root variable so no branch is ever chosen explicitly),
 2. a one-dimensional real solve for targets on the slit-edge image
    segment ``[A, P]``,
-3. damped Newton on the principal-branch sector map, seeded from the
-   Maclaurin series, a pole asymptote, or a precomputed grid, whichever is
-   closest.
+3. one pass of damped Newton on the principal-branch sector map from one
+   seed: the pole asymptote near ``P``, else the Maclaurin value near 0,
+   else the precomputed grid point whose image is nearest the target; a
+   seed Newton cannot start from is passed over.  A failed pass raises
+   ``ConvergenceError`` with its last residual.
 
 Every forward value of ``F`` comes from one kernel,
 ``numerics.sector_ray_integral``, which sums one of three series.  With
@@ -40,7 +42,6 @@ from .errors import (
     DomainError,
     InvalidSeriesError,
     ParameterError,
-    SquigError,
 )
 from .geometry import SquigContext, contains_Sigma, fold
 from .numerics import (
@@ -310,6 +311,27 @@ def _seed_table(ctx: SquigContext):
     return table
 
 
+def _newton_seed(ctx: SquigContext, t: complex) -> complex:
+    """The first of (pole asymptote, Maclaurin value) that Newton can start
+    from, else the grid point whose image is nearest to ``t``.
+
+    Newton accepts no iterate outside the sector or, beyond the unit circle,
+    within 1e-7 of a boundary ray (a slit there), so a seed in that margin
+    can only fail.  Every grid point lies inside the sector.
+    """
+    n = ctx.n
+    if abs(t - ctx.P) <= 0.5 * ctx.R:
+        seed = _pole_seed(ctx, t)
+        if _in_sector(n, seed):
+            return seed
+    if abs(t) <= 0.72 * ctx.R:
+        terms = max(6, min(24, 4 + 160 // n))
+        seed = maclaurin(ctx, terms).evaluate(t)
+        if _in_sector(n, seed):
+            return seed
+    return min(_seed_table(ctx), key=lambda item: abs(item[0] - t))[1]
+
+
 def _invert_to_triangle(ctx: SquigContext, t: complex, tol: float):
     """Invert the sector map at a target in the closed half-kite triangle.
 
@@ -330,30 +352,8 @@ def _invert_to_triangle(ctx: SquigContext, t: complex, tol: float):
         cosv = (x**n - 1.0) ** (1.0 / n) * cmath.exp(-1j * math.pi / n)
         return complex(x, 0.0), cosv, resid
 
-    seeds: list[complex] = []
-    if abs(t - ctx.P) <= 0.5 * ctx.R:
-        seeds.append(_pole_seed(ctx, t))
-    if abs(t) <= 0.72 * ctx.R:
-        terms = max(6, min(24, 4 + 160 // n))
-        seeds.append(maclaurin(ctx, terms).evaluate(t))
-    nearest = sorted(_seed_table(ctx), key=lambda item: abs(item[0] - t))
-    seeds.extend(u for _, u in nearest[:3])
-
-    last_exc: Exception | None = None
-    for seed in seeds:
-        # Newton accepts no iterate outside the sector or, beyond the unit
-        # circle, within 1e-7 of a boundary ray (a slit there).  A seed in
-        # that margin can only fail.
-        if not _in_sector(n, seed):
-            continue
-        try:
-            res = newton_invert(n, t, seed, tol=tol)
-            return res.z, None, res.residual
-        except SquigError as exc:
-            last_exc = exc
-    raise ConvergenceError(
-        f"could not invert the sector map at target {t}", residual=math.nan
-    ) from last_exc
+    res = newton_invert(n, t, _newton_seed(ctx, t), tol=tol)
+    return res.z, None, res.residual
 
 
 # ---------------------------------------------------------------------------

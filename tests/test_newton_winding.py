@@ -10,6 +10,7 @@ from squig.errors import (
     DegenerateLoopError,
     RefinementNeededError,
 )
+from squig import numerics
 from squig.numerics import (
     NewtonResult,
     newton_invert,
@@ -47,7 +48,7 @@ class TestNewton:
         res = newton_invert(n, w, 0.5 * cmath.exp(1j * math.pi / 8))
         assert abs(res.z - z_true) < 1e-9
 
-    def test_far_bisector_target_uses_continuation(self):
+    def test_far_bisector_target(self):
         n = 4
         z_true = 3.0 * cmath.exp(1j * math.pi / 4)
         w = sector_ray_integral(n, z_true)
@@ -62,6 +63,41 @@ class TestNewton:
         with pytest.raises(ConvergenceError) as exc_info:
             newton_invert(n, corner * (1.0 - 1e-4), 0.5, max_iter=12)
         assert exc_info.value.residual > 0.0
+
+    def test_failure_makes_one_pass(self, monkeypatch):
+        passes = []
+        newton_pass = numerics._newton_basic
+
+        def spy(*args):
+            passes.append(newton_pass(*args))
+            return passes[-1]
+
+        monkeypatch.setattr(numerics, "_newton_basic", spy)
+        n = 4
+        corner = sector_ray_integral(n, 1.0)
+        with pytest.raises(ConvergenceError) as exc_info:
+            newton_invert(n, corner * (1.0 - 1e-4), 0.5)
+        assert len(passes) == 1
+        assert exc_info.value.residual == passes[0].residual
+
+    def test_iterations_count_steps_taken(self, monkeypatch):
+        # the line search gives up long before max_iter; every evaluation of
+        # F whose residual undercuts all before it is an accepted step
+        residuals = []
+        forward = numerics.sector_ray_integral
+        n = 4
+        w = forward(n, 1.0) * (1.0 - 1e-4)
+
+        def spy(n, u):
+            value = forward(n, u)
+            residuals.append(abs(value - w))
+            return value
+
+        monkeypatch.setattr(numerics, "sector_ray_integral", spy)
+        res = numerics._newton_basic(n, w, 0.5, 1e-12, 50)
+        steps = sum(r < min(residuals[:i]) for i, r in enumerate(residuals) if i)
+        assert res.residual > 1e-12
+        assert res.iterations == steps < 50
 
 
 class TestWinding:

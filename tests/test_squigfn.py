@@ -346,11 +346,19 @@ class TestEdgeSegment:
             return newton_invert(n, w, z0, **kw)
 
         monkeypatch.setattr(squigfn, "newton_invert", spy)
-        try:
-            cos_n(ctx, z)
-        except ConvergenceError:
-            pass  # a known failure this close to the edge image
-        assert seeds and all(_in_sector(8, s) for s in seeds)
+        with pytest.raises(ConvergenceError):
+            cos_n(ctx, z)  # a known failure this close to the edge image
+        # one seed, one Newton call per target
+        assert len(seeds) == 1 and _in_sector(8, seeds[0])
+
+    @pytest.mark.parametrize("fn", [sin_n, cos_n])
+    def test_failed_inversion_carries_residual(self, fn):
+        ctx = make_context(8)
+        z = 1.0254746069342198 - 0.5187932217320739j
+        with pytest.raises(ConvergenceError) as info:
+            fn(ctx, z)
+        assert 1e-12 < info.value.residual < 1.0
+        assert str(fold(ctx, z).folded) in str(info.value)
 
 
 class TestSin3Global:
