@@ -3,9 +3,10 @@
 This module owns the low-level numerical machinery: a double-exponential
 (tanh-sinh) rule for integrals with algebraic endpoint singularities, an
 adaptive 15-point Gauss-Kronrod rule for smooth complex legs, exact rational
-series reversion, the three series of the sector map (at 0, at infinity and
-the corner chart between them), a damped Newton inverter on the principal
-branch, and a discrete winding-number count.
+series reversion, the exact Maclaurin coefficients of the sine from its ODE
+pair, the three series of the sector map (at 0, at infinity and the corner
+chart between them), a damped Newton inverter on the principal branch, and a
+discrete winding-number count.
 
 The sector map is evaluated by its series alone.  The quadrature rules serve
 ``verify``, as the independent route its checks compare against, and
@@ -400,19 +401,27 @@ class RationalSeries:
         return RationalSeries(self.degrees[:terms], self.coeffs[:terms])
 
     def evaluate(self, z: complex) -> complex:
-        # Horner over the sparse degree gaps.
-        total = 0j
-        prev_degree = 0
-        for d, c in zip(reversed(self.degrees), reversed(self.coeffs)):
-            if prev_degree:
-                total *= z ** (prev_degree - d)
-            total += complex(c)
-            prev_degree = d
-        return total * z ** prev_degree if prev_degree else total
+        return _sparse_horner(zip(reversed(self.degrees), map(complex, reversed(self.coeffs))), z)
+
+
+def _sparse_horner(terms, z: complex) -> complex:
+    """Sum of c * z**d over (d, c) pairs given in decreasing degree, by Horner
+    over the degree gaps."""
+    total = 0j
+    prev_degree = 0
+    for d, c in terms:
+        if prev_degree:
+            total *= z ** (prev_degree - d)
+        total += c
+        prev_degree = d
+    return total * z ** prev_degree if prev_degree else total
 
 
 def revert_series(series: RationalSeries, terms: int) -> RationalSeries:
     """Compositional inverse of a series z + ... with exact arithmetic.
+
+    A general utility: the sine's own series comes from the ODE recurrence of
+    _sine_coefficients, and reverting the series of F is its cross-check.
 
     The input must start with the term 1*z.  The result is truncated to the
     degree of its terms-th potential term, respecting the arithmetic
@@ -520,6 +529,30 @@ def _miller_power(p: list, alpha: float, terms: int) -> list:
             acc += ((alpha + 1.0) * j - m) * p[j] * q[m - j]
         q.append(acc / m)
     return q
+
+
+def _sine_coefficients(n: int, terms: int) -> list:
+    """First ``terms`` exact Maclaurin coefficients S_k of sin_n = z S(z**n).
+
+    With x = z**n, s = z S(x) and c = C(x), the ODE pair s' = c**(n-1),
+    c' = -s**(n-1) becomes (1 + n k) S_k = [C**(n-1)]_k and
+    n (k + 1) C_(k+1) = -[S**(n-1)]_k.  The powers are extended one term at a
+    time by Miller's recurrence, as in _miller_power; with the exponent n - 1
+    every weight (alpha + 1) j - m = n j - m is an integer.
+    """
+
+    def next_power_term(base, power, m):
+        return sum((n * j - m) * base[j] * power[m - j] for j in range(1, m + 1)) / m
+
+    s, c = [Fraction(1)], [Fraction(1)]
+    s_pow, c_pow = [Fraction(1)], [Fraction(1)]  # S**(n-1) and C**(n-1)
+    for m in range(1, terms):
+        if m > 1:
+            s_pow.append(next_power_term(s, s_pow, m - 1))
+        c.append(-s_pow[m - 1] / (n * m))
+        c_pow.append(next_power_term(c, c_pow, m))
+        s.append(c_pow[m] / (1 + n * m))
+    return s
 
 
 def _corner_polynomial(n: int) -> list:

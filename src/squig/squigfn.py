@@ -35,7 +35,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     ConvergenceError,
@@ -52,9 +51,10 @@ from .numerics import (
     _miller_power,
     _series_tables,
     _series_tail,
+    _sine_coefficients,
+    _sparse_horner,
     gamma_corner_radius,
     newton_invert,
-    revert_series,
     sector_ray_integral,
 )
 
@@ -91,30 +91,22 @@ def pi_n(ctx: SquigContext) -> float:
 # series
 
 
-def _forward_series(n: int, terms: int) -> RationalSeries:
-    # antiderivative of the binomial expansion of (1 - z^n)^(-(n-1)/n)
-    degs = []
-    cofs = []
-    c = Fraction(1)
-    beta = Fraction(n - 1, n)
-    for k in range(terms):
-        degs.append(n * k + 1)
-        cofs.append(c / (n * k + 1))
-        c = c * (beta + k) / (k + 1)
-    return RationalSeries(tuple(degs), tuple(cofs))
-
-
 def maclaurin(ctx: SquigContext, terms: int) -> RationalSeries:
     """Exact rational Maclaurin series of the sine, to ``terms`` nonzero terms.
 
-    Nonzero degrees are ``1, n+1, 2n+1, ...``; results are cached on the
-    context and reused for any smaller request.
+    The coefficients come from the ODE pair s' = c^(n-1), c' = -s^(n-1)
+    (``numerics._sine_coefficients``).  Nonzero degrees are
+    ``1, n+1, 2n+1, ...``; results are cached on the context and reused for
+    any smaller request.  ``numerics.revert_series``, a general series
+    reversion, gives the same coefficients by inverting the series of ``F``.
     """
     if isinstance(terms, bool) or not isinstance(terms, int) or terms < 1:
         raise ParameterError(f"terms must be a positive integer, got {terms!r}")
     cached = ctx.series_cache.get("maclaurin")
     if cached is None or cached.term_count() < terms:
-        cached = revert_series(_forward_series(ctx.n, terms + 1), terms)
+        n = ctx.n
+        pairs = [(n * k + 1, a) for k, a in enumerate(_sine_coefficients(n, terms)) if a]
+        cached = RationalSeries(*zip(*pairs))
         ctx.series_cache["maclaurin"] = cached
     if cached.term_count() == terms:
         return cached
@@ -311,6 +303,22 @@ def _seed_table(ctx: SquigContext):
     return table
 
 
+def _seed_terms(n: int) -> int:
+    """Terms of the Maclaurin head that seeds Newton."""
+    return max(6, min(24, 4 + 160 // n))
+
+
+def _maclaurin_seed(ctx: SquigContext, t: complex) -> complex:
+    """The Maclaurin head at ``t``, from its coefficients rounded once and
+    cached; the same sum as ``RationalSeries.evaluate``, bit for bit."""
+    cached = ctx.series_cache.get("seed_series")
+    if cached is None:
+        head = maclaurin(ctx, _seed_terms(ctx.n))
+        cached = tuple(zip(reversed(head.degrees), map(complex, reversed(head.coeffs))))
+        ctx.series_cache["seed_series"] = cached
+    return _sparse_horner(cached, t)
+
+
 def _newton_seed(ctx: SquigContext, t: complex) -> complex:
     """The first of (pole asymptote, Maclaurin value) that Newton can start
     from, else the grid point whose image is nearest to ``t``.
@@ -325,8 +333,7 @@ def _newton_seed(ctx: SquigContext, t: complex) -> complex:
         if _in_sector(n, seed):
             return seed
     if abs(t) <= 0.72 * ctx.R:
-        terms = max(6, min(24, 4 + 160 // n))
-        seed = maclaurin(ctx, terms).evaluate(t)
+        seed = _maclaurin_seed(ctx, t)
         if _in_sector(n, seed):
             return seed
     return min(_seed_table(ctx), key=lambda item: abs(item[0] - t))[1]

@@ -1,11 +1,13 @@
-"""Exact series arithmetic and compositional reversion."""
+"""Exact series arithmetic, compositional reversion and the sine's series."""
 
 from fractions import Fraction
 
 import pytest
 
 from squig.errors import InvalidSeriesError, ParameterError
+from squig.geometry import make_context
 from squig.numerics import RationalSeries, revert_series
+from squig.squigfn import maclaurin
 
 
 def forward_series(n: int, terms: int) -> RationalSeries:
@@ -132,3 +134,14 @@ class TestReversion:
         # Input supported on degrees 1 mod 4 keeps the inverse on 1 mod 4.
         inv = revert_series(forward_series(4, 8), 6)
         assert all(d % 4 == 1 for d in inv.degrees)
+
+
+class TestMaclaurinMatchesReversion:
+    """The ODE recurrence of ``maclaurin`` against reversion of the series of F."""
+
+    @pytest.mark.parametrize("n", range(3, 65))
+    def test_thirty_terms(self, n):
+        assert maclaurin(make_context(n), 30) == revert_series(forward_series(n, 31), 30)
+
+    def test_eighty_terms_n32(self):
+        assert maclaurin(make_context(32), 80) == revert_series(forward_series(32, 81), 80)

@@ -72,6 +72,24 @@ class TestMaclaurin:
             assert short.coefficient(d) == long.coefficient(d)
         assert "maclaurin" in ctx.series_cache
 
+    def test_longer_request_after_shorter(self):
+        ctx = make_context(5)
+        maclaurin(ctx, 7)
+        assert maclaurin(ctx, 20) == maclaurin(make_context(5), 20)
+
+    @pytest.mark.parametrize("n", [3, 8, 64])
+    def test_float_seed_matches_exact_head(self, n):
+        # also when a longer series was cached before the seed's head
+        terms = squigfn._seed_terms(n)
+        for cached_terms in (terms, 40):
+            ctx = make_context(n)
+            maclaurin(ctx, cached_terms)
+            head = maclaurin(ctx, terms)
+            for frac in (0.05, 0.3, 0.55, 0.72):
+                for phase in (0.0, 0.4, 1.0):
+                    t = frac * ctx.R * cmath.exp(1j * math.pi / n * phase)
+                    assert squigfn._maclaurin_seed(ctx, t) == head.evaluate(t)
+
     def test_agrees_with_evaluation(self):
         ctx = make_context(4)
         ser = maclaurin(ctx, 30)
