@@ -1,9 +1,17 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
+import mpmath
 import pytest
 
+import squig
 from conftest import slit_integral_oracle
+from squig import verify
 from squig.geometry import make_context
 from squig.verify import (
     DEFAULT_TOLERANCES,
@@ -112,9 +120,45 @@ class TestWinding:
         assert check_winding(ctx, 50.0, 1.4 * ctx.A).lhs == 0
 
 
+def _ode_oracle(n, z):
+    """(s, c) at z from mpmath's Taylor ODE solver on t -> t*z, 30 digits."""
+    with mpmath.workdps(30):
+        zz = mpmath.mpc(z)
+        pair = mpmath.odefun(lambda t, y: [zz * y[1] ** (n - 1), -zz * y[0] ** (n - 1)],
+                             0, [mpmath.mpc(0), mpmath.mpc(1)])
+        s, c = pair(1)
+        return complex(s), complex(c)
+
+
+class TestOdePair:
+    # two points at |z| = 0.9 face a corner omega**k * P, where the steps are
+    # shortest and the local series converge slowest
+    POINTS = (0.9 * cmath.exp(1j * math.pi / 3), 0.9 * cmath.exp(-1j * math.pi),
+              0.9 + 0.0j, 0.5 + 0.5j, -0.3 - 0.8j, 0.05 + 0.02j)
+
+    def test_matches_mpmath(self):
+        for z in self.POINTS:
+            s, c, steps = verify._ode_pair(3, z)
+            ref_s, ref_c = _ode_oracle(3, z)
+            assert abs(s - ref_s) <= 1e-15, z
+            assert abs(c - ref_c) <= 1e-15, z
+            assert steps >= 1
+
+    def test_origin_takes_no_step(self):
+        assert verify._ode_pair(3, 0j) == (0j, 1.0 + 0j, 0)
+
+    def test_note_reports_total_steps(self):
+        samples = verify._periodicity_samples(VerifyConfig())
+        total = sum(verify._ode_pair(3, z)[2] for z in samples)
+        rep = check_periodicity_sin3(samples)
+        assert rep.note == f"samples={len(samples)} steps={total}"
+
+
 class TestPeriodicity:
+    SAMPLES = [0j, 0.4 + 0.2j, -0.3 + 0.5j, 0.7 - 0.6j]
+
     def test_default_samples_pass(self):
-        rep = check_periodicity_sin3([0j, 0.4 + 0.2j, -0.3 + 0.5j, 0.7 - 0.6j])
+        rep = check_periodicity_sin3(self.SAMPLES)
         assert rep.passed
         assert rep.n == 3
         assert rep.abs_error < 1e-10  # far below the class tolerance
@@ -123,6 +167,18 @@ class TestPeriodicity:
         rep = check_periodicity_sin3([0j])
         assert rep.passed
         assert abs(rep.lhs) < 1e-12
+
+    def test_catches_a_wrong_value(self, monkeypatch):
+        exact = verify.sin3_global
+
+        def off_by_1e9(ctx, z):
+            res = exact(ctx, z)
+            return replace(res, value=res.value * (1.0 + 1e-9))
+
+        monkeypatch.setattr(verify, "sin3_global", off_by_1e9)
+        rep = check_periodicity_sin3(self.SAMPLES)
+        assert not rep.passed
+        assert rep.tolerance == DEFAULT_TOLERANCES["identity"]
 
 
 class TestTrisection:
@@ -208,3 +264,22 @@ class TestRunAll:
     def test_default_tolerances_exposed(self):
         assert DEFAULT_TOLERANCES["quadrature"] == 1e-8
         assert DEFAULT_TOLERANCES["identity"] == 1e-10
+
+
+def test_periodicity_route_is_stdlib_only():
+    # a fresh interpreter, so nothing the test session imported can leak in
+    code = (
+        "import sys\n"
+        "import squig\n"
+        "from squig.verify import VerifyConfig, run_all\n"
+        "reports = run_all(VerifyConfig(n_values=(3,), families=('periodicity_sin3',)))\n"
+        "assert [r.name for r in reports] == ['periodicity_sin3'] and reports[0].passed\n"
+        "loaded = {'numpy', 'scipy', 'mpmath', 'hypothesis'} & set(sys.modules)\n"
+        "assert not loaded, sorted(loaded)\n"
+    )
+    src = str(Path(squig.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
