@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError, ParameterError
-from .numerics import integrate_smooth
+from .numerics import _series_tables
 
 _MIN_N = 3
 _MAX_N = 64
@@ -97,33 +97,19 @@ class FoldResult:
 def make_context(n: int) -> SquigContext:
     """Build the shared constant bundle for a given ``n``.
 
-    The period is computed by quadrature, not from a closed form, so it can
-    serve as an independent check against gamma-function evaluations.  The
-    reflection ``x -> (1 - x**n)**(1/n)`` swaps the two halves of ``[0, 1]``,
-    so integrating only up to the fixed point ``2**(-1/n)`` sees a bounded
-    integrand and still determines the full period.
+    ``A``, ``P`` and ``pi_n = 2 A`` are read from the kernel's series tables
+    (``numerics._series_tables``), with no quadrature or gamma function.
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise ParameterError(f"n must be an integer, got {n!r}")
     if not _MIN_N <= n <= _MAX_N:
         raise ParameterError(f"n must lie in [{_MIN_N}, {_MAX_N}], got {n}")
 
-    beta = (n - 1.0) / n
-    cut = 2.0 ** (-1.0 / n)
-    quarter = integrate_smooth(lambda x: (1.0 - x**n) ** (-beta), 0.0, cut, tol=1e-13)
-    pi_n = 4.0 * quarter.value.real
-
+    tables = _series_tables(n)
     omega = cmath.exp(2j * math.pi / n)
-    half = pi_n / 2.0
-    corner = (pi_n / 4.0) / math.cos(math.pi / n) * cmath.exp(1j * math.pi / n)
-    return SquigContext(
-        n=n,
-        omega=omega,
-        pi_n=pi_n,
-        A=complex(half, 0.0),
-        B=omega * complex(half, 0.0),
-        P=corner,
-    )
+    half = complex(tables.half, 0.0)
+    return SquigContext(n=n, omega=omega, pi_n=2.0 * tables.half, A=half,
+                        B=omega * half, P=tables.corner)
 
 
 def _cross(o: complex, a: complex, b: complex) -> float:

@@ -25,9 +25,9 @@ series at infinity,
 ``F(u) = P - e^{i pi (n-1)/n} sum_k c_k u^(2-n-nk) / (n-2+nk)``, for
 ``|x| >= 2``, and in the annulus between them the corner chart
 ``F(1 - delta) = A - n^(1/n) delta^(1/n) Q(delta)`` at the nearest of the
-roots 1 and omega.  ``A`` and ``P`` come from the gamma closed form.  Each
-series is cut by a proven remainder bound, so every value is accurate to
-about 1e-15 relative.
+roots 1 and omega.  ``A`` and ``P`` come from the same series, summed on the
+real axis where they meet.  Each series is cut by a proven remainder bound,
+so every value is accurate to about 1e-15 relative.
 """
 
 from __future__ import annotations
@@ -45,15 +45,14 @@ from .errors import (
 from .geometry import SquigContext, contains_Sigma, fold
 from .numerics import (
     RationalSeries,
-    _binomial_sum,
     _corner_polynomial,
     _in_sector,
     _miller_power,
+    _real_chart,
     _series_tables,
     _series_tail,
     _sine_coefficients,
     _sparse_horner,
-    gamma_corner_radius,
     newton_invert,
     sector_ray_integral,
 )
@@ -83,7 +82,7 @@ class EvalResult:
 
 
 def pi_n(ctx: SquigContext) -> float:
-    """Fundamental period, as computed by quadrature at context build time."""
+    """Fundamental period ``2 A``, from the kernel's series at context build time."""
     return ctx.pi_n
 
 
@@ -224,10 +223,8 @@ def _edge_integral(ctx: SquigContext, x: float) -> float:
     tail = _series_tail(n, x)
     if tail is not None:
         # the full-ray value is |P|; the series gives the rest beyond x
-        return gamma_corner_radius(n) - tail.real
-    # the corner chart on the lower slit edge, F(x) = A + e^(i pi beta) * edge
-    chart = _series_tables(n).chart
-    return n ** (1.0 / n) * (x - 1.0) ** (1.0 / n) * _binomial_sum(chart, 1.0 - x).real
+        return ctx.R - tail.real
+    return _real_chart(n, _series_tables(n).chart, 1.0 - x)
 
 
 def _invert_slit_edge(ctx: SquigContext, m: float, tol: float):

@@ -1,10 +1,10 @@
 """Certification suite for the mapping and identity claims.
 
 Every check recomputes one advertised property through two routes that share
-as little code as possible (adaptive quadrature vs gamma-function closed
-forms, folded evaluation vs Taylor-series continuation of the ODE pair,
-contour images vs membership tests) and reports the discrepancy against a
-tolerance class.
+as little code as possible (the library's series constants vs adaptive
+quadrature vs gamma-function closed forms, folded evaluation vs
+Taylor-series continuation of the ODE pair, contour images vs membership
+tests) and reports the discrepancy against a tolerance class.
 Failures are recorded in the report, never raised, so a full run always
 yields one row per (check, n) pair.
 """
@@ -19,11 +19,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .errors import SquigError
+from .errors import ParameterError, SquigError
 from .geometry import SquigContext, in_rosette, make_context
 from .numerics import (
-    gamma_corner_radius,
-    gamma_pi_n,
     integrate_endpoint_singular,
     integrate_smooth,
     integrate_tail,
@@ -114,7 +112,17 @@ def _tol(family: str, tolerance: float | None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# integral identities
+# closed forms and integral identities
+
+
+def gamma_pi_n(n: int) -> float:
+    """Gamma-function closed form of pi_n, the checks' independent oracle."""
+    return 2.0 * math.gamma(1.0 / n) ** 2 / (n * math.gamma(2.0 / n))
+
+
+def gamma_corner_radius(n: int) -> float:
+    """|P| = |F(infinity)|, the length of each slit-edge image, in closed form."""
+    return gamma_pi_n(n) / (4.0 * math.cos(math.pi / n))
 
 
 def _slit_edge_integral(n: int) -> float:
@@ -135,19 +143,19 @@ def _slit_edge_integral(n: int) -> float:
 
 
 def check_integral_slit(ctx: SquigContext, tolerance: float | None = None) -> VerificationReport:
-    """Edge integral along a slit against the gamma closed form."""
+    """Edge integral along a slit against the context's |P|, from the series."""
     tol = _tol("integral_slit", tolerance)
     t0 = time.perf_counter()
     try:
         lhs = _slit_edge_integral(ctx.n)
-        rhs = gamma_corner_radius(ctx.n)
+        rhs = ctx.R
     except SquigError as exc:
         return _failed("integral_slit", ctx.n, tol, t0, exc)
     return _finish("integral_slit", ctx.n, tol, t0, lhs, rhs, abs(lhs - rhs))
 
 
 def check_integral_ray(ctx: SquigContext, tolerance: float | None = None) -> VerificationReport:
-    """Integral of (1 + t**n)**(-(n-1)/n) over [0, inf) against the same closed form."""
+    """Integral of (1 + t**n)**(-(n-1)/n) over [0, inf) against the gamma closed form."""
     n = ctx.n
     tol = _tol("integral_ray", tolerance)
     t0 = time.perf_counter()
@@ -354,7 +362,7 @@ def _ode_pair(n: int, z: complex) -> tuple[complex, complex, int]:
     return s, c, steps
 
 
-def check_periodicity_sin3(samples: Sequence[complex],
+def check_periodicity_sin3(ctx: SquigContext, samples: Sequence[complex],
                            tolerance: float | None = None) -> VerificationReport:
     """Both lattice period shifts against direct continuation to the base point.
 
@@ -363,9 +371,10 @@ def check_periodicity_sin3(samples: Sequence[complex],
     side is an independent Taylor-series continuation of the ODE pair
     instead.  The note reports the samples and the route's total Taylor steps.
     """
+    if ctx.n != 3:
+        raise ParameterError(f"periodicity_sin3 needs an n == 3 context, got n = {ctx.n}")
     tol = _tol("periodicity_sin3", tolerance)
     t0 = time.perf_counter()
-    ctx = make_context(3)
     period = 1.5 * ctx.pi_n
     shifts = (period, period * ctx.omega)
     worst = -1.0
@@ -393,21 +402,22 @@ def check_periodicity_sin3(samples: Sequence[complex],
 # area trisection for n = 3
 
 
-def check_trisection(tolerance: float | None = None) -> VerificationReport:
+def check_trisection(ctx: SquigContext, tolerance: float | None = None) -> VerificationReport:
     """Areas between the cubic curve and its diagonal asymptote.
 
     The quadrant piece under the curve, the unbounded piece between curve and
     asymptote, and the 3x relation between them are all computed by direct
-    quadrature and compared against a quarter of the closed-form half period.
-    The corner-distance relation |P|/2 is folded in as well, which ties the
-    context's quadrature route to the gamma route.
+    quadrature and compared against pi_n / 4 from the gamma closed form.  The
+    corner-distance relation |P|/2 on the n = 3 context ``ctx`` is folded in
+    as well, which ties the library's series constants to the gamma route.
     """
+    if ctx.n != 3:
+        raise ParameterError(f"trisection needs an n == 3 context, got n = {ctx.n}")
     tol = _tol("trisection", tolerance)
     t0 = time.perf_counter()
     third = 1.0 / 3.0
     rhs = gamma_pi_n(3) / 4.0
     try:
-        ctx = make_context(3)
         q1 = integrate_endpoint_singular(
             lambda x, dl, dr: (dr * (1.0 + x + x * x)) ** third,
             0.0, 1.0, right_exp=-third, tol=_QUAD_TOL).value.real
@@ -562,9 +572,9 @@ def run_all(config: VerifyConfig | None = None) -> list[VerificationReport]:
                 ctx, _resolved_tol(cfg, "riemann_normalization")))
         if n == 3 and "periodicity_sin3" in selected:
             reports.append(check_periodicity_sin3(
-                _periodicity_samples(cfg), _resolved_tol(cfg, "periodicity_sin3")))
+                ctx, _periodicity_samples(cfg), _resolved_tol(cfg, "periodicity_sin3")))
         if n == 3 and "trisection" in selected:
-            reports.append(check_trisection(_resolved_tol(cfg, "trisection")))
+            reports.append(check_trisection(ctx, _resolved_tol(cfg, "trisection")))
 
     reports.sort(key=lambda r: (r.name, r.n))
     return reports

@@ -160,7 +160,7 @@ def test_criterion_09_periodicity_and_poles():
         base = sin3_global(ctx, z).value
         worst = max(worst, abs(sin3_global(ctx, z + L1).value - base),
                     abs(sin3_global(ctx, z + L2).value - base))
-    ode = check_periodicity_sin3([0j, 0.4 + 0.2j, -0.5 + 0.1j, 0.2 - 0.7j])
+    ode = check_periodicity_sin3(ctx, [0j, 0.4 + 0.2j, -0.5 + 0.1j, 0.2 - 0.7j])
     pole_hits = []
     for zp in (ctx.P, ctx.omega * ctx.P, ctx.P + L1, ctx.omega ** 2 * ctx.P - L2,
                ctx.P + 2 * L1 - L2):
@@ -173,7 +173,7 @@ def test_criterion_09_periodicity_and_poles():
 
 
 def test_criterion_10_trisection():
-    rep = check_trisection()
+    rep = check_trisection(make_context(3))
     diff = abs(rep.lhs.real - rep.rhs.real)
     report(diff < 1e-6 and rep.passed,
            "asymptote-to-curve area equals a quarter half-period",

@@ -14,19 +14,18 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+import squig
 from squig.geometry import make_context
 from squig.numerics import (
     SERIES_INNER,
     SERIES_OUTER,
     _series_tables,
-    gamma_corner_radius,
-    gamma_pi_n,
     nearest_root_distance,
     sector_ray_integral,
     sector_segment_integral,
 )
 from squig.squigfn import arcsin_n, arcsin_n_sector
-from squig.verify import VerifyConfig, run_all
+from squig.verify import VerifyConfig, gamma_corner_radius, gamma_pi_n, run_all
 
 NS = (3, 4, 5, 8, 16, 32, 64)
 ALL_NS = tuple(range(3, 65))
@@ -156,23 +155,56 @@ def test_slit_edge_band_and_series(n):
         assert abs(arcsin_n_sector(ctx, x) - hyp2f1_oracle(n, x)) <= 1e-14
 
 
-@pytest.mark.parametrize("n", NS)
+def exact_constants(n: int) -> tuple:
+    """A = pi_n / 2 and |P| at 30 digits."""
+    with mpmath.workdps(30):
+        half = mpmath.gamma(mpmath.mpf(1) / n) ** 2 / (n * mpmath.gamma(mpmath.mpf(2) / n))
+        return half, half / (2 * mpmath.cos(mpmath.pi / n))
+
+
+@pytest.mark.parametrize("n", ALL_NS)
 def test_gamma_corner_matches_context(n):
+    # the context reads A and P from the kernel's tables: one source, so the
+    # series and the polygon agree bit for bit
     tables = _series_tables(n)
     ctx = make_context(n)
-    assert abs(tables.corner - ctx.P) <= 1e-14
-    assert abs(tables.half - ctx.A) <= 1e-14
+    assert ctx.P == tables.corner
+    assert ctx.A == tables.half
+    assert ctx.pi_n == 2.0 * tables.half
+
+
+def test_series_constants_against_mpmath():
+    # measured worst: 1.9e-16 for A (n = 35) and 2.7e-16 for |P| (n = 64);
+    # the GK15 quarter period this replaced was 3.3e-16 and 4.4e-16 off (n = 27)
+    for n in ALL_NS:
+        ctx = make_context(n)
+        half, corner = exact_constants(n)
+        assert abs(ctx.A.real - half) <= 2.5e-16 * half, n
+        assert abs(ctx.pi_n - 2 * half) <= 2.5e-16 * 2 * half, n
+        assert abs(ctx.R - corner) <= 3.5e-16 * corner, n
+
+
+def test_make_context_runs_no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("make_context ran a quadrature")
+
+    # every squig module that holds the rule, as the benchmark's tracer finds it
+    real = squig.numerics.integrate_smooth
+    for name in ("numerics", "geometry", "squigfn", "verify"):
+        module = getattr(squig, name)
+        if getattr(module, "integrate_smooth", None) is real:
+            monkeypatch.setattr(module, "integrate_smooth", refuse)
+    for n in ALL_NS:
+        assert make_context(n).n == n
 
 
 def test_gamma_forms_against_mpmath():
-    # A = pi_n / 2 and |P| of every series value come from these; the worst
-    # relative error over n = 3..64 is 1.18e-15, at n = 17
+    # verify's closed-form oracle; the worst relative error over n = 3..64 is
+    # 1.18e-15, at n = 17, which is why the library does not use it
     for n in ALL_NS:
-        with mpmath.workdps(30):
-            half = mpmath.gamma(mpmath.mpf(1) / n) ** 2 / (n * mpmath.gamma(mpmath.mpf(2) / n))
-            corner = half / (2 * mpmath.cos(mpmath.pi / n))
-            assert abs(gamma_pi_n(n) - 2 * half) <= 1.2e-15 * 2 * half, n
-            assert abs(gamma_corner_radius(n) - corner) <= 1.2e-15 * corner, n
+        half, corner = exact_constants(n)
+        assert abs(gamma_pi_n(n) - 2 * half) <= 1.2e-15 * 2 * half, n
+        assert abs(gamma_corner_radius(n) - corner) <= 1.2e-15 * corner, n
 
 
 @pytest.mark.parametrize("n", (24, 32, 64))

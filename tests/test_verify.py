@@ -45,13 +45,17 @@ class TestIntegralChecks:
         assert r3.rhs.real == pytest.approx(1.7666387503, abs=1e-9)
         assert r4.rhs.real == pytest.approx(1.3110287771, abs=1e-9)
 
-    def test_ray_same_rhs_as_slit(self):
+    def test_slit_certifies_series_ray_certifies_gamma(self):
+        # the slit quadrature checks the library's |P|, the ray quadrature the
+        # gamma closed form; the two sources agree to about an ulp
         for n in (3, 5, 8):
             ctx = make_context(n)
             a = check_integral_slit(ctx)
             b = check_integral_ray(ctx)
-            assert a.rhs == b.rhs
-            assert b.passed
+            assert a.rhs == ctx.R
+            assert b.rhs == verify.gamma_corner_radius(n)
+            assert abs(a.rhs - b.rhs) <= 1.5e-15 * abs(b.rhs)
+            assert a.passed and b.passed
 
     def test_report_invariant(self):
         rep = check_integral_slit(make_context(4), tolerance=1e-15)
@@ -150,7 +154,7 @@ class TestOdePair:
     def test_note_reports_total_steps(self):
         samples = verify._periodicity_samples(VerifyConfig())
         total = sum(verify._ode_pair(3, z)[2] for z in samples)
-        rep = check_periodicity_sin3(samples)
+        rep = check_periodicity_sin3(make_context(3), samples)
         assert rep.note == f"samples={len(samples)} steps={total}"
 
 
@@ -158,13 +162,13 @@ class TestPeriodicity:
     SAMPLES = [0j, 0.4 + 0.2j, -0.3 + 0.5j, 0.7 - 0.6j]
 
     def test_default_samples_pass(self):
-        rep = check_periodicity_sin3(self.SAMPLES)
+        rep = check_periodicity_sin3(make_context(3), self.SAMPLES)
         assert rep.passed
         assert rep.n == 3
         assert rep.abs_error < 1e-10  # far below the class tolerance
 
     def test_zero_sample(self):
-        rep = check_periodicity_sin3([0j])
+        rep = check_periodicity_sin3(make_context(3), [0j])
         assert rep.passed
         assert abs(rep.lhs) < 1e-12
 
@@ -176,24 +180,48 @@ class TestPeriodicity:
             return replace(res, value=res.value * (1.0 + 1e-9))
 
         monkeypatch.setattr(verify, "sin3_global", off_by_1e9)
-        rep = check_periodicity_sin3(self.SAMPLES)
+        rep = check_periodicity_sin3(make_context(3), self.SAMPLES)
         assert not rep.passed
         assert rep.tolerance == DEFAULT_TOLERANCES["identity"]
 
 
 class TestTrisection:
     def test_areas(self):
-        rep = check_trisection()
+        rep = check_trisection(make_context(3))
         assert rep.passed
         assert rep.lhs.real == pytest.approx(0.8833193751, abs=1e-9)
         assert rep.rhs.real == pytest.approx(gamma_pi_n(3) / 4.0, abs=1e-14)
         assert "quadrant=" in rep.note and "total=" in rep.note
 
     def test_three_to_one_relation(self):
-        rep = check_trisection()
+        rep = check_trisection(make_context(3))
         quadrant = float(rep.note.split("quadrant=")[1].split()[0])
         total = float(rep.note.split("total=")[1].split()[0])
         assert total == pytest.approx(3.0 * quadrant, abs=1e-10)
+
+
+def test_n3_checks_refuse_other_contexts():
+    ctx = make_context(4)
+    with pytest.raises(squig.ParameterError):
+        check_periodicity_sin3(ctx, [0j])
+    with pytest.raises(squig.ParameterError):
+        check_trisection(ctx)
+
+
+def test_run_all_builds_one_context_per_n(monkeypatch):
+    # the n = 3 checks run on run_all's context, where the other checks have
+    # already built its caches
+    built = []
+
+    def counting(n):
+        built.append(n)
+        return make_context(n)
+
+    monkeypatch.setattr(verify, "make_context", counting)
+    reports = run_all(VerifyConfig(n_values=(3,), samples_per_n=4,
+                                   families=("periodicity_sin3", "trisection")))
+    assert built == [3]
+    assert [r.name for r in reports] == ["periodicity_sin3", "trisection"]
 
 
 class TestScFactorization:
@@ -208,9 +236,10 @@ class TestScFactorization:
 
     def test_tolerance_override(self):
         ctx = make_context(4)
-        # both routes agree to 2.2e-16 and 2.5e-16 here; at z = 0.5 they
-        # agree exactly, which no tolerance can fail
-        rep = check_sc_factorization(ctx, [0.9, 0.85 * cmath.exp(1j * math.pi / 4)],
+        # the default n = 4 samples, where the routes differ by up to 5.6e-16;
+        # at points such as 0.5 or 0.9 they agree exactly, which no tolerance
+        # can fail
+        rep = check_sc_factorization(ctx, verify._sc_samples(VerifyConfig(), 4),
                                      tolerance=1e-16)
         assert rep.abs_error > 0.0
         assert not rep.passed
