@@ -238,16 +238,14 @@ def fold(ctx: SquigContext, z: complex) -> FoldResult:
         conjugated = False
 
     tol = _EDGE_TOL * abs(ctx.A) ** 2
-    if not _in_triangle(t, 0j, ctx.A, ctx.P, tol):
-        if ctx.n == 3:
-            # Unreachable by construction (the Voronoi cell is the rosette);
-            # kept as a guard against roundoff at the hexagon corners.
-            pass
-        else:
-            raise DomainError(
-                f"point {z} lies outside the closed region Omega_{ctx.n}",
-                region=f"Omega_{ctx.n}",
-            )
+    # For n == 3 a miss is unreachable by construction (the Voronoi cell is
+    # the rosette), so it is not raised: that guards against roundoff at the
+    # hexagon corners.
+    if ctx.n != 3 and not _in_triangle(t, 0j, ctx.A, ctx.P, tol):
+        raise DomainError(
+            f"point {z} lies outside the closed region Omega_{ctx.n}",
+            region=f"Omega_{ctx.n}",
+        )
 
     at_pole = abs(t - ctx.P) <= _POLE_TOL * abs(ctx.P)
     return FoldResult(

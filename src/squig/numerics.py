@@ -376,7 +376,7 @@ class RationalSeries:
             raise InvalidSeriesError("degrees and coeffs must align")
         last = 0
         for d, c in zip(self.degrees, self.coeffs):
-            if d < 1 or (last and d <= last) or (not last and d < 1):
+            if d < 1 or (last and d <= last):
                 raise InvalidSeriesError("degrees must be strictly increasing and >= 1")
             if c == 0:
                 raise InvalidSeriesError("zero coefficients are not stored")
@@ -730,7 +730,11 @@ class NewtonResult:
     iterations: int
 
 
-def _in_sector(n: int, z: complex, slack: float = 1e-9) -> bool:
+# angular slack of the sector test, radians
+_SECTOR_SLACK = 1e-9
+
+
+def _in_sector(n: int, z: complex) -> bool:
     """Acceptance region for Newton iterates.
 
     The closed base sector, except that beyond the unit circle the boundary
@@ -741,7 +745,7 @@ def _in_sector(n: int, z: complex, slack: float = 1e-9) -> bool:
     if abs(z) < 1e-300:
         return True
     phi = cmath.phase(z)
-    if not (-slack <= phi <= TWO_PI / n + slack):
+    if not (-_SECTOR_SLACK <= phi <= TWO_PI / n + _SECTOR_SLACK):
         return False
     if abs(z) <= 0.999999:
         return True

@@ -8,8 +8,10 @@ inverse sine is ``F`` itself continued over the slit plane.
 
 Evaluation strategy for the inverse problem, in order of preference:
 
-1. a local chart around the corner ``u = 1`` (series iterated in the
-   n-th-root variable so no branch is ever chosen explicitly),
+1. near the corner ``A``, the kernel's corner chart
+   ``A - F(1 - xi**n) = n^(1/n) xi Q(xi**n)``, solved by Newton in the
+   root variable ``xi`` so no branch is ever chosen explicitly; its slope
+   ``n^(1/n) G(xi**n)`` also gives the cosine,
 2. a one-dimensional real solve for targets on the slit-edge image
    segment ``[A, P]``,
 3. one pass of damped Newton on the principal-branch sector map from one
@@ -32,7 +34,9 @@ so every value is accurate to about 1e-15 relative.
 
 from __future__ import annotations
 
+import bisect
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,9 +49,7 @@ from .errors import (
 from .geometry import SquigContext, contains_Sigma, fold
 from .numerics import (
     RationalSeries,
-    _corner_polynomial,
     _in_sector,
-    _miller_power,
     _real_chart,
     _series_tables,
     _series_tail,
@@ -58,9 +60,9 @@ from .numerics import (
 )
 
 _DEFAULT_TOL = 1e-12
-_CORNER_TERMS = 14
 # chart radius as a fraction of the distance to the adjacent root of unity
 _CORNER_FRAC = 0.08
+_CORNER_STEPS = 12  # Newton cap of the corner chart
 _SNAP = 1e-12
 
 _SEED_RADII = (0.55, 0.8, 1.05, 1.35, 1.8, 2.6, 4.2, 8.0)
@@ -73,7 +75,10 @@ class EvalResult:
 
     ``value`` is None exactly when ``is_pole`` is set.  ``residual`` is the
     verified backward error |F(value') - target| in image space, where
-    value' is the canonical representative actually solved for.
+    value' is the canonical representative actually solved for.  On the
+    corner route it is measured at the chart variable xi, not at the
+    returned u: at n = 16, t = 0.99 A it is about 0, while |F(1) - t| is
+    2e-2 for the returned u = 1.0.
     """
 
     value: complex | None
@@ -141,74 +146,58 @@ def radius_estimate(series: RationalSeries) -> float:
 # corner chart around u = 1
 
 
-def _corner_chart(ctx: SquigContext):
-    """Chart constants: (Q coeffs, cosine coeffs, delta radius, image radius).
-
-    With delta = 1 - u,  A - F(u) = n^(1/n) * delta^(1/n) * Q(delta)  and
-    cos = n^(1/n) * delta^(1/n) * H(delta).  Q is the head of the kernel's
-    chart table; both series are summed to _CORNER_TERMS terms.
-    """
-    cached = ctx.series_cache.get("corner")
-    if cached is not None:
-        return cached
-    n = ctx.n
-    q = _series_tables(n).chart[0][:_CORNER_TERMS]
-    hcos = _miller_power(_corner_polynomial(n), 1.0 / n, _CORNER_TERMS)
+@functools.lru_cache(maxsize=None)
+def _corner_band(n: int) -> float:
+    """Radius |A - t| of the targets that go to the corner chart: the image
+    of |1 - u| <= 0.8 * _CORNER_FRAC * (distance to the adjacent root)."""
     delta_max = _CORNER_FRAC * 2.0 * math.sin(math.pi / n)
-    band = n ** (1.0 / n) * (0.8 * delta_max) ** (1.0 / n)
-    chart = (q, hcos, delta_max, band)
-    ctx.series_cache["corner"] = chart
-    return chart
+    return n ** (1.0 / n) * (0.8 * delta_max) ** (1.0 / n)
 
 
-def _poly(coeffs, d: complex) -> complex:
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * d + c
-    return acc
+def _corner_forward(ctx: SquigContext, xi: complex):
+    """The corner chart in the root variable xi = (1 - u)^(1/n).
 
-
-def _corner_forward(ctx: SquigContext, delta: complex, lower_edge: bool = False) -> complex:
-    """A - F(1 - delta) for |delta| within the chart radius.
-
-    ``lower_edge`` forces the branch continued from inside the sector onto
-    the real ray beyond the root (negative real delta), where the principal
-    root would pick the wrong side.
+    Returns (A - F(u), its derivative in xi) = (n^(1/n) xi Q(d),
+    n^(1/n) G(d)) at d = xi**n, where Q is the kernel's chart table and
+    G(d) = sum_k (n*k + 1) q_k d**k = h(d)**(-beta).  Both are summed in one
+    Horner pass, cut where ``_binomial_sum`` cuts Q.
     """
     n = ctx.n
-    q = _corner_chart(ctx)[0]
-    if lower_edge:
-        xi = abs(delta) ** (1.0 / n) * cmath.exp(-1j * math.pi / n)
-    else:
-        xi = delta ** (1.0 / n)
-    return n ** (1.0 / n) * xi * _poly(q, xi**n)
+    d = xi**n
+    coeffs, radii = _series_tables(n).chart
+    last = min(bisect.bisect_left(radii, abs(d)), len(coeffs) - 1)
+    q = g = 0j
+    for k in range(last, -1, -1):
+        q = q * d + coeffs[k]
+        g = g * d + (n * k + 1) * coeffs[k]
+    scale = n ** (1.0 / n)
+    return scale * xi * q, scale * g
 
 
 def _corner_invert(ctx: SquigContext, y: complex):
     """Solve A - F(u) = y near u = 1; returns (u, cos, residual) or None.
 
-    Iterates on the root variable xi = delta^(1/n) directly, so the branch
-    is inherited from y and never chosen by a root extraction.
+    Newton in the root variable xi, from xi = y / n^(1/n), so the branch is
+    inherited from y and never chosen by a root extraction.  The cosine is
+    n^(1/n) xi h^(1/n) = n^(1/n) xi G^(-1/(n-1)); the residual is the
+    chart's, |A - F(u) - y| at the final xi.  None when Newton hits its cap.
     """
-    q, hcos, delta_max, _ = _corner_chart(ctx)
     n = ctx.n
-    scale = n ** (1.0 / n)
     if y == 0:
         return 1.0 + 0j, 0j, 0.0
+    scale = n ** (1.0 / n)
     xi = y / scale
-    converged = False
-    for _ in range(120):
-        new = y / (scale * _poly(q, xi**n))
-        if abs(new - xi) <= 1e-15 * abs(new):
-            xi = new
-            converged = True
+    for _ in range(_CORNER_STEPS):
+        value, slope = _corner_forward(ctx, xi)
+        step = (value - y) / slope
+        xi -= step
+        if abs(step) <= 1e-15 * abs(xi):
             break
-        xi = new
-    d = xi**n
-    if not converged or abs(d) > delta_max:
+    else:
         return None
-    resid = abs(scale * xi * _poly(q, d) - y)
-    return 1.0 - d, scale * xi * _poly(hcos, d), resid
+    value, slope = _corner_forward(ctx, xi)
+    cosv = scale * xi * (slope / scale) ** (-1.0 / (n - 1))
+    return 1.0 - xi**n, cosv, abs(value - y)
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +225,10 @@ def _invert_slit_edge(ctx: SquigContext, m: float, tol: float):
             f"target beyond the reachable edge segment (m={m}, limit {ctx.R})",
             residual=m - ctx.R,
         )
-    delta_max = _corner_chart(ctx)[2]
     if m >= 0.9 * ctx.R:
         x = ((n - 2.0) * (ctx.R - m)) ** (-1.0 / (n - 2.0))
     else:
-        x = 1.0 + 0.5 * delta_max
+        x = 1.0 + _CORNER_FRAC * math.sin(math.pi / n)
     x = max(x, 1.0 + 1e-15)
     val = _edge_integral(ctx, x)
     lo = 1.0
@@ -344,7 +332,7 @@ def _invert_to_triangle(ctx: SquigContext, t: complex, tol: float):
     """
     n = ctx.n
     y = ctx.A - t
-    if abs(y) <= _corner_chart(ctx)[3]:
+    if abs(y) <= _corner_band(n):
         got = _corner_invert(ctx, y)
         if got is not None:
             return got
@@ -387,20 +375,8 @@ def arcsin_n_sector(ctx: SquigContext, z: complex) -> complex:
     if abs(u - 1.0) <= 1e-14:
         u = 1.0 + 0j
 
-    val = _sector_value(ctx, u)
+    val = sector_ray_integral(n, u)
     return ctx.omega * val.conjugate() if reflected else val
-
-
-def _sector_value(ctx: SquigContext, u: complex) -> complex:
-    """F(u) for u in the closed lower half-sector (phase in [0, pi/n])."""
-    if abs(1.0 - u) <= 0.8 * _corner_chart(ctx)[2]:
-        # Im u > 0 makes arg(1 - u) negative: principal root is the sector
-        # branch; the real ray beyond 1 is the lower slit edge
-        if u.imag == 0.0:
-            x = u.real
-            return ctx.A - _corner_forward(ctx, 1.0 - x, lower_edge=x > 1.0)
-        return ctx.A - _corner_forward(ctx, 1.0 - u)
-    return sector_ray_integral(ctx.n, u)
 
 
 def arcsin_n(ctx: SquigContext, w: complex) -> complex:
@@ -419,7 +395,7 @@ def arcsin_n(ctx: SquigContext, w: complex) -> complex:
     flip = u.imag < 0.0
     if flip:
         u = u.conjugate()
-    val = _sector_value(ctx, u)
+    val = sector_ray_integral(n, u)
     if flip:
         val = val.conjugate()
     return val * cmath.exp(2j * math.pi * k / n)

@@ -295,14 +295,23 @@ class TestRunAll:
         assert DEFAULT_TOLERANCES["identity"] == 1e-10
 
 
-def test_periodicity_route_is_stdlib_only():
-    # a fresh interpreter, so modules that other tests imported cannot leak in
+def test_runtime_is_stdlib_only():
+    # a fresh interpreter, so modules that other tests imported cannot leak in;
+    # it runs periodicity_sin3's Taylor route, the corner chart both ways,
+    # the kernel near A and the CLI
     code = (
         "import sys\n"
         "import squig\n"
+        "import squig.cli\n"
         "from squig.verify import VerifyConfig, run_all\n"
         "reports = run_all(VerifyConfig(n_values=(3,), families=('periodicity_sin3',)))\n"
         "assert [r.name for r in reports] == ['periodicity_sin3'] and reports[0].passed\n"
+        "ctx = squig.make_context(5)\n"
+        "w = 1.0 + 0.01j\n"
+        "t = squig.arcsin_n(ctx, w)\n"
+        "assert abs(squig.sin_n(ctx, t).value - w) < 1e-12\n"
+        "assert abs(squig.cos_n(ctx, t).value - (1 - w ** 5) ** 0.2) < 1e-12\n"
+        "assert squig.cli.main(['eval', '--n', '4', '--fn', 'sin', '--z', '1.8']) == 0\n"
         "loaded = {'numpy', 'scipy', 'mpmath', 'hypothesis'} & set(sys.modules)\n"
         "assert not loaded, sorted(loaded)\n"
     )
