@@ -4,9 +4,9 @@ This module owns the low-level numerical machinery: a double-exponential
 (tanh-sinh) rule for integrals with algebraic endpoint singularities, an
 adaptive 15-point Gauss-Kronrod rule for smooth complex legs, exact rational
 series reversion, the exact Maclaurin coefficients of the sine from its ODE
-pair, the three series of the sector map (at 0, at infinity and the corner
-chart between them), a damped Newton inverter on the principal branch, and a
-discrete winding-number count.
+pair and their scaled float tables, the three series of the sector map (at
+0, at infinity and the corner chart between them), a damped Newton inverter
+on the principal branch, and a discrete winding-number count.
 
 The sector map is evaluated by its series alone, and the constants A and P
 come from the same series (``_series_tables``).  The quadrature rules serve
@@ -421,7 +421,7 @@ def revert_series(series: RationalSeries, terms: int) -> RationalSeries:
     """Compositional inverse of a series z + ... with exact arithmetic.
 
     A general utility: the sine's own series comes from the ODE recurrence of
-    _sine_coefficients, and reverting the series of F is its cross-check.
+    _ode_coefficients, and reverting the series of F is its cross-check.
 
     The input must start with the term 1*z.  The result is truncated to the
     degree of its terms-th potential term, respecting the arithmetic
@@ -521,18 +521,25 @@ def _miller_power(p: list, alpha: float, terms: int) -> list:
     return q
 
 
-def _sine_coefficients(n: int, terms: int) -> list:
-    """First ``terms`` exact Maclaurin coefficients S_k of sin_n = z S(z**n).
+def _ode_coefficients(n: int, terms: int) -> tuple:
+    """First ``terms`` exact Maclaurin coefficients (S_k, C_k) of the ODE
+    pair: sin_n = z S(z**n) and cos_n = C(z**n).
 
     With x = z**n, s = z S(x) and c = C(x), the ODE pair s' = c**(n-1),
     c' = -s**(n-1) becomes (1 + n k) S_k = [C**(n-1)]_k and
     n (k + 1) C_(k+1) = -[S**(n-1)]_k.  The powers are extended one term at a
     time by Miller's recurrence, as in _miller_power; with the exponent n - 1
-    every weight (alpha + 1) j - m = n j - m is an integer.
+    every weight (alpha + 1) j - m = n j - m is an integer, so each sum is
+    formed over one common denominator.
     """
 
     def next_power_term(base, power, m):
-        return sum((n * j - m) * base[j] * power[m - j] for j in range(1, m + 1)) / m
+        # integer numerators over the lcm of the term denominators, so the
+        # sum makes one Fraction (one gcd) instead of one per addition
+        parts = [((n * j - m) * base[j].numerator * power[m - j].numerator,
+                  base[j].denominator * power[m - j].denominator) for j in range(1, m + 1)]
+        den = math.lcm(*(q for _, q in parts))
+        return Fraction(sum(p * (den // q) for p, q in parts), den * m)
 
     s, c = [Fraction(1)], [Fraction(1)]
     s_pow, c_pow = [Fraction(1)], [Fraction(1)]  # S**(n-1) and C**(n-1)
@@ -542,7 +549,51 @@ def _sine_coefficients(n: int, terms: int) -> list:
         c.append(-s_pow[m - 1] / (n * m))
         c_pow.append(next_power_term(c, c_pow, m))
         s.append(c_pow[m] / (1 + n * m))
-    return s
+    return s, c
+
+
+# Length of the ODE pair's float tables.  A sum of K terms of a table whose
+# entries are at most 2 in modulus leaves at most 2 rho**K / (1 - rho).
+ODE_TERMS = 64
+# Fixed-point bits of the tables' recurrence.
+_ODE_BITS = 110
+
+
+# ODE_RADII[K-1] is a rho where 2 rho**K / (1 - rho) <= _SERIES_EPS, so K
+# terms of such a table leave less than half an ulp.  With c = _SERIES_EPS/2,
+# c**(1/K) overshoots the root of rho**K / (1 - rho) = c; one step of
+# rho -> (c (1 - rho))**(1/K) from there lands below it.
+ODE_RADII = tuple((0.5 * _SERIES_EPS * (1.0 - (0.5 * _SERIES_EPS) ** (1.0 / k))) ** (1.0 / k)
+                  for k in range(1, ODE_TERMS + 1))
+
+
+def _ode_tables(n: int, scale: float) -> tuple:
+    """Tables a_k = S_k scale**k and b_k = C_k scale**k of the ODE pair.
+
+    The recurrence of _ode_coefficients on the scaled values: with
+    s = z S(x), c = C(x) and x = scale * X it reads (1 + n k) a_k =
+    [b**(n-1)]_k and n (k + 1) b_(k+1) = -scale [a**(n-1)]_k.  With
+    scale = R**n every entry stays within [-2, 2] for n = 3..64, so nothing
+    over- or underflows.  It runs on integers in fixed point at
+    2**-_ODE_BITS, and each entry is the scaled coefficient rounded once;
+    the same recurrence in floats drifts by about one ulp per entry.
+    """
+    one = 1 << _ODE_BITS
+    sig = int(math.ldexp(scale, _ODE_BITS))  # exact: scale is a float above 2**-58
+
+    def next_power_term(base, power, m):
+        acc = sum((n * j - m) * base[j] * power[m - j] for j in range(1, m + 1))
+        return acc // (m << _ODE_BITS)
+
+    a, b = [one], [one]
+    a_pow, b_pow = [one], [one]  # a**(n-1) and b**(n-1)
+    for m in range(1, ODE_TERMS):
+        if m > 1:
+            a_pow.append(next_power_term(a, a_pow, m - 1))
+        b.append(-(sig * a_pow[m - 1]) // ((n * m) << _ODE_BITS))
+        b_pow.append(next_power_term(b, b_pow, m))
+        a.append(b_pow[m] // (1 + n * m))
+    return tuple(v / one for v in a), tuple(v / one for v in b)
 
 
 def _corner_polynomial(n: int) -> list:
@@ -596,6 +647,11 @@ class _SeriesTables(NamedTuple):
     chart, and |P| is the edge integral over [1, x] plus the tail beyond x
     at x = 2^(1/n), where the chart meets the series at infinity.  Both are
     within 3e-16 relative of the exact values for n = 3..64.
+
+    The ODE pair's tables (``_ode_tables``) serve the inverse: their sums
+    converge for |t**n| < R**n, and ``disc`` is the radius where 64 terms
+    reach half an ulp, ODE_RADII[-1]**(1/n) R (0.817 R at n = 3, 0.9905 R
+    at n = 64).
     """
 
     inner: tuple      # binomial table of the series at 0
@@ -604,6 +660,10 @@ class _SeriesTables(NamedTuple):
     corner: complex   # P
     phase: complex    # e^(i pi beta)
     half: float       # A, the half period
+    sine: tuple       # a_k = S_k R**(n k), the ODE pair's sine table
+    cosine: tuple     # b_k = C_k R**(n k), its cosine table
+    scale: float      # R**n, the unit of x = t**n in both
+    disc: float       # radius of the discs at 0 and at A that the tables cover
 
 
 @functools.lru_cache(maxsize=None)
@@ -613,8 +673,10 @@ def _series_tables(n: int) -> _SeriesTables:
     half = c * _binomial_sum(inner, c ** n).real + _real_chart(n, chart, 1.0 - c)
     # the tail at x summed directly: _series_tail refuses x**-n a hair above 1/2
     radius = _real_chart(n, chart, 1.0 - x) + x ** (2 - n) * _binomial_sum(outer, x ** -n).real
+    scale = radius ** n
     return _SeriesTables(inner, outer, chart, radius * cmath.exp(1j * math.pi / n),
-                         cmath.exp(1j * math.pi * (n - 1) / n), half)
+                         cmath.exp(1j * math.pi * (n - 1) / n), half,
+                         *_ode_tables(n, scale), scale, ODE_RADII[-1] ** (1.0 / n) * radius)
 
 
 def _binomial_sum(table, x: complex) -> complex:

@@ -8,17 +8,19 @@ inverse sine is ``F`` itself continued over the slit plane.
 
 Evaluation strategy for the inverse problem, in order of preference:
 
-1. near the corner ``A``, the kernel's corner chart
-   ``A - F(1 - xi**n) = n^(1/n) xi Q(xi**n)``, solved by Newton in the
-   root variable ``xi`` so no branch is ever chosen explicitly; its slope
-   ``n^(1/n) G(xi**n)`` also gives the cosine,
+1. the ODE pair's Maclaurin series on the disc around 0 or around the
+   corner ``A``, whichever centre is nearer: with x = t**n, s = t S(x) and
+   c = C(x) near 0, and by the symmetry sin_n(t) = cos_n(A - t),
+   s = C(y**n) and c = y S(y**n) with y = A - t near ``A``.  Both series
+   come from one pair of float tables (``numerics._ode_tables``) summed in
+   one Horner pass, cut at half an ulp, so no equation is solved,
 2. a one-dimensional real solve for targets on the slit-edge image
-   segment ``[A, P]``,
-3. one pass of damped Newton on the principal-branch sector map from one
-   seed: the pole asymptote near ``P``, else the Maclaurin value near 0,
-   else the precomputed grid point whose image is nearest the target; a
-   seed Newton cannot start from is passed over.  A failed pass raises
-   ``ConvergenceError`` with its last residual.
+   segment ``[A, P]`` outside the disc at ``A``,
+3. one pass of damped Newton on the principal-branch sector map, in the
+   lens between the discs and near ``P``, from one seed: the pole
+   asymptote near ``P``, else the precomputed grid point whose image is
+   nearest the target; a seed Newton cannot start from is passed over.  A
+   failed pass raises ``ConvergenceError`` with its last residual.
 
 Every forward value of ``F`` comes from one kernel,
 ``numerics.sector_ray_integral``, which sums one of three series.  With
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import bisect
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -48,22 +49,22 @@ from .errors import (
 )
 from .geometry import SquigContext, contains_Sigma, fold
 from .numerics import (
+    ODE_RADII,
+    ODE_TERMS,
     RationalSeries,
     _in_sector,
+    _ode_coefficients,
     _real_chart,
     _series_tables,
     _series_tail,
-    _sine_coefficients,
-    _sparse_horner,
     newton_invert,
     sector_ray_integral,
 )
 
 _DEFAULT_TOL = 1e-12
-# chart radius as a fraction of the distance to the adjacent root of unity
-_CORNER_FRAC = 0.08
-_CORNER_STEPS = 12  # Newton cap of the corner chart
 _SNAP = 1e-12
+_ULP = 2.0**-52  # one rounding step of the disc sums, an ulp of 1
+_A_ERR = 3e-16  # relative error of A from the kernel's tables (tested: 2.5e-16)
 
 _SEED_RADII = (0.55, 0.8, 1.05, 1.35, 1.8, 2.6, 4.2, 8.0)
 _SEED_ANGLES = (0.08, 0.32, 0.6, 0.92)  # units of pi/n
@@ -73,12 +74,13 @@ _SEED_ANGLES = (0.08, 0.32, 0.6, 0.92)  # units of pi/n
 class EvalResult:
     """Value of an evaluation plus its certificate.
 
-    ``value`` is None exactly when ``is_pole`` is set.  ``residual`` is the
-    verified backward error |F(value') - target| in image space, where
-    value' is the canonical representative actually solved for.  On the
-    corner route it is measured at the chart variable xi, not at the
-    returned u: at n = 16, t = 0.99 A it is about 0, while |F(1) - t| is
-    2e-2 for the returned u = 1.0.
+    ``value`` is None exactly when ``is_pole`` is set.  On the two disc
+    routes ``residual`` is a forward-error bound: it bounds the distance of
+    the returned value from the exact one at the folded target (at n = 16,
+    t = 0.99 A it is one ulp for the returned sine 1.0).  On the slit-edge
+    solve and on Newton it is the backward error |F(value') - target| in
+    image space, where value' is the canonical representative actually
+    solved for.
     """
 
     value: complex | None
@@ -99,7 +101,7 @@ def maclaurin(ctx: SquigContext, terms: int) -> RationalSeries:
     """Exact rational Maclaurin series of the sine, to ``terms`` nonzero terms.
 
     The coefficients come from the ODE pair s' = c^(n-1), c' = -s^(n-1)
-    (``numerics._sine_coefficients``).  Nonzero degrees are
+    (``numerics._ode_coefficients``).  Nonzero degrees are
     ``1, n+1, 2n+1, ...``; results are cached on the context and reused for
     any smaller request.  ``numerics.revert_series``, a general series
     reversion, gives the same coefficients by inverting the series of ``F``.
@@ -109,7 +111,7 @@ def maclaurin(ctx: SquigContext, terms: int) -> RationalSeries:
     cached = ctx.series_cache.get("maclaurin")
     if cached is None or cached.term_count() < terms:
         n = ctx.n
-        pairs = [(n * k + 1, a) for k, a in enumerate(_sine_coefficients(n, terms)) if a]
+        pairs = [(n * k + 1, a) for k, a in enumerate(_ode_coefficients(n, terms)[0]) if a]
         cached = RationalSeries(*zip(*pairs))
         ctx.series_cache["maclaurin"] = cached
     if cached.term_count() == terms:
@@ -143,61 +145,52 @@ def radius_estimate(series: RationalSeries) -> float:
 
 
 # ---------------------------------------------------------------------------
-# corner chart around u = 1
+# the ODE pair's series at 0 and at A
 
 
-@functools.lru_cache(maxsize=None)
-def _corner_band(n: int) -> float:
-    """Radius |A - t| of the targets that go to the corner chart: the image
-    of |1 - u| <= 0.8 * _CORNER_FRAC * (distance to the adjacent root)."""
-    delta_max = _CORNER_FRAC * 2.0 * math.sin(math.pi / n)
-    return n ** (1.0 / n) * (0.8 * delta_max) ** (1.0 / n)
+def _disc_sum(ctx: SquigContext, w: complex):
+    """(w S(w**n), C(w**n)) from the ODE pair's tables, and a bound on the
+    error of each, for |w| at most the tables' disc radius.
 
-
-def _corner_forward(ctx: SquigContext, xi: complex):
-    """The corner chart in the root variable xi = (1 - u)^(1/n).
-
-    Returns (A - F(u), its derivative in xi) = (n^(1/n) xi Q(d),
-    n^(1/n) G(d)) at d = xi**n, where Q is the kernel's chart table and
-    G(d) = sum_k (n*k + 1) q_k d**k = h(d)**(-beta).  Both are summed in one
-    Horner pass, cut where ``_binomial_sum`` cuts Q.
+    Both tables are summed in one Horner pass in x = w**n / R**n, cut at K
+    terms where 2 rho**K / (1 - rho) is below half an ulp (rho = |x|), but
+    never below two terms: the second keeps the leading imaginary part of
+    a value next to 1.  Each sum's bound is that remainder plus rounding:
+    one ulp for the leading term and 2 K ulps times the rest, whose moduli
+    add up to at most 2 rho / (1 - rho).  The product with w adds one ulp.
     """
-    n = ctx.n
-    d = xi**n
-    coeffs, radii = _series_tables(n).chart
-    last = min(bisect.bisect_left(radii, abs(d)), len(coeffs) - 1)
-    q = g = 0j
-    for k in range(last, -1, -1):
-        q = q * d + coeffs[k]
-        g = g * d + (n * k + 1) * coeffs[k]
-    scale = n ** (1.0 / n)
-    return scale * xi * q, scale * g
+    tables = _series_tables(ctx.n)
+    x = w**ctx.n / tables.scale
+    rho = abs(x)
+    last = min(max(bisect.bisect_left(ODE_RADII, rho), 1), ODE_TERMS - 1)
+    s = c = 0j
+    for a, b in zip(tables.sine[last::-1], tables.cosine[last::-1]):
+        s = s * x + a
+        c = c * x + b
+    terms = last + 1
+    bound = 2.0 * rho**terms / (1.0 - rho) + _ULP * (1.0 + 4.0 * terms * rho / (1.0 - rho))
+    return w * s, c, abs(w) * (bound + _ULP), bound
+
+
+def _corner_forward(ctx: SquigContext, y: complex):
+    """(sin, cos) at t = A - y and a bound on the error of each, by the
+    reflection symmetry sin_n(t) = cos_n(y) and cos_n(t) = sin_n(y): the
+    disc at A is the disc at 0 with the two tables' roles swapped."""
+    ys, c, ys_bound, c_bound = _disc_sum(ctx, y)
+    # y carries the error of A, which moves each value by up to that error
+    # times its slope in y: sin_n(y)**(n-1) for cos_n(y), cos_n(y)**(n-1)
+    # for sin_n(y)
+    shift = _A_ERR * ctx.A.real
+    return (c, ys, c_bound + shift * abs(ys) ** (ctx.n - 1),
+            ys_bound + shift * abs(c) ** (ctx.n - 1))
 
 
 def _corner_invert(ctx: SquigContext, y: complex):
-    """Solve A - F(u) = y near u = 1; returns (u, cos, residual) or None.
-
-    Newton in the root variable xi, from xi = y / n^(1/n), so the branch is
-    inherited from y and never chosen by a root extraction.  The cosine is
-    n^(1/n) xi h^(1/n) = n^(1/n) xi G^(-1/(n-1)); the residual is the
-    chart's, |A - F(u) - y| at the final xi.  None when Newton hits its cap.
-    """
-    n = ctx.n
-    if y == 0:
-        return 1.0 + 0j, 0j, 0.0
-    scale = n ** (1.0 / n)
-    xi = y / scale
-    for _ in range(_CORNER_STEPS):
-        value, slope = _corner_forward(ctx, xi)
-        step = (value - y) / slope
-        xi -= step
-        if abs(step) <= 1e-15 * abs(xi):
-            break
-    else:
+    """The route of the disc at A: (u, cos, u's bound, cos's bound) at
+    t = A - y when |y| is within the tables' disc radius, else None."""
+    if abs(y) > _series_tables(ctx.n).disc:
         return None
-    value, slope = _corner_forward(ctx, xi)
-    cosv = scale * xi * (slope / scale) ** (-1.0 / (n - 1))
-    return 1.0 - xi**n, cosv, abs(value - y)
+    return _corner_forward(ctx, y)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +221,7 @@ def _invert_slit_edge(ctx: SquigContext, m: float, tol: float):
     if m >= 0.9 * ctx.R:
         x = ((n - 2.0) * (ctx.R - m)) ** (-1.0 / (n - 2.0))
     else:
-        x = 1.0 + _CORNER_FRAC * math.sin(math.pi / n)
+        x = 1.0 + 0.08 * math.sin(math.pi / n)  # just past the corner u = 1
     x = max(x, 1.0 + 1e-15)
     val = _edge_integral(ctx, x)
     lo = 1.0
@@ -288,25 +281,9 @@ def _seed_table(ctx: SquigContext):
     return table
 
 
-def _seed_terms(n: int) -> int:
-    """Terms of the Maclaurin head that seeds Newton."""
-    return max(6, min(24, 4 + 160 // n))
-
-
-def _maclaurin_seed(ctx: SquigContext, t: complex) -> complex:
-    """The Maclaurin head at ``t``, from its coefficients rounded once and
-    cached; the same sum as ``RationalSeries.evaluate``, bit for bit."""
-    cached = ctx.series_cache.get("seed_series")
-    if cached is None:
-        head = maclaurin(ctx, _seed_terms(ctx.n))
-        cached = tuple(zip(reversed(head.degrees), map(complex, reversed(head.coeffs))))
-        ctx.series_cache["seed_series"] = cached
-    return _sparse_horner(cached, t)
-
-
 def _newton_seed(ctx: SquigContext, t: complex) -> complex:
-    """The first of (pole asymptote, Maclaurin value) that Newton can start
-    from, else the grid point whose image is nearest to ``t``.
+    """The pole asymptote if Newton can start from it, else the grid point
+    whose image is nearest to ``t``.
 
     Newton accepts no iterate outside the sector or, beyond the unit circle,
     within 1e-7 of a boundary ray (a slit there), so a seed in that margin
@@ -317,22 +294,25 @@ def _newton_seed(ctx: SquigContext, t: complex) -> complex:
         seed = _pole_seed(ctx, t)
         if _in_sector(n, seed):
             return seed
-    if abs(t) <= 0.72 * ctx.R:
-        seed = _maclaurin_seed(ctx, t)
-        if _in_sector(n, seed):
-            return seed
     return min(_seed_table(ctx), key=lambda item: abs(item[0] - t))[1]
 
 
 def _invert_to_triangle(ctx: SquigContext, t: complex, tol: float):
     """Invert the sector map at a target in the closed half-kite triangle.
 
-    Returns (u, cos_value_or_None, residual); the cosine comes back filled
-    only when a route computes it as a byproduct without extra cost.
+    Returns (u, cos_value_or_None, u's residual, the cosine's residual);
+    the cosine comes back filled only when a route computes it as a
+    byproduct without extra cost.  The discs bound each value's error; the
+    other routes give their backward error for both.
     """
     n = ctx.n
     y = ctx.A - t
-    if abs(y) <= _corner_band(n):
+    # the nearer of the two discs: fewer terms, and the value that vanishes
+    # at its centre (s at 0, c at A) comes out as a product, not a difference
+    if abs(t) <= abs(y):
+        if abs(t) <= _series_tables(n).disc:
+            return _disc_sum(ctx, t)
+    else:
         got = _corner_invert(ctx, y)
         if got is not None:
             return got
@@ -342,10 +322,10 @@ def _invert_to_triangle(ctx: SquigContext, t: complex, tol: float):
     if e.real > 0 and abs(e.imag) <= 1e-11 * max(1.0, e.real):
         x, resid = _invert_slit_edge(ctx, e.real, tol)
         cosv = (x**n - 1.0) ** (1.0 / n) * cmath.exp(-1j * math.pi / n)
-        return complex(x, 0.0), cosv, resid
+        return complex(x, 0.0), cosv, resid, resid
 
     res = newton_invert(n, t, _newton_seed(ctx, t), tol=tol)
-    return res.z, None, res.residual
+    return res.z, None, res.residual, res.residual
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +386,7 @@ def sin_n(ctx: SquigContext, z: complex, tol: float = _DEFAULT_TOL) -> EvalResul
     fr = fold(ctx, z)
     if fr.at_pole:
         return EvalResult(None, True, 0.0)
-    u, _, resid = _invert_to_triangle(ctx, fr.folded, tol)
+    u, _, resid, _ = _invert_to_triangle(ctx, fr.folded, tol)
     w = u.conjugate() if fr.conjugated else u
     w *= cmath.exp(2j * math.pi * fr.rotation_k / ctx.n)
     if ctx.n == 3 and fr.lattice_shift != (0, 0):
@@ -424,7 +404,7 @@ def cos_n(ctx: SquigContext, z: complex, tol: float = _DEFAULT_TOL) -> EvalResul
     fr = fold(ctx, z)
     if fr.at_pole:
         return EvalResult(None, True, 0.0)
-    u, cosv, resid = _invert_to_triangle(ctx, fr.folded, tol)
+    u, cosv, _, resid = _invert_to_triangle(ctx, fr.folded, tol)
     if cosv is None:
         # interior of the half-wedge: 1 - u^n stays off the negative reals
         cosv = (1.0 - u**ctx.n) ** (1.0 / ctx.n)

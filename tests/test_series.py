@@ -6,7 +6,7 @@ import pytest
 
 from squig.errors import InvalidSeriesError, ParameterError
 from squig.geometry import make_context
-from squig.numerics import RationalSeries, revert_series
+from squig.numerics import RationalSeries, _ode_coefficients, revert_series
 from squig.squigfn import maclaurin
 
 
@@ -145,3 +145,27 @@ class TestMaclaurinMatchesReversion:
 
     def test_eighty_terms_n32(self):
         assert maclaurin(make_context(32), 80) == revert_series(forward_series(32, 81), 80)
+
+
+def sine_coefficients_reference(n: int, terms: int) -> list:
+    """The sine half of ``_ode_coefficients`` with one Fraction per
+    addition, as the library formed them before it summed integer
+    numerators over a common denominator."""
+
+    def next_power_term(base, power, m):
+        return sum((n * j - m) * base[j] * power[m - j] for j in range(1, m + 1)) / m
+
+    s, c = [Fraction(1)], [Fraction(1)]
+    s_pow, c_pow = [Fraction(1)], [Fraction(1)]
+    for m in range(1, terms):
+        if m > 1:
+            s_pow.append(next_power_term(s, s_pow, m - 1))
+        c.append(-s_pow[m - 1] / (n * m))
+        c_pow.append(next_power_term(c, c_pow, m))
+        s.append(c_pow[m] / (1 + n * m))
+    return s
+
+
+@pytest.mark.parametrize("n", range(3, 65))
+def test_common_denominator_sums_match_reference(n):
+    assert _ode_coefficients(n, 30)[0] == sine_coefficients_reference(n, 30)

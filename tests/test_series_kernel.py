@@ -4,10 +4,13 @@ The oracle is mpmath's Gauss hypergeometric function through DLMF 15.6.1,
 F(u) = u * 2F1((n-1)/n, 1/n; 1 + 1/n; u**n), evaluated at 30 digits.  The
 corner-chart coefficients are checked against Miller's recurrence in exact
 rational arithmetic, and the kernel against GK15 quadrature of the ray.
-The inverse near the corner is checked against the same oracle through
-F(sin) + F(cos) = A, solved for the cosine by mpmath's findroot.
+The ODE pair's float tables are checked against its exact coefficients, and
+the two discs of the inverse against the same oracle: near 0 by solving
+F(u) = t with mpmath's findroot, near A through F(sin) + F(cos) = A, solved
+for the cosine.
 """
 
+import bisect
 import cmath
 import math
 import random
@@ -17,10 +20,14 @@ import mpmath
 import pytest
 
 import squig
-from squig.geometry import make_context
+from squig.geometry import fold, make_context, sample_domain
 from squig.numerics import (
+    ODE_RADII,
+    ODE_TERMS,
     SERIES_INNER,
     SERIES_OUTER,
+    _SERIES_EPS,
+    _ode_coefficients,
     _series_tables,
     nearest_root_distance,
     sector_ray_integral,
@@ -245,7 +252,29 @@ def test_verify_suite_runs_at_large_n():
 
 
 # ---------------------------------------------------------------------------
-# the corner chart's inverse, near A
+# the ODE pair's tables and its two discs, at 0 and at A
+
+
+@pytest.mark.parametrize("n", ALL_NS)
+def test_ode_tables_match_exact(n):
+    # each entry is its exact scaled coefficient rounded once, so within an
+    # ulp; and at most 2 in modulus, which the cut's remainder bound rests on
+    tables = _series_tables(n)
+    exact_s, exact_c = _ode_coefficients(n, ODE_TERMS)
+    unit = Fraction(tables.scale)
+    assert len(tables.sine) == len(tables.cosine) == ODE_TERMS
+    for k, (a, b, s, c) in enumerate(zip(tables.sine, tables.cosine, exact_s, exact_c)):
+        for got, want in ((a, s * unit**k), (b, c * unit**k)):
+            assert abs(Fraction(got) - want) <= Fraction(2.0**-52) * abs(want), (k, got)
+            assert abs(got) <= 2.0, (k, got)
+
+
+def root_pair(n: int, w, guess: complex) -> tuple:
+    """(u, (1 - u**n)**(1/n)) at the root u of F(u) = w next to guess, at 30
+    digits: (sin, cos) at w."""
+    with mpmath.workdps(30):
+        u = mpmath.findroot(lambda u: hyp2f1_mp(n, u) - w, mpmath.mpc(guess))
+        return complex(u), complex((1 - u ** n) ** (mpmath.mpf(1) / n))
 
 
 def corner_oracle(n: int, t: complex, c0: complex) -> tuple:
@@ -257,63 +286,146 @@ def corner_oracle(n: int, t: complex, c0: complex) -> tuple:
     """
     with mpmath.workdps(30):
         y = exact_constants(n)[0] - mpmath.mpc(t)
-        c = mpmath.findroot(lambda c: hyp2f1_mp(n, c) - y, mpmath.mpc(c0))
-        return complex((1 - c ** n) ** (mpmath.mpf(1) / n)), complex(c)
+    c, s = root_pair(n, y, c0)
+    return s, c
 
 
-def corner_targets(ctx, rng) -> list:
-    """Targets t = A - y of the half-kite triangle inside the chart's band:
-    interior, on the rim, on the edge A-0 and on the edge image A-P."""
+def disc_targets(ctx, rng, at_corner: bool) -> list:
+    """Targets of the half-kite triangle that take the disc at A (or at 0):
+    inside it and nearer its centre than the other one.  Interior points,
+    one on the rim and one on each of the two edges through the centre.
+
+    The direction ``phase`` runs from the edge towards the other centre
+    (phase 0) to the edge through P (phase 1); the targets nearer to the
+    centre reach A / (2 cos(phase pi/n)) along it.
+    """
     n = ctx.n
-    band = squigfn._corner_band(n)
-    ys = [band * rng.uniform(0.1, 1.0) * cmath.exp(-1j * math.pi * rng.random() / n)
-          for _ in range(4)]
-    ys.append(band * (1.0 - 1e-12) * cmath.exp(-1j * math.pi * rng.random() / n))
-    ys.append(band * rng.uniform(0.1, 1.0))
-    targets = [ctx.A - y for y in ys]
-    targets.append(ctx.A + band * rng.uniform(0.1, 1.0) * cmath.exp(1j * math.pi * ctx.beta))
+    radius = _series_tables(n).disc
+    draws = [(rng.uniform(0.1, 1.0), rng.random()) for _ in range(4)]
+    draws += [(1.0 - 1e-12, rng.random()), (rng.uniform(0.1, 1.0), 0.0),
+              (rng.uniform(0.1, 1.0), 1.0)]
+    targets = []
+    for frac, phase in draws:
+        reach = min(radius, ctx.A.real / (2.0 * math.cos(math.pi * phase / n)))
+        w = frac * reach * cmath.exp(1j * math.pi * phase / n)
+        targets.append(ctx.A - w.conjugate() if at_corner else w)
     return targets
 
 
 @pytest.mark.parametrize("n", ALL_NS)
 def test_corner_route_against_mpmath(n, monkeypatch):
-    # measured worst over n = 3..64: 2.3e-16 for sin, 2.7e-15 for cos
+    # the disc at A; measured worst over n = 3..64: 4.0e-16 for sin and
+    # 2.1e-15 for cos, and at most 0.57 of the certificate
     ctx = make_context(n)
     hits = []
     invert = squigfn._corner_invert
     monkeypatch.setattr(squigfn, "_corner_invert", lambda c, y: hits.append(y) or invert(c, y))
-    targets = corner_targets(ctx, random.Random(f"corner:{n}"))
+    targets = disc_targets(ctx, random.Random(f"corner:{n}"), at_corner=True)
     for t in targets:
         s, c = sin_n(ctx, t), cos_n(ctx, t)
         ref_s, ref_c = corner_oracle(n, t, c.value)
         assert abs(s.value - ref_s) <= 1e-14 * abs(ref_s), t
         assert abs(c.value - ref_c) <= 1e-14 * abs(ref_c), t
+        assert abs(s.value - ref_s) <= s.residual, t
+        assert abs(c.value - ref_c) <= c.residual, t
     assert len(hits) == 2 * len(targets)
 
 
 @pytest.mark.parametrize("n", ALL_NS)
-def test_corner_newton_steps(n, monkeypatch):
-    # Newton in xi from y / n^(1/n): one chart sum per step plus one for the
-    # result; at most 5 steps on the whole band disc, its rim included
+def test_zero_disc_against_mpmath(n, monkeypatch):
+    # the disc at 0; measured worst over n = 3..64: 2.2e-16 for sin and
+    # for cos, and at most 0.49 of the certificate
     ctx = make_context(n)
-    band = squigfn._corner_band(n)
+    for name in ("_corner_invert", "newton_invert"):
+        monkeypatch.setattr(squigfn, name, lambda *args, **kw: pytest.fail("left the disc"))
+    for t in disc_targets(ctx, random.Random(f"zero:{n}"), at_corner=False):
+        s, c = sin_n(ctx, t), cos_n(ctx, t)
+        ref_s, ref_c = root_pair(n, mpmath.mpc(t), s.value)
+        assert abs(s.value - ref_s) <= 1e-14 * abs(ref_s), t
+        assert abs(c.value - ref_c) <= 1e-14 * abs(ref_c), t
+        assert abs(s.value - ref_s) <= s.residual, t
+        assert abs(c.value - ref_c) <= c.residual, t
+
+
+@pytest.mark.parametrize("n", ALL_NS)
+def test_reflection_identity(n):
+    # sin_n(t) = cos_n(A - t) and cos_n(t) = sin_n(A - t) on the triangle;
+    # A - t folds onto the other disc, so each side takes the other table;
+    # measured worst 3.4e-15
+    ctx = make_context(n)
+    radius = _series_tables(n).disc
+    checked = 0
+    for z in sample_domain(ctx, random.Random(f"reflect:{n}"), 60):
+        t = fold(ctx, z).folded
+        if min(abs(t), abs(ctx.A - t)) > radius:
+            continue
+        for left, right in ((sin_n, cos_n), (cos_n, sin_n)):
+            got, want = left(ctx, t).value, right(ctx, ctx.A - t).value
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), t
+        checked += 1
+    assert checked >= 40
+
+
+@pytest.mark.parametrize("n, z", [
+    (3, 0.33919464005480526 - 1.529954036498533j),
+    (3, -1.3249790143326923 + 0.7649769905955853j),
+    (5, -0.49916127731013354 - 1.1169684782620004j),
+    (8, 1.025474606934223 - 0.5187932217320756j),
+])
+def test_former_edge_failures_take_the_disc(n, z, monkeypatch):
+    # edge-image targets 3e-9 |A| off A-P, 0.5-0.88 R from A, where Newton
+    # from the pole seed raised ConvergenceError
+    ctx = make_context(n)
+    monkeypatch.setattr(squigfn, "newton_invert", lambda *a, **kw: pytest.fail("Newton"))
+    t = fold(ctx, z).folded
+    s, c = sin_n(ctx, t), cos_n(ctx, t)
+    ref_s, ref_c = corner_oracle(n, t, c.value)
+    assert abs(s.value - ref_s) <= 1e-14 * abs(ref_s)
+    assert abs(c.value - ref_c) <= 1e-14 * abs(ref_c)
+    assert sin_n(ctx, z).value is not None and cos_n(ctx, z).value is not None
+
+
+def test_corner_certificate_is_a_forward_bound():
+    # the returned 1.0 is 2e-2 off in image space, |F(1) - t|; the residual
+    # bounds its forward error instead: an ulp of 1.0
+    ctx = make_context(16)
+    t = 0.99 * ctx.A
+    s, c = sin_n(ctx, t), cos_n(ctx, t)
+    assert s.value == 1.0
+    assert abs(sector_ray_integral(16, 1.0) - t) > 1e-2
+    ref_s, ref_c = corner_oracle(16, t, c.value)
+    assert abs(s.value - ref_s) <= s.residual <= 2.0**-52
+    assert abs(c.value - ref_c) <= c.residual
+
+
+@pytest.mark.parametrize("n", ALL_NS)
+def test_corner_newton_steps(n, monkeypatch):
+    # no Newton left at A: one two-table sum per inversion, cut within the
+    # tables' length at half an ulp on the whole disc, its rim included
+    ctx = make_context(n)
+    tables = _series_tables(n)
     rng = random.Random(f"steps:{n}")
-    ys = [band * cmath.exp(2j * math.pi * k / 32) for k in range(32)]
-    ys += [band * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+    rim = tables.disc * (1.0 - 1e-15)
+    ys = [rim * cmath.exp(2j * math.pi * k / 32) for k in range(32)]
+    ys += [rim * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
            for _ in range(32)]
     sums = [0]
-    forward = squigfn._corner_forward
+    forward = squigfn._disc_sum
 
-    def counted(c, xi):
+    def counted(c, w):
         sums[0] += 1
-        return forward(c, xi)
+        return forward(c, w)
 
-    monkeypatch.setattr(squigfn, "_corner_forward", counted)
+    monkeypatch.setattr(squigfn, "_disc_sum", counted)
     for y in ys:
         sums[0] = 0
         got = squigfn._corner_invert(ctx, y)
         assert got is not None, y
-        assert sums[0] <= 5 + 1, y
+        assert sums[0] == 1, y
+        rho = abs(y**n / tables.scale)
+        terms = min(bisect.bisect_left(ODE_RADII, rho) + 1, ODE_TERMS)
+        assert 2.0 * rho**terms / (1.0 - rho) <= _SERIES_EPS, y
+    assert squigfn._corner_invert(ctx, tables.disc * 1.001) is None
 
 
 @pytest.mark.parametrize("n", NS)
