@@ -679,6 +679,25 @@ def _series_tables(n: int) -> _SeriesTables:
                          *_ode_tables(n, scale), scale, ODE_RADII[-1] ** (1.0 / n) * radius)
 
 
+POLE_TERMS = 24  # length of the pole series' table; tail below 1e-19 at |X| <= 2/3
+
+
+@functools.lru_cache(maxsize=None)
+def _pole_table(n: int) -> tuple:
+    """Coefficients k_j of the pole series v = W k(W**n), and their rate.
+
+    With v = 1/u, D = (n-2) (P - F(u)) e^(-i pi beta) = v**(n-2) g(v**n) and
+    W = D**(1/(n-2)), Lagrange inversion (Knuth, TAOCP vol. 2, 4.7) gives
+    k_j = [x**j] g(x)**(-(nj+1)/(n-2)) / (nj+1), g_k = (n-2) c_k / (n-2+nk).
+    The rate max |k_j|**(1/j) estimates k's reciprocal radius, for a
+    geometric bound on the tail.  Built at first use, not in make_context.
+    """
+    g = [(n - 2) * a for a in _series_tables(n).outer[0][:POLE_TERMS]]
+    table = tuple(_miller_power(g, -(n * j + 1) / (n - 2), j + 1)[j] / (n * j + 1)
+                  for j in range(POLE_TERMS))
+    return table, max(abs(a) ** (1.0 / j) for j, a in enumerate(table) if j)
+
+
 def _binomial_sum(table, x: complex) -> complex:
     """A table's series at x by Horner, cut at half an ulp of its leading term."""
     coeffs, radii = table

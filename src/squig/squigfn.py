@@ -6,21 +6,20 @@ its inverse, extended to the whole rosette (for ``n == 3``: to the whole
 plane) through the fold bookkeeping of :mod:`squig.geometry`.  The global
 inverse sine is ``F`` itself continued over the slit plane.
 
-Evaluation strategy for the inverse problem, in order of preference:
+The inverse problem has four routes, one per regime of the folded target:
 
-1. the ODE pair's Maclaurin series on the disc around 0 or around the
-   corner ``A``, whichever centre is nearer: with x = t**n, s = t S(x) and
-   c = C(x) near 0, and by the symmetry sin_n(t) = cos_n(A - t),
-   s = C(y**n) and c = y S(y**n) with y = A - t near ``A``.  Both series
-   come from one pair of float tables (``numerics._ode_tables``) summed in
-   one Horner pass, cut at half an ulp, so no equation is solved,
-2. a one-dimensional real solve for targets on the slit-edge image
-   segment ``[A, P]`` outside the disc at ``A``,
-3. one pass of damped Newton on the principal-branch sector map, in the
-   lens between the discs and near ``P``, from one seed: the pole
-   asymptote near ``P``, else the precomputed grid point whose image is
-   nearest the target; a seed Newton cannot start from is passed over.  A
-   failed pass raises ``ConvergenceError`` with its last residual.
+1. the disc at 0: the ODE pair's Maclaurin series, s = t S(x), c = C(x)
+   with x = t**n, summed from float tables (``numerics._ode_tables``) in
+   one Horner pass cut at half an ulp,
+2. the disc at the corner ``A``, whichever centre is nearer: the same
+   tables, by the symmetry sin_n(t) = cos_n(y), y = A - t,
+3. near the pole ``P``, the series at infinity inverted in closed form,
+   v = 1/u = W k(W**n) with W a root of (n-2) (P - t) e^(-i pi (n-1)/n)
+   (``numerics._pole_table``); the cosine u e^(-i pi/n) (1 - v**n)**(1/n)
+   holds on the slit-edge image ``[A, P]`` as well,
+4. in the lens between them, one pass of damped Newton on the sector map,
+   seeded from the pole series summed beyond its reach.  A failed pass
+   raises ``ConvergenceError`` with its last residual.
 
 Every forward value of ``F`` comes from one kernel,
 ``numerics.sector_ray_integral``, which sums one of three series.  With
@@ -51,9 +50,10 @@ from .geometry import SquigContext, contains_Sigma, fold
 from .numerics import (
     ODE_RADII,
     ODE_TERMS,
+    POLE_TERMS,
     RationalSeries,
-    _in_sector,
     _ode_coefficients,
+    _pole_table,
     _real_chart,
     _series_tables,
     _series_tail,
@@ -65,9 +65,9 @@ _DEFAULT_TOL = 1e-12
 _SNAP = 1e-12
 _ULP = 2.0**-52  # one rounding step of the disc sums, an ulp of 1
 _A_ERR = 3e-16  # relative error of A from the kernel's tables (tested: 2.5e-16)
-
-_SEED_RADII = (0.55, 0.8, 1.05, 1.35, 1.8, 2.6, 4.2, 8.0)
-_SEED_ANGLES = (0.08, 0.32, 0.6, 0.92)  # units of pi/n
+_P_ERR = 5e-16  # relative error of P: |P|'s (tested: 3.5e-16) and e^(i pi/n)'s
+_POLE_COEF_ERR = 4e-15  # absolute error of each pole-table entry (tested: 1.9e-15)
+_POLE_REACH = 2.0 / 3.0  # |W**n| up to which the pole series is the route
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,12 @@ class EvalResult:
     """Value of an evaluation plus its certificate.
 
     ``value`` is None exactly when ``is_pole`` is set.  On the two disc
-    routes ``residual`` is a forward-error bound: it bounds the distance of
-    the returned value from the exact one at the folded target (at n = 16,
-    t = 0.99 A it is one ulp for the returned sine 1.0).  On the slit-edge
-    solve and on Newton it is the backward error |F(value') - target| in
-    image space, where value' is the canonical representative actually
-    solved for.
+    routes and on the pole series ``residual`` is a forward-error bound: it
+    bounds the distance of the returned value from the exact one at the
+    folded target (at n = 16, t = 0.99 A it is one ulp for the returned
+    sine 1.0).  On the lens Newton it is the backward error
+    |F(value') - target| in image space, where value' is the canonical
+    representative actually solved for.
     """
 
     value: complex | None
@@ -194,7 +194,8 @@ def _corner_invert(ctx: SquigContext, y: complex):
 
 
 # ---------------------------------------------------------------------------
-# slit-edge image segment [A, P]
+# slit-edge image segment [A, P]: no route calls these two; bench/spans.py
+# wraps them by name, and the change that drops those spans deletes them
 
 
 def _edge_integral(ctx: SquigContext, x: float) -> float:
@@ -251,59 +252,35 @@ def _invert_slit_edge(ctx: SquigContext, m: float, tol: float):
 
 
 # ---------------------------------------------------------------------------
-# Newton seeding
+# the pole series at P, and Newton in the lens
 
 
-def _pole_seed(ctx: SquigContext, t: complex) -> complex:
-    # large-|u| asymptote F(u) ~ P - e^{i pi (n-1)/n} u^-(n-2) / (n-2)
+def _pole_series(ctx: SquigContext, t: complex):
+    """(v, X): v = 1/u = W k(X), X = W**n, summed over the whole table, with
+    W the root of ((n-2) (P - t) e^(-i pi beta))**(1/(n-2)) whose phase is
+    nearest -pi/(2n), the middle of v's phases on the half sector."""
     n = ctx.n
-    base = (n - 2) * (ctx.P - t) * cmath.exp(-1j * math.pi * (n - 1) / n)
-    seed = base ** (-1.0 / (n - 2))
-    if n > 3:
-        tau = 2.0 * math.pi / n
-        for k in range(n - 2):
-            cand = seed * cmath.exp(-2j * math.pi * k / (n - 2))
-            if -0.05 <= cmath.phase(cand) <= tau + 0.05:
-                return cand
-    return seed
+    d = (n - 2) * (ctx.P - t) * _series_tables(n).phase.conjugate()
+    phi = cmath.phase(d)
+    k = round((-(n - 2) * math.pi / (2 * n) - phi) / (2 * math.pi))
+    w = cmath.rect(abs(d) ** (1.0 / (n - 2)), (phi + 2 * math.pi * k) / (n - 2))
+    x = w**n
+    acc = 0j
+    for a in reversed(_pole_table(n)[0]):
+        acc = acc * x + a
+    return w * acc, x
 
 
-def _seed_table(ctx: SquigContext):
-    cached = ctx.series_cache.get("seeds")
-    if cached is not None:
-        return cached
-    table = []
-    for r in _SEED_RADII:
-        for a in _SEED_ANGLES:
-            u = r * cmath.exp(1j * math.pi / ctx.n * a)
-            table.append((sector_ray_integral(ctx.n, u), u))
-    ctx.series_cache["seeds"] = table
-    return table
-
-
-def _newton_seed(ctx: SquigContext, t: complex) -> complex:
-    """The pole asymptote if Newton can start from it, else the grid point
-    whose image is nearest to ``t``.
-
-    Newton accepts no iterate outside the sector or, beyond the unit circle,
-    within 1e-7 of a boundary ray (a slit there), so a seed in that margin
-    can only fail.  Every grid point lies inside the sector.
-    """
-    n = ctx.n
-    if abs(t - ctx.P) <= 0.5 * ctx.R:
-        seed = _pole_seed(ctx, t)
-        if _in_sector(n, seed):
-            return seed
-    return min(_seed_table(ctx), key=lambda item: abs(item[0] - t))[1]
+def _pole_cos(n: int, v: complex) -> complex:
+    """cos_n at u = 1/v; on the slit edge, (1 - u**n)**(1/n) is its conjugate."""
+    return cmath.exp(-1j * math.pi / n) * (1.0 - v**n) ** (1.0 / n) / v
 
 
 def _invert_to_triangle(ctx: SquigContext, t: complex, tol: float):
     """Invert the sector map at a target in the closed half-kite triangle.
 
-    Returns (u, cos_value_or_None, u's residual, the cosine's residual);
-    the cosine comes back filled only when a route computes it as a
-    byproduct without extra cost.  The discs bound each value's error; the
-    other routes give their backward error for both.
+    Returns (u, cos_n, u's residual, the cosine's residual): each value's
+    error bound, except Newton's backward error for both.
     """
     n = ctx.n
     y = ctx.A - t
@@ -317,15 +294,21 @@ def _invert_to_triangle(ctx: SquigContext, t: complex, tol: float):
         if got is not None:
             return got
 
-    # exactly-on-edge targets t = A + e^{i pi beta} m, m real in (0, R)
-    e = (t - ctx.A) * cmath.exp(-1j * math.pi * ctx.beta)
-    if e.real > 0 and abs(e.imag) <= 1e-11 * max(1.0, e.real):
-        x, resid = _invert_slit_edge(ctx, e.real, tol)
-        cosv = (x**n - 1.0) ** (1.0 / n) * cmath.exp(-1j * math.pi / n)
-        return complex(x, 0.0), cosv, resid, resid
-
-    res = newton_invert(n, t, _newton_seed(ctx, t), tol=tol)
-    return res.z, None, res.residual, res.residual
+    v, x = _pole_series(ctx, t)
+    if abs(x) <= _POLE_REACH:
+        # v's relative error is the table's tail (its rate's geometric series),
+        # each entry's error and rounding; |du| = |u|**2 |dv|, plus P's error
+        # times |du/dt| = |1 - u**n|**beta; |dcos/du| = |1 - v**n|**(-beta)
+        u, q = 1.0 / v, _pole_table(n)[1] * abs(x)
+        rel = (q**POLE_TERMS / (1.0 - q) + _POLE_COEF_ERR * abs(x) / (1.0 - abs(x))
+               + 2.0 * (POLE_TERMS + n) * _ULP)
+        bound = abs(u) * rel + _P_ERR * abs(ctx.P) * abs(1.0 - u**n) ** ctx.beta
+        cosv = _pole_cos(n, v)
+        return u, cosv, bound, (bound * abs(1.0 - v**n) ** -ctx.beta
+                                + 4.0 * (n + 1) * _ULP * abs(cosv))
+    # the lens, between the discs and the pole series' reach
+    res = newton_invert(n, t, 1.0 / v, tol=tol)
+    return res.z, _pole_cos(n, 1.0 / res.z), res.residual, res.residual
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +388,6 @@ def cos_n(ctx: SquigContext, z: complex, tol: float = _DEFAULT_TOL) -> EvalResul
     if fr.at_pole:
         return EvalResult(None, True, 0.0)
     u, cosv, _, resid = _invert_to_triangle(ctx, fr.folded, tol)
-    if cosv is None:
-        # interior of the half-wedge: 1 - u^n stays off the negative reals
-        cosv = (1.0 - u**ctx.n) ** (1.0 / ctx.n)
     c = cosv.conjugate() if fr.conjugated else cosv
     if ctx.n == 3 and fr.lattice_shift != (0, 0):
         m1, m2 = fr.lattice_shift

@@ -24,10 +24,12 @@ from squig.geometry import fold, make_context, sample_domain
 from squig.numerics import (
     ODE_RADII,
     ODE_TERMS,
+    POLE_TERMS,
     SERIES_INNER,
     SERIES_OUTER,
     _SERIES_EPS,
     _ode_coefficients,
+    _pole_table,
     _series_tables,
     nearest_root_distance,
     sector_ray_integral,
@@ -439,3 +441,116 @@ def test_arcsin_near_corner_is_the_kernel(n):
         assert value == sector_ray_integral(n, u)
         ref = hyp2f1_oracle(n, u)
         assert abs(value - ref) <= 1e-14 * abs(ref)
+
+
+# ---------------------------------------------------------------------------
+# the pole series at P and the lens Newton
+
+
+def exact_pole_coefficients(n: int, terms: int) -> list:
+    """k_j = [x**j] g(x)**(-(nj+1)/(n-2)) / (nj+1) by Miller's recurrence at 40 digits."""
+    with mpmath.workdps(40):
+        beta = mpmath.mpf(n - 1) / n
+        g, c = [], mpmath.mpf(1)
+        for k in range(terms):
+            g.append(c * (n - 2) / (n - 2 + n * k))
+            c *= (beta + k) / (k + 1)
+        out = []
+        for j in range(terms):
+            alpha = -mpmath.mpf(n * j + 1) / (n - 2)
+            q = [mpmath.mpf(1)]
+            for m in range(1, j + 1):
+                q.append(sum(((alpha + 1) * i - m) * g[i] * q[m - i]
+                             for i in range(1, m + 1)) / m)
+            out.append(q[j] / (n * j + 1))
+        return out
+
+
+@pytest.mark.parametrize("n", ALL_NS)
+def test_pole_table_matches_exact(n):
+    # measured worst: 1.8e-15 (n = 8); the certificate charges 4e-15 a term
+    table, _ = _pole_table(n)
+    assert len(table) == POLE_TERMS
+    for got, want in zip(table, exact_pole_coefficients(n, POLE_TERMS)):
+        assert abs(got - want) <= squigfn._POLE_COEF_ERR, (got, want)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 8, 16, 64))
+def test_pole_rate_bounds_later_coefficients(n):
+    # the certificate bounds the tail beyond the table by the geometric
+    # series of its rate; the exact coefficients up to twice its length
+    # stay below it (their own root test climbs to 0.18 at n = 3 and
+    # 0.13 at n = 64, against a rate of at least 0.19)
+    rate = _pole_table(n)[1]
+    for j, k in enumerate(exact_pole_coefficients(n, 2 * POLE_TERMS)):
+        assert abs(k) <= rate**j, j
+
+
+def pole_targets(ctx, rng) -> list:
+    """Targets 1.5e-6 R to 0.3 R from P, log-uniform in distance, across the
+    kite's angle at P between its edge to A and the ray to 0, both ends
+    excluded (the edge itself is test_exact_slit_edge_targets').  A target
+    stays above the real axis, the half kite's third side."""
+    to_a, to_0 = cmath.phase(ctx.A - ctx.P), cmath.phase(-ctx.P)
+    targets = []
+    for _ in range(8):
+        angle = to_a + (to_0 - to_a) * rng.uniform(0.01, 0.99)
+        reach = min(0.3 * ctx.R, 0.99 * ctx.P.imag / -math.sin(angle))
+        r = 10.0 ** rng.uniform(math.log10(1.5e-6 * ctx.R), math.log10(reach))
+        targets.append(ctx.P + r * cmath.exp(1j * angle))
+    return targets
+
+
+def pole_root(n: int, t: complex, guess: complex) -> tuple:
+    """(sin, cos) at t next to the sine guess, at 30 digits; the cosine is
+    u e^(-i pi/n) (1 - u**-n)**(1/n), equal to (1 - u**n)**(1/n) inside."""
+    with mpmath.workdps(30):
+        u = mpmath.findroot(lambda u: hyp2f1_mp(n, u) - mpmath.mpc(t), mpmath.mpc(guess))
+        c = u * mpmath.expjpi(-mpmath.mpf(1) / n) * (1 - u ** -n) ** (mpmath.mpf(1) / n)
+        return complex(u), complex(c)
+
+
+@pytest.mark.parametrize("n", ALL_NS)
+def test_pole_series_and_lens_against_mpmath(n, monkeypatch):
+    # the pole series: forward error within its certificate (measured over
+    # n = 3..64: at most 0.66 of it, for sin and for cos); the lens Newton,
+    # which 14 of the 496 targets reach, all at n >= 6: the image residual
+    # within its backward certificate
+    ctx = make_context(n)
+    lens = []
+    invert = squigfn.newton_invert
+    monkeypatch.setattr(squigfn, "newton_invert",
+                        lambda *a, **kw: lens.append(a[1]) or invert(*a, **kw))
+    for t in pole_targets(ctx, random.Random(f"pole:{n}")):
+        before = len(lens)
+        s, c = sin_n(ctx, t), cos_n(ctx, t)
+        ref_s, ref_c = pole_root(n, t, s.value)
+        if len(lens) > before:
+            assert n >= 6
+            # the residual is the kernel's image, good to about 1e-15
+            assert abs(hyp2f1_oracle(n, s.value) - t) <= s.residual + 1e-15 * abs(t)
+            assert s.residual <= 1e-12
+            assert abs(s.value - ref_s) <= 1e-12 * abs(ref_s), t
+            assert abs(c.value - ref_c) <= 1e-12 * abs(ref_c), t
+        else:
+            assert abs(s.value - ref_s) <= s.residual, t
+            assert abs(c.value - ref_c) <= c.residual, t
+            assert s.residual <= 1e-9 * abs(ref_s), t
+
+
+@pytest.mark.parametrize("n", ALL_NS)
+def test_exact_slit_edge_targets(n):
+    # t = A + e^(i pi beta) m on the edge image A-P, from the disc at A's rim
+    # to 0.999 R: the sine is real and at least 1, and the cosine takes the
+    # branch continued from inside the sector, not its conjugate.  Both
+    # carry the rounding of t relative to |P - t|: 1.5e-13 at 0.999 R, n = 4
+    ctx = make_context(n)
+    tables = _series_tables(n)
+    for f in (0.0, 0.05, 0.2, 0.4, 0.6, 0.8, 0.95, 1.0):
+        m = tables.disc + f * (0.999 * ctx.R - tables.disc)
+        t = ctx.A + tables.phase * m
+        s, c = sin_n(ctx, t).value, cos_n(ctx, t).value
+        assert abs(s.imag) <= 1e-12 * abs(s) and s.real >= 1.0, (m, s)
+        want = cmath.exp(-1j * math.pi / n) * (s.real**n - 1.0) ** (1.0 / n)
+        assert abs(c - want) <= 1e-12 * abs(want), (m, c, want)
+        assert abs(hyp2f1_oracle(n, s.real) - t) <= 1e-12 * ctx.R, m

@@ -11,7 +11,7 @@ import pytest
 from squig import squigfn
 from squig.errors import ConvergenceError, DomainError, InvalidSeriesError, ParameterError
 from squig.geometry import fold, make_context, sample_domain
-from squig.numerics import ODE_TERMS, _in_sector, _series_tables
+from squig.numerics import ODE_TERMS, _series_tables
 from squig.squigfn import (
     EvalResult,
     arcsin_n,
@@ -35,6 +35,15 @@ from conftest import (
 def corner_radius_oracle(n: int) -> float:
     # distance from the origin to the obstruction corner, via gamma values
     return 0.5 * gamma_half_period(n) / math.cos(math.pi / n)
+
+
+def sine_root_n4(t: complex, guess: complex) -> mpmath.mpc:
+    """The root u of F_4(u) = t next to guess, at 30 digits."""
+    with mpmath.workdps(30):
+        q = mpmath.mpf(1) / 4
+        return mpmath.findroot(
+            lambda u: u * mpmath.hyp2f1(3 * q, q, 1 + q, u**4) - mpmath.mpc(t),
+            mpmath.mpc(guess))
 
 
 class TestPiN:
@@ -321,11 +330,15 @@ class TestPolesAndCorners:
         assert cos_n(ctx, ctx.P * (1 - 1e-8)).is_pole
 
     def test_divergence_just_outside_guard(self):
+        # the residual is the pole series' forward bound; the 5e-16 error of
+        # P alone moves u by 2.5e-11 relative here
         ctx = make_context(4)
-        got = sin_n(ctx, ctx.P * (1 - 1e-5))
+        t = ctx.P * (1 - 1e-5)
+        got = sin_n(ctx, t)
         assert not got.is_pole
         assert abs(got.value) > 50.0
-        assert got.residual < 1e-9
+        assert got.residual < 1e-10 * abs(got.value)
+        assert abs(got.value - complex(sine_root_n4(t, got.value))) <= got.residual
 
     def test_half_period_vertex(self):
         for n in (3, 4, 7):
@@ -341,8 +354,10 @@ class TestPolesAndCorners:
         assert s.value == pytest.approx(ctx.omega, abs=1e-12)
 
 
-# the one edge-image target of the benchmark that still fails (n = 4)
+# the edge-image target of the benchmark that Newton failed on (n = 4)
 EDGE_FAILURE = 0.8195010032213695 + 1.0345736657883284j
+# a target between the discs and the pole series' reach (n = 8)
+LENS_TARGET = 0.9748587606477509 - 0.18636096827399323j
 
 
 class TestEdgeSegment:
@@ -359,33 +374,29 @@ class TestEdgeSegment:
                 so, co = rk4_pair_continuation(n, z, steps=12000)
                 assert c.value == pytest.approx(co, abs=1e-8)
 
-    def test_newton_skips_seeds_on_a_slit(self, monkeypatch):
+    def test_former_edge_failure_takes_the_pole_series(self, monkeypatch):
         # a target 3e-9 |A| inside the edge image A-P for n = 4, 0.116 R from
-        # P and outside the disc at A: its pole seed lies within 1e-7 of the
-        # real ray beyond 1, where Newton accepts no iterate
+        # P and outside the disc at A, where Newton from the old pole seed
+        # raised ConvergenceError; the pole series inverts it without Newton
         ctx = make_context(4)
+        monkeypatch.setattr(squigfn, "newton_invert", lambda *a, **kw: pytest.fail("Newton"))
         z = EDGE_FAILURE
-        assert not _in_sector(4, squigfn._pole_seed(ctx, fold(ctx, z).folded))
-        seeds = []
-        newton_invert = squigfn.newton_invert
-
-        def spy(n, w, z0, **kw):
-            seeds.append(z0)
-            return newton_invert(n, w, z0, **kw)
-
-        monkeypatch.setattr(squigfn, "newton_invert", spy)
-        with pytest.raises(ConvergenceError):
-            cos_n(ctx, z)  # a known failure this close to the edge image
-        # one seed, one Newton call per target
-        assert len(seeds) == 1 and _in_sector(4, seeds[0])
+        s, c = sin_n(ctx, z).value, cos_n(ctx, z).value
+        with mpmath.workdps(30):
+            u = sine_root_n4(z, s)
+            ref_s, ref_c = complex(u), complex((1 - u**4) ** (mpmath.mpf(1) / 4))
+        assert abs(s - ref_s) <= 1e-12 * abs(ref_s)
+        assert abs(c - ref_c) <= 1e-12 * abs(ref_c)
 
     @pytest.mark.parametrize("fn", [sin_n, cos_n])
     def test_failed_inversion_carries_residual(self, fn):
-        ctx = make_context(4)
-        z = EDGE_FAILURE
+        # a lens target (n = 8) that only Newton inverts, asked for a
+        # residual below what doubles reach
+        ctx = make_context(8)
+        z = LENS_TARGET
         with pytest.raises(ConvergenceError) as info:
-            fn(ctx, z)
-        assert 1e-12 < info.value.residual < 1.0
+            fn(ctx, z, tol=1e-30)
+        assert 1e-30 < info.value.residual < 1e-12
         assert str(fold(ctx, z).folded) in str(info.value)
 
 
@@ -432,14 +443,16 @@ class TestEvalResultContract:
 
 
 def test_newton_runs_for_few_sin_cos_calls(monkeypatch):
-    # a count, not a time: the discs at 0 and at A leave Newton only the
-    # lens and the region near P (measured: 48 of 1,400 calls, 3.4%)
-    calls = [0]
+    # a count, not a time: the discs at 0 and at A and the pole series leave
+    # Newton only the lens, which n <= 5 does not reach (measured: 20 of
+    # 1,400 calls, 1.4%, at most 2 iterations each)
+    calls = []
     newton_invert = squigfn.newton_invert
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return newton_invert(*args, **kwargs)
+    def counted(n, *args, **kwargs):
+        res = newton_invert(n, *args, **kwargs)
+        calls.append((n, res.iterations))
+        return res
 
     monkeypatch.setattr(squigfn, "newton_invert", counted)
     total = 0
@@ -449,4 +462,5 @@ def test_newton_runs_for_few_sin_cos_calls(monkeypatch):
             sin_n(ctx, z)
             cos_n(ctx, z)
             total += 2
-    assert calls[0] <= 0.05 * total
+    assert len(calls) <= 0.02 * total
+    assert all(n > 5 and iterations <= 3 for n, iterations in calls), calls
