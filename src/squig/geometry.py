@@ -37,6 +37,8 @@ _SLIT_TOL = 1e-8
 _POLE_TOL = 1e-6
 # Angular snap for points sitting on a wedge boundary ray.
 _RAY_SNAP = 1e-12
+# Rounding of a lattice translation, in units of |z| (64 ulps).
+_CELL_ROUND = 2.0**-46
 
 
 @dataclass(eq=False)
@@ -45,6 +47,22 @@ class SquigContext:
 
     Treated as immutable after construction; ``series_cache`` is filled
     lazily (keyed by term count) but entries are never mutated.
+
+    The per-call hot path reads derived fields, built once in
+    ``__post_init__`` and never mutated, each by the expression it stands
+    for, so every value matches the one computed per call:
+
+    * ``roots[k]`` and ``inv_roots[k]``: ``exp(+-2 pi i k / n)``, k < n;
+    * ``tau``: the wedge angle ``2 pi / n``;
+    * ``cos_phase``: ``exp(-i pi / n)``, the pole series' cosine factor;
+    * ``edge_tol``: the triangle tests' area slack, 1e-10 ``|A|**2``;
+    * ``half_kite``: ``(Re A, Im A, Re P - Re A, Im P - Im A, Re P, Im P)``,
+      the terms of ``fold``'s test of the triangle ``(0, A, P)``;
+    * ``pole_tol``: the radius of the corner flag, 1e-6 ``|P|``;
+    * for n == 3 only (None otherwise), the lattice of ``_reduce_to_cell``:
+      ``c1``/``c2`` (``cell_shift_1``/``cell_shift_2``), their determinant
+      ``det``, the distance tie ``tie`` = 1e-12 ``|A|``, and ``cell_inner``,
+      the radius inside which rounding alone finds the cell.
     """
 
     n: int
@@ -54,6 +72,37 @@ class SquigContext:
     B: complex
     P: complex
     series_cache: dict = field(default_factory=dict, repr=False)
+    roots: tuple = field(init=False, repr=False)
+    inv_roots: tuple = field(init=False, repr=False)
+    tau: float = field(init=False, repr=False)
+    cos_phase: complex = field(init=False, repr=False)
+    edge_tol: float = field(init=False, repr=False)
+    half_kite: tuple = field(init=False, repr=False)
+    pole_tol: float = field(init=False, repr=False)
+    c1: complex | None = field(init=False, repr=False, default=None)
+    c2: complex | None = field(init=False, repr=False, default=None)
+    det: float | None = field(init=False, repr=False, default=None)
+    tie: float | None = field(init=False, repr=False, default=None)
+    cell_inner: float | None = field(init=False, repr=False, default=None)
+
+    def __post_init__(self):
+        n = self.n
+        self.roots = tuple(cmath.exp(2j * math.pi * k / n) for k in range(n))
+        self.inv_roots = tuple(cmath.exp(-2j * math.pi * k / n) for k in range(n))
+        self.tau = 2.0 * math.pi / n
+        self.cos_phase = cmath.exp(-1j * math.pi / n)
+        self.edge_tol = _EDGE_TOL * abs(self.A) ** 2
+        a, p = self.A, self.P
+        self.half_kite = (a.real, a.imag, p.real - a.real, p.imag - a.imag, p.real, p.imag)
+        self.pole_tol = _POLE_TOL * abs(self.P)
+        if n == 3:
+            c1, c2 = self.cell_shift_1, self.cell_shift_2
+            self.c1, self.c2 = c1, c2
+            self.det = c1.real * c2.imag - c1.imag * c2.real
+            self.tie = 1e-12 * abs(self.A)
+            # every neighbour is |c1| away, so within |c1|/2 - 4 tie of a
+            # lattice point no neighbour comes within a tie of being nearer
+            self.cell_inner = 0.5 * abs(c1) - 4.0 * self.tie
 
     @property
     def beta(self) -> float:
@@ -134,7 +183,7 @@ def contains_Pi(ctx: SquigContext, z: complex) -> bool:
     turns reflex (n >= 5).
     """
     z = complex(z)
-    tol = _EDGE_TOL * abs(ctx.A) ** 2
+    tol = ctx.edge_tol
     zero = 0j
     return _in_triangle(z, zero, ctx.A, ctx.P, tol) or _in_triangle(
         z, zero, ctx.P, ctx.B, tol
@@ -147,13 +196,16 @@ def in_rosette(ctx: SquigContext, z: complex) -> bool:
 
 
 def contains_Sigma(ctx: SquigContext, w: complex) -> bool:
-    """True unless ``w`` sits within 1e-8 of one of the n slit rays."""
+    """True unless ``w`` sits within 1e-8 of one of the n slit rays.
+
+    Only the ray nearest ``w`` in phase can be that close, so ``w`` is
+    rotated once, onto it.  A NaN point lies on no ray.
+    """
     w = complex(w)
-    for k in range(ctx.n):
-        u = w * cmath.exp(-2j * math.pi * k / ctx.n)
-        if abs(u.imag) <= _SLIT_TOL and u.real >= 1.0 - _SLIT_TOL:
-            return False
-    return True
+    if cmath.isnan(w):
+        return True
+    u = w * ctx.inv_roots[round(cmath.phase(w) / ctx.tau) % ctx.n]
+    return not (abs(u.imag) <= _SLIT_TOL and u.real >= 1.0 - _SLIT_TOL)
 
 
 def _reduce_to_cell(ctx: SquigContext, z: complex) -> tuple[int, int, complex]:
@@ -164,16 +216,22 @@ def _reduce_to_cell(ctx: SquigContext, z: complex) -> tuple[int, int, complex]:
     A, P, B, -A, -P, -B).  Rounding the oblique coordinates only lands in a
     rhombus, so a sweep over the six nearest neighbours finishes the
     reduction; distance ties keep whichever cell is closer to the origin.
+    Well inside the cell of the rounded point (``ctx.cell_inner``, less the
+    rounding of the translation, 64 ulps of ``|z|``) the sweep cannot move
+    it, so it is skipped.
     """
-    c1 = ctx.cell_shift_1
-    c2 = ctx.cell_shift_2
-    det = c1.real * c2.imag - c1.imag * c2.real
+    c1 = ctx.c1
+    c2 = ctx.c2
+    det = ctx.det
     x1 = (z.real * c2.imag - z.imag * c2.real) / det
     x2 = (c1.real * z.imag - c1.imag * z.real) / det
     m1 = round(x1)
     m2 = round(x2)
+    v = z - m1 * c1 - m2 * c2
+    if abs(v) < ctx.cell_inner - _CELL_ROUND * abs(z):
+        return m1, m2, v
 
-    tie = 1e-12 * abs(ctx.A)
+    tie = ctx.tie
     for _ in range(3):
         v = z - m1 * c1 - m2 * c2
         best = (m1, m2)
@@ -213,7 +271,8 @@ def fold(ctx: SquigContext, z: complex) -> FoldResult:
     if ctx.n == 3:
         m1, m2, v = _reduce_to_cell(ctx, z)
 
-    tau = 2.0 * math.pi / ctx.n
+    n = ctx.n
+    tau = ctx.tau
     theta = cmath.phase(v)
     if theta < 0.0:
         theta += 2.0 * math.pi
@@ -221,46 +280,48 @@ def fold(ctx: SquigContext, z: complex) -> FoldResult:
     # Snap onto a wedge boundary ray when within _RAY_SNAP radians of it.
     k_near = round(theta / tau)
     if abs(theta - k_near * tau) <= _RAY_SNAP:
-        k = k_near % ctx.n
+        k = k_near % n
         local = 0.0
     else:
-        k = int(theta // tau) % ctx.n
-        local = theta - (theta // tau) * tau
+        q = theta // tau
+        k = int(q) % n
+        local = theta - q * tau
 
-    u = v * cmath.exp(-2j * math.pi * k / ctx.n)
+    u = v * ctx.inv_roots[k]
     if local > tau / 2.0 + _RAY_SNAP:
-        t = cmath.exp(2j * math.pi / ctx.n) * u.conjugate()
-        rotation_k = (k + 1) % ctx.n
+        t = ctx.roots[1] * u.conjugate()
+        rotation_k = (k + 1) % n
         conjugated = True
     else:
         t = u
         rotation_k = k
         conjugated = False
 
-    tol = _EDGE_TOL * abs(ctx.A) ** 2
     # For n == 3 a miss is unreachable by construction (the Voronoi cell is
     # the rosette), so it is not raised: that guards against roundoff at the
-    # hexagon corners.
-    if ctx.n != 3 and not _in_triangle(t, 0j, ctx.A, ctx.P, tol):
-        raise DomainError(
-            f"point {z} lies outside the closed region Omega_{ctx.n}",
-            region=f"Omega_{ctx.n}",
-        )
+    # hexagon corners.  Otherwise _in_triangle(t, 0, A, P), inline.
+    if n != 3:
+        ax, ay, ex, ey, px, py = ctx.half_kite
+        tx, ty = t.real, t.imag
+        tol = -ctx.edge_tol
+        if not (
+            ax * ty - ay * tx >= tol
+            and ex * (ty - ay) - ey * (tx - ax) >= tol
+            and -px * (ty - py) + py * (tx - px) >= tol
+        ):
+            raise DomainError(
+                f"point {z} lies outside the closed region Omega_{n}",
+                region=f"Omega_{n}",
+            )
 
-    at_pole = abs(t - ctx.P) <= _POLE_TOL * abs(ctx.P)
-    return FoldResult(
-        folded=t,
-        rotation_k=rotation_k,
-        conjugated=conjugated,
-        lattice_shift=(m1, m2),
-        at_pole=at_pole,
-    )
+    at_pole = abs(t - ctx.P) <= ctx.pole_tol
+    return FoldResult(t, rotation_k, conjugated, (m1, m2), at_pole)
 
 
 def unfold(ctx: SquigContext, result: FoldResult) -> complex:
     """Invert :func:`fold`: rotate, conjugate and translate back."""
     t = result.folded.conjugate() if result.conjugated else result.folded
-    z = t * cmath.exp(2j * math.pi * result.rotation_k / ctx.n)
+    z = t * ctx.roots[result.rotation_k]
     if result.lattice_shift != (0, 0):
         m1, m2 = result.lattice_shift
         z += m1 * ctx.cell_shift_1 + m2 * ctx.cell_shift_2
@@ -304,8 +365,7 @@ def boundary_polyline(
 
     if which == "omega":
         verts: list[complex] = []
-        for k in range(ctx.n):
-            rot = cmath.exp(2j * math.pi * k / ctx.n)
+        for rot in ctx.roots:
             verts.append(rot * ctx.A)
             verts.append(rot * ctx.P)
         return _sample_edges(verts, samples_per_edge)

@@ -664,6 +664,8 @@ class _SeriesTables(NamedTuple):
     cosine: tuple     # b_k = C_k R**(n k), its cosine table
     scale: float      # R**n, the unit of x = t**n in both
     disc: float       # radius of the discs at 0 and at A that the tables cover
+    omega: complex    # e^(2 pi i/n), the root of the corner chart's upper half
+    horner: tuple     # the pairs (a_k, b_k), k = ODE_TERMS - 1 down to 0
 
 
 @functools.lru_cache(maxsize=None)
@@ -674,9 +676,11 @@ def _series_tables(n: int) -> _SeriesTables:
     # the tail at x summed directly: _series_tail refuses x**-n a hair above 1/2
     radius = _real_chart(n, chart, 1.0 - x) + x ** (2 - n) * _binomial_sum(outer, x ** -n).real
     scale = radius ** n
+    sine, cosine = _ode_tables(n, scale)
     return _SeriesTables(inner, outer, chart, radius * cmath.exp(1j * math.pi / n),
                          cmath.exp(1j * math.pi * (n - 1) / n), half,
-                         *_ode_tables(n, scale), scale, ODE_RADII[-1] ** (1.0 / n) * radius)
+                         sine, cosine, scale, ODE_RADII[-1] ** (1.0 / n) * radius,
+                         cmath.exp(2j * math.pi / n), tuple(zip(sine, cosine))[::-1])
 
 
 POLE_TERMS = 24  # length of the pole series' table; tail below 1e-19 at |X| <= 2/3
@@ -754,7 +758,7 @@ def sector_ray_integral(n: int, u: complex) -> complex:
             tables = _series_tables(n)
             return tables.corner - tables.phase * tail
     if cmath.phase(u) > math.pi / n:
-        omega = cmath.exp(2j * math.pi / n)
+        omega = _series_tables(n).omega
         return omega * _corner_series(n, omega * u.conjugate()).conjugate()
     return _corner_series(n, u)
 

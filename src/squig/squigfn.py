@@ -162,9 +162,9 @@ def _disc_sum(ctx: SquigContext, w: complex):
     tables = _series_tables(ctx.n)
     x = w**ctx.n / tables.scale
     rho = abs(x)
-    last = min(max(bisect.bisect_left(ODE_RADII, rho), 1), ODE_TERMS - 1)
+    last = bisect.bisect_left(ODE_RADII, rho, 1, ODE_TERMS - 1)
     s = c = 0j
-    for a, b in zip(tables.sine[last::-1], tables.cosine[last::-1]):
+    for a, b in tables.horner[ODE_TERMS - 1 - last:]:
         s = s * x + a
         c = c * x + b
     terms = last + 1
@@ -271,9 +271,10 @@ def _pole_series(ctx: SquigContext, t: complex):
     return w * acc, x
 
 
-def _pole_cos(n: int, v: complex) -> complex:
+def _pole_cos(ctx: SquigContext, v: complex) -> complex:
     """cos_n at u = 1/v; on the slit edge, (1 - u**n)**(1/n) is its conjugate."""
-    return cmath.exp(-1j * math.pi / n) * (1.0 - v**n) ** (1.0 / n) / v
+    n = ctx.n
+    return ctx.cos_phase * (1.0 - v**n) ** (1.0 / n) / v
 
 
 def _invert_to_triangle(ctx: SquigContext, t: complex, tol: float):
@@ -303,12 +304,12 @@ def _invert_to_triangle(ctx: SquigContext, t: complex, tol: float):
         rel = (q**POLE_TERMS / (1.0 - q) + _POLE_COEF_ERR * abs(x) / (1.0 - abs(x))
                + 2.0 * (POLE_TERMS + n) * _ULP)
         bound = abs(u) * rel + _P_ERR * abs(ctx.P) * abs(1.0 - u**n) ** ctx.beta
-        cosv = _pole_cos(n, v)
+        cosv = _pole_cos(ctx, v)
         return u, cosv, bound, (bound * abs(1.0 - v**n) ** -ctx.beta
                                 + 4.0 * (n + 1) * _ULP * abs(cosv))
     # the lens, between the discs and the pole series' reach
     res = newton_invert(n, t, 1.0 / v, tol=tol)
-    return res.z, _pole_cos(n, 1.0 / res.z), res.residual, res.residual
+    return res.z, _pole_cos(ctx, 1.0 / res.z), res.residual, res.residual
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +353,15 @@ def arcsin_n(ctx: SquigContext, w: complex) -> complex:
     if w == 0:
         return 0j
     n = ctx.n
-    tau = 2.0 * math.pi / n
-    k = round(cmath.phase(w) / tau) % n
-    u = w * cmath.exp(-2j * math.pi * k / n)
+    k = round(cmath.phase(w) / ctx.tau) % n
+    u = w * ctx.inv_roots[k]
     flip = u.imag < 0.0
     if flip:
         u = u.conjugate()
     val = sector_ray_integral(n, u)
     if flip:
         val = val.conjugate()
-    return val * cmath.exp(2j * math.pi * k / n)
+    return val * ctx.roots[k]
 
 
 def sin_n(ctx: SquigContext, z: complex, tol: float = _DEFAULT_TOL) -> EvalResult:
@@ -371,10 +371,10 @@ def sin_n(ctx: SquigContext, z: complex, tol: float = _DEFAULT_TOL) -> EvalResul
         return EvalResult(None, True, 0.0)
     u, _, resid, _ = _invert_to_triangle(ctx, fr.folded, tol)
     w = u.conjugate() if fr.conjugated else u
-    w *= cmath.exp(2j * math.pi * fr.rotation_k / ctx.n)
+    w *= ctx.roots[fr.rotation_k]
     if ctx.n == 3 and fr.lattice_shift != (0, 0):
         m1, m2 = fr.lattice_shift
-        w *= cmath.exp(2j * math.pi * ((m2 - m1) % 3) / 3)
+        w *= ctx.roots[(m2 - m1) % 3]
     return EvalResult(w, False, resid)
 
 
@@ -391,7 +391,7 @@ def cos_n(ctx: SquigContext, z: complex, tol: float = _DEFAULT_TOL) -> EvalResul
     c = cosv.conjugate() if fr.conjugated else cosv
     if ctx.n == 3 and fr.lattice_shift != (0, 0):
         m1, m2 = fr.lattice_shift
-        c *= cmath.exp(2j * math.pi * ((m1 - m2) % 3) / 3)
+        c *= ctx.roots[(m1 - m2) % 3]
     return EvalResult(c, False, resid)
 
 
