@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import DomainError, ParameterError
-from .numerics import _series_tables
+from .numerics import _SeriesTables, _series_tables
 
 _MIN_N = 3
 _MAX_N = 64
@@ -59,6 +59,8 @@ class SquigContext:
     * ``half_kite``: ``(Re A, Im A, Re P - Re A, Im P - Im A, Re P, Im P)``,
       the terms of ``fold``'s test of the triangle ``(0, A, P)``;
     * ``pole_tol``: the radius of the corner flag, 1e-6 ``|P|``;
+    * ``tables``: the kernel's ``numerics._series_tables(n)``, so a call
+      reads them without a cache lookup;
     * for n == 3 only (None otherwise), the lattice of ``_reduce_to_cell``:
       ``c1``/``c2`` (``cell_shift_1``/``cell_shift_2``), their determinant
       ``det``, the distance tie ``tie`` = 1e-12 ``|A|``, and ``cell_inner``,
@@ -79,6 +81,7 @@ class SquigContext:
     edge_tol: float = field(init=False, repr=False)
     half_kite: tuple = field(init=False, repr=False)
     pole_tol: float = field(init=False, repr=False)
+    tables: _SeriesTables = field(init=False, repr=False)
     c1: complex | None = field(init=False, repr=False, default=None)
     c2: complex | None = field(init=False, repr=False, default=None)
     det: float | None = field(init=False, repr=False, default=None)
@@ -95,6 +98,7 @@ class SquigContext:
         a, p = self.A, self.P
         self.half_kite = (a.real, a.imag, p.real - a.real, p.imag - a.imag, p.real, p.imag)
         self.pole_tol = _POLE_TOL * abs(self.P)
+        self.tables = _series_tables(n)
         if n == 3:
             c1, c2 = self.cell_shift_1, self.cell_shift_2
             self.c1, self.c2 = c1, c2
@@ -124,7 +128,7 @@ class SquigContext:
         return self.A * (1.0 - self.omega * self.omega)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FoldResult:
     """Canonical representative plus the bookkeeping to undo the fold.
 
@@ -141,6 +145,20 @@ class FoldResult:
     conjugated: bool
     lattice_shift: tuple[int, int]
     at_pole: bool
+
+    def __init__(self, folded, rotation_k, conjugated, lattice_shift, at_pole):
+        # the generated __init__ of a frozen class sets each field through
+        # object.__setattr__; the slots' descriptors set them directly
+        _set_folded(self, folded)
+        _set_rotation_k(self, rotation_k)
+        _set_conjugated(self, conjugated)
+        _set_lattice_shift(self, lattice_shift)
+        _set_at_pole(self, at_pole)
+
+
+_set_folded, _set_rotation_k, _set_conjugated, _set_lattice_shift, _set_at_pole = (
+    getattr(FoldResult, f.name).__set__ for f in fields(FoldResult))
+_NO_SHIFT = (0, 0)
 
 
 def make_context(n: int) -> SquigContext:
@@ -259,19 +277,31 @@ def fold(ctx: SquigContext, z: complex) -> FoldResult:
 
     For n == 3 the whole plane folds (lattice translation, then rotation and
     reflection); for n >= 4 the point must lie in the closed rosette, else a
-    DomainError naming the region is raised.
+    DomainError naming the region is raised.  A non-finite point lies in
+    neither, and raises the same DomainError.
 
     Tie conventions: points on a shared wedge ray fold without conjugation,
     points on the bisector ray fold with ``conjugated=False``, and the
     obstruction-corner flag fires within ``1e-6 * |P|`` of the corner.
     """
-    z = complex(z)
-    m1 = m2 = 0
-    v = z
-    if ctx.n == 3:
-        m1, m2, v = _reduce_to_cell(ctx, z)
+    return FoldResult(*_fold(ctx, z))
 
+
+def _fold(ctx: SquigContext, z: complex) -> tuple:
+    """:func:`fold` as the plain tuple of ``FoldResult``'s fields, for the
+    evaluation hot path."""
+    z = complex(z)
     n = ctx.n
+    if not cmath.isfinite(z):
+        raise DomainError(
+            f"point {z} lies outside the closed region Omega_{n}", region=f"Omega_{n}"
+        )
+    shift = _NO_SHIFT
+    v = z
+    if n == 3:
+        m1, m2, v = _reduce_to_cell(ctx, z)
+        shift = (m1, m2)
+
     tau = ctx.tau
     theta = cmath.phase(v)
     if theta < 0.0:
@@ -314,8 +344,7 @@ def fold(ctx: SquigContext, z: complex) -> FoldResult:
                 region=f"Omega_{n}",
             )
 
-    at_pole = abs(t - ctx.P) <= ctx.pole_tol
-    return FoldResult(t, rotation_k, conjugated, (m1, m2), at_pole)
+    return t, rotation_k, conjugated, shift, abs(t - ctx.P) <= ctx.pole_tol
 
 
 def unfold(ctx: SquigContext, result: FoldResult) -> complex:

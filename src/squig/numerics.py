@@ -651,7 +651,9 @@ class _SeriesTables(NamedTuple):
     The ODE pair's tables (``_ode_tables``) serve the inverse: their sums
     converge for |t**n| < R**n, and ``disc`` is the radius where 64 terms
     reach half an ulp, ODE_RADII[-1]**(1/n) R (0.817 R at n = 3, 0.9905 R
-    at n = 64).
+    at n = 64).  They are also kept in Horner order: one table alone for the
+    disc at 0, which needs only the value asked for, and both as pairs for
+    the disc at A, whose certificates need both values.
     """
 
     inner: tuple      # binomial table of the series at 0
@@ -666,6 +668,8 @@ class _SeriesTables(NamedTuple):
     disc: float       # radius of the discs at 0 and at A that the tables cover
     omega: complex    # e^(2 pi i/n), the root of the corner chart's upper half
     horner: tuple     # the pairs (a_k, b_k), k = ODE_TERMS - 1 down to 0
+    horner_sine: tuple    # a_k, k = ODE_TERMS - 1 down to 0
+    horner_cosine: tuple  # b_k, k = ODE_TERMS - 1 down to 0
 
 
 @functools.lru_cache(maxsize=None)
@@ -680,7 +684,8 @@ def _series_tables(n: int) -> _SeriesTables:
     return _SeriesTables(inner, outer, chart, radius * cmath.exp(1j * math.pi / n),
                          cmath.exp(1j * math.pi * (n - 1) / n), half,
                          sine, cosine, scale, ODE_RADII[-1] ** (1.0 / n) * radius,
-                         cmath.exp(2j * math.pi / n), tuple(zip(sine, cosine))[::-1])
+                         cmath.exp(2j * math.pi / n), tuple(zip(sine, cosine))[::-1],
+                         sine[::-1], cosine[::-1])
 
 
 POLE_TERMS = 24  # length of the pole series' table; tail below 1e-19 at |X| <= 2/3
@@ -712,7 +717,7 @@ def _binomial_sum(table, x: complex) -> complex:
     return acc
 
 
-def _series_tail(n: int, u: complex) -> complex | None:
+def _series_tail(tables: _SeriesTables, n: int, u: complex) -> complex | None:
     """Integral of t**(1-n) (1 - t**-n)**(-beta) from u to infinity, or None.
 
     Equals sum_k c_k u**(2-n-nk) / (n-2+nk) when |u**n| >= SERIES_OUTER and
@@ -726,7 +731,7 @@ def _series_tail(n: int, u: complex) -> complex | None:
     y = lead * v * v
     if abs(y) > 1.0 / SERIES_OUTER:
         return None
-    return lead * _binomial_sum(_series_tables(n).outer, y)
+    return lead * _binomial_sum(tables.outer, y)
 
 
 def sector_ray_integral(n: int, u: complex) -> complex:
@@ -735,7 +740,7 @@ def sector_ray_integral(n: int, u: complex) -> complex:
     With x = u**n, beta = (n-1)/n and c_k = (beta)_k / k!:
 
     * |x| <= SERIES_INNER:  F(u) = u * sum_k c_k x**k / (n*k + 1);
-    * |x| >= SERIES_OUTER:  F(u) = P - e^(i pi beta) * _series_tail(n, u);
+    * |x| >= SERIES_OUTER:  F(u) = P - e^(i pi beta) * _series_tail(..., u);
       the leading term is the pole asymptote of F;
     * in the annulus between them, the chart at the corner
       F(1 - delta) = A - n^(1/n) delta^(1/n) Q(delta).  Points of phase
@@ -748,22 +753,22 @@ def sector_ray_integral(n: int, u: complex) -> complex:
     cut by its proven remainder bound at half an ulp of its leading term, so
     the result carries only rounding error (about 1e-15 relative).
     """
+    tables = _series_tables(n)
     if abs(u) <= 1.0:
         x = u ** n
         if abs(x) <= SERIES_INNER:
-            return u * _binomial_sum(_series_tables(n).inner, x)
+            return u * _binomial_sum(tables.inner, x)
     else:
-        tail = _series_tail(n, u)
+        tail = _series_tail(tables, n, u)
         if tail is not None:
-            tables = _series_tables(n)
             return tables.corner - tables.phase * tail
     if cmath.phase(u) > math.pi / n:
-        omega = _series_tables(n).omega
-        return omega * _corner_series(n, omega * u.conjugate()).conjugate()
-    return _corner_series(n, u)
+        omega = tables.omega
+        return omega * _corner_series(tables, n, omega * u.conjugate()).conjugate()
+    return _corner_series(tables, n, u)
 
 
-def _corner_series(n: int, u: complex) -> complex:
+def _corner_series(tables: _SeriesTables, n: int, u: complex) -> complex:
     """F(u) from the chart at 1, for u in the lower half of the annulus.
 
     Beyond the root, delta^(1/n) takes the branch continued from inside the
@@ -772,7 +777,6 @@ def _corner_series(n: int, u: complex) -> complex:
     |delta|^(1/n) e^(-i pi/n), and a hair below it, where rounding can put
     the reflection of a point on the upper ray.
     """
-    tables = _series_tables(n)
     delta = 1.0 - u
     if delta.real < 0.0 and delta.imag >= 0.0:
         root = abs(delta) ** (1.0 / n) * cmath.exp(-1j * abs(cmath.phase(delta)) / n)

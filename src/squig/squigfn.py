@@ -38,7 +38,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import (
     ConvergenceError,
@@ -46,7 +46,7 @@ from .errors import (
     InvalidSeriesError,
     ParameterError,
 )
-from .geometry import SquigContext, contains_Sigma, fold
+from .geometry import SquigContext, _fold, contains_Sigma
 from .numerics import (
     ODE_RADII,
     ODE_TERMS,
@@ -55,7 +55,6 @@ from .numerics import (
     _ode_coefficients,
     _pole_table,
     _real_chart,
-    _series_tables,
     _series_tail,
     newton_invert,
     sector_ray_integral,
@@ -70,7 +69,7 @@ _POLE_COEF_ERR = 4e-15  # absolute error of each pole-table entry (tested: 1.9e-
 _POLE_REACH = 2.0 / 3.0  # |W**n| up to which the pole series is the route
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalResult:
     """Value of an evaluation plus its certificate.
 
@@ -86,6 +85,16 @@ class EvalResult:
     value: complex | None
     is_pole: bool
     residual: float
+
+    def __init__(self, value, is_pole, residual):
+        # as FoldResult's: the slots' descriptors instead of object.__setattr__
+        _set_value(self, value)
+        _set_is_pole(self, is_pole)
+        _set_residual(self, residual)
+
+
+_set_value, _set_is_pole, _set_residual = (
+    getattr(EvalResult, f.name).__set__ for f in fields(EvalResult))
 
 
 def pi_n(ctx: SquigContext) -> float:
@@ -148,19 +157,43 @@ def radius_estimate(series: RationalSeries) -> float:
 # the ODE pair's series at 0 and at A
 
 
-def _disc_sum(ctx: SquigContext, w: complex):
-    """(w S(w**n), C(w**n)) from the ODE pair's tables, and a bound on the
-    error of each, for |w| at most the tables' disc radius.
+def _disc_sum(ctx: SquigContext, w: complex, sine: bool):
+    """sin_n(w) = w S(w**n) if ``sine``, else cos_n(w) = C(w**n), from one of
+    the ODE pair's tables, and a bound on its error, for |w| at most the
+    tables' disc radius.
 
-    Both tables are summed in one Horner pass in x = w**n / R**n, cut at K
-    terms where 2 rho**K / (1 - rho) is below half an ulp (rho = |x|), but
-    never below two terms: the second keeps the leading imaginary part of
-    a value next to 1.  Each sum's bound is that remainder plus rounding:
-    one ulp for the leading term and 2 K ulps times the rest, whose moduli
-    add up to at most 2 rho / (1 - rho).  The product with w adds one ulp.
+    The table is summed by Horner in x = w**n / R**n, cut at K terms where
+    2 rho**K / (1 - rho) is below half an ulp (rho = |x|), but never below
+    two terms: the second keeps the leading imaginary part of a value next
+    to 1.  The sum's bound is that remainder plus rounding: one ulp for the
+    leading term and 2 K ulps times the rest, whose moduli add up to at most
+    2 rho / (1 - rho).  The product with w adds one ulp.
     """
-    tables = _series_tables(ctx.n)
+    tables = ctx.tables
     x = w**ctx.n / tables.scale
+    rho = abs(x)
+    last = bisect.bisect_left(ODE_RADII, rho, 1, ODE_TERMS - 1)
+    acc = 0j
+    for a in (tables.horner_sine if sine else tables.horner_cosine)[ODE_TERMS - 1 - last:]:
+        acc = acc * x + a
+    terms = last + 1
+    bound = 2.0 * rho**terms / (1.0 - rho) + _ULP * (1.0 + 4.0 * terms * rho / (1.0 - rho))
+    if sine:
+        return w * acc, abs(w) * (bound + _ULP)
+    return acc, bound
+
+
+def _corner_forward(ctx: SquigContext, y: complex):
+    """(sin, cos) at t = A - y and a bound on the error of each, by the
+    reflection symmetry sin_n(t) = cos_n(y) and cos_n(t) = sin_n(y): the
+    disc at A is the disc at 0 with the two tables' roles swapped.
+
+    Both tables are summed in one Horner pass, cut and bounded as in
+    ``_disc_sum``, since each certificate needs the other value.
+    """
+    n = ctx.n
+    tables = ctx.tables
+    x = y**n / tables.scale
     rho = abs(x)
     last = bisect.bisect_left(ODE_RADII, rho, 1, ODE_TERMS - 1)
     s = c = 0j
@@ -168,27 +201,20 @@ def _disc_sum(ctx: SquigContext, w: complex):
         s = s * x + a
         c = c * x + b
     terms = last + 1
-    bound = 2.0 * rho**terms / (1.0 - rho) + _ULP * (1.0 + 4.0 * terms * rho / (1.0 - rho))
-    return w * s, c, abs(w) * (bound + _ULP), bound
-
-
-def _corner_forward(ctx: SquigContext, y: complex):
-    """(sin, cos) at t = A - y and a bound on the error of each, by the
-    reflection symmetry sin_n(t) = cos_n(y) and cos_n(t) = sin_n(y): the
-    disc at A is the disc at 0 with the two tables' roles swapped."""
-    ys, c, ys_bound, c_bound = _disc_sum(ctx, y)
+    c_bound = 2.0 * rho**terms / (1.0 - rho) + _ULP * (1.0 + 4.0 * terms * rho / (1.0 - rho))
+    ys = y * s
     # y carries the error of A, which moves each value by up to that error
     # times its slope in y: sin_n(y)**(n-1) for cos_n(y), cos_n(y)**(n-1)
     # for sin_n(y)
     shift = _A_ERR * ctx.A.real
-    return (c, ys, c_bound + shift * abs(ys) ** (ctx.n - 1),
-            ys_bound + shift * abs(c) ** (ctx.n - 1))
+    return (c, ys, c_bound + shift * abs(ys) ** (n - 1),
+            abs(y) * (c_bound + _ULP) + shift * abs(c) ** (n - 1))
 
 
 def _corner_invert(ctx: SquigContext, y: complex):
     """The route of the disc at A: (u, cos, u's bound, cos's bound) at
     t = A - y when |y| is within the tables' disc radius, else None."""
-    if abs(y) > _series_tables(ctx.n).disc:
+    if abs(y) > ctx.tables.disc:
         return None
     return _corner_forward(ctx, y)
 
@@ -203,11 +229,11 @@ def _edge_integral(ctx: SquigContext, x: float) -> float:
     n = ctx.n
     if x <= 1.0:
         return 0.0
-    tail = _series_tail(n, x)
+    tail = _series_tail(ctx.tables, n, x)
     if tail is not None:
         # the full-ray value is |P|; the series gives the rest beyond x
         return ctx.R - tail.real
-    return _real_chart(n, _series_tables(n).chart, 1.0 - x)
+    return _real_chart(n, ctx.tables.chart, 1.0 - x)
 
 
 def _invert_slit_edge(ctx: SquigContext, m: float, tol: float):
@@ -260,7 +286,7 @@ def _pole_series(ctx: SquigContext, t: complex):
     W the root of ((n-2) (P - t) e^(-i pi beta))**(1/(n-2)) whose phase is
     nearest -pi/(2n), the middle of v's phases on the half sector."""
     n = ctx.n
-    d = (n - 2) * (ctx.P - t) * _series_tables(n).phase.conjugate()
+    d = (n - 2) * (ctx.P - t) * ctx.tables.phase.conjugate()
     phi = cmath.phase(d)
     k = round((-(n - 2) * math.pi / (2 * n) - phi) / (2 * math.pi))
     w = cmath.rect(abs(d) ** (1.0 / (n - 2)), (phi + 2 * math.pi * k) / (n - 2))
@@ -277,24 +303,30 @@ def _pole_cos(ctx: SquigContext, v: complex) -> complex:
     return ctx.cos_phase * (1.0 - v**n) ** (1.0 / n) / v
 
 
-def _invert_to_triangle(ctx: SquigContext, t: complex, tol: float):
+def _invert_to_triangle(ctx: SquigContext, t: complex, tol: float, sine: bool):
     """Invert the sector map at a target in the closed half-kite triangle.
 
-    Returns (u, cos_n, u's residual, the cosine's residual): each value's
-    error bound, except Newton's backward error for both.
+    Returns sin_n(t) if ``sine``, else cos_n(t), and its residual: the
+    value's error bound, except Newton's backward error in the lens.
     """
-    n = ctx.n
     y = ctx.A - t
     # the nearer of the two discs: fewer terms, and the value that vanishes
     # at its centre (s at 0, c at A) comes out as a product, not a difference
     if abs(t) <= abs(y):
-        if abs(t) <= _series_tables(n).disc:
-            return _disc_sum(ctx, t)
+        if abs(t) <= ctx.tables.disc:
+            return _disc_sum(ctx, t, sine)
+        got = None
     else:
         got = _corner_invert(ctx, y)
-        if got is not None:
-            return got
+    if got is None:
+        got = _pole_or_lens(ctx, t, tol)
+    return (got[0], got[2]) if sine else (got[1], got[3])
 
+
+def _pole_or_lens(ctx: SquigContext, t: complex, tol: float):
+    """(u, cos_n, u's residual, the cosine's residual) at a target beyond
+    both discs: the pole series within its reach, else the lens Newton."""
+    n = ctx.n
     v, x = _pole_series(ctx, t)
     if abs(x) <= _POLE_REACH:
         # v's relative error is the table's tail (its rate's geometric series),
@@ -303,9 +335,10 @@ def _invert_to_triangle(ctx: SquigContext, t: complex, tol: float):
         u, q = 1.0 / v, _pole_table(n)[1] * abs(x)
         rel = (q**POLE_TERMS / (1.0 - q) + _POLE_COEF_ERR * abs(x) / (1.0 - abs(x))
                + 2.0 * (POLE_TERMS + n) * _ULP)
-        bound = abs(u) * rel + _P_ERR * abs(ctx.P) * abs(1.0 - u**n) ** ctx.beta
+        beta = ctx.beta
+        bound = abs(u) * rel + _P_ERR * abs(ctx.P) * abs(1.0 - u**n) ** beta
         cosv = _pole_cos(ctx, v)
-        return u, cosv, bound, (bound * abs(1.0 - v**n) ** -ctx.beta
+        return u, cosv, bound, (bound * abs(1.0 - v**n) ** -beta
                                 + 4.0 * (n + 1) * _ULP * abs(cosv))
     # the lens, between the discs and the pole series' reach
     res = newton_invert(n, t, 1.0 / v, tol=tol)
@@ -320,6 +353,10 @@ def arcsin_n_sector(ctx: SquigContext, z: complex) -> complex:
     """Sector map F on the closed fundamental sector, boundary rays included."""
     z = complex(z)
     n = ctx.n
+    if not cmath.isfinite(z):
+        raise DomainError(
+            f"point {z} lies outside the closed sector V_{n}", region=f"V_{n}"
+        )
     if z == 0:
         return 0j
     tau = 2.0 * math.pi / n
@@ -346,6 +383,10 @@ def arcsin_n_sector(ctx: SquigContext, z: complex) -> complex:
 def arcsin_n(ctx: SquigContext, w: complex) -> complex:
     """Global inverse sine on the slit plane."""
     w = complex(w)
+    if not cmath.isfinite(w):
+        raise DomainError(
+            f"point {w} lies outside the slit plane Sigma_{ctx.n}", region=f"Sigma_{ctx.n}"
+        )
     if not contains_Sigma(ctx, w):
         raise DomainError(
             f"point {w} lies on a slit of Sigma_{ctx.n}", region=f"Sigma_{ctx.n}"
@@ -366,14 +407,14 @@ def arcsin_n(ctx: SquigContext, w: complex) -> complex:
 
 def sin_n(ctx: SquigContext, z: complex, tol: float = _DEFAULT_TOL) -> EvalResult:
     """Generalized sine on the closed rosette (whole plane when n == 3)."""
-    fr = fold(ctx, z)
-    if fr.at_pole:
+    t, rotation_k, conjugated, shift, at_pole = _fold(ctx, z)
+    if at_pole:
         return EvalResult(None, True, 0.0)
-    u, _, resid, _ = _invert_to_triangle(ctx, fr.folded, tol)
-    w = u.conjugate() if fr.conjugated else u
-    w *= ctx.roots[fr.rotation_k]
-    if ctx.n == 3 and fr.lattice_shift != (0, 0):
-        m1, m2 = fr.lattice_shift
+    u, resid = _invert_to_triangle(ctx, t, tol, True)
+    w = u.conjugate() if conjugated else u
+    w *= ctx.roots[rotation_k]
+    if ctx.n == 3 and shift != (0, 0):
+        m1, m2 = shift
         w *= ctx.roots[(m2 - m1) % 3]
     return EvalResult(w, False, resid)
 
@@ -384,13 +425,13 @@ def cos_n(ctx: SquigContext, z: complex, tol: float = _DEFAULT_TOL) -> EvalResul
     The branch is continued from cos(0) = 1 through the fold; rotating z by
     omega leaves the value unchanged, conjugation conjugates it.
     """
-    fr = fold(ctx, z)
-    if fr.at_pole:
+    t, _, conjugated, shift, at_pole = _fold(ctx, z)
+    if at_pole:
         return EvalResult(None, True, 0.0)
-    u, cosv, _, resid = _invert_to_triangle(ctx, fr.folded, tol)
-    c = cosv.conjugate() if fr.conjugated else cosv
-    if ctx.n == 3 and fr.lattice_shift != (0, 0):
-        m1, m2 = fr.lattice_shift
+    cosv, resid = _invert_to_triangle(ctx, t, tol, False)
+    c = cosv.conjugate() if conjugated else cosv
+    if ctx.n == 3 and shift != (0, 0):
+        m1, m2 = shift
         c *= ctx.roots[(m1 - m2) % 3]
     return EvalResult(c, False, resid)
 

@@ -4,19 +4,22 @@ A derandomized Hypothesis search draws points 1e-14 to 1e-2 (relative)
 from the corner A, the slit-edge images A-P and P-B, the pole P and the
 slits of the slit plane, rotated into a random sector.  ``sin_n`` and
 ``cos_n`` are called at the same point; when both return values they must
-satisfy the Pythagorean identity s**n + c**n = 1.
+satisfy the Pythagorean identity s**n + c**n = 1.  A second search draws
+NaN and +-inf parts: every map and ``fold`` raise DomainError at such a
+point, and the membership tests answer a bool.
 """
 
 import cmath
 import functools
 import math
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from squig.errors import SquigError
-from squig.geometry import make_context
-from squig.squigfn import arcsin_n, cos_n, sin_n
+from squig.errors import DomainError, SquigError
+from squig.geometry import contains_Pi, contains_Sigma, fold, in_rosette, make_context
+from squig.squigfn import arcsin_n, arcsin_n_sector, cos_n, sin3_global, sin_n
 
 context = functools.lru_cache(maxsize=None)(make_context)
 
@@ -76,3 +79,23 @@ def test_returns_or_raises_squig_error(n, kind, exponent, s, k, upper):
         return
     sn, cn = sv.value**n, cv.value**n
     assert abs(sn + cn - 1.0) <= 1e-12 * max(1.0, abs(sn))
+
+
+_PART = st.one_of(st.sampled_from((math.nan, math.inf, -math.inf)),
+                  st.floats(-10.0, 10.0))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(n=st.integers(3, 64), re=_PART, im=_PART)
+def test_non_finite_points_raise_domain_error(n, re, im):
+    z = complex(re, im)
+    assume(not cmath.isfinite(z))
+    ctx = context(n)
+    maps = [sin_n, cos_n, fold, arcsin_n, arcsin_n_sector]
+    if n == 3:
+        maps.append(sin3_global)
+    for fn in maps:
+        with pytest.raises(DomainError):
+            fn(ctx, z)
+    for test in (contains_Pi, contains_Sigma, in_rosette):
+        assert test(ctx, z) in (True, False)

@@ -1,24 +1,38 @@
 """The per-context hot path against the per-call code it replaced.
 
 ``make_context`` builds the roots of unity, the wedge angle, the
-tolerances and (for n == 3) the lattice once; ``contains_Sigma`` rotates
-onto the one slit nearest in phase and ``_reduce_to_cell`` skips the
-neighbour sweep deep inside a cell.  The old n-slit loop and the full
-six-neighbour sweep are kept here as references, and every answer must
-match them exactly.
+tolerances, the kernel's tables and (for n == 3) the lattice once;
+``contains_Sigma`` rotates onto the one slit nearest in phase and
+``_reduce_to_cell`` skips the neighbour sweep deep inside a cell.
+``sin_n``/``cos_n`` fold through the tuple-returning ``_fold``, sum one
+table on the disc at 0, and build one slotted ``EvalResult``.  The old
+n-slit loop, the full six-neighbour sweep, the frozen-dataclass ``fold``
+and the two-table inversion are kept here as references, and every answer
+must match them exactly.
 """
 
+import bisect
 import cmath
 import math
+import pickle
 import random
+import sys
 from collections import Counter
+from dataclasses import FrozenInstanceError, dataclass, fields, replace
 
 import pytest
 
 from squig import numerics, squigfn
-from squig.geometry import _reduce_to_cell, contains_Sigma, make_context
-from squig.numerics import sector_ray_integral
-from squig.squigfn import arcsin_n, cos_n, sin_n
+from squig.geometry import (
+    FoldResult,
+    _reduce_to_cell,
+    contains_Sigma,
+    fold,
+    make_context,
+    sample_domain,
+)
+from squig.numerics import ODE_RADII, ODE_TERMS, sector_ray_integral
+from squig.squigfn import EvalResult, arcsin_n, cos_n, sin_n
 
 ALL_NS = range(3, 65)
 
@@ -159,8 +173,11 @@ def test_context_tables_are_the_per_call_expressions(n):
     assert ctx.half_kite == (ctx.A.real, ctx.A.imag, ctx.P.real - ctx.A.real,
                              ctx.P.imag - ctx.A.imag, ctx.P.real, ctx.P.imag)
     tables = numerics._series_tables(n)
+    assert ctx.tables is tables
     assert tables.omega == cmath.exp(2j * math.pi / n)
     assert tables.horner == tuple(zip(tables.sine, tables.cosine))[::-1]
+    assert tables.horner_sine == tables.sine[::-1]
+    assert tables.horner_cosine == tables.cosine[::-1]
     if n == 3:
         assert (ctx.c1, ctx.c2) == (ctx.cell_shift_1, ctx.cell_shift_2)
         assert ctx.tie == 1e-12 * abs(ctx.A)
@@ -221,7 +238,316 @@ def test_warm_hot_path_makes_no_exp_calls(n, monkeypatch):
         arcsin_n(ctx, w)
     sector_ray_integral(n, upper)
     assert calls == []
-    # every route ran: the disc at 0 is _disc_sum without _corner_forward
-    assert hits["_disc_sum"] > hits["_corner_forward"] > 0
+    # every route ran: the disc at 0 is _disc_sum, the disc at A is
+    # _corner_forward's two-table pass
+    assert hits["_disc_sum"] > 0 and hits["_corner_forward"] > 0
     assert hits["_pole_series"] > 0 and hits["_corner_series"] > 0
     assert hits["_series_tail"] > hits["_corner_series"]
+
+
+# ---------------------------------------------------------------------------
+# the flat sin_n/cos_n path against the frozen fold and the two-table sums
+
+
+@dataclass(frozen=True)
+class RefFold:
+    folded: complex
+    rotation_k: int
+    conjugated: bool
+    lattice_shift: tuple
+    at_pole: bool
+
+
+def ref_fold(ctx, z):
+    """Reference: ``fold`` as a frozen dataclass built per call."""
+    z = complex(z)
+    m1 = m2 = 0
+    v = z
+    if ctx.n == 3:
+        m1, m2, v = _reduce_to_cell(ctx, z)
+    n = ctx.n
+    tau = ctx.tau
+    theta = cmath.phase(v)
+    if theta < 0.0:
+        theta += 2.0 * math.pi
+    k_near = round(theta / tau)
+    if abs(theta - k_near * tau) <= 1e-12:
+        k = k_near % n
+        local = 0.0
+    else:
+        q = theta // tau
+        k = int(q) % n
+        local = theta - q * tau
+    u = v * ctx.inv_roots[k]
+    if local > tau / 2.0 + 1e-12:
+        t = ctx.roots[1] * u.conjugate()
+        rotation_k = (k + 1) % n
+        conjugated = True
+    else:
+        t = u
+        rotation_k = k
+        conjugated = False
+    if n != 3:
+        ax, ay, ex, ey, px, py = ctx.half_kite
+        tx, ty = t.real, t.imag
+        tol = -ctx.edge_tol
+        if not (
+            ax * ty - ay * tx >= tol
+            and ex * (ty - ay) - ey * (tx - ax) >= tol
+            and -px * (ty - py) + py * (tx - px) >= tol
+        ):
+            raise squigfn.DomainError(
+                f"point {z} lies outside the closed region Omega_{n}",
+                region=f"Omega_{n}",
+            )
+    at_pole = abs(t - ctx.P) <= ctx.pole_tol
+    return RefFold(t, rotation_k, conjugated, (m1, m2), at_pole)
+
+
+def ref_disc_sum(ctx, w):
+    """Reference: both tables summed in one pass, on either disc."""
+    tables = numerics._series_tables(ctx.n)
+    x = w**ctx.n / tables.scale
+    rho = abs(x)
+    last = bisect.bisect_left(ODE_RADII, rho, 1, ODE_TERMS - 1)
+    s = c = 0j
+    for a, b in tuple(zip(tables.sine, tables.cosine))[::-1][ODE_TERMS - 1 - last:]:
+        s = s * x + a
+        c = c * x + b
+    terms = last + 1
+    ulp = squigfn._ULP
+    bound = 2.0 * rho**terms / (1.0 - rho) + ulp * (1.0 + 4.0 * terms * rho / (1.0 - rho))
+    return w * s, c, abs(w) * (bound + ulp), bound
+
+
+def ref_invert(ctx, t, routes):
+    """Reference: the inversion at a folded target, each route's
+    (u, cos, u's residual, cos's residual); counts the route taken."""
+    n = ctx.n
+    tables = numerics._series_tables(n)
+    y = ctx.A - t
+    if abs(t) <= abs(y):
+        if abs(t) <= tables.disc:
+            routes["disc 0"] += 1
+            return ref_disc_sum(ctx, t)
+    elif abs(y) <= tables.disc:
+        routes["disc A"] += 1
+        ys, c, ys_bound, c_bound = ref_disc_sum(ctx, y)
+        shift = squigfn._A_ERR * ctx.A.real
+        return (c, ys, c_bound + shift * abs(ys) ** (n - 1),
+                ys_bound + shift * abs(c) ** (n - 1))
+    v, x = squigfn._pole_series(ctx, t)
+    if abs(x) <= squigfn._POLE_REACH:
+        routes["pole"] += 1
+        u, q = 1.0 / v, numerics._pole_table(n)[1] * abs(x)
+        ulp = squigfn._ULP
+        rel = (q**numerics.POLE_TERMS / (1.0 - q)
+               + squigfn._POLE_COEF_ERR * abs(x) / (1.0 - abs(x))
+               + 2.0 * (numerics.POLE_TERMS + n) * ulp)
+        bound = abs(u) * rel + squigfn._P_ERR * abs(ctx.P) * abs(1.0 - u**n) ** ctx.beta
+        cosv = squigfn._pole_cos(ctx, v)
+        return u, cosv, bound, (bound * abs(1.0 - v**n) ** -ctx.beta
+                                + 4.0 * (n + 1) * ulp * abs(cosv))
+    routes["lens"] += 1
+    res = numerics.newton_invert(n, t, 1.0 / v, tol=squigfn._DEFAULT_TOL)
+    return res.z, squigfn._pole_cos(ctx, 1.0 / res.z), res.residual, res.residual
+
+
+def ref_eval(ctx, z, sine, routes):
+    """Reference: ``sin_n`` (or ``cos_n``) as (value, is_pole, residual)."""
+    fr = ref_fold(ctx, z)
+    if fr.at_pole:
+        routes["pole flag"] += 1
+        return None, True, 0.0
+    u, cosv, u_res, c_res = ref_invert(ctx, fr.folded, routes)
+    m1, m2 = fr.lattice_shift
+    if sine:
+        w = u.conjugate() if fr.conjugated else u
+        w *= ctx.roots[fr.rotation_k]
+        if ctx.n == 3 and fr.lattice_shift != (0, 0):
+            w *= ctx.roots[(m2 - m1) % 3]
+        return w, False, u_res
+    c = cosv.conjugate() if fr.conjugated else cosv
+    if ctx.n == 3 and fr.lattice_shift != (0, 0):
+        c *= ctx.roots[(m1 - m2) % 3]
+    return c, False, c_res
+
+
+def bits(x):
+    """A float or complex as its exact bits (signed zeros apart), None as is."""
+    if x is None:
+        return None
+    x = complex(x)
+    return x.real.hex(), x.imag.hex()
+
+
+def as_tuple(result):
+    """A dataclass result's fields, in order, without copying them."""
+    return tuple(getattr(result, f.name) for f in fields(result))
+
+
+def outcome(call):
+    """A call's result as bits, or its exception's type, message and fields."""
+    try:
+        got = call()
+    except Exception as exc:  # every exception must match the reference's
+        return "raised", type(exc).__name__, str(exc), repr(vars(exc))
+    return tuple(bits(v) if isinstance(v, (float, complex)) else v for v in got)
+
+
+def gate_points(ctx, rng):
+    """Seeded rosette points plus targets on both discs, near P and on both
+    disc rims (where the lens is widest), each rotated, reflected and (n ==
+    3) shifted by the lattice; P itself, and for n >= 4 points outside the
+    rosette."""
+    n, A, P = ctx.n, ctx.A, ctx.P
+    rim = ctx.tables.disc * (1.0 + 1e-6)
+    targets = [0.2 * A + 0.05 * P, 0.95 * A + 0.01 * P, P - 1e-3 * P, P - 0.05 * P]
+    for j in range(9):
+        targets.append(rim * cmath.exp(1j * math.pi * j / (8 * n)))
+        targets.append(A - rim * cmath.exp(-0.5j * math.pi * j / 8))
+    pts = []
+    for t in targets:
+        for k in (0, 1, n - 1):
+            pts += [t * ctx.roots[k], t.conjugate() * ctx.roots[k]]
+        if n == 3:
+            c1, c2 = ctx.cell_shift_1, ctx.cell_shift_2
+            pts += [t + c1, t - 2 * c2, t + 37 * c1 - 21 * c2]
+    pts += sample_domain(ctx, rng, 40, pole_clearance=0.0)
+    pts += [P, P * (1.0 + 1e-8), 1.5 * P, 2.0 * A * ctx.roots[n // 2], 0j]
+    return pts
+
+
+@pytest.mark.parametrize("n", ALL_NS)
+def test_flat_path_is_bit_identical_to_the_references(n):
+    ctx = make_context(n)
+    routes = Counter()
+    raised = 0
+    for z in gate_points(ctx, random.Random(f"gate:{n}")):
+        for fn, sine in ((sin_n, True), (cos_n, False)):
+            want = outcome(lambda: ref_eval(ctx, z, sine, routes))
+            got = outcome(lambda: as_tuple(fn(ctx, z)))
+            assert got == want, (fn.__name__, z)
+            raised += want[0] == "raised"
+        want = outcome(lambda: as_tuple(ref_fold(ctx, z)))
+        got = outcome(lambda: as_tuple(fold(ctx, z)))
+        assert got == want, ("fold", z)
+    # every route is reached: the lens only for n >= 6
+    assert routes["disc 0"] and routes["disc A"] and routes["pole"] and routes["pole flag"]
+    assert bool(routes["lens"]) is (n >= 6), routes
+    assert bool(raised) is (n != 3)
+
+
+def disc_zero_points(ctx, rng):
+    """Rosette points whose folded target takes the disc at 0."""
+    pts = []
+    for z in sample_domain(ctx, rng, 80):
+        t = fold(ctx, z).folded
+        if abs(t) <= min(ctx.tables.disc, abs(ctx.A - t)):
+            pts.append(z)
+    return pts
+
+
+@pytest.mark.parametrize("n", ALL_NS)
+def test_zero_disc_reads_only_the_table_it_returns(n):
+    ctx = make_context(n)
+    tables = ctx.tables
+    nan = (math.nan,) * ODE_TERMS
+    no_cos, no_sin = make_context(n), make_context(n)
+    no_cos.tables = tables._replace(cosine=nan, horner_cosine=nan,
+                                    horner=tuple((a, math.nan) for a, _ in tables.horner))
+    no_sin.tables = tables._replace(sine=nan, horner_sine=nan,
+                                    horner=tuple((math.nan, b) for _, b in tables.horner))
+    pts = disc_zero_points(ctx, random.Random(f"poison:{n}"))
+    assert len(pts) >= 10
+    for z in pts:
+        want_s, want_c = sin_n(ctx, z), cos_n(ctx, z)
+        got_s, got_c = sin_n(no_cos, z), cos_n(no_sin, z)
+        assert (bits(got_s.value), bits(got_s.residual)) == (bits(want_s.value),
+                                                              bits(want_s.residual)), z
+        assert (bits(got_c.value), bits(got_c.residual)) == (bits(want_c.value),
+                                                              bits(want_c.residual)), z
+    # the poison does reach the disc at A, whose pass reads both tables
+    near_a = 0.95 * ctx.A + 0.01 * ctx.P
+    assert cmath.isnan(sin_n(no_cos, near_a).value)
+    assert cmath.isnan(cos_n(no_sin, near_a).value)
+
+
+def python_calls(fn, *args):
+    """Python-level calls (frames entered) in one call of fn, fn included."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+# Python-level calls per warm call, by route: the entry point, _fold (and
+# _reduce_to_cell at n == 3), the route's functions and EvalResult.__init__.
+# The lens is left out: it runs Newton, whose step count varies.
+CALL_CEILINGS = {"disc 0": 5, "disc A": 6, "pole": 9,
+                 "arcsin at 0": 4, "arcsin chart": 6, "arcsin at inf": 5}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 32, 64])
+def test_python_calls_per_warm_call(n):
+    ctx = make_context(n)
+    A, P = ctx.A, ctx.P
+    lattice = n == 3
+    cases = [("disc 0", 0.2 * A + 0.05 * P), ("disc A", 0.95 * A + 0.01 * P),
+             ("pole", P - 1e-3 * P)]
+    for route, t in cases:
+        for fn in (sin_n, cos_n):
+            fn(ctx, t)  # warm: the pole table is built at first use
+            assert python_calls(fn, ctx, t) <= CALL_CEILINGS[route] + lattice, (route, fn)
+    chart = (1.0 + 0.1 / n) * cmath.exp(0.5j * math.pi / n)
+    for route, w in (("arcsin at 0", 0.3 * cmath.exp(0.2j / n)), ("arcsin chart", chart),
+                     ("arcsin at inf", 10.0 * cmath.exp(0.3j / n))):
+        arcsin_n(ctx, w)
+        assert python_calls(arcsin_n, ctx, w) <= CALL_CEILINGS[route], route
+
+
+# ---------------------------------------------------------------------------
+# the slotted result objects
+
+
+RESULTS = [EvalResult(0.5 - 0.25j, False, 2.0**-52), EvalResult(None, True, 0.0),
+           FoldResult(0.3 + 0.1j, 2, True, (1, -1), False)]
+
+
+@pytest.mark.parametrize("obj", RESULTS, ids=["value", "pole", "fold"])
+def test_result_objects_stay_frozen_dataclasses(obj):
+    first = fields(obj)[0].name
+    assert not hasattr(obj, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        setattr(obj, first, 1)
+    with pytest.raises(FrozenInstanceError):
+        delattr(obj, first)
+    # a name that is no field is refused too; on Python 3.11 the generated
+    # __setattr__ of a slotted frozen class raises TypeError for it
+    with pytest.raises((FrozenInstanceError, TypeError)):
+        obj.extra = 1
+    same = replace(obj)
+    assert same == obj and same is not obj and hash(same) == hash(obj)
+    changed = replace(obj, **{first: 7})
+    assert changed != obj and getattr(changed, first) == 7
+    values = [getattr(obj, f.name) for f in fields(obj)]
+    assert type(obj)(*values) == obj
+    assert type(obj)(**{f.name: v for f, v in zip(fields(obj), values)}) == obj
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(obj, protocol))
+        assert back == obj and type(back) is type(obj)
+
+
+def test_result_reprs_unchanged():
+    assert repr(EvalResult(1j, False, 0.0)) == "EvalResult(value=1j, is_pole=False, residual=0.0)"
+    assert repr(FoldResult(0.5, 0, False, (0, 0), False)) == (
+        "FoldResult(folded=0.5, rotation_k=0, conjugated=False, lattice_shift=(0, 0), "
+        "at_pole=False)")

@@ -412,13 +412,13 @@ def test_corner_newton_steps(n, monkeypatch):
     ys += [rim * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
            for _ in range(32)]
     sums = [0]
-    forward = squigfn._disc_sum
+    forward = squigfn._corner_forward
 
     def counted(c, w):
         sums[0] += 1
         return forward(c, w)
 
-    monkeypatch.setattr(squigfn, "_disc_sum", counted)
+    monkeypatch.setattr(squigfn, "_corner_forward", counted)
     for y in ys:
         sums[0] = 0
         got = squigfn._corner_invert(ctx, y)
