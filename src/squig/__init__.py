@@ -30,13 +30,11 @@ from .geometry import (
     unfold,
 )
 from .numerics import (
-    NewtonResult,
     QuadratureResult,
     RationalSeries,
     integrate_endpoint_singular,
     integrate_smooth,
     integrate_tail,
-    newton_invert,
     revert_series,
     winding_number,
 )
@@ -77,7 +75,6 @@ __all__ = [
     "EvalResult",
     "FoldResult",
     "InvalidSeriesError",
-    "NewtonResult",
     "ParameterError",
     "QuadratureError",
     "QuadratureResult",
@@ -108,7 +105,6 @@ __all__ = [
     "integrate_tail",
     "make_context",
     "maclaurin",
-    "newton_invert",
     "pi_n",
     "radius_estimate",
     "revert_series",

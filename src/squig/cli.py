@@ -9,7 +9,8 @@ Exit codes: 0 success or all checks passing, 1 verification failure (a check
 ran and missed its tolerance), 2 usage, 3 domain violation (the message names
 the offending region), 4 numeric failure (for ``verify``: some check could not
 produce a value; its report row still prints, with the failure sentinel as
-``abs_error``).
+``abs_error``).  No evaluation route raises a numeric error, so the other
+commands exit 4 only on an unexpected ``SquigError``.
 """
 
 from __future__ import annotations

@@ -4,9 +4,11 @@ This module owns the low-level numerical machinery: a double-exponential
 (tanh-sinh) rule for integrals with algebraic endpoint singularities, an
 adaptive 15-point Gauss-Kronrod rule for smooth complex legs, exact rational
 series reversion, the exact Maclaurin coefficients of the sine from its ODE
-pair and their scaled float tables, the three series of the sector map (at
-0, at infinity and the corner chart between them), a damped Newton inverter
-on the principal branch, and a discrete winding-number count.
+pair and their scaled float tables, the table of the pole series that
+inverts the map near P, the three series of the sector map (at 0, at
+infinity and the corner chart between them), a damped Newton inverter on
+the principal branch, which no evaluation route calls, and a
+discrete winding-number count.
 
 The sector map is evaluated by its series alone, and the constants A and P
 come from the same series (``_series_tables``).  The quadrature rules serve
@@ -329,7 +331,7 @@ def integrate_smooth(f, a: float, b: float, tol: float = DEFAULT_QUAD_TOL,
 
 
 # ---------------------------------------------------------------------------
-# The principal branch of (1 - z**n) ** exponent
+# The principal branch of (1 - z**n) ** exponent: Newton's helpers (below)
 # ---------------------------------------------------------------------------
 
 def nearest_root_distance(n: int, z: complex) -> float:
@@ -567,6 +569,20 @@ ODE_RADII = tuple((0.5 * _SERIES_EPS * (1.0 - (0.5 * _SERIES_EPS) ** (1.0 / k)))
                   for k in range(1, ODE_TERMS + 1))
 
 
+def _fixed_power_term(base: list, power: list, m: int, num: int, den: int, bits: int) -> int:
+    """Coefficient m of power = base**(num/den), in fixed point at 2**-bits.
+
+    Miller's recurrence (Knuth, TAOCP vol. 2, 4.7) on integers, base[0] and
+    power[0] being 1: den m power_m = sum_j ((num + den) j - den m) base_j
+    power_(m-j), over j = 1..m, with entries beyond base's end taken as 0.
+    The sum is exact and rounded down once.
+    """
+    weight, dm = num + den, den * m
+    acc = sum((weight * j - dm) * base[j] * power[m - j]
+              for j in range(1, min(m, len(base) - 1) + 1))
+    return acc // (dm << bits)
+
+
 def _ode_tables(n: int, scale: float) -> tuple:
     """Tables a_k = S_k scale**k and b_k = C_k scale**k of the ODE pair.
 
@@ -580,18 +596,13 @@ def _ode_tables(n: int, scale: float) -> tuple:
     """
     one = 1 << _ODE_BITS
     sig = int(math.ldexp(scale, _ODE_BITS))  # exact: scale is a float above 2**-58
-
-    def next_power_term(base, power, m):
-        acc = sum((n * j - m) * base[j] * power[m - j] for j in range(1, m + 1))
-        return acc // (m << _ODE_BITS)
-
     a, b = [one], [one]
     a_pow, b_pow = [one], [one]  # a**(n-1) and b**(n-1)
     for m in range(1, ODE_TERMS):
         if m > 1:
-            a_pow.append(next_power_term(a, a_pow, m - 1))
+            a_pow.append(_fixed_power_term(a, a_pow, m - 1, n - 1, 1, _ODE_BITS))
         b.append(-(sig * a_pow[m - 1]) // ((n * m) << _ODE_BITS))
-        b_pow.append(next_power_term(b, b_pow, m))
+        b_pow.append(_fixed_power_term(b, b_pow, m, n - 1, 1, _ODE_BITS))
         a.append(b_pow[m] // (1 + n * m))
     return tuple(v / one for v in a), tuple(v / one for v in b)
 
@@ -688,7 +699,10 @@ def _series_tables(n: int) -> _SeriesTables:
                          sine[::-1], cosine[::-1])
 
 
-POLE_TERMS = 24  # length of the pole series' table; tail below 1e-19 at |X| <= 2/3
+# Fixed-point bits of the pole table's recurrence.  It runs on k_j 8**j,
+# which stays near 1 where k_j falls to 1e-43, so no entry loses precision.
+_POLE_BITS = 192
+_POLE_SHIFT = 3
 
 
 @functools.lru_cache(maxsize=None)
@@ -696,15 +710,48 @@ def _pole_table(n: int) -> tuple:
     """Coefficients k_j of the pole series v = W k(W**n), and their rate.
 
     With v = 1/u, D = (n-2) (P - F(u)) e^(-i pi beta) = v**(n-2) g(v**n) and
-    W = D**(1/(n-2)), Lagrange inversion (Knuth, TAOCP vol. 2, 4.7) gives
-    k_j = [x**j] g(x)**(-(nj+1)/(n-2)) / (nj+1), g_k = (n-2) c_k / (n-2+nk).
-    The rate max |k_j|**(1/j) estimates k's reciprocal radius, for a
-    geometric bound on the tail.  Built at first use, not in make_context.
+    W = D**(1/(n-2)), dD/dv = (n-2) v**(n-3) (1 - v**n)**(-beta), so
+    dv/dW = (W/v)**(n-3) (1 - v**n)**beta.  With v = W k(X), X = W**n, that
+    reads (1 + n j) k_j = [k**(3-n) (1 - X k**n)**beta]_j, whose right side
+    holds k_j only in k**(3-n)'s term (3-n) k_j.  So (n (j+1) - 2) k_j is the
+    rest, from k_0 .. k_(j-1); each step extends the powers k**(3-n), k**n
+    and h**beta, h = 1 - X k**n, by one term (``_fixed_power_term``), on
+    integers at 2**-_POLE_BITS.  It runs in Y = 8 X, on k_j 8**j, so every
+    entry keeps its relative precision and is rounded once.
+
+    The rate is k's reciprocal radius: 1/|X| at the nearest singularity of
+    v, the zero of u at t = 0 (|P - t| = R) or, from n = 6 on, the branch
+    point at conj(P) (|P - t| = 2 R sin(pi/n)), with
+    |X| = ((n-2) |P - t|)**(n/(n-2)).  Every |k_j| is below rate**j (tested
+    on exact coefficients), so K terms at X leave at most q**K / (1 - q),
+    q = rate |X|.  The table is long enough that this is below half an ulp
+    on the whole route: targets of the half-kite triangle outside both
+    discs, whose largest |X| lies where the two disc rims cross, or, once
+    the discs part (n >= 9), where the disc at 0 meets the real axis:
+    0.059 at n = 3, 3.25 at n = 9, 9 entries at n = 3 and 56 at n = 64.
+    Built at first use, not in make_context.
     """
-    g = [(n - 2) * a for a in _series_tables(n).outer[0][:POLE_TERMS]]
-    table = tuple(_miller_power(g, -(n * j + 1) / (n - 2), j + 1)[j] / (n * j + 1)
-                  for j in range(POLE_TERMS))
-    return table, max(abs(a) ** (1.0 / j) for j, a in enumerate(table) if j)
+    tables = _series_tables(n)
+    half, disc = tables.half, tables.disc
+
+    def x_abs(dist):
+        return ((n - 2) * dist) ** (n / (n - 2))
+
+    rim = complex(half / 2, math.sqrt(disc * disc - half * half / 4)) if 2 * disc > half else disc
+    rate = 1.0 / x_abs(abs(tables.corner) * min(1.0, 2.0 * math.sin(math.pi / n)))
+    terms = bisect.bisect_left(ODE_RADII, rate * x_abs(abs(tables.corner - rim))) + 1
+    one = 1 << _POLE_BITS
+    k, h = [one], [one]
+    inv_pow, n_pow, h_pow = [one], [one], [one]  # k**(3-n), k**n and h**beta
+    for j in range(1, terms):
+        h.append(-n_pow[j - 1] << _POLE_SHIFT)
+        h_pow.append(_fixed_power_term(h, h_pow, j, n - 1, n, _POLE_BITS))
+        rest = _fixed_power_term(k, inv_pow, j, 3 - n, 1, _POLE_BITS)  # k has no k_j yet
+        kj = (rest + sum(inv_pow[i] * h_pow[j - i] for i in range(j)) // one) // (n * (j + 1) - 2)
+        k.append(kj)
+        inv_pow.append(rest - (n - 3) * kj)
+        n_pow.append(_fixed_power_term(k, n_pow, j, n, 1, _POLE_BITS))
+    return tuple(v / (one << _POLE_SHIFT * j) for j, v in enumerate(k)), rate
 
 
 def _binomial_sum(table, x: complex) -> complex:
@@ -809,7 +856,10 @@ def sector_segment_integral(n: int, za: complex, zb: complex,
 
 
 # ---------------------------------------------------------------------------
-# Newton inversion of the sector integral
+# Newton inversion of the sector integral: no route calls it, since the pole
+# series covers the lens; bench/spans.py wraps newton_invert and _newton_basic
+# by name, and the change that drops those spans deletes them with their
+# helpers above
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -6,20 +6,22 @@ its inverse, extended to the whole rosette (for ``n == 3``: to the whole
 plane) through the fold bookkeeping of :mod:`squig.geometry`.  The global
 inverse sine is ``F`` itself continued over the slit plane.
 
-The inverse problem has four routes, one per regime of the folded target:
+The inverse problem has three routes, one per regime of the folded target:
 
 1. the disc at 0: the ODE pair's Maclaurin series, s = t S(x), c = C(x)
    with x = t**n, summed from float tables (``numerics._ode_tables``) in
    one Horner pass cut at half an ulp,
 2. the disc at the corner ``A``, whichever centre is nearer: the same
    tables, by the symmetry sin_n(t) = cos_n(y), y = A - t,
-3. near the pole ``P``, the series at infinity inverted in closed form,
+3. every other target, near the pole ``P`` and in the lens between the
+   discs: the series at infinity inverted in closed form,
    v = 1/u = W k(W**n) with W a root of (n-2) (P - t) e^(-i pi (n-1)/n)
-   (``numerics._pole_table``); the cosine u e^(-i pi/n) (1 - v**n)**(1/n)
-   holds on the slit-edge image ``[A, P]`` as well,
-4. in the lens between them, one pass of damped Newton on the sector map,
-   seeded from the pole series summed beyond its reach.  A failed pass
-   raises ``ConvergenceError`` with its last residual.
+   (``numerics._pole_table``), cut at half an ulp as the discs' sums are;
+   the cosine u e^(-i pi/n) (1 - v**n)**(1/n) holds on the slit-edge image
+   ``[A, P]`` as well.
+
+Each route's ``residual`` bounds the forward error of its value, and no
+route iterates or raises.
 
 Every forward value of ``F`` comes from one kernel,
 ``numerics.sector_ray_integral``, which sums one of three series.  With
@@ -50,36 +52,28 @@ from .geometry import SquigContext, _fold, contains_Sigma
 from .numerics import (
     ODE_RADII,
     ODE_TERMS,
-    POLE_TERMS,
     RationalSeries,
     _ode_coefficients,
     _pole_table,
     _real_chart,
     _series_tail,
-    newton_invert,
     sector_ray_integral,
 )
 
-_DEFAULT_TOL = 1e-12
 _SNAP = 1e-12
 _ULP = 2.0**-52  # one rounding step of the disc sums, an ulp of 1
 _A_ERR = 3e-16  # relative error of A from the kernel's tables (tested: 2.5e-16)
 _P_ERR = 5e-16  # relative error of P: |P|'s (tested: 3.5e-16) and e^(i pi/n)'s
-_POLE_COEF_ERR = 4e-15  # absolute error of each pole-table entry (tested: 1.9e-15)
-_POLE_REACH = 2.0 / 3.0  # |W**n| up to which the pole series is the route
 
 
 @dataclass(frozen=True, slots=True)
 class EvalResult:
     """Value of an evaluation plus its certificate.
 
-    ``value`` is None exactly when ``is_pole`` is set.  On the two disc
-    routes and on the pole series ``residual`` is a forward-error bound: it
-    bounds the distance of the returned value from the exact one at the
-    folded target (at n = 16, t = 0.99 A it is one ulp for the returned
-    sine 1.0).  On the lens Newton it is the backward error
-    |F(value') - target| in image space, where value' is the canonical
-    representative actually solved for.
+    ``value`` is None exactly when ``is_pole`` is set.  On every route
+    ``residual`` is a forward-error bound: it bounds the distance of the
+    returned value from the exact one at the folded target (at n = 16,
+    t = 0.99 A it is one ulp for the returned sine 1.0).
     """
 
     value: complex | None
@@ -278,23 +272,34 @@ def _invert_slit_edge(ctx: SquigContext, m: float, tol: float):
 
 
 # ---------------------------------------------------------------------------
-# the pole series at P, and Newton in the lens
+# the pole series at P, over every target beyond both discs
 
 
 def _pole_series(ctx: SquigContext, t: complex):
-    """(v, X): v = 1/u = W k(X), X = W**n, summed over the whole table, with
-    W the root of ((n-2) (P - t) e^(-i pi beta))**(1/(n-2)) whose phase is
-    nearest -pi/(2n), the middle of v's phases on the half sector."""
+    """(v, a bound on its error): v = 1/u = W k(X), X = W**n, with W the root
+    of ((n-2) (P - t) e^(-i pi beta))**(1/(n-2)) whose phase is nearest
+    -pi/(2n), the middle of v's phases on the half sector.
+
+    The table is summed by Horner in X, cut at K terms where q**K / (1 - q)
+    is below half an ulp (ODE_RADII at q = rate |X|), but never below two.
+    The sum's bound is that tail plus rounding: 2 K ulps of the terms'
+    moduli, at most 1/(1 - q), for the Horner pass and the entries, and
+    3 n ulps, X's relative error, of sum_j j |k_j X**j| <= q / (1 - q)**2.
+    """
     n = ctx.n
     d = (n - 2) * (ctx.P - t) * ctx.tables.phase.conjugate()
     phi = cmath.phase(d)
     k = round((-(n - 2) * math.pi / (2 * n) - phi) / (2 * math.pi))
     w = cmath.rect(abs(d) ** (1.0 / (n - 2)), (phi + 2 * math.pi * k) / (n - 2))
     x = w**n
+    table, rate = _pole_table(n)
+    q = rate * abs(x)
+    last = bisect.bisect_left(ODE_RADII, q, 1, len(table) - 1)
     acc = 0j
-    for a in reversed(_pole_table(n)[0]):
+    for a in table[last::-1]:
         acc = acc * x + a
-    return w * acc, x
+    terms = last + 1
+    return w * acc, abs(w) * (q**terms + (2 * terms + 3 * n) * _ULP / (1.0 - q)) / (1.0 - q)
 
 
 def _pole_cos(ctx: SquigContext, v: complex) -> complex:
@@ -303,11 +308,10 @@ def _pole_cos(ctx: SquigContext, v: complex) -> complex:
     return ctx.cos_phase * (1.0 - v**n) ** (1.0 / n) / v
 
 
-def _invert_to_triangle(ctx: SquigContext, t: complex, tol: float, sine: bool):
+def _invert_to_triangle(ctx: SquigContext, t: complex, sine: bool):
     """Invert the sector map at a target in the closed half-kite triangle.
 
-    Returns sin_n(t) if ``sine``, else cos_n(t), and its residual: the
-    value's error bound, except Newton's backward error in the lens.
+    Returns sin_n(t) if ``sine``, else cos_n(t), and a bound on its error.
     """
     y = ctx.A - t
     # the nearer of the two discs: fewer terms, and the value that vanishes
@@ -319,30 +323,24 @@ def _invert_to_triangle(ctx: SquigContext, t: complex, tol: float, sine: bool):
     else:
         got = _corner_invert(ctx, y)
     if got is None:
-        got = _pole_or_lens(ctx, t, tol)
+        got = _pole_invert(ctx, t)
     return (got[0], got[2]) if sine else (got[1], got[3])
 
 
-def _pole_or_lens(ctx: SquigContext, t: complex, tol: float):
-    """(u, cos_n, u's residual, the cosine's residual) at a target beyond
-    both discs: the pole series within its reach, else the lens Newton."""
+def _pole_invert(ctx: SquigContext, t: complex):
+    """(u, cos_n, u's bound, the cosine's bound) at a target beyond both
+    discs, by the pole series."""
     n = ctx.n
-    v, x = _pole_series(ctx, t)
-    if abs(x) <= _POLE_REACH:
-        # v's relative error is the table's tail (its rate's geometric series),
-        # each entry's error and rounding; |du| = |u|**2 |dv|, plus P's error
-        # times |du/dt| = |1 - u**n|**beta; |dcos/du| = |1 - v**n|**(-beta)
-        u, q = 1.0 / v, _pole_table(n)[1] * abs(x)
-        rel = (q**POLE_TERMS / (1.0 - q) + _POLE_COEF_ERR * abs(x) / (1.0 - abs(x))
-               + 2.0 * (POLE_TERMS + n) * _ULP)
-        beta = ctx.beta
-        bound = abs(u) * rel + _P_ERR * abs(ctx.P) * abs(1.0 - u**n) ** beta
-        cosv = _pole_cos(ctx, v)
-        return u, cosv, bound, (bound * abs(1.0 - v**n) ** -beta
-                                + 4.0 * (n + 1) * _ULP * abs(cosv))
-    # the lens, between the discs and the pole series' reach
-    res = newton_invert(n, t, 1.0 / v, tol=tol)
-    return res.z, _pole_cos(ctx, 1.0 / res.z), res.residual, res.residual
+    v, v_err = _pole_series(ctx, t)
+    # |du| = |u|**2 |dv| plus the rounding of W, v and u, and P's error
+    # times |du/dt| = |1 - u**n|**beta; |dcos/du| = |1 - v**n|**(-beta)
+    u = 1.0 / v
+    beta = ctx.beta
+    bound = (abs(u) * (abs(u) * v_err + 4.0 * _ULP)
+             + _P_ERR * abs(ctx.P) * abs(1.0 - u**n) ** beta)
+    cosv = _pole_cos(ctx, v)
+    return u, cosv, bound, (bound * abs(1.0 - v**n) ** -beta
+                            + 4.0 * (n + 1) * _ULP * abs(cosv))
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +403,12 @@ def arcsin_n(ctx: SquigContext, w: complex) -> complex:
     return val * ctx.roots[k]
 
 
-def sin_n(ctx: SquigContext, z: complex, tol: float = _DEFAULT_TOL) -> EvalResult:
+def sin_n(ctx: SquigContext, z: complex) -> EvalResult:
     """Generalized sine on the closed rosette (whole plane when n == 3)."""
     t, rotation_k, conjugated, shift, at_pole = _fold(ctx, z)
     if at_pole:
         return EvalResult(None, True, 0.0)
-    u, resid = _invert_to_triangle(ctx, t, tol, True)
+    u, resid = _invert_to_triangle(ctx, t, True)
     w = u.conjugate() if conjugated else u
     w *= ctx.roots[rotation_k]
     if ctx.n == 3 and shift != (0, 0):
@@ -419,7 +417,7 @@ def sin_n(ctx: SquigContext, z: complex, tol: float = _DEFAULT_TOL) -> EvalResul
     return EvalResult(w, False, resid)
 
 
-def cos_n(ctx: SquigContext, z: complex, tol: float = _DEFAULT_TOL) -> EvalResult:
+def cos_n(ctx: SquigContext, z: complex) -> EvalResult:
     """Generalized cosine, the n-th-root complement of the sine.
 
     The branch is continued from cos(0) = 1 through the fold; rotating z by
@@ -428,7 +426,7 @@ def cos_n(ctx: SquigContext, z: complex, tol: float = _DEFAULT_TOL) -> EvalResul
     t, _, conjugated, shift, at_pole = _fold(ctx, z)
     if at_pole:
         return EvalResult(None, True, 0.0)
-    cosv, resid = _invert_to_triangle(ctx, t, tol, False)
+    cosv, resid = _invert_to_triangle(ctx, t, False)
     c = cosv.conjugate() if conjugated else cosv
     if ctx.n == 3 and shift != (0, 0):
         m1, m2 = shift
@@ -436,8 +434,8 @@ def cos_n(ctx: SquigContext, z: complex, tol: float = _DEFAULT_TOL) -> EvalResul
     return EvalResult(c, False, resid)
 
 
-def sin3_global(ctx: SquigContext, z: complex, tol: float = _DEFAULT_TOL) -> EvalResult:
+def sin3_global(ctx: SquigContext, z: complex) -> EvalResult:
     """Entire-plane sine for n == 3 (meromorphic; poles are flagged)."""
     if ctx.n != 3:
         raise ParameterError(f"sin3_global needs an n == 3 context, got n = {ctx.n}")
-    return sin_n(ctx, z, tol)
+    return sin_n(ctx, z)

@@ -219,7 +219,7 @@ def test_warm_hot_path_makes_no_exp_calls(n, monkeypatch):
     upper = (1.0 + 0.1 / n) * cmath.exp(1.5j * math.pi / n)
     for z in pts:  # warm: the pole table is built at first use
         sin_n(ctx, z)
-    monkeypatch.setattr(squigfn, "newton_invert", lambda *a, **kw: pytest.fail("Newton"))
+    monkeypatch.setattr(numerics, "newton_invert", lambda *a, **kw: pytest.fail("Newton"))
     hits = Counter()
     for module, name in ((squigfn, "_disc_sum"), (squigfn, "_corner_forward"),
                          (squigfn, "_pole_series"), (numerics, "_series_tail"),
@@ -336,21 +336,29 @@ def ref_invert(ctx, t, routes):
         shift = squigfn._A_ERR * ctx.A.real
         return (c, ys, c_bound + shift * abs(ys) ** (n - 1),
                 ys_bound + shift * abs(c) ** (n - 1))
-    v, x = squigfn._pole_series(ctx, t)
-    if abs(x) <= squigfn._POLE_REACH:
-        routes["pole"] += 1
-        u, q = 1.0 / v, numerics._pole_table(n)[1] * abs(x)
-        ulp = squigfn._ULP
-        rel = (q**numerics.POLE_TERMS / (1.0 - q)
-               + squigfn._POLE_COEF_ERR * abs(x) / (1.0 - abs(x))
-               + 2.0 * (numerics.POLE_TERMS + n) * ulp)
-        bound = abs(u) * rel + squigfn._P_ERR * abs(ctx.P) * abs(1.0 - u**n) ** ctx.beta
-        cosv = squigfn._pole_cos(ctx, v)
-        return u, cosv, bound, (bound * abs(1.0 - v**n) ** -ctx.beta
-                                + 4.0 * (n + 1) * ulp * abs(cosv))
-    routes["lens"] += 1
-    res = numerics.newton_invert(n, t, 1.0 / v, tol=squigfn._DEFAULT_TOL)
-    return res.z, squigfn._pole_cos(ctx, 1.0 / res.z), res.residual, res.residual
+    # the pole series, on every target beyond both discs; "lens" counts the
+    # targets beyond |X| = 2/3, which Newton served before the series did
+    d = (n - 2) * (ctx.P - t) * tables.phase.conjugate()
+    phi = cmath.phase(d)
+    k = round((-(n - 2) * math.pi / (2 * n) - phi) / (2 * math.pi))
+    w = cmath.rect(abs(d) ** (1.0 / (n - 2)), (phi + 2 * math.pi * k) / (n - 2))
+    x = w**n
+    routes["lens" if abs(x) > 2.0 / 3.0 else "pole"] += 1
+    table, rate = numerics._pole_table(n)
+    q = rate * abs(x)
+    last = bisect.bisect_left(ODE_RADII, q, 1, len(table) - 1)
+    acc = 0j
+    for a in reversed(table[:last + 1]):
+        acc = acc * x + a
+    terms, ulp = last + 1, squigfn._ULP
+    v = w * acc
+    v_err = abs(w) * (q**terms + (2 * terms + 3 * n) * ulp / (1.0 - q)) / (1.0 - q)
+    u = 1.0 / v
+    bound = (abs(u) * (abs(u) * v_err + 4.0 * ulp)
+             + squigfn._P_ERR * abs(ctx.P) * abs(1.0 - u**n) ** ctx.beta)
+    cosv = ctx.cos_phase * (1.0 - v**n) ** (1.0 / n) / v
+    return u, cosv, bound, (bound * abs(1.0 - v**n) ** -ctx.beta
+                            + 4.0 * (n + 1) * ulp * abs(cosv))
 
 
 def ref_eval(ctx, z, sine, routes):
@@ -491,7 +499,6 @@ def python_calls(fn, *args):
 
 # Python-level calls per warm call, by route: the entry point, _fold (and
 # _reduce_to_cell at n == 3), the route's functions and EvalResult.__init__.
-# The lens is left out: it runs Newton, whose step count varies.
 CALL_CEILINGS = {"disc 0": 5, "disc A": 6, "pole": 9,
                  "arcsin at 0": 4, "arcsin chart": 6, "arcsin at inf": 5}
 

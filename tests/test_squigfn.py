@@ -1,6 +1,7 @@
 """Sine/cosine evaluation, inverse maps, series and their certificates."""
 
 import cmath
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -8,8 +9,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from squig import squigfn
-from squig.errors import ConvergenceError, DomainError, InvalidSeriesError, ParameterError
+from squig import numerics, squigfn
+from squig.errors import DomainError, InvalidSeriesError, ParameterError
 from squig.geometry import fold, make_context, sample_domain
 from squig.numerics import ODE_TERMS, _series_tables
 from squig.squigfn import (
@@ -356,7 +357,7 @@ class TestPolesAndCorners:
 
 # the edge-image target of the benchmark that Newton failed on (n = 4)
 EDGE_FAILURE = 0.8195010032213695 + 1.0345736657883284j
-# a target between the discs and the pole series' reach (n = 8)
+# a target of the lens between the discs, which Newton served (n = 8)
 LENS_TARGET = 0.9748587606477509 - 0.18636096827399323j
 
 
@@ -379,7 +380,7 @@ class TestEdgeSegment:
         # P and outside the disc at A, where Newton from the old pole seed
         # raised ConvergenceError; the pole series inverts it without Newton
         ctx = make_context(4)
-        monkeypatch.setattr(squigfn, "newton_invert", lambda *a, **kw: pytest.fail("Newton"))
+        monkeypatch.setattr(numerics, "newton_invert", lambda *a, **kw: pytest.fail("Newton"))
         z = EDGE_FAILURE
         s, c = sin_n(ctx, z).value, cos_n(ctx, z).value
         with mpmath.workdps(30):
@@ -387,17 +388,6 @@ class TestEdgeSegment:
             ref_s, ref_c = complex(u), complex((1 - u**4) ** (mpmath.mpf(1) / 4))
         assert abs(s - ref_s) <= 1e-12 * abs(ref_s)
         assert abs(c - ref_c) <= 1e-12 * abs(ref_c)
-
-    @pytest.mark.parametrize("fn", [sin_n, cos_n])
-    def test_failed_inversion_carries_residual(self, fn):
-        # a lens target (n = 8) that only Newton inverts, asked for a
-        # residual below what doubles reach
-        ctx = make_context(8)
-        z = LENS_TARGET
-        with pytest.raises(ConvergenceError) as info:
-            fn(ctx, z, tol=1e-30)
-        assert 1e-30 < info.value.residual < 1e-12
-        assert str(fold(ctx, z).folded) in str(info.value)
 
 
 class TestSin3Global:
@@ -442,25 +432,24 @@ class TestEvalResultContract:
             assert got.residual < 1e-10
 
 
-def test_newton_runs_for_few_sin_cos_calls(monkeypatch):
-    # a count, not a time: the discs at 0 and at A and the pole series leave
-    # Newton only the lens, which n <= 5 does not reach (measured: 20 of
-    # 1,400 calls, 1.4%, at most 2 iterations each)
-    calls = []
-    newton_invert = squigfn.newton_invert
-
-    def counted(n, *args, **kwargs):
-        res = newton_invert(n, *args, **kwargs)
-        calls.append((n, res.iterations))
-        return res
-
-    monkeypatch.setattr(squigfn, "newton_invert", counted)
-    total = 0
-    for n in (3, 4, 5, 8, 16, 32, 64):
+def test_no_sin_cos_call_reaches_newton(monkeypatch):
+    # the discs at 0 and at A and the pole series cover every target, the
+    # lens included, and take no tolerance
+    for fn in (sin_n, cos_n, sin3_global):
+        assert "tol" not in inspect.signature(fn).parameters
+    for name in ("newton_invert", "_newton_basic"):
+        monkeypatch.setattr(numerics, name, lambda *a, **kw: pytest.fail("Newton"))
+    for n in range(3, 65):
         ctx = make_context(n)
-        for z in sample_domain(ctx, random.Random(f"route:{n}"), 100):
-            sin_n(ctx, z)
-            cos_n(ctx, z)
-            total += 2
-    assert len(calls) <= 0.02 * total
-    assert all(n > 5 and iterations <= 3 for n, iterations in calls), calls
+        points = sample_domain(ctx, random.Random(f"route:{n}"), 30)
+        radius = _series_tables(n).disc * (1.0 + 1e-9)
+        # the disc rims, where the lens is widest
+        turn = cmath.exp(0.5j * math.pi / n)
+        points += [radius * turn, ctx.A - radius * turn.conjugate()]
+        if n == 8:
+            points.append(LENS_TARGET)
+        for z in points:
+            s, c = sin_n(ctx, z), cos_n(ctx, z)
+            if not s.is_pole:
+                assert abs(s.value**n + c.value**n - 1.0) <= 1e-12, (n, z)
+    assert sin3_global(make_context(3), LENS_TARGET).value is not None
