@@ -61,10 +61,13 @@ class SquigContext:
     * ``pole_tol``: the radius of the corner flag, 1e-6 ``|P|``;
     * ``tables``: the kernel's ``numerics._series_tables(n)``, so a call
       reads them without a cache lookup;
-    * for n == 3 only (None otherwise), the lattice of ``_reduce_to_cell``:
-      ``c1``/``c2`` (``cell_shift_1``/``cell_shift_2``), their determinant
-      ``det``, the distance tie ``tie`` = 1e-12 ``|A|``, and ``cell_inner``,
-      the radius inside which rounding alone finds the cell.
+    * ``cell_shift_1``/``cell_shift_2``: ``A (1 - omega)`` and
+      ``A (1 - omega**2)``, the generators of the n == 3 lattice (plain
+      fields, not properties, since ``_reduce_to_cell`` reads them per call);
+    * for n == 3 only (None otherwise), the rest of ``_reduce_to_cell``'s
+      lattice: the generators' determinant ``det``, the distance tie
+      ``tie`` = 1e-12 ``|A|``, and ``cell_inner``, the radius inside which
+      rounding alone finds the cell.
     """
 
     n: int
@@ -82,8 +85,8 @@ class SquigContext:
     half_kite: tuple = field(init=False, repr=False)
     pole_tol: float = field(init=False, repr=False)
     tables: _SeriesTables = field(init=False, repr=False)
-    c1: complex | None = field(init=False, repr=False, default=None)
-    c2: complex | None = field(init=False, repr=False, default=None)
+    cell_shift_1: complex = field(init=False, repr=False)
+    cell_shift_2: complex = field(init=False, repr=False)
     det: float | None = field(init=False, repr=False, default=None)
     tie: float | None = field(init=False, repr=False, default=None)
     cell_inner: float | None = field(init=False, repr=False, default=None)
@@ -99,9 +102,9 @@ class SquigContext:
         self.half_kite = (a.real, a.imag, p.real - a.real, p.imag - a.imag, p.real, p.imag)
         self.pole_tol = _POLE_TOL * abs(self.P)
         self.tables = _series_tables(n)
+        self.cell_shift_1 = c1 = a * (1.0 - self.omega)
+        self.cell_shift_2 = c2 = a * (1.0 - self.omega * self.omega)
         if n == 3:
-            c1, c2 = self.cell_shift_1, self.cell_shift_2
-            self.c1, self.c2 = c1, c2
             self.det = c1.real * c2.imag - c1.imag * c2.real
             self.tie = 1e-12 * abs(self.A)
             # every neighbour is |c1| away, so within |c1|/2 - 4 tie of a
@@ -116,16 +119,6 @@ class SquigContext:
     def R(self) -> float:
         """Distance from the origin to the obstruction corner ``P``."""
         return abs(self.P)
-
-    @property
-    def cell_shift_1(self) -> complex:
-        """First hexagonal lattice generator, ``A * (1 - omega)`` (n == 3 only)."""
-        return self.A * (1.0 - self.omega)
-
-    @property
-    def cell_shift_2(self) -> complex:
-        """Second hexagonal lattice generator, ``A * (1 - omega**2)`` (n == 3 only)."""
-        return self.A * (1.0 - self.omega * self.omega)
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,17 +229,26 @@ def _reduce_to_cell(ctx: SquigContext, z: complex) -> tuple[int, int, complex]:
     reduction; distance ties keep whichever cell is closer to the origin.
     Well inside the cell of the rounded point (``ctx.cell_inner``, less the
     rounding of the translation, 64 ulps of ``|z|``) the sweep cannot move
-    it, so it is skipped.
+    it, so it is skipped.  Where that rounding covers the whole inner disc,
+    ``|z| >= cell_inner / _CELL_ROUND`` (1.08e14), it no longer fixes the
+    cell, and DomainError is raised.
     """
-    c1 = ctx.c1
-    c2 = ctx.c2
+    # scaling by _CELL_ROUND, a power of 2, is exact and keeps abs from
+    # overflowing
+    inner = ctx.cell_inner - abs(_CELL_ROUND * z)
+    if not inner > 0.0:
+        raise DomainError(
+            f"point {z} lies beyond the reach of the lattice reduction of Omega_3 "
+            f"(|z| must be below {ctx.cell_inner / _CELL_ROUND:.4g})", region="Omega_3")
+    c1 = ctx.cell_shift_1
+    c2 = ctx.cell_shift_2
     det = ctx.det
     x1 = (z.real * c2.imag - z.imag * c2.real) / det
     x2 = (c1.real * z.imag - c1.imag * z.real) / det
     m1 = round(x1)
     m2 = round(x2)
     v = z - m1 * c1 - m2 * c2
-    if abs(v) < ctx.cell_inner - _CELL_ROUND * abs(z):
+    if abs(v) < inner:
         return m1, m2, v
 
     tie = ctx.tie
@@ -426,12 +428,17 @@ def sample_domain(
     """Draw ``count`` points uniformly over the closed rosette.
 
     Keeps a relative distance of at least ``pole_clearance`` (in units of
-    ``|P|``) from every rotated obstruction corner.  The two half-kite
+    ``|P|``) from every rotated obstruction corner; it must be below 1, as
+    no kite point is ``|P|`` or more from P.  The two half-kite
     triangles have equal area, so a coin flip plus a barycentric draw is
     uniform on the kite, and a uniform rotation spreads it over the rosette.
     """
     if count < 0:
         raise ParameterError("count must be nonnegative")
+    # every kite point lies within |P| of P: both half-kite triangles have
+    # their vertices in that disc, so a clearance of 1 or more leaves nothing
+    if pole_clearance >= 1.0:
+        raise ParameterError(f"pole_clearance must be below 1, got {pole_clearance!r}")
     pts: list[complex] = []
     corners = [ctx.P * cmath.exp(2j * math.pi * k / ctx.n) for k in range(ctx.n)]
     while len(pts) < count:

@@ -12,8 +12,9 @@ discrete winding-number count.
 
 The sector map is evaluated by its series alone, and the constants A and P
 come from the same series (``_series_tables``).  The quadrature rules serve
-``verify`` alone, as the independent route its checks compare against.
-Each rule takes one integrand form:
+``verify``'s integral checks, as the independent route they compare
+against, and ``sector_segment_integral``, the GK15 leg of the sector map,
+serves the tests alone.  Each rule takes one integrand form:
 
 * Gauss-Kronrod (``integrate_smooth``) takes ``f(x)``, a callable of one
   real argument; its nodes never come near the interval ends.
@@ -662,9 +663,8 @@ class _SeriesTables(NamedTuple):
     The ODE pair's tables (``_ode_tables``) serve the inverse: their sums
     converge for |t**n| < R**n, and ``disc`` is the radius where 64 terms
     reach half an ulp, ODE_RADII[-1]**(1/n) R (0.817 R at n = 3, 0.9905 R
-    at n = 64).  They are also kept in Horner order: one table alone for the
-    disc at 0, which needs only the value asked for, and both as pairs for
-    the disc at A, whose certificates need both values.
+    at n = 64).  Each disc sums the one table of the value asked for, sliced
+    backwards from its cut (``sine[last::-1]``) for Horner.
     """
 
     inner: tuple      # binomial table of the series at 0
@@ -678,9 +678,6 @@ class _SeriesTables(NamedTuple):
     scale: float      # R**n, the unit of x = t**n in both
     disc: float       # radius of the discs at 0 and at A that the tables cover
     omega: complex    # e^(2 pi i/n), the root of the corner chart's upper half
-    horner: tuple     # the pairs (a_k, b_k), k = ODE_TERMS - 1 down to 0
-    horner_sine: tuple    # a_k, k = ODE_TERMS - 1 down to 0
-    horner_cosine: tuple  # b_k, k = ODE_TERMS - 1 down to 0
 
 
 @functools.lru_cache(maxsize=None)
@@ -695,8 +692,7 @@ def _series_tables(n: int) -> _SeriesTables:
     return _SeriesTables(inner, outer, chart, radius * cmath.exp(1j * math.pi / n),
                          cmath.exp(1j * math.pi * (n - 1) / n), half,
                          sine, cosine, scale, ODE_RADII[-1] ** (1.0 / n) * radius,
-                         cmath.exp(2j * math.pi / n), tuple(zip(sine, cosine))[::-1],
-                         sine[::-1], cosine[::-1])
+                         cmath.exp(2j * math.pi / n))
 
 
 # Fixed-point bits of the pole table's recurrence.  It runs on k_j 8**j,
@@ -839,9 +835,9 @@ def sector_segment_integral(n: int, za: complex, zb: complex,
 
     Both endpoints (and hence the whole segment) must lie in the closed base
     sector away from the slit part of its boundary, where the principal
-    branch is the continuous one.  No evaluation route uses it; it is the
-    independent quadrature that ``verify`` checks the series against.  The
-    evaluation budget is deliberately small.
+    branch is the continuous one.  Neither an evaluation route nor
+    ``verify`` uses it; it is the independent quadrature that the tests
+    check the series against.  The evaluation budget is deliberately small.
     """
     beta = (n - 1) / n
     seg = zb - za

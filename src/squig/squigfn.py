@@ -11,8 +11,8 @@ The inverse problem has three routes, one per regime of the folded target:
 1. the disc at 0: the ODE pair's Maclaurin series, s = t S(x), c = C(x)
    with x = t**n, summed from float tables (``numerics._ode_tables``) in
    one Horner pass cut at half an ulp,
-2. the disc at the corner ``A``, whichever centre is nearer: the same
-   tables, by the symmetry sin_n(t) = cos_n(y), y = A - t,
+2. the disc at the corner ``A``, whichever centre is nearer: the other
+   table, by the symmetry sin_n(t) = cos_n(y), y = A - t,
 3. every other target, near the pole ``P`` and in the lens between the
    discs: the series at infinity inverted in closed form,
    v = 1/u = W k(W**n) with W a root of (n-2) (P - t) e^(-i pi (n-1)/n)
@@ -20,8 +20,8 @@ The inverse problem has three routes, one per regime of the folded target:
    the cosine u e^(-i pi/n) (1 - v**n)**(1/n) holds on the slit-edge image
    ``[A, P]`` as well.
 
-Each route's ``residual`` bounds the forward error of its value, and no
-route iterates or raises.
+Each route computes only the value asked for, and its ``residual`` bounds
+that value's forward error; no route iterates or raises.
 
 Every forward value of ``F`` comes from one kernel,
 ``numerics.sector_ray_integral``, which sums one of three series.  With
@@ -73,7 +73,8 @@ class EvalResult:
     ``value`` is None exactly when ``is_pole`` is set.  On every route
     ``residual`` is a forward-error bound: it bounds the distance of the
     returned value from the exact one at the folded target (at n = 16,
-    t = 0.99 A it is one ulp for the returned sine 1.0).
+    t = 0.99 A it is one ulp for the returned sine 1.0).  At n == 3 it
+    leaves out the rounding of the lattice translation.
     """
 
     value: complex | None
@@ -168,7 +169,7 @@ def _disc_sum(ctx: SquigContext, w: complex, sine: bool):
     rho = abs(x)
     last = bisect.bisect_left(ODE_RADII, rho, 1, ODE_TERMS - 1)
     acc = 0j
-    for a in (tables.horner_sine if sine else tables.horner_cosine)[ODE_TERMS - 1 - last:]:
+    for a in (tables.sine if sine else tables.cosine)[last::-1]:
         acc = acc * x + a
     terms = last + 1
     bound = 2.0 * rho**terms / (1.0 - rho) + _ULP * (1.0 + 4.0 * terms * rho / (1.0 - rho))
@@ -177,40 +178,35 @@ def _disc_sum(ctx: SquigContext, w: complex, sine: bool):
     return acc, bound
 
 
-def _corner_forward(ctx: SquigContext, y: complex):
-    """(sin, cos) at t = A - y and a bound on the error of each, by the
-    reflection symmetry sin_n(t) = cos_n(y) and cos_n(t) = sin_n(y): the
-    disc at A is the disc at 0 with the two tables' roles swapped.
-
-    Both tables are summed in one Horner pass, cut and bounded as in
-    ``_disc_sum``, since each certificate needs the other value.
+def _corner_forward(ctx: SquigContext, y: complex, sine: bool):
+    """sin_n(t) = cos_n(y) if ``sine``, else cos_n(t) = sin_n(y), at
+    t = A - y, and a bound on its error: ``_disc_sum`` at y with the tables'
+    roles swapped.  y carries the error of A, which moves the value by that
+    error times its slope in y, |sin_n(y)|**(n-1) or |cos_n(y)|**(n-1),
+    read from the value itself as |1 - value**n|**beta (s**n + c**n = 1).
     """
     n = ctx.n
     tables = ctx.tables
     x = y**n / tables.scale
     rho = abs(x)
     last = bisect.bisect_left(ODE_RADII, rho, 1, ODE_TERMS - 1)
-    s = c = 0j
-    for a, b in tables.horner[ODE_TERMS - 1 - last:]:
-        s = s * x + a
-        c = c * x + b
+    acc = 0j
+    for a in (tables.cosine if sine else tables.sine)[last::-1]:
+        acc = acc * x + a
     terms = last + 1
-    c_bound = 2.0 * rho**terms / (1.0 - rho) + _ULP * (1.0 + 4.0 * terms * rho / (1.0 - rho))
-    ys = y * s
-    # y carries the error of A, which moves each value by up to that error
-    # times its slope in y: sin_n(y)**(n-1) for cos_n(y), cos_n(y)**(n-1)
-    # for sin_n(y)
-    shift = _A_ERR * ctx.A.real
-    return (c, ys, c_bound + shift * abs(ys) ** (n - 1),
-            abs(y) * (c_bound + _ULP) + shift * abs(c) ** (n - 1))
+    bound = 2.0 * rho**terms / (1.0 - rho) + _ULP * (1.0 + 4.0 * terms * rho / (1.0 - rho))
+    if not sine:
+        acc = y * acc
+        bound = abs(y) * (bound + _ULP)
+    return acc, bound + _A_ERR * ctx.A.real * abs(1.0 - acc**n) ** ((n - 1) / n)
 
 
-def _corner_invert(ctx: SquigContext, y: complex):
-    """The route of the disc at A: (u, cos, u's bound, cos's bound) at
-    t = A - y when |y| is within the tables' disc radius, else None."""
+def _corner_invert(ctx: SquigContext, y: complex, sine: bool):
+    """The route of the disc at A: ``_corner_forward`` at t = A - y when |y|
+    is within the tables' disc radius, else None."""
     if abs(y) > ctx.tables.disc:
         return None
-    return _corner_forward(ctx, y)
+    return _corner_forward(ctx, y, sine)
 
 
 # ---------------------------------------------------------------------------
@@ -319,28 +315,28 @@ def _invert_to_triangle(ctx: SquigContext, t: complex, sine: bool):
     if abs(t) <= abs(y):
         if abs(t) <= ctx.tables.disc:
             return _disc_sum(ctx, t, sine)
-        got = None
     else:
-        got = _corner_invert(ctx, y)
-    if got is None:
-        got = _pole_invert(ctx, t)
-    return (got[0], got[2]) if sine else (got[1], got[3])
+        got = _corner_invert(ctx, y, sine)
+        if got is not None:
+            return got
+    return _pole_invert(ctx, t, sine)
 
 
-def _pole_invert(ctx: SquigContext, t: complex):
-    """(u, cos_n, u's bound, the cosine's bound) at a target beyond both
-    discs, by the pole series."""
+def _pole_invert(ctx: SquigContext, t: complex, sine: bool):
+    """sin_n(t) if ``sine``, else cos_n(t), at a target beyond both discs,
+    and a bound on its error, by the pole series."""
     n = ctx.n
     v, v_err = _pole_series(ctx, t)
     # |du| = |u|**2 |dv| plus the rounding of W, v and u, and P's error
     # times |du/dt| = |1 - u**n|**beta; |dcos/du| = |1 - v**n|**(-beta)
     u = 1.0 / v
-    beta = ctx.beta
+    beta = (n - 1) / n
     bound = (abs(u) * (abs(u) * v_err + 4.0 * _ULP)
              + _P_ERR * abs(ctx.P) * abs(1.0 - u**n) ** beta)
+    if sine:
+        return u, bound
     cosv = _pole_cos(ctx, v)
-    return u, cosv, bound, (bound * abs(1.0 - v**n) ** -beta
-                            + 4.0 * (n + 1) * _ULP * abs(cosv))
+    return cosv, bound * abs(1.0 - v**n) ** -beta + 4.0 * (n + 1) * _ULP * abs(cosv)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from .numerics import (
     integrate_endpoint_singular,
     integrate_smooth,
     integrate_tail,
-    sector_segment_integral,
     winding_number,
 )
 from .squigfn import arcsin_n, arcsin_n_sector, sin3_global, sin_n
@@ -76,7 +75,6 @@ _FAIL_SENTINEL = 1e308     # finite so reports stay strict-JSON serializable
 _LOOP_LEG_POINTS = 120
 _LOOP_ARC_POINTS = 64
 _LOOP_OFFSET = 1e-6        # angular offset keeping contour legs off the slits
-_LOOP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -226,39 +224,23 @@ def check_limit_at_infinity(ctx: SquigContext, radii: Sequence[float] | None = N
 def _boundary_image_loop(ctx: SquigContext, R: float) -> list[complex]:
     """Image of the circle |z| = R with keyhole detours along both slit edges.
 
-    Built once per (context, radius): one upper-edge leg and one arc in the
-    base sector, then rotations and a conjugated copy assemble the full loop.
-    Points inside the corner band are evaluated directly; the rest continue
-    by segment integrals, which keeps every integrand away from the roots.
+    One upper-edge leg and one arc in the base sector are evaluated point by
+    point with ``arcsin_n``, whose values on the slit plane are the
+    continuation along them; rotations and a conjugated copy assemble the
+    full loop.
     """
-    key = ("winding_loop", R)
-    cached = ctx.series_cache.get(key)
-    if cached is not None:
-        return cached
-
     n = ctx.n
     tau = 2.0 * math.pi / n
     om = ctx.omega
-    band = 0.4 * 0.08 * 2.0 * math.sin(math.pi / n)
     m = _LOOP_LEG_POINTS
     xs = [1.0 + (R - 1.0) * 10.0 ** (-9.0 * (1.0 - j / (m - 1))) for j in range(m)]
-    pts = [x * cmath.exp(1j * _LOOP_OFFSET) for x in xs]
-    leg: list[complex] = []
-    for j, (x, p) in enumerate(zip(xs, pts)):
-        if x - 1.0 <= band:
-            leg.append(arcsin_n(ctx, p))
-        else:
-            leg.append(leg[-1] + sector_segment_integral(n, pts[j - 1], p, _LOOP_TOL))
+    leg = [arcsin_n(ctx, x * cmath.exp(1j * _LOOP_OFFSET)) for x in xs]
 
     a = _LOOP_ARC_POINTS
-    ths = [_LOOP_OFFSET + (tau - 2.0 * _LOOP_OFFSET) * i / a for i in range(a + 1)]
-    arc = [leg[-1]]
-    for i in range(a):
-        za = R * cmath.exp(1j * ths[i])
-        zb = R * cmath.exp(1j * ths[i + 1])
-        arc.append(arc[-1] + sector_segment_integral(n, za, zb, _LOOP_TOL))
+    arc = [arcsin_n(ctx, R * cmath.exp(1j * (_LOOP_OFFSET + (tau - 2.0 * _LOOP_OFFSET) * i / a)))
+           for i in range(1, a + 1)]
 
-    piece = leg + arc[1:] + [om * v.conjugate() for v in reversed(leg)]
+    piece = leg + arc + [om * v.conjugate() for v in reversed(leg)]
     loop: list[complex] = []
     rot = 1.0 + 0j
     for _ in range(n):
@@ -269,7 +251,6 @@ def _boundary_image_loop(ctx: SquigContext, R: float) -> list[complex]:
         if abs(v - dedup[-1]) > 1e-12:
             dedup.append(v)
     dedup.append(dedup[0])
-    ctx.series_cache[key] = dedup
     return dedup
 
 

@@ -6,19 +6,30 @@ slits of the slit plane, rotated into a random sector.  ``sin_n`` and
 ``cos_n`` are called at the same point; when both return values they must
 satisfy the Pythagorean identity s**n + c**n = 1.  A second search draws
 NaN and +-inf parts: every map and ``fold`` raise DomainError at such a
-point, and the membership tests answer a bool.
+point, and the membership tests answer a bool.  A third search spans
+n = 3 over |z| = 1 .. 1e300: each call folds into the kite, up to the
+lattice translation's rounding, with finite values, or raises DomainError
+beyond the reach of the lattice reduction.
 """
 
 import cmath
 import functools
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from squig.errors import DomainError, SquigError
-from squig.geometry import contains_Pi, contains_Sigma, fold, in_rosette, make_context
+from squig.geometry import (
+    _CELL_ROUND,
+    contains_Pi,
+    contains_Sigma,
+    fold,
+    in_rosette,
+    make_context,
+)
 from squig.squigfn import arcsin_n, arcsin_n_sector, cos_n, sin3_global, sin_n
 
 context = functools.lru_cache(maxsize=None)(make_context)
@@ -99,3 +110,55 @@ def test_non_finite_points_raise_domain_error(n, re, im):
             fn(ctx, z)
     for test in (contains_Pi, contains_Sigma, in_rosette):
         assert test(ctx, z) in (True, False)
+
+
+def _kite_escape(ctx, t: complex) -> float:
+    # how far t lies outside the half-kite triangle (0, A, P), 0 inside
+    out = 0.0
+    for a, b in ((0j, ctx.A), (ctx.A, ctx.P), (ctx.P, 0j)):
+        e, d = b - a, t - a
+        out = max(out, (e.imag * d.real - e.real * d.imag) / abs(e))
+    return out
+
+
+def _check_n3_far(z: complex):
+    ctx = context(3)
+    # the reach: beyond it the translation's rounding, _CELL_ROUND |z|,
+    # covers the cell's whole inner disc (|z| = 1.08e14)
+    rounding = abs(_CELL_ROUND * z)
+    try:
+        t = fold(ctx, z).folded
+        s, c = sin_n(ctx, z), cos_n(ctx, z)
+    except DomainError as exc:
+        assert exc.region == "Omega_3"
+        assert rounding >= ctx.cell_inner, z
+        return
+    assert rounding < ctx.cell_inner, z
+    assert _kite_escape(ctx, t) <= max(rounding, 1e-15), z
+    for got in (s, c):
+        assert got.is_pole or (cmath.isfinite(got.value) and math.isfinite(got.residual)), z
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(
+    exponent=st.one_of(st.floats(0.0, 300.0), st.floats(12.0, 14.5)),
+    phase=st.floats(-math.pi, math.pi),
+)
+def test_n3_far_points_fold_into_the_kite_or_raise(exponent, phase):
+    _check_n3_far(10.0**exponent * cmath.exp(1j * phase))
+
+
+def test_n3_reach_by_a_dense_sweep():
+    # the translation's rounding grows with |z|; below the reach the fold
+    # stays within it (measured: 0.32 ulps of |z| at most, over 400,000
+    # points from 1e12 to the reach); past it, up to the largest finite
+    # points, every call raises
+    ctx = context(3)
+    reach = ctx.cell_inner / _CELL_ROUND
+    rng = random.Random("reach")
+    for _ in range(4000):
+        r = reach * 10.0 ** -rng.uniform(0.0, 2.0)
+        _check_n3_far(r * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
+    for z in (reach * (1.0 - 1e-9), reach * (1.0 + 1e-9) * 1j, 1e300,
+              1e17 + 1e17j, complex(1.7e308, 1.7e308), complex(-1e308, 0.0)):
+        _check_n3_far(z)

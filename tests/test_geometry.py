@@ -347,3 +347,10 @@ class TestSampleDomain:
         a = sample_domain(ctx, random.Random(SEED), 64)
         b = sample_domain(ctx, random.Random(SEED), 64)
         assert a == b
+
+    @pytest.mark.parametrize("clearance", [1.0, 1.5, math.inf])
+    def test_clearance_of_one_or_more_is_refused(self, clearance):
+        # every kite point lies within |P| of P, so the draw would never end
+        ctx = make_context(4)
+        with pytest.raises(ParameterError):
+            sample_domain(ctx, random.Random(SEED), 1, pole_clearance=clearance)

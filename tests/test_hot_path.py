@@ -4,11 +4,11 @@
 tolerances, the kernel's tables and (for n == 3) the lattice once;
 ``contains_Sigma`` rotates onto the one slit nearest in phase and
 ``_reduce_to_cell`` skips the neighbour sweep deep inside a cell.
-``sin_n``/``cos_n`` fold through the tuple-returning ``_fold``, sum one
-table on the disc at 0, and build one slotted ``EvalResult``.  The old
-n-slit loop, the full six-neighbour sweep, the frozen-dataclass ``fold``
-and the two-table inversion are kept here as references, and every answer
-must match them exactly.
+``sin_n``/``cos_n`` fold through the tuple-returning ``_fold``, sum the
+one table of the value asked for on either disc, and build one slotted
+``EvalResult``.  The old n-slit loop, the full six-neighbour sweep, the
+frozen-dataclass ``fold`` and the two-table inversion are kept here as
+references, and every answer must match them exactly.
 """
 
 import bisect
@@ -175,14 +175,18 @@ def test_context_tables_are_the_per_call_expressions(n):
     tables = numerics._series_tables(n)
     assert ctx.tables is tables
     assert tables.omega == cmath.exp(2j * math.pi / n)
-    assert tables.horner == tuple(zip(tables.sine, tables.cosine))[::-1]
-    assert tables.horner_sine == tables.sine[::-1]
-    assert tables.horner_cosine == tables.cosine[::-1]
+    # the discs slice the tables themselves; no reversed copy is kept
+    assert not any(name.startswith("horner") for name in tables._fields)
+    # the lattice generators are plain fields, not properties
+    assert ctx.cell_shift_1 == ctx.A * (1.0 - ctx.omega)
+    assert ctx.cell_shift_2 == ctx.A * (1.0 - ctx.omega * ctx.omega)
+    for name in ("cell_shift_1", "cell_shift_2"):
+        assert not isinstance(vars(type(ctx)).get(name), property), name
+    assert not hasattr(ctx, "c1") and not hasattr(ctx, "c2")
     if n == 3:
-        assert (ctx.c1, ctx.c2) == (ctx.cell_shift_1, ctx.cell_shift_2)
         assert ctx.tie == 1e-12 * abs(ctx.A)
     else:
-        assert ctx.c1 is ctx.c2 is ctx.det is ctx.tie is ctx.cell_inner is None
+        assert ctx.det is ctx.tie is ctx.cell_inner is None
 
 
 def route_points(ctx):
@@ -239,7 +243,7 @@ def test_warm_hot_path_makes_no_exp_calls(n, monkeypatch):
     sector_ray_integral(n, upper)
     assert calls == []
     # every route ran: the disc at 0 is _disc_sum, the disc at A is
-    # _corner_forward's two-table pass
+    # _corner_forward's one-table pass
     assert hits["_disc_sum"] > 0 and hits["_corner_forward"] > 0
     assert hits["_pole_series"] > 0 and hits["_corner_series"] > 0
     assert hits["_series_tail"] > hits["_corner_series"]
@@ -333,9 +337,11 @@ def ref_invert(ctx, t, routes):
     elif abs(y) <= tables.disc:
         routes["disc A"] += 1
         ys, c, ys_bound, c_bound = ref_disc_sum(ctx, y)
-        shift = squigfn._A_ERR * ctx.A.real
-        return (c, ys, c_bound + shift * abs(ys) ** (n - 1),
-                ys_bound + shift * abs(c) ** (n - 1))
+        # A's error times each value's slope in y, read from the value
+        # itself through s**n + c**n = 1
+        shift, beta = squigfn._A_ERR * ctx.A.real, (n - 1) / n
+        return (c, ys, c_bound + shift * abs(1.0 - c**n) ** beta,
+                ys_bound + shift * abs(1.0 - ys**n) ** beta)
     # the pole series, on every target beyond both discs; "lens" counts the
     # targets beyond |X| = 2/3, which Newton served before the series did
     d = (n - 2) * (ctx.P - t) * tables.phase.conjugate()
@@ -446,39 +452,75 @@ def test_flat_path_is_bit_identical_to_the_references(n):
     assert bool(raised) is (n != 3)
 
 
-def disc_zero_points(ctx, rng):
-    """Rosette points whose folded target takes the disc at 0."""
+def disc_points(ctx, rng, at_corner):
+    """Rosette points whose folded target takes the disc at 0, or at A."""
     pts = []
     for z in sample_domain(ctx, rng, 80):
         t = fold(ctx, z).folded
-        if abs(t) <= min(ctx.tables.disc, abs(ctx.A - t)):
+        y = ctx.A - t
+        if (abs(y) < abs(t)) is at_corner and min(abs(t), abs(y)) <= ctx.tables.disc:
             pts.append(z)
     return pts
+
+
+def poisoned(ctx, table):
+    """A context whose ``table`` ("sine" or "cosine") is all NaN."""
+    bad = make_context(ctx.n)
+    bad.tables = ctx.tables._replace(**{table: (math.nan,) * ODE_TERMS})
+    return bad
+
+
+OTHER_TABLE = {"sine": "cosine", "cosine": "sine"}
+
+
+def assert_reads_only_its_table(ctx, pts, sine_table):
+    """sin_n reads only ``sine_table`` and cos_n only the other one: each
+    gives the same bits with the table it does not read poisoned."""
+    for fn, table in ((sin_n, sine_table), (cos_n, OTHER_TABLE[sine_table])):
+        bad = poisoned(ctx, OTHER_TABLE[table])
+        for z in pts:
+            want, got = fn(ctx, z), fn(bad, z)
+            assert (bits(got.value), bits(got.residual)) == (bits(want.value),
+                                                              bits(want.residual)), (fn, z)
 
 
 @pytest.mark.parametrize("n", ALL_NS)
 def test_zero_disc_reads_only_the_table_it_returns(n):
     ctx = make_context(n)
-    tables = ctx.tables
-    nan = (math.nan,) * ODE_TERMS
-    no_cos, no_sin = make_context(n), make_context(n)
-    no_cos.tables = tables._replace(cosine=nan, horner_cosine=nan,
-                                    horner=tuple((a, math.nan) for a, _ in tables.horner))
-    no_sin.tables = tables._replace(sine=nan, horner_sine=nan,
-                                    horner=tuple((math.nan, b) for _, b in tables.horner))
-    pts = disc_zero_points(ctx, random.Random(f"poison:{n}"))
+    pts = disc_points(ctx, random.Random(f"poison:{n}"), at_corner=False)
     assert len(pts) >= 10
-    for z in pts:
-        want_s, want_c = sin_n(ctx, z), cos_n(ctx, z)
-        got_s, got_c = sin_n(no_cos, z), cos_n(no_sin, z)
-        assert (bits(got_s.value), bits(got_s.residual)) == (bits(want_s.value),
-                                                              bits(want_s.residual)), z
-        assert (bits(got_c.value), bits(got_c.residual)) == (bits(want_c.value),
-                                                              bits(want_c.residual)), z
-    # the poison does reach the disc at A, whose pass reads both tables
+    assert_reads_only_its_table(ctx, pts, "sine")
+
+
+@pytest.mark.parametrize("n", ALL_NS)
+def test_corner_disc_reads_only_the_table_it_returns(n):
+    # sin_n(t) = cos_n(A - t): the disc at A returns each value from the
+    # other table, and reads its slope from the value, not from the table
+    # of the function not asked for
+    ctx = make_context(n)
+    pts = disc_points(ctx, random.Random(f"poison A:{n}"), at_corner=True)
+    assert len(pts) >= 10
+    assert_reads_only_its_table(ctx, pts, "cosine")
     near_a = 0.95 * ctx.A + 0.01 * ctx.P
-    assert cmath.isnan(sin_n(no_cos, near_a).value)
-    assert cmath.isnan(cos_n(no_sin, near_a).value)
+    assert cmath.isnan(sin_n(poisoned(ctx, "cosine"), near_a).value)
+    assert cmath.isnan(cos_n(poisoned(ctx, "sine"), near_a).value)
+
+
+@pytest.mark.parametrize("n", ALL_NS)
+def test_sine_never_builds_the_pole_cosine(n, monkeypatch):
+    ctx = make_context(n)
+    folded = [fold(ctx, z).folded for z in sample_domain(ctx, random.Random(f"pole:{n}"), 80)]
+    targets = [t for t in [ctx.P - 1e-3 * ctx.P] + folded
+               if min(abs(t), abs(ctx.A - t)) > ctx.tables.disc]
+    cosines = []
+    pole_cos = squigfn._pole_cos
+    monkeypatch.setattr(squigfn, "_pole_cos", lambda c, v: cosines.append(v) or pole_cos(c, v))
+    for t in targets:
+        assert sin_n(ctx, t).value is not None
+    assert cosines == []
+    for t in targets:
+        assert cos_n(ctx, t).value is not None
+    assert len(cosines) == len(targets)
 
 
 def python_calls(fn, *args):
@@ -499,7 +541,8 @@ def python_calls(fn, *args):
 
 # Python-level calls per warm call, by route: the entry point, _fold (and
 # _reduce_to_cell at n == 3), the route's functions and EvalResult.__init__.
-CALL_CEILINGS = {"disc 0": 5, "disc A": 6, "pole": 9,
+# The pole's 7 is cos_n's, whose route adds _pole_cos; sin_n makes 6.
+CALL_CEILINGS = {"disc 0": 5, "disc A": 6, "pole": 7,
                  "arcsin at 0": 4, "arcsin chart": 6, "arcsin at inf": 5}
 
 

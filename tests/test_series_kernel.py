@@ -323,7 +323,8 @@ def test_corner_route_against_mpmath(n, monkeypatch):
     ctx = make_context(n)
     hits = []
     invert = squigfn._corner_invert
-    monkeypatch.setattr(squigfn, "_corner_invert", lambda c, y: hits.append(y) or invert(c, y))
+    monkeypatch.setattr(squigfn, "_corner_invert",
+                        lambda c, y, sine: hits.append(y) or invert(c, y, sine))
     targets = disc_targets(ctx, random.Random(f"corner:{n}"), at_corner=True)
     for t in targets:
         s, c = sin_n(ctx, t), cos_n(ctx, t)
@@ -404,7 +405,7 @@ def test_corner_certificate_is_a_forward_bound():
 
 @pytest.mark.parametrize("n", ALL_NS)
 def test_corner_newton_steps(n, monkeypatch):
-    # no Newton left at A: one two-table sum per inversion, cut within the
+    # no Newton left at A: one one-table sum per inversion, cut within the
     # tables' length at half an ulp on the whole disc, its rim included
     ctx = make_context(n)
     tables = _series_tables(n)
@@ -416,20 +417,21 @@ def test_corner_newton_steps(n, monkeypatch):
     sums = [0]
     forward = squigfn._corner_forward
 
-    def counted(c, w):
+    def counted(c, w, sine):
         sums[0] += 1
-        return forward(c, w)
+        return forward(c, w, sine)
 
     monkeypatch.setattr(squigfn, "_corner_forward", counted)
     for y in ys:
-        sums[0] = 0
-        got = squigfn._corner_invert(ctx, y)
-        assert got is not None, y
-        assert sums[0] == 1, y
+        for sine in (True, False):
+            sums[0] = 0
+            got = squigfn._corner_invert(ctx, y, sine)
+            assert got is not None, y
+            assert sums[0] == 1, y
         rho = abs(y**n / tables.scale)
         terms = min(bisect.bisect_left(ODE_RADII, rho) + 1, ODE_TERMS)
         assert 2.0 * rho**terms / (1.0 - rho) <= _SERIES_EPS, y
-    assert squigfn._corner_invert(ctx, tables.disc * 1.001) is None
+    assert squigfn._corner_invert(ctx, tables.disc * 1.001, True) is None
 
 
 @pytest.mark.parametrize("n", NS)

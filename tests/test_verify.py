@@ -110,13 +110,14 @@ class TestWinding:
                 rep = check_winding(ctx, 50.0, w)
                 assert rep.passed and rep.lhs == 0 and rep.rhs == 0
 
-    def test_loop_cached_per_radius(self):
-        ctx = make_context(4)
-        check_winding(ctx, 50.0, 0.3 * ctx.P)
-        key = ("winding_loop", 50.0)
-        loop = ctx.series_cache[key]
-        check_winding(ctx, 50.0, 0.5 * ctx.P)
-        assert ctx.series_cache[key] is loop
+    @pytest.mark.parametrize("n", range(3, 65))
+    def test_inside_and_outside_at_every_n(self, n):
+        # the loop is built from arcsin_n alone, for every supported n
+        ctx = make_context(n)
+        inside = check_winding(ctx, 50.0, 0.4 * ctx.P)
+        outside = check_winding(ctx, 50.0, 1.05 * ctx.P)
+        assert inside.passed and inside.lhs == 1
+        assert outside.passed and outside.lhs == 0
 
     def test_n3_hexagon(self):
         ctx = make_context(3)
