@@ -44,7 +44,6 @@ from .squigfn import (
     arcsin_n_sector,
     cos_n,
     maclaurin,
-    pi_n,
     radius_estimate,
     sin3_global,
     sin_n,
@@ -105,7 +104,6 @@ __all__ = [
     "integrate_tail",
     "make_context",
     "maclaurin",
-    "pi_n",
     "radius_estimate",
     "revert_series",
     "run_all",

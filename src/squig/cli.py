@@ -20,7 +20,6 @@ import cmath
 import csv
 import io
 import json
-import math
 import re
 import sys
 from dataclasses import dataclass
@@ -296,7 +295,7 @@ def _split_runs(points: list[complex | None]) -> list[list[complex]]:
 def _grid_image_F(ctx: SquigContext, density: int) -> list[list[complex]]:
     """Images of a polar grid on the base sector under the slit-plane map."""
     n = ctx.n
-    tau = 2.0 * math.pi / n
+    tau = ctx.tau
     curves = []
     samples = 96
     r_lo, r_hi = 0.15, 3.5
@@ -323,7 +322,7 @@ def _grid_image_sin(ctx: SquigContext, density: int) -> list[list[complex]]:
     n = ctx.n
     half = abs(ctx.A) * 1.01
     clip = _GRID_CLIP_FACTOR * abs(ctx.A)
-    poles = [ctx.P * ctx.omega ** k for k in range(n)] if n == 3 else []
+    poles = [ctx.P * r for r in ctx.roots] if n == 3 else []
     samples = 72
     curves = []
     for horizontal in (True, False):
@@ -380,7 +379,7 @@ def cmd_grid(n: int, map_name: str, density: int, fmt: str) -> OutputDocument:
             w = ctx.omega ** k
             draw([w, w * reach], "#aa3333", 0.012 * scale)
         labels = [("A", ctx.A), ("P", ctx.P), ("B", ctx.B)]
-        pole_marks = [ctx.P * ctx.omega ** k for k in range(n)] if n == 3 else []
+        pole_marks = [ctx.P * r for r in ctx.roots] if n == 3 else []
 
     lo_x = min(p.real for p in drawn)
     hi_x = max(p.real for p in drawn)

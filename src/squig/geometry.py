@@ -45,12 +45,16 @@ _CELL_ROUND = 2.0**-46
 class SquigContext:
     """Fixed-n bundle of constants shared by every operation.
 
-    Treated as immutable after construction; ``series_cache`` is filled
+    ``SquigContext(n)`` takes ``n`` alone, an integer in ``[3, 64]``, and
+    derives every other field from it, so no two of them can disagree.  It
+    is treated as immutable after construction; ``series_cache`` is filled
     lazily (keyed by term count) but entries are never mutated.
 
-    The per-call hot path reads derived fields, built once in
-    ``__post_init__`` and never mutated, each by the expression it stands
-    for, so every value matches the one computed per call:
+    ``A``, ``P`` and ``pi_n = 2 A`` are read from the kernel's series
+    tables, with no quadrature or gamma function; ``omega`` is ``roots[1]``
+    and ``B = omega A``.  The per-call hot path reads derived fields, each
+    built by the expression it stands for, so every value matches the one
+    computed per call:
 
     * ``roots[k]`` and ``inv_roots[k]``: ``exp(+-2 pi i k / n)``, k < n;
     * ``tau``: the wedge angle ``2 pi / n``;
@@ -71,12 +75,12 @@ class SquigContext:
     """
 
     n: int
-    omega: complex
-    pi_n: float
-    A: complex
-    B: complex
-    P: complex
-    series_cache: dict = field(default_factory=dict, repr=False)
+    omega: complex = field(init=False)
+    pi_n: float = field(init=False)
+    A: complex = field(init=False)
+    B: complex = field(init=False)
+    P: complex = field(init=False)
+    series_cache: dict = field(init=False, default_factory=dict, repr=False)
     roots: tuple = field(init=False, repr=False)
     inv_roots: tuple = field(init=False, repr=False)
     tau: float = field(init=False, repr=False)
@@ -93,20 +97,28 @@ class SquigContext:
 
     def __post_init__(self):
         n = self.n
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ParameterError(f"n must be an integer, got {n!r}")
+        if not _MIN_N <= n <= _MAX_N:
+            raise ParameterError(f"n must lie in [{_MIN_N}, {_MAX_N}], got {n}")
+        self.tables = tables = _series_tables(n)
         self.roots = tuple(cmath.exp(2j * math.pi * k / n) for k in range(n))
         self.inv_roots = tuple(cmath.exp(-2j * math.pi * k / n) for k in range(n))
+        self.omega = omega = self.roots[1]
+        self.pi_n = 2.0 * tables.half
+        self.A = a = complex(tables.half, 0.0)
+        self.B = omega * a
+        self.P = p = tables.corner
         self.tau = 2.0 * math.pi / n
         self.cos_phase = cmath.exp(-1j * math.pi / n)
-        self.edge_tol = _EDGE_TOL * abs(self.A) ** 2
-        a, p = self.A, self.P
+        self.edge_tol = _EDGE_TOL * abs(a) ** 2
         self.half_kite = (a.real, a.imag, p.real - a.real, p.imag - a.imag, p.real, p.imag)
-        self.pole_tol = _POLE_TOL * abs(self.P)
-        self.tables = _series_tables(n)
-        self.cell_shift_1 = c1 = a * (1.0 - self.omega)
-        self.cell_shift_2 = c2 = a * (1.0 - self.omega * self.omega)
+        self.pole_tol = _POLE_TOL * abs(p)
+        self.cell_shift_1 = c1 = a * (1.0 - omega)
+        self.cell_shift_2 = c2 = a * (1.0 - omega * omega)
         if n == 3:
             self.det = c1.real * c2.imag - c1.imag * c2.real
-            self.tie = 1e-12 * abs(self.A)
+            self.tie = 1e-12 * abs(a)
             # every neighbour is |c1| away, so within |c1|/2 - 4 tie of a
             # lattice point no neighbour comes within a tie of being nearer
             self.cell_inner = 0.5 * abs(c1) - 4.0 * self.tie
@@ -155,21 +167,8 @@ _NO_SHIFT = (0, 0)
 
 
 def make_context(n: int) -> SquigContext:
-    """Build the shared constant bundle for a given ``n``.
-
-    ``A``, ``P`` and ``pi_n = 2 A`` are read from the kernel's series tables
-    (``numerics._series_tables``), with no quadrature or gamma function.
-    """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ParameterError(f"n must be an integer, got {n!r}")
-    if not _MIN_N <= n <= _MAX_N:
-        raise ParameterError(f"n must lie in [{_MIN_N}, {_MAX_N}], got {n}")
-
-    tables = _series_tables(n)
-    omega = cmath.exp(2j * math.pi / n)
-    half = complex(tables.half, 0.0)
-    return SquigContext(n=n, omega=omega, pi_n=2.0 * tables.half, A=half,
-                        B=omega * half, P=tables.corner)
+    """Build the shared constant bundle for a given ``n``: ``SquigContext(n)``."""
+    return SquigContext(n)
 
 
 def _cross(o: complex, a: complex, b: complex) -> float:
@@ -202,8 +201,18 @@ def contains_Pi(ctx: SquigContext, z: complex) -> bool:
 
 
 def in_rosette(ctx: SquigContext, z: complex) -> bool:
-    """Closed-rosette membership: ``z`` lies in one of the n rotated kites."""
-    return any(contains_Pi(ctx, z * ctx.omega ** -k) for k in range(ctx.n))
+    """Closed-rosette membership: ``z`` lies in one of the n rotated kites.
+
+    Each kite lies inside its own wedge, so only the kite of the wedge that
+    holds ``z``'s phase can hold ``z``: it is rotated once, into that kite.
+    The edge slack is that kite's alone, as in ``fold``, so at a tip
+    ``omega**k A`` no point is taken in by the neighbouring kite's slack.
+    A NaN or infinite point lies in no kite.
+    """
+    z = complex(z)
+    if not cmath.isfinite(z):
+        return False
+    return contains_Pi(ctx, z * ctx.inv_roots[math.floor(cmath.phase(z) / ctx.tau) % ctx.n])
 
 
 def contains_Sigma(ctx: SquigContext, w: complex) -> bool:
@@ -404,7 +413,7 @@ def boundary_polyline(
     if which == "gamma":
         if radius is None or not radius > 0.0:
             raise ParameterError("the gamma boundary needs a positive radius")
-        tau = 2.0 * math.pi / ctx.n
+        tau = ctx.tau
         pts = []
         for j in range(samples_per_edge):
             pts.append(complex(radius * j / samples_per_edge, 0.0))
@@ -427,20 +436,24 @@ def sample_domain(
 ) -> list[complex]:
     """Draw ``count`` points uniformly over the closed rosette.
 
-    Keeps a relative distance of at least ``pole_clearance`` (in units of
-    ``|P|``) from every rotated obstruction corner; it must be below 1, as
-    no kite point is ``|P|`` or more from P.  The two half-kite
+    ``count`` must be a nonnegative int (a bool is refused).  Keeps a
+    relative distance of at least ``pole_clearance`` (in units of ``|P|``)
+    from every rotated obstruction corner; it must be below 1, as no kite
+    point is ``|P|`` or more from P.  The two half-kite
     triangles have equal area, so a coin flip plus a barycentric draw is
     uniform on the kite, and a uniform rotation spreads it over the rosette.
     """
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise ParameterError(f"count must be an integer, got {count!r}")
     if count < 0:
         raise ParameterError("count must be nonnegative")
     # every kite point lies within |P| of P: both half-kite triangles have
-    # their vertices in that disc, so a clearance of 1 or more leaves nothing
-    if pole_clearance >= 1.0:
+    # their vertices in that disc, so a clearance of 1 or more leaves nothing;
+    # the comparison also refuses NaN, which would turn the clearance off
+    if not pole_clearance < 1.0:
         raise ParameterError(f"pole_clearance must be below 1, got {pole_clearance!r}")
     pts: list[complex] = []
-    corners = [ctx.P * cmath.exp(2j * math.pi * k / ctx.n) for k in range(ctx.n)]
+    corners = [ctx.P * r for r in ctx.roots]
     while len(pts) < count:
         a = rng.random()
         b = rng.random()
@@ -448,7 +461,7 @@ def sample_domain(
             a, b = 1.0 - a, 1.0 - b
         base = ctx.A if rng.random() < 0.5 else ctx.B
         p = a * base + b * ctx.P
-        p *= cmath.exp(2j * math.pi * rng.randrange(ctx.n) / ctx.n)
+        p *= ctx.roots[rng.randrange(ctx.n)]
         if min(abs(p - c) for c in corners) < pole_clearance * abs(ctx.P):
             continue
         pts.append(p)

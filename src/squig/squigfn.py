@@ -48,7 +48,7 @@ from .errors import (
     InvalidSeriesError,
     ParameterError,
 )
-from .geometry import SquigContext, _fold, contains_Sigma
+from .geometry import _CELL_ROUND, SquigContext, _fold, contains_Sigma
 from .numerics import (
     ODE_RADII,
     ODE_TERMS,
@@ -74,7 +74,10 @@ class EvalResult:
     ``residual`` is a forward-error bound: it bounds the distance of the
     returned value from the exact one at the folded target (at n = 16,
     t = 0.99 A it is one ulp for the returned sine 1.0).  At n == 3 it
-    leaves out the rounding of the lattice translation.
+    also covers the lattice translation's error: the error of the cell
+    shifts (``_A_ERR`` times the shift) and the rounding of the translated
+    point (``_CELL_ROUND`` times ``|z|``), each times the value's slope,
+    ``|1 - value**3|**(2/3)``.
     """
 
     value: complex | None
@@ -90,11 +93,6 @@ class EvalResult:
 
 _set_value, _set_is_pole, _set_residual = (
     getattr(EvalResult, f.name).__set__ for f in fields(EvalResult))
-
-
-def pi_n(ctx: SquigContext) -> float:
-    """Fundamental period ``2 A``, from the kernel's series at context build time."""
-    return ctx.pi_n
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +351,7 @@ def arcsin_n_sector(ctx: SquigContext, z: complex) -> complex:
         )
     if z == 0:
         return 0j
-    tau = 2.0 * math.pi / n
+    tau = ctx.tau
     ph = cmath.phase(z)
     if -_SNAP <= ph < 0.0:
         ph = 0.0
@@ -410,6 +408,9 @@ def sin_n(ctx: SquigContext, z: complex) -> EvalResult:
     if ctx.n == 3 and shift != (0, 0):
         m1, m2 = shift
         w *= ctx.roots[(m2 - m1) % 3]
+        # the translation's error times the slope |cos_3|**2 = |1 - w**3|**(2/3)
+        resid += ((_A_ERR * (abs(m1) * abs(ctx.cell_shift_1) + abs(m2) * abs(ctx.cell_shift_2))
+                   + _CELL_ROUND * abs(z)) * abs(1.0 - w**3) ** (2.0 / 3.0))
     return EvalResult(w, False, resid)
 
 
@@ -427,6 +428,9 @@ def cos_n(ctx: SquigContext, z: complex) -> EvalResult:
     if ctx.n == 3 and shift != (0, 0):
         m1, m2 = shift
         c *= ctx.roots[(m1 - m2) % 3]
+        # the translation's error times the slope |sin_3|**2 = |1 - c**3|**(2/3)
+        resid += ((_A_ERR * (abs(m1) * abs(ctx.cell_shift_1) + abs(m2) * abs(ctx.cell_shift_2))
+                   + _CELL_ROUND * abs(z)) * abs(1.0 - c**3) ** (2.0 / 3.0))
     return EvalResult(c, False, resid)
 
 

@@ -180,7 +180,7 @@ def limit_profile(ctx: SquigContext, radii: Sequence[float],
     Angles are midpoints of a uniform split of one sector, so no sample ever
     lands on a slit.
     """
-    tau = 2.0 * math.pi / ctx.n
+    tau = ctx.tau
     out = []
     for r in radii:
         worst = 0.0
@@ -230,7 +230,7 @@ def _boundary_image_loop(ctx: SquigContext, R: float) -> list[complex]:
     full loop.
     """
     n = ctx.n
-    tau = 2.0 * math.pi / n
+    tau = ctx.tau
     om = ctx.omega
     m = _LOOP_LEG_POINTS
     xs = [1.0 + (R - 1.0) * 10.0 ** (-9.0 * (1.0 - j / (m - 1))) for j in range(m)]
@@ -354,6 +354,8 @@ def check_periodicity_sin3(ctx: SquigContext, samples: Sequence[complex],
     """
     if ctx.n != 3:
         raise ParameterError(f"periodicity_sin3 needs an n == 3 context, got n = {ctx.n}")
+    if not samples:
+        raise ParameterError("periodicity_sin3 needs at least one sample")
     tol = _tol("periodicity_sin3", tolerance)
     t0 = time.perf_counter()
     period = 1.5 * ctx.pi_n
@@ -436,6 +438,8 @@ def check_sc_factorization(ctx: SquigContext, samples: Sequence[complex],
                            tolerance: float | None = None) -> VerificationReport:
     """Sector map versus the triangle map of the n-th power on half-sector samples."""
     n = ctx.n
+    if not samples:
+        raise ParameterError("sc_factorization needs at least one sample")
     tol = _tol("sc_factorization", tolerance)
     t0 = time.perf_counter()
     worst = -1.0
@@ -485,6 +489,12 @@ class VerifyConfig:
     tolerances: Mapping[str, float] | None = None
     families: tuple[str, ...] | None = None
     winding_radius: float = 50.0
+
+    def __post_init__(self):
+        # a sampled check with no samples would pass with no comparison made
+        spn = self.samples_per_n
+        if isinstance(spn, bool) or not isinstance(spn, int) or spn < 1:
+            raise ParameterError(f"samples_per_n must be a positive integer, got {spn!r}")
 
 
 def _family_rng(config: VerifyConfig, family: str, n: int) -> random.Random:

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 
 import mpmath
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from squig.errors import DomainError, ParameterError
 from squig.geometry import (
     FoldResult,
+    SquigContext,
     boundary_polyline,
     contains_Pi,
     contains_Sigma,
@@ -70,6 +72,22 @@ class TestMakeContext:
     def test_non_integer_n(self, bad):
         with pytest.raises(ParameterError):
             make_context(bad)
+
+    def test_context_takes_n_alone(self):
+        # the constructor refuses what make_context refuses, with its messages
+        for bad, message in ((2, "n must lie in [3, 64], got 2"),
+                             (65, "n must lie in [3, 64], got 65"),
+                             (True, "n must be an integer, got True"),
+                             (3.0, "n must be an integer, got 3.0")):
+            with pytest.raises(ParameterError, match=re.escape(message)):
+                SquigContext(bad)
+        with pytest.raises(TypeError):
+            SquigContext(4, cmath.exp(0.5j))
+        with pytest.raises(TypeError):
+            SquigContext(n=4, A=1.0 + 0j)
+        ctx = SquigContext(5)
+        assert (ctx.n, ctx.A, ctx.P, ctx.pi_n) == (5, make_context(5).A, make_context(5).P,
+                                                    make_context(5).pi_n)
 
 
 class TestContainsPi:
@@ -354,3 +372,15 @@ class TestSampleDomain:
         ctx = make_context(4)
         with pytest.raises(ParameterError):
             sample_domain(ctx, random.Random(SEED), 1, pole_clearance=clearance)
+
+    def test_nan_clearance_is_refused(self):
+        # a NaN clearance fails every comparison, so it would switch the
+        # clearance off
+        with pytest.raises(ParameterError, match="pole_clearance"):
+            sample_domain(make_context(4), random.Random(SEED), 1, pole_clearance=math.nan)
+
+    @pytest.mark.parametrize("count", [2.5, True, False, "3", None])
+    def test_count_must_be_an_int(self, count):
+        # 2.5 drew 3 points and True drew 1
+        with pytest.raises(ParameterError, match="count"):
+            sample_domain(make_context(4), random.Random(SEED), count)

@@ -1,14 +1,16 @@
 """The per-context hot path against the per-call code it replaced.
 
-``make_context`` builds the roots of unity, the wedge angle, the
+``SquigContext(n)`` builds the roots of unity, the wedge angle, the
 tolerances, the kernel's tables and (for n == 3) the lattice once;
-``contains_Sigma`` rotates onto the one slit nearest in phase and
+``contains_Sigma`` rotates onto the one slit nearest in phase,
+``in_rosette`` rotates into the one kite of the point's wedge, and
 ``_reduce_to_cell`` skips the neighbour sweep deep inside a cell.
 ``sin_n``/``cos_n`` fold through the tuple-returning ``_fold``, sum the
 one table of the value asked for on either disc, and build one slotted
 ``EvalResult``.  The old n-slit loop, the full six-neighbour sweep, the
-frozen-dataclass ``fold`` and the two-table inversion are kept here as
-references, and every answer must match them exactly.
+frozen-dataclass ``fold``, the two-table inversion, the n-kite loop and
+``sample_domain``'s per-draw roots are kept here as references, and every
+answer must match them exactly.
 """
 
 import bisect
@@ -22,12 +24,15 @@ from dataclasses import FrozenInstanceError, dataclass, fields, replace
 
 import pytest
 
-from squig import numerics, squigfn
+from squig import geometry, numerics, squigfn
 from squig.geometry import (
     FoldResult,
+    SquigContext,
     _reduce_to_cell,
+    contains_Pi,
     contains_Sigma,
     fold,
+    in_rosette,
     make_context,
     sample_domain,
 )
@@ -45,6 +50,29 @@ def slit_loop(ctx, w):
         if abs(u.imag) <= 1e-8 and u.real >= 1.0 - 1e-8:
             return False
     return True
+
+
+def kite_loop(ctx, z):
+    """Reference: ``in_rosette`` as a loop over all n kites."""
+    return any(contains_Pi(ctx, z * ctx.omega ** -k) for k in range(ctx.n))
+
+
+def ref_sample_domain(ctx, rng, count, pole_clearance=0.05):
+    """Reference: ``sample_domain`` with its roots built per draw."""
+    pts = []
+    corners = [ctx.P * cmath.exp(2j * math.pi * k / ctx.n) for k in range(ctx.n)]
+    while len(pts) < count:
+        a = rng.random()
+        b = rng.random()
+        if a + b > 1.0:
+            a, b = 1.0 - a, 1.0 - b
+        base = ctx.A if rng.random() < 0.5 else ctx.B
+        p = a * base + b * ctx.P
+        p *= cmath.exp(2j * math.pi * rng.randrange(ctx.n) / ctx.n)
+        if min(abs(p - c) for c in corners) < pole_clearance * abs(ctx.P):
+            continue
+        pts.append(p)
+    return pts
 
 
 def full_sweep(ctx, z):
@@ -119,6 +147,97 @@ def test_contains_sigma_non_finite():
         assert contains_Sigma(ctx, w) is slit_loop(ctx, w) is True
 
 
+def rosette_points(ctx, rng):
+    """Points 1e-9 and 1e-11 |A| either side of every edge of five kites,
+    at its ends and at a seeded point; and 1e-9 and 1e-11 radians either
+    side of their wedge rays and bisectors, inside the kite and just beyond
+    A and P.  The kites are those next to the phases 0 and pi, where the
+    wedge index wraps."""
+    n = ctx.n
+    scale = abs(ctx.A)
+    pts = []
+    for r in (ctx.roots[k] for k in sorted({0, 1, n // 2 - 1, n // 2, n - 1})):
+        verts = [0j, ctx.A * r, ctx.P * r, ctx.B * r]
+        for a, b in zip(verts, verts[1:] + verts[:1]):
+            normal = 1j * (b - a) / abs(b - a)
+            for p in (a, a + rng.random() * (b - a), b):
+                pts += [p + e * scale * normal for e in (1e-9, -1e-9, 1e-11, -1e-11)]
+        for v in verts[1:3]:
+            for t in (rng.random(), 1.0 + 1e-9):
+                pts += [t * v * cmath.exp(1j * e) for e in (1e-9, -1e-9, 1e-11, -1e-11)]
+    return pts
+
+
+NON_FINITE = [complex(math.nan, 0.0), complex(0.5, math.nan), complex(math.inf, 0.0),
+              complex(0.0, -math.inf), complex(-math.inf, math.inf), complex(math.nan, math.inf)]
+
+
+def in_fold_domain(ctx, z):
+    try:
+        fold(ctx, z)
+    except squigfn.DomainError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", ALL_NS)
+def test_in_rosette_matches_the_kite_loop(n):
+    # the kites meet at a sharp tip omega**k A, and there the loop can also
+    # accept a point 1e-9 |A| beyond the tip and 1e-11 radians across the
+    # ray, within the slack of the neighbouring kite's edge; one rotation
+    # tests the kite of the point's own wedge, as fold does, and refuses it
+    # (here at n = 16 only, on 10 of its 320 points)
+    ctx = make_context(n)
+    pts = rosette_points(ctx, random.Random(f"kites:{n}"))
+    got = [in_rosette(ctx, z) for z in pts]
+    want = [kite_loop(ctx, z) for z in pts]
+    for z, inside, loop in zip(pts, got, want):
+        if inside != loop:
+            assert loop and not in_fold_domain(ctx, z), z
+            assert min(abs(z - ctx.A * r) for r in ctx.roots) < 2e-9 * abs(ctx.A), z
+    if n != 3:  # at n == 3 the whole plane folds
+        assert got == [in_fold_domain(ctx, z) for z in pts]
+    # the points straddle the boundary: both answers occur, at every kite
+    assert got.count(False) >= 8 * min(n, 5) and got.count(True) >= 8 * min(n, 5)
+    for z in NON_FINITE:
+        assert in_rosette(ctx, z) is kite_loop(ctx, z) is False
+
+
+class CountedPower(complex):
+    """omega, with its ``**`` calls counted."""
+
+    powers = 0
+
+    def __pow__(self, k):
+        CountedPower.powers += 1
+        return complex(self) ** k
+
+
+@pytest.mark.parametrize("n", ALL_NS)
+def test_in_rosette_tests_one_kite_and_takes_no_power(n, monkeypatch):
+    ctx = make_context(n)
+    ctx.omega = CountedPower(ctx.omega)
+    monkeypatch.setattr(CountedPower, "powers", 0)
+    kites = []
+    monkeypatch.setattr(geometry, "contains_Pi",
+                        lambda c, z: kites.append(z) or contains_Pi(c, z))
+    pts = rosette_points(ctx, random.Random(f"one kite:{n}"))[::7] + [2.0 * ctx.P, 0j]
+    for z in pts:
+        del kites[:]
+        in_rosette(ctx, z)
+        assert len(kites) == 1, z
+    assert CountedPower.powers == 0
+
+
+@pytest.mark.parametrize("n", ALL_NS)
+def test_sample_domain_matches_its_per_draw_roots(n):
+    ctx = make_context(n)
+    for clearance in (0.0, 0.3):
+        got = sample_domain(ctx, random.Random(f"draw:{n}"), 6, pole_clearance=clearance)
+        want = ref_sample_domain(ctx, random.Random(f"draw:{n}"), 6, pole_clearance=clearance)
+        assert [bits(z) for z in got] == [bits(z) for z in want]
+
+
 def cell_points(ctx, rng):
     """Seeded points, hexagon edges and vertices, distance ties, and points
     just either side of the radius where the sweep is skipped."""
@@ -160,6 +279,17 @@ def test_reduce_to_cell_matches_the_full_sweep():
 @pytest.mark.parametrize("n", ALL_NS)
 def test_context_tables_are_the_per_call_expressions(n):
     ctx = make_context(n)
+    # n is the context's one settable value; every other field derives from it
+    assert [f.name for f in fields(SquigContext) if f.init] == ["n"]
+    assert type(ctx) is SquigContext and ctx.n == n and ctx.series_cache == {}
+    tables = numerics._series_tables(n)
+    omega = cmath.exp(2j * math.pi / n)
+    half = complex(tables.half, 0.0)
+    assert bits(ctx.omega) == bits(omega)
+    assert bits(ctx.A) == bits(half)
+    assert bits(ctx.B) == bits(omega * half)
+    assert bits(ctx.P) == bits(tables.corner)
+    assert bits(ctx.pi_n) == bits(2.0 * tables.half)
     assert ctx.roots == tuple(cmath.exp(2j * math.pi * k / n) for k in range(n))
     assert ctx.inv_roots == tuple(cmath.exp(-2j * math.pi * k / n) for k in range(n))
     for k in range(n):
@@ -172,7 +302,6 @@ def test_context_tables_are_the_per_call_expressions(n):
     assert ctx.pole_tol == 1e-6 * abs(ctx.P)
     assert ctx.half_kite == (ctx.A.real, ctx.A.imag, ctx.P.real - ctx.A.real,
                              ctx.P.imag - ctx.A.imag, ctx.P.real, ctx.P.imag)
-    tables = numerics._series_tables(n)
     assert ctx.tables is tables
     assert tables.omega == cmath.exp(2j * math.pi / n)
     # the discs slice the tables themselves; no reversed copy is kept
@@ -375,15 +504,23 @@ def ref_eval(ctx, z, sine, routes):
         return None, True, 0.0
     u, cosv, u_res, c_res = ref_invert(ctx, fr.folded, routes)
     m1, m2 = fr.lattice_shift
+    # a lattice-shifted n == 3 point adds the translation's error (the cell
+    # shifts' error from A's, plus the rounding of the translated point)
+    # times the slope of the value, read from the value
+    shift_err = (squigfn._A_ERR * (abs(m1) * abs(ctx.cell_shift_1)
+                                   + abs(m2) * abs(ctx.cell_shift_2))
+                 + 2.0**-46 * abs(z))
     if sine:
         w = u.conjugate() if fr.conjugated else u
         w *= ctx.roots[fr.rotation_k]
         if ctx.n == 3 and fr.lattice_shift != (0, 0):
             w *= ctx.roots[(m2 - m1) % 3]
+            u_res += shift_err * abs(1.0 - w**3) ** (2.0 / 3.0)
         return w, False, u_res
     c = cosv.conjugate() if fr.conjugated else cosv
     if ctx.n == 3 and fr.lattice_shift != (0, 0):
         c *= ctx.roots[(m1 - m2) % 3]
+        c_res += shift_err * abs(1.0 - c**3) ** (2.0 / 3.0)
     return c, False, c_res
 
 

@@ -19,7 +19,6 @@ from squig.squigfn import (
     arcsin_n_sector,
     cos_n,
     maclaurin,
-    pi_n,
     radius_estimate,
     sin3_global,
     sin_n,
@@ -50,7 +49,7 @@ def sine_root_n4(t: complex, guess: complex) -> mpmath.mpc:
 class TestPiN:
     def test_matches_gamma(self):
         for n in range(3, 9):
-            assert pi_n(make_context(n)) == pytest.approx(
+            assert make_context(n).pi_n == pytest.approx(
                 gamma_full_period(n), abs=1e-12
             )
 
@@ -406,6 +405,29 @@ class TestSin3Global:
             assert sin3_global(ctx, v - 2 * L1 + L2).value == pytest.approx(
                 base, abs=1e-11
             )
+
+    def test_residual_covers_the_lattice_translation(self):
+        # far from 0 the fold's translation by rounded cell shifts moves the
+        # folded point by up to 64 ulps of |z| plus A's error times the
+        # shift; the residual covers the value at the point reduced by the
+        # exact lattice, at 50 digits, times the shift's cube root of unity
+        ctx = make_context(3)
+        with mpmath.workdps(50):
+            a = mpmath.gamma(mpmath.mpf(1) / 3) ** 2 / (3 * mpmath.gamma(mpmath.mpf(2) / 3))
+            om = mpmath.exp(2j * mpmath.pi / 3)
+            c1, c2 = a * (1 - om), a * (1 - om**2)
+        for k in range(1, 14):
+            for phase in (0.3, 1.9, -2.4, 2.9, -0.8):
+                z = 10.0**k * cmath.exp(1j * phase)
+                m1, m2 = fold(ctx, z).lattice_shift
+                assert (m1, m2) != (0, 0)
+                with mpmath.workdps(50):
+                    v = complex(mpmath.mpc(z) - m1 * c1 - m2 * c2)
+                assert fold(ctx, v).lattice_shift == (0, 0)
+                for fn, root in ((sin_n, ctx.roots[(m2 - m1) % 3]),
+                                 (cos_n, ctx.roots[(m1 - m2) % 3])):
+                    got, ref = fn(ctx, z), fn(ctx, v)
+                    assert abs(got.value - ref.value * root) <= got.residual, (fn, z)
 
     def test_identity_everywhere(self, rng):
         ctx = make_context(3)

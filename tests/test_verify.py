@@ -209,6 +209,21 @@ def test_n3_checks_refuse_other_contexts():
         check_trisection(ctx)
 
 
+def test_sampled_checks_refuse_an_empty_sample_list():
+    # with no samples a check would pass with abs_error -1, below the
+    # report schema's minimum of 0
+    with pytest.raises(squig.ParameterError, match="sample"):
+        check_periodicity_sin3(make_context(3), [])
+    with pytest.raises(squig.ParameterError, match="sample"):
+        check_sc_factorization(make_context(4), [])
+
+
+@pytest.mark.parametrize("bad", [0, -1, True, 2.5, "4", None])
+def test_verify_config_refuses_samples_per_n_below_one(bad):
+    with pytest.raises(squig.ParameterError, match="samples_per_n"):
+        VerifyConfig(samples_per_n=bad)
+
+
 def test_run_all_builds_one_context_per_n(monkeypatch):
     # the n = 3 checks run on run_all's context, where the other checks have
     # already built its caches
