@@ -6,6 +6,9 @@ inverse map onto the slit plane, exact rational power series, and a
 certification suite that rechecks every advertised identity numerically.
 """
 
+import importlib.util
+import sys
+
 from .errors import (
     ConvergenceError,
     DegenerateLoopError,
@@ -29,15 +32,7 @@ from .geometry import (
     sample_domain,
     unfold,
 )
-from .numerics import (
-    QuadratureResult,
-    RationalSeries,
-    integrate_endpoint_singular,
-    integrate_smooth,
-    integrate_tail,
-    revert_series,
-    winding_number,
-)
+from .numerics import RationalSeries
 from .squigfn import (
     EvalResult,
     arcsin_n,
@@ -48,20 +43,49 @@ from .squigfn import (
     sin3_global,
     sin_n,
 )
-from .verify import (
-    DEFAULT_TOLERANCES,
-    VerificationReport,
-    VerifyConfig,
-    check_integral_ray,
-    check_integral_slit,
-    check_limit_at_infinity,
-    check_periodicity_sin3,
-    check_riemann_normalization,
-    check_sc_factorization,
-    check_trisection,
-    check_winding,
-    run_all,
-)
+
+# ``import squig`` loads only the evaluation core above.  The certification
+# suite and the reference routes (quadrature, series reversion, the winding
+# count) load at the first use of one of their names.
+_LAZY = {
+    **dict.fromkeys((
+        "DEFAULT_TOLERANCES", "VerificationReport", "VerifyConfig",
+        "check_integral_ray", "check_integral_slit", "check_limit_at_infinity",
+        "check_periodicity_sin3", "check_riemann_normalization",
+        "check_sc_factorization", "check_trisection", "check_winding", "run_all",
+    ), "verify"),
+    **dict.fromkeys((
+        "QuadratureResult", "integrate_endpoint_singular", "integrate_smooth",
+        "integrate_tail", "revert_series", "winding_number",
+    ), "reference"),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
+
+def _lazy_submodule(name):
+    """Registers the submodule in sys.modules; its body runs at first attribute access."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# A LazyLoader module rather than a plain import in __getattr__, because
+# bench/spans.py's Tracer.install reads sys.modules["squig.verify"]; once it
+# imports the module instead, this can become a plain __getattr__ import.
+verify = _lazy_submodule("verify")
 
 __version__ = "0.1.0"
 

@@ -24,10 +24,10 @@ import re
 import sys
 from dataclasses import dataclass
 
+from . import verify  # loaded lazily: its body runs at the first read, in `verify`
 from .errors import DomainError, ParameterError, SquigError
 from .geometry import SquigContext, boundary_polyline, in_rosette, make_context
 from .squigfn import arcsin_n, cos_n, maclaurin, radius_estimate, sin_n
-from .verify import DEFAULT_TOLERANCES, VerifyConfig, _FAIL_SENTINEL, _FAMILY_CLASS, run_all
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -93,7 +93,7 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
 
 def _parse_tol(entries: list[str]) -> dict[str, float]:
     out: dict[str, float] = {}
-    known = set(DEFAULT_TOLERANCES) | set(_FAMILY_CLASS)
+    known = set(verify.DEFAULT_TOLERANCES) | set(verify._FAMILY_CLASS)
     for entry in entries:
         name, sep, raw = entry.partition("=")
         if not sep:
@@ -229,14 +229,14 @@ def cmd_verify(n_values: tuple[int, ...], only: tuple[str, ...] | None,
                tolerances: dict[str, float] | None, fmt: str,
                stable: bool) -> tuple[OutputDocument, int]:
     if only:
-        unknown = set(only) - set(_FAMILY_CLASS)
+        unknown = set(only) - set(verify._FAMILY_CLASS)
         if unknown:
             raise UsageError(f"unknown check families {sorted(unknown)}; "
-                             f"choose from {sorted(_FAMILY_CLASS)}")
-    cfg = VerifyConfig(n_values=n_values, tolerances=tolerances,
-                       families=tuple(only) if only else None)
-    reports = run_all(cfg)
-    if any(r.abs_error == _FAIL_SENTINEL for r in reports):
+                             f"choose from {sorted(verify._FAMILY_CLASS)}")
+    cfg = verify.VerifyConfig(n_values=n_values, tolerances=tolerances,
+                              families=tuple(only) if only else None)
+    reports = verify.run_all(cfg)
+    if any(r.abs_error == verify._FAIL_SENTINEL for r in reports):
         code = EXIT_NUMERIC
     elif all(r.passed for r in reports):
         code = EXIT_OK

@@ -228,7 +228,7 @@ def contains_Sigma(ctx: SquigContext, w: complex) -> bool:
     return not (abs(u.imag) <= _SLIT_TOL and u.real >= 1.0 - _SLIT_TOL)
 
 
-def _reduce_to_cell(ctx: SquigContext, z: complex) -> tuple[int, int, complex]:
+def _reduce_to_cell(ctx: SquigContext, z: complex, sweep: bool = True) -> tuple[int, int, complex]:
     """Translate ``z`` by the hexagonal lattice into the Voronoi cell of 0.
 
     The cell of the lattice spanned by ``cell_shift_1``/``cell_shift_2`` is
@@ -240,7 +240,10 @@ def _reduce_to_cell(ctx: SquigContext, z: complex) -> tuple[int, int, complex]:
     rounding of the translation, 64 ulps of ``|z|``) the sweep cannot move
     it, so it is skipped.  Where that rounding covers the whole inner disc,
     ``|z| >= cell_inner / _CELL_ROUND`` (1.08e14), it no longer fixes the
-    cell, and DomainError is raised.
+    cell, and DomainError is raised.  With ``sweep`` False the nearest
+    lattice point is taken from the coordinates alone, with no tie rule;
+    ``_fold`` keeps it only where the folded point lies clear of the cell
+    edge, and sweeps otherwise.
     """
     # scaling by _CELL_ROUND, a power of 2, is exact and keeps abs from
     # overflowing
@@ -254,6 +257,28 @@ def _reduce_to_cell(ctx: SquigContext, z: complex) -> tuple[int, int, complex]:
     det = ctx.det
     x1 = (z.real * c2.imag - z.imag * c2.real) / det
     x2 = (c1.real * z.imag - c1.imag * z.real) / det
+    if not sweep:
+        # c1, c2 and c1 - c2 are equally long, so the diagonal r1 + r2 = 1
+        # splits the rhombus (m1, m2) + [0, 1]**2 into two equilateral
+        # triangles, and a point is nearest to the vertex of its triangle
+        # with the largest barycentric coordinate
+        m1 = math.floor(x1)
+        m2 = math.floor(x2)
+        r1 = x1 - m1
+        r2 = x2 - m2
+        step = 1
+        if r1 + r2 > 1.0:  # the far triangle, mirrored onto the near one
+            m1 += 1
+            m2 += 1
+            r1 = 1.0 - r1
+            r2 = 1.0 - r2
+            step = -1
+        r0 = 1.0 - r1 - r2
+        if r1 > r0 and r1 >= r2:
+            m1 += step
+        elif r2 > r0 and r2 > r1:
+            m2 += step
+        return m1, m2, z - m1 * c1 - m2 * c2
     m1 = round(x1)
     m2 = round(x2)
     v = z - m1 * c1 - m2 * c2
@@ -298,9 +323,14 @@ def fold(ctx: SquigContext, z: complex) -> FoldResult:
     return FoldResult(*_fold(ctx, z))
 
 
-def _fold(ctx: SquigContext, z: complex) -> tuple:
+def _fold(ctx: SquigContext, z: complex, sweep: bool = False) -> tuple:
     """:func:`fold` as the plain tuple of ``FoldResult``'s fields, for the
-    evaluation hot path."""
+    evaluation hot path.
+
+    At n == 3 the point is first folded from the nearest lattice point by
+    its coordinates alone, and folded again after ``_reduce_to_cell``'s
+    neighbour sweep only when the folded point lies near the cell edge
+    ``A-P``."""
     z = complex(z)
     n = ctx.n
     if not cmath.isfinite(z):
@@ -310,7 +340,7 @@ def _fold(ctx: SquigContext, z: complex) -> tuple:
     shift = _NO_SHIFT
     v = z
     if n == 3:
-        m1, m2, v = _reduce_to_cell(ctx, z)
+        m1, m2, v = _reduce_to_cell(ctx, z, sweep)
         shift = (m1, m2)
 
     tau = ctx.tau
@@ -338,12 +368,22 @@ def _fold(ctx: SquigContext, z: complex) -> tuple:
         rotation_k = k
         conjugated = False
 
-    # For n == 3 a miss is unreachable by construction (the Voronoi cell is
-    # the rosette), so it is not raised: that guards against roundoff at the
-    # hexagon corners.  Otherwise _in_triangle(t, 0, A, P), inline.
-    if n != 3:
-        ax, ay, ex, ey, px, py = ctx.half_kite
-        tx, ty = t.real, t.imag
+    ax, ay, ex, ey, px, py = ctx.half_kite
+    tx, ty = t.real, t.imag
+    if n == 3:
+        # The cell's edge in t's half wedge is A-P, |P - A| = |A| long.  A
+        # point 2 ties plus the translation's rounding inside it is at least
+        # 0.93 of that nearer its own lattice point than any other, more than
+        # a tie plus the rounding of both distances, so the sweep would keep
+        # the cell; nearer the edge, or beyond it, sweep.  After the sweep a
+        # miss is unreachable by construction (the Voronoi cell is the
+        # rosette) and is not raised: that guards against roundoff at the
+        # hexagon corners.
+        if not sweep and ex * (ty - ay) - ey * (tx - ax) < ax * (
+                2.0 * ctx.tie + abs(_CELL_ROUND * z)):
+            return _fold(ctx, z, True)
+    else:
+        # _in_triangle(t, 0, A, P), inline
         tol = -ctx.edge_tol
         if not (
             ax * ty - ay * tx >= tol

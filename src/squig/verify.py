@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import ParameterError, SquigError
 from .geometry import SquigContext, in_rosette, make_context
-from .numerics import (
+from .reference import (
     integrate_endpoint_singular,
     integrate_smooth,
     integrate_tail,

@@ -4,7 +4,8 @@
 tolerances, the kernel's tables and (for n == 3) the lattice once;
 ``contains_Sigma`` rotates onto the one slit nearest in phase,
 ``in_rosette`` rotates into the one kite of the point's wedge, and
-``_reduce_to_cell`` skips the neighbour sweep deep inside a cell.
+``_reduce_to_cell`` skips the neighbour sweep deep inside a cell, and
+``_fold`` calls it only near a cell edge.
 ``sin_n``/``cos_n`` fold through the tuple-returning ``_fold``, sum the
 one table of the value asked for on either disc, and build one slotted
 ``EvalResult``.  The old n-slit loop, the full six-neighbour sweep, the
@@ -274,6 +275,59 @@ def test_reduce_to_cell_matches_the_full_sweep():
         assert got == full_sweep(ctx, z), z
         skipped += abs(got[2]) < ctx.cell_inner
     assert skipped > len(pts) // 4
+
+
+def edge_band_points(ctx, rng):
+    """Points 0 to 5 ties either side of every hexagon edge, along it and at
+    its corners, at lattice shifts up to about 1e13."""
+    c1, c2 = ctx.cell_shift_1, ctx.cell_shift_2
+    verts = [r * v for r in ctx.roots for v in (ctx.A, ctx.P)]
+    base = []
+    for a, b in zip(verts, verts[1:] + verts[:1]):
+        inward = -1j * (b - a) / abs(b - a)
+        for s in (0.0, 1e-13, 0.25, 0.5, rng.random(), 1.0 - 1e-13):
+            base += [a + s * (b - a) + k * ctx.tie * inward
+                     for k in (-5, -1, -0.5, 0, 0.5, 1, 1.5, 1.9, 2, 2.1, 3, 5)]
+    pts = []
+    for scale in (0, 1, 1e3, 1e6, 1e9, 1e12, 1e13):
+        m1, m2 = (round(rng.uniform(-1, 1) * scale / abs(c1)) for _ in range(2))
+        pts += [p + m1 * c1 + m2 * c2 for p in base]
+    return pts + [-z for z in pts] + [z.conjugate() for z in pts]
+
+
+def fold_key(folded):
+    t, rotation_k, conjugated, shift, at_pole = folded
+    return bits(t), rotation_k, conjugated, shift, at_pole
+
+
+def test_n3_fold_sweeps_only_near_a_cell_edge(monkeypatch):
+    ctx = make_context(3)
+    rng = random.Random("edges")
+    sweeps = []
+    reduce = geometry._reduce_to_cell
+
+    def spy(ctx, z, sweep=True):
+        sweeps.append(sweep)
+        return reduce(ctx, z, sweep)
+
+    monkeypatch.setattr(geometry, "_reduce_to_cell", spy)
+    # bit for bit the fold that sweeps every point, ties and signed zeros
+    # included; points in a tie of an edge still take the sweep
+    band = edge_band_points(ctx, rng) + cell_points(ctx, rng)
+    for z in band:
+        ref = ref_fold(ctx, z)
+        want = (ref.folded, ref.rotation_k, ref.conjugated, ref.lattice_shift, ref.at_pole)
+        assert fold_key(geometry._fold(ctx, z)) == fold_key(want), z
+    assert 0 < sum(sweeps) < len(band)
+    # points of the hexagon, inside the inscribed disc or not, take no sweep
+    sweeps.clear()
+    c1, c2 = ctx.cell_shift_1, ctx.cell_shift_2
+    hexagon = [z for z in (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3000))
+               if in_rosette(ctx, z)]
+    for z in hexagon:
+        for shift in (0j, 5 * c1 - 3 * c2, -40_000 * c1 + 7 * c2):
+            geometry._fold(ctx, z + shift)
+    assert len(sweeps) == 3 * len(hexagon) > 4000 and not any(sweeps)
 
 
 @pytest.mark.parametrize("n", ALL_NS)

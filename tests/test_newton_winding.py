@@ -10,7 +10,7 @@ from squig.errors import (
     DegenerateLoopError,
     RefinementNeededError,
 )
-from squig import numerics
+from squig import reference
 from squig.numerics import (
     NewtonResult,
     newton_invert,
@@ -66,13 +66,13 @@ class TestNewton:
 
     def test_failure_makes_one_pass(self, monkeypatch):
         passes = []
-        newton_pass = numerics._newton_basic
+        newton_pass = reference._newton_basic
 
         def spy(*args):
             passes.append(newton_pass(*args))
             return passes[-1]
 
-        monkeypatch.setattr(numerics, "_newton_basic", spy)
+        monkeypatch.setattr(reference, "_newton_basic", spy)
         n = 4
         corner = sector_ray_integral(n, 1.0)
         with pytest.raises(ConvergenceError) as exc_info:
@@ -84,7 +84,7 @@ class TestNewton:
         # the line search gives up long before max_iter; every evaluation of
         # F whose residual undercuts all before it is an accepted step
         residuals = []
-        forward = numerics.sector_ray_integral
+        forward = reference.sector_ray_integral
         n = 4
         w = forward(n, 1.0) * (1.0 - 1e-4)
 
@@ -93,8 +93,8 @@ class TestNewton:
             residuals.append(abs(value - w))
             return value
 
-        monkeypatch.setattr(numerics, "sector_ray_integral", spy)
-        res = numerics._newton_basic(n, w, 0.5, 1e-12, 50)
+        monkeypatch.setattr(reference, "sector_ray_integral", spy)
+        res = reference._newton_basic(n, w, 0.5, 1e-12, 50)
         steps = sum(r < min(residuals[:i]) for i, r in enumerate(residuals) if i)
         assert res.residual > 1e-12
         assert res.iterations == steps < 50
