@@ -22,7 +22,6 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from . import verify  # loaded lazily: its body runs at the first read, in `verify`
 from .errors import DomainError, ParameterError, SquigError
@@ -37,12 +36,6 @@ EXIT_NUMERIC = 4
 
 _GRID_CLIP_FACTOR = 3.5     # image window half-width in units of |A|
 _SVG_PRECISION = "%.6f"
-
-
-@dataclass(frozen=True)
-class OutputDocument:
-    format: str
-    payload: bytes
 
 
 class UsageError(Exception):
@@ -86,28 +79,19 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise UsageError(f"--n expects an integer or comma list, got {text!r}")
-    if not values:
-        raise UsageError("--n list is empty")
     return values
 
 
 def _parse_tol(entries: list[str]) -> dict[str, float]:
     out: dict[str, float] = {}
-    known = set(verify.DEFAULT_TOLERANCES) | set(verify._FAMILY_CLASS)
     for entry in entries:
         name, sep, raw = entry.partition("=")
         if not sep:
             raise UsageError(f"--tol expects NAME=VALUE, got {entry!r}")
-        if name not in known:
-            raise UsageError(f"unknown tolerance name {name!r}; "
-                             f"choose from {sorted(known)}")
         try:
-            value = float(raw)
+            out[name] = float(raw)
         except ValueError:
             raise UsageError(f"tolerance value {raw!r} is not a number")
-        if value <= 0.0:
-            raise UsageError("tolerances must be positive")
-        out[name] = value
     return out
 
 
@@ -118,17 +102,17 @@ def _c2d(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def _json_doc(obj) -> OutputDocument:
+def _json_doc(obj) -> bytes:
     text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    return OutputDocument("json", text.encode())
+    return text.encode()
 
 
-def _csv_doc(header: list[str], rows: list[list]) -> OutputDocument:
+def _csv_doc(header: list[str], rows: list[list]) -> bytes:
     buf = io.StringIO(newline="")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return OutputDocument("csv", buf.getvalue().encode())
+    return buf.getvalue().encode()
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +134,7 @@ def _eval_near_boundary(fn_impl, ctx: SquigContext, z: complex):
             raise original from None
 
 
-def cmd_eval(n: int, fn: str, z: complex, fmt: str) -> OutputDocument:
+def cmd_eval(n: int, fn: str, z: complex, fmt: str) -> bytes:
     ctx = make_context(n)
     if fn in ("arcsin", "F"):
         value = arcsin_n(ctx, z)
@@ -182,7 +166,7 @@ def cmd_eval(n: int, fn: str, z: complex, fmt: str) -> OutputDocument:
 # ---------------------------------------------------------------------------
 # series
 
-def cmd_series(n: int, terms: int, fmt: str) -> OutputDocument:
+def cmd_series(n: int, terms: int, fmt: str) -> bytes:
     ctx = make_context(n)
     series = maclaurin(ctx, terms)
     rows = [(d, c.numerator, c.denominator)
@@ -227,12 +211,7 @@ def _report_dict(rep, stable: bool) -> dict:
 
 def cmd_verify(n_values: tuple[int, ...], only: tuple[str, ...] | None,
                tolerances: dict[str, float] | None, fmt: str,
-               stable: bool) -> tuple[OutputDocument, int]:
-    if only:
-        unknown = set(only) - set(verify._FAMILY_CLASS)
-        if unknown:
-            raise UsageError(f"unknown check families {sorted(unknown)}; "
-                             f"choose from {sorted(verify._FAMILY_CLASS)}")
+               stable: bool) -> tuple[bytes, int]:
     cfg = verify.VerifyConfig(n_values=n_values, tolerances=tolerances,
                               families=tuple(only) if only else None)
     reports = verify.run_all(cfg)
@@ -346,7 +325,7 @@ def _grid_image_sin(ctx: SquigContext, density: int) -> list[list[complex]]:
     return curves
 
 
-def cmd_grid(n: int, map_name: str, density: int, fmt: str) -> OutputDocument:
+def cmd_grid(n: int, map_name: str, density: int, fmt: str) -> bytes:
     if fmt != "svg":
         raise UsageError("grid emits svg only")
     if not isinstance(density, int) or not 2 <= density <= 256:
@@ -405,13 +384,13 @@ def cmd_grid(n: int, map_name: str, density: int, fmt: str) -> OutputDocument:
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{" ".join(_SVG_PRECISION % v for v in vb)}" '
         f'width="640" height="640">\n{body}\n</svg>\n')
-    return OutputDocument("svg", svg.encode())
+    return svg.encode()
 
 
 # ---------------------------------------------------------------------------
 # constants
 
-def cmd_constants(n: int, fmt: str) -> OutputDocument:
+def cmd_constants(n: int, fmt: str) -> bytes:
     ctx = make_context(n)
     if fmt == "json":
         return _json_doc({
@@ -478,13 +457,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(doc: OutputDocument, out: str | None) -> None:
+def _emit(doc: bytes, out: str | None) -> None:
     if out is None:
-        sys.stdout.buffer.write(doc.payload)
+        sys.stdout.buffer.write(doc)
         sys.stdout.buffer.flush()
     else:
         with open(out, "wb") as fh:
-            fh.write(doc.payload)
+            fh.write(doc)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -509,10 +488,7 @@ def main(argv: list[str] | None = None) -> int:
             doc = cmd_grid(args.n, args.map, args.density, args.format)
         else:
             doc = cmd_constants(args.n, args.format)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParameterError as exc:
+    except (UsageError, ParameterError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DomainError as exc:

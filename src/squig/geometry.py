@@ -70,8 +70,8 @@ class SquigContext:
       fields, not properties, since ``_reduce_to_cell`` reads them per call);
     * for n == 3 only (None otherwise), the rest of ``_reduce_to_cell``'s
       lattice: the generators' determinant ``det``, the distance tie
-      ``tie`` = 1e-12 ``|A|``, and ``cell_inner``, the radius inside which
-      rounding alone finds the cell.
+      ``tie`` = 1e-12 ``|A|``, and ``cell_inner``, the cell's inradius less
+      4 ties, which sets the reduction's reach.
     """
 
     n: int
@@ -228,27 +228,26 @@ def contains_Sigma(ctx: SquigContext, w: complex) -> bool:
     return not (abs(u.imag) <= _SLIT_TOL and u.real >= 1.0 - _SLIT_TOL)
 
 
-def _reduce_to_cell(ctx: SquigContext, z: complex, sweep: bool = True) -> tuple[int, int, complex]:
+def _reduce_to_cell(ctx: SquigContext, z: complex) -> tuple[int, int, complex]:
     """Translate ``z`` by the hexagonal lattice into the Voronoi cell of 0.
 
     The cell of the lattice spanned by ``cell_shift_1``/``cell_shift_2`` is
     exactly the closed rosette for n == 3 (a regular hexagon with vertices
-    A, P, B, -A, -P, -B).  Rounding the oblique coordinates only lands in a
-    rhombus, so a sweep over the six nearest neighbours finishes the
-    reduction; distance ties keep whichever cell is closer to the origin.
-    Well inside the cell of the rounded point (``ctx.cell_inner``, less the
-    rounding of the translation, 64 ulps of ``|z|``) the sweep cannot move
-    it, so it is skipped.  Where that rounding covers the whole inner disc,
-    ``|z| >= cell_inner / _CELL_ROUND`` (1.08e14), it no longer fixes the
-    cell, and DomainError is raised.  With ``sweep`` False the nearest
-    lattice point is taken from the coordinates alone, with no tie rule;
-    ``_fold`` keeps it only where the folded point lies clear of the cell
-    edge, and sweeps otherwise.
+    A, P, B, -A, -P, -B).  The nearest lattice point is read from the
+    oblique coordinates: c1, c2 and c1 - c2 are equally long, so the
+    diagonal r1 + r2 = 1 splits the rhombus (m1, m2) + [0, 1]**2 into two
+    equilateral triangles, and a point is nearest to the vertex of its
+    triangle with the largest barycentric coordinate.  Its distance to that
+    vertex's cell edge is (largest - middle coordinate) |c1| / 2.  Within 2
+    ties plus the translation's rounding (64 ulps of ``|z|``) of the edge,
+    ``_sweep_cell`` decides with its tie rule instead.  Where that rounding
+    covers the inner disc, ``|z| >= cell_inner / _CELL_ROUND`` (1.08e14),
+    it no longer fixes the cell, and DomainError is raised.
     """
     # scaling by _CELL_ROUND, a power of 2, is exact and keeps abs from
     # overflowing
-    inner = ctx.cell_inner - abs(_CELL_ROUND * z)
-    if not inner > 0.0:
+    reach = abs(_CELL_ROUND * z)
+    if not reach < ctx.cell_inner:
         raise DomainError(
             f"point {z} lies beyond the reach of the lattice reduction of Omega_3 "
             f"(|z| must be below {ctx.cell_inner / _CELL_ROUND:.4g})", region="Omega_3")
@@ -257,34 +256,43 @@ def _reduce_to_cell(ctx: SquigContext, z: complex, sweep: bool = True) -> tuple[
     det = ctx.det
     x1 = (z.real * c2.imag - z.imag * c2.real) / det
     x2 = (c1.real * z.imag - c1.imag * z.real) / det
-    if not sweep:
-        # c1, c2 and c1 - c2 are equally long, so the diagonal r1 + r2 = 1
-        # splits the rhombus (m1, m2) + [0, 1]**2 into two equilateral
-        # triangles, and a point is nearest to the vertex of its triangle
-        # with the largest barycentric coordinate
-        m1 = math.floor(x1)
-        m2 = math.floor(x2)
-        r1 = x1 - m1
-        r2 = x2 - m2
-        step = 1
-        if r1 + r2 > 1.0:  # the far triangle, mirrored onto the near one
-            m1 += 1
-            m2 += 1
-            r1 = 1.0 - r1
-            r2 = 1.0 - r2
-            step = -1
-        r0 = 1.0 - r1 - r2
-        if r1 > r0 and r1 >= r2:
-            m1 += step
-        elif r2 > r0 and r2 > r1:
-            m2 += step
-        return m1, m2, z - m1 * c1 - m2 * c2
-    m1 = round(x1)
-    m2 = round(x2)
-    v = z - m1 * c1 - m2 * c2
-    if abs(v) < inner:
-        return m1, m2, v
+    m1 = math.floor(x1)
+    m2 = math.floor(x2)
+    r1 = x1 - m1
+    r2 = x2 - m2
+    step = 1
+    if r1 + r2 > 1.0:  # the far triangle, mirrored onto the near one
+        m1 += 1
+        m2 += 1
+        r1 = 1.0 - r1
+        r2 = 1.0 - r2
+        step = -1
+    r0 = 1.0 - r1 - r2
+    if r1 > r0 and r1 >= r2:
+        m1 += step
+        gap = r1 - (r0 if r0 > r2 else r2)
+    elif r2 > r0 and r2 > r1:
+        m2 += step
+        gap = r2 - (r0 if r0 > r1 else r1)
+    else:
+        gap = r0 - (r1 if r1 > r2 else r2)
+    # 2 ties plus the rounding inside the edge, a point is at least 0.93 of
+    # that nearer its own lattice point than any other, more than a tie plus
+    # the rounding of both distances, so the sweep would keep the cell
+    if gap * abs(c1) < 4.0 * ctx.tie + 2.0 * reach:
+        return _sweep_cell(ctx, z)
+    return m1, m2, z - m1 * c1 - m2 * c2
 
+
+def _sweep_cell(ctx: SquigContext, z: complex) -> tuple[int, int, complex]:
+    """``_reduce_to_cell`` near a cell edge: from the rounded oblique
+    coordinates, a sweep over the six nearest neighbours; distance ties keep
+    whichever cell is closer to the origin."""
+    c1 = ctx.cell_shift_1
+    c2 = ctx.cell_shift_2
+    det = ctx.det
+    m1 = round((z.real * c2.imag - z.imag * c2.real) / det)
+    m2 = round((c1.real * z.imag - c1.imag * z.real) / det)
     tie = ctx.tie
     for _ in range(3):
         v = z - m1 * c1 - m2 * c2
@@ -323,14 +331,9 @@ def fold(ctx: SquigContext, z: complex) -> FoldResult:
     return FoldResult(*_fold(ctx, z))
 
 
-def _fold(ctx: SquigContext, z: complex, sweep: bool = False) -> tuple:
+def _fold(ctx: SquigContext, z: complex) -> tuple:
     """:func:`fold` as the plain tuple of ``FoldResult``'s fields, for the
-    evaluation hot path.
-
-    At n == 3 the point is first folded from the nearest lattice point by
-    its coordinates alone, and folded again after ``_reduce_to_cell``'s
-    neighbour sweep only when the folded point lies near the cell edge
-    ``A-P``."""
+    evaluation hot path."""
     z = complex(z)
     n = ctx.n
     if not cmath.isfinite(z):
@@ -340,7 +343,7 @@ def _fold(ctx: SquigContext, z: complex, sweep: bool = False) -> tuple:
     shift = _NO_SHIFT
     v = z
     if n == 3:
-        m1, m2, v = _reduce_to_cell(ctx, z, sweep)
+        m1, m2, v = _reduce_to_cell(ctx, z)
         shift = (m1, m2)
 
     tau = ctx.tau
@@ -368,22 +371,13 @@ def _fold(ctx: SquigContext, z: complex, sweep: bool = False) -> tuple:
         rotation_k = k
         conjugated = False
 
-    ax, ay, ex, ey, px, py = ctx.half_kite
-    tx, ty = t.real, t.imag
-    if n == 3:
-        # The cell's edge in t's half wedge is A-P, |P - A| = |A| long.  A
-        # point 2 ties plus the translation's rounding inside it is at least
-        # 0.93 of that nearer its own lattice point than any other, more than
-        # a tie plus the rounding of both distances, so the sweep would keep
-        # the cell; nearer the edge, or beyond it, sweep.  After the sweep a
-        # miss is unreachable by construction (the Voronoi cell is the
-        # rosette) and is not raised: that guards against roundoff at the
-        # hexagon corners.
-        if not sweep and ex * (ty - ay) - ey * (tx - ax) < ax * (
-                2.0 * ctx.tie + abs(_CELL_ROUND * z)):
-            return _fold(ctx, z, True)
-    else:
+    # at n == 3 the Voronoi cell is the rosette, so a miss is unreachable by
+    # construction and is not raised: that guards against roundoff at the
+    # hexagon corners
+    if n != 3:
         # _in_triangle(t, 0, A, P), inline
+        ax, ay, ex, ey, px, py = ctx.half_kite
+        tx, ty = t.real, t.imag
         tol = -ctx.edge_tol
         if not (
             ax * ty - ay * tx >= tol
@@ -451,8 +445,9 @@ def boundary_polyline(
         return _sample_edges(verts, samples_per_edge)
 
     if which == "gamma":
-        if radius is None or not radius > 0.0:
-            raise ParameterError("the gamma boundary needs a positive radius")
+        if radius is None or not 0.0 < radius < math.inf:
+            raise ParameterError(
+                f"the gamma boundary needs a positive finite radius, got {radius!r}")
         tau = ctx.tau
         pts = []
         for j in range(samples_per_edge):

@@ -6,7 +6,10 @@ its inverse, extended to the whole rosette (for ``n == 3``: to the whole
 plane) through the fold bookkeeping of :mod:`squig.geometry`.  The global
 inverse sine is ``F`` itself continued over the slit plane.
 
-The inverse problem has three routes, one per regime of the folded target:
+``sin_n`` and ``cos_n`` share one body, ``_evaluate``: one fold, one route
+at the folded target, and one unfold, which at n == 3 also adds the lattice
+translation's error to ``residual``.  There are three routes, one per
+regime of the folded target:
 
 1. the disc at 0: the ODE pair's Maclaurin series, s = t S(x), c = C(x)
    with x = t**n, summed from float tables (``numerics._ode_tables``) in
@@ -302,24 +305,6 @@ def _pole_cos(ctx: SquigContext, v: complex) -> complex:
     return ctx.cos_phase * (1.0 - v**n) ** (1.0 / n) / v
 
 
-def _invert_to_triangle(ctx: SquigContext, t: complex, sine: bool):
-    """Invert the sector map at a target in the closed half-kite triangle.
-
-    Returns sin_n(t) if ``sine``, else cos_n(t), and a bound on its error.
-    """
-    y = ctx.A - t
-    # the nearer of the two discs: fewer terms, and the value that vanishes
-    # at its centre (s at 0, c at A) comes out as a product, not a difference
-    if abs(t) <= abs(y):
-        if abs(t) <= ctx.tables.disc:
-            return _disc_sum(ctx, t, sine)
-    else:
-        got = _corner_invert(ctx, y, sine)
-        if got is not None:
-            return got
-    return _pole_invert(ctx, t, sine)
-
-
 def _pole_invert(ctx: SquigContext, t: complex, sine: bool):
     """sin_n(t) if ``sine``, else cos_n(t), at a target beyond both discs,
     and a bound on its error, by the pole series."""
@@ -397,21 +382,46 @@ def arcsin_n(ctx: SquigContext, w: complex) -> complex:
     return val * ctx.roots[k]
 
 
-def sin_n(ctx: SquigContext, z: complex) -> EvalResult:
-    """Generalized sine on the closed rosette (whole plane when n == 3)."""
+def _evaluate(ctx: SquigContext, z: complex, sine: bool) -> EvalResult:
+    """sin_n(z) if ``sine``, else cos_n(z): fold z into the half-kite
+    triangle, take the route of the target, and undo the fold.
+
+    Rotating z by omega rotates the sine by omega and leaves the cosine
+    unchanged; conjugation conjugates both.  At n == 3 a lattice shift
+    (m1, m2) rotates the sine by omega**(m2 - m1) and the cosine by
+    omega**(m1 - m2).
+    """
     t, rotation_k, conjugated, shift, at_pole = _fold(ctx, z)
     if at_pole:
         return EvalResult(None, True, 0.0)
-    u, resid = _invert_to_triangle(ctx, t, True)
-    w = u.conjugate() if conjugated else u
-    w *= ctx.roots[rotation_k]
-    if ctx.n == 3 and shift != (0, 0):
+    # the nearer of the two discs: fewer terms, and the value that vanishes
+    # at its centre (s at 0, c at A) comes out as a product, not a difference
+    y = ctx.A - t
+    r = abs(t)
+    got = None
+    if r <= abs(y):
+        if r <= ctx.tables.disc:
+            got = _disc_sum(ctx, t, sine)
+    else:
+        got = _corner_invert(ctx, y, sine)
+    value, resid = got or _pole_invert(ctx, t, sine)
+    if conjugated:
+        value = value.conjugate()
+    if sine:
+        value *= ctx.roots[rotation_k]
+    if shift != (0, 0):
         m1, m2 = shift
-        w *= ctx.roots[(m2 - m1) % 3]
-        # the translation's error times the slope |cos_3|**2 = |1 - w**3|**(2/3)
+        value *= ctx.roots[(m2 - m1 if sine else m1 - m2) % 3]
+        # the translation's error times the slope, |cos_3|**2 for the sine
+        # and |sin_3|**2 for the cosine: |1 - value**3|**(2/3) for both
         resid += ((_A_ERR * (abs(m1) * abs(ctx.cell_shift_1) + abs(m2) * abs(ctx.cell_shift_2))
-                   + _CELL_ROUND * abs(z)) * abs(1.0 - w**3) ** (2.0 / 3.0))
-    return EvalResult(w, False, resid)
+                   + _CELL_ROUND * abs(z)) * abs(1.0 - value**3) ** (2.0 / 3.0))
+    return EvalResult(value, False, resid)
+
+
+def sin_n(ctx: SquigContext, z: complex) -> EvalResult:
+    """Generalized sine on the closed rosette (whole plane when n == 3)."""
+    return _evaluate(ctx, z, True)
 
 
 def cos_n(ctx: SquigContext, z: complex) -> EvalResult:
@@ -420,18 +430,7 @@ def cos_n(ctx: SquigContext, z: complex) -> EvalResult:
     The branch is continued from cos(0) = 1 through the fold; rotating z by
     omega leaves the value unchanged, conjugation conjugates it.
     """
-    t, _, conjugated, shift, at_pole = _fold(ctx, z)
-    if at_pole:
-        return EvalResult(None, True, 0.0)
-    cosv, resid = _invert_to_triangle(ctx, t, False)
-    c = cosv.conjugate() if conjugated else cosv
-    if ctx.n == 3 and shift != (0, 0):
-        m1, m2 = shift
-        c *= ctx.roots[(m1 - m2) % 3]
-        # the translation's error times the slope |sin_3|**2 = |1 - c**3|**(2/3)
-        resid += ((_A_ERR * (abs(m1) * abs(ctx.cell_shift_1) + abs(m2) * abs(ctx.cell_shift_2))
-                   + _CELL_ROUND * abs(z)) * abs(1.0 - c**3) ** (2.0 / 3.0))
-    return EvalResult(c, False, resid)
+    return _evaluate(ctx, z, False)
 
 
 def sin3_global(ctx: SquigContext, z: complex) -> EvalResult:

@@ -205,9 +205,12 @@ def check_limit_at_infinity(ctx: SquigContext, radii: Sequence[float] | None = N
     the check fails either when the final error is large or when the decay is
     slower than a decade per decade.
     """
+    rs = sorted(radii) if radii is not None else default_limit_radii(ctx.n)
+    if not rs or not all(0.0 < r < math.inf for r in rs):
+        raise ParameterError(
+            f"limit_at_infinity needs one or more positive finite radii, got {radii!r}")
     tol = _tol("limit_at_infinity", tolerance)
     t0 = time.perf_counter()
-    rs = sorted(radii) if radii is not None else default_limit_radii(ctx.n)
     try:
         maxima = limit_profile(ctx, rs)
     except SquigError as exc:
@@ -491,10 +494,33 @@ class VerifyConfig:
     winding_radius: float = 50.0
 
     def __post_init__(self):
-        # a sampled check with no samples would pass with no comparison made
+        # each refusal below stops a run that would pass vacuously (no n, no
+        # family, a sampled check with no samples, an infinite tolerance) or
+        # could never pass (a tolerance of 0 or less, or NaN)
+        if not self.n_values:
+            raise ParameterError("n_values must name at least one n")
+        families = self.families
+        if families is not None and (not families or not set(families) <= set(_FAMILY_CLASS)):
+            raise ParameterError(f"families must name one or more of {sorted(_FAMILY_CLASS)}, "
+                                 f"got {families!r}")
         spn = self.samples_per_n
         if isinstance(spn, bool) or not isinstance(spn, int) or spn < 1:
             raise ParameterError(f"samples_per_n must be a positive integer, got {spn!r}")
+        for name, value in (self.tolerances or {}).items():
+            if name not in _FAMILY_CLASS and name not in DEFAULT_TOLERANCES:
+                raise ParameterError(f"unknown tolerance name {name!r}; choose from "
+                                     f"{sorted(set(_FAMILY_CLASS) | set(DEFAULT_TOLERANCES))}")
+            if not _is_real(value) or not 0.0 < value < math.inf:
+                raise ParameterError(
+                    f"tolerance {name!r} must be positive and finite, got {value!r}")
+        # the keyhole loop runs out along the slit from its tip at 1 to R
+        r = self.winding_radius
+        if not _is_real(r) or not 1.0 < r < math.inf:
+            raise ParameterError(f"winding_radius must be finite and above 1, got {r!r}")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _family_rng(config: VerifyConfig, family: str, n: int) -> random.Random:

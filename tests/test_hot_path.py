@@ -4,14 +4,15 @@
 tolerances, the kernel's tables and (for n == 3) the lattice once;
 ``contains_Sigma`` rotates onto the one slit nearest in phase,
 ``in_rosette`` rotates into the one kite of the point's wedge, and
-``_reduce_to_cell`` skips the neighbour sweep deep inside a cell, and
-``_fold`` calls it only near a cell edge.
-``sin_n``/``cos_n`` fold through the tuple-returning ``_fold``, sum the
-one table of the value asked for on either disc, and build one slotted
-``EvalResult``.  The old n-slit loop, the full six-neighbour sweep, the
-frozen-dataclass ``fold``, the two-table inversion, the n-kite loop and
-``sample_domain``'s per-draw roots are kept here as references, and every
-answer must match them exactly.
+``_reduce_to_cell`` takes the nearest lattice point from the barycentric
+coordinates, handing only points near a cell edge to the neighbour sweep,
+``_sweep_cell``.  ``sin_n``/``cos_n`` share one body, ``_evaluate``: it
+folds through the tuple-returning ``_fold``, sums the one table of the
+value asked for on either disc, and builds one slotted ``EvalResult``.  The
+old n-slit loop, the full six-neighbour sweep (which ``ref_fold`` reduces
+by), the frozen-dataclass ``fold``, the two-table inversion, the n-kite
+loop and ``sample_domain``'s per-draw roots are kept here as references,
+and every answer must match them exactly.
 """
 
 import bisect
@@ -241,7 +242,7 @@ def test_sample_domain_matches_its_per_draw_roots(n):
 
 def cell_points(ctx, rng):
     """Seeded points, hexagon edges and vertices, distance ties, and points
-    just either side of the radius where the sweep is skipped."""
+    just either side of the radius ``cell_inner``."""
     c1, c2 = ctx.cell_shift_1, ctx.cell_shift_2
     shifts = [m1 * c1 + m2 * c2 for m1 in range(-3, 4) for m2 in range(-3, 4)]
     shifts += [37 * c1 - 21 * c2, -250 * c1 + 400 * c2]
@@ -266,15 +267,22 @@ def cell_points(ctx, rng):
     return pts
 
 
-def test_reduce_to_cell_matches_the_full_sweep():
+def counted_sweeps(monkeypatch):
+    """Record each point ``_reduce_to_cell`` hands to ``_sweep_cell``."""
+    sweeps = []
+    sweep = geometry._sweep_cell
+    monkeypatch.setattr(geometry, "_sweep_cell", lambda c, z: sweeps.append(z) or sweep(c, z))
+    return sweeps
+
+
+def test_reduce_to_cell_matches_the_full_sweep(monkeypatch):
     ctx = make_context(3)
+    sweeps = counted_sweeps(monkeypatch)
     pts = cell_points(ctx, random.Random("cells"))
-    skipped = 0
     for z in pts:
-        got = _reduce_to_cell(ctx, z)
-        assert got == full_sweep(ctx, z), z
-        skipped += abs(got[2]) < ctx.cell_inner
-    assert skipped > len(pts) // 4
+        assert _reduce_to_cell(ctx, z) == full_sweep(ctx, z), z
+    # the edges and ties sweep; more than a quarter of the points do not
+    assert len(sweeps) > 0 and len(pts) - len(sweeps) > len(pts) // 4
 
 
 def edge_band_points(ctx, rng):
@@ -303,14 +311,7 @@ def fold_key(folded):
 def test_n3_fold_sweeps_only_near_a_cell_edge(monkeypatch):
     ctx = make_context(3)
     rng = random.Random("edges")
-    sweeps = []
-    reduce = geometry._reduce_to_cell
-
-    def spy(ctx, z, sweep=True):
-        sweeps.append(sweep)
-        return reduce(ctx, z, sweep)
-
-    monkeypatch.setattr(geometry, "_reduce_to_cell", spy)
+    sweeps = counted_sweeps(monkeypatch)
     # bit for bit the fold that sweeps every point, ties and signed zeros
     # included; points in a tie of an edge still take the sweep
     band = edge_band_points(ctx, rng) + cell_points(ctx, rng)
@@ -318,7 +319,7 @@ def test_n3_fold_sweeps_only_near_a_cell_edge(monkeypatch):
         ref = ref_fold(ctx, z)
         want = (ref.folded, ref.rotation_k, ref.conjugated, ref.lattice_shift, ref.at_pole)
         assert fold_key(geometry._fold(ctx, z)) == fold_key(want), z
-    assert 0 < sum(sweeps) < len(band)
+    assert 0 < len(sweeps) < len(band)
     # points of the hexagon, inside the inscribed disc or not, take no sweep
     sweeps.clear()
     c1, c2 = ctx.cell_shift_1, ctx.cell_shift_2
@@ -327,7 +328,7 @@ def test_n3_fold_sweeps_only_near_a_cell_edge(monkeypatch):
     for z in hexagon:
         for shift in (0j, 5 * c1 - 3 * c2, -40_000 * c1 + 7 * c2):
             geometry._fold(ctx, z + shift)
-    assert len(sweeps) == 3 * len(hexagon) > 4000 and not any(sweeps)
+    assert 3 * len(hexagon) > 4000 and sweeps == []
 
 
 @pytest.mark.parametrize("n", ALL_NS)
@@ -446,12 +447,13 @@ class RefFold:
 
 
 def ref_fold(ctx, z):
-    """Reference: ``fold`` as a frozen dataclass built per call."""
+    """Reference: ``fold`` as a frozen dataclass built per call, reducing
+    n == 3 points by the full sweep."""
     z = complex(z)
     m1 = m2 = 0
     v = z
     if ctx.n == 3:
-        m1, m2, v = _reduce_to_cell(ctx, z)
+        m1, m2, v = full_sweep(ctx, z)
     n = ctx.n
     tau = ctx.tau
     theta = cmath.phase(v)
@@ -730,9 +732,11 @@ def python_calls(fn, *args):
     return count
 
 
-# Python-level calls per warm call, by route: the entry point, _fold (and
-# _reduce_to_cell at n == 3), the route's functions and EvalResult.__init__.
-# The pole's 7 is cos_n's, whose route adds _pole_cos; sin_n makes 6.
+# Python-level calls per warm call, by route: the entry point, _evaluate,
+# _fold (and _reduce_to_cell at n == 3), the route's functions and
+# EvalResult.__init__.  The routes are _disc_sum; _corner_invert and
+# _corner_forward; and _pole_invert and _pole_series, with _pole_cos for
+# cos_n only: the pole's 7 is cos_n's, sin_n makes 6.
 CALL_CEILINGS = {"disc 0": 5, "disc A": 6, "pole": 7,
                  "arcsin at 0": 4, "arcsin chart": 6, "arcsin at inf": 5}
 

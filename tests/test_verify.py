@@ -93,6 +93,14 @@ class TestLimitAtInfinity:
         rep = check_limit_at_infinity(make_context(5))
         assert "R=100" in rep.note and "R=1000" in rep.note
 
+    @pytest.mark.parametrize("radii", [[], [0.0], [-5.0, 100.0], [100.0, math.inf],
+                                       [math.nan, 100.0]])
+    def test_refuses_radii_that_are_not_positive_and_finite(self, radii):
+        # an empty list once raised a raw ValueError and [0.0] a
+        # ZeroDivisionError
+        with pytest.raises(squig.ParameterError, match="radii"):
+            check_limit_at_infinity(make_context(4), radii=radii)
+
 
 class TestWinding:
     def test_interior_and_exterior(self):
@@ -222,6 +230,30 @@ def test_sampled_checks_refuse_an_empty_sample_list():
 def test_verify_config_refuses_samples_per_n_below_one(bad):
     with pytest.raises(squig.ParameterError, match="samples_per_n"):
         VerifyConfig(samples_per_n=bad)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("n_values", ()),
+    ("families", ()), ("families", ("nope",)), ("families", ("winding", "nope")),
+    ("tolerances", {"integral_ray": -1}), ("tolerances", {"identity": 0.0}),
+    ("tolerances", {"quadrature": math.nan}), ("tolerances", {"limit": math.inf}),
+    ("tolerances", {"identity": "1e-9"}), ("tolerances", {"bogus": 1}),
+    ("winding_radius", 1.0), ("winding_radius", 0.5), ("winding_radius", math.nan),
+    ("winding_radius", math.inf), ("winding_radius", True),
+])
+def test_verify_config_refuses_vacuous_or_unpassable_settings(field, bad):
+    # each would run no check, or a check that passes or fails whatever the
+    # library computes, or (the winding radius) a keyhole loop that cannot
+    # leave the slit tip at 1
+    with pytest.raises(squig.ParameterError, match=field.rstrip("s")):
+        VerifyConfig(**{field: bad})
+
+
+def test_verify_config_takes_family_and_class_tolerances():
+    cfg = VerifyConfig(families=("winding",), winding_radius=1.5,
+                       tolerances={"winding": 1e-9, "quadrature": 1, "limit": 2e-3})
+    assert verify._resolved_tol(cfg, "winding") == 1e-9
+    assert verify._resolved_tol(cfg, "integral_ray") == 1.0
 
 
 def test_run_all_builds_one_context_per_n(monkeypatch):
