@@ -2,8 +2,11 @@
 reports, and SVG grid-image figures.
 
 Output documents are deterministic byte sequences: JSON payloads are sorted
-and schema-conforming, SVG coordinates are fixed-precision, and `--stable`
-drops the per-check runtime so repeated verification runs compare equal.
+and schema-conforming, and SVG coordinates are fixed-precision.  ``eval``,
+``series``, ``verify`` and ``constants`` write ``--format json`` (default) or
+``csv``; ``grid`` writes SVG only.  ``--stable`` is a ``verify`` flag: it drops
+the per-check runtime, the one field that varies, so repeated runs compare
+equal.  Any other format, or ``--stable`` on another command, exits 2.
 
 Exit codes: 0 success or all checks passing, 1 verification failure (a check
 ran and missed its tolerance), 2 usage, 3 domain violation (the message names
@@ -151,16 +154,14 @@ def cmd_eval(n: int, fn: str, z: complex, fmt: str) -> bytes:
             "is_pole": is_pole,
             "residual": residual,
         })
-    if fmt == "csv":
-        v = record_value
-        return _csv_doc(
-            ["n", "fn", "input_re", "input_im", "value_re", "value_im",
-             "is_pole", "residual"],
-            [[n, fn, repr(z.real), repr(z.imag),
-              "" if v is None else repr(v.real),
-              "" if v is None else repr(v.imag),
-              is_pole, repr(residual)]])
-    raise UsageError("eval supports json and csv output only")
+    v = record_value
+    return _csv_doc(
+        ["n", "fn", "input_re", "input_im", "value_re", "value_im",
+         "is_pole", "residual"],
+        [[n, fn, repr(z.real), repr(z.imag),
+          "" if v is None else repr(v.real),
+          "" if v is None else repr(v.imag),
+          is_pole, repr(residual)]])
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +183,10 @@ def cmd_series(n: int, terms: int, fmt: str) -> bytes:
             "radius_estimate": estimate,
             "radius_closed_form": closed,
         })
-    if fmt == "csv":
-        data: list[list] = [[d, p, q] for d, p, q in rows]
-        data.append(["radius_estimate", "" if estimate is None else repr(estimate), ""])
-        data.append(["radius_closed_form", repr(closed), ""])
-        return _csv_doc(["degree", "numerator", "denominator"], data)
-    raise UsageError("series supports json and csv output only")
+    data: list[list] = [[d, p, q] for d, p, q in rows]
+    data.append(["radius_estimate", "" if estimate is None else repr(estimate), ""])
+    data.append(["radius_closed_form", repr(closed), ""])
+    return _csv_doc(["degree", "numerator", "denominator"], data)
 
 
 # ---------------------------------------------------------------------------
@@ -223,21 +222,19 @@ def cmd_verify(n_values: tuple[int, ...], only: tuple[str, ...] | None,
         code = EXIT_VERIFY_FAILED
     if fmt == "json":
         return _json_doc([_report_dict(r, stable) for r in reports]), code
-    if fmt == "csv":
-        header = ["name", "n", "lhs_re", "lhs_im", "rhs_re", "rhs_im",
-                  "abs_error", "tolerance", "pass", "note"]
+    header = ["name", "n", "lhs_re", "lhs_im", "rhs_re", "rhs_im",
+              "abs_error", "tolerance", "pass", "note"]
+    if not stable:
+        header.append("runtime_ms")
+    rows = []
+    for r in reports:
+        row = [r.name, r.n, repr(r.lhs.real), repr(r.lhs.imag),
+               repr(r.rhs.real), repr(r.rhs.imag), repr(r.abs_error),
+               repr(r.tolerance), r.passed, r.note]
         if not stable:
-            header.append("runtime_ms")
-        rows = []
-        for r in reports:
-            row = [r.name, r.n, repr(r.lhs.real), repr(r.lhs.imag),
-                   repr(r.rhs.real), repr(r.rhs.imag), repr(r.abs_error),
-                   repr(r.tolerance), r.passed, r.note]
-            if not stable:
-                row.append(repr(r.runtime_ms))
-            rows.append(row)
-        return _csv_doc(header, rows), code
-    raise UsageError("verify supports json and csv output only")
+            row.append(repr(r.runtime_ms))
+        rows.append(row)
+    return _csv_doc(header, rows), code
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +322,7 @@ def _grid_image_sin(ctx: SquigContext, density: int) -> list[list[complex]]:
     return curves
 
 
-def cmd_grid(n: int, map_name: str, density: int, fmt: str) -> bytes:
-    if fmt != "svg":
-        raise UsageError("grid emits svg only")
+def cmd_grid(n: int, map_name: str, density: int) -> bytes:
     if not isinstance(density, int) or not 2 <= density <= 256:
         raise UsageError("grid density must lie in 2..256")
     ctx = make_context(n)
@@ -400,12 +395,10 @@ def cmd_constants(n: int, fmt: str) -> bytes:
             "P_n": _c2d(ctx.P),
             "R_n": ctx.R,
         })
-    if fmt == "csv":
-        return _csv_doc(
-            ["n", "pi_n", "A_re", "A_im", "P_re", "P_im", "R_n"],
-            [[n, repr(ctx.pi_n), repr(ctx.A.real), repr(ctx.A.imag),
-              repr(ctx.P.real), repr(ctx.P.imag), repr(ctx.R)]])
-    raise UsageError("constants supports json and csv output only")
+    return _csv_doc(
+        ["n", "pi_n", "A_re", "A_im", "P_re", "P_im", "R_n"],
+        [[n, repr(ctx.pi_n), repr(ctx.A.real), repr(ctx.A.imag),
+          repr(ctx.P.real), repr(ctx.P.imag), repr(ctx.R)]])
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generalized trigonometric functions on the complex plane")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, default_format: str = "json") -> None:
-        p.add_argument("--format", choices=("json", "csv", "svg"),
-                       default=default_format)
+    def common(p: argparse.ArgumentParser, formats: tuple[str, ...] = ("json", "csv")) -> None:
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", metavar="FILE", default=None)
-        p.add_argument("--stable", action="store_true",
-                       help="omit fields that vary between runs")
 
     p_eval = sub.add_parser("eval", help="evaluate one function at one point")
     p_eval.add_argument("--n", type=int, required=True)
@@ -442,13 +432,15 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="FAMILY")
     p_verify.add_argument("--tol", action="append", default=[],
                           metavar="NAME=VALUE")
+    p_verify.add_argument("--stable", action="store_true",
+                          help="omit the per-check runtime, the one field that varies")
     common(p_verify)
 
     p_grid = sub.add_parser("grid", help="SVG figure of grid images")
     p_grid.add_argument("--n", type=int, required=True)
     p_grid.add_argument("--map", choices=("F", "sin"), required=True)
     p_grid.add_argument("--density", type=int, default=12)
-    common(p_grid, default_format="svg")
+    common(p_grid, ("svg",))
 
     p_const = sub.add_parser("constants", help="print the named constants")
     p_const.add_argument("--n", type=int, required=True)
@@ -485,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
                                    _parse_tol(args.tol) or None,
                                    args.format, args.stable)
         elif args.command == "grid":
-            doc = cmd_grid(args.n, args.map, args.density, args.format)
+            doc = cmd_grid(args.n, args.map, args.density)
         else:
             doc = cmd_constants(args.n, args.format)
     except (UsageError, ParameterError) as exc:

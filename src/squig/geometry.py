@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .errors import DomainError, ParameterError
-from .numerics import _SeriesTables, _series_tables
+from .numerics import _series_tables
 
 _MIN_N = 3
 _MAX_N = 64
@@ -41,7 +41,6 @@ _RAY_SNAP = 1e-12
 _CELL_ROUND = 2.0**-46
 
 
-@dataclass(eq=False)
 class SquigContext:
     """Fixed-n bundle of constants shared by every operation.
 
@@ -74,33 +73,13 @@ class SquigContext:
       4 ties, which sets the reduction's reach.
     """
 
-    n: int
-    omega: complex = field(init=False)
-    pi_n: float = field(init=False)
-    A: complex = field(init=False)
-    B: complex = field(init=False)
-    P: complex = field(init=False)
-    series_cache: dict = field(init=False, default_factory=dict, repr=False)
-    roots: tuple = field(init=False, repr=False)
-    inv_roots: tuple = field(init=False, repr=False)
-    tau: float = field(init=False, repr=False)
-    cos_phase: complex = field(init=False, repr=False)
-    edge_tol: float = field(init=False, repr=False)
-    half_kite: tuple = field(init=False, repr=False)
-    pole_tol: float = field(init=False, repr=False)
-    tables: _SeriesTables = field(init=False, repr=False)
-    cell_shift_1: complex = field(init=False, repr=False)
-    cell_shift_2: complex = field(init=False, repr=False)
-    det: float | None = field(init=False, repr=False, default=None)
-    tie: float | None = field(init=False, repr=False, default=None)
-    cell_inner: float | None = field(init=False, repr=False, default=None)
-
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n: int):
         if isinstance(n, bool) or not isinstance(n, int):
             raise ParameterError(f"n must be an integer, got {n!r}")
         if not _MIN_N <= n <= _MAX_N:
             raise ParameterError(f"n must lie in [{_MIN_N}, {_MAX_N}], got {n}")
+        self.n = n
+        self.series_cache = {}
         self.tables = tables = _series_tables(n)
         self.roots = tuple(cmath.exp(2j * math.pi * k / n) for k in range(n))
         self.inv_roots = tuple(cmath.exp(-2j * math.pi * k / n) for k in range(n))
@@ -116,12 +95,16 @@ class SquigContext:
         self.pole_tol = _POLE_TOL * abs(p)
         self.cell_shift_1 = c1 = a * (1.0 - omega)
         self.cell_shift_2 = c2 = a * (1.0 - omega * omega)
+        self.det = self.tie = self.cell_inner = None
         if n == 3:
             self.det = c1.real * c2.imag - c1.imag * c2.real
             self.tie = 1e-12 * abs(a)
             # every neighbour is |c1| away, so within |c1|/2 - 4 tie of a
             # lattice point no neighbour comes within a tie of being nearer
             self.cell_inner = 0.5 * abs(c1) - 4.0 * self.tie
+
+    def __repr__(self) -> str:
+        return f"SquigContext(n={self.n})"
 
     @property
     def beta(self) -> float:
@@ -164,6 +147,10 @@ class FoldResult:
 _set_folded, _set_rotation_k, _set_conjugated, _set_lattice_shift, _set_at_pole = (
     getattr(FoldResult, f.name).__set__ for f in fields(FoldResult))
 _NO_SHIFT = (0, 0)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def make_context(n: int) -> SquigContext:
@@ -445,7 +432,7 @@ def boundary_polyline(
         return _sample_edges(verts, samples_per_edge)
 
     if which == "gamma":
-        if radius is None or not 0.0 < radius < math.inf:
+        if not _is_real(radius) or not 0.0 < radius < math.inf:
             raise ParameterError(
                 f"the gamma boundary needs a positive finite radius, got {radius!r}")
         tau = ctx.tau

@@ -16,11 +16,11 @@ import math
 import operator
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import ParameterError, SquigError
-from .geometry import SquigContext, in_rosette, make_context
+from .geometry import SquigContext, _is_real, in_rosette, make_context
 from .reference import (
     integrate_endpoint_singular,
     integrate_smooth,
@@ -92,21 +92,24 @@ class VerificationReport:
     note: str = ""
 
 
-def _finish(name: str, n: int, tol: float, t0: float,
-            lhs: complex, rhs: complex, err: float, note: str = "") -> VerificationReport:
+def _report(name: str, n: int, tolerance: float | None,
+            measure: Callable[[], tuple[complex, complex, float, str]]) -> VerificationReport:
+    """Time ``measure()`` and make its row; a raised ``SquigError`` is a failed row.
+
+    ``measure`` returns ``(lhs, rhs, abs_error, note)``.  A tolerance of None
+    takes the family's class default.
+    """
+    tol = DEFAULT_TOLERANCES[_FAMILY_CLASS[name]] if tolerance is None else float(tolerance)
+    t0 = time.perf_counter()
+    try:
+        lhs, rhs, err, note = measure()
+        passed = err <= tol
+    except SquigError as exc:
+        lhs, rhs, err, note = 0j, 0j, _FAIL_SENTINEL, f"{type(exc).__name__}: {exc}"
+        passed = False
     ms = (time.perf_counter() - t0) * 1e3
     return VerificationReport(name, n, complex(lhs), complex(rhs),
-                              float(err), tol, err <= tol, ms, note)
-
-
-def _failed(name: str, n: int, tol: float, t0: float, exc: Exception) -> VerificationReport:
-    ms = (time.perf_counter() - t0) * 1e3
-    return VerificationReport(name, n, 0j, 0j, _FAIL_SENTINEL, tol, False, ms,
-                              f"{type(exc).__name__}: {exc}")
-
-
-def _tol(family: str, tolerance: float | None) -> float:
-    return DEFAULT_TOLERANCES[_FAMILY_CLASS[family]] if tolerance is None else float(tolerance)
+                              float(err), tol, passed, ms, note)
 
 
 # ---------------------------------------------------------------------------
@@ -142,31 +145,25 @@ def _slit_edge_integral(n: int) -> float:
 
 def check_integral_slit(ctx: SquigContext, tolerance: float | None = None) -> VerificationReport:
     """Edge integral along a slit against the context's |P|, from the series."""
-    tol = _tol("integral_slit", tolerance)
-    t0 = time.perf_counter()
-    try:
+    def measure():
         lhs = _slit_edge_integral(ctx.n)
-        rhs = ctx.R
-    except SquigError as exc:
-        return _failed("integral_slit", ctx.n, tol, t0, exc)
-    return _finish("integral_slit", ctx.n, tol, t0, lhs, rhs, abs(lhs - rhs))
+        return lhs, ctx.R, abs(lhs - ctx.R), ""
+    return _report("integral_slit", ctx.n, tolerance, measure)
 
 
 def check_integral_ray(ctx: SquigContext, tolerance: float | None = None) -> VerificationReport:
     """Integral of (1 + t**n)**(-(n-1)/n) over [0, inf) against the gamma closed form."""
     n = ctx.n
-    tol = _tol("integral_ray", tolerance)
-    t0 = time.perf_counter()
     beta = (n - 1.0) / n
-    try:
+
+    def measure():
         head = integrate_smooth(lambda t: (1.0 + t ** n) ** -beta, 0.0, 2.0, _QUAD_TOL)
         tail = integrate_tail(lambda t, dl, dr: (1.0 + t ** n) ** -beta, 2.0, n - 1.0,
                               tol=_QUAD_TOL)
         lhs = (head.value + tail.value).real
         rhs = gamma_corner_radius(n)
-    except SquigError as exc:
-        return _failed("integral_ray", ctx.n, tol, t0, exc)
-    return _finish("integral_ray", ctx.n, tol, t0, lhs, rhs, abs(lhs - rhs))
+        return lhs, rhs, abs(lhs - rhs), ""
+    return _report("integral_ray", n, tolerance, measure)
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +202,19 @@ def check_limit_at_infinity(ctx: SquigContext, radii: Sequence[float] | None = N
     the check fails either when the final error is large or when the decay is
     slower than a decade per decade.
     """
-    rs = sorted(radii) if radii is not None else default_limit_radii(ctx.n)
-    if not rs or not all(0.0 < r < math.inf for r in rs):
+    rs = list(default_limit_radii(ctx.n) if radii is None else radii)
+    # the types are checked before sorting, which would raise on a mix of kinds
+    if not rs or not all(_is_real(r) and 0.0 < r < math.inf for r in rs):
         raise ParameterError(
             f"limit_at_infinity needs one or more positive finite radii, got {radii!r}")
-    tol = _tol("limit_at_infinity", tolerance)
-    t0 = time.perf_counter()
-    try:
+    rs.sort()
+
+    def measure():
         maxima = limit_profile(ctx, rs)
-    except SquigError as exc:
-        return _failed("limit_at_infinity", ctx.n, tol, t0, exc)
-    err = max(m * (r / rs[-1]) for m, r in zip(maxima, rs))
-    note = " ".join(f"R={r:g}:{m:.3e}" for r, m in zip(rs, maxima))
-    return _finish("limit_at_infinity", ctx.n, tol, t0, maxima[-1], 0.0, err, note)
+        err = max(m * (r / rs[-1]) for m, r in zip(maxima, rs))
+        note = " ".join(f"R={r:g}:{m:.3e}" for r, m in zip(rs, maxima))
+        return maxima[-1], 0.0, err, note
+    return _report("limit_at_infinity", ctx.n, tolerance, measure)
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +261,11 @@ def check_winding(ctx: SquigContext, R: float, w: complex,
     Targets close to the region boundary are ill-posed for both routes and
     are the caller's responsibility to avoid.
     """
-    tol = _tol("winding", tolerance)
-    t0 = time.perf_counter()
-    try:
-        loop = _boundary_image_loop(ctx, float(R))
-        got = winding_number(loop, complex(w))
-    except SquigError as exc:
-        return _failed("winding", ctx.n, tol, t0, exc)
-    expected = 1 if in_rosette(ctx, complex(w)) else 0
-    return _finish("winding", ctx.n, tol, t0, complex(got), complex(expected),
-                   float(abs(got - expected)), f"target={w!r}")
+    def measure():
+        got = winding_number(_boundary_image_loop(ctx, float(R)), complex(w))
+        expected = 1 if in_rosette(ctx, complex(w)) else 0
+        return got, expected, abs(got - expected), f"target={w!r}"
+    return _report("winding", ctx.n, tolerance, measure)
 
 
 # ---------------------------------------------------------------------------
@@ -359,29 +351,25 @@ def check_periodicity_sin3(ctx: SquigContext, samples: Sequence[complex],
         raise ParameterError(f"periodicity_sin3 needs an n == 3 context, got n = {ctx.n}")
     if not samples:
         raise ParameterError("periodicity_sin3 needs at least one sample")
-    tol = _tol("periodicity_sin3", tolerance)
-    t0 = time.perf_counter()
     period = 1.5 * ctx.pi_n
     shifts = (period, period * ctx.omega)
-    worst = -1.0
-    wl, wr = 0j, 0j
-    steps = 0
-    try:
+
+    def measure():
+        worst = -1.0
+        wl, wr = 0j, 0j
+        steps = 0
         for z in samples:
             ref, _, taken = _ode_pair(3, complex(z))
             steps += taken
             for shift in shifts:
                 res = sin3_global(ctx, complex(z) + shift)
                 if res.is_pole:
-                    return _finish("periodicity_sin3", 3, tol, t0, 0j, ref,
-                                   _FAIL_SENTINEL, f"unexpected pole flag at {z!r}")
+                    return 0j, ref, _FAIL_SENTINEL, f"unexpected pole flag at {z!r}"
                 d = abs(res.value - ref)
                 if d > worst:
                     worst, wl, wr = d, res.value, ref
-    except SquigError as exc:
-        return _failed("periodicity_sin3", 3, tol, t0, exc)
-    return _finish("periodicity_sin3", 3, tol, t0, wl, wr, worst,
-                   f"samples={len(samples)} steps={steps}")
+        return wl, wr, worst, f"samples={len(samples)} steps={steps}"
+    return _report("periodicity_sin3", 3, tolerance, measure)
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +387,10 @@ def check_trisection(ctx: SquigContext, tolerance: float | None = None) -> Verif
     """
     if ctx.n != 3:
         raise ParameterError(f"trisection needs an n == 3 context, got n = {ctx.n}")
-    tol = _tol("trisection", tolerance)
-    t0 = time.perf_counter()
     third = 1.0 / 3.0
     rhs = gamma_pi_n(3) / 4.0
-    try:
+
+    def measure():
         q1 = integrate_endpoint_singular(
             lambda x, dl, dr: (dr * (1.0 + x + x * x)) ** third,
             0.0, 1.0, right_exp=-third, tol=_QUAD_TOL).value.real
@@ -416,13 +403,11 @@ def check_trisection(ctx: SquigContext, tolerance: float | None = None) -> Verif
             lambda x, dl, dr: -x * math.expm1(math.log1p(-x ** -3) / 3.0),
             2.0, 2.0, tol=_QUAD_TOL).value.real
         q4 = 0.5 + (1.5 - cube) + tail
-    except SquigError as exc:
-        return _failed("trisection", 3, tol, t0, exc)
-    err = max(abs(q4 - rhs), abs(q1 - rhs),
-              abs((q1 + 2.0 * q4) - 3.0 * rhs),
-              abs(abs(ctx.P) / 2.0 - rhs))
-    return _finish("trisection", 3, tol, t0, q4, rhs, err,
-                   f"quadrant={q1:.12f} total={q1 + 2.0 * q4:.12f}")
+        err = max(abs(q4 - rhs), abs(q1 - rhs),
+                  abs((q1 + 2.0 * q4) - 3.0 * rhs),
+                  abs(abs(ctx.P) / 2.0 - rhs))
+        return q4, rhs, err, f"quadrant={q1:.12f} total={q1 + 2.0 * q4:.12f}"
+    return _report("trisection", 3, tolerance, measure)
 
 
 # ---------------------------------------------------------------------------
@@ -443,21 +428,18 @@ def check_sc_factorization(ctx: SquigContext, samples: Sequence[complex],
     n = ctx.n
     if not samples:
         raise ParameterError("sc_factorization needs at least one sample")
-    tol = _tol("sc_factorization", tolerance)
-    t0 = time.perf_counter()
-    worst = -1.0
-    wl, wr = 0j, 0j
-    try:
+
+    def measure():
+        worst = -1.0
+        wl, wr = 0j, 0j
         for z in samples:
             lhs = arcsin_n_sector(ctx, complex(z))
             rhs = _triangle_map(n, complex(z) ** n)
             d = abs(lhs - rhs)
             if d > worst:
                 worst, wl, wr = d, lhs, rhs
-    except SquigError as exc:
-        return _failed("sc_factorization", n, tol, t0, exc)
-    return _finish("sc_factorization", n, tol, t0, wl, wr, worst,
-                   f"samples={len(samples)}")
+        return wl, wr, worst, f"samples={len(samples)}"
+    return _report("sc_factorization", n, tolerance, measure)
 
 
 # ---------------------------------------------------------------------------
@@ -467,17 +449,12 @@ def check_sc_factorization(ctx: SquigContext, samples: Sequence[complex],
 def check_riemann_normalization(ctx: SquigContext,
                                 tolerance: float | None = None) -> VerificationReport:
     """Fixed point at 0 and a unit derivative there, by central difference."""
-    tol = _tol("riemann_normalization", tolerance)
-    t0 = time.perf_counter()
-    h = 1e-5
-    try:
+    def measure():
+        h = 1e-5
         s0 = sin_n(ctx, 0j).value
         fd = (sin_n(ctx, h + 0j).value - sin_n(ctx, -h + 0j).value) / (2.0 * h)
-    except SquigError as exc:
-        return _failed("riemann_normalization", ctx.n, tol, t0, exc)
-    err = max(abs(s0), abs(fd - 1.0))
-    return _finish("riemann_normalization", ctx.n, tol, t0, fd, 1.0, err,
-                   f"origin={s0!r}")
+        return fd, 1.0, max(abs(s0), abs(fd - 1.0)), f"origin={s0!r}"
+    return _report("riemann_normalization", ctx.n, tolerance, measure)
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +474,10 @@ class VerifyConfig:
         # each refusal below stops a run that would pass vacuously (no n, no
         # family, a sampled check with no samples, an infinite tolerance) or
         # could never pass (a tolerance of 0 or less, or NaN)
-        if not self.n_values:
-            raise ParameterError("n_values must name at least one n")
+        nv = self.n_values
+        if not isinstance(nv, Sequence) or not nv or not all(
+                isinstance(n, int) and not isinstance(n, bool) for n in nv):
+            raise ParameterError(f"n_values must be a sequence of one or more integers, got {nv!r}")
         families = self.families
         if families is not None and (not families or not set(families) <= set(_FAMILY_CLASS)):
             raise ParameterError(f"families must name one or more of {sorted(_FAMILY_CLASS)}, "
@@ -517,10 +496,6 @@ class VerifyConfig:
         r = self.winding_radius
         if not _is_real(r) or not 1.0 < r < math.inf:
             raise ParameterError(f"winding_radius must be finite and above 1, got {r!r}")
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _family_rng(config: VerifyConfig, family: str, n: int) -> random.Random:

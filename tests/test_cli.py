@@ -116,6 +116,14 @@ class TestEval:
         code, _ = run_cli(tmp_path, "eval", "--n", "4", "--fn", "sin", "--z", "1+2j")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", [("--format", "svg"), ("--stable",)])
+    def test_option_it_does_not_act_on_exit_2(self, tmp_path, capsys, flag):
+        # eval writes json or csv and has no field that varies between runs
+        code, payload = run_cli(tmp_path, "eval", "--n", "4", "--fn", "sin",
+                                "--z", "0.5", *flag)
+        assert code == 2 and payload == b""
+        assert flag[0] in capsys.readouterr().err
+
     def test_numeric_failure_exit_4(self, tmp_path, monkeypatch):
         from squig.errors import ConvergenceError
 

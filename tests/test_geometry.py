@@ -343,9 +343,11 @@ class TestBoundaryPolyline:
         assert max(abs(p) for p in pts) <= 10.0 + 1e-12
         assert pts[0] == pts[-1] == 0j
 
-    @pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, -math.inf, math.nan,
+                                        "2", True, 2j])
     def test_gamma_refuses_a_radius_that_is_not_positive_and_finite(self, radius):
-        # an infinite radius would give NaN and infinite points
+        # an infinite radius would give NaN and infinite points, and a string
+        # a raw TypeError
         with pytest.raises(ParameterError, match="radius"):
             boundary_polyline(make_context(4), "gamma", 8, radius=radius)
 

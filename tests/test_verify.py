@@ -94,10 +94,12 @@ class TestLimitAtInfinity:
         assert "R=100" in rep.note and "R=1000" in rep.note
 
     @pytest.mark.parametrize("radii", [[], [0.0], [-5.0, 100.0], [100.0, math.inf],
-                                       [math.nan, 100.0]])
+                                       [math.nan, 100.0], ["a", "b"], [1.0, "a"],
+                                       [True, 100.0], [100.0, 2j]])
     def test_refuses_radii_that_are_not_positive_and_finite(self, radii):
-        # an empty list once raised a raw ValueError and [0.0] a
-        # ZeroDivisionError
+        # an empty list once raised a raw ValueError, [0.0] a
+        # ZeroDivisionError, and strings a raw TypeError (a mix of kinds from
+        # sorting)
         with pytest.raises(squig.ParameterError, match="radii"):
             check_limit_at_infinity(make_context(4), radii=radii)
 
@@ -233,7 +235,8 @@ def test_verify_config_refuses_samples_per_n_below_one(bad):
 
 
 @pytest.mark.parametrize("field, bad", [
-    ("n_values", ()),
+    ("n_values", ()), ("n_values", 4), ("n_values", "34"), ("n_values", (3, 4.0)),
+    ("n_values", (3, True)), ("n_values", {3, 4}), ("n_values", None),
     ("families", ()), ("families", ("nope",)), ("families", ("winding", "nope")),
     ("tolerances", {"integral_ray": -1}), ("tolerances", {"identity": 0.0}),
     ("tolerances", {"quadrature": math.nan}), ("tolerances", {"limit": math.inf}),
@@ -244,9 +247,45 @@ def test_verify_config_refuses_samples_per_n_below_one(bad):
 def test_verify_config_refuses_vacuous_or_unpassable_settings(field, bad):
     # each would run no check, or a check that passes or fails whatever the
     # library computes, or (the winding radius) a keyhole loop that cannot
-    # leave the slit tip at 1
+    # leave the slit tip at 1; n_values=4 once reached run_all and raised a
+    # raw TypeError there
     with pytest.raises(squig.ParameterError, match=field.rstrip("s")):
         VerifyConfig(**{field: bad})
+
+
+# each family's independent route, the one a raised error can come from
+FAMILY_ROUTES = [
+    ("integral_slit", "integrate_smooth"),
+    ("integral_ray", "integrate_tail"),
+    ("limit_at_infinity", "limit_profile"),
+    ("winding", "winding_number"),
+    ("periodicity_sin3", "_ode_pair"),
+    ("trisection", "integrate_endpoint_singular"),
+    ("sc_factorization", "_triangle_map"),
+    ("riemann_normalization", "sin_n"),
+]
+
+
+@pytest.mark.parametrize("family, route", FAMILY_ROUTES)
+def test_a_raised_route_becomes_the_family_failed_row(monkeypatch, family, route):
+    def boom(*args, **kwargs):
+        raise squig.QuadratureError("injected")
+
+    monkeypatch.setattr(verify, route, boom)
+    [rep] = run_all(VerifyConfig(n_values=(3,), families=(family,), samples_per_n=2))
+    assert (rep.name, rep.n, rep.lhs, rep.rhs) == (family, 3, 0j, 0j)
+    assert rep.abs_error == 1e308 and rep.passed is False
+    assert rep.note == "QuadratureError: injected"
+    assert rep.tolerance == DEFAULT_TOLERANCES[verify._FAMILY_CLASS[family]]
+
+
+def test_failed_row_fails_under_any_tolerance(monkeypatch):
+    def boom(*args, **kwargs):
+        raise squig.QuadratureError("injected")
+
+    monkeypatch.setattr(verify, "integrate_smooth", boom)
+    rep = check_integral_slit(make_context(4), tolerance=math.inf)
+    assert rep.abs_error == 1e308 and rep.passed is False
 
 
 def test_verify_config_takes_family_and_class_tolerances():
