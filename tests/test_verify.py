@@ -235,8 +235,7 @@ def test_verify_config_refuses_samples_per_n_below_one(bad):
 
 
 @pytest.mark.parametrize("field, bad", [
-    ("n_values", ()), ("n_values", 4), ("n_values", "34"), ("n_values", (3, 4.0)),
-    ("n_values", (3, True)), ("n_values", {3, 4}), ("n_values", None),
+    ("n_values", ()),
     ("families", ()), ("families", ("nope",)), ("families", ("winding", "nope")),
     ("tolerances", {"integral_ray": -1}), ("tolerances", {"identity": 0.0}),
     ("tolerances", {"quadrature": math.nan}), ("tolerances", {"limit": math.inf}),
@@ -247,10 +246,16 @@ def test_verify_config_refuses_samples_per_n_below_one(bad):
 def test_verify_config_refuses_vacuous_or_unpassable_settings(field, bad):
     # each would run no check, or a check that passes or fails whatever the
     # library computes, or (the winding radius) a keyhole loop that cannot
-    # leave the slit tip at 1; n_values=4 once reached run_all and raised a
-    # raw TypeError there
+    # leave the slit tip at 1
     with pytest.raises(squig.ParameterError, match=field.rstrip("s")):
         VerifyConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("bad", [4, "34", (3, 4.0), (3, True), {3, 4}, None])
+def test_verify_config_refuses_n_values_of_the_wrong_type(bad):
+    # n_values=4 once reached run_all and raised a raw TypeError there
+    with pytest.raises(squig.ParameterError, match="n_value"):
+        VerifyConfig(n_values=bad)
 
 
 # each family's independent route, the one a raised error can come from
