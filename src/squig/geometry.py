@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
 
 from .errors import DomainError, ParameterError
-from .numerics import _series_tables
+from .numerics import _FrozenRecord, _series_tables
 
 _MIN_N = 3
 _MAX_N = 64
@@ -116,8 +115,7 @@ class SquigContext:
         return abs(self.P)
 
 
-@dataclass(frozen=True, slots=True)
-class FoldResult:
+class FoldResult(_FrozenRecord):
     """Canonical representative plus the bookkeeping to undo the fold.
 
     The original point is recovered (up to roundoff) as
@@ -128,6 +126,7 @@ class FoldResult:
     where the lattice part is zero unless ``n == 3``.
     """
 
+    __slots__ = ("folded", "rotation_k", "conjugated", "lattice_shift", "at_pole")
     folded: complex
     rotation_k: int
     conjugated: bool
@@ -135,8 +134,8 @@ class FoldResult:
     at_pole: bool
 
     def __init__(self, folded, rotation_k, conjugated, lattice_shift, at_pole):
-        # the generated __init__ of a frozen class sets each field through
-        # object.__setattr__; the slots' descriptors set them directly
+        # the slots' descriptors set each field directly, past the frozen
+        # __setattr__
         _set_folded(self, folded)
         _set_rotation_k(self, rotation_k)
         _set_conjugated(self, conjugated)
@@ -145,7 +144,7 @@ class FoldResult:
 
 
 _set_folded, _set_rotation_k, _set_conjugated, _set_lattice_shift, _set_at_pole = (
-    getattr(FoldResult, f.name).__set__ for f in fields(FoldResult))
+    getattr(FoldResult, name).__set__ for name in FoldResult.__slots__)
 _NO_SHIFT = (0, 0)
 
 

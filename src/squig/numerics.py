@@ -23,7 +23,6 @@ import bisect
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvalidSeriesError
@@ -50,30 +49,81 @@ def __dir__():
 
 
 # ---------------------------------------------------------------------------
+# Frozen records
+# ---------------------------------------------------------------------------
+
+class _FrozenRecord:
+    """Base of the frozen, slotted result records.
+
+    ``==``, ``hash``, ``repr``, pickling and ``match`` behave as on a
+    ``@dataclass(frozen=True)`` with the same fields, and setting or
+    deleting an attribute raises ``dataclasses.FrozenInstanceError``.
+
+    A subclass lists its fields in ``__slots__``, in order, and sets them in
+    its ``__init__`` through the slots' descriptors.  ``dataclasses`` is
+    imported only to raise its ``FrozenInstanceError``, so importing a
+    record does not load it (nor ``inspect``, which it imports).
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # Exact rational series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RationalSeries:
+class RationalSeries(_FrozenRecord):
     """Sparse power series with exact rational coefficients.
 
     degrees are strictly increasing positive integers and coefficients are
     nonzero Fractions; the pair (degrees[i], coeffs[i]) is one term.
     """
 
+    __slots__ = ("degrees", "coeffs")
     degrees: tuple
     coeffs: tuple
 
-    def __post_init__(self):
-        if len(self.degrees) != len(self.coeffs):
+    def __init__(self, degrees: tuple, coeffs: tuple):
+        if len(degrees) != len(coeffs):
             raise InvalidSeriesError("degrees and coeffs must align")
         last = 0
-        for d, c in zip(self.degrees, self.coeffs):
+        for d, c in zip(degrees, coeffs):
             if d < 1 or (last and d <= last):
                 raise InvalidSeriesError("degrees must be strictly increasing and >= 1")
             if c == 0:
                 raise InvalidSeriesError("zero coefficients are not stored")
             last = d
+        _set_degrees(self, degrees)
+        _set_coeffs(self, coeffs)
 
     def coefficient(self, degree: int) -> Fraction:
         from fractions import Fraction
@@ -97,6 +147,10 @@ class RationalSeries:
 
     def evaluate(self, z: complex) -> complex:
         return _sparse_horner(zip(reversed(self.degrees), map(complex, reversed(self.coeffs))), z)
+
+
+_set_degrees, _set_coeffs = (getattr(RationalSeries, name).__set__
+                             for name in RationalSeries.__slots__)
 
 
 def _sparse_horner(terms, z: complex) -> complex:

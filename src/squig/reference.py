@@ -547,11 +547,12 @@ def winding_number(loop_values, w: complex) -> int:
         raise DegenerateLoopError("a loop needs at least 4 samples")
     if abs(values[0] - values[-1]) > 1e-9 * max(1.0, abs(values[0])):
         raise DegenerateLoopError("loop is not closed (first != last sample)")
-    scale = max(abs(v) for v in values)
+    # distance below which a sample counts as the target itself
+    near = 1e-12 * max(1.0, max(abs(v) for v in values))
     total = 0.0
     for va, vb in zip(values, values[1:]):
         da, db = va - w, vb - w
-        if abs(da) < 1e-12 * max(1.0, scale) or abs(db) < 1e-12 * max(1.0, scale):
+        if abs(da) < near or abs(db) < near:
             raise DegenerateLoopError(
                 f"loop passes through the target point {w:.6g}")
         inc = cmath.phase(db / da)

@@ -43,7 +43,6 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass, fields
 
 from .errors import (
     ConvergenceError,
@@ -56,6 +55,7 @@ from .numerics import (
     ODE_RADII,
     ODE_TERMS,
     RationalSeries,
+    _FrozenRecord,
     _ode_coefficients,
     _pole_table,
     _real_chart,
@@ -69,8 +69,7 @@ _A_ERR = 3e-16  # relative error of A from the kernel's tables (tested: 2.5e-16)
 _P_ERR = 5e-16  # relative error of P: |P|'s (tested: 3.5e-16) and e^(i pi/n)'s
 
 
-@dataclass(frozen=True, slots=True)
-class EvalResult:
+class EvalResult(_FrozenRecord):
     """Value of an evaluation plus its certificate.
 
     ``value`` is None exactly when ``is_pole`` is set.  On every route
@@ -83,19 +82,20 @@ class EvalResult:
     ``|1 - value**3|**(2/3)``.
     """
 
+    __slots__ = ("value", "is_pole", "residual")
     value: complex | None
     is_pole: bool
     residual: float
 
     def __init__(self, value, is_pole, residual):
-        # as FoldResult's: the slots' descriptors instead of object.__setattr__
+        # as FoldResult's: the slots' descriptors, past the frozen __setattr__
         _set_value(self, value)
         _set_is_pole(self, is_pole)
         _set_residual(self, residual)
 
 
 _set_value, _set_is_pole, _set_residual = (
-    getattr(EvalResult, f.name).__set__ for f in fields(EvalResult))
+    getattr(EvalResult, name).__set__ for name in EvalResult.__slots__)
 
 
 # ---------------------------------------------------------------------------

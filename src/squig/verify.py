@@ -97,9 +97,16 @@ def _report(name: str, n: int, tolerance: float | None,
     """Time ``measure()`` and make its row; a raised ``SquigError`` is a failed row.
 
     ``measure`` returns ``(lhs, rhs, abs_error, note)``.  A tolerance of None
-    takes the family's class default.
+    takes the family's class default; any other must be a positive finite
+    real, as in ``VerifyConfig``, or the row would pass whatever was measured
+    (infinity) or never pass (0 or less, NaN).
     """
-    tol = DEFAULT_TOLERANCES[_FAMILY_CLASS[name]] if tolerance is None else float(tolerance)
+    if tolerance is None:
+        tol = DEFAULT_TOLERANCES[_FAMILY_CLASS[name]]
+    elif _is_real(tolerance) and 0.0 < tolerance < math.inf:
+        tol = float(tolerance)
+    else:
+        raise ParameterError(f"{name} tolerance must be positive and finite, got {tolerance!r}")
     t0 = time.perf_counter()
     try:
         lhs, rhs, err, note = measure()
@@ -110,6 +117,15 @@ def _report(name: str, n: int, tolerance: float | None,
     ms = (time.perf_counter() - t0) * 1e3
     return VerificationReport(name, n, complex(lhs), complex(rhs),
                               float(err), tol, passed, ms, note)
+
+
+def _check_samples(name: str, samples) -> None:
+    """Refuse ``samples`` unless a sequence of one or more numbers (bools
+    excluded): with none a check would pass with abs_error -1."""
+    if not isinstance(samples, Sequence) or not samples or not all(
+            isinstance(z, (int, float, complex)) and not isinstance(z, bool) for z in samples):
+        raise ParameterError(f"{name} needs a sequence of one or more numbers as samples, "
+                             f"got {samples!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +218,13 @@ def check_limit_at_infinity(ctx: SquigContext, radii: Sequence[float] | None = N
     the check fails either when the final error is large or when the decay is
     slower than a decade per decade.
     """
-    rs = list(default_limit_radii(ctx.n) if radii is None else radii)
+    rs = default_limit_radii(ctx.n) if radii is None else radii
     # the types are checked before sorting, which would raise on a mix of kinds
-    if not rs or not all(_is_real(r) and 0.0 < r < math.inf for r in rs):
+    if not isinstance(rs, Sequence) or not rs or not all(
+            _is_real(r) and 0.0 < r < math.inf for r in rs):
         raise ParameterError(
             f"limit_at_infinity needs one or more positive finite radii, got {radii!r}")
-    rs.sort()
+    rs = sorted(rs)
 
     def measure():
         maxima = limit_profile(ctx, rs)
@@ -259,8 +276,13 @@ def check_winding(ctx: SquigContext, R: float, w: complex,
     """Winding of the boundary image loop about w versus region membership.
 
     Targets close to the region boundary are ill-posed for both routes and
-    are the caller's responsibility to avoid.
+    are the caller's responsibility to avoid.  ``R`` must be finite and above
+    1, as ``VerifyConfig``'s ``winding_radius``: the keyhole loop runs out
+    along the slit from its tip at 1 to ``R``.
     """
+    if not _is_real(R) or not 1.0 < R < math.inf:
+        raise ParameterError(f"winding needs a finite R above 1, got {R!r}")
+
     def measure():
         got = winding_number(_boundary_image_loop(ctx, float(R)), complex(w))
         expected = 1 if in_rosette(ctx, complex(w)) else 0
@@ -349,8 +371,7 @@ def check_periodicity_sin3(ctx: SquigContext, samples: Sequence[complex],
     """
     if ctx.n != 3:
         raise ParameterError(f"periodicity_sin3 needs an n == 3 context, got n = {ctx.n}")
-    if not samples:
-        raise ParameterError("periodicity_sin3 needs at least one sample")
+    _check_samples("periodicity_sin3", samples)
     period = 1.5 * ctx.pi_n
     shifts = (period, period * ctx.omega)
 
@@ -426,8 +447,7 @@ def check_sc_factorization(ctx: SquigContext, samples: Sequence[complex],
                            tolerance: float | None = None) -> VerificationReport:
     """Sector map versus the triangle map of the n-th power on half-sector samples."""
     n = ctx.n
-    if not samples:
-        raise ParameterError("sc_factorization needs at least one sample")
+    _check_samples("sc_factorization", samples)
 
     def measure():
         worst = -1.0

@@ -4,7 +4,8 @@ The package imports only the evaluation core (``errors``, ``geometry``,
 ``numerics`` and ``squigfn``).  ``squig.verify`` is registered in
 ``sys.modules`` by a lazy loader, and its body runs at its first attribute
 access; ``squig.reference`` (quadrature, series reversion, Newton, the
-winding count) and ``fractions`` load at their first use.
+winding count) and ``fractions`` load at their first use.  ``dataclasses``
+and ``inspect`` do not load: the result records are plain slotted classes.
 """
 
 import os
@@ -60,6 +61,21 @@ def test_import_loads_only_the_evaluation_core():
         # the first attribute read runs verify's body, which loads reference
         assert squig.verify.run_all is squig.run_all
         assert not lazy() and loaded() == ["fractions", "squig.reference"], loaded()
+    """)
+
+
+def test_import_and_cli_load_neither_dataclasses_nor_inspect():
+    # the result records are plain slotted classes; dataclasses (and the
+    # inspect it imports) loads only when a frozen record refuses a write
+    run_fresh("""
+        import squig
+        from squig import cli
+        for argv in (["eval", "--n", "4", "--fn", "sin", "--z", "0.3+0.2i"],
+                     ["constants", "--n", "5"], ["grid", "--n", "4", "--map", "F"],
+                     ["series", "--n", "4", "--terms", "5"]):
+            with quiet():
+                assert cli.main(argv) == 0, argv
+            assert not {"dataclasses", "inspect"} & set(sys.modules), argv
     """)
 
 

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -13,6 +12,7 @@ import squig
 from conftest import slit_integral_oracle
 from squig import verify
 from squig.geometry import make_context
+from squig.squigfn import EvalResult
 from squig.verify import (
     DEFAULT_TOLERANCES,
     VerifyConfig,
@@ -188,7 +188,7 @@ class TestPeriodicity:
 
         def off_by_1e9(ctx, z):
             res = exact(ctx, z)
-            return replace(res, value=res.value * (1.0 + 1e-9))
+            return EvalResult(res.value * (1.0 + 1e-9), res.is_pole, res.residual)
 
         monkeypatch.setattr(verify, "sin3_global", off_by_1e9)
         rep = check_periodicity_sin3(make_context(3), self.SAMPLES)
@@ -226,6 +226,51 @@ def test_sampled_checks_refuse_an_empty_sample_list():
         check_periodicity_sin3(make_context(3), [])
     with pytest.raises(squig.ParameterError, match="sample"):
         check_sc_factorization(make_context(4), [])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_limit_at_infinity(make_context(4), radii=5),
+    lambda: check_sc_factorization(make_context(4), 5),
+    lambda: check_periodicity_sin3(make_context(3), 5),
+    lambda: check_sc_factorization(make_context(4), ["x"]),
+    lambda: check_periodicity_sin3(make_context(3), [0.1, True]),
+], ids=["radii-int", "sc-int", "periodicity-int", "sc-str", "periodicity-bool"])
+def test_sampled_checks_refuse_samples_that_are_not_a_sequence_of_numbers(call):
+    # each once raised a raw TypeError or ValueError
+    with pytest.raises(squig.ParameterError, match="radii|sample"):
+        call()
+
+
+CHECKS = [
+    lambda ctx, tol: check_integral_slit(ctx, tol),
+    lambda ctx, tol: check_integral_ray(ctx, tol),
+    lambda ctx, tol: check_limit_at_infinity(ctx, tolerance=tol),
+    lambda ctx, tol: check_winding(ctx, 50.0, 0.4 * ctx.P, tol),
+    lambda ctx, tol: check_periodicity_sin3(make_context(3), [0j], tol),
+    lambda ctx, tol: check_trisection(make_context(3), tol),
+    lambda ctx, tol: check_sc_factorization(ctx, [0.5], tol),
+    lambda ctx, tol: check_riemann_normalization(ctx, tol),
+]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -1.0, 0.0, math.nan, "x", True],
+                         ids=["inf", "negative", "zero", "nan", "str", "bool"])
+def test_checks_refuse_a_tolerance_that_is_not_positive_and_finite(bad):
+    # infinity once passed without checking anything, -1.0, 0.0 and NaN gave
+    # rows that could never pass, and "x" raised a raw ValueError; the rule is
+    # VerifyConfig's, and the refusal comes before any measuring
+    for check in CHECKS:
+        with pytest.raises(squig.ParameterError, match="tolerance"):
+            check(make_context(4), bad)
+
+
+@pytest.mark.parametrize("R", [0.5, 1.0, math.inf, math.nan, "x", True],
+                         ids=["below-tip", "at-tip", "inf", "nan", "str", "bool"])
+def test_winding_refuses_a_radius_that_is_not_finite_above_one(R):
+    # R = 0.5 once passed with the keyhole inside the slit tip at 1, and "x"
+    # raised a raw ValueError
+    with pytest.raises(squig.ParameterError, match="R"):
+        check_winding(make_context(4), R, 0.1)
 
 
 @pytest.mark.parametrize("bad", [0, -1, True, 2.5, "4", None])
@@ -289,7 +334,8 @@ def test_failed_row_fails_under_any_tolerance(monkeypatch):
         raise squig.QuadratureError("injected")
 
     monkeypatch.setattr(verify, "integrate_smooth", boom)
-    rep = check_integral_slit(make_context(4), tolerance=math.inf)
+    # the largest tolerance a check takes, above the failed row's 1e308
+    rep = check_integral_slit(make_context(4), tolerance=sys.float_info.max)
     assert rep.abs_error == 1e308 and rep.passed is False
 
 
