@@ -562,8 +562,8 @@ def winding_number(loop_values, w: complex) -> int:
                 "the target; the count is ambiguous, refine the sampling")
         total += inc
     count = total / TWO_PI
-    nearest = round(count)
-    if abs(count - nearest) > 1e-6:
+    # a NaN sum (increments overflowed near the float range) is refused too
+    if not math.isfinite(count) or abs(count - round(count)) > 1e-6:
         raise RefinementNeededError(
             f"winding sum {count:.3g} is not close to an integer; refine")
-    return int(nearest)
+    return round(count)

@@ -15,6 +15,7 @@ import cmath
 import math
 import operator
 import random
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -58,23 +59,17 @@ DEFAULT_TOLERANCES: Mapping[str, float] = {
     "limit": 1e-3,
 }
 
-_FAMILY_CLASS = {
-    "integral_slit": "quadrature",
-    "integral_ray": "quadrature",
-    "limit_at_infinity": "limit",
-    "periodicity_sin3": "identity",
-    "riemann_normalization": "derivative",
-    "sc_factorization": "factorization",
-    "trisection": "quadrature",
-    "winding": "identity",
-}
-
 _QUAD_TOL = 1e-11          # internal quadrature target, well under any class
 _FAIL_SENTINEL = 1e308     # finite so reports stay strict-JSON serializable
 
 _LOOP_LEG_POINTS = 120
 _LOOP_ARC_POINTS = 64
 _LOOP_OFFSET = 1e-6        # angular offset keeping contour legs off the slits
+
+# run_all's fixed inputs; a caller who wants others passes them to the checks
+_SEED = 0x5157
+_SAMPLES_PER_N = 64
+_WINDING_RADIUS = 50.0
 
 
 @dataclass(frozen=True)
@@ -102,7 +97,7 @@ def _report(name: str, n: int, tolerance: float | None,
     (infinity) or never pass (0 or less, NaN).
     """
     if tolerance is None:
-        tol = DEFAULT_TOLERANCES[_FAMILY_CLASS[name]]
+        tol = DEFAULT_TOLERANCES[_FAMILIES[name][0]]
     elif _is_real(tolerance) and 0.0 < tolerance < math.inf:
         tol = float(tolerance)
     else:
@@ -126,6 +121,14 @@ def _check_samples(name: str, samples) -> None:
             isinstance(z, (int, float, complex)) and not isinstance(z, bool) for z in samples):
         raise ParameterError(f"{name} needs a sequence of one or more numbers as samples, "
                              f"got {samples!r}")
+
+
+def _check_radii(name: str, radii) -> None:
+    """Refuse ``radii`` unless a sequence of one or more positive finite reals
+    (bools excluded); the types are checked before anything sorts them."""
+    if not isinstance(radii, Sequence) or not radii or not all(
+            _is_real(r) and 0.0 < r < math.inf for r in radii):
+        raise ParameterError(f"{name} needs one or more positive finite radii, got {radii!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +194,12 @@ def limit_profile(ctx: SquigContext, radii: Sequence[float],
     """Max distance of the boundary image from the reentrant corner per radius.
 
     Angles are midpoints of a uniform split of one sector, so no sample ever
-    lands on a slit.
+    lands on a slit.  ``radii`` follows ``check_limit_at_infinity``'s rule and
+    ``angles`` must be a positive ``int``.
     """
+    _check_radii("limit_profile", radii)
+    if not isinstance(angles, int) or isinstance(angles, bool) or angles < 1:
+        raise ParameterError(f"limit_profile needs a positive integer angles, got {angles!r}")
     tau = ctx.tau
     out = []
     for r in radii:
@@ -219,11 +226,7 @@ def check_limit_at_infinity(ctx: SquigContext, radii: Sequence[float] | None = N
     slower than a decade per decade.
     """
     rs = default_limit_radii(ctx.n) if radii is None else radii
-    # the types are checked before sorting, which would raise on a mix of kinds
-    if not isinstance(rs, Sequence) or not rs or not all(
-            _is_real(r) and 0.0 < r < math.inf for r in rs):
-        raise ParameterError(
-            f"limit_at_infinity needs one or more positive finite radii, got {radii!r}")
+    _check_radii("limit_at_infinity", rs)
     rs = sorted(rs)
 
     def measure():
@@ -277,11 +280,14 @@ def check_winding(ctx: SquigContext, R: float, w: complex,
 
     Targets close to the region boundary are ill-posed for both routes and
     are the caller's responsibility to avoid.  ``R`` must be finite and above
-    1, as ``VerifyConfig``'s ``winding_radius``: the keyhole loop runs out
-    along the slit from its tip at 1 to ``R``.
+    1: the keyhole loop runs out along the slit from its tip at 1 to ``R``.
+    ``w`` must be a finite number (not a bool).
     """
     if not _is_real(R) or not 1.0 < R < math.inf:
         raise ParameterError(f"winding needs a finite R above 1, got {R!r}")
+    if not (isinstance(w, complex) and cmath.isfinite(w)
+            or _is_real(w) and abs(w) <= sys.float_info.max):
+        raise ParameterError(f"winding needs a finite number as target w, got {w!r}")
 
     def measure():
         got = winding_number(_boundary_image_loop(ctx, float(R)), complex(w))
@@ -481,76 +487,78 @@ def check_riemann_normalization(ctx: SquigContext,
 # suite driver
 
 
+# family -> (tolerance class, runs at n = 3 only, call(ctx, tolerance))
+_FAMILIES = {
+    "integral_slit": ("quadrature", False, check_integral_slit),
+    "integral_ray": ("quadrature", False, check_integral_ray),
+    "limit_at_infinity": ("limit", False,
+                          lambda ctx, tol: check_limit_at_infinity(ctx, tolerance=tol)),
+    "winding": ("identity", False,
+                lambda ctx, tol: check_winding(ctx, _WINDING_RADIUS, 0.4 * ctx.P, tol)),
+    "sc_factorization": ("factorization", False,
+                         lambda ctx, tol: check_sc_factorization(ctx, _sc_samples(ctx.n), tol)),
+    "riemann_normalization": ("derivative", False, check_riemann_normalization),
+    "periodicity_sin3": ("identity", True,
+                         lambda ctx, tol: check_periodicity_sin3(ctx, _periodicity_samples(), tol)),
+    "trisection": ("quadrature", True, check_trisection),
+}
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
     n_values: tuple[int, ...] = (3, 4, 5, 6, 7, 8)
-    seed: int = 0x5157
-    samples_per_n: int = 64
     tolerances: Mapping[str, float] | None = None
     families: tuple[str, ...] | None = None
-    winding_radius: float = 50.0
 
     def __post_init__(self):
         # each refusal below stops a run that would pass vacuously (no n, no
-        # family, a sampled check with no samples, an infinite tolerance) or
-        # could never pass (a tolerance of 0 or less, or NaN)
+        # family, an infinite tolerance) or could never pass (a tolerance of
+        # 0 or less, or NaN)
         nv = self.n_values
         if not isinstance(nv, Sequence) or not nv or not all(
                 isinstance(n, int) and not isinstance(n, bool) for n in nv):
             raise ParameterError(f"n_values must be a sequence of one or more integers, got {nv!r}")
         families = self.families
-        if families is not None and (not families or not set(families) <= set(_FAMILY_CLASS)):
-            raise ParameterError(f"families must name one or more of {sorted(_FAMILY_CLASS)}, "
+        if families is not None and (not families or not set(families) <= set(_FAMILIES)):
+            raise ParameterError(f"families must name one or more of {sorted(_FAMILIES)}, "
                                  f"got {families!r}")
-        spn = self.samples_per_n
-        if isinstance(spn, bool) or not isinstance(spn, int) or spn < 1:
-            raise ParameterError(f"samples_per_n must be a positive integer, got {spn!r}")
-        for name, value in (self.tolerances or {}).items():
-            if name not in _FAMILY_CLASS and name not in DEFAULT_TOLERANCES:
+        tolerances = {} if self.tolerances is None else self.tolerances
+        if not isinstance(tolerances, Mapping):
+            raise ParameterError(f"tolerances must be a mapping of names to values, "
+                                 f"got {tolerances!r}")
+        for name, value in tolerances.items():
+            if name not in _FAMILIES and name not in DEFAULT_TOLERANCES:
                 raise ParameterError(f"unknown tolerance name {name!r}; choose from "
-                                     f"{sorted(set(_FAMILY_CLASS) | set(DEFAULT_TOLERANCES))}")
+                                     f"{sorted(set(_FAMILIES) | set(DEFAULT_TOLERANCES))}")
             if not _is_real(value) or not 0.0 < value < math.inf:
                 raise ParameterError(
                     f"tolerance {name!r} must be positive and finite, got {value!r}")
-        # the keyhole loop runs out along the slit from its tip at 1 to R
-        r = self.winding_radius
-        if not _is_real(r) or not 1.0 < r < math.inf:
-            raise ParameterError(f"winding_radius must be finite and above 1, got {r!r}")
 
 
-def _family_rng(config: VerifyConfig, family: str, n: int) -> random.Random:
+def _family_rng(family: str, n: int) -> random.Random:
     # each (family, n) pair seeds independently so filtering one family out
     # cannot change the samples any other family sees
-    return random.Random(f"{config.seed}:{family}:{n}")
+    return random.Random(f"{_SEED}:{family}:{n}")
 
 
 def _resolved_tol(config: VerifyConfig, family: str) -> float | None:
-    if config.tolerances is None:
-        return None
-    cls = _FAMILY_CLASS[family]
-    if family in config.tolerances:
-        return float(config.tolerances[family])
-    if cls in config.tolerances:
-        return float(config.tolerances[cls])
+    tolerances = config.tolerances or {}
+    for name in (family, _FAMILIES[family][0]):
+        if name in tolerances:
+            return float(tolerances[name])
     return None
 
 
-def _sc_samples(config: VerifyConfig, n: int) -> list[complex]:
-    rng = _family_rng(config, "sc_factorization", n)
-    out = []
-    for _ in range(config.samples_per_n):
-        r = 0.1 + 0.8 * rng.random()
-        out.append(r * cmath.exp(1j * rng.random() * math.pi / n))
-    return out
+def _sc_samples(n: int) -> list[complex]:
+    rng = _family_rng("sc_factorization", n)
+    return [(0.1 + 0.8 * rng.random()) * cmath.exp(1j * rng.random() * math.pi / n)
+            for _ in range(_SAMPLES_PER_N)]
 
 
-def _periodicity_samples(config: VerifyConfig) -> list[complex]:
-    rng = _family_rng(config, "periodicity_sin3", 3)
-    out: list[complex] = [0j]
-    for _ in range(config.samples_per_n - 1):
-        r = 0.9 * math.sqrt(rng.random())
-        out.append(r * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
-    return out
+def _periodicity_samples() -> list[complex]:
+    rng = _family_rng("periodicity_sin3", 3)
+    return [0j] + [0.9 * math.sqrt(rng.random()) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+                   for _ in range(_SAMPLES_PER_N - 1)]
 
 
 def run_all(config: VerifyConfig | None = None) -> list[VerificationReport]:
@@ -561,32 +569,10 @@ def run_all(config: VerifyConfig | None = None) -> list[VerificationReport]:
     except for the runtime field.
     """
     cfg = config or VerifyConfig()
-    selected = set(cfg.families) if cfg.families is not None else set(_FAMILY_CLASS)
     contexts = {n: make_context(n) for n in cfg.n_values}
-    reports: list[VerificationReport] = []
-
-    for n, ctx in contexts.items():
-        if "integral_slit" in selected:
-            reports.append(check_integral_slit(ctx, _resolved_tol(cfg, "integral_slit")))
-        if "integral_ray" in selected:
-            reports.append(check_integral_ray(ctx, _resolved_tol(cfg, "integral_ray")))
-        if "limit_at_infinity" in selected:
-            reports.append(check_limit_at_infinity(
-                ctx, tolerance=_resolved_tol(cfg, "limit_at_infinity")))
-        if "winding" in selected:
-            reports.append(check_winding(ctx, cfg.winding_radius, 0.4 * ctx.P,
-                                         _resolved_tol(cfg, "winding")))
-        if "sc_factorization" in selected:
-            reports.append(check_sc_factorization(
-                ctx, _sc_samples(cfg, n), _resolved_tol(cfg, "sc_factorization")))
-        if "riemann_normalization" in selected:
-            reports.append(check_riemann_normalization(
-                ctx, _resolved_tol(cfg, "riemann_normalization")))
-        if n == 3 and "periodicity_sin3" in selected:
-            reports.append(check_periodicity_sin3(
-                ctx, _periodicity_samples(cfg), _resolved_tol(cfg, "periodicity_sin3")))
-        if n == 3 and "trisection" in selected:
-            reports.append(check_trisection(ctx, _resolved_tol(cfg, "trisection")))
-
+    reports = [call(ctx, _resolved_tol(cfg, name))
+               for n, ctx in contexts.items()
+               for name, (_, n3_only, call) in _FAMILIES.items()
+               if (cfg.families is None or name in cfg.families) and (n == 3 or not n3_only)]
     reports.sort(key=lambda r: (r.name, r.n))
     return reports

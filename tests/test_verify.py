@@ -103,6 +103,17 @@ class TestLimitAtInfinity:
         with pytest.raises(squig.ParameterError, match="radii"):
             check_limit_at_infinity(make_context(4), radii=radii)
 
+    @pytest.mark.parametrize("radii, angles", [
+        (5, 8), (["a"], 8), ([], 8), ([0.0], 8), ([100.0], 0), ([100.0], -1),
+        ([100.0], 2.5), ([100.0], True),
+    ], ids=["radii-int", "radii-str", "radii-empty", "radii-zero", "angles-zero",
+            "angles-negative", "angles-float", "angles-bool"])
+    def test_profile_refuses_what_measures_nothing(self, radii, angles):
+        # 5, ["a"] and angles=2.5 once raised a raw TypeError; radii=[] and
+        # angles of 0 or less returned a profile that measured nothing
+        with pytest.raises(squig.ParameterError, match="radii" if angles == 8 else "angles"):
+            limit_profile(make_context(4), radii, angles=angles)
+
 
 class TestWinding:
     def test_interior_and_exterior(self):
@@ -163,7 +174,7 @@ class TestOdePair:
         assert verify._ode_pair(3, 0j) == (0j, 1.0 + 0j, 0)
 
     def test_note_reports_total_steps(self):
-        samples = verify._periodicity_samples(VerifyConfig())
+        samples = verify._periodicity_samples()
         total = sum(verify._ode_pair(3, z)[2] for z in samples)
         rep = check_periodicity_sin3(make_context(3), samples)
         assert rep.note == f"samples={len(samples)} steps={total}"
@@ -273,10 +284,21 @@ def test_winding_refuses_a_radius_that_is_not_finite_above_one(R):
         check_winding(make_context(4), R, 0.1)
 
 
-@pytest.mark.parametrize("bad", [0, -1, True, 2.5, "4", None])
-def test_verify_config_refuses_samples_per_n_below_one(bad):
-    with pytest.raises(squig.ParameterError, match="samples_per_n"):
-        VerifyConfig(samples_per_n=bad)
+@pytest.mark.parametrize("w", ["x", math.nan, math.inf, complex(0, math.nan), None, True,
+                               10 ** 400],
+                         ids=["str", "nan", "inf", "complex-nan", "none", "bool", "huge-int"])
+def test_winding_refuses_a_target_that_is_not_a_finite_number(w):
+    # "x", nan, inf and complex(0, nan) once raised a raw ValueError, None a
+    # raw TypeError, 10**400 a raw OverflowError, and True was taken as 1
+    with pytest.raises(squig.ParameterError, match="target"):
+        check_winding(make_context(4), 50.0, w)
+
+
+def test_winding_about_a_target_near_the_float_range_is_a_failed_row():
+    # finite, but the loop's angle increments overflow to NaN, which once
+    # raised a raw ValueError from round()
+    rep = check_winding(make_context(4), 50.0, complex(1e308, 1e308))
+    assert rep.passed is False and rep.note.startswith("RefinementNeededError")
 
 
 @pytest.mark.parametrize("field, bad", [
@@ -285,13 +307,12 @@ def test_verify_config_refuses_samples_per_n_below_one(bad):
     ("tolerances", {"integral_ray": -1}), ("tolerances", {"identity": 0.0}),
     ("tolerances", {"quadrature": math.nan}), ("tolerances", {"limit": math.inf}),
     ("tolerances", {"identity": "1e-9"}), ("tolerances", {"bogus": 1}),
-    ("winding_radius", 1.0), ("winding_radius", 0.5), ("winding_radius", math.nan),
-    ("winding_radius", math.inf), ("winding_radius", True),
+    ("tolerances", [("identity", 1e-9)]), ("tolerances", "x"), ("tolerances", 5),
 ])
 def test_verify_config_refuses_vacuous_or_unpassable_settings(field, bad):
     # each would run no check, or a check that passes or fails whatever the
-    # library computes, or (the winding radius) a keyhole loop that cannot
-    # leave the slit tip at 1
+    # library computes; a tolerances that is not a mapping once raised a raw
+    # AttributeError
     with pytest.raises(squig.ParameterError, match=field.rstrip("s")):
         VerifyConfig(**{field: bad})
 
@@ -322,11 +343,16 @@ def test_a_raised_route_becomes_the_family_failed_row(monkeypatch, family, route
         raise squig.QuadratureError("injected")
 
     monkeypatch.setattr(verify, route, boom)
-    [rep] = run_all(VerifyConfig(n_values=(3,), families=(family,), samples_per_n=2))
+    [rep] = run_all(VerifyConfig(n_values=(3,), families=(family,)))
     assert (rep.name, rep.n, rep.lhs, rep.rhs) == (family, 3, 0j, 0j)
     assert rep.abs_error == 1e308 and rep.passed is False
     assert rep.note == "QuadratureError: injected"
-    assert rep.tolerance == DEFAULT_TOLERANCES[verify._FAMILY_CLASS[family]]
+    assert rep.tolerance == DEFAULT_TOLERANCES[verify._FAMILIES[family][0]]
+
+
+def test_route_table_covers_every_family():
+    # a family added to the suite needs its failed-row case above
+    assert {family for family, _ in FAMILY_ROUTES} == set(verify._FAMILIES)
 
 
 def test_failed_row_fails_under_any_tolerance(monkeypatch):
@@ -340,8 +366,9 @@ def test_failed_row_fails_under_any_tolerance(monkeypatch):
 
 
 def test_verify_config_takes_family_and_class_tolerances():
-    cfg = VerifyConfig(families=("winding",), winding_radius=1.5,
-                       tolerances={"winding": 1e-9, "quadrature": 1, "limit": 2e-3})
+    cfg = VerifyConfig(families=("winding",),
+                       tolerances={"winding": 1e-9, "identity": 1, "quadrature": 1,
+                                   "limit": 2e-3})
     assert verify._resolved_tol(cfg, "winding") == 1e-9
     assert verify._resolved_tol(cfg, "integral_ray") == 1.0
 
@@ -356,7 +383,7 @@ def test_run_all_builds_one_context_per_n(monkeypatch):
         return make_context(n)
 
     monkeypatch.setattr(verify, "make_context", counting)
-    reports = run_all(VerifyConfig(n_values=(3,), samples_per_n=4,
+    reports = run_all(VerifyConfig(n_values=(3,),
                                    families=("periodicity_sin3", "trisection")))
     assert built == [3]
     assert [r.name for r in reports] == ["periodicity_sin3", "trisection"]
@@ -377,7 +404,7 @@ class TestScFactorization:
         # the default n = 4 samples, where the routes differ by up to 5.6e-16;
         # at points such as 0.5 or 0.9 they agree exactly, which no tolerance
         # can fail
-        rep = check_sc_factorization(ctx, verify._sc_samples(VerifyConfig(), 4),
+        rep = check_sc_factorization(ctx, verify._sc_samples(4),
                                      tolerance=1e-16)
         assert rep.abs_error > 0.0
         assert not rep.passed
