@@ -45,8 +45,8 @@ class SquigContext:
 
     ``SquigContext(n)`` takes ``n`` alone, an integer in ``[3, 64]``, and
     derives every other field from it, so no two of them can disagree.  It
-    is treated as immutable after construction; ``series_cache`` is filled
-    lazily (keyed by term count) but entries are never mutated.
+    is immutable after construction but for ``series_cache``, whose one
+    ``"maclaurin"`` entry a longer request replaces (it is never mutated).
 
     ``A``, ``P`` and ``pi_n = 2 A`` are read from the kernel's series
     tables, with no quadrature or gamma function; ``omega`` is ``roots[1]``
@@ -320,8 +320,12 @@ def fold(ctx: SquigContext, z: complex) -> FoldResult:
 def _fold(ctx: SquigContext, z: complex) -> tuple:
     """:func:`fold` as the plain tuple of ``FoldResult``'s fields, for the
     evaluation hot path."""
-    z = complex(z)
     n = ctx.n
+    try:
+        z = complex(z)
+    except OverflowError:  # an int beyond the float range
+        raise DomainError(f"point beyond the float range lies outside the closed region "
+                          f"Omega_{n}", region=f"Omega_{n}") from None
     if not cmath.isfinite(z):
         raise DomainError(
             f"point {z} lies outside the closed region Omega_{n}", region=f"Omega_{n}"

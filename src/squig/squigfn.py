@@ -11,13 +11,13 @@ at the folded target, and one unfold, which at n == 3 also adds the lattice
 translation's error to ``residual``.  There are three routes, one per
 regime of the folded target:
 
-1. the disc at 0: the ODE pair's Maclaurin series, s = t S(x), c = C(x)
-   with x = t**n, summed from float tables (``numerics._ode_tables``) in
-   one Horner pass cut at half an ulp,
-2. the disc at the corner ``A``, whichever centre is nearer: the other
-   table, by the symmetry sin_n(t) = cos_n(y), y = A - t,
+1. the disc at 0, ``_disc_sum``: the ODE pair's Maclaurin series,
+   s = t S(x), c = C(x) with x = t**n, summed from float tables
+   (``numerics._ode_tables``) in one Horner pass cut at half an ulp,
+2. the disc at the corner ``A``, whichever centre is nearer: ``_disc_sum``
+   with the other table, by the symmetry sin_n(t) = cos_n(y), y = A - t,
 3. every other target, near the pole ``P`` and in the lens between the
-   discs: the series at infinity inverted in closed form,
+   discs, ``_pole_invert``: the series at infinity inverted in closed form,
    v = 1/u = W k(W**n) with W a root of (n-2) (P - t) e^(-i pi (n-1)/n)
    (``numerics._pole_table``), cut at half an ulp as the discs' sums are;
    the cosine u e^(-i pi/n) (1 - v**n)**(1/n) holds on the slit-edge image
@@ -179,40 +179,27 @@ def _disc_sum(ctx: SquigContext, w: complex, sine: bool):
     return acc, bound
 
 
-def _corner_forward(ctx: SquigContext, y: complex, sine: bool):
-    """sin_n(t) = cos_n(y) if ``sine``, else cos_n(t) = sin_n(y), at
-    t = A - y, and a bound on its error: ``_disc_sum`` at y with the tables'
-    roles swapped.  y carries the error of A, which moves the value by that
-    error times its slope in y, |sin_n(y)|**(n-1) or |cos_n(y)|**(n-1),
-    read from the value itself as |1 - value**n|**beta (s**n + c**n = 1).
-    """
-    n = ctx.n
-    tables = ctx.tables
-    x = y**n / tables.scale
-    rho = abs(x)
-    last = bisect.bisect_left(ODE_RADII, rho, 1, ODE_TERMS - 1)
-    acc = 0j
-    for a in (tables.cosine if sine else tables.sine)[last::-1]:
-        acc = acc * x + a
-    terms = last + 1
-    bound = 2.0 * rho**terms / (1.0 - rho) + _ULP * (1.0 + 4.0 * terms * rho / (1.0 - rho))
-    if not sine:
-        acc = y * acc
-        bound = abs(y) * (bound + _ULP)
-    return acc, bound + _A_ERR * ctx.A.real * abs(1.0 - acc**n) ** ((n - 1) / n)
-
-
 def _corner_invert(ctx: SquigContext, y: complex, sine: bool):
-    """The route of the disc at A: ``_corner_forward`` at t = A - y when |y|
-    is within the tables' disc radius, else None."""
+    """The disc at A, for |y| within the tables' disc radius (else None):
+    sin_n(t) = cos_n(y) if ``sine``, else cos_n(t) = sin_n(y), at t = A - y,
+    by ``_disc_sum`` with the tables' roles swapped, and a bound on its
+    error.  y carries the error of A, which moves the value by that error
+    times its slope, |1 - value**n|**beta (s**n + c**n = 1)."""
     if abs(y) > ctx.tables.disc:
         return None
-    return _corner_forward(ctx, y, sine)
+    value, bound = _disc_sum(ctx, y, not sine)
+    n = ctx.n
+    return value, bound + _A_ERR * ctx.A.real * abs(1.0 - value**n) ** ((n - 1) / n)
 
 
 # ---------------------------------------------------------------------------
-# slit-edge image segment [A, P]: no route calls these two; bench/spans.py
-# wraps them by name, and the change that drops those spans deletes them
+# no route calls these three; bench/spans.py wraps them by name, and the
+# change that drops those spans deletes them
+
+
+def _corner_forward(ctx: SquigContext, y: complex, sine: bool):
+    """The disc at A under its former name: ``_corner_invert``."""
+    return _corner_invert(ctx, y, sine)
 
 
 def _edge_integral(ctx: SquigContext, x: float) -> float:
@@ -272,10 +259,17 @@ def _invert_slit_edge(ctx: SquigContext, m: float, tol: float):
 # the pole series at P, over every target beyond both discs
 
 
-def _pole_series(ctx: SquigContext, t: complex):
-    """(v, a bound on its error): v = 1/u = W k(X), X = W**n, with W the root
-    of ((n-2) (P - t) e^(-i pi beta))**(1/(n-2)) whose phase is nearest
-    -pi/(2n), the middle of v's phases on the half sector.
+def _pole_cos(ctx: SquigContext, v: complex) -> complex:
+    """cos_n at u = 1/v; on the slit edge, (1 - u**n)**(1/n) is its conjugate."""
+    n = ctx.n
+    return ctx.cos_phase * (1.0 - v**n) ** (1.0 / n) / v
+
+
+def _pole_invert(ctx: SquigContext, t: complex, sine: bool):
+    """sin_n(t) if ``sine``, else cos_n(t), at a target beyond both discs,
+    and a bound on its error, by the pole series: v = 1/u = W k(X), X = W**n,
+    with W the root of ((n-2) (P - t) e^(-i pi beta))**(1/(n-2)) whose phase
+    is nearest -pi/(2n), the middle of v's phases on the half sector.
 
     The table is summed by Horner in X, cut at K terms where q**K / (1 - q)
     is below half an ulp (ODE_RADII at q = rate |X|), but never below two.
@@ -296,20 +290,8 @@ def _pole_series(ctx: SquigContext, t: complex):
     for a in table[last::-1]:
         acc = acc * x + a
     terms = last + 1
-    return w * acc, abs(w) * (q**terms + (2 * terms + 3 * n) * _ULP / (1.0 - q)) / (1.0 - q)
-
-
-def _pole_cos(ctx: SquigContext, v: complex) -> complex:
-    """cos_n at u = 1/v; on the slit edge, (1 - u**n)**(1/n) is its conjugate."""
-    n = ctx.n
-    return ctx.cos_phase * (1.0 - v**n) ** (1.0 / n) / v
-
-
-def _pole_invert(ctx: SquigContext, t: complex, sine: bool):
-    """sin_n(t) if ``sine``, else cos_n(t), at a target beyond both discs,
-    and a bound on its error, by the pole series."""
-    n = ctx.n
-    v, v_err = _pole_series(ctx, t)
+    v = w * acc
+    v_err = abs(w) * (q**terms + (2 * terms + 3 * n) * _ULP / (1.0 - q)) / (1.0 - q)
     # |du| = |u|**2 |dv| plus the rounding of W, v and u, and P's error
     # times |du/dt| = |1 - u**n|**beta; |dcos/du| = |1 - v**n|**(-beta)
     u = 1.0 / v
@@ -328,8 +310,12 @@ def _pole_invert(ctx: SquigContext, t: complex, sine: bool):
 
 def arcsin_n_sector(ctx: SquigContext, z: complex) -> complex:
     """Sector map F on the closed fundamental sector, boundary rays included."""
-    z = complex(z)
     n = ctx.n
+    try:
+        z = complex(z)
+    except OverflowError:  # an int beyond the float range
+        raise DomainError(f"point beyond the float range lies outside the closed sector V_{n}",
+                          region=f"V_{n}") from None
     if not cmath.isfinite(z):
         raise DomainError(
             f"point {z} lies outside the closed sector V_{n}", region=f"V_{n}"
@@ -359,7 +345,11 @@ def arcsin_n_sector(ctx: SquigContext, z: complex) -> complex:
 
 def arcsin_n(ctx: SquigContext, w: complex) -> complex:
     """Global inverse sine on the slit plane."""
-    w = complex(w)
+    try:
+        w = complex(w)
+    except OverflowError:  # an int beyond the float range
+        raise DomainError(f"point beyond the float range lies outside the slit plane "
+                          f"Sigma_{ctx.n}", region=f"Sigma_{ctx.n}") from None
     if not cmath.isfinite(w):
         raise DomainError(
             f"point {w} lies outside the slit plane Sigma_{ctx.n}", region=f"Sigma_{ctx.n}"

@@ -116,9 +116,11 @@ def _report(name: str, n: int, tolerance: float | None,
 
 def _check_samples(name: str, samples) -> None:
     """Refuse ``samples`` unless a sequence of one or more numbers (bools
-    excluded): with none a check would pass with abs_error -1."""
+    excluded, and ints beyond the float range, which ``complex()`` cannot
+    take): with none a check would pass with abs_error -1."""
     if not isinstance(samples, Sequence) or not samples or not all(
-            isinstance(z, (int, float, complex)) and not isinstance(z, bool) for z in samples):
+            isinstance(z, (float, complex)) or _is_real(z) and abs(z) <= sys.float_info.max
+            for z in samples):
         raise ParameterError(f"{name} needs a sequence of one or more numbers as samples, "
                              f"got {samples!r}")
 
@@ -522,6 +524,9 @@ class VerifyConfig:
         if families is not None and (not families or not set(families) <= set(_FAMILIES)):
             raise ParameterError(f"families must name one or more of {sorted(_FAMILIES)}, "
                                  f"got {families!r}")
+        if families and not any(n == 3 or not _FAMILIES[f][1] for f in families for n in nv):
+            raise ParameterError(f"families {families!r} run at n = 3 only, and n_values "
+                                 f"{nv!r} has no 3")
         tolerances = {} if self.tolerances is None else self.tolerances
         if not isinstance(tolerances, Mapping):
             raise ParameterError(f"tolerances must be a mapping of names to values, "

@@ -233,6 +233,12 @@ class TestVerifyCommand:
         code, _ = run_cli(tmp_path, "verify", "--only", "nonsense")
         assert code == 2
 
+    def test_n3_only_family_without_n3_exit_2(self, tmp_path):
+        # a run that checks nothing: it once printed [] and exited 0
+        code, payload = run_cli(tmp_path, "verify", "--stable", "--n", "4",
+                                "--only", "trisection")
+        assert code == 2 and payload == b""
+
     def test_bad_tol_exit_2(self, tmp_path):
         assert run_cli(tmp_path, "verify", "--tol", "identity")[0] == 2
         assert run_cli(tmp_path, "verify", "--tol", "mystery=1e-9")[0] == 2

@@ -1,0 +1,61 @@
+"""Every module-level private function or class in ``squig`` has a user.
+
+A private name counts as used when some ``src/squig`` module refers to it
+as a name or an attribute outside its own definition (a docstring does not
+count), or when ``bench/spans.py`` wraps it by name in ``TARGETS``, which
+is read as source.  Otherwise nothing can call it and it should go.
+"""
+
+import ast
+from pathlib import Path
+
+import squig
+from test_bench_targets import span_targets
+
+PACKAGE = Path(squig.__file__).resolve().parent
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def unreferenced_private_names(sources: dict[str, str], wrapped: set[str]) -> list[str]:
+    """``module.name`` of each private top-level def or class that no
+    module refers to outside the definition itself and ``wrapped`` lacks."""
+    defined = []
+    references = []  # (name, module, top-level definition it sits in)
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = stmt.name
+                if _is_private(owner):
+                    defined.append((module, owner))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    references.append((node.id, module, owner))
+                elif isinstance(node, ast.Attribute):
+                    references.append((node.attr, module, owner))
+    return sorted(
+        f"{module}.{name}" for module, name in defined
+        if name not in wrapped and not any(
+            ref == name and (where, owner) != (module, name)
+            for ref, where, owner in references))
+
+
+def test_every_private_function_and_class_has_a_user():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    wrapped = {name for _, name in span_targets()}
+    assert unreferenced_private_names(sources, wrapped) == []
+
+
+def test_the_check_sees_an_unused_private_function():
+    sources = {
+        "a": ("def _used():\n    '''_unused and _wrapped are named here only.'''\n"
+              "def _unused():\n    return _unused()\n"
+              "def _wrapped():\n    pass\n"
+              "class _Helper:\n    pass\n"),
+        "b": "from . import a\n\ndef public():\n    return a._used(), a._Helper\n",
+    }
+    assert unreferenced_private_names(sources, {"_wrapped"}) == ["a._unused"]
+    assert unreferenced_private_names(sources, set()) == ["a._unused", "a._wrapped"]

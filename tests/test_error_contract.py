@@ -112,6 +112,20 @@ def test_non_finite_points_raise_domain_error(n, re, im):
         assert test(ctx, z) in (True, False)
 
 
+@pytest.mark.parametrize("n", [3, 4, 64])
+@pytest.mark.parametrize("z", [10**400, -(10**400), 10**5000],
+                         ids=["huge-int", "huge-negative-int", "huger-int"])
+def test_points_beyond_the_float_range_raise_domain_error(n, z):
+    # complex(z) once raised a raw OverflowError in every map and in fold
+    ctx = context(n)
+    maps = [sin_n, cos_n, fold, arcsin_n, arcsin_n_sector]
+    if n == 3:
+        maps.append(sin3_global)
+    for fn in maps:
+        with pytest.raises(DomainError, match="float range"):
+            fn(ctx, z)
+
+
 def _kite_escape(ctx, t: complex) -> float:
     # how far t lies outside the half-kite triangle (0, A, P), 0 inside
     out = 0.0

@@ -411,12 +411,14 @@ def test_warm_hot_path_makes_no_exp_calls(n, monkeypatch):
         sin_n(ctx, z)
     monkeypatch.setattr(numerics, "newton_invert", lambda *a, **kw: pytest.fail("Newton"))
     hits = Counter()
-    for module, name in ((squigfn, "_disc_sum"), (squigfn, "_corner_forward"),
-                         (squigfn, "_pole_series"), (numerics, "_series_tail"),
+    for module, name in ((squigfn, "_disc_sum"), (squigfn, "_corner_invert"),
+                         (squigfn, "_pole_invert"), (numerics, "_series_tail"),
                          (numerics, "_corner_series")):
         def counted(*args, _f=getattr(module, name), _name=name):
-            hits[_name] += 1
-            return _f(*args)
+            got = _f(*args)
+            # the disc at A counts only when it returns a value
+            hits[_name] += _name != "_corner_invert" or got is not None
+            return got
         monkeypatch.setattr(module, name, counted)
     calls = []
     exp = cmath.exp
@@ -428,10 +430,12 @@ def test_warm_hot_path_makes_no_exp_calls(n, monkeypatch):
         arcsin_n(ctx, w)
     sector_ray_integral(n, upper)
     assert calls == []
-    # every route ran: the disc at 0 is _disc_sum, the disc at A is
-    # _corner_forward's one-table pass
-    assert hits["_disc_sum"] > 0 and hits["_corner_forward"] > 0
-    assert hits["_pole_series"] > 0 and hits["_corner_series"] > 0
+    # every route ran: the disc at A is _corner_invert when it returns a
+    # value, and each such call makes one _disc_sum call
+    # (test_corner_newton_steps), so the disc at 0 is the excess of
+    # _disc_sum calls; the pole is _pole_invert
+    assert hits["_corner_invert"] > 0 and hits["_disc_sum"] > hits["_corner_invert"]
+    assert hits["_pole_invert"] > 0 and hits["_corner_series"] > 0
     assert hits["_series_tail"] > hits["_corner_series"]
 
 
@@ -736,10 +740,10 @@ def python_calls(fn, *args):
 
 # Python-level calls per warm call, by route: the entry point, _evaluate,
 # _fold (and _reduce_to_cell at n == 3), the route's functions and
-# EvalResult.__init__.  The routes are _disc_sum; _corner_invert and
-# _corner_forward; and _pole_invert and _pole_series, with _pole_cos for
-# cos_n only: the pole's 7 is cos_n's, sin_n makes 6.
-CALL_CEILINGS = {"disc 0": 5, "disc A": 6, "pole": 7,
+# EvalResult.__init__.  The routes are _disc_sum; _corner_invert and the
+# _disc_sum it calls; and _pole_invert, with _pole_cos for cos_n only: the
+# pole's 6 is cos_n's, sin_n makes 5.
+CALL_CEILINGS = {"disc 0": 5, "disc A": 6, "pole": 6,
                  "arcsin at 0": 4, "arcsin chart": 6, "arcsin at inf": 5}
 
 

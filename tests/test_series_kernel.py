@@ -414,20 +414,21 @@ def test_corner_newton_steps(n, monkeypatch):
     ys = [rim * cmath.exp(2j * math.pi * k / 32) for k in range(32)]
     ys += [rim * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
            for _ in range(32)]
-    sums = [0]
-    forward = squigfn._corner_forward
+    sums = []
+    disc_sum = squigfn._disc_sum
 
     def counted(c, w, sine):
-        sums[0] += 1
-        return forward(c, w, sine)
+        sums.append((w, sine))
+        return disc_sum(c, w, sine)
 
-    monkeypatch.setattr(squigfn, "_corner_forward", counted)
+    monkeypatch.setattr(squigfn, "_disc_sum", counted)
     for y in ys:
         for sine in (True, False):
-            sums[0] = 0
+            sums.clear()
             got = squigfn._corner_invert(ctx, y, sine)
             assert got is not None, y
-            assert sums[0] == 1, y
+            # the other table: sin_n(A - y) = cos_n(y), cos_n(A - y) = sin_n(y)
+            assert sums == [(y, not sine)], y
         rho = abs(y**n / tables.scale)
         terms = min(bisect.bisect_left(ODE_RADII, rho) + 1, ODE_TERMS)
         assert 2.0 * rho**terms / (1.0 - rho) <= _SERIES_EPS, y

@@ -245,9 +245,13 @@ def test_sampled_checks_refuse_an_empty_sample_list():
     lambda: check_periodicity_sin3(make_context(3), 5),
     lambda: check_sc_factorization(make_context(4), ["x"]),
     lambda: check_periodicity_sin3(make_context(3), [0.1, True]),
-], ids=["radii-int", "sc-int", "periodicity-int", "sc-str", "periodicity-bool"])
+    lambda: check_sc_factorization(make_context(4), [10 ** 400]),
+    lambda: check_periodicity_sin3(make_context(3), [0.1, -10 ** 400]),
+], ids=["radii-int", "sc-int", "periodicity-int", "sc-str", "periodicity-bool",
+        "sc-huge-int", "periodicity-huge-int"])
 def test_sampled_checks_refuse_samples_that_are_not_a_sequence_of_numbers(call):
-    # each once raised a raw TypeError or ValueError
+    # each once raised a raw TypeError or ValueError, or (an int beyond the
+    # float range) a raw OverflowError from complex() inside the measured call
     with pytest.raises(squig.ParameterError, match="radii|sample"):
         call()
 
@@ -315,6 +319,24 @@ def test_verify_config_refuses_vacuous_or_unpassable_settings(field, bad):
     # AttributeError
     with pytest.raises(squig.ParameterError, match=field.rstrip("s")):
         VerifyConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("n_values, families", [
+    ((4,), ("trisection",)),
+    ((4, 5), ("periodicity_sin3",)),
+    ((4, 8, 64), ("trisection", "periodicity_sin3")),
+], ids=["trisection", "periodicity", "both"])
+def test_verify_config_refuses_n3_only_families_without_n3(n_values, families):
+    # such a run checked nothing: run_all returned [] and the CLI exited 0
+    with pytest.raises(squig.ParameterError, match="n = 3 only"):
+        VerifyConfig(n_values=n_values, families=families)
+
+
+def test_verify_config_takes_n3_only_families_with_n3_or_another_family():
+    rows = run_all(VerifyConfig(n_values=(4, 3), families=("trisection",)))
+    assert [(r.name, r.n) for r in rows] == [("trisection", 3)]
+    rows = run_all(VerifyConfig(n_values=(4,), families=("trisection", "integral_ray")))
+    assert [(r.name, r.n) for r in rows] == [("integral_ray", 4)]
 
 
 @pytest.mark.parametrize("bad", [4, "34", (3, 4.0), (3, True), {3, 4}, None])
@@ -473,10 +495,21 @@ def test_runtime_is_stdlib_only():
         "from squig.verify import VerifyConfig, run_all\n"
         "reports = run_all(VerifyConfig(n_values=(3,), families=('periodicity_sin3',)))\n"
         "assert [r.name for r in reports] == ['periodicity_sin3'] and reports[0].passed\n"
-        "routes = set()\n"
-        "for name in ('_disc_sum', '_corner_invert', '_pole_series'):\n"
-        "    f = getattr(squigfn, name)\n"
-        "    setattr(squigfn, name, lambda *a, f=f, name=name, **kw: routes.add(name) or f(*a, **kw))\n"
+        "routes, inside = set(), []\n"
+        "def spy(name, f):\n"
+        "    def spied(*a):\n"
+        "        # the disc at A sums through _disc_sum: only a call from\n"
+        "        # outside _corner_invert is the disc at 0\n"
+        "        if name != '_disc_sum' or not any(inside):\n"
+        "            routes.add(name)\n"
+        "        inside.append(name == '_corner_invert')\n"
+        "        try:\n"
+        "            return f(*a)\n"
+        "        finally:\n"
+        "            inside.pop()\n"
+        "    return spied\n"
+        "for name in ('_disc_sum', '_corner_invert', '_pole_invert'):\n"
+        "    setattr(squigfn, name, spy(name, getattr(squigfn, name)))\n"
         "ctx = squig.make_context(5)\n"
         "for w in (1.0 + 0.01j, 0.3 + 0.1j):\n"
         "    t = squig.arcsin_n(ctx, w)\n"
@@ -485,12 +518,12 @@ def test_runtime_is_stdlib_only():
         "assert routes == {'_disc_sum', '_corner_invert'}, routes\n"
         "ctx = squig.make_context(3)\n"
         "assert abs(squig.sin_n(ctx, squig.arcsin_n_sector(ctx, 6.0)).value - 6.0) < 1e-12\n"
-        "assert routes == {'_disc_sum', '_corner_invert', '_pole_series'}, routes\n"
+        "assert routes == {'_disc_sum', '_corner_invert', '_pole_invert'}, routes\n"
         "ctx = squig.make_context(8)\n"
         "routes.clear()\n"
         "t = ctx.A / 2 + 0.1j\n"
         "assert abs(squig.arcsin_n(ctx, squig.sin_n(ctx, t).value) - t) < 1e-12\n"
-        "assert routes == {'_pole_series'}, routes\n"
+        "assert routes == {'_pole_invert'}, routes\n"
         "assert squig.cli.main(['eval', '--n', '4', '--fn', 'sin', '--z', '1.8']) == 0\n"
         "loaded = {'numpy', 'scipy', 'mpmath', 'hypothesis'} & set(sys.modules)\n"
         "assert not loaded, sorted(loaded)\n"
