@@ -270,7 +270,6 @@ def _split_runs(points: list[complex | None]) -> list[list[complex]]:
 
 def _grid_image_F(ctx: SquigContext, density: int) -> list[list[complex]]:
     """Images of a polar grid on the base sector under the slit-plane map."""
-    n = ctx.n
     tau = ctx.tau
     curves = []
     samples = 96

@@ -54,3 +54,13 @@ class DegenerateLoopError(SquigError):
 
 class RefinementNeededError(SquigError):
     """Loop samples are too coarse for an unambiguous winding count."""
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for a refusal message.  An int of more than 4,300
+    digits (the interpreter's limit on int-to-str), alone or inside a
+    container, has no repr; it is shown by its type instead."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"

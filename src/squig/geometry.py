@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, _shown
 from .numerics import _FrozenRecord, _series_tables
 
 _MIN_N = 3
@@ -74,9 +75,9 @@ class SquigContext:
 
     def __init__(self, n: int):
         if isinstance(n, bool) or not isinstance(n, int):
-            raise ParameterError(f"n must be an integer, got {n!r}")
+            raise ParameterError(f"n must be an integer, got {_shown(n)}")
         if not _MIN_N <= n <= _MAX_N:
-            raise ParameterError(f"n must lie in [{_MIN_N}, {_MAX_N}], got {n}")
+            raise ParameterError(f"n must lie in [{_MIN_N}, {_MAX_N}], got {_shown(n)}")
         self.n = n
         self.series_cache = {}
         self.tables = tables = _series_tables(n)
@@ -171,6 +172,32 @@ def _in_triangle(p: complex, v0: complex, v1: complex, v2: complex, tol: float) 
     )
 
 
+def _as_point(z, where: str = "", region: str = "") -> complex:
+    """``z`` as a complex, for any number; ParameterError for anything else:
+    a str, bytes, None, a bool, or what ``complex()`` refuses.
+
+    With ``where``, a map's domain ("the slit plane Sigma_5"), a point that
+    is not finite raises DomainError naming it and ``region``; without, an
+    int beyond the float range becomes the infinity of its sign.  Callers
+    test ``z.__class__ is not complex`` (or not finite) first, so a finite
+    complex point makes no call.
+    """
+    if isinstance(z, (str, bool)):
+        raise ParameterError(f"a point must be a number, not {type(z).__name__}")
+    try:
+        z = complex(z)
+    except OverflowError:  # an int beyond the float range
+        if where:
+            raise DomainError(f"point beyond the float range lies outside {where}",
+                              region=region) from None
+        return complex(math.inf if z > 0 else -math.inf)
+    except (TypeError, ValueError):
+        raise ParameterError(f"a point must be a number, not {type(z).__name__}") from None
+    if where and not cmath.isfinite(z):
+        raise DomainError(f"point {z} lies outside {where}", region=region)
+    return z
+
+
 def contains_Pi(ctx: SquigContext, z: complex) -> bool:
     """Closed-kite membership, with a 1e-10 relative slack on the edges.
 
@@ -178,7 +205,8 @@ def contains_Pi(ctx: SquigContext, z: complex) -> bool:
     the two halves separately keeps the test correct when the corner at P
     turns reflex (n >= 5).
     """
-    z = complex(z)
+    if z.__class__ is not complex:
+        z = _as_point(z)
     tol = ctx.edge_tol
     zero = 0j
     return _in_triangle(z, zero, ctx.A, ctx.P, tol) or _in_triangle(
@@ -195,23 +223,31 @@ def in_rosette(ctx: SquigContext, z: complex) -> bool:
     ``omega**k A`` no point is taken in by the neighbouring kite's slack.
     A NaN or infinite point lies in no kite.
     """
-    z = complex(z)
+    if z.__class__ is not complex:
+        z = _as_point(z)
     if not cmath.isfinite(z):
         return False
     return contains_Pi(ctx, z * ctx.inv_roots[math.floor(cmath.phase(z) / ctx.tau) % ctx.n])
 
 
-def contains_Sigma(ctx: SquigContext, w: complex) -> bool:
-    """True unless ``w`` sits within 1e-8 of one of the n slit rays.
+def _slit_wedge(ctx: SquigContext, w: complex) -> tuple:
+    """(k, u, on_slit) for a complex ``w`` that is not NaN: the slit
+    omega**k [1, inf) nearest ``w`` in phase, ``u = w omega**-k`` rotated
+    onto it, and whether ``u`` lies within the 1e-8 guard band of that slit.
+    Only the nearest slit in phase can be that close."""
+    k = round(cmath.phase(w) / ctx.tau) % ctx.n
+    u = w * ctx.inv_roots[k]
+    return k, u, abs(u.imag) <= _SLIT_TOL and u.real >= 1.0 - _SLIT_TOL
 
-    Only the ray nearest ``w`` in phase can be that close, so ``w`` is
-    rotated once, onto it.  A NaN point lies on no ray.
-    """
-    w = complex(w)
-    if cmath.isnan(w):
-        return True
-    u = w * ctx.inv_roots[round(cmath.phase(w) / ctx.tau) % ctx.n]
-    return not (abs(u.imag) <= _SLIT_TOL and u.real >= 1.0 - _SLIT_TOL)
+
+def contains_Sigma(ctx: SquigContext, w: complex) -> bool:
+    """True unless ``w`` sits within 1e-8 of one of the n slit rays
+    (``_slit_wedge``).  A NaN point lies on no ray."""
+    if w.__class__ is not complex or not cmath.isfinite(w):
+        w = _as_point(w)
+        if cmath.isnan(w):
+            return True
+    return not _slit_wedge(ctx, w)[2]
 
 
 def _reduce_to_cell(ctx: SquigContext, z: complex) -> tuple[int, int, complex]:
@@ -321,15 +357,8 @@ def _fold(ctx: SquigContext, z: complex) -> tuple:
     """:func:`fold` as the plain tuple of ``FoldResult``'s fields, for the
     evaluation hot path."""
     n = ctx.n
-    try:
-        z = complex(z)
-    except OverflowError:  # an int beyond the float range
-        raise DomainError(f"point beyond the float range lies outside the closed region "
-                          f"Omega_{n}", region=f"Omega_{n}") from None
-    if not cmath.isfinite(z):
-        raise DomainError(
-            f"point {z} lies outside the closed region Omega_{n}", region=f"Omega_{n}"
-        )
+    if z.__class__ is not complex or not cmath.isfinite(z):
+        z = _as_point(z, f"the closed region Omega_{n}", f"Omega_{n}")
     shift = _NO_SHIFT
     v = z
     if n == 3:
@@ -421,7 +450,7 @@ def boundary_polyline(
     """
     if not isinstance(samples_per_edge, int) or samples_per_edge < 2:
         raise ParameterError(
-            f"samples_per_edge must be an integer >= 2, got {samples_per_edge!r}"
+            f"samples_per_edge must be an integer >= 2, got {_shown(samples_per_edge)}"
         )
 
     if which == "pi":
@@ -435,9 +464,9 @@ def boundary_polyline(
         return _sample_edges(verts, samples_per_edge)
 
     if which == "gamma":
-        if not _is_real(radius) or not 0.0 < radius < math.inf:
+        if not _is_real(radius) or not 0.0 < radius <= sys.float_info.max:
             raise ParameterError(
-                f"the gamma boundary needs a positive finite radius, got {radius!r}")
+                f"the gamma boundary needs a positive finite radius, got {_shown(radius)}")
         tau = ctx.tau
         pts = []
         for j in range(samples_per_edge):
@@ -450,7 +479,7 @@ def boundary_polyline(
             )
         return pts
 
-    raise ParameterError(f"unknown boundary tag {which!r}; use pi, omega or gamma")
+    raise ParameterError(f"unknown boundary tag {_shown(which)}; use pi, omega or gamma")
 
 
 def sample_domain(
@@ -469,14 +498,14 @@ def sample_domain(
     uniform on the kite, and a uniform rotation spreads it over the rosette.
     """
     if isinstance(count, bool) or not isinstance(count, int):
-        raise ParameterError(f"count must be an integer, got {count!r}")
+        raise ParameterError(f"count must be an integer, got {_shown(count)}")
     if count < 0:
         raise ParameterError("count must be nonnegative")
     # every kite point lies within |P| of P: both half-kite triangles have
     # their vertices in that disc, so a clearance of 1 or more leaves nothing;
     # the comparison also refuses NaN, which would turn the clearance off
     if not pole_clearance < 1.0:
-        raise ParameterError(f"pole_clearance must be below 1, got {pole_clearance!r}")
+        raise ParameterError(f"pole_clearance must be below 1, got {_shown(pole_clearance)}")
     pts: list[complex] = []
     corners = [ctx.P * r for r in ctx.roots]
     while len(pts) < count:

@@ -9,6 +9,10 @@ near P (``_pole_table``), and the three series of the sector map ``F``, at
 (``_series_tables``), with no quadrature and no gamma function.  Every sum
 is cut by a proven remainder bound at half an ulp of its leading term.
 
+The inverse routes (the discs at 0 and at A, and the pole series) sum their
+tables through one kernel with one cut rule and one bound, ``_series_sum``.
+``F``'s tables, with per-table radii and no bound yet, use ``_binomial_sum``.
+
 The routes that ``verify`` and the tests compare against (the quadrature
 rules, series reversion, the GK15 leg of the sector map, the Newton
 inverter and the winding count) live in :mod:`squig.reference`, which
@@ -250,8 +254,9 @@ def _ode_coefficients(n: int, terms: int) -> tuple:
 
 
 # Length of the ODE pair's float tables.  A sum of K terms of a table whose
-# entries are at most 2 in modulus leaves at most 2 rho**K / (1 - rho).
+# entries are at most _ODE_TAIL in modulus leaves at most 2 rho**K / (1 - rho).
 ODE_TERMS = 64
+_ODE_TAIL = 2.0
 # Fixed-point bits of the tables' recurrence.
 _ODE_BITS = 110
 
@@ -262,6 +267,35 @@ _ODE_BITS = 110
 # rho -> (c (1 - rho))**(1/K) from there lands below it.
 ODE_RADII = tuple((0.5 * _SERIES_EPS * (1.0 - (0.5 * _SERIES_EPS) ** (1.0 / k))) ** (1.0 / k)
                   for k in range(1, ODE_TERMS + 1))
+# One rounding step of the inverse routes' sums, an ulp of 1.
+_ULP = 2.0**-52
+
+
+def _series_sum(coeffs, w: complex, n: int, scale: float, rate: float, tail: float,
+                odd: bool):
+    """w sum_k a_k x**k if ``odd``, else sum_k a_k x**k, with x = w**n / scale,
+    and a bound on its error: the one sum of every inverse route.
+
+    The table's entries obey |a_k| <= tail rate**k, so K terms leave at most
+    tail q**K / (1 - q), q = rate |x|.  The sum is cut at the first K where
+    that is below half an ulp (ODE_RADII, whose tail is 2, covers tail <= 2),
+    but never below two terms: the second keeps the leading imaginary part
+    of a value next to 1.  The bound is that remainder plus the rounding:
+    one ulp for the leading term and 2 K ulps times the rest, whose moduli
+    add up to at most tail q / (1 - q) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 5.1).  The product with w adds one ulp.
+    """
+    x = w**n / scale
+    q = rate * abs(x)
+    last = bisect.bisect_left(ODE_RADII, q, 1, len(coeffs) - 1)
+    acc = 0j
+    for a in coeffs[last::-1]:
+        acc = acc * x + a
+    terms = last + 1
+    bound = tail * q**terms / (1.0 - q) + _ULP * (1.0 + 2.0 * tail * terms * q / (1.0 - q))
+    if odd:
+        return w * acc, abs(w) * (bound + _ULP)
+    return acc, bound
 
 
 def _fixed_power_term(base: list, power: list, m: int, num: int, den: int, bits: int) -> int:
@@ -357,8 +391,8 @@ class _SeriesTables(NamedTuple):
     The ODE pair's tables (``_ode_tables``) serve the inverse: their sums
     converge for |t**n| < R**n, and ``disc`` is the radius where 64 terms
     reach half an ulp, ODE_RADII[-1]**(1/n) R (0.817 R at n = 3, 0.9905 R
-    at n = 64).  Each disc sums the one table of the value asked for, sliced
-    backwards from its cut (``sine[last::-1]``) for Horner.
+    at n = 64).  Each disc sums the one table of the value asked for
+    through ``_series_sum``, with tail 2 and rate 1 in x = t**n / scale.
     """
 
     inner: tuple      # binomial table of the series at 0

@@ -9,19 +9,26 @@ inverse sine is ``F`` itself continued over the slit plane.
 ``sin_n`` and ``cos_n`` share one body, ``_evaluate``: one fold, one route
 at the folded target, and one unfold, which at n == 3 also adds the lattice
 translation's error to ``residual``.  There are three routes, one per
-regime of the folded target:
+regime of the folded target, and each sums one table through one kernel,
+``numerics._series_sum``:
 
-1. the disc at 0, ``_disc_sum``: the ODE pair's Maclaurin series,
-   s = t S(x), c = C(x) with x = t**n, summed from float tables
-   (``numerics._ode_tables``) in one Horner pass cut at half an ulp,
-2. the disc at the corner ``A``, whichever centre is nearer: ``_disc_sum``
-   with the other table, by the symmetry sin_n(t) = cos_n(y), y = A - t,
+1. the disc at 0: the ODE pair's Maclaurin series, s = t S(x), c = C(x)
+   with x = t**n, from float tables (``numerics._ode_tables``),
+2. the disc at the corner ``A``, whichever centre is nearer,
+   ``_corner_invert``: the other table, by the symmetry
+   sin_n(t) = cos_n(y), y = A - t,
 3. every other target, near the pole ``P`` and in the lens between the
    discs, ``_pole_invert``: the series at infinity inverted in closed form,
    v = 1/u = W k(W**n) with W a root of (n-2) (P - t) e^(-i pi (n-1)/n)
-   (``numerics._pole_table``), cut at half an ulp as the discs' sums are;
-   the cosine u e^(-i pi/n) (1 - v**n)**(1/n) holds on the slit-edge image
-   ``[A, P]`` as well.
+   (``numerics._pole_table``); the cosine u e^(-i pi/n) (1 - v**n)**(1/n)
+   holds on the slit-edge image ``[A, P]`` as well.
+
+The kernel cuts the Horner sum where its tail bound falls below half an
+ulp and returns one bound for the cut and the rounding,
+tail q**K / (1 - q) + ulp (1 + 2 tail K q / (1 - q)), with the tail
+constant of the table (2 for the ODE tables, 1 for the pole's).  The disc
+at ``A`` adds the error of ``A``; the pole adds the rounding of W**n and
+propagates through u = 1/v and the cosine.
 
 Each route computes only the value asked for, and its ``residual`` bounds
 that value's forward error; no route iterates or raises.
@@ -40,7 +47,6 @@ so every value is accurate to about 1e-15 relative.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 
@@ -49,22 +55,23 @@ from .errors import (
     DomainError,
     InvalidSeriesError,
     ParameterError,
+    _shown,
 )
-from .geometry import _CELL_ROUND, SquigContext, _fold, contains_Sigma
+from .geometry import _CELL_ROUND, SquigContext, _as_point, _fold, _slit_wedge
 from .numerics import (
-    ODE_RADII,
-    ODE_TERMS,
+    _ODE_TAIL,
+    _ULP,
     RationalSeries,
     _FrozenRecord,
     _ode_coefficients,
     _pole_table,
     _real_chart,
+    _series_sum,
     _series_tail,
     sector_ray_integral,
 )
 
 _SNAP = 1e-12
-_ULP = 2.0**-52  # one rounding step of the disc sums, an ulp of 1
 _A_ERR = 3e-16  # relative error of A from the kernel's tables (tested: 2.5e-16)
 _P_ERR = 5e-16  # relative error of P: |P|'s (tested: 3.5e-16) and e^(i pi/n)'s
 
@@ -112,7 +119,7 @@ def maclaurin(ctx: SquigContext, terms: int) -> RationalSeries:
     reversion, gives the same coefficients by inverting the series of ``F``.
     """
     if isinstance(terms, bool) or not isinstance(terms, int) or terms < 1:
-        raise ParameterError(f"terms must be a positive integer, got {terms!r}")
+        raise ParameterError(f"terms must be a positive integer, got {_shown(terms)}")
     cached = ctx.series_cache.get("maclaurin")
     if cached is None or cached.term_count() < terms:
         n = ctx.n
@@ -150,45 +157,21 @@ def radius_estimate(series: RationalSeries) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the ODE pair's series at 0 and at A
-
-
-def _disc_sum(ctx: SquigContext, w: complex, sine: bool):
-    """sin_n(w) = w S(w**n) if ``sine``, else cos_n(w) = C(w**n), from one of
-    the ODE pair's tables, and a bound on its error, for |w| at most the
-    tables' disc radius.
-
-    The table is summed by Horner in x = w**n / R**n, cut at K terms where
-    2 rho**K / (1 - rho) is below half an ulp (rho = |x|), but never below
-    two terms: the second keeps the leading imaginary part of a value next
-    to 1.  The sum's bound is that remainder plus rounding: one ulp for the
-    leading term and 2 K ulps times the rest, whose moduli add up to at most
-    2 rho / (1 - rho).  The product with w adds one ulp.
-    """
-    tables = ctx.tables
-    x = w**ctx.n / tables.scale
-    rho = abs(x)
-    last = bisect.bisect_left(ODE_RADII, rho, 1, ODE_TERMS - 1)
-    acc = 0j
-    for a in (tables.sine if sine else tables.cosine)[last::-1]:
-        acc = acc * x + a
-    terms = last + 1
-    bound = 2.0 * rho**terms / (1.0 - rho) + _ULP * (1.0 + 4.0 * terms * rho / (1.0 - rho))
-    if sine:
-        return w * acc, abs(w) * (bound + _ULP)
-    return acc, bound
+# the ODE pair's series at A
 
 
 def _corner_invert(ctx: SquigContext, y: complex, sine: bool):
     """The disc at A, for |y| within the tables' disc radius (else None):
     sin_n(t) = cos_n(y) if ``sine``, else cos_n(t) = sin_n(y), at t = A - y,
-    by ``_disc_sum`` with the tables' roles swapped, and a bound on its
-    error.  y carries the error of A, which moves the value by that error
-    times its slope, |1 - value**n|**beta (s**n + c**n = 1)."""
-    if abs(y) > ctx.tables.disc:
+    by ``_series_sum`` over the other table, and a bound on its error.  y
+    carries the error of A, which moves the value by that error times its
+    slope, |1 - value**n|**beta (s**n + c**n = 1)."""
+    tables = ctx.tables
+    if abs(y) > tables.disc:
         return None
-    value, bound = _disc_sum(ctx, y, not sine)
     n = ctx.n
+    value, bound = _series_sum(tables.cosine if sine else tables.sine, y, n, tables.scale,
+                               1.0, _ODE_TAIL, not sine)
     return value, bound + _A_ERR * ctx.A.real * abs(1.0 - value**n) ** ((n - 1) / n)
 
 
@@ -259,39 +242,29 @@ def _invert_slit_edge(ctx: SquigContext, m: float, tol: float):
 # the pole series at P, over every target beyond both discs
 
 
-def _pole_cos(ctx: SquigContext, v: complex) -> complex:
-    """cos_n at u = 1/v; on the slit edge, (1 - u**n)**(1/n) is its conjugate."""
-    n = ctx.n
-    return ctx.cos_phase * (1.0 - v**n) ** (1.0 / n) / v
-
-
 def _pole_invert(ctx: SquigContext, t: complex, sine: bool):
     """sin_n(t) if ``sine``, else cos_n(t), at a target beyond both discs,
     and a bound on its error, by the pole series: v = 1/u = W k(X), X = W**n,
     with W the root of ((n-2) (P - t) e^(-i pi beta))**(1/(n-2)) whose phase
     is nearest -pi/(2n), the middle of v's phases on the half sector.
 
-    The table is summed by Horner in X, cut at K terms where q**K / (1 - q)
-    is below half an ulp (ODE_RADII at q = rate |X|), but never below two.
-    The sum's bound is that tail plus rounding: 2 K ulps of the terms'
-    moduli, at most 1/(1 - q), for the Horner pass and the entries, and
-    3 n ulps, X's relative error, of sum_j j |k_j X**j| <= q / (1 - q)**2.
+    ``_series_sum`` sums the table (|k_j| <= rate**j: tail 1) and bounds its
+    cut and rounding.  X = W**n carries 3 n ulps of its own, which move the
+    sum by at most 3 n ulps of sum_j j |k_j X**j| <= q / (1 - q)**2, with
+    q = rate |X| and |X| = |D| |W|**2.  On the slit edge the cosine's
+    (1 - u**n)**(1/n) is the conjugate of its factor here.
     """
     n = ctx.n
     d = (n - 2) * (ctx.P - t) * ctx.tables.phase.conjugate()
     phi = cmath.phase(d)
     k = round((-(n - 2) * math.pi / (2 * n) - phi) / (2 * math.pi))
-    w = cmath.rect(abs(d) ** (1.0 / (n - 2)), (phi + 2 * math.pi * k) / (n - 2))
-    x = w**n
+    size = abs(d)
+    r = size ** (1.0 / (n - 2))
+    w = cmath.rect(r, (phi + 2 * math.pi * k) / (n - 2))
     table, rate = _pole_table(n)
-    q = rate * abs(x)
-    last = bisect.bisect_left(ODE_RADII, q, 1, len(table) - 1)
-    acc = 0j
-    for a in table[last::-1]:
-        acc = acc * x + a
-    terms = last + 1
-    v = w * acc
-    v_err = abs(w) * (q**terms + (2 * terms + 3 * n) * _ULP / (1.0 - q)) / (1.0 - q)
+    v, v_err = _series_sum(table, w, n, 1.0, rate, 1.0, True)
+    q = rate * size * r * r
+    v_err += 3 * n * _ULP * r * q / (1.0 - q) ** 2
     # |du| = |u|**2 |dv| plus the rounding of W, v and u, and P's error
     # times |du/dt| = |1 - u**n|**beta; |dcos/du| = |1 - v**n|**(-beta)
     u = 1.0 / v
@@ -300,8 +273,9 @@ def _pole_invert(ctx: SquigContext, t: complex, sine: bool):
              + _P_ERR * abs(ctx.P) * abs(1.0 - u**n) ** beta)
     if sine:
         return u, bound
-    cosv = _pole_cos(ctx, v)
-    return cosv, bound * abs(1.0 - v**n) ** -beta + 4.0 * (n + 1) * _ULP * abs(cosv)
+    h = 1.0 - v**n
+    cosv = ctx.cos_phase * h ** (1.0 / n) / v
+    return cosv, bound * abs(h) ** -beta + 4.0 * (n + 1) * _ULP * abs(cosv)
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +285,8 @@ def _pole_invert(ctx: SquigContext, t: complex, sine: bool):
 def arcsin_n_sector(ctx: SquigContext, z: complex) -> complex:
     """Sector map F on the closed fundamental sector, boundary rays included."""
     n = ctx.n
-    try:
-        z = complex(z)
-    except OverflowError:  # an int beyond the float range
-        raise DomainError(f"point beyond the float range lies outside the closed sector V_{n}",
-                          region=f"V_{n}") from None
-    if not cmath.isfinite(z):
-        raise DomainError(
-            f"point {z} lies outside the closed sector V_{n}", region=f"V_{n}"
-        )
+    if z.__class__ is not complex or not cmath.isfinite(z):
+        z = _as_point(z, f"the closed sector V_{n}", f"V_{n}")
     if z == 0:
         return 0j
     tau = ctx.tau
@@ -345,24 +312,14 @@ def arcsin_n_sector(ctx: SquigContext, z: complex) -> complex:
 
 def arcsin_n(ctx: SquigContext, w: complex) -> complex:
     """Global inverse sine on the slit plane."""
-    try:
-        w = complex(w)
-    except OverflowError:  # an int beyond the float range
-        raise DomainError(f"point beyond the float range lies outside the slit plane "
-                          f"Sigma_{ctx.n}", region=f"Sigma_{ctx.n}") from None
-    if not cmath.isfinite(w):
-        raise DomainError(
-            f"point {w} lies outside the slit plane Sigma_{ctx.n}", region=f"Sigma_{ctx.n}"
-        )
-    if not contains_Sigma(ctx, w):
-        raise DomainError(
-            f"point {w} lies on a slit of Sigma_{ctx.n}", region=f"Sigma_{ctx.n}"
-        )
+    n = ctx.n
+    if w.__class__ is not complex or not cmath.isfinite(w):
+        w = _as_point(w, f"the slit plane Sigma_{n}", f"Sigma_{n}")
+    k, u, on_slit = _slit_wedge(ctx, w)
+    if on_slit:
+        raise DomainError(f"point {w} lies on a slit of Sigma_{n}", region=f"Sigma_{n}")
     if w == 0:
         return 0j
-    n = ctx.n
-    k = round(cmath.phase(w) / ctx.tau) % n
-    u = w * ctx.inv_roots[k]
     flip = u.imag < 0.0
     if flip:
         u = u.conjugate()
@@ -390,8 +347,10 @@ def _evaluate(ctx: SquigContext, z: complex, sine: bool) -> EvalResult:
     r = abs(t)
     got = None
     if r <= abs(y):
-        if r <= ctx.tables.disc:
-            got = _disc_sum(ctx, t, sine)
+        tables = ctx.tables
+        if r <= tables.disc:
+            got = _series_sum(tables.sine if sine else tables.cosine, t, ctx.n, tables.scale,
+                              1.0, _ODE_TAIL, sine)
     else:
         got = _corner_invert(ctx, y, sine)
     value, resid = got or _pole_invert(ctx, t, sine)

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .errors import ParameterError, SquigError
+from .errors import ParameterError, SquigError, _shown
 from .geometry import SquigContext, _is_real, in_rosette, make_context
 from .reference import (
     integrate_endpoint_singular,
@@ -98,10 +98,11 @@ def _report(name: str, n: int, tolerance: float | None,
     """
     if tolerance is None:
         tol = DEFAULT_TOLERANCES[_FAMILIES[name][0]]
-    elif _is_real(tolerance) and 0.0 < tolerance < math.inf:
+    elif _is_real(tolerance) and 0.0 < tolerance <= sys.float_info.max:
         tol = float(tolerance)
     else:
-        raise ParameterError(f"{name} tolerance must be positive and finite, got {tolerance!r}")
+        raise ParameterError(
+            f"{name} tolerance must be positive and finite, got {_shown(tolerance)}")
     t0 = time.perf_counter()
     try:
         lhs, rhs, err, note = measure()
@@ -122,15 +123,17 @@ def _check_samples(name: str, samples) -> None:
             isinstance(z, (float, complex)) or _is_real(z) and abs(z) <= sys.float_info.max
             for z in samples):
         raise ParameterError(f"{name} needs a sequence of one or more numbers as samples, "
-                             f"got {samples!r}")
+                             f"got {_shown(samples)}")
 
 
 def _check_radii(name: str, radii) -> None:
     """Refuse ``radii`` unless a sequence of one or more positive finite reals
-    (bools excluded); the types are checked before anything sorts them."""
+    (bools excluded, and ints beyond the float range, which ``float()``
+    cannot take); the types are checked before anything sorts them."""
     if not isinstance(radii, Sequence) or not radii or not all(
-            _is_real(r) and 0.0 < r < math.inf for r in radii):
-        raise ParameterError(f"{name} needs one or more positive finite radii, got {radii!r}")
+            _is_real(r) and 0.0 < r <= sys.float_info.max for r in radii):
+        raise ParameterError(
+            f"{name} needs one or more positive finite radii, got {_shown(radii)}")
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +204,8 @@ def limit_profile(ctx: SquigContext, radii: Sequence[float],
     """
     _check_radii("limit_profile", radii)
     if not isinstance(angles, int) or isinstance(angles, bool) or angles < 1:
-        raise ParameterError(f"limit_profile needs a positive integer angles, got {angles!r}")
+        raise ParameterError(
+            f"limit_profile needs a positive integer angles, got {_shown(angles)}")
     tau = ctx.tau
     out = []
     for r in radii:
@@ -285,11 +289,11 @@ def check_winding(ctx: SquigContext, R: float, w: complex,
     1: the keyhole loop runs out along the slit from its tip at 1 to ``R``.
     ``w`` must be a finite number (not a bool).
     """
-    if not _is_real(R) or not 1.0 < R < math.inf:
-        raise ParameterError(f"winding needs a finite R above 1, got {R!r}")
+    if not _is_real(R) or not 1.0 < R <= sys.float_info.max:
+        raise ParameterError(f"winding needs a finite R above 1, got {_shown(R)}")
     if not (isinstance(w, complex) and cmath.isfinite(w)
             or _is_real(w) and abs(w) <= sys.float_info.max):
-        raise ParameterError(f"winding needs a finite number as target w, got {w!r}")
+        raise ParameterError(f"winding needs a finite number as target w, got {_shown(w)}")
 
     def measure():
         got = winding_number(_boundary_image_loop(ctx, float(R)), complex(w))
@@ -519,25 +523,26 @@ class VerifyConfig:
         nv = self.n_values
         if not isinstance(nv, Sequence) or not nv or not all(
                 isinstance(n, int) and not isinstance(n, bool) for n in nv):
-            raise ParameterError(f"n_values must be a sequence of one or more integers, got {nv!r}")
+            raise ParameterError(
+                f"n_values must be a sequence of one or more integers, got {_shown(nv)}")
         families = self.families
         if families is not None and (not families or not set(families) <= set(_FAMILIES)):
             raise ParameterError(f"families must name one or more of {sorted(_FAMILIES)}, "
-                                 f"got {families!r}")
+                                 f"got {_shown(families)}")
         if families and not any(n == 3 or not _FAMILIES[f][1] for f in families for n in nv):
-            raise ParameterError(f"families {families!r} run at n = 3 only, and n_values "
-                                 f"{nv!r} has no 3")
+            raise ParameterError(f"families {_shown(families)} run at n = 3 only, and n_values "
+                                 f"{_shown(nv)} has no 3")
         tolerances = {} if self.tolerances is None else self.tolerances
         if not isinstance(tolerances, Mapping):
             raise ParameterError(f"tolerances must be a mapping of names to values, "
-                                 f"got {tolerances!r}")
+                                 f"got {_shown(tolerances)}")
         for name, value in tolerances.items():
             if name not in _FAMILIES and name not in DEFAULT_TOLERANCES:
-                raise ParameterError(f"unknown tolerance name {name!r}; choose from "
+                raise ParameterError(f"unknown tolerance name {_shown(name)}; choose from "
                                      f"{sorted(set(_FAMILIES) | set(DEFAULT_TOLERANCES))}")
-            if not _is_real(value) or not 0.0 < value < math.inf:
+            if not _is_real(value) or not 0.0 < value <= sys.float_info.max:
                 raise ParameterError(
-                    f"tolerance {name!r} must be positive and finite, got {value!r}")
+                    f"tolerance {_shown(name)} must be positive and finite, got {_shown(value)}")
 
 
 def _family_rng(family: str, n: int) -> random.Random:

@@ -6,7 +6,10 @@ slits of the slit plane, rotated into a random sector.  ``sin_n`` and
 ``cos_n`` are called at the same point; when both return values they must
 satisfy the Pythagorean identity s**n + c**n = 1.  A second search draws
 NaN and +-inf parts: every map and ``fold`` raise DomainError at such a
-point, and the membership tests answer a bool.  A third search spans
+point, and the membership tests answer a bool.  An argument that is not a
+number (a str, bytes, None, a bool) raises ParameterError everywhere, and
+an int beyond the float range is, to a membership test, the infinity of
+its sign.  A third search spans
 n = 3 over |z| = 1 .. 1e300: each call folds into the kite, up to the
 lattice translation's rounding, with finite values, or raises DomainError
 beyond the reach of the lattice reduction.
@@ -21,7 +24,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from squig.errors import DomainError, SquigError
+from squig.errors import DomainError, ParameterError, SquigError
 from squig.geometry import (
     _CELL_ROUND,
     contains_Pi,
@@ -124,6 +127,33 @@ def test_points_beyond_the_float_range_raise_domain_error(n, z):
     for fn in maps:
         with pytest.raises(DomainError, match="float range"):
             fn(ctx, z)
+
+
+@pytest.mark.parametrize("n", [3, 4, 64])
+@pytest.mark.parametrize("z", ["0.5", "x", b"0.5", None, True, [0.5], object()],
+                         ids=["numeric-str", "str", "bytes", "none", "bool", "list", "object"])
+def test_arguments_that_are_not_numbers_raise_parameter_error(n, z):
+    # "0.5" and True were once taken as points, "x" raised a raw ValueError
+    # and the others a raw TypeError, in every map, fold and membership test
+    ctx = context(n)
+    calls = [sin_n, cos_n, fold, arcsin_n, arcsin_n_sector, contains_Pi, contains_Sigma,
+             in_rosette]
+    if n == 3:
+        calls.append(sin3_global)
+    for fn in calls:
+        with pytest.raises(ParameterError, match="number"):
+            fn(ctx, z)
+
+
+@pytest.mark.parametrize("n", [3, 4, 64])
+@pytest.mark.parametrize("z", [10**400, -(10**400), 10**5000],
+                         ids=["huge-int", "huge-negative-int", "huger-int"])
+def test_membership_beyond_the_float_range_is_that_of_infinity(n, z):
+    # complex(z) once raised a raw OverflowError in each membership test
+    ctx = context(n)
+    inf = complex(math.inf if z > 0 else -math.inf, 0.0)
+    for test in (contains_Pi, contains_Sigma, in_rosette):
+        assert test(ctx, z) is test(ctx, inf)
 
 
 def _kite_escape(ctx, t: complex) -> float:

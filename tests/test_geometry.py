@@ -63,8 +63,9 @@ class TestMakeContext:
         ctx = make_context(3)
         assert abs(ctx.P) == pytest.approx(abs(ctx.A), abs=1e-13)
 
-    @pytest.mark.parametrize("bad", [2, 65, 0, -3, 1000])
+    @pytest.mark.parametrize("bad", [2, 65, 0, -3, 1000, pytest.param(10 ** 5000, id="huger-int")])
     def test_out_of_range_n(self, bad):
+        # 10**5000 once raised a raw ValueError from the refusal's own message
         with pytest.raises(ParameterError):
             make_context(bad)
 
@@ -344,10 +345,10 @@ class TestBoundaryPolyline:
         assert pts[0] == pts[-1] == 0j
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, -math.inf, math.nan,
-                                        "2", True, 2j])
+                                        "2", True, 2j, pytest.param(10 ** 400, id="huge-int")])
     def test_gamma_refuses_a_radius_that_is_not_positive_and_finite(self, radius):
-        # an infinite radius would give NaN and infinite points, and a string
-        # a raw TypeError
+        # an infinite radius would give NaN and infinite points, a string a
+        # raw TypeError, and an int beyond the float range a raw OverflowError
         with pytest.raises(ParameterError, match="radius"):
             boundary_polyline(make_context(4), "gamma", 8, radius=radius)
 

@@ -411,14 +411,14 @@ def test_warm_hot_path_makes_no_exp_calls(n, monkeypatch):
         sin_n(ctx, z)
     monkeypatch.setattr(numerics, "newton_invert", lambda *a, **kw: pytest.fail("Newton"))
     hits = Counter()
-    for module, name in ((squigfn, "_disc_sum"), (squigfn, "_corner_invert"),
-                         (squigfn, "_pole_invert"), (numerics, "_series_tail"),
+    for module, name in ((squigfn, "_series_sum"), (numerics, "_series_tail"),
                          (numerics, "_corner_series")):
         def counted(*args, _f=getattr(module, name), _name=name):
-            got = _f(*args)
-            # the disc at A counts only when it returns a value
-            hits[_name] += _name != "_corner_invert" or got is not None
-            return got
+            # every inverse route sums through _series_sum, and its caller
+            # names the route: _evaluate (the disc at 0), _corner_invert
+            # (the disc at A) or _pole_invert (the pole series)
+            hits[sys._getframe(1).f_code.co_name if _name == "_series_sum" else _name] += 1
+            return _f(*args)
         monkeypatch.setattr(module, name, counted)
     calls = []
     exp = cmath.exp
@@ -430,11 +430,8 @@ def test_warm_hot_path_makes_no_exp_calls(n, monkeypatch):
         arcsin_n(ctx, w)
     sector_ray_integral(n, upper)
     assert calls == []
-    # every route ran: the disc at A is _corner_invert when it returns a
-    # value, and each such call makes one _disc_sum call
-    # (test_corner_newton_steps), so the disc at 0 is the excess of
-    # _disc_sum calls; the pole is _pole_invert
-    assert hits["_corner_invert"] > 0 and hits["_disc_sum"] > hits["_corner_invert"]
+    # every route ran
+    assert hits["_evaluate"] > 0 and hits["_corner_invert"] > 0
     assert hits["_pole_invert"] > 0 and hits["_corner_series"] > 0
     assert hits["_series_tail"] > hits["_corner_series"]
 
@@ -549,7 +546,13 @@ def ref_invert(ctx, t, routes):
         acc = acc * x + a
     terms, ulp = last + 1, squigfn._ULP
     v = w * acc
-    v_err = abs(w) * (q**terms + (2 * terms + 3 * n) * ulp / (1.0 - q)) / (1.0 - q)
+    # the cut and rounding of a sum whose entries are at most rate**j, plus
+    # the rounding of X: 3 n ulps of sum_j j |k_j X**j| <= q / (1 - q)**2,
+    # with |X| = |D| |W|**2
+    v_err = abs(w) * (q**terms / (1.0 - q) + ulp * (1.0 + 2.0 * terms * q / (1.0 - q)) + ulp)
+    r = abs(d) ** (1.0 / (n - 2))
+    qx = rate * abs(d) * r * r
+    v_err += 3 * n * ulp * r * qx / (1.0 - qx) ** 2
     u = 1.0 / v
     bound = (abs(u) * (abs(u) * v_err + 4.0 * ulp)
              + squigfn._P_ERR * abs(ctx.P) * abs(1.0 - u**n) ** ctx.beta)
@@ -706,14 +709,20 @@ def test_corner_disc_reads_only_the_table_it_returns(n):
 
 
 @pytest.mark.parametrize("n", ALL_NS)
-def test_sine_never_builds_the_pole_cosine(n, monkeypatch):
+def test_sine_never_builds_the_pole_cosine(n):
     ctx = make_context(n)
     folded = [fold(ctx, z).folded for z in sample_domain(ctx, random.Random(f"pole:{n}"), 80)]
     targets = [t for t in [ctx.P - 1e-3 * ctx.P] + folded
                if min(abs(t), abs(ctx.A - t)) > ctx.tables.disc]
     cosines = []
-    pole_cos = squigfn._pole_cos
-    monkeypatch.setattr(squigfn, "_pole_cos", lambda c, v: cosines.append(v) or pole_cos(c, v))
+
+    class CountedPhase(complex):
+        # the pole cosine's factor e^(-i pi/n): each product is one cosine
+        def __mul__(self, other):
+            cosines.append(other)
+            return complex(self) * other
+
+    ctx.cos_phase = CountedPhase(ctx.cos_phase)
     for t in targets:
         assert sin_n(ctx, t).value is not None
     assert cosines == []
@@ -740,9 +749,10 @@ def python_calls(fn, *args):
 
 # Python-level calls per warm call, by route: the entry point, _evaluate,
 # _fold (and _reduce_to_cell at n == 3), the route's functions and
-# EvalResult.__init__.  The routes are _disc_sum; _corner_invert and the
-# _disc_sum it calls; and _pole_invert, with _pole_cos for cos_n only: the
-# pole's 6 is cos_n's, sin_n makes 5.
+# EvalResult.__init__.  Every route sums through numerics._series_sum:
+# the disc at 0 calls it from _evaluate, the disc at A from _corner_invert,
+# and the pole from _pole_invert, which also builds cos_n's cosine: each
+# route's sin_n and cos_n make the same count, 6 on the pole route.
 CALL_CEILINGS = {"disc 0": 5, "disc A": 6, "pole": 6,
                  "arcsin at 0": 4, "arcsin chart": 6, "arcsin at inf": 5}
 

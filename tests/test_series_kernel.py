@@ -415,19 +415,20 @@ def test_corner_newton_steps(n, monkeypatch):
     ys += [rim * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
            for _ in range(32)]
     sums = []
-    disc_sum = squigfn._disc_sum
+    series_sum = squigfn._series_sum
 
-    def counted(c, w, sine):
-        sums.append((w, sine))
-        return disc_sum(c, w, sine)
+    def counted(table, w, *args):
+        sums.append((w, table is tables.sine))
+        return series_sum(table, w, *args)
 
-    monkeypatch.setattr(squigfn, "_disc_sum", counted)
+    monkeypatch.setattr(squigfn, "_series_sum", counted)
     for y in ys:
         for sine in (True, False):
             sums.clear()
             got = squigfn._corner_invert(ctx, y, sine)
             assert got is not None, y
-            # the other table: sin_n(A - y) = cos_n(y), cos_n(A - y) = sin_n(y)
+            # one sum, of the other table: sin_n(A - y) = cos_n(y) and
+            # cos_n(A - y) = sin_n(y)
             assert sums == [(y, not sine)], y
         rho = abs(y**n / tables.scale)
         terms = min(bisect.bisect_left(ODE_RADII, rho) + 1, ODE_TERMS)

@@ -9,10 +9,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from squig import numerics, squigfn
+from squig import numerics
 from squig.errors import DomainError, InvalidSeriesError, ParameterError
 from squig.geometry import fold, make_context, sample_domain
-from squig.numerics import ODE_TERMS, _series_tables
+from squig.numerics import ODE_TERMS, _ODE_TAIL, _series_sum, _series_tables
 from squig.squigfn import (
     EvalResult,
     arcsin_n,
@@ -94,11 +94,12 @@ class TestMaclaurin:
         # tables' length and summed at 40 digits, lies within the certificate
         ctx = make_context(n)
         head = maclaurin(ctx, ODE_TERMS)
-        radius = _series_tables(n).disc
+        tables = _series_tables(n)
+        radius = tables.disc
         for frac in (0.05, 0.3, 0.55, 0.72, 1.0):
             for phase in (0.0, 0.4, 1.0):
                 t = frac * radius * cmath.exp(1j * math.pi / n * phase)
-                s, bound = squigfn._disc_sum(ctx, t, True)
+                s, bound = _series_sum(tables.sine, t, n, tables.scale, 1.0, _ODE_TAIL, True)
                 with mpmath.workdps(40):
                     ref = complex(sum(mpmath.mpf(c.numerator) / c.denominator * mpmath.mpc(t) ** d
                                       for d, c in zip(head.degrees, head.coeffs)))

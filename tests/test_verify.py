@@ -95,22 +95,23 @@ class TestLimitAtInfinity:
 
     @pytest.mark.parametrize("radii", [[], [0.0], [-5.0, 100.0], [100.0, math.inf],
                                        [math.nan, 100.0], ["a", "b"], [1.0, "a"],
-                                       [True, 100.0], [100.0, 2j]])
+                                       [True, 100.0], [100.0, 2j], [10 ** 400]])
     def test_refuses_radii_that_are_not_positive_and_finite(self, radii):
         # an empty list once raised a raw ValueError, [0.0] a
-        # ZeroDivisionError, and strings a raw TypeError (a mix of kinds from
-        # sorting)
+        # ZeroDivisionError, strings a raw TypeError (a mix of kinds from
+        # sorting), and an int beyond the float range a raw OverflowError
         with pytest.raises(squig.ParameterError, match="radii"):
             check_limit_at_infinity(make_context(4), radii=radii)
 
     @pytest.mark.parametrize("radii, angles", [
         (5, 8), (["a"], 8), ([], 8), ([0.0], 8), ([100.0], 0), ([100.0], -1),
-        ([100.0], 2.5), ([100.0], True),
+        ([100.0], 2.5), ([100.0], True), ([10 ** 400], 8),
     ], ids=["radii-int", "radii-str", "radii-empty", "radii-zero", "angles-zero",
-            "angles-negative", "angles-float", "angles-bool"])
+            "angles-negative", "angles-float", "angles-bool", "radii-huge-int"])
     def test_profile_refuses_what_measures_nothing(self, radii, angles):
-        # 5, ["a"] and angles=2.5 once raised a raw TypeError; radii=[] and
-        # angles of 0 or less returned a profile that measured nothing
+        # 5, ["a"] and angles=2.5 once raised a raw TypeError, [10**400] a
+        # raw OverflowError; radii=[] and angles of 0 or less returned a
+        # profile that measured nothing
         with pytest.raises(squig.ParameterError, match="radii" if angles == 8 else "angles"):
             limit_profile(make_context(4), radii, angles=angles)
 
@@ -247,11 +248,14 @@ def test_sampled_checks_refuse_an_empty_sample_list():
     lambda: check_periodicity_sin3(make_context(3), [0.1, True]),
     lambda: check_sc_factorization(make_context(4), [10 ** 400]),
     lambda: check_periodicity_sin3(make_context(3), [0.1, -10 ** 400]),
+    lambda: check_sc_factorization(make_context(4), [10 ** 5000]),
 ], ids=["radii-int", "sc-int", "periodicity-int", "sc-str", "periodicity-bool",
-        "sc-huge-int", "periodicity-huge-int"])
+        "sc-huge-int", "periodicity-huge-int", "sc-huger-int"])
 def test_sampled_checks_refuse_samples_that_are_not_a_sequence_of_numbers(call):
     # each once raised a raw TypeError or ValueError, or (an int beyond the
-    # float range) a raw OverflowError from complex() inside the measured call
+    # float range) a raw OverflowError from complex() inside the measured call;
+    # an int of more than 4,300 digits raised a raw ValueError from the
+    # refusal's own message
     with pytest.raises(squig.ParameterError, match="radii|sample"):
         call()
 
@@ -268,32 +272,35 @@ CHECKS = [
 ]
 
 
-@pytest.mark.parametrize("bad", [math.inf, -1.0, 0.0, math.nan, "x", True],
-                         ids=["inf", "negative", "zero", "nan", "str", "bool"])
+@pytest.mark.parametrize("bad", [math.inf, -1.0, 0.0, math.nan, "x", True, 10 ** 400],
+                         ids=["inf", "negative", "zero", "nan", "str", "bool", "huge-int"])
 def test_checks_refuse_a_tolerance_that_is_not_positive_and_finite(bad):
     # infinity once passed without checking anything, -1.0, 0.0 and NaN gave
-    # rows that could never pass, and "x" raised a raw ValueError; the rule is
-    # VerifyConfig's, and the refusal comes before any measuring
+    # rows that could never pass, "x" raised a raw ValueError and 10**400 a
+    # raw OverflowError; the rule is VerifyConfig's, and the refusal comes
+    # before any measuring
     for check in CHECKS:
         with pytest.raises(squig.ParameterError, match="tolerance"):
             check(make_context(4), bad)
 
 
-@pytest.mark.parametrize("R", [0.5, 1.0, math.inf, math.nan, "x", True],
-                         ids=["below-tip", "at-tip", "inf", "nan", "str", "bool"])
+@pytest.mark.parametrize("R", [0.5, 1.0, math.inf, math.nan, "x", True, 10 ** 400],
+                         ids=["below-tip", "at-tip", "inf", "nan", "str", "bool", "huge-int"])
 def test_winding_refuses_a_radius_that_is_not_finite_above_one(R):
-    # R = 0.5 once passed with the keyhole inside the slit tip at 1, and "x"
-    # raised a raw ValueError
+    # R = 0.5 once passed with the keyhole inside the slit tip at 1, "x"
+    # raised a raw ValueError, and 10**400 a raw OverflowError
     with pytest.raises(squig.ParameterError, match="R"):
         check_winding(make_context(4), R, 0.1)
 
 
 @pytest.mark.parametrize("w", ["x", math.nan, math.inf, complex(0, math.nan), None, True,
-                               10 ** 400],
-                         ids=["str", "nan", "inf", "complex-nan", "none", "bool", "huge-int"])
+                               10 ** 400, 10 ** 5000],
+                         ids=["str", "nan", "inf", "complex-nan", "none", "bool", "huge-int",
+                              "huger-int"])
 def test_winding_refuses_a_target_that_is_not_a_finite_number(w):
     # "x", nan, inf and complex(0, nan) once raised a raw ValueError, None a
-    # raw TypeError, 10**400 a raw OverflowError, and True was taken as 1
+    # raw TypeError, 10**400 a raw OverflowError, True was taken as 1, and
+    # 10**5000 raised a raw ValueError from the refusal's own message
     with pytest.raises(squig.ParameterError, match="target"):
         check_winding(make_context(4), 50.0, w)
 
@@ -312,6 +319,7 @@ def test_winding_about_a_target_near_the_float_range_is_a_failed_row():
     ("tolerances", {"quadrature": math.nan}), ("tolerances", {"limit": math.inf}),
     ("tolerances", {"identity": "1e-9"}), ("tolerances", {"bogus": 1}),
     ("tolerances", [("identity", 1e-9)]), ("tolerances", "x"), ("tolerances", 5),
+    ("tolerances", {"identity": 10 ** 400}),
 ])
 def test_verify_config_refuses_vacuous_or_unpassable_settings(field, bad):
     # each would run no check, or a check that passes or fails whatever the
@@ -495,30 +503,24 @@ def test_runtime_is_stdlib_only():
         "from squig.verify import VerifyConfig, run_all\n"
         "reports = run_all(VerifyConfig(n_values=(3,), families=('periodicity_sin3',)))\n"
         "assert [r.name for r in reports] == ['periodicity_sin3'] and reports[0].passed\n"
-        "routes, inside = set(), []\n"
-        "def spy(name, f):\n"
-        "    def spied(*a):\n"
-        "        # the disc at A sums through _disc_sum: only a call from\n"
-        "        # outside _corner_invert is the disc at 0\n"
-        "        if name != '_disc_sum' or not any(inside):\n"
-        "            routes.add(name)\n"
-        "        inside.append(name == '_corner_invert')\n"
-        "        try:\n"
-        "            return f(*a)\n"
-        "        finally:\n"
-        "            inside.pop()\n"
-        "    return spied\n"
-        "for name in ('_disc_sum', '_corner_invert', '_pole_invert'):\n"
-        "    setattr(squigfn, name, spy(name, getattr(squigfn, name)))\n"
+        "routes = set()\n"
+        "kernel = squigfn._series_sum\n"
+        "def spied(*a):\n"
+        "    # every route sums through _series_sum, and its caller names the\n"
+        "    # route: _evaluate for the disc at 0, _corner_invert for the disc\n"
+        "    # at A, _pole_invert for the pole series\n"
+        "    routes.add(sys._getframe(1).f_code.co_name)\n"
+        "    return kernel(*a)\n"
+        "squigfn._series_sum = spied\n"
         "ctx = squig.make_context(5)\n"
         "for w in (1.0 + 0.01j, 0.3 + 0.1j):\n"
         "    t = squig.arcsin_n(ctx, w)\n"
         "    assert abs(squig.sin_n(ctx, t).value - w) < 1e-12\n"
         "    assert abs(squig.cos_n(ctx, t).value - (1 - w ** 5) ** 0.2) < 1e-12\n"
-        "assert routes == {'_disc_sum', '_corner_invert'}, routes\n"
+        "assert routes == {'_evaluate', '_corner_invert'}, routes\n"
         "ctx = squig.make_context(3)\n"
         "assert abs(squig.sin_n(ctx, squig.arcsin_n_sector(ctx, 6.0)).value - 6.0) < 1e-12\n"
-        "assert routes == {'_disc_sum', '_corner_invert', '_pole_invert'}, routes\n"
+        "assert routes == {'_evaluate', '_corner_invert', '_pole_invert'}, routes\n"
         "ctx = squig.make_context(8)\n"
         "routes.clear()\n"
         "t = ctx.A / 2 + 0.1j\n"
