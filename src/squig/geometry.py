@@ -35,7 +35,7 @@ _EDGE_TOL = 1e-10
 _SLIT_TOL = 1e-8
 # Relative radius of the "at the obstruction corner" flag.
 _POLE_TOL = 1e-6
-# Angular snap for points sitting on a wedge boundary ray.
+# Angular snap onto a wedge ray or bisector, shared by fold and arcsin_n_sector.
 _RAY_SNAP = 1e-12
 # Rounding of a lattice translation, in units of |z| (64 ulps).
 _CELL_ROUND = 2.0**-46
@@ -346,9 +346,11 @@ def fold(ctx: SquigContext, z: complex) -> FoldResult:
     DomainError naming the region is raised.  A non-finite point lies in
     neither, and raises the same DomainError.
 
-    Tie conventions: points on a shared wedge ray fold without conjugation,
-    points on the bisector ray fold with ``conjugated=False``, and the
-    obstruction-corner flag fires within ``1e-6 * |P|`` of the corner.
+    The point is rotated onto its nearest wedge ray and, if it lies below
+    that ray, conjugated.  Tie conventions: points within 1e-12 radians of
+    a ray fold without conjugation, points on a bisector fold with
+    ``conjugated=False``, and the obstruction-corner flag fires within
+    ``1e-6 * |P|`` of the corner.
     """
     return FoldResult(*_fold(ctx, z))
 
@@ -365,30 +367,16 @@ def _fold(ctx: SquigContext, z: complex) -> tuple:
         m1, m2, v = _reduce_to_cell(ctx, z)
         shift = (m1, m2)
 
-    tau = ctx.tau
-    theta = cmath.phase(v)
-    if theta < 0.0:
-        theta += 2.0 * math.pi
-
-    # Snap onto a wedge boundary ray when within _RAY_SNAP radians of it.
-    k_near = round(theta / tau)
-    if abs(theta - k_near * tau) <= _RAY_SNAP:
-        k = k_near % n
-        local = 0.0
-    else:
-        q = theta // tau
-        k = int(q) % n
-        local = theta - q * tau
-
-    u = v * ctx.inv_roots[k]
-    if local > tau / 2.0 + _RAY_SNAP:
-        t = ctx.roots[1] * u.conjugate()
-        rotation_k = (k + 1) % n
-        conjugated = True
-    else:
-        t = u
-        rotation_k = k
-        conjugated = False
+    # the nearest ray k, in units of the wedge (a point on a bisector takes
+    # the ray below); a point more than the snap below it is conjugated
+    x = cmath.phase(v) / ctx.tau
+    snap = _RAY_SNAP / ctx.tau
+    k = math.floor(x + 0.5 - snap)
+    rotation_k = k % n
+    t = v * ctx.inv_roots[rotation_k]
+    conjugated = x - k < -snap
+    if conjugated:
+        t = t.conjugate()
 
     # at n == 3 the Voronoi cell is the rosette, so a miss is unreachable by
     # construction and is not raised: that guards against roundoff at the
@@ -492,8 +480,8 @@ def sample_domain(
 
     ``count`` must be a nonnegative int (a bool is refused).  Keeps a
     relative distance of at least ``pole_clearance`` (in units of ``|P|``)
-    from every rotated obstruction corner; it must be below 1, as no kite
-    point is ``|P|`` or more from P.  The two half-kite
+    from every rotated obstruction corner; it must be a real number (not a
+    bool) below 1, as no kite point is ``|P|`` or more from P.  The two half-kite
     triangles have equal area, so a coin flip plus a barycentric draw is
     uniform on the kite, and a uniform rotation spreads it over the rosette.
     """
@@ -504,7 +492,7 @@ def sample_domain(
     # every kite point lies within |P| of P: both half-kite triangles have
     # their vertices in that disc, so a clearance of 1 or more leaves nothing;
     # the comparison also refuses NaN, which would turn the clearance off
-    if not pole_clearance < 1.0:
+    if not (_is_real(pole_clearance) and pole_clearance < 1.0):
         raise ParameterError(f"pole_clearance must be below 1, got {_shown(pole_clearance)}")
     pts: list[complex] = []
     corners = [ctx.P * r for r in ctx.roots]

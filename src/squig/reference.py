@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from math import gcd
 
@@ -39,7 +40,9 @@ from .errors import (
     QuadratureError,
     RefinementNeededError,
     SingularityError,
+    _shown,
 )
+from .geometry import _is_real
 from .numerics import RationalSeries, sector_ray_integral
 
 TWO_PI = 2.0 * math.pi
@@ -535,13 +538,22 @@ def newton_invert(n: int, w: complex, z0: complex,
 # Winding numbers of discrete loops
 # ---------------------------------------------------------------------------
 
+def _is_finite_number(value) -> bool:
+    """A finite complex, or a real number (not a bool) within the float range."""
+    return (isinstance(value, complex) and cmath.isfinite(value)
+            or _is_real(value) and abs(value) <= sys.float_info.max)
+
+
 def winding_number(loop_values, w: complex) -> int:
     """Winding count of a sampled closed loop around w.
 
     The samples must repeat the first point at the end and be dense enough
     that consecutive argument increments stay below pi; otherwise a
-    RefinementNeededError asks the caller for more samples.
+    RefinementNeededError asks the caller for more samples.  ``w`` must be
+    a finite number (not a bool), else ParameterError is raised.
     """
+    if not _is_finite_number(w):
+        raise ParameterError(f"the winding target must be a finite number, got {_shown(w)}")
     values = [complex(v) for v in loop_values]
     if len(values) < 4:
         raise DegenerateLoopError("a loop needs at least 4 samples")

@@ -7,8 +7,7 @@ plane) through the fold bookkeeping of :mod:`squig.geometry`.  The global
 inverse sine is ``F`` itself continued over the slit plane.
 
 ``sin_n`` and ``cos_n`` share one body, ``_evaluate``: one fold, one route
-at the folded target, and one unfold, which at n == 3 also adds the lattice
-translation's error to ``residual``.  There are three routes, one per
+at the folded target, and one unfold.  There are three routes, one per
 regime of the folded target, and each sums one table through one kernel,
 ``numerics._series_sum``:
 
@@ -26,12 +25,15 @@ regime of the folded target, and each sums one table through one kernel,
 The kernel cuts the Horner sum where its tail bound falls below half an
 ulp and returns one bound for the cut and the rounding,
 tail q**K / (1 - q) + ulp (1 + 2 tail K q / (1 - q)), with the tail
-constant of the table (2 for the ODE tables, 1 for the pole's).  The disc
-at ``A`` adds the error of ``A``; the pole adds the rounding of W**n and
-propagates through u = 1/v and the cosine.
+constant of the table (2 for the ODE tables, 1 for the pole's).  The pole
+adds the rounding of W**n and propagates through u = 1/v and the cosine.
+Each route computes only the value asked for; none iterates or raises.
 
-Each route computes only the value asked for, and its ``residual`` bounds
-that value's forward error; no route iterates or raises.
+``_evaluate`` sums every error of the folded target t (A's on the disc at
+A, P's on the pole route, the fold's rounding and, at n == 3, the lattice
+translation's) and carries the sum into the value once, through its slope
+|1 - value**n|**beta (s**n + c**n = 1); the unfold adds its own rounding.
+So ``residual`` bounds the forward error of the whole call.
 
 Every forward value of ``F`` comes from one kernel,
 ``numerics.sector_ray_integral``, which sums one of three series.  With
@@ -57,7 +59,7 @@ from .errors import (
     ParameterError,
     _shown,
 )
-from .geometry import _CELL_ROUND, SquigContext, _as_point, _fold, _slit_wedge
+from .geometry import _CELL_ROUND, _RAY_SNAP, SquigContext, _as_point, _fold, _slit_wedge
 from .numerics import (
     _ODE_TAIL,
     _ULP,
@@ -71,22 +73,19 @@ from .numerics import (
     sector_ray_integral,
 )
 
-_SNAP = 1e-12
 _A_ERR = 3e-16  # relative error of A from the kernel's tables (tested: 2.5e-16)
 _P_ERR = 5e-16  # relative error of P: |P|'s (tested: 3.5e-16) and e^(i pi/n)'s
+_FOLD_ROUND = 7 * _ULP  # rounding of one rotation by a stored root (tested: 6.7 ulps)
 
 
 class EvalResult(_FrozenRecord):
     """Value of an evaluation plus its certificate.
 
-    ``value`` is None exactly when ``is_pole`` is set.  On every route
+    ``value`` is None exactly when ``is_pole`` is set.  On every call
     ``residual`` is a forward-error bound: it bounds the distance of the
-    returned value from the exact one at the folded target (at n = 16,
-    t = 0.99 A it is one ulp for the returned sine 1.0).  At n == 3 it
-    also covers the lattice translation's error: the error of the cell
-    shifts (``_A_ERR`` times the shift) and the rounding of the translated
-    point (``_CELL_ROUND`` times ``|z|``), each times the value's slope,
-    ``|1 - value**3|**(2/3)``.
+    returned value from the exact one at the point itself, the fold and
+    the unfold included (at n = 16, z = 0.99 A it is one ulp for the
+    returned sine 1.0).
     """
 
     __slots__ = ("value", "is_pole", "residual")
@@ -163,16 +162,13 @@ def radius_estimate(series: RationalSeries) -> float:
 def _corner_invert(ctx: SquigContext, y: complex, sine: bool):
     """The disc at A, for |y| within the tables' disc radius (else None):
     sin_n(t) = cos_n(y) if ``sine``, else cos_n(t) = sin_n(y), at t = A - y,
-    by ``_series_sum`` over the other table, and a bound on its error.  y
-    carries the error of A, which moves the value by that error times its
-    slope, |1 - value**n|**beta (s**n + c**n = 1)."""
+    by ``_series_sum`` over the other table.  Its bound covers the cut and
+    the rounding; ``_evaluate`` adds the error of A that y carries."""
     tables = ctx.tables
     if abs(y) > tables.disc:
         return None
-    n = ctx.n
-    value, bound = _series_sum(tables.cosine if sine else tables.sine, y, n, tables.scale,
-                               1.0, _ODE_TAIL, not sine)
-    return value, bound + _A_ERR * ctx.A.real * abs(1.0 - value**n) ** ((n - 1) / n)
+    return _series_sum(tables.cosine if sine else tables.sine, y, ctx.n, tables.scale,
+                       1.0, _ODE_TAIL, not sine)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +247,9 @@ def _pole_invert(ctx: SquigContext, t: complex, sine: bool):
     ``_series_sum`` sums the table (|k_j| <= rate**j: tail 1) and bounds its
     cut and rounding.  X = W**n carries 3 n ulps of its own, which move the
     sum by at most 3 n ulps of sum_j j |k_j X**j| <= q / (1 - q)**2, with
-    q = rate |X| and |X| = |D| |W|**2.  On the slit edge the cosine's
-    (1 - u**n)**(1/n) is the conjugate of its factor here.
+    q = rate |X| and |X| = |D| |W|**2.  ``_evaluate`` adds the error of P.
+    On the slit edge the cosine's (1 - u**n)**(1/n) is the conjugate of its
+    factor here.
     """
     n = ctx.n
     d = (n - 2) * (ctx.P - t) * ctx.tables.phase.conjugate()
@@ -265,17 +262,15 @@ def _pole_invert(ctx: SquigContext, t: complex, sine: bool):
     v, v_err = _series_sum(table, w, n, 1.0, rate, 1.0, True)
     q = rate * size * r * r
     v_err += 3 * n * _ULP * r * q / (1.0 - q) ** 2
-    # |du| = |u|**2 |dv| plus the rounding of W, v and u, and P's error
-    # times |du/dt| = |1 - u**n|**beta; |dcos/du| = |1 - v**n|**(-beta)
+    # |du| = |u|**2 |dv| plus the rounding of W, v and u; |dcos/du| =
+    # |1 - v**n|**(-beta)
     u = 1.0 / v
-    beta = (n - 1) / n
-    bound = (abs(u) * (abs(u) * v_err + 4.0 * _ULP)
-             + _P_ERR * abs(ctx.P) * abs(1.0 - u**n) ** beta)
+    bound = abs(u) * (abs(u) * v_err + 4.0 * _ULP)
     if sine:
         return u, bound
     h = 1.0 - v**n
     cosv = ctx.cos_phase * h ** (1.0 / n) / v
-    return cosv, bound * abs(h) ** -beta + 4.0 * (n + 1) * _ULP * abs(cosv)
+    return cosv, bound * abs(h) ** ((1 - n) / n) + 4.0 * (n + 1) * _ULP * abs(cosv)
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +286,16 @@ def arcsin_n_sector(ctx: SquigContext, z: complex) -> complex:
         return 0j
     tau = ctx.tau
     ph = cmath.phase(z)
-    if -_SNAP <= ph < 0.0:
+    if -_RAY_SNAP <= ph < 0.0:
         ph = 0.0
         z = complex(abs(z), 0.0)
-    if ph < 0.0 or ph > tau + _SNAP:
+    if ph < 0.0 or ph > tau + _RAY_SNAP:
         raise DomainError(
             f"point {z} lies outside the closed sector V_{n}", region=f"V_{n}"
         )
-    reflected = ph > tau / 2.0 + _SNAP
+    reflected = ph > tau / 2.0 + _RAY_SNAP
     u = ctx.omega * z.conjugate() if reflected else z
-    if abs(u.imag) <= _SNAP * max(1.0, abs(u.real)):
+    if abs(u.imag) <= _RAY_SNAP * max(1.0, abs(u.real)):
         u = complex(abs(u), 0.0)
     # values move like |u - 1|^(1/n) at the corner, so absorb float fuzz
     if abs(u - 1.0) <= 1e-14:
@@ -336,35 +331,51 @@ def _evaluate(ctx: SquigContext, z: complex, sine: bool) -> EvalResult:
     Rotating z by omega rotates the sine by omega and leaves the cosine
     unchanged; conjugation conjugates both.  At n == 3 a lattice shift
     (m1, m2) rotates the sine by omega**(m2 - m1) and the cosine by
-    omega**(m1 - m2).
+    omega**(m1 - m2).  The errors of t reach ``residual`` here, through one
+    slope read from the value before the unfold (module docstring); a point
+    the fold leaves in place carries no rounding of the fold.
     """
     t, rotation_k, conjugated, shift, at_pole = _fold(ctx, z)
     if at_pole:
         return EvalResult(None, True, 0.0)
+    n = ctx.n
     # the nearer of the two discs: fewer terms, and the value that vanishes
     # at its centre (s at 0, c at A) comes out as a product, not a difference
     y = ctx.A - t
     r = abs(t)
     got = None
+    err = 0.0  # the error of t
     if r <= abs(y):
         tables = ctx.tables
         if r <= tables.disc:
-            got = _series_sum(tables.sine if sine else tables.cosine, t, ctx.n, tables.scale,
+            got = _series_sum(tables.sine if sine else tables.cosine, t, n, tables.scale,
                               1.0, _ODE_TAIL, sine)
     else:
         got = _corner_invert(ctx, y, sine)
-    value, resid = got or _pole_invert(ctx, t, sine)
+        err = _A_ERR * ctx.A.real
+    if got is None:
+        got = _pole_invert(ctx, t, sine)
+        err = _P_ERR * abs(ctx.P)
+    value, resid = got
+    if rotation_k or conjugated or shift != (0, 0):
+        # the rounding of the fold's rotation, and of the unfold's: |value|
+        # is the same after it
+        err += _FOLD_ROUND * r
+        resid += _FOLD_ROUND * abs(value)
+        if shift != (0, 0):
+            # the translation's error, and the rounding of its rotation
+            m1, m2 = shift
+            err += (_A_ERR * (abs(m1) * abs(ctx.cell_shift_1) + abs(m2) * abs(ctx.cell_shift_2))
+                    + _CELL_ROUND * abs(z))
+            resid += _FOLD_ROUND * abs(value)
+    if err:
+        resid += err * abs(1.0 - value**n) ** ((n - 1) / n)
     if conjugated:
         value = value.conjugate()
     if sine:
         value *= ctx.roots[rotation_k]
     if shift != (0, 0):
-        m1, m2 = shift
         value *= ctx.roots[(m2 - m1 if sine else m1 - m2) % 3]
-        # the translation's error times the slope, |cos_3|**2 for the sine
-        # and |sin_3|**2 for the cosine: |1 - value**3|**(2/3) for both
-        resid += ((_A_ERR * (abs(m1) * abs(ctx.cell_shift_1) + abs(m2) * abs(ctx.cell_shift_2))
-                   + _CELL_ROUND * abs(z)) * abs(1.0 - value**3) ** (2.0 / 3.0))
     return EvalResult(value, False, resid)
 
 

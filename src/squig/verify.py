@@ -23,6 +23,7 @@ from typing import Callable, Mapping, Sequence
 from .errors import ParameterError, SquigError, _shown
 from .geometry import SquigContext, _is_real, in_rosette, make_context
 from .reference import (
+    _is_finite_number,
     integrate_endpoint_singular,
     integrate_smooth,
     integrate_tail,
@@ -291,8 +292,7 @@ def check_winding(ctx: SquigContext, R: float, w: complex,
     """
     if not _is_real(R) or not 1.0 < R <= sys.float_info.max:
         raise ParameterError(f"winding needs a finite R above 1, got {_shown(R)}")
-    if not (isinstance(w, complex) and cmath.isfinite(w)
-            or _is_real(w) and abs(w) <= sys.float_info.max):
+    if not _is_finite_number(w):
         raise ParameterError(f"winding needs a finite number as target w, got {_shown(w)}")
 
     def measure():

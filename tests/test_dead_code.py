@@ -1,9 +1,13 @@
-"""Every module-level private function or class in ``squig`` has a user.
+"""Every module-level private function or class in ``squig`` has a user,
+and the errors of the folded target are propagated in one place.
 
 A private name counts as used when some ``src/squig`` module refers to it
 as a name or an attribute outside its own definition (a docstring does not
 count), or when ``bench/spans.py`` wraps it by name in ``TARGETS``, which
 is read as source.  Otherwise nothing can call it and it should go.
+
+The errors of A and P and the rounding of the fold reach ``residual``
+through one slope, in ``squigfn._evaluate``; no other code reads them.
 """
 
 import ast
@@ -43,10 +47,13 @@ def unreferenced_private_names(sources: dict[str, str], wrapped: set[str]) -> li
             for ref, where, owner in references))
 
 
+def package_sources() -> dict[str, str]:
+    return {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_every_private_function_and_class_has_a_user():
-    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     wrapped = {name for _, name in span_targets()}
-    assert unreferenced_private_names(sources, wrapped) == []
+    assert unreferenced_private_names(package_sources(), wrapped) == []
 
 
 def test_the_check_sees_an_unused_private_function():
@@ -59,3 +66,39 @@ def test_the_check_sees_an_unused_private_function():
     }
     assert unreferenced_private_names(sources, {"_wrapped"}) == ["a._unused"]
     assert unreferenced_private_names(sources, set()) == ["a._unused", "a._wrapped"]
+
+
+# the errors of the folded target, each a constant of squigfn
+TARGET_ERRORS = ("_A_ERR", "_P_ERR", "_FOLD_ROUND")
+
+
+def readers(sources: dict[str, str], names) -> list[str]:
+    """``module.owner`` of each top-level def or class that reads one of
+    ``names`` as a name or an attribute, ``module.<module>`` for a
+    module-level statement that does."""
+    found = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            owner = getattr(stmt, "name", "<module>")
+            for node in ast.walk(stmt):
+                read = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if read in names:
+                    found.add(f"{module}.{owner}")
+    return sorted(found)
+
+
+def test_only_evaluate_reads_the_errors_of_the_target():
+    assert readers(package_sources(), TARGET_ERRORS) == ["squigfn._evaluate"]
+
+
+def test_the_check_sees_a_planted_reader():
+    sources = {
+        "squigfn": ('_A_ERR = 3e-16\n_FOLD_ROUND = 4 * _ULP\n'
+                    'def _evaluate():\n    return _A_ERR + _FOLD_ROUND\n'
+                    'def _corner_invert():\n    """adds _P_ERR: a docstring is no read"""\n'
+                    '    return _A_ERR\n'),
+        "geometry": "from . import squigfn\n\nSLACK = squigfn._P_ERR\n",
+    }
+    assert readers(sources, TARGET_ERRORS) == [
+        "geometry.<module>", "squigfn._corner_invert", "squigfn._evaluate"]

@@ -375,9 +375,10 @@ class TestSampleDomain:
         b = sample_domain(ctx, random.Random(SEED), 64)
         assert a == b
 
-    @pytest.mark.parametrize("clearance", [1.0, 1.5, math.inf])
+    @pytest.mark.parametrize("clearance", [1.0, 1.5, math.inf, "x", None, 1 + 2j, [1]])
     def test_clearance_of_one_or_more_is_refused(self, clearance):
-        # every kite point lies within |P| of P, so the draw would never end
+        # every kite point lies within |P| of P, so the draw would never end;
+        # a clearance that is no real number once raised a raw TypeError
         ctx = make_context(4)
         with pytest.raises(ParameterError):
             sample_domain(ctx, random.Random(SEED), 1, pole_clearance=clearance)

@@ -470,13 +470,13 @@ def ref_fold(ctx, z):
         q = theta // tau
         k = int(q) % n
         local = theta - q * tau
-    u = v * ctx.inv_roots[k]
     if local > tau / 2.0 + 1e-12:
-        t = ctx.roots[1] * u.conjugate()
+        # the reflection omega conj(v omega**-k) as one product
         rotation_k = (k + 1) % n
+        t = (v * ctx.inv_roots[rotation_k]).conjugate()
         conjugated = True
     else:
-        t = u
+        t = v * ctx.inv_roots[k]
         rotation_k = k
         conjugated = False
     if n != 3:
@@ -514,22 +514,19 @@ def ref_disc_sum(ctx, w):
 
 def ref_invert(ctx, t, routes):
     """Reference: the inversion at a folded target, each route's
-    (u, cos, u's residual, cos's residual); counts the route taken."""
+    (u, cos, u's residual, cos's residual, the error of t that the route
+    reads: A's or P's); counts the route taken."""
     n = ctx.n
     tables = numerics._series_tables(n)
     y = ctx.A - t
     if abs(t) <= abs(y):
         if abs(t) <= tables.disc:
             routes["disc 0"] += 1
-            return ref_disc_sum(ctx, t)
+            return ref_disc_sum(ctx, t) + (0.0,)
     elif abs(y) <= tables.disc:
         routes["disc A"] += 1
         ys, c, ys_bound, c_bound = ref_disc_sum(ctx, y)
-        # A's error times each value's slope in y, read from the value
-        # itself through s**n + c**n = 1
-        shift, beta = squigfn._A_ERR * ctx.A.real, (n - 1) / n
-        return (c, ys, c_bound + shift * abs(1.0 - c**n) ** beta,
-                ys_bound + shift * abs(1.0 - ys**n) ** beta)
+        return c, ys, c_bound, ys_bound, squigfn._A_ERR * ctx.A.real
     # the pole series, on every target beyond both discs; "lens" counts the
     # targets beyond |X| = 2/3, which Newton served before the series did
     d = (n - 2) * (ctx.P - t) * tables.phase.conjugate()
@@ -554,11 +551,10 @@ def ref_invert(ctx, t, routes):
     qx = rate * abs(d) * r * r
     v_err += 3 * n * ulp * r * qx / (1.0 - qx) ** 2
     u = 1.0 / v
-    bound = (abs(u) * (abs(u) * v_err + 4.0 * ulp)
-             + squigfn._P_ERR * abs(ctx.P) * abs(1.0 - u**n) ** ctx.beta)
+    bound = abs(u) * (abs(u) * v_err + 4.0 * ulp)
     cosv = ctx.cos_phase * (1.0 - v**n) ** (1.0 / n) / v
     return u, cosv, bound, (bound * abs(1.0 - v**n) ** -ctx.beta
-                            + 4.0 * (n + 1) * ulp * abs(cosv))
+                            + 4.0 * (n + 1) * ulp * abs(cosv)), squigfn._P_ERR * abs(ctx.P)
 
 
 def ref_eval(ctx, z, sine, routes):
@@ -567,26 +563,33 @@ def ref_eval(ctx, z, sine, routes):
     if fr.at_pole:
         routes["pole flag"] += 1
         return None, True, 0.0
-    u, cosv, u_res, c_res = ref_invert(ctx, fr.folded, routes)
+    u, cosv, u_res, c_res, err = ref_invert(ctx, fr.folded, routes)
+    w, res = (u, u_res) if sine else (cosv, c_res)
     m1, m2 = fr.lattice_shift
+    # a point the fold moved adds the fold's rounding, 7 ulps of |t|, to
+    # the error of t, and the unfold's, 7 ulps of the value
+    fold_round = 7 * squigfn._ULP
+    if fr.rotation_k or fr.conjugated or (m1, m2) != (0, 0):
+        err += fold_round * abs(fr.folded)
+        res += fold_round * abs(w)
     # a lattice-shifted n == 3 point adds the translation's error (the cell
-    # shifts' error from A's, plus the rounding of the translated point)
-    # times the slope of the value, read from the value
-    shift_err = (squigfn._A_ERR * (abs(m1) * abs(ctx.cell_shift_1)
-                                   + abs(m2) * abs(ctx.cell_shift_2))
-                 + 2.0**-46 * abs(z))
+    # shifts' error from A's, plus the rounding of the translated point),
+    # and the rounding of the unfold's second rotation
+    if (m1, m2) != (0, 0):
+        err += (squigfn._A_ERR * (abs(m1) * abs(ctx.cell_shift_1)
+                                  + abs(m2) * abs(ctx.cell_shift_2))
+                + 2.0**-46 * abs(z))
+        res += fold_round * abs(w)
+    # each error of t moves the value by that error times its slope, read
+    # from the value itself through s**n + c**n = 1
+    if err:
+        res += err * abs(1.0 - w**ctx.n) ** ((ctx.n - 1) / ctx.n)
+    w = w.conjugate() if fr.conjugated else w
     if sine:
-        w = u.conjugate() if fr.conjugated else u
         w *= ctx.roots[fr.rotation_k]
-        if ctx.n == 3 and fr.lattice_shift != (0, 0):
-            w *= ctx.roots[(m2 - m1) % 3]
-            u_res += shift_err * abs(1.0 - w**3) ** (2.0 / 3.0)
-        return w, False, u_res
-    c = cosv.conjugate() if fr.conjugated else cosv
-    if ctx.n == 3 and fr.lattice_shift != (0, 0):
-        c *= ctx.roots[(m1 - m2) % 3]
-        c_res += shift_err * abs(1.0 - c**3) ** (2.0 / 3.0)
-    return c, False, c_res
+    if ctx.n == 3 and (m1, m2) != (0, 0):
+        w *= ctx.roots[(m2 - m1 if sine else m1 - m2) % 3]
+    return w, False, res
 
 
 def bits(x):
@@ -634,12 +637,29 @@ def gate_points(ctx, rng):
     return pts
 
 
+def ray_points(ctx, rng):
+    """Points on the rays and bisectors of four wedges (those next to the
+    phases 0 and pi, where the wedge index wraps), inside the kite, and
+    1e-15 to 1e-9 radians either side of them, 1% either side of the
+    1e-12 snap included (at the snap itself rounding decides)."""
+    n = ctx.n
+    pts = []
+    for k in sorted({0, 1, n // 2 - 1, n // 2, n - 1}):
+        for angle, reach in ((ctx.tau * k, abs(ctx.A)), (ctx.tau * (k + 0.5), abs(ctx.P))):
+            r = reach * rng.uniform(0.1, 0.9)
+            eps = [10.0 ** rng.uniform(-15.0, -9.0) for _ in range(3)] + [1e-15, 0.99e-12, 1.01e-12]
+            pts += [cmath.rect(r, angle + side * e) for e in eps for side in (1.0, -1.0)]
+            pts.append(cmath.rect(r, angle))
+    return pts
+
+
 @pytest.mark.parametrize("n", ALL_NS)
 def test_flat_path_is_bit_identical_to_the_references(n):
     ctx = make_context(n)
     routes = Counter()
     raised = 0
-    for z in gate_points(ctx, random.Random(f"gate:{n}")):
+    rng = random.Random(f"gate:{n}")
+    for z in gate_points(ctx, rng) + ray_points(ctx, rng):
         for fn, sine in ((sin_n, True), (cos_n, False)):
             want = outcome(lambda: ref_eval(ctx, z, sine, routes))
             got = outcome(lambda: as_tuple(fn(ctx, z)))

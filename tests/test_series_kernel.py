@@ -9,7 +9,8 @@ the two discs of the inverse against the same oracle: near 0 by solving
 F(u) = t with mpmath's findroot, near A through F(sin) + F(cos) = A, solved
 for the cosine.  The pole table is checked against Lagrange inversion at 250
 digits, and the pole series, which takes every target beyond both discs,
-against findroot.
+against findroot.  A seeded audit checks ``residual`` against the same
+references on points that the fold rotates, reflects and shifts.
 """
 
 import bisect
@@ -17,6 +18,7 @@ import cmath
 import functools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -620,3 +622,122 @@ def test_exact_slit_edge_targets(n):
         want = cmath.exp(-1j * math.pi / n) * (s.real**n - 1.0) ** (1.0 / n)
         assert abs(c - want) <= 1e-12 * abs(want), (m, c, want)
         assert abs(hyp2f1_oracle(n, s.real) - t) <= 1e-12 * ctx.R, m
+
+
+# ---------------------------------------------------------------------------
+# the certificate of the whole call: fold, route and unfold
+
+
+def audit_points(ctx, rng) -> list:
+    """Rosette points whose fold moves them: ``sample_domain`` draws, and
+    targets of the half-kite triangle 1e-6 to half the disc radius from A
+    and 2e-6 R to 0.2 R from P, each rotated into two wedges, and
+    reflected there; at n == 3, every other point also shifted by the
+    lattice, up to 50 cells each way."""
+    n, A, P = ctx.n, ctx.A, ctx.P
+    radius = _series_tables(n).disc
+    to_p, to_a, to_0 = cmath.phase(P - A), cmath.phase(A - P), cmath.phase(-P)
+    targets = []
+    for _ in range(3):
+        r = 10.0 ** rng.uniform(-6.0, math.log10(0.5 * radius))
+        targets.append(A + r * cmath.exp(1j * (math.pi - (math.pi - to_p) * rng.uniform(0.01, 0.99))))
+        r = 10.0 ** rng.uniform(math.log10(2e-6 * ctx.R), math.log10(0.2 * ctx.R))
+        targets.append(P + r * cmath.exp(1j * (to_a + (to_0 - to_a) * rng.uniform(0.01, 0.99))))
+    pts = sample_domain(ctx, rng, 24)
+    for t in targets:
+        for k in (rng.randrange(1, n), rng.randrange(n)):
+            pts += [t * ctx.roots[k], t.conjugate() * ctx.roots[k]]
+    if n == 3:
+        c1, c2 = ctx.cell_shift_1, ctx.cell_shift_2
+        pts += [z + rng.randint(-50, 50) * c1 + rng.randint(-50, 50) * c2 for z in pts[::2]]
+    return pts
+
+
+def unfolded_reference(ctx, z) -> tuple:
+    """(sin, cos, route) at z, at 30 digits: the fold's own decisions undone
+    exactly on z, the reference of the route at that exact target (rounded
+    to a double, half an ulp), and the unfold redone exactly on it."""
+    n = ctx.n
+    fr = fold(ctx, z)
+    t = fr.folded
+    m1, m2 = fr.lattice_shift
+    with mpmath.workdps(30):
+        omega = mpmath.expjpi(mpmath.mpf(2) / n)
+        a = exact_constants(n)[0]
+        exact = (mpmath.mpc(z) - m1 * a * (1 - omega) - m2 * a * (1 - omega**2)) \
+            * omega ** -fr.rotation_k
+        if fr.conjugated:
+            exact = mpmath.conj(exact)
+    radius, y = _series_tables(n).disc, ctx.A - t
+    if abs(t) <= abs(y) and abs(t) <= radius:
+        route = "disc 0"
+        s, c = root_pair(n, exact, sin_n(ctx, t).value)
+    elif abs(t) > abs(y) and abs(y) <= radius:
+        route = "disc A"
+        s, c = corner_oracle(n, exact, cos_n(ctx, t).value)
+    else:
+        route = "pole"
+        s, c = pole_root(n, exact, sin_n(ctx, t).value)
+    with mpmath.workdps(30):
+        s, c = mpmath.mpc(s), mpmath.mpc(c)
+        if fr.conjugated:
+            s, c = mpmath.conj(s), mpmath.conj(c)
+        return (s * omega ** (fr.rotation_k + m2 - m1), c * omega ** (m1 - m2), route)
+
+
+def certified_ratio(result, exact) -> float:
+    """|value - exact| over ``residual``."""
+    with mpmath.workdps(30):
+        return float(abs(mpmath.mpc(result.value) - exact)) / result.residual
+
+
+def test_fold_round_covers_one_rotation():
+    # a rotation by a stored root rounds by the root's error plus the
+    # product's, sqrt(5)/2 ulps; the roots are built from a rounded angle
+    # and are up to 5.6 ulps off (n = 49, k = 44), so the 7 ulps of
+    # _FOLD_ROUND bound every rotation of the fold and the unfold
+    worst = 0.0
+    with mpmath.workdps(40):
+        for n in ALL_NS:
+            ctx = make_context(n)
+            for k in range(n):
+                exact = mpmath.expjpi(mpmath.mpf(2 * k) / n)
+                for root, want in ((ctx.roots[k], exact), (ctx.inv_roots[k], 1 / exact)):
+                    worst = max(worst, float(abs(mpmath.mpc(root) - want)))
+    assert worst + math.sqrt(5.0) / 2.0 * 2.0**-52 <= squigfn._FOLD_ROUND
+    assert worst > 5.0 * 2.0**-52
+
+
+@pytest.mark.parametrize("n", NS + (49,))
+def test_residual_bounds_every_folded_call(n):
+    # |value - exact| <= residual on points the fold rotates, reflects and
+    # (n == 3) shifts, on all three routes, and at n = 49, whose roots are
+    # furthest off.  The error of the folded target (the fold's rounding,
+    # A's, P's, the lattice's) reaches the value through its slope.
+    # Measured over the 816 checks: at most 0.46 of the residual, with the
+    # 7 ulps of _FOLD_ROUND for each rotation of the fold and of the
+    # unfold; with 4 ulps, 0.73, with 3, 0.91, and with 2 two calls exceed
+    # it.  Without the fold's rounding and the unfold's, 72 calls were
+    # above it, up to 4.6 times
+    ctx = make_context(n)
+    routes = Counter()
+    pts = audit_points(ctx, random.Random(f"audit:{n}"))
+    for z in pts:
+        s_ref, c_ref, route = unfolded_reference(ctx, z)
+        routes[route] += 1
+        for fn, exact in ((sin_n, s_ref), (cos_n, c_ref)):
+            assert certified_ratio(fn(ctx, z), exact) <= 1.0, (fn.__name__, z, route)
+    assert set(routes) == {"disc 0", "disc A", "pole"}, routes
+    moved = sum(fold(ctx, z).folded != z for z in pts)
+    assert moved >= 0.8 * len(pts), (moved, len(pts))
+
+
+def test_residual_bounds_the_reflected_cosine_near_a():
+    # the counterexample of a residual that left out the fold: 2.55 times
+    # off at the parent, where the reflection rounded twice; the fold is now
+    # conj(z), which is exact
+    ctx = make_context(3)
+    z = 1.7666384166165678 - 2.1073619284870578e-07j
+    assert certified_ratio(cos_n(ctx, z), unfolded_reference(ctx, z)[1]) <= 0.2
+    fr = fold(ctx, z)
+    assert fr.conjugated and fr.rotation_k == 0 and fr.folded == z.conjugate()

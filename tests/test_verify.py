@@ -12,6 +12,7 @@ import squig
 from conftest import slit_integral_oracle
 from squig import verify
 from squig.geometry import make_context
+from squig.reference import winding_number
 from squig.squigfn import EvalResult
 from squig.verify import (
     DEFAULT_TOLERANCES,
@@ -294,15 +295,19 @@ def test_winding_refuses_a_radius_that_is_not_finite_above_one(R):
 
 
 @pytest.mark.parametrize("w", ["x", math.nan, math.inf, complex(0, math.nan), None, True,
-                               10 ** 400, 10 ** 5000],
+                               10 ** 400, 10 ** 5000, [1]],
                          ids=["str", "nan", "inf", "complex-nan", "none", "bool", "huge-int",
-                              "huger-int"])
+                              "huger-int", "list"])
 def test_winding_refuses_a_target_that_is_not_a_finite_number(w):
     # "x", nan, inf and complex(0, nan) once raised a raw ValueError, None a
     # raw TypeError, 10**400 a raw OverflowError, True was taken as 1, and
-    # 10**5000 raised a raw ValueError from the refusal's own message
+    # 10**5000 raised a raw ValueError from the refusal's own message; the
+    # count itself, winding_number, raised a raw TypeError or OverflowError
     with pytest.raises(squig.ParameterError, match="target"):
         check_winding(make_context(4), 50.0, w)
+    loop = [cmath.exp(2j * math.pi * k / 64) for k in range(65)]
+    with pytest.raises(squig.ParameterError, match="target"):
+        winding_number(loop, w)
 
 
 def test_winding_about_a_target_near_the_float_range_is_a_failed_row():
