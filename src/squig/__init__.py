@@ -20,6 +20,7 @@ from .errors import (
     RefinementNeededError,
     SingularityError,
     SquigError,
+    TableFileError,
 )
 from .geometry import (
     FoldResult,
@@ -106,6 +107,7 @@ __all__ = [
     "SingularityError",
     "SquigContext",
     "SquigError",
+    "TableFileError",
     "VerificationReport",
     "VerifyConfig",
     "arcsin_n",

@@ -56,6 +56,13 @@ class RefinementNeededError(SquigError):
     """Loop samples are too coarse for an unambiguous winding count."""
 
 
+class TableFileError(SquigError):
+    """The package's series table file is missing, short, or of another format.
+
+    The message names the file and the command that writes it again.
+    """
+
+
 def _shown(value) -> str:
     """``repr(value)`` for a refusal message.  An int of more than 4,300
     digits (the interpreter's limit on int-to-str), alone or inside a

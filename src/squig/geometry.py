@@ -24,10 +24,7 @@ import math
 import sys
 
 from .errors import DomainError, ParameterError, _shown
-from .numerics import _FrozenRecord, _series_tables
-
-_MIN_N = 3
-_MAX_N = 64
+from .numerics import _MAX_N, _MIN_N, _FrozenRecord, _series_tables
 
 # Membership slack for the triangle tests, in units of |A|^2 (signed areas).
 _EDGE_TOL = 1e-10

@@ -1,13 +1,19 @@
 """The evaluation kernel: the series of the sector map and their tables.
 
 This module holds what evaluation runs on: the exact Maclaurin coefficients
-of the sine from its ODE pair (``_ode_coefficients``) and their scaled float
-tables (``_ode_tables``), the table of the pole series that inverts the map
-near P (``_pole_table``), and the three series of the sector map ``F``, at
-0, at infinity and the corner chart between them
-(``sector_ray_integral``).  The constants A and P come from the same series
-(``_series_tables``), with no quadrature and no gamma function.  Every sum
-is cut by a proven remainder bound at half an ulp of its leading term.
+of the sine from its ODE pair (``_ode_coefficients``), the three series of
+the sector map ``F``, at 0, at infinity and the corner chart between them
+(``sector_ray_integral``), and the per-n tables they are summed from
+(``_series_tables``, ``_pole_table``).  The constants A and P come from the
+same series, with no quadrature and no gamma function.  Every sum is cut by
+a proven remainder bound at half an ulp of its leading term.
+
+The tables that only a recurrence can give, the ODE pair's scaled sine and
+cosine, the pole series that inverts the map near P and F's corner chart,
+are read at first use from the package data file ``_tables.bin``, which
+``squig.reference`` writes (``python -m squig.reference``).  A missing,
+short or foreign file raises ``TableFileError``; nothing is rebuilt at
+runtime.  F's binomial tables, A and P are computed at first use of each n.
 
 The inverse routes (the discs at 0 and at A, and the pole series) sum their
 tables through one kernel with one cut rule and one bound, ``_series_sum``.
@@ -15,10 +21,11 @@ tables through one kernel with one cut rule and one bound, ``_series_sum``.
 
 The routes that ``verify`` and the tests compare against (the quadrature
 rules, series reversion, the GK15 leg of the sector map, the Newton
-inverter and the winding count) live in :mod:`squig.reference`, which
-``import squig`` does not load.  Their names still resolve here, through
-the module ``__getattr__`` below, and load it at first use.  So does
-``fractions``: it is imported where exact arithmetic runs.
+inverter and the winding count) and the builders of the table file live in
+:mod:`squig.reference`, which ``import squig`` does not load.  The routes'
+names still resolve here, through the module ``__getattr__`` below, and
+load it at first use.  So does ``fractions``: it is imported where exact
+arithmetic runs.
 """
 
 from __future__ import annotations
@@ -27,9 +34,15 @@ import bisect
 import cmath
 import functools
 import math
+import os
+import struct
 from typing import NamedTuple
 
-from .errors import InvalidSeriesError
+from .errors import InvalidSeriesError, TableFileError
+
+# The supported n, the range the table file covers.
+_MIN_N = 3
+_MAX_N = 64
 
 # The public names that live in ``reference``, and the private ones that
 # bench/spans.py and the tests read here; ``numerics.<name>`` loads it.
@@ -207,20 +220,6 @@ def _binomial_table(n: int, d: int):
     return coeffs, radii
 
 
-def _miller_power(p: list, alpha: float, terms: int) -> list:
-    """First ``terms`` coefficients of p**alpha, for a power series with p[0] == 1.
-
-    Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), in floats.
-    """
-    q = [1.0]
-    for m in range(1, terms):
-        acc = 0.0
-        for j in range(1, min(m, len(p) - 1) + 1):
-            acc += ((alpha + 1.0) * j - m) * p[j] * q[m - j]
-        q.append(acc / m)
-    return q
-
-
 def _ode_coefficients(n: int, terms: int) -> tuple:
     """First ``terms`` exact Maclaurin coefficients (S_k, C_k) of the ODE
     pair: sin_n = z S(z**n) and cos_n = C(z**n).
@@ -228,7 +227,7 @@ def _ode_coefficients(n: int, terms: int) -> tuple:
     With x = z**n, s = z S(x) and c = C(x), the ODE pair s' = c**(n-1),
     c' = -s**(n-1) becomes (1 + n k) S_k = [C**(n-1)]_k and
     n (k + 1) C_(k+1) = -[S**(n-1)]_k.  The powers are extended one term at a
-    time by Miller's recurrence, as in _miller_power; with the exponent n - 1
+    time by Miller's recurrence (Knuth, TAOCP vol. 2, 4.7); with the exponent n - 1
     every weight (alpha + 1) j - m = n j - m is an integer, so each sum is
     formed over one common denominator.
     """
@@ -257,8 +256,6 @@ def _ode_coefficients(n: int, terms: int) -> tuple:
 # entries are at most _ODE_TAIL in modulus leaves at most 2 rho**K / (1 - rho).
 ODE_TERMS = 64
 _ODE_TAIL = 2.0
-# Fixed-point bits of the tables' recurrence.
-_ODE_BITS = 110
 
 
 # ODE_RADII[K-1] is a rho where 2 rho**K / (1 - rho) <= _SERIES_EPS, so K
@@ -298,80 +295,6 @@ def _series_sum(coeffs, w: complex, n: int, scale: float, rate: float, tail: flo
     return acc, bound
 
 
-def _fixed_power_term(base: list, power: list, m: int, num: int, den: int, bits: int) -> int:
-    """Coefficient m of power = base**(num/den), in fixed point at 2**-bits.
-
-    Miller's recurrence (Knuth, TAOCP vol. 2, 4.7) on integers, base[0] and
-    power[0] being 1: den m power_m = sum_j ((num + den) j - den m) base_j
-    power_(m-j), over j = 1..m, with entries beyond base's end taken as 0.
-    The sum is exact and rounded down once.
-    """
-    weight, dm = num + den, den * m
-    acc = sum((weight * j - dm) * base[j] * power[m - j]
-              for j in range(1, min(m, len(base) - 1) + 1))
-    return acc // (dm << bits)
-
-
-def _ode_tables(n: int, scale: float) -> tuple:
-    """Tables a_k = S_k scale**k and b_k = C_k scale**k of the ODE pair.
-
-    The recurrence of _ode_coefficients on the scaled values: with
-    s = z S(x), c = C(x) and x = scale * X it reads (1 + n k) a_k =
-    [b**(n-1)]_k and n (k + 1) b_(k+1) = -scale [a**(n-1)]_k.  With
-    scale = R**n every entry stays within [-2, 2] for n = 3..64, so nothing
-    over- or underflows.  It runs on integers in fixed point at
-    2**-_ODE_BITS, and each entry is the scaled coefficient rounded once;
-    the same recurrence in floats drifts by about one ulp per entry.
-    """
-    one = 1 << _ODE_BITS
-    sig = int(math.ldexp(scale, _ODE_BITS))  # exact: scale is a float above 2**-58
-    a, b = [one], [one]
-    a_pow, b_pow = [one], [one]  # a**(n-1) and b**(n-1)
-    for m in range(1, ODE_TERMS):
-        if m > 1:
-            a_pow.append(_fixed_power_term(a, a_pow, m - 1, n - 1, 1, _ODE_BITS))
-        b.append(-(sig * a_pow[m - 1]) // ((n * m) << _ODE_BITS))
-        b_pow.append(_fixed_power_term(b, b_pow, m, n - 1, 1, _ODE_BITS))
-        a.append(b_pow[m] // (1 + n * m))
-    return tuple(v / one for v in a), tuple(v / one for v in b)
-
-
-def _corner_polynomial(n: int) -> list:
-    """Coefficients of h(delta) = (1 - (1-delta)**n) / (n delta), with h(0) = 1."""
-    return [math.comb(n, j + 1) / n * (-1) ** j for j in range(n)]
-
-
-def _corner_table(n: int):
-    """Coefficients and term counts of the corner chart Q(delta) = sum_k q_k delta**k.
-
-    A - F(1 - delta) = n^(1/n) delta^(1/n) Q(delta) with q_k = g_k / (n*k + 1),
-    g = h**(-beta) and h = _corner_polynomial(n) = prod_j (1 - delta/(1 - omega**j))
-    over j = 1..n-1.  On |delta| = r below rho = 2 sin(pi/n), the distance to
-    the nearest root, |g| <= M(r) = prod_j (1 - r/|1 - omega**j|)**(-beta), so
-    by Cauchy's estimate the remainder after k terms at |delta| = t*r is at
-    most M(r) t**k / ((n*k + 1) (1 - t)).  radii[k-1] is a |delta| where that
-    is below _SERIES_EPS; r = rho k / (k + 2 beta) minimises the bound for the
-    two nearest roots.  Terms are added until radii covers the half-sector
-    annulus, |delta| <= |1 - 2**(+-1/n) e^(i pi/n)|.
-    """
-    beta = (n - 1) / n
-    rho = 2.0 * math.sin(math.pi / n)
-    dist = [2.0 * math.sin(math.pi * j / n) for j in range(1, n)]
-    reach = max(abs(1.0 - 2.0 ** (s / n) * cmath.exp(1j * math.pi / n)) for s in (-1, 1))
-    radii = []
-    while not radii or radii[-1] < reach:
-        k = len(radii) + 1
-        r = rho * k / (k + 2.0 * beta)
-        log_m = -beta * sum(math.log1p(-r / d) for d in dist)
-        c = _SERIES_EPS * (n * k + 1) * math.exp(-log_m)
-        # t = c**(1/k) overshoots the root of t**k / (1 - t) = c; one step of
-        # t -> (c (1 - t))**(1/k) from there lands below it
-        t = (c * (1.0 - c ** (1.0 / k))) ** (1.0 / k)
-        radii.append(t * r)
-    g = _miller_power(_corner_polynomial(n), -beta, len(radii))
-    return [a / (n * k + 1) for k, a in enumerate(g)], radii
-
-
 def _real_chart(n: int, chart, delta: float) -> float:
     """n^(1/n) |delta|^(1/n) Q(delta) for real delta: A - F(1 - delta) if
     delta > 0, else the integral of (t**n - 1)**(-beta) over [1, 1 - delta],
@@ -379,20 +302,33 @@ def _real_chart(n: int, chart, delta: float) -> float:
     return n ** (1.0 / n) * abs(delta) ** (1.0 / n) * _binomial_sum(chart, delta).real
 
 
+def _corner_constants(n: int, chart) -> tuple:
+    """F's tables at 0 and at infinity, A and R = |P|, from the corner chart ``chart``.
+
+    A = F(c) + (A - F(c)) at c = 2^(-1/n), where the series at 0 meets the
+    chart, and R is the edge integral over [1, x] plus the tail beyond x at
+    x = 2^(1/n), where the chart meets the series at infinity.
+    """
+    inner, outer = _binomial_table(n, 1), _binomial_table(n, n - 2)
+    c, x = 2.0 ** (-1.0 / n), 2.0 ** (1.0 / n)
+    half = c * _binomial_sum(inner, c ** n).real + _real_chart(n, chart, 1.0 - c)
+    # the tail at x summed directly: _series_tail refuses x**-n a hair above 1/2
+    radius = _real_chart(n, chart, 1.0 - x) + x ** (2 - n) * _binomial_sum(outer, x ** -n).real
+    return inner, outer, half, radius
+
+
 class _SeriesTables(NamedTuple):
     """Per-n constants of the kernel, the one source of A and P.
 
-    Both come from the tables, with no gamma function or quadrature:
-    A = F(c) + (A - F(c)) at c = 2^(-1/n), where the series at 0 meets the
-    chart, and |P| is the edge integral over [1, x] plus the tail beyond x
-    at x = 2^(1/n), where the chart meets the series at infinity.  Both are
-    within 3e-16 relative of the exact values for n = 3..64.
+    Both come from the tables, with no gamma function or quadrature
+    (``_corner_constants``).  Both are within 3e-16 relative of the exact
+    values for n = 3..64.
 
-    The ODE pair's tables (``_ode_tables``) serve the inverse: their sums
-    converge for |t**n| < R**n, and ``disc`` is the radius where 64 terms
-    reach half an ulp, ODE_RADII[-1]**(1/n) R (0.817 R at n = 3, 0.9905 R
-    at n = 64).  Each disc sums the one table of the value asked for
-    through ``_series_sum``, with tail 2 and rate 1 in x = t**n / scale.
+    The ODE pair's tables serve the inverse: their sums converge for
+    |t**n| < R**n, and ``disc`` is the radius where 64 terms reach half an
+    ulp, ODE_RADII[-1]**(1/n) R (0.817 R at n = 3, 0.9905 R at n = 64).
+    Each disc sums the one table of the value asked for through
+    ``_series_sum``, with tail 2 and rate 1 in x = t**n / scale.
     """
 
     inner: tuple      # binomial table of the series at 0
@@ -408,25 +344,101 @@ class _SeriesTables(NamedTuple):
     omega: complex    # e^(2 pi i/n), the root of the corner chart's upper half
 
 
+# The table file: the products of the recurrences in squig.reference for
+# every supported n, laid out by ``_format_tables`` and written by
+# ``python -m squig.reference``.  A header (magic, format version, the n
+# range) and one entry per n (the offset of its block and the lengths of
+# its ODE, pole and chart tables) precede the blocks, each the
+# little-endian doubles scale, sine, cosine, the chart's coefficients and
+# radii, rate and the pole table.
+_TABLES_PATH = os.path.join(os.path.dirname(__file__), "_tables.bin")
+_TABLES_MAGIC = b"squigtab"
+_TABLES_VERSION = 1
+_TABLES_HEADER = struct.Struct("<8sIII")
+_TABLES_ENTRY = struct.Struct("<IIII")
+_REGENERATE = "PYTHONPATH=src python -m squig.reference"
+
+
+def _read_tables(path: str) -> tuple:
+    """The bytes of the table file at ``path`` and its per-n entries.
+
+    The header must name this format and the supported n range, every ODE
+    table must have ODE_TERMS entries, and the blocks must follow the
+    entries back to back up to the file's end.  Anything else raises
+    TableFileError: the tables are never rebuilt at runtime.
+    """
+    def refuse(why: str):
+        return TableFileError(f"series table file {path} {why}; regenerate it with "
+                              f"`{_REGENERATE}`")
+
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise refuse(f"cannot be read ({exc.strerror})") from None
+    count = _MAX_N - _MIN_N + 1
+    offset = _TABLES_HEADER.size + count * _TABLES_ENTRY.size
+    if len(data) < offset:
+        raise refuse(f"is short: {len(data)} bytes")
+    header = _TABLES_HEADER.unpack_from(data)
+    if header != (_TABLES_MAGIC, _TABLES_VERSION, _MIN_N, _MAX_N):
+        raise refuse(f"has the header {header!r}, not "
+                     f"{(_TABLES_MAGIC, _TABLES_VERSION, _MIN_N, _MAX_N)!r}")
+    entries = tuple(_TABLES_ENTRY.iter_unpack(data[_TABLES_HEADER.size:offset]))
+    for n, (start, ode, pole, chart) in enumerate(entries, _MIN_N):
+        if start != offset or ode != ODE_TERMS:
+            raise refuse(f"has a wrong entry at n = {n}")
+        offset += 8 * (2 + 2 * ode + 2 * chart + pole)
+    if offset != len(data):
+        raise refuse(f"is {len(data)} bytes, not {offset}")
+    return data, entries
+
+
+def _unpack_tables(tables_file: tuple, n: int) -> tuple:
+    """n's block of a file read by ``_read_tables``: its scale, sine and
+    cosine tables, the corner chart's (coefficients, radii) as lists, and
+    the pole table's rate and coefficients."""
+    data, entries = tables_file
+    start, ode, pole, chart = entries[n - _MIN_N]
+    values = struct.unpack_from(f"<{2 + 2 * ode + 2 * chart + pole}d", data, start)
+    i = 1 + 2 * ode  # the end of the ODE tables
+    j = i + 2 * chart  # the end of the chart
+    return (values[0], values[1:1 + ode], values[1 + ode:i],
+            (list(values[i:i + chart]), list(values[i + chart:j])), values[j], values[j + 1:])
+
+
+def _format_tables(blocks) -> bytes:
+    """The table file of ``blocks``, one per supported n in order, each laid
+    out as ``_unpack_tables`` returns it."""
+    header = _TABLES_HEADER.pack(_TABLES_MAGIC, _TABLES_VERSION, _MIN_N, _MAX_N)
+    offset = len(header) + len(blocks) * _TABLES_ENTRY.size
+    entries, packed = [], []
+    for scale, sine, cosine, (coeffs, radii), rate, pole in blocks:
+        values = (scale, *sine, *cosine, *coeffs, *radii, rate, *pole)
+        entries.append(_TABLES_ENTRY.pack(offset, len(sine), len(pole), len(coeffs)))
+        packed.append(struct.pack(f"<{len(values)}d", *values))
+        offset += 8 * len(values)
+    return header + b"".join(entries + packed)
+
+
+@functools.lru_cache(maxsize=None)
+def _tables_file() -> tuple:
+    return _read_tables(_TABLES_PATH)
+
+
 @functools.lru_cache(maxsize=None)
 def _series_tables(n: int) -> _SeriesTables:
-    inner, outer, chart = _binomial_table(n, 1), _binomial_table(n, n - 2), _corner_table(n)
-    c, x = 2.0 ** (-1.0 / n), 2.0 ** (1.0 / n)
-    half = c * _binomial_sum(inner, c ** n).real + _real_chart(n, chart, 1.0 - c)
-    # the tail at x summed directly: _series_tail refuses x**-n a hair above 1/2
-    radius = _real_chart(n, chart, 1.0 - x) + x ** (2 - n) * _binomial_sum(outer, x ** -n).real
-    scale = radius ** n
-    sine, cosine = _ode_tables(n, scale)
+    scale, sine, cosine, chart = _unpack_tables(_tables_file(), n)[:4]
+    return _series_record(n, chart, sine, cosine, scale)
+
+
+def _series_record(n: int, chart, sine: tuple, cosine: tuple, scale: float) -> _SeriesTables:
+    """n's constants around its corner chart and ODE tables; F's binomial
+    tables, A and P are computed here."""
+    inner, outer, half, radius = _corner_constants(n, chart)
     return _SeriesTables(inner, outer, chart, radius * cmath.exp(1j * math.pi / n),
-                         cmath.exp(1j * math.pi * (n - 1) / n), half,
-                         sine, cosine, scale, ODE_RADII[-1] ** (1.0 / n) * radius,
-                         cmath.exp(2j * math.pi / n))
-
-
-# Fixed-point bits of the pole table's recurrence.  It runs on k_j 8**j,
-# which stays near 1 where k_j falls to 1e-43, so no entry loses precision.
-_POLE_BITS = 192
-_POLE_SHIFT = 3
+                         cmath.exp(1j * math.pi * (n - 1) / n), half, sine, cosine, scale,
+                         ODE_RADII[-1] ** (1.0 / n) * radius, cmath.exp(2j * math.pi / n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -434,48 +446,15 @@ def _pole_table(n: int) -> tuple:
     """Coefficients k_j of the pole series v = W k(W**n), and their rate.
 
     With v = 1/u, D = (n-2) (P - F(u)) e^(-i pi beta) = v**(n-2) g(v**n) and
-    W = D**(1/(n-2)), dD/dv = (n-2) v**(n-3) (1 - v**n)**(-beta), so
-    dv/dW = (W/v)**(n-3) (1 - v**n)**beta.  With v = W k(X), X = W**n, that
-    reads (1 + n j) k_j = [k**(3-n) (1 - X k**n)**beta]_j, whose right side
-    holds k_j only in k**(3-n)'s term (3-n) k_j.  So (n (j+1) - 2) k_j is the
-    rest, from k_0 .. k_(j-1); each step extends the powers k**(3-n), k**n
-    and h**beta, h = 1 - X k**n, by one term (``_fixed_power_term``), on
-    integers at 2**-_POLE_BITS.  It runs in Y = 8 X, on k_j 8**j, so every
-    entry keeps its relative precision and is rounded once.
-
-    The rate is k's reciprocal radius: 1/|X| at the nearest singularity of
-    v, the zero of u at t = 0 (|P - t| = R) or, from n = 6 on, the branch
-    point at conj(P) (|P - t| = 2 R sin(pi/n)), with
-    |X| = ((n-2) |P - t|)**(n/(n-2)).  Every |k_j| is below rate**j (tested
-    on exact coefficients), so K terms at X leave at most q**K / (1 - q),
-    q = rate |X|.  The table is long enough that this is below half an ulp
-    on the whole route: targets of the half-kite triangle outside both
-    discs, whose largest |X| lies where the two disc rims cross, or, once
-    the discs part (n >= 9), where the disc at 0 meets the real axis:
-    0.059 at n = 3, 3.25 at n = 9, 9 entries at n = 3 and 56 at n = 64.
-    Built at first use, not in make_context.
+    W = D**(1/(n-2)), the ODE pair gives the k_j (``reference._pole_coefficients``,
+    each the exact value rounded once).  The rate is k's reciprocal radius:
+    1/|X| at the nearest singularity of v, X = W**n.  Every |k_j| is below
+    rate**j (tested on exact coefficients), so K terms at X leave at most
+    q**K / (1 - q), q = rate |X|, and the table is long enough that this is
+    below half an ulp on the whole route (``reference._pole_reach``).
     """
-    tables = _series_tables(n)
-    half, disc = tables.half, tables.disc
-
-    def x_abs(dist):
-        return ((n - 2) * dist) ** (n / (n - 2))
-
-    rim = complex(half / 2, math.sqrt(disc * disc - half * half / 4)) if 2 * disc > half else disc
-    rate = 1.0 / x_abs(abs(tables.corner) * min(1.0, 2.0 * math.sin(math.pi / n)))
-    terms = bisect.bisect_left(ODE_RADII, rate * x_abs(abs(tables.corner - rim))) + 1
-    one = 1 << _POLE_BITS
-    k, h = [one], [one]
-    inv_pow, n_pow, h_pow = [one], [one], [one]  # k**(3-n), k**n and h**beta
-    for j in range(1, terms):
-        h.append(-n_pow[j - 1] << _POLE_SHIFT)
-        h_pow.append(_fixed_power_term(h, h_pow, j, n - 1, n, _POLE_BITS))
-        rest = _fixed_power_term(k, inv_pow, j, 3 - n, 1, _POLE_BITS)  # k has no k_j yet
-        kj = (rest + sum(inv_pow[i] * h_pow[j - i] for i in range(j)) // one) // (n * (j + 1) - 2)
-        k.append(kj)
-        inv_pow.append(rest - (n - 3) * kj)
-        n_pow.append(_fixed_power_term(k, n_pow, j, n, 1, _POLE_BITS))
-    return tuple(v / (one << _POLE_SHIFT * j) for j, v in enumerate(k)), rate
+    rate, coeffs = _unpack_tables(_tables_file(), n)[4:]
+    return coeffs, rate
 
 
 def _binomial_sum(table, x: complex) -> complex:

@@ -168,6 +168,14 @@ class TestSeries:
         code, _ = run_cli(tmp_path, "series", "--n", "3", "--terms", "0")
         assert code == 2
 
+    def test_terms_beyond_200_exit_2_at_once(self, tmp_path, capsys):
+        # 400 terms at n = 8 would run for seconds; 200 is the cap
+        code, payload = run_cli(tmp_path, "series", "--n", "8", "--terms", "201")
+        assert code == 2 and payload == b""
+        assert "series terms must lie in 1..200" in capsys.readouterr().err
+        code, payload = run_cli(tmp_path, "series", "--n", "3", "--terms", "200")
+        assert code == 0 and len(json.loads(payload)["rows"]) == 200
+
 
 class TestVerifyCommand:
     def test_single_family_single_n(self, tmp_path):

@@ -4,7 +4,8 @@ The package imports only the evaluation core (``errors``, ``geometry``,
 ``numerics`` and ``squigfn``).  ``squig.verify`` is registered in
 ``sys.modules`` by a lazy loader, and its body runs at its first attribute
 access; ``squig.reference`` (quadrature, series reversion, Newton, the
-winding count) and ``fractions`` load at their first use.  ``dataclasses``
+winding count, the builders of the table file) and ``fractions`` load at
+their first use, which no evaluation route makes.  ``dataclasses``
 and ``inspect`` do not load: the result records are plain slotted classes.
 """
 
@@ -61,6 +62,39 @@ def test_import_loads_only_the_evaluation_core():
         # the first attribute read runs verify's body, which loads reference
         assert squig.verify.run_all is squig.run_all
         assert not lazy() and loaded() == ["fractions", "squig.reference"], loaded()
+    """)
+
+
+def test_every_route_at_every_n_runs_without_the_table_builders():
+    # the tables come from the package's table file; the recurrences that
+    # build it live in squig.reference, which evaluation must not load
+    run_fresh("""
+        import cmath, math
+        from collections import Counter
+        import squig
+        from squig import numerics, squigfn
+        hits = Counter()
+        for module, name in ((squigfn, "_corner_invert"), (squigfn, "_pole_invert"),
+                             (numerics, "_corner_series"), (numerics, "_series_tail")):
+            def counted(*args, _f=getattr(module, name), _name=name):
+                hits[_name] += 1
+                return _f(*args)
+            setattr(module, name, counted)
+        for n in range(3, 65):
+            hits.clear()
+            ctx = squig.make_context(n)
+            A, P = ctx.A, ctx.P
+            # the disc at 0, the disc at A and the pole series
+            for z in (0.2 * A + 0.05 * P, 0.95 * A + 0.01 * P, P - 1e-3 * P):
+                assert squig.sin_n(ctx, z).value is not None
+                assert squig.cos_n(ctx, z).value is not None
+            # F's series at 0, its corner chart and its series at infinity
+            for w in (0.3 * cmath.exp(0.2j), (1.0 + 0.1 / n) * cmath.exp(0.5j * math.pi / n),
+                      10.0 * cmath.exp(0.3j / n)):
+                squig.arcsin_n(ctx, w)
+            assert hits["_pole_invert"] == 2 and hits["_corner_series"] == 1, (n, hits)
+            assert hits["_corner_invert"] >= 2 and hits["_series_tail"] >= 1, (n, hits)
+        assert lazy() and loaded() == [], loaded()
     """)
 
 
