@@ -22,32 +22,13 @@ from .errors import (
     SquigError,
     TableFileError,
 )
-from .geometry import (
-    FoldResult,
-    SquigContext,
-    boundary_polyline,
-    contains_Pi,
-    contains_Sigma,
-    fold,
-    make_context,
-    sample_domain,
-    unfold,
-)
-from .numerics import RationalSeries
-from .squigfn import (
-    EvalResult,
-    arcsin_n,
-    arcsin_n_sector,
-    cos_n,
-    maclaurin,
-    radius_estimate,
-    sin3_global,
-    sin_n,
-)
+from .geometry import FoldResult, SquigContext, contains_Sigma, fold, make_context, unfold
+from .squigfn import EvalResult, arcsin_n, arcsin_n_sector, cos_n, maclaurin, sin3_global, sin_n
 
 # ``import squig`` loads only the evaluation core above.  The certification
-# suite and the reference routes (quadrature, series reversion, the winding
-# count) load at the first use of one of their names.
+# suite, the reference routes (quadrature, series reversion, the winding
+# count), the exact series and the region tools (membership tests,
+# boundaries, the domain sampler) load at the first use of one of their names.
 _LAZY = {
     **dict.fromkeys((
         "DEFAULT_TOLERANCES", "VerificationReport", "VerifyConfig",
@@ -59,6 +40,8 @@ _LAZY = {
         "QuadratureResult", "integrate_endpoint_singular", "integrate_smooth",
         "integrate_tail", "revert_series", "winding_number",
     ), "reference"),
+    **dict.fromkeys(("RationalSeries", "radius_estimate"), "series"),
+    **dict.fromkeys(("boundary_polyline", "contains_Pi", "sample_domain"), "regions"),
 }
 
 

@@ -28,8 +28,8 @@ import sys
 
 from . import verify  # loaded lazily: its body runs at the first read, in `verify`
 from .errors import DomainError, ParameterError, SquigError
-from .geometry import SquigContext, boundary_polyline, in_rosette, make_context
-from .squigfn import arcsin_n, cos_n, maclaurin, radius_estimate, sin_n
+from .geometry import SquigContext, make_context
+from .squigfn import arcsin_n, cos_n, maclaurin, sin_n
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -172,6 +172,8 @@ def cmd_series(n: int, terms: int, fmt: str) -> bytes:
     # about 0.9 s at n = 64 on a 2-vCPU VM, 400 several seconds
     if not isinstance(terms, int) or not 1 <= terms <= 200:
         raise UsageError("series terms must lie in 1..200")
+    from .series import radius_estimate
+
     ctx = make_context(n)
     series = maclaurin(ctx, terms)
     rows = [(d, c.numerator, c.denominator)
@@ -296,8 +298,9 @@ def _grid_image_F(ctx: SquigContext, density: int) -> list[list[complex]]:
     return curves
 
 
-def _grid_image_sin(ctx: SquigContext, density: int) -> list[list[complex]]:
-    """Images of a Cartesian grid restricted to the polygon under sine."""
+def _grid_image_sin(ctx: SquigContext, density: int, in_rosette) -> list[list[complex]]:
+    """Images of a Cartesian grid restricted to the polygon under sine;
+    ``in_rosette`` is ``regions.in_rosette``, which ``cmd_grid`` loads."""
     n = ctx.n
     half = abs(ctx.A) * 1.01
     clip = _GRID_CLIP_FACTOR * abs(ctx.A)
@@ -328,6 +331,8 @@ def _grid_image_sin(ctx: SquigContext, density: int) -> list[list[complex]]:
 def cmd_grid(n: int, map_name: str, density: int) -> bytes:
     if not isinstance(density, int) or not 2 <= density <= 256:
         raise UsageError("grid density must lie in 2..256")
+    from .regions import boundary_polyline, in_rosette
+
     ctx = make_context(n)
 
     elements: list[str] = []
@@ -347,7 +352,7 @@ def cmd_grid(n: int, map_name: str, density: int) -> bytes:
         pole_marks: list[complex] = []
     else:
         outline = boundary_polyline(ctx, "omega", samples_per_edge=24)
-        for curve in _grid_image_sin(ctx, density):
+        for curve in _grid_image_sin(ctx, density, in_rosette):
             draw(curve, "#4477aa", 0.004 * scale)
         draw(outline, "#000000", 0.01 * scale)
         # slit rays of the image plane

@@ -1,8 +1,7 @@
 """The evaluation kernel: the series of the sector map and their tables.
 
-This module holds what evaluation runs on: the exact Maclaurin coefficients
-of the sine from its ODE pair (``_ode_coefficients``), the three series of
-the sector map ``F``, at 0, at infinity and the corner chart between them
+This module holds what evaluation runs on: the three series of the sector
+map ``F``, at 0, at infinity and the corner chart between them
 (``sector_ray_integral``), and the per-n tables they are summed from
 (``_series_tables``, ``_pole_table``).  The constants A and P come from the
 same series, with no quadrature and no gamma function.  Every sum is cut by
@@ -11,9 +10,10 @@ a proven remainder bound at half an ulp of its leading term.
 The tables that only a recurrence can give, the ODE pair's scaled sine and
 cosine, the pole series that inverts the map near P and F's corner chart,
 are read at first use from the package data file ``_tables.bin``, which
-``squig.reference`` writes (``python -m squig.reference``).  A missing,
-short or foreign file raises ``TableFileError``; nothing is rebuilt at
-runtime.  F's binomial tables, A and P are computed at first use of each n.
+``squig.tablegen`` writes (``python -m squig.tablegen``).  The file's layout
+constants live here, for the reader and the writer.  A missing, short or
+foreign file raises ``TableFileError``; nothing is rebuilt at runtime.
+F's binomial tables, A and P are computed at first use of each n.
 
 The inverse routes (the discs at 0 and at A, and the pole series) sum their
 tables through one kernel with one cut rule and one bound, ``_series_sum``.
@@ -21,11 +21,12 @@ tables through one kernel with one cut rule and one bound, ``_series_sum``.
 
 The routes that ``verify`` and the tests compare against (the quadrature
 rules, series reversion, the GK15 leg of the sector map, the Newton
-inverter and the winding count) and the builders of the table file live in
-:mod:`squig.reference`, which ``import squig`` does not load.  The routes'
-names still resolve here, through the module ``__getattr__`` below, and
-load it at first use.  So does ``fractions``: it is imported where exact
-arithmetic runs.
+inverter and the winding count) live in :mod:`squig.reference`, which
+``import squig`` does not load.  The routes' names still resolve here,
+through the module ``__getattr__`` below, and load it at first use.  The
+exact rational series (``RationalSeries`` and the ODE pair's exact
+coefficients) live in :mod:`squig.series`, and ``import squig`` does not
+load it either.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import os
 import struct
 from typing import NamedTuple
 
-from .errors import InvalidSeriesError, TableFileError
+from .errors import TableFileError
 
 # The supported n, the range the table file covers.
 _MIN_N = 3
@@ -115,77 +116,6 @@ class _FrozenRecord:
 
 
 # ---------------------------------------------------------------------------
-# Exact rational series
-# ---------------------------------------------------------------------------
-
-class RationalSeries(_FrozenRecord):
-    """Sparse power series with exact rational coefficients.
-
-    degrees are strictly increasing positive integers and coefficients are
-    nonzero Fractions; the pair (degrees[i], coeffs[i]) is one term.
-    """
-
-    __slots__ = ("degrees", "coeffs")
-    degrees: tuple
-    coeffs: tuple
-
-    def __init__(self, degrees: tuple, coeffs: tuple):
-        if len(degrees) != len(coeffs):
-            raise InvalidSeriesError("degrees and coeffs must align")
-        last = 0
-        for d, c in zip(degrees, coeffs):
-            if d < 1 or (last and d <= last):
-                raise InvalidSeriesError("degrees must be strictly increasing and >= 1")
-            if c == 0:
-                raise InvalidSeriesError("zero coefficients are not stored")
-            last = d
-        _set_degrees(self, degrees)
-        _set_coeffs(self, coeffs)
-
-    def coefficient(self, degree: int) -> Fraction:
-        from fractions import Fraction
-
-        for d, c in zip(self.degrees, self.coeffs):
-            if d == degree:
-                return c
-            if d > degree:
-                break
-        return Fraction(0)
-
-    def term_count(self) -> int:
-        return len(self.degrees)
-
-    def truncate(self, max_degree: int) -> "RationalSeries":
-        keep = [(d, c) for d, c in zip(self.degrees, self.coeffs) if d <= max_degree]
-        return RationalSeries(tuple(d for d, _ in keep), tuple(c for _, c in keep))
-
-    def head(self, terms: int) -> "RationalSeries":
-        return RationalSeries(self.degrees[:terms], self.coeffs[:terms])
-
-    def evaluate(self, z: complex) -> complex:
-        return _sparse_horner(zip(reversed(self.degrees), map(complex, reversed(self.coeffs))), z)
-
-
-_set_degrees, _set_coeffs = (getattr(RationalSeries, name).__set__
-                             for name in RationalSeries.__slots__)
-
-
-def _sparse_horner(terms, z: complex) -> complex:
-    """Sum of c * z**d over (d, c) pairs given in decreasing degree, by Horner
-    over the degree gaps."""
-    total = 0j
-    prev_degree = 0
-    for d, c in terms:
-        if prev_degree:
-            total *= z ** (prev_degree - d)
-        total += c
-        prev_degree = d
-    return total * z ** prev_degree if prev_degree else total
-
-
-
-
-# ---------------------------------------------------------------------------
 # Binomial series of the sector map
 # ---------------------------------------------------------------------------
 
@@ -218,38 +148,6 @@ def _binomial_table(n: int, d: int):
         k += 1
         radii.append((0.5 * _SERIES_EPS * (d + n * k) / d) ** (1.0 / k))
     return coeffs, radii
-
-
-def _ode_coefficients(n: int, terms: int) -> tuple:
-    """First ``terms`` exact Maclaurin coefficients (S_k, C_k) of the ODE
-    pair: sin_n = z S(z**n) and cos_n = C(z**n).
-
-    With x = z**n, s = z S(x) and c = C(x), the ODE pair s' = c**(n-1),
-    c' = -s**(n-1) becomes (1 + n k) S_k = [C**(n-1)]_k and
-    n (k + 1) C_(k+1) = -[S**(n-1)]_k.  The powers are extended one term at a
-    time by Miller's recurrence (Knuth, TAOCP vol. 2, 4.7); with the exponent n - 1
-    every weight (alpha + 1) j - m = n j - m is an integer, so each sum is
-    formed over one common denominator.
-    """
-    from fractions import Fraction
-
-    def next_power_term(base, power, m):
-        # integer numerators over the lcm of the term denominators, so the
-        # sum makes one Fraction (one gcd) instead of one per addition
-        parts = [((n * j - m) * base[j].numerator * power[m - j].numerator,
-                  base[j].denominator * power[m - j].denominator) for j in range(1, m + 1)]
-        den = math.lcm(*(q for _, q in parts))
-        return Fraction(sum(p * (den // q) for p, q in parts), den * m)
-
-    s, c = [Fraction(1)], [Fraction(1)]
-    s_pow, c_pow = [Fraction(1)], [Fraction(1)]  # S**(n-1) and C**(n-1)
-    for m in range(1, terms):
-        if m > 1:
-            s_pow.append(next_power_term(s, s_pow, m - 1))
-        c.append(-s_pow[m - 1] / (n * m))
-        c_pow.append(next_power_term(c, c_pow, m))
-        s.append(c_pow[m] / (1 + n * m))
-    return s, c
 
 
 # Length of the ODE pair's float tables.  A sum of K terms of a table whose
@@ -344,9 +242,9 @@ class _SeriesTables(NamedTuple):
     omega: complex    # e^(2 pi i/n), the root of the corner chart's upper half
 
 
-# The table file: the products of the recurrences in squig.reference for
-# every supported n, laid out by ``_format_tables`` and written by
-# ``python -m squig.reference``.  A header (magic, format version, the n
+# The table file: the products of the recurrences in squig.tablegen for
+# every supported n, laid out by ``tablegen._format_tables`` and written by
+# ``python -m squig.tablegen``.  A header (magic, format version, the n
 # range) and one entry per n (the offset of its block and the lengths of
 # its ODE, pole and chart tables) precede the blocks, each the
 # little-endian doubles scale, sine, cosine, the chart's coefficients and
@@ -356,7 +254,7 @@ _TABLES_MAGIC = b"squigtab"
 _TABLES_VERSION = 1
 _TABLES_HEADER = struct.Struct("<8sIII")
 _TABLES_ENTRY = struct.Struct("<IIII")
-_REGENERATE = "PYTHONPATH=src python -m squig.reference"
+_REGENERATE = "PYTHONPATH=src python -m squig.tablegen"
 
 
 def _read_tables(path: str) -> tuple:
@@ -407,20 +305,6 @@ def _unpack_tables(tables_file: tuple, n: int) -> tuple:
             (list(values[i:i + chart]), list(values[i + chart:j])), values[j], values[j + 1:])
 
 
-def _format_tables(blocks) -> bytes:
-    """The table file of ``blocks``, one per supported n in order, each laid
-    out as ``_unpack_tables`` returns it."""
-    header = _TABLES_HEADER.pack(_TABLES_MAGIC, _TABLES_VERSION, _MIN_N, _MAX_N)
-    offset = len(header) + len(blocks) * _TABLES_ENTRY.size
-    entries, packed = [], []
-    for scale, sine, cosine, (coeffs, radii), rate, pole in blocks:
-        values = (scale, *sine, *cosine, *coeffs, *radii, rate, *pole)
-        entries.append(_TABLES_ENTRY.pack(offset, len(sine), len(pole), len(coeffs)))
-        packed.append(struct.pack(f"<{len(values)}d", *values))
-        offset += 8 * len(values)
-    return header + b"".join(entries + packed)
-
-
 @functools.lru_cache(maxsize=None)
 def _tables_file() -> tuple:
     return _read_tables(_TABLES_PATH)
@@ -446,12 +330,12 @@ def _pole_table(n: int) -> tuple:
     """Coefficients k_j of the pole series v = W k(W**n), and their rate.
 
     With v = 1/u, D = (n-2) (P - F(u)) e^(-i pi beta) = v**(n-2) g(v**n) and
-    W = D**(1/(n-2)), the ODE pair gives the k_j (``reference._pole_coefficients``,
+    W = D**(1/(n-2)), the ODE pair gives the k_j (``tablegen._pole_coefficients``,
     each the exact value rounded once).  The rate is k's reciprocal radius:
     1/|X| at the nearest singularity of v, X = W**n.  Every |k_j| is below
     rate**j (tested on exact coefficients), so K terms at X leave at most
     q**K / (1 - q), q = rate |X|, and the table is long enough that this is
-    below half an ulp on the whole route (``reference._pole_reach``).
+    below half an ulp on the whole route (``tablegen._pole_reach``).
     """
     rate, coeffs = _unpack_tables(_tables_file(), n)[4:]
     return coeffs, rate

@@ -12,7 +12,7 @@ regime of the folded target, and each sums one table through one kernel,
 ``numerics._series_sum``:
 
 1. the disc at 0: the ODE pair's Maclaurin series, s = t S(x), c = C(x)
-   with x = t**n, from float tables (``numerics._ode_tables``),
+   with x = t**n, from float tables (``tablegen._ode_tables``),
 2. the disc at the corner ``A``, whichever centre is nearer,
    ``_corner_invert``: the other table, by the symmetry
    sin_n(t) = cos_n(y), y = A - t,
@@ -45,6 +45,10 @@ series at infinity,
 roots 1 and omega.  ``A`` and ``P`` come from the same series, summed on the
 real axis where they meet.  Each series is cut by a proven remainder bound,
 so every value is accurate to about 1e-15 relative.
+
+``maclaurin`` gives the exact series of the sine; its rational arithmetic,
+and ``radius_estimate``, live in :mod:`squig.series`, which ``maclaurin``
+loads at its first call and no evaluation loads.
 """
 
 from __future__ import annotations
@@ -52,20 +56,12 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    InvalidSeriesError,
-    ParameterError,
-    _shown,
-)
+from .errors import ConvergenceError, DomainError, ParameterError, _shown
 from .geometry import _CELL_ROUND, _RAY_SNAP, SquigContext, _as_point, _fold, _slit_wedge
 from .numerics import (
     _ODE_TAIL,
     _ULP,
-    RationalSeries,
     _FrozenRecord,
-    _ode_coefficients,
     _pole_table,
     _real_chart,
     _series_sum,
@@ -112,11 +108,13 @@ def maclaurin(ctx: SquigContext, terms: int) -> RationalSeries:
     """Exact rational Maclaurin series of the sine, to ``terms`` nonzero terms.
 
     The coefficients come from the ODE pair s' = c^(n-1), c' = -s^(n-1)
-    (``numerics._ode_coefficients``).  Nonzero degrees are
+    (``series._ode_coefficients``).  Nonzero degrees are
     ``1, n+1, 2n+1, ...``; results are cached on the context and reused for
     any smaller request.  ``numerics.revert_series``, a general series
     reversion, gives the same coefficients by inverting the series of ``F``.
     """
+    from .series import RationalSeries, _ode_coefficients
+
     if isinstance(terms, bool) or not isinstance(terms, int) or terms < 1:
         raise ParameterError(f"terms must be a positive integer, got {_shown(terms)}")
     cached = ctx.series_cache.get("maclaurin")
@@ -128,31 +126,6 @@ def maclaurin(ctx: SquigContext, terms: int) -> RationalSeries:
     if cached.term_count() == terms:
         return cached
     return cached.head(terms)
-
-
-def radius_estimate(series: RationalSeries) -> float:
-    """Convergence radius from coefficient-ratio extrapolation.
-
-    Consecutive nonzero coefficients give radius estimates
-    ``|a_j / a_k|^(1/(k-j))``; with eight or more of them the last three are
-    extrapolated to infinite degree (quadratic in 1/degree), otherwise the
-    last one is returned as-is.  Needs at least four nonzero terms.
-    """
-    pairs = sorted(zip(series.degrees, series.coeffs))
-    if len(pairs) < 4:
-        raise InvalidSeriesError(
-            f"radius estimation needs at least 4 nonzero terms, got {len(pairs)}"
-        )
-    pts = []
-    for (d1, a1), (d2, a2) in zip(pairs, pairs[1:]):
-        ratio = abs(a1) / abs(a2)
-        pts.append((1.0 / d2, float(ratio) ** (1.0 / (d2 - d1))))
-    if len(pts) >= 8:
-        (x0, y0), (x1, y1), (x2, y2) = pts[-3:]
-        y01 = (x0 * y1 - x1 * y0) / (x0 - x1)
-        y12 = (x1 * y2 - x2 * y1) / (x1 - x2)
-        return (x0 * y12 - x2 * y01) / (x0 - x2)
-    return pts[-1][1]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import ParameterError, SquigError, _shown
-from .geometry import SquigContext, _is_real, in_rosette, make_context
+from .geometry import SquigContext, make_context
 from .reference import (
     _is_finite_number,
     integrate_endpoint_singular,
@@ -29,6 +29,7 @@ from .reference import (
     integrate_tail,
     winding_number,
 )
+from .regions import _is_real, in_rosette
 from .squigfn import arcsin_n, arcsin_n_sector, sin3_global, sin_n
 
 __all__ = [

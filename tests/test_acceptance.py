@@ -11,8 +11,10 @@ import pytest
 from conftest import SEED, gamma_full_period, slit_integral_oracle
 from squig.cli import main
 from squig.errors import DomainError
-from squig.geometry import make_context, sample_domain
-from squig.squigfn import arcsin_n, cos_n, maclaurin, radius_estimate, sin3_global, sin_n
+from squig.geometry import make_context
+from squig.regions import sample_domain
+from squig.series import radius_estimate
+from squig.squigfn import arcsin_n, cos_n, maclaurin, sin3_global, sin_n
 from squig.verify import (
     check_integral_ray,
     check_integral_slit,

@@ -13,26 +13,28 @@ its sign.  A third search spans
 n = 3 over |z| = 1 .. 1e300: each call folds into the kite, up to the
 lattice translation's rounding, with finite values, or raises DomainError
 beyond the reach of the lattice reduction.
+
+The tools off the evaluation path keep the same contract: ``unfold`` and
+``sample_domain`` refuse arguments of the wrong kind, and ``radius_estimate``
+returns a value for coefficients of any size and refuses what is not a
+``RationalSeries``.
 """
 
 import cmath
 import functools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from squig.errors import DomainError, ParameterError, SquigError
-from squig.geometry import (
-    _CELL_ROUND,
-    contains_Pi,
-    contains_Sigma,
-    fold,
-    in_rosette,
-    make_context,
-)
+from squig.errors import InvalidSeriesError
+from squig.geometry import _CELL_ROUND, contains_Sigma, fold, make_context, unfold
+from squig.regions import contains_Pi, in_rosette, sample_domain
+from squig.series import RationalSeries, radius_estimate
 from squig.squigfn import arcsin_n, arcsin_n_sector, cos_n, sin3_global, sin_n
 
 context = functools.lru_cache(maxsize=None)(make_context)
@@ -206,3 +208,56 @@ def test_n3_reach_by_a_dense_sweep():
     for z in (reach * (1.0 - 1e-9), reach * (1.0 + 1e-9) * 1j, 1e300,
               1e17 + 1e17j, complex(1.7e308, 1.7e308), complex(-1e308, 0.0)):
         _check_n3_far(z)
+
+
+@pytest.mark.parametrize("result", ["x", None, 0.5 + 0j, (0.5, 0, False, (0, 0), False)],
+                         ids=["str", "none", "complex", "tuple"])
+def test_unfold_refuses_what_is_not_a_fold_result(result):
+    # "x" and a tuple once raised a raw AttributeError
+    with pytest.raises(ParameterError, match="FoldResult"):
+        unfold(context(4), result)
+
+
+class _NoRandrange:
+    def random(self):
+        return 0.5
+
+
+@pytest.mark.parametrize("rng", [None, 3, "rng", _NoRandrange(), random.random],
+                         ids=["none", "int", "str", "no-randrange", "function"])
+def test_sample_domain_refuses_an_rng_without_random_and_randrange(rng):
+    # None once raised a raw AttributeError
+    with pytest.raises(ParameterError, match="rng"):
+        sample_domain(context(4), rng, 3)
+
+
+def _series(*exponents):
+    return RationalSeries(tuple(range(1, len(exponents) + 1)),
+                          tuple(Fraction(1, 10**e) if e >= 0 else Fraction(10**-e)
+                                for e in exponents))
+
+
+@pytest.mark.parametrize("series,radius", [
+    (_series(0, 400, 800, 1200), math.inf),           # radii of 1e400
+    (_series(0, -400, -800, -1200), 0.0),             # radii of 1e-400
+    (_series(0, 1, 2, 3), 10.0),
+    (_series(*range(0, 4000, 400)), math.inf),        # extrapolated from three
+    (_series(*range(0, -4000, -400)), 0.0),
+    (_series(0, 300, 600, 1000), math.inf),           # the last alone overflows
+], ids=["huge", "tiny", "plain", "huge-extrapolated", "tiny-extrapolated", "last-huge"])
+def test_radius_estimate_takes_coefficients_of_any_size(series, radius):
+    # 1e-400 and the like once raised a raw OverflowError from float()
+    assert radius_estimate(series) == pytest.approx(radius, rel=1e-12)
+
+
+@pytest.mark.parametrize("series", ["abc", None, 3, (1, 2, 3, 4)],
+                         ids=["str", "none", "int", "tuple"])
+def test_radius_estimate_refuses_what_is_not_a_rational_series(series):
+    # "abc" once raised a raw AttributeError
+    with pytest.raises(ParameterError, match="RationalSeries"):
+        radius_estimate(series)
+
+
+def test_radius_estimate_refuses_coefficients_that_are_not_rational():
+    with pytest.raises(InvalidSeriesError, match="rational"):
+        radius_estimate(RationalSeries((1, 2, 3, 4), (1.0, 0.5, 0.25, 0.125)))

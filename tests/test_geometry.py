@@ -9,18 +9,8 @@ import mpmath
 import pytest
 
 from squig.errors import DomainError, ParameterError
-from squig.geometry import (
-    FoldResult,
-    SquigContext,
-    boundary_polyline,
-    contains_Pi,
-    contains_Sigma,
-    fold,
-    in_rosette,
-    make_context,
-    sample_domain,
-    unfold,
-)
+from squig.geometry import FoldResult, SquigContext, contains_Sigma, fold, make_context, unfold
+from squig.regions import boundary_polyline, contains_Pi, in_rosette, sample_domain
 
 from conftest import SEED, gamma_full_period
 

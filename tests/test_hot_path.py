@@ -28,19 +28,18 @@ from fractions import Fraction
 
 import pytest
 
-from squig import geometry, numerics, squigfn
+from squig import geometry, numerics, regions, squigfn
 from squig.geometry import (
     FoldResult,
     SquigContext,
     _reduce_to_cell,
-    contains_Pi,
     contains_Sigma,
     fold,
-    in_rosette,
     make_context,
-    sample_domain,
 )
-from squig.numerics import ODE_RADII, ODE_TERMS, RationalSeries, sector_ray_integral
+from squig.numerics import ODE_RADII, ODE_TERMS, sector_ray_integral
+from squig.regions import contains_Pi, in_rosette, sample_domain
+from squig.series import RationalSeries
 from squig.squigfn import EvalResult, arcsin_n, cos_n, sin_n
 
 ALL_NS = range(3, 65)
@@ -223,7 +222,7 @@ def test_in_rosette_tests_one_kite_and_takes_no_power(n, monkeypatch):
     ctx.omega = CountedPower(ctx.omega)
     monkeypatch.setattr(CountedPower, "powers", 0)
     kites = []
-    monkeypatch.setattr(geometry, "contains_Pi",
+    monkeypatch.setattr(regions, "contains_Pi",
                         lambda c, z: kites.append(z) or contains_Pi(c, z))
     pts = rosette_points(ctx, random.Random(f"one kite:{n}"))[::7] + [2.0 * ctx.P, 0j]
     for z in pts:

@@ -3,10 +3,15 @@
 The package imports only the evaluation core (``errors``, ``geometry``,
 ``numerics`` and ``squigfn``).  ``squig.verify`` is registered in
 ``sys.modules`` by a lazy loader, and its body runs at its first attribute
-access; ``squig.reference`` (quadrature, series reversion, Newton, the
-winding count, the builders of the table file) and ``fractions`` load at
-their first use, which no evaluation route makes.  ``dataclasses``
-and ``inspect`` do not load: the result records are plain slotted classes.
+access.  So after ``import squig``, and after every evaluation route at
+every n, the loaded ``squig`` modules are exactly those, ``CORE``.  The rest
+loads at its first use, which no evaluation route makes: ``squig.series``
+(the exact rational series) and ``fractions`` with ``maclaurin``,
+``squig.regions`` (membership tests, boundaries, the sampler) with the
+region tools, ``squig.reference`` (quadrature, series reversion, Newton,
+the winding count) with the suite, and ``squig.tablegen`` (the builders of
+the table file) only with the generator.  ``dataclasses`` and ``inspect``
+do not load: the result records are plain slotted classes.
 """
 
 import os
@@ -14,6 +19,8 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import squig
 
@@ -28,6 +35,12 @@ def lazy():
 
 def loaded():
     return sorted({"squig.reference", "fractions"} & set(sys.modules))
+
+CORE = ["squig", "squig.errors", "squig.geometry", "squig.numerics", "squig.squigfn",
+        "squig.verify"]
+
+def squig_modules():
+    return sorted(name for name in sys.modules if name.partition(".")[0] == "squig")
 
 def quiet():
     # the CLI writes bytes to sys.stdout.buffer
@@ -47,6 +60,7 @@ def test_import_loads_only_the_evaluation_core():
     run_fresh("""
         import squig
         assert lazy() and loaded() == [], loaded()
+        assert squig_modules() == CORE, squig_modules()
         assert sys.modules["squig.verify"] is squig.verify
         from squig import cli
         for argv in (["eval", "--n", "4", "--fn", "sin", "--z", "0.3+0.2i"],
@@ -62,12 +76,65 @@ def test_import_loads_only_the_evaluation_core():
         # the first attribute read runs verify's body, which loads reference
         assert squig.verify.run_all is squig.run_all
         assert not lazy() and loaded() == ["fractions", "squig.reference"], loaded()
+        # a whole run of the suite does not load the table builders
+        assert squig.run_all() and "squig.tablegen" not in sys.modules
+    """)
+
+
+# the modules each CLI command loads beyond the core and the CLI itself
+COMMAND_MODULES = [
+    pytest.param(["eval", "--n", "4", "--fn", "sin", "--z", "0.3+0.2i"], [], id="eval-sin"),
+    pytest.param(["eval", "--n", "3", "--fn", "arcsin", "--z", "5+1i"], [], id="eval-arcsin"),
+    pytest.param(["constants", "--n", "5"], [], id="constants"),
+    pytest.param(["grid", "--n", "4", "--map", "F"], ["squig.regions"], id="grid-F"),
+    pytest.param(["grid", "--n", "3", "--map", "sin", "--density", "4"], ["squig.regions"],
+                 id="grid-sin"),
+    pytest.param(["series", "--n", "4", "--terms", "5"], ["fractions", "squig.series"],
+                 id="series"),
+    pytest.param(["verify", "--n", "3,4", "--stable"],
+                 ["squig.reference", "squig.regions", "squig.series"], id="verify"),
+]
+
+
+@pytest.mark.parametrize("argv,modules", COMMAND_MODULES)
+def test_each_cli_command_loads_only_its_own_modules(argv, modules):
+    # eval and constants load neither the exact series nor the region tools,
+    # and no command loads the table builders
+    run_fresh(f"""
+        import squig
+        from squig import cli
+        def tracked():
+            return set(squig_modules()) | ({{"fractions"}} & set(sys.modules))
+        before = tracked()
+        assert before == set(CORE) | {{"squig.cli"}}, before
+        with quiet():
+            assert cli.main({argv!r}) == 0
+        assert sorted(tracked() - before) == {modules!r}, sorted(tracked() - before)
+    """)
+
+
+def test_series_and_region_names_load_their_module_at_first_use():
+    run_fresh("""
+        import squig
+        from squig import RationalSeries, radius_estimate
+        from squig import series
+        assert RationalSeries is series.RationalSeries
+        assert radius_estimate is series.radius_estimate
+        assert squig_modules() == sorted(CORE + ["squig.series"]), squig_modules()
+        from squig import boundary_polyline, contains_Pi, sample_domain
+        from squig import regions
+        assert (boundary_polyline, contains_Pi, sample_domain) == (
+            regions.boundary_polyline, regions.contains_Pi, regions.sample_domain)
+        assert squig_modules() == sorted(CORE + ["squig.regions", "squig.series"])
+        # neither loads fractions, reference or verify's body
+        assert lazy() and loaded() == [], loaded()
     """)
 
 
 def test_every_route_at_every_n_runs_without_the_table_builders():
     # the tables come from the package's table file; the recurrences that
-    # build it live in squig.reference, which evaluation must not load
+    # build it live in squig.tablegen, and the exact series and the region
+    # tools in squig.series and squig.regions, none of which evaluation loads
     run_fresh("""
         import cmath, math
         from collections import Counter
@@ -95,6 +162,7 @@ def test_every_route_at_every_n_runs_without_the_table_builders():
             assert hits["_pole_invert"] == 2 and hits["_corner_series"] == 1, (n, hits)
             assert hits["_corner_invert"] >= 2 and hits["_series_tail"] >= 1, (n, hits)
         assert lazy() and loaded() == [], loaded()
+        assert squig_modules() == CORE, squig_modules()
     """)
 
 
@@ -140,15 +208,22 @@ def test_tracer_wraps_the_lazy_suite_straight_after_import():
         from spans import Tracer
         tracer = Tracer()
         tracer.install()
+        from squig import geometry, squigfn
+        wrapped = ((geometry, "fold"), (geometry, "contains_Sigma"), (squigfn, "maclaurin"))
         try:
             verify = sys.modules["squig.verify"]
             assert verify.run_all.__wrapped__ is not None
             assert verify.integrate_smooth.__wrapped__ is not None
             assert squig.run_all is verify.run_all
+            for module, name in wrapped:
+                assert getattr(module, name).__wrapped__ is not None, name
+                assert getattr(squig, name) is getattr(module, name), name
         finally:
             tracer.uninstall()
         assert not hasattr(verify.run_all, "__wrapped__")
         assert not hasattr(verify.integrate_smooth, "__wrapped__")
+        for module, name in wrapped:
+            assert not hasattr(getattr(module, name), "__wrapped__"), name
     """)
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from squig.errors import InvalidSeriesError, ParameterError
 from squig.geometry import make_context
-from squig.numerics import RationalSeries, _ode_coefficients, revert_series
+from squig.numerics import revert_series
+from squig.series import RationalSeries, _ode_coefficients
 from squig.squigfn import maclaurin
 
 

@@ -25,14 +25,13 @@ import mpmath
 import pytest
 
 import squig
-from squig.geometry import fold, make_context, sample_domain
+from squig.geometry import fold, make_context
 from squig.numerics import (
     ODE_RADII,
     ODE_TERMS,
     SERIES_INNER,
     SERIES_OUTER,
     _SERIES_EPS,
-    _ode_coefficients,
     _pole_table,
     _series_tables,
     nearest_root_distance,
@@ -40,6 +39,8 @@ from squig.numerics import (
     sector_segment_integral,
 )
 from squig import numerics, squigfn
+from squig.regions import sample_domain
+from squig.series import _ode_coefficients
 from squig.squigfn import arcsin_n, arcsin_n_sector, cos_n, sin_n
 from squig.verify import VerifyConfig, gamma_corner_radius, gamma_pi_n, run_all
 

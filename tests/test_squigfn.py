@@ -11,15 +11,16 @@ import pytest
 
 from squig import numerics
 from squig.errors import DomainError, InvalidSeriesError, ParameterError
-from squig.geometry import fold, make_context, sample_domain
+from squig.geometry import fold, make_context
 from squig.numerics import ODE_TERMS, _ODE_TAIL, _series_sum, _series_tables
+from squig.regions import sample_domain
+from squig.series import radius_estimate
 from squig.squigfn import (
     EvalResult,
     arcsin_n,
     arcsin_n_sector,
     cos_n,
     maclaurin,
-    radius_estimate,
     sin3_global,
     sin_n,
 )

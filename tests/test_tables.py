@@ -2,7 +2,7 @@
 and shipped with the package.
 
 ``numerics`` reads the ODE pair's tables, the pole table and the corner
-chart of every n from ``src/squig/_tables.bin``; ``squig.reference`` builds
+chart of every n from ``src/squig/_tables.bin``; ``squig.tablegen`` builds
 them.  The file must hold what a fresh build gives: exactly for the
 fixed-point and float recurrences, within 2 ulps for the values that pass
 through libm (``scale``, ``rate`` and the chart's radii), so the check does
@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import squig
-from squig import TableFileError, numerics, reference
+from squig import TableFileError, numerics, tablegen
 
 PACKAGE = Path(squig.__file__).resolve().parent
 PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
@@ -31,16 +31,16 @@ def ulps(a: float, b: float) -> float:
 
 def test_the_table_file_holds_a_fresh_build(tmp_path):
     fresh_path = tmp_path / "fresh.bin"
-    fresh_path.write_bytes(reference._pack_tables())
+    fresh_path.write_bytes(tablegen._pack_tables())
     fresh_file = numerics._read_tables(str(fresh_path))
     stored_file = numerics._read_tables(numerics._TABLES_PATH)
     for n in NS:
         scale, sine, cosine, chart, rate, pole = numerics._unpack_tables(stored_file, n)
         f_scale, _, _, f_chart, f_rate, f_pole = numerics._unpack_tables(fresh_file, n)
         assert ulps(scale, f_scale) <= 2 and ulps(rate, f_rate) <= 2, (n, STALE)
-        assert (sine, cosine) == reference._ode_tables(n, scale), (n, STALE)
+        assert (sine, cosine) == tablegen._ode_tables(n, scale), (n, STALE)
         assert len(pole) == len(f_pole), (n, STALE)
-        assert pole == reference._pole_coefficients(n, len(pole)), (n, STALE)
+        assert pole == tablegen._pole_coefficients(n, len(pole)), (n, STALE)
         assert chart[0] == f_chart[0], (n, STALE)
         assert len(chart[1]) == len(f_chart[1]), (n, STALE)
         assert max(map(ulps, chart[1], f_chart[1])) <= 2, (n, STALE)
