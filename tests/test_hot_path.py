@@ -17,6 +17,7 @@ and every answer must match them exactly.
 
 import bisect
 import cmath
+import gc
 import inspect
 import math
 import pickle
@@ -751,18 +752,27 @@ def test_sine_never_builds_the_pole_cosine(n):
 
 
 def python_calls(fn, *args):
-    """Python-level calls (frames entered) in one call of fn, fn included."""
+    """Python-level calls (frames entered) in one call of fn, fn included.
+
+    The collector is paused while fn runs: a collection that lands inside
+    the call would run gc.callbacks (hypothesis registers one) and
+    finalizers of other tests' garbage, which are no calls of fn.
+    """
     count = 0
 
     def profile(frame, event, arg):
         nonlocal count
         count += event == "call"
 
+    enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         fn(*args)
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     return count
 
 
