@@ -2,18 +2,20 @@
 
 This module holds what evaluation runs on: the three series of the sector
 map ``F``, at 0, at infinity and the corner chart between them
-(``sector_ray_integral``), and the per-n tables they are summed from
-(``_series_tables``, ``_pole_table``).  The constants A and P come from the
-same series, with no quadrature and no gamma function.  Every sum is cut by
+(``sector_ray_integral``), and the per-n record of the tables they are
+summed from (``_series_tables``).  The constants A and P come from the same
+series, with no quadrature and no gamma function.  Every sum is cut by
 a proven remainder bound at half an ulp of its leading term.
 
 The tables that only a recurrence can give, the ODE pair's scaled sine and
 cosine, the pole series that inverts the map near P and F's corner chart,
-are read at first use from the package data file ``_tables.bin``, which
-``squig.tablegen`` writes (``python -m squig.tablegen``).  The file's layout
-constants live here, for the reader and the writer.  A missing, short or
-foreign file raises ``TableFileError``; nothing is rebuilt at runtime.
-F's binomial tables, A and P are computed at first use of each n.
+are read at first use of each n from the package data file ``_tables.bin``,
+which ``squig.tablegen`` writes (``python -m squig.tablegen``): one reader,
+``_read_block``, unpacks n's block, and no process keeps the file's bytes.
+The file's layout constants live here, for the reader and the writer.  A
+missing, short or foreign file raises ``TableFileError``; nothing is
+rebuilt at runtime.  F's binomial tables, A and P are computed at first
+use of each n.
 
 The inverse routes (the discs at 0 and at A, and the pole series) sum their
 tables through one kernel with one cut rule and one bound, ``_series_sum``.
@@ -216,9 +218,9 @@ def _corner_constants(n: int, chart) -> tuple:
 
 
 class _SeriesTables(NamedTuple):
-    """Per-n constants of the kernel, the one source of A and P.
+    """Per-n constants and tables of the kernel, the one source of A and P.
 
-    Both come from the tables, with no gamma function or quadrature
+    A and P come from the tables, with no gamma function or quadrature
     (``_corner_constants``).  Both are within 3e-16 relative of the exact
     values for n = 3..64.
 
@@ -226,7 +228,9 @@ class _SeriesTables(NamedTuple):
     |t**n| < R**n, and ``disc`` is the radius where 64 terms reach half an
     ulp, ODE_RADII[-1]**(1/n) R (0.817 R at n = 3, 0.9905 R at n = 64).
     Each disc sums the one table of the value asked for through
-    ``_series_sum``, with tail 2 and rate 1 in x = t**n / scale.
+    ``_series_sum``, with tail 2 and rate 1 in x = t**n / scale.  The pole
+    series sums ``pole`` with tail 1 and ``rate`` in X = W**n
+    (``tablegen._pole_coefficients`` and ``tablegen._pole_reach``).
     """
 
     inner: tuple      # binomial table of the series at 0
@@ -240,10 +244,12 @@ class _SeriesTables(NamedTuple):
     scale: float      # R**n, the unit of x = t**n in both
     disc: float       # radius of the discs at 0 and at A that the tables cover
     omega: complex    # e^(2 pi i/n), the root of the corner chart's upper half
+    rate: float       # 1/|X| at v's nearest singularity: |k_j| <= rate**j
+    pole: tuple       # k_j of the pole series v = 1/u = W k(W**n)
 
 
 # The table file: the products of the recurrences in squig.tablegen for
-# every supported n, laid out by ``tablegen._format_tables`` and written by
+# every supported n, laid out by ``tablegen._pack_tables`` and written by
 # ``python -m squig.tablegen``.  A header (magic, format version, the n
 # range) and one entry per n (the offset of its block and the lengths of
 # its ODE, pole and chart tables) precede the blocks, each the
@@ -257,8 +263,10 @@ _TABLES_ENTRY = struct.Struct("<IIII")
 _REGENERATE = "PYTHONPATH=src python -m squig.tablegen"
 
 
-def _read_tables(path: str) -> tuple:
-    """The bytes of the table file at ``path`` and its per-n entries.
+def _read_block(path: str, n: int) -> tuple:
+    """n's block of the table file at ``path``: its scale, sine and cosine
+    tables, the corner chart's (coefficients, radii) as lists, and the pole
+    table's rate and coefficients.
 
     The header must name this format and the supported n range, every ODE
     table must have ODE_TERMS entries, and the blocks must follow the
@@ -283,20 +291,12 @@ def _read_tables(path: str) -> tuple:
         raise refuse(f"has the header {header!r}, not "
                      f"{(_TABLES_MAGIC, _TABLES_VERSION, _MIN_N, _MAX_N)!r}")
     entries = tuple(_TABLES_ENTRY.iter_unpack(data[_TABLES_HEADER.size:offset]))
-    for n, (start, ode, pole, chart) in enumerate(entries, _MIN_N):
+    for m, (start, ode, pole, chart) in enumerate(entries, _MIN_N):
         if start != offset or ode != ODE_TERMS:
-            raise refuse(f"has a wrong entry at n = {n}")
+            raise refuse(f"has a wrong entry at n = {m}")
         offset += 8 * (2 + 2 * ode + 2 * chart + pole)
     if offset != len(data):
         raise refuse(f"is {len(data)} bytes, not {offset}")
-    return data, entries
-
-
-def _unpack_tables(tables_file: tuple, n: int) -> tuple:
-    """n's block of a file read by ``_read_tables``: its scale, sine and
-    cosine tables, the corner chart's (coefficients, radii) as lists, and
-    the pole table's rate and coefficients."""
-    data, entries = tables_file
     start, ode, pole, chart = entries[n - _MIN_N]
     values = struct.unpack_from(f"<{2 + 2 * ode + 2 * chart + pole}d", data, start)
     i = 1 + 2 * ode  # the end of the ODE tables
@@ -306,39 +306,18 @@ def _unpack_tables(tables_file: tuple, n: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _tables_file() -> tuple:
-    return _read_tables(_TABLES_PATH)
-
-
-@functools.lru_cache(maxsize=None)
 def _series_tables(n: int) -> _SeriesTables:
-    scale, sine, cosine, chart = _unpack_tables(_tables_file(), n)[:4]
-    return _series_record(n, chart, sine, cosine, scale)
+    return _series_record(n, *_read_block(_TABLES_PATH, n))
 
 
-def _series_record(n: int, chart, sine: tuple, cosine: tuple, scale: float) -> _SeriesTables:
-    """n's constants around its corner chart and ODE tables; F's binomial
-    tables, A and P are computed here."""
+def _series_record(n: int, scale: float, sine: tuple, cosine: tuple, chart, rate: float,
+                   pole: tuple) -> _SeriesTables:
+    """n's record around its block of the table file, and F's tables, A and P."""
     inner, outer, half, radius = _corner_constants(n, chart)
     return _SeriesTables(inner, outer, chart, radius * cmath.exp(1j * math.pi / n),
                          cmath.exp(1j * math.pi * (n - 1) / n), half, sine, cosine, scale,
-                         ODE_RADII[-1] ** (1.0 / n) * radius, cmath.exp(2j * math.pi / n))
-
-
-@functools.lru_cache(maxsize=None)
-def _pole_table(n: int) -> tuple:
-    """Coefficients k_j of the pole series v = W k(W**n), and their rate.
-
-    With v = 1/u, D = (n-2) (P - F(u)) e^(-i pi beta) = v**(n-2) g(v**n) and
-    W = D**(1/(n-2)), the ODE pair gives the k_j (``tablegen._pole_coefficients``,
-    each the exact value rounded once).  The rate is k's reciprocal radius:
-    1/|X| at the nearest singularity of v, X = W**n.  Every |k_j| is below
-    rate**j (tested on exact coefficients), so K terms at X leave at most
-    q**K / (1 - q), q = rate |X|, and the table is long enough that this is
-    below half an ulp on the whole route (``tablegen._pole_reach``).
-    """
-    rate, coeffs = _unpack_tables(_tables_file(), n)[4:]
-    return coeffs, rate
+                         ODE_RADII[-1] ** (1.0 / n) * radius, cmath.exp(2j * math.pi / n),
+                         rate, pole)
 
 
 def _binomial_sum(table, x: complex) -> complex:

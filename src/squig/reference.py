@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd
 
@@ -48,7 +49,7 @@ from .errors import (
 )
 from .numerics import sector_ray_integral
 from .regions import _is_real
-from .series import RationalSeries
+from .series import RationalSeries, _power_term
 
 TWO_PI = 2.0 * math.pi
 
@@ -168,6 +169,16 @@ def _tanh_sinh(f3, a: float, b: float, tol: float, max_level: int):
     )
 
 
+def _check_integrand(f, *reals) -> None:
+    """ParameterError unless f is callable and each of ``reals`` a finite real."""
+    if not callable(f):
+        raise ParameterError(f"the integrand must be callable, got {_shown(f)}")
+    for x in reals:
+        if not (_is_real(x) and abs(x) <= sys.float_info.max):
+            raise ParameterError(f"interval ends and exponents must be finite reals, "
+                                 f"got {_shown(x)}")
+
+
 def integrate_endpoint_singular(f, a: float, b: float,
                                 left_exp: float = 0.0, right_exp: float = 0.0,
                                 tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
@@ -177,6 +188,7 @@ def integrate_endpoint_singular(f, a: float, b: float,
     f ~ dr**-right_exp near b); both must be < 1 so the integral converges.
     With the exact offsets dl and dr the result reaches full double precision.
     """
+    _check_integrand(f, a, b)
     if not (left_exp < 1.0 and right_exp < 1.0):
         raise DivergenceError(
             f"endpoint exponents must be < 1 for an integrable singularity, "
@@ -194,6 +206,7 @@ def integrate_tail(f, a: float, decay_exp: float,
     singularity of f at a itself is handled by the endpoint rule: f receives
     dl = t - a exactly and dr = inf.
     """
+    _check_integrand(f, a, decay_exp)
     if decay_exp <= 1.0:
         raise DivergenceError(
             f"decay exponent {decay_exp} <= 1: tail integral diverges")
@@ -300,6 +313,7 @@ def integrate_smooth(f, a: float, b: float, tol: float = DEFAULT_QUAD_TOL,
     """
     import heapq
 
+    _check_integrand(f, a, b)
     val, err, kabs, evals = _gk15(f, a, b)
     # Heap entries: (-err, tiebreak, lo, hi, val, kabs).
     counter = 0
@@ -349,8 +363,10 @@ def revert_series(series: RationalSeries, terms: int) -> RationalSeries:
     """
     from fractions import Fraction
 
-    if terms < 1:
-        raise ParameterError("terms must be >= 1")
+    if not isinstance(series, RationalSeries):
+        raise ParameterError(f"reversion needs a RationalSeries, got {_shown(series)}")
+    if isinstance(terms, bool) or not isinstance(terms, int) or terms < 1:
+        raise ParameterError(f"terms must be an integer >= 1, got {_shown(terms)}")
     if not series.degrees or series.degrees[0] != 1 or series.coeffs[0] != 1:
         raise InvalidSeriesError("reversion needs a series starting with 1*z")
     if series.term_count() == 1:
@@ -359,38 +375,22 @@ def revert_series(series: RationalSeries, terms: int) -> RationalSeries:
     step = 0
     for d in series.degrees[1:]:
         step = gcd(step, d - 1)
-    max_degree = 1 + (terms - 1) * step
-
-    # Dense coefficients of G where series(z) = z * G(z); support is on
-    # multiples of step.
-    g = [Fraction(0)] * max_degree
-    g[0] = Fraction(1)
+    # series(z) = z H(z**step), and by Lagrange inversion the term of degree
+    # k = 1 + m step is [x**m] H(x)**(-k) / k, whose powers _power_term extends
+    h = [Fraction(0)] * terms
+    h[0] = Fraction(1)
     for d, c in zip(series.degrees[1:], series.coeffs[1:]):
-        if d - 1 < max_degree:
-            g[d - 1] = c
-    support = [i for i in range(step, max_degree, step) if g[i] != 0]
-
-    out_degrees = []
-    out_coeffs = []
-    for k in range(1, max_degree + 1, step):
-        # Lagrange inversion: a_k = (1/k) [z^(k-1)] G(z)**(-k).
-        alpha = -k
-        need = k - 1
-        q = [Fraction(0)] * (need + 1)
-        q[0] = Fraction(1)
-        for j in range(step, need + 1, step):
-            s = Fraction(0)
-            for i in support:
-                if i > j:
-                    break
-                if q[j - i] != 0:
-                    s += ((alpha + 1) * i - j) * g[i] * q[j - i]
-            q[j] = s / j
-        a_k = q[need] / k
-        if a_k != 0:
-            out_degrees.append(k)
-            out_coeffs.append(a_k)
-    return RationalSeries(tuple(out_degrees), tuple(out_coeffs))
+        if d - 1 < terms * step:
+            h[(d - 1) // step] = c
+    pairs = []
+    for m in range(terms):
+        k = 1 + m * step
+        q = [Fraction(1)]
+        for j in range(1, m + 1):
+            q.append(_power_term(h, q, j, -k))
+        if q[m]:
+            pairs.append((k, q[m] / k))
+    return RationalSeries(*zip(*pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -554,11 +554,15 @@ def winding_number(loop_values, w: complex) -> int:
 
     The samples must repeat the first point at the end and be dense enough
     that consecutive argument increments stay below pi; otherwise a
-    RefinementNeededError asks the caller for more samples.  ``w`` must be
-    a finite number (not a bool), else ParameterError is raised.
+    RefinementNeededError asks the caller for more samples.  ``w`` and the
+    samples must be finite numbers (not bools), else ParameterError is
+    raised.
     """
     if not _is_finite_number(w):
         raise ParameterError(f"the winding target must be a finite number, got {_shown(w)}")
+    if not (isinstance(loop_values, Sequence) and all(map(_is_finite_number, loop_values))):
+        raise ParameterError(f"the loop must be a sequence of finite numbers, got "
+                             f"{type(loop_values).__name__}")
     values = [complex(v) for v in loop_values]
     if len(values) < 4:
         raise DegenerateLoopError("a loop needs at least 4 samples")

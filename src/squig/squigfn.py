@@ -12,14 +12,14 @@ regime of the folded target, and each sums one table through one kernel,
 ``numerics._series_sum``:
 
 1. the disc at 0: the ODE pair's Maclaurin series, s = t S(x), c = C(x)
-   with x = t**n, from float tables (``tablegen._ode_tables``),
+   with x = t**n, from the float tables ``ctx.tables.sine`` and ``cosine``,
 2. the disc at the corner ``A``, whichever centre is nearer,
    ``_corner_invert``: the other table, by the symmetry
    sin_n(t) = cos_n(y), y = A - t,
 3. every other target, near the pole ``P`` and in the lens between the
    discs, ``_pole_invert``: the series at infinity inverted in closed form,
    v = 1/u = W k(W**n) with W a root of (n-2) (P - t) e^(-i pi (n-1)/n)
-   (``numerics._pole_table``); the cosine u e^(-i pi/n) (1 - v**n)**(1/n)
+   (the table ``ctx.tables.pole``); the cosine u e^(-i pi/n) (1 - v**n)**(1/n)
    holds on the slit-edge image ``[A, P]`` as well.
 
 The kernel cuts the Horner sum where its tail bound falls below half an
@@ -36,15 +36,9 @@ translation's) and carries the sum into the value once, through its slope
 So ``residual`` bounds the forward error of the whole call.
 
 Every forward value of ``F`` comes from one kernel,
-``numerics.sector_ray_integral``, which sums one of three series.  With
-``x = u**n`` they are the binomial series at 0 for ``|x| <= 1/2``, the
-series at infinity,
-``F(u) = P - e^{i pi (n-1)/n} sum_k c_k u^(2-n-nk) / (n-2+nk)``, for
-``|x| >= 2``, and in the annulus between them the corner chart
-``F(1 - delta) = A - n^(1/n) delta^(1/n) Q(delta)`` at the nearest of the
-roots 1 and omega.  ``A`` and ``P`` come from the same series, summed on the
-real axis where they meet.  Each series is cut by a proven remainder bound,
-so every value is accurate to about 1e-15 relative.
+``numerics.sector_ray_integral``: the binomial series at 0, the series at
+infinity and the corner chart between them, each cut by a proven remainder
+bound, so every value is accurate to about 1e-15 relative.
 
 ``maclaurin`` gives the exact series of the sine; its rational arithmetic,
 and ``radius_estimate``, live in :mod:`squig.series`, which ``maclaurin``
@@ -62,7 +56,6 @@ from .numerics import (
     _ODE_TAIL,
     _ULP,
     _FrozenRecord,
-    _pole_table,
     _real_chart,
     _series_sum,
     _series_tail,
@@ -225,15 +218,15 @@ def _pole_invert(ctx: SquigContext, t: complex, sine: bool):
     factor here.
     """
     n = ctx.n
-    d = (n - 2) * (ctx.P - t) * ctx.tables.phase.conjugate()
+    tables = ctx.tables
+    d = (n - 2) * (ctx.P - t) * tables.phase.conjugate()
     phi = cmath.phase(d)
     k = round((-(n - 2) * math.pi / (2 * n) - phi) / (2 * math.pi))
     size = abs(d)
     r = size ** (1.0 / (n - 2))
     w = cmath.rect(r, (phi + 2 * math.pi * k) / (n - 2))
-    table, rate = _pole_table(n)
-    v, v_err = _series_sum(table, w, n, 1.0, rate, 1.0, True)
-    q = rate * size * r * r
+    v, v_err = _series_sum(tables.pole, w, n, 1.0, tables.rate, 1.0, True)
+    q = tables.rate * size * r * r
     v_err += 3 * n * _ULP * r * q / (1.0 - q) ** 2
     # |du| = |u|**2 |dv| plus the rounding of W, v and u; |dcos/du| =
     # |1 - v**n|**(-beta)

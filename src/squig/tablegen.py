@@ -1,9 +1,10 @@
 """The builders of the kernel's table file, ``_tables.bin``.
 
-Miller's recurrence in fixed point for the ODE pair's tables and the pole
-table, and in floats for the corner chart.  ``_pack_tables`` returns the
-file's bytes, laid out by ``_format_tables`` with the layout constants of
-:mod:`squig.numerics`, which reads the file.  Regenerate the file with
+Miller's recurrence in exact rationals (``series._power_term``) for the
+ODE pair's tables and the pole table, each entry rounded once, and in
+floats for the corner chart.  ``_pack_tables`` returns the file's bytes,
+laid out with the layout constants of :mod:`squig.numerics`, which reads
+the file.  Regenerate the file with
 
     PYTHONPATH=src python -m squig.tablegen
 
@@ -20,6 +21,7 @@ import bisect
 import cmath
 import math
 import struct
+from fractions import Fraction
 
 from .numerics import (
     _MAX_N,
@@ -35,19 +37,14 @@ from .numerics import (
     _corner_constants,
     _series_record,
 )
-
-# Fixed-point bits of the ODE tables' recurrence.
-_ODE_BITS = 110
-# Fixed-point bits of the pole table's recurrence.  It runs on k_j 8**j,
-# which stays near 1 where k_j falls to 1e-43, so no entry loses precision.
-_POLE_BITS = 192
-_POLE_SHIFT = 3
+from .series import _ode_coefficients, _power_term
 
 
 def _miller_power(p: list, alpha: float, terms: int) -> list:
     """First ``terms`` coefficients of p**alpha, for a power series with p[0] == 1.
 
-    Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), in floats.
+    Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), in floats: the exact
+    ``series._power_term`` would move most of the chart's coefficients.
     """
     q = [1.0]
     for m in range(1, terms):
@@ -58,59 +55,26 @@ def _miller_power(p: list, alpha: float, terms: int) -> list:
     return q
 
 
-def _fixed_power_term(base: list, power: list, m: int, num: int, den: int, bits: int) -> int:
-    """Coefficient m of power = base**(num/den), in fixed point at 2**-bits.
-
-    Miller's recurrence (Knuth, TAOCP vol. 2, 4.7) on integers, base[0] and
-    power[0] being 1: den m power_m = sum_j ((num + den) j - den m) base_j
-    power_(m-j), over j = 1..m, with entries beyond base's end taken as 0.
-    The sum is exact and rounded down once.
-    """
-    weight, dm = num + den, den * m
-    acc = sum((weight * j - dm) * base[j] * power[m - j]
-              for j in range(1, min(m, len(base) - 1) + 1))
-    return acc // (dm << bits)
-
-
 def _ode_tables(n: int, scale: float) -> tuple:
-    """Tables a_k = S_k scale**k and b_k = C_k scale**k of the ODE pair.
-
-    The recurrence of series._ode_coefficients on the scaled values: with
-    s = z S(x), c = C(x) and x = scale * X it reads (1 + n k) a_k =
-    [b**(n-1)]_k and n (k + 1) b_(k+1) = -scale [a**(n-1)]_k.  With
-    scale = R**n every entry stays within [-2, 2] for n = 3..64, so nothing
-    over- or underflows.  It runs on integers in fixed point at
-    2**-_ODE_BITS, and each entry is the scaled coefficient rounded once;
-    the same recurrence in floats drifts by about one ulp per entry.
-    """
-    one = 1 << _ODE_BITS
-    sig = int(math.ldexp(scale, _ODE_BITS))  # exact: scale is a float above 2**-58
-    a, b = [one], [one]
-    a_pow, b_pow = [one], [one]  # a**(n-1) and b**(n-1)
-    for m in range(1, ODE_TERMS):
-        if m > 1:
-            a_pow.append(_fixed_power_term(a, a_pow, m - 1, n - 1, 1, _ODE_BITS))
-        b.append(-(sig * a_pow[m - 1]) // ((n * m) << _ODE_BITS))
-        b_pow.append(_fixed_power_term(b, b_pow, m, n - 1, 1, _ODE_BITS))
-        a.append(b_pow[m] // (1 + n * m))
-    return tuple(v / one for v in a), tuple(v / one for v in b)
-
-
-def _corner_polynomial(n: int) -> list:
-    """Coefficients of h(delta) = (1 - (1-delta)**n) / (n delta), with h(0) = 1."""
-    return [math.comb(n, j + 1) / n * (-1) ** j for j in range(n)]
+    """Tables a_k = S_k scale**k and b_k = C_k scale**k of the ODE pair, each
+    the exact value (``series._ode_coefficients``) rounded once.  With
+    scale = R**n every entry lies within [-2, 2] for n = 3..64."""
+    unit = Fraction(scale)
+    return tuple(tuple(float(c * unit**k) for k, c in enumerate(exact))
+                 for exact in _ode_coefficients(n, ODE_TERMS))
 
 
 def _corner_table(n: int):
     """Coefficients and term counts of the corner chart Q(delta) = sum_k q_k delta**k.
 
     A - F(1 - delta) = n^(1/n) delta^(1/n) Q(delta) with q_k = g_k / (n*k + 1),
-    g = h**(-beta) and h = _corner_polynomial(n) = prod_j (1 - delta/(1 - omega**j))
-    over j = 1..n-1.  On |delta| = r below rho = 2 sin(pi/n), the distance to
-    the nearest root, |g| <= M(r) = prod_j (1 - r/|1 - omega**j|)**(-beta), so
-    by Cauchy's estimate the remainder after k terms at |delta| = t*r is at
-    most M(r) t**k / ((n*k + 1) (1 - t)).  radii[k-1] is a |delta| where that
-    is below _SERIES_EPS; r = rho k / (k + 2 beta) minimises the bound for the
+    g = h**(-beta) and h(delta) = (1 - (1-delta)**n) / (n delta) =
+    prod_j (1 - delta/(1 - omega**j)) over j = 1..n-1.  On |delta| = r below
+    rho = 2 sin(pi/n), the distance to the nearest root,
+    |g| <= M(r) = prod_j (1 - r/|1 - omega**j|)**(-beta), so by Cauchy's
+    estimate the remainder after k terms at |delta| = t*r is at most
+    M(r) t**k / ((n*k + 1) (1 - t)).  radii[k-1] is a |delta| where that is
+    below _SERIES_EPS; r = rho k / (k + 2 beta) minimises the bound for the
     two nearest roots.  Terms are added until radii covers the half-sector
     annulus, |delta| <= |1 - 2**(+-1/n) e^(i pi/n)|.
     """
@@ -128,7 +92,8 @@ def _corner_table(n: int):
         # t -> (c (1 - t))**(1/k) from there lands below it
         t = (c * (1.0 - c ** (1.0 / k))) ** (1.0 / k)
         radii.append(t * r)
-    g = _miller_power(_corner_polynomial(n), -beta, len(radii))
+    h = [math.comb(n, j + 1) / n * (-1) ** j for j in range(n)]
+    g = _miller_power(h, -beta, len(radii))
     return [a / (n * k + 1) for k, a in enumerate(g)], radii
 
 
@@ -166,53 +131,46 @@ def _pole_coefficients(n: int, terms: int) -> tuple:
     reads (1 + n j) k_j = [k**(3-n) (1 - X k**n)**beta]_j, whose right side
     holds k_j only in k**(3-n)'s term (3-n) k_j.  So (n (j+1) - 2) k_j is the
     rest, from k_0 .. k_(j-1); each step extends the powers k**(3-n), k**n
-    and h**beta, h = 1 - X k**n, by one term (``_fixed_power_term``), on
-    integers at 2**-_POLE_BITS.  It runs in Y = 8 X, on k_j 8**j, so every
-    entry keeps its relative precision and is rounded once.
+    and h**beta, h = 1 - X k**n, by one exact term (``series._power_term``),
+    and each entry is its exact value rounded once.
     """
-    one = 1 << _POLE_BITS
+    one = Fraction(1)
     k, h = [one], [one]
     inv_pow, n_pow, h_pow = [one], [one], [one]  # k**(3-n), k**n and h**beta
     for j in range(1, terms):
-        h.append(-n_pow[j - 1] << _POLE_SHIFT)
-        h_pow.append(_fixed_power_term(h, h_pow, j, n - 1, n, _POLE_BITS))
-        rest = _fixed_power_term(k, inv_pow, j, 3 - n, 1, _POLE_BITS)  # k has no k_j yet
-        kj = (rest + sum(inv_pow[i] * h_pow[j - i] for i in range(j)) // one) // (n * (j + 1) - 2)
+        h.append(-n_pow[j - 1])
+        h_pow.append(_power_term(h, h_pow, j, n - 1, n))
+        rest = _power_term(k, inv_pow, j, 3 - n)  # k has no k_j yet
+        kj = (rest + sum(inv_pow[i] * h_pow[j - i] for i in range(j))) / (n * (j + 1) - 2)
         k.append(kj)
         inv_pow.append(rest - (n - 3) * kj)
-        n_pow.append(_fixed_power_term(k, n_pow, j, n, 1, _POLE_BITS))
-    return tuple(v / (one << _POLE_SHIFT * j) for j, v in enumerate(k))
-
-
-def _format_tables(blocks) -> bytes:
-    """The table file of ``blocks``, one per supported n in order, each laid
-    out as ``_unpack_tables`` returns it."""
-    header = _TABLES_HEADER.pack(_TABLES_MAGIC, _TABLES_VERSION, _MIN_N, _MAX_N)
-    offset = len(header) + len(blocks) * _TABLES_ENTRY.size
-    entries, packed = [], []
-    for scale, sine, cosine, (coeffs, radii), rate, pole in blocks:
-        values = (scale, *sine, *cosine, *coeffs, *radii, rate, *pole)
-        entries.append(_TABLES_ENTRY.pack(offset, len(sine), len(pole), len(coeffs)))
-        packed.append(struct.pack(f"<{len(values)}d", *values))
-        offset += 8 * len(values)
-    return header + b"".join(entries + packed)
+        n_pow.append(_power_term(k, n_pow, j, n))
+    return tuple(map(float, k))
 
 
 def _pack_tables() -> bytes:
     """The bytes of ``numerics``' table file, built by the recurrences above.
 
     For each supported n: the corner chart, the ODE tables at
-    scale = R**n with R from that chart, and the pole table with its rate.
-    Nothing here reads the file it writes.
+    scale = R**n with R from that chart, and the pole table with its rate,
+    in one block laid out as ``numerics._read_block`` returns it.  Nothing
+    here reads the file it writes.
     """
-    blocks = []
+    header = _TABLES_HEADER.pack(_TABLES_MAGIC, _TABLES_VERSION, _MIN_N, _MAX_N)
+    offset = len(header) + (_MAX_N - _MIN_N + 1) * _TABLES_ENTRY.size
+    entries, packed = [], []
     for n in range(_MIN_N, _MAX_N + 1):
         chart = _corner_table(n)
         scale = _corner_constants(n, chart)[3] ** n
         sine, cosine = _ode_tables(n, scale)
-        terms, rate = _pole_reach(n, _series_record(n, chart, sine, cosine, scale))
-        blocks.append((scale, sine, cosine, chart, rate, _pole_coefficients(n, terms)))
-    return _format_tables(blocks)
+        # the reach needs n's A, P and disc, not the pole table it sizes
+        terms, rate = _pole_reach(n, _series_record(n, scale, sine, cosine, chart, 0.0, ()))
+        pole = _pole_coefficients(n, terms)
+        values = (scale, *sine, *cosine, *chart[0], *chart[1], rate, *pole)
+        entries.append(_TABLES_ENTRY.pack(offset, len(sine), len(pole), len(chart[0])))
+        packed.append(struct.pack(f"<{len(values)}d", *values))
+        offset += 8 * len(values)
+    return header + b"".join(entries + packed)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,11 @@ beyond the reach of the lattice reduction.
 The tools off the evaluation path keep the same contract: ``unfold`` and
 ``sample_domain`` refuse arguments of the wrong kind, and ``radius_estimate``
 returns a value for coefficients of any size and refuses what is not a
-``RationalSeries``.
+``RationalSeries``.  ``RationalSeries`` refuses degrees that are not
+integers and coefficients that are not rationals, and its methods refuse
+arguments of the wrong kind and values beyond the float range.  The
+reference tools (series reversion, the winding count and the quadrature
+rules) refuse arguments of the wrong kind and non-finite interval ends.
 """
 
 import cmath
@@ -33,6 +37,13 @@ from hypothesis import strategies as st
 from squig.errors import DomainError, ParameterError, SquigError
 from squig.errors import InvalidSeriesError
 from squig.geometry import _CELL_ROUND, contains_Sigma, fold, make_context, unfold
+from squig.reference import (
+    integrate_endpoint_singular,
+    integrate_smooth,
+    integrate_tail,
+    revert_series,
+    winding_number,
+)
 from squig.regions import contains_Pi, in_rosette, sample_domain
 from squig.series import RationalSeries, radius_estimate
 from squig.squigfn import arcsin_n, arcsin_n_sector, cos_n, sin3_global, sin_n
@@ -261,3 +272,63 @@ def test_radius_estimate_refuses_what_is_not_a_rational_series(series):
 def test_radius_estimate_refuses_coefficients_that_are_not_rational():
     with pytest.raises(InvalidSeriesError, match="rational"):
         radius_estimate(RationalSeries((1, 2, 3, 4), (1.0, 0.5, 0.25, 0.125)))
+
+
+@pytest.mark.parametrize("degrees,coeffs", [
+    ((1, 2), ("a", "b")),
+    ((1.5, 2.5), (1, 2)),
+    ((True, 2), (1, 2)),
+    ((1, 2), (1, math.nan)),
+], ids=["str-coefficients", "float-degrees", "bool-degree", "nan-coefficient"])
+def test_rational_series_refuses_malformed_terms(degrees, coeffs):
+    # each was accepted, and ("a", "b") then raised a raw ValueError from
+    # evaluate
+    with pytest.raises(InvalidSeriesError):
+        RationalSeries(degrees, coeffs)
+
+
+def test_rational_series_refuses_arguments_that_are_not_tuples():
+    # once a raw TypeError
+    with pytest.raises(ParameterError, match="tuples"):
+        RationalSeries(5, (1,))
+
+
+SERIES = RationalSeries((1, 4), (Fraction(1), Fraction(-1, 6)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: s.head(-1),
+    lambda s: s.head("a"),
+    lambda s: s.truncate("x"),
+    lambda s: s.coefficient("x"),
+    lambda s: s.evaluate("x"),
+    lambda s: RationalSeries((200,), (1,)).evaluate(1e300),
+], ids=["head-negative", "head-str", "truncate-str", "coefficient-str", "evaluate-str",
+        "evaluate-overflow"])
+def test_rational_series_methods_refuse_bad_arguments(call):
+    # head(-1) once dropped the last term silently, the others raised a raw
+    # TypeError or OverflowError
+    with pytest.raises(ParameterError):
+        call(SERIES)
+
+
+def _integrand(x, dl=0.0, dr=0.0):
+    return x
+
+
+@pytest.mark.parametrize("call", [
+    lambda: revert_series(5, 3),
+    lambda: revert_series(SERIES, "a"),
+    lambda: winding_number(None, 0),
+    lambda: winding_number(["a"] * 5, 0),
+    lambda: integrate_smooth(None, 0, 1),
+    lambda: integrate_smooth(_integrand, "a", 1),
+    lambda: integrate_tail(_integrand, math.nan, 2),
+    lambda: integrate_endpoint_singular(_integrand, 0, math.nan),
+], ids=["revert-int", "revert-str-terms", "winding-none", "winding-str-samples",
+        "smooth-none", "smooth-str-end", "tail-nan-start", "singular-nan-end"])
+def test_reference_tools_refuse_bad_arguments(call):
+    # each once raised a raw AttributeError, TypeError, ValueError or
+    # OverflowError
+    with pytest.raises(ParameterError):
+        call()

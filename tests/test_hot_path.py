@@ -535,7 +535,7 @@ def ref_invert(ctx, t, routes):
     w = cmath.rect(abs(d) ** (1.0 / (n - 2)), (phi + 2 * math.pi * k) / (n - 2))
     x = w**n
     routes["lens" if abs(x) > 2.0 / 3.0 else "pole"] += 1
-    table, rate = numerics._pole_table(n)
+    table, rate = tables.pole, tables.rate
     q = rate * abs(x)
     last = bisect.bisect_left(ODE_RADII, q, 1, len(table) - 1)
     acc = 0j

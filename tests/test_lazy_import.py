@@ -11,7 +11,8 @@ loads at its first use, which no evaluation route makes: ``squig.series``
 region tools, ``squig.reference`` (quadrature, series reversion, Newton,
 the winding count) with the suite, and ``squig.tablegen`` (the builders of
 the table file) only with the generator.  ``dataclasses`` and ``inspect``
-do not load: the result records are plain slotted classes.
+do not load: the result records are plain slotted classes.  Nor does a
+process keep the table file's bytes once it has read its blocks.
 """
 
 import os
@@ -246,4 +247,21 @@ def test_every_public_name_resolves_and_is_listed():
                 pass
             else:
                 raise AssertionError(module)
+    """)
+
+
+def test_no_process_keeps_the_table_file():
+    # each n's block is unpacked into its record and the file's bytes are
+    # dropped: after the bench's seven contexts and a pole-series call at
+    # each, no live block is as large as the file (it once held all of it)
+    run_fresh("""
+        import os, tracemalloc
+        tracemalloc.start()
+        import squig
+        from squig import numerics
+        for n in (3, 4, 5, 8, 16, 32, 64):
+            ctx = squig.make_context(n)
+            assert squig.sin_n(ctx, ctx.P - 1e-3 * ctx.P).value is not None
+        largest = max(trace.size for trace in tracemalloc.take_snapshot().traces)
+        assert largest < os.path.getsize(numerics._TABLES_PATH), largest
     """)

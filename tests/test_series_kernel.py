@@ -32,7 +32,6 @@ from squig.numerics import (
     SERIES_INNER,
     SERIES_OUTER,
     _SERIES_EPS,
-    _pole_table,
     _series_tables,
     nearest_root_distance,
     sector_ray_integral,
@@ -489,7 +488,7 @@ def test_pole_table_matches_exact(n):
     # 0.97 of half an ulp), over the table's whole length at the n of
     # POLE_NS (whose oracle runs to twice it, for the rate test) and over
     # its first 24 entries at the others, to save time
-    table, _ = _pole_table(n)
+    table = _series_tables(n).pole
     exact = exact_pole_coefficients(n, 2 * len(table) if n in POLE_NS else 24)
     for j, got in enumerate(table[:len(exact)]):
         assert abs(got - exact[j]) <= 2.0**-52 * abs(exact[j]), (j, got)
@@ -503,7 +502,8 @@ def test_pole_rate_bounds_later_coefficients(n):
     # recurrence at 1,500 bits for j < 200 and n = 3..64: at most 0.996 of
     # it, at n = 6, j = 2), and their root
     # test climbs towards the rate, so it is k's radius, not a guess above it
-    table, rate = _pole_table(n)
+    tables = _series_tables(n)
+    table, rate = tables.pole, tables.rate
     exact = exact_pole_coefficients(n, 2 * len(table))
     for j, k in enumerate(exact):
         assert abs(k) <= rate**j, j
@@ -543,7 +543,8 @@ def test_pole_table_covers_the_lens(n):
     # entry fewer would not
     ctx = make_context(n)
     sup = x_abs(ctx, rim_supremum(ctx, 4000))
-    table, rate = _pole_table(n)
+    tables = _series_tables(n)
+    table, rate = tables.pole, tables.rate
     q = rate * sup
     assert q**len(table) / (1.0 - q) <= _SERIES_EPS
     assert 2.0 * q ** (len(table) - 1) / (1.0 - q) > _SERIES_EPS
