@@ -29,7 +29,7 @@ import sys
 from . import verify  # loaded lazily: its body runs at the first read, in `verify`
 from .errors import DomainError, ParameterError, SquigError
 from .geometry import SquigContext, make_context
-from .squigfn import arcsin_n, cos_n, maclaurin, sin_n
+from .squigfn import EvalResult, arcsin_n, cos_n, maclaurin, sin_n
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -121,7 +121,7 @@ def _csv_doc(header: list[str], rows: list[list]) -> bytes:
 # ---------------------------------------------------------------------------
 # eval
 
-def _eval_near_boundary(fn_impl, ctx: SquigContext, z: complex):
+def _eval_near_boundary(fn_impl, ctx: SquigContext, z: complex) -> EvalResult:
     try:
         return fn_impl(ctx, z)
     except DomainError as original:
@@ -131,10 +131,23 @@ def _eval_near_boundary(fn_impl, ctx: SquigContext, z: complex):
         # closed region; the region is star-shaped about 0, so one radial
         # shrink pulls such points back in.  Far-outside points still raise,
         # reporting the point as the user wrote it.
+        shrunk = z * (1.0 - 1e-7)
         try:
-            return fn_impl(ctx, z * (1.0 - 1e-7))
+            res = fn_impl(ctx, shrunk)
         except DomainError:
             raise original from None
+    if res.is_pole:
+        return res
+    # The value is the shrunk point's, reported at z, so residual widens by
+    # the step back to z times the slope |1 - v**n|**((n-1)/n), which the
+    # sine and the cosine share, plus the step squared times their second
+    # derivative's modulus (n-1) |v|**(n-1) |1 - v**n|**((n-2)/n): twice the
+    # Taylor remainder, for its change along the step.
+    n, v = ctx.n, res.value
+    step = abs(z - shrunk)
+    h = abs(1.0 - v**n)
+    return EvalResult(v, False, res.residual + step * h ** ((n - 1) / n)
+                      + step * step * (n - 1) * abs(v) ** (n - 1) * h ** ((n - 2) / n))
 
 
 def cmd_eval(n: int, fn: str, z: complex, fmt: str) -> bytes:

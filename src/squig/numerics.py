@@ -24,11 +24,12 @@ tables through one kernel with one cut rule and one bound, ``_series_sum``.
 The routes that ``verify`` and the tests compare against (the quadrature
 rules, series reversion, the GK15 leg of the sector map, the Newton
 inverter and the winding count) live in :mod:`squig.reference`, which
-``import squig`` does not load.  The routes' names still resolve here,
-through the module ``__getattr__`` below, and load it at first use.  The
-exact rational series (``RationalSeries`` and the ODE pair's exact
-coefficients) live in :mod:`squig.series`, and ``import squig`` does not
-load it either.
+``import squig`` does not load.  The names of it that the benchmark's
+tracer wraps here still resolve, through the module ``__getattr__`` below,
+and load it at first use; every other user imports them from
+``reference``.  The exact rational series (``RationalSeries`` and the ODE
+pair's exact coefficients) live in :mod:`squig.series`, and
+``import squig`` does not load it either.
 """
 
 from __future__ import annotations
@@ -47,13 +48,11 @@ from .errors import TableFileError
 _MIN_N = 3
 _MAX_N = 64
 
-# The public names that live in ``reference``, and the private ones that
-# bench/spans.py and the tests read here; ``numerics.<name>`` loads it.
+# The names of ``reference`` that bench/spans.py wraps through this module;
+# ``numerics.<name>`` loads it.
 _REFERENCE_NAMES = frozenset((
-    "DEFAULT_QUAD_TOL", "NewtonResult", "QuadratureResult", "TWO_PI", "_MAX_QUAD_LEVEL",
     "_newton_basic", "_tanh_sinh", "integrate_endpoint_singular", "integrate_smooth",
-    "integrate_tail", "nearest_root_distance", "newton_invert", "principal_power",
-    "revert_series", "sector_segment_integral", "winding_number",
+    "integrate_tail", "newton_invert", "revert_series", "sector_segment_integral",
 ))
 
 

@@ -114,17 +114,23 @@ def _power_term(base: list, power: list, m: int, num: int, den: int = 1) -> Frac
     Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), base[0] and power[0]
     being 1: den m power_m = sum_j ((num + den) j - den m) base_j
     power_(m-j), over j = 1..m, with entries beyond base's end taken as 0.
-    The integer numerators are summed over the lcm of their denominators:
-    one Fraction (one gcd), not one per addition.
+    The sum is ``_lcm_sum``'s.
+    """
+    weight, dm = num + den, den * m
+    return _lcm_sum([((weight * j - dm) * base[j].numerator * power[m - j].numerator,
+                      base[j].denominator * power[m - j].denominator)
+                     for j in range(1, min(m, len(base) - 1) + 1)], dm)
+
+
+def _lcm_sum(parts: list, den: int) -> Fraction:
+    """The sum of p / q over the integer pairs (p, q) of ``parts``, over
+    den > 0, exactly.  The numerators are summed over the lcm of the
+    denominators: one Fraction (one gcd), not one per addition.
     """
     from fractions import Fraction
 
-    weight, dm = num + den, den * m
-    parts = [((weight * j - dm) * base[j].numerator * power[m - j].numerator,
-              base[j].denominator * power[m - j].denominator)
-             for j in range(1, min(m, len(base) - 1) + 1)]
     lcm = math.lcm(*(q for _, q in parts))
-    return Fraction(sum(p * (lcm // q) for p, q in parts), lcm * dm)
+    return Fraction(sum(p * (lcm // q) for p, q in parts), lcm * den)
 
 
 def _ode_coefficients(n: int, terms: int) -> tuple:

@@ -56,9 +56,7 @@ from .numerics import (
     _ODE_TAIL,
     _ULP,
     _FrozenRecord,
-    _real_chart,
     _series_sum,
-    _series_tail,
     sector_ray_integral,
 )
 
@@ -138,8 +136,8 @@ def _corner_invert(ctx: SquigContext, y: complex, sine: bool):
 
 
 # ---------------------------------------------------------------------------
-# no route calls these three; bench/spans.py wraps them by name, and the
-# change that drops those spans deletes them
+# no route calls these three; bench/spans.py wraps them by name.  Each is a
+# view of a live route until the change that drops those spans deletes them.
 
 
 def _corner_forward(ctx: SquigContext, y: complex, sine: bool):
@@ -148,56 +146,26 @@ def _corner_forward(ctx: SquigContext, y: complex, sine: bool):
 
 
 def _edge_integral(ctx: SquigContext, x: float) -> float:
-    """Real integral of (t^n - 1)^(-(n-1)/n) over [1, x], for x > 1."""
-    n = ctx.n
+    """Real integral of (t^n - 1)^(-(n-1)/n) over [1, x], for x > 1: the
+    distance from A of F(x) on the lower slit edge, which F carries onto
+    [A, P]."""
     if x <= 1.0:
         return 0.0
-    tail = _series_tail(ctx.tables, n, x)
-    if tail is not None:
-        # the full-ray value is |P|; the series gives the rest beyond x
-        return ctx.R - tail.real
-    return _real_chart(n, ctx.tables.chart, 1.0 - x)
+    return abs(sector_ray_integral(ctx.n, complex(x)) - ctx.A)
 
 
-def _invert_slit_edge(ctx: SquigContext, m: float, tol: float):
-    """Solve edge-integral(x) = m for x >= 1; returns (x, residual)."""
-    n = ctx.n
-    beta = ctx.beta
-    if m >= ctx.R:
+def _invert_slit_edge(ctx: SquigContext, m: float):
+    """Solve edge-integral(x) = m for x >= 1; returns (x, residual): the sine
+    at the point m along [A, P], A + m e^(i pi beta), and its bound.  Raises
+    ConvergenceError where that point is P or beyond, or the sine flags it as
+    the pole."""
+    res = None if m >= ctx.R else sin_n(ctx, ctx.A + m * ctx.tables.phase)
+    if res is None or res.is_pole:
         raise ConvergenceError(
-            f"target beyond the reachable edge segment (m={m}, limit {ctx.R})",
+            f"target at or beyond the pole end of the edge segment (m={m}, limit {ctx.R})",
             residual=m - ctx.R,
         )
-    if m >= 0.9 * ctx.R:
-        x = ((n - 2.0) * (ctx.R - m)) ** (-1.0 / (n - 2.0))
-    else:
-        x = 1.0 + 0.08 * math.sin(math.pi / n)  # just past the corner u = 1
-    x = max(x, 1.0 + 1e-15)
-    val = _edge_integral(ctx, x)
-    lo = 1.0
-    if val < m:
-        lo = x
-        while val < m:
-            x *= 2.0
-            val = _edge_integral(ctx, x)
-            if x > 1e12:
-                break
-    hi = x
-    # Newton with bisection safety; derivative is (x^n - 1)^(-beta)
-    for _ in range(80):
-        err = val - m
-        if abs(err) <= tol:
-            break
-        cand = x - err * (x**n - 1.0) ** beta
-        if not lo < cand < hi:
-            cand = 0.5 * (lo + hi)
-        x = cand
-        val = _edge_integral(ctx, x)
-        if val < m:
-            lo = x
-        else:
-            hi = x
-    return x, abs(val - m)
+    return res.value.real, res.residual
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .numerics import (
     _corner_constants,
     _series_record,
 )
-from .series import _ode_coefficients, _power_term
+from .series import _ode_coefficients, _lcm_sum, _power_term
 
 
 def _miller_power(p: list, alpha: float, terms: int) -> list:
@@ -132,6 +132,7 @@ def _pole_coefficients(n: int, terms: int) -> tuple:
     holds k_j only in k**(3-n)'s term (3-n) k_j.  So (n (j+1) - 2) k_j is the
     rest, from k_0 .. k_(j-1); each step extends the powers k**(3-n), k**n
     and h**beta, h = 1 - X k**n, by one exact term (``series._power_term``),
+    the rest is summed over one lcm as those terms are (``series._lcm_sum``),
     and each entry is its exact value rounded once.
     """
     one = Fraction(1)
@@ -141,7 +142,9 @@ def _pole_coefficients(n: int, terms: int) -> tuple:
         h.append(-n_pow[j - 1])
         h_pow.append(_power_term(h, h_pow, j, n - 1, n))
         rest = _power_term(k, inv_pow, j, 3 - n)  # k has no k_j yet
-        kj = (rest + sum(inv_pow[i] * h_pow[j - i] for i in range(j))) / (n * (j + 1) - 2)
+        parts = [(a.numerator * b.numerator, a.denominator * b.denominator)
+                 for a, b in zip(inv_pow, h_pow[j:0:-1])]
+        kj = _lcm_sum([(rest.numerator, rest.denominator), *parts], n * (j + 1) - 2)
         k.append(kj)
         inv_pow.append(rest - (n - 3) * kj)
         n_pow.append(_power_term(k, n_pow, j, n))

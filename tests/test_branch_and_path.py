@@ -8,12 +8,8 @@ import scipy.integrate
 
 from squig.errors import SingularityError
 from squig.geometry import make_context
-from squig.numerics import (
-    nearest_root_distance,
-    principal_power,
-    sector_ray_integral,
-    sector_segment_integral,
-)
+from squig.numerics import sector_ray_integral, sector_segment_integral
+from squig.reference import nearest_root_distance, principal_power
 from squig.squigfn import arcsin_n_sector
 
 from conftest import gamma_half_period, rk4_sine_continuation

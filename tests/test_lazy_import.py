@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import squig
+from test_bench_targets import span_targets
 
 ROOT = Path(squig.__file__).resolve().parents[2]
 
@@ -183,7 +184,8 @@ def test_import_and_cli_load_neither_dataclasses_nor_inspect():
 
 
 def test_reference_loads_at_first_use_through_numerics():
-    run_fresh("""
+    wrapped = sorted(name for module, name in span_targets() if module == "squig.numerics")
+    run_fresh(f"""
         import squig
         from squig import numerics
         assert loaded() == []
@@ -191,10 +193,11 @@ def test_reference_loads_at_first_use_through_numerics():
         from squig import reference
         assert integrate_smooth is reference.integrate_smooth is squig.integrate_smooth
         assert numerics.newton_invert is reference.newton_invert
-        # numerics forwards every public function and class of reference
-        own = {name for name, value in vars(reference).items() if not name.startswith("_")
-               and getattr(value, "__module__", None) == "squig.reference"}
-        assert own <= numerics._REFERENCE_NAMES <= set(vars(reference)), own
+        # numerics forwards exactly the names of reference that the tracer
+        # wraps through it
+        forwarded = set({wrapped!r}) - set(vars(numerics))
+        assert numerics._REFERENCE_NAMES == forwarded, forwarded
+        assert forwarded <= set(vars(reference))
         # reference does not load verify
         assert lazy() and loaded() == ["squig.reference"], loaded()
     """)

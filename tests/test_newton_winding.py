@@ -11,12 +11,8 @@ from squig.errors import (
     RefinementNeededError,
 )
 from squig import reference
-from squig.numerics import (
-    NewtonResult,
-    newton_invert,
-    sector_ray_integral,
-    winding_number,
-)
+from squig.numerics import newton_invert, sector_ray_integral
+from squig.reference import NewtonResult, winding_number
 
 
 class TestNewton:

@@ -7,13 +7,12 @@ import scipy.integrate
 
 from squig.errors import DivergenceError, ParameterError, QuadratureError
 from squig.numerics import (
-    _MAX_QUAD_LEVEL,
-    QuadratureResult,
     _tanh_sinh,
     integrate_endpoint_singular,
     integrate_smooth,
     integrate_tail,
 )
+from squig.reference import _MAX_QUAD_LEVEL, QuadratureResult
 
 from conftest import gamma_half_period, slit_integral_oracle
 

@@ -33,11 +33,11 @@ from squig.numerics import (
     SERIES_OUTER,
     _SERIES_EPS,
     _series_tables,
-    nearest_root_distance,
     sector_ray_integral,
     sector_segment_integral,
 )
 from squig import numerics, squigfn
+from squig.reference import nearest_root_distance
 from squig.regions import sample_domain
 from squig.series import _ode_coefficients
 from squig.squigfn import arcsin_n, arcsin_n_sector, cos_n, sin_n

@@ -10,13 +10,15 @@ import mpmath
 import pytest
 
 from squig import numerics
-from squig.errors import DomainError, InvalidSeriesError, ParameterError
+from squig.errors import ConvergenceError, DomainError, InvalidSeriesError, ParameterError
 from squig.geometry import fold, make_context
 from squig.numerics import ODE_TERMS, _ODE_TAIL, _series_sum, _series_tables
 from squig.regions import sample_domain
 from squig.series import radius_estimate
 from squig.squigfn import (
     EvalResult,
+    _edge_integral,
+    _invert_slit_edge,
     arcsin_n,
     arcsin_n_sector,
     cos_n,
@@ -389,6 +391,64 @@ class TestEdgeSegment:
             ref_s, ref_c = complex(u), complex((1 - u**4) ** (mpmath.mpf(1) / 4))
         assert abs(s - ref_s) <= 1e-12 * abs(ref_s)
         assert abs(c - ref_c) <= 1e-12 * abs(ref_c)
+
+
+def edge_x(n: int) -> list:
+    """Points x of the lower slit edge from 1.01 to 50, seeded, x - 1
+    log-uniform: a third of them within 0.17 of the corner x = 1."""
+    rng = random.Random(f"edge:{n}")
+    return [1.01, 50.0] + [1.0 + math.exp(rng.uniform(math.log(0.01), math.log(49.0)))
+                           for _ in range(12)]
+
+
+def edge_integral_mp(n: int, x: float) -> mpmath.mpf:
+    """The integral of (t**n - 1)**(-beta) over [1, x] at 30 digits, with
+    t = 1 + s**n as in verify._slit_edge_integral: t**n - 1 = s**n poly(t),
+    so the integrand n poly(t)**(-beta) is smooth (a plain quadrature over
+    [1, x] is up to 30% off at n = 64).  poly(t) = (t**n - 1) / s**n, with
+    t**n - 1 = expm1(n log1p(s**n)) free of cancellation."""
+    with mpmath.workdps(30):
+        beta = mpmath.mpf(n - 1) / n
+        top = (mpmath.mpf(x) - 1) ** (mpmath.mpf(1) / n)
+
+        def integrand(s):
+            sn = s**n
+            return n * (mpmath.expm1(n * mpmath.log1p(sn)) / sn) ** -beta
+
+        return mpmath.quad(integrand, [0, top] if top <= 1 else [0, 1, top])
+
+
+class TestTracerPinnedViews:
+    # no route calls these; bench/spans.py wraps them by name, so a broken
+    # view would show only here
+
+    @pytest.mark.parametrize("n", [3, 8, 64])
+    def test_edge_integral_against_mpmath(self, n):
+        ctx = make_context(n)
+        assert _edge_integral(ctx, 1.0) == _edge_integral(ctx, 0.5) == 0.0
+        for x in edge_x(n):
+            ref = edge_integral_mp(n, x)
+            assert abs(_edge_integral(ctx, x) - ref) <= 1e-14 * ref, x
+
+    @pytest.mark.parametrize("n", [3, 8, 64])
+    def test_invert_slit_edge_round_trip(self, n):
+        # the slope dx/dm is (x**n - 1)**beta, so m's last bits move x by
+        # that much; where the point is P's or flagged as the pole it raises
+        ctx = make_context(n)
+        beta = (n - 1) / n
+        solved = 0
+        for x in edge_x(n):
+            m = _edge_integral(ctx, x)
+            if m >= ctx.R or sin_n(ctx, ctx.A + m * ctx.tables.phase).is_pole:
+                with pytest.raises(ConvergenceError):
+                    _invert_slit_edge(ctx, m)
+                continue
+            back, residual = _invert_slit_edge(ctx, m)
+            assert abs(back - x) <= residual + 4 * math.ulp(m) * (x**n - 1) ** beta, x
+            solved += 1
+        assert solved >= 3
+        with pytest.raises(ConvergenceError):
+            _invert_slit_edge(ctx, ctx.R)
 
 
 class TestSin3Global:
