@@ -28,7 +28,7 @@ import sys
 
 from . import verify  # loaded lazily: its body runs at the first read, in `verify`
 from .errors import DomainError, ParameterError, SquigError
-from .geometry import SquigContext, make_context
+from .geometry import SquigContext, _slit_wedge, make_context
 from .squigfn import EvalResult, arcsin_n, cos_n, maclaurin, sin_n
 
 EXIT_OK = 0
@@ -124,27 +124,35 @@ def _csv_doc(header: list[str], rows: list[list]) -> bytes:
 def _eval_near_boundary(fn_impl, ctx: SquigContext, z: complex) -> EvalResult:
     try:
         return fn_impl(ctx, z)
-    except DomainError as original:
-        if z == 0:
-            raise
+    except DomainError:
         # Inputs typed to a few printed digits can land a hair outside the
-        # closed region; the region is star-shaped about 0, so one radial
-        # shrink pulls such points back in.  Far-outside points still raise,
-        # reporting the point as the user wrote it.
-        shrunk = z * (1.0 - 1e-7)
-        try:
-            res = fn_impl(ctx, shrunk)
-        except DomainError:
-            raise original from None
+        # closed region.  Such a point is evaluated at the region point
+        # nearest it, when that lies within 1e-7 |z|: the point of the edge
+        # [A, P] nearest z rotated into its wedge and reflected into the
+        # lower half, mapped back.  Farther points still raise, reporting
+        # the point as the user wrote it.
+        if not cmath.isfinite(z):
+            raise
+        k, t, _ = _slit_wedge(ctx, z)
+        flip = t.imag < 0.0
+        if flip:
+            t = t.conjugate()
+        edge = ctx.P - ctx.A
+        s = min(max(((t - ctx.A) * edge.conjugate()).real / abs(edge) ** 2, 0.0), 1.0)
+        near = ctx.A + s * edge
+        near = (near.conjugate() if flip else near) * ctx.roots[k]
+        if not abs(z - near) <= 1e-7 * abs(z):
+            raise
+    res = fn_impl(ctx, near)
     if res.is_pole:
         return res
-    # The value is the shrunk point's, reported at z, so residual widens by
+    # The value is the nearest point's, reported at z, so residual widens by
     # the step back to z times the slope |1 - v**n|**((n-1)/n), which the
     # sine and the cosine share, plus the step squared times their second
     # derivative's modulus (n-1) |v|**(n-1) |1 - v**n|**((n-2)/n): twice the
     # Taylor remainder, for its change along the step.
     n, v = ctx.n, res.value
-    step = abs(z - shrunk)
+    step = abs(z - near)
     h = abs(1.0 - v**n)
     return EvalResult(v, False, res.residual + step * h ** ((n - 1) / n)
                       + step * step * (n - 1) * abs(v) ** (n - 1) * h ** ((n - 2) / n))
@@ -332,11 +340,7 @@ def _grid_image_sin(ctx: SquigContext, density: int, in_rosette) -> list[list[co
                     pts.append(None)
                     continue
                 res = sin_n(ctx, z)
-                v = res.value
-                if res.is_pole or v is None or abs(v) > clip:
-                    pts.append(None)
-                else:
-                    pts.append(v)
+                pts.append(None if res.is_pole or abs(res.value) > clip else res.value)
             curves.extend(_split_runs(pts))
     return curves
 
@@ -358,23 +362,23 @@ def cmd_grid(n: int, map_name: str, density: int) -> bytes:
     scale = abs(ctx.A)
     if map_name == "F":
         outline = boundary_polyline(ctx, "pi", samples_per_edge=24)
-        for curve in _grid_image_F(ctx, density):
-            draw(curve, "#4477aa", 0.004 * scale)
-        draw(outline, "#000000", 0.01 * scale)
-        labels = [("A", ctx.A), ("P", ctx.P), ("B", ctx.B)]
-        pole_marks: list[complex] = []
+        curves = _grid_image_F(ctx, density)
     else:
         outline = boundary_polyline(ctx, "omega", samples_per_edge=24)
-        for curve in _grid_image_sin(ctx, density, in_rosette):
-            draw(curve, "#4477aa", 0.004 * scale)
-        draw(outline, "#000000", 0.01 * scale)
+        curves = _grid_image_sin(ctx, density, in_rosette)
+    for curve in curves:
+        draw(curve, "#4477aa", 0.004 * scale)
+    draw(outline, "#000000", 0.01 * scale)
+    pole_marks: list[complex] = []
+    if map_name != "F":
         # slit rays of the image plane
         reach = _GRID_CLIP_FACTOR * scale
         for k in range(n):
             w = ctx.omega ** k
             draw([w, w * reach], "#aa3333", 0.012 * scale)
-        labels = [("A", ctx.A), ("P", ctx.P), ("B", ctx.B)]
-        pole_marks = [ctx.P * r for r in ctx.roots] if n == 3 else []
+        if n == 3:
+            pole_marks = [ctx.P * r for r in ctx.roots]
+    labels = [("A", ctx.A), ("P", ctx.P), ("B", ctx.B)]
 
     lo_x = min(p.real for p in drawn)
     hi_x = max(p.real for p in drawn)

@@ -21,7 +21,10 @@ class DomainError(SquigError, ValueError):
 
 
 class SingularityError(SquigError):
-    """Evaluation was requested inside the guard band of a singular point."""
+    """Reserved: evaluation inside the guard band of a singular point.
+
+    Exported for callers that catch it; no function of the package raises it.
+    """
 
 
 class QuadratureError(SquigError):

@@ -22,9 +22,9 @@ tables through one kernel with one cut rule and one bound, ``_series_sum``.
 ``F``'s tables, with per-table radii and no bound yet, use ``_binomial_sum``.
 
 The routes that ``verify`` and the tests compare against (the quadrature
-rules, series reversion, the GK15 leg of the sector map, the Newton
-inverter and the winding count) live in :mod:`squig.reference`, which
-``import squig`` does not load.  The names of it that the benchmark's
+rules, series reversion, the GK15 leg of the sector map and the winding
+count) live in :mod:`squig.reference`, which ``import squig`` does not
+load, with the Newton names that are views of the sine.  The names of it that the benchmark's
 tracer wraps here still resolve, through the module ``__getattr__`` below,
 and load it at first use; every other user imports them from
 ``reference``.  The exact rational series (``RationalSeries`` and the ODE

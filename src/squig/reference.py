@@ -5,9 +5,11 @@ run on :mod:`squig.numerics` alone, and ``maclaurin`` on
 :mod:`squig.series`.  This module holds a double-exponential (tanh-sinh)
 rule for integrals with algebraic endpoint singularities, an adaptive
 15-point Gauss-Kronrod rule for smooth complex legs, exact rational series
-reversion, the GK15 leg of the sector map, a damped Newton inverter on the
-principal branch, which no route calls, and a discrete winding-number
-count.  ``import squig`` does not load it; it loads
+reversion, the GK15 leg of the sector map and a discrete winding-number
+count.  ``newton_invert`` and ``_newton_basic`` keep the names of a former
+Newton inverter, which the benchmark's tracer wraps; they are views of
+the sine, the inverse of the sector map on the closed kite, and not an
+independent route.  ``import squig`` does not load this module; it loads
 with ``squig.verify`` or at the first use of one of its names through
 ``squig`` or ``squig.numerics``.
 
@@ -40,16 +42,17 @@ from .errors import (
     ConvergenceError,
     DegenerateLoopError,
     DivergenceError,
+    DomainError,
     InvalidSeriesError,
     ParameterError,
     QuadratureError,
     RefinementNeededError,
-    SingularityError,
     _shown,
 )
-from .numerics import sector_ray_integral
-from .regions import _is_real
+from .geometry import make_context
+from .regions import _is_real, contains_Pi
 from .series import RationalSeries, _power_term
+from .squigfn import sin_n
 
 TWO_PI = 2.0 * math.pi
 
@@ -421,38 +424,9 @@ def sector_segment_integral(n: int, za: complex, zb: complex,
 
 
 # ---------------------------------------------------------------------------
-# The principal branch of (1 - z**n) ** exponent: Newton's helpers (below)
-# ---------------------------------------------------------------------------
-
-def nearest_root_distance(n: int, z: complex) -> float:
-    """Distance from z to the nearest n-th root of unity."""
-    phi = cmath.phase(z)
-    k = round(phi * n / TWO_PI)
-    best = math.inf
-    for kk in (k - 1, k, k + 1):
-        root = cmath.exp(2j * math.pi * kk / n)
-        best = min(best, abs(z - root))
-    return best
-
-
-def principal_power(n: int, z: complex, exponent: float) -> complex:
-    """(1 - z**n) ** exponent on the principal branch.
-
-    Valid verbatim throughout the open sector 0 < arg z < 2*pi/n (and on the
-    parts of its boundary rays before the roots of unity), where 1 - z**n
-    never meets the negative real axis.
-    """
-    w = 1.0 - z ** n
-    if w == 0:
-        raise SingularityError(f"z={z:.6g} is a root of unity")
-    return cmath.exp(exponent * cmath.log(w))
-
-
-# ---------------------------------------------------------------------------
-# Newton inversion of the sector integral: no route calls it, since the pole
-# series covers the lens; bench/spans.py wraps newton_invert and _newton_basic
-# by name, and the change that drops those spans deletes them with their
-# helpers above
+# The inverse of the sector map under the Newton names that bench/spans.py
+# wraps: no route calls them, and the change that drops those spans deletes
+# them
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -462,81 +436,23 @@ class NewtonResult:
     iterations: int
 
 
-# angular slack of the sector test, radians
-_SECTOR_SLACK = 1e-9
+def newton_invert(n: int, w: complex) -> NewtonResult:
+    """The point z of the closed base sector with F(z) = w, for w in the
+    closed kite: ``sin_n`` at w, with the sine's forward bound as
+    ``residual`` and 0 ``iterations``.  Raises DomainError outside the kite
+    and ConvergenceError where the sine flags w as the pole."""
+    ctx = make_context(n)
+    if not contains_Pi(ctx, w):
+        raise DomainError(f"target {w} lies outside the closed kite Pi_{n}",
+                          region=f"Pi_{n}")
+    res = sin_n(ctx, w)
+    if res.is_pole:
+        raise ConvergenceError(f"target {w} is flagged as the pole P_{n}",
+                               residual=abs(ctx.P - w))
+    return NewtonResult(res.value, res.residual, 0)
 
 
-def _in_sector(n: int, z: complex) -> bool:
-    """Acceptance region for Newton iterates.
-
-    The closed base sector, except that beyond the unit circle the boundary
-    rays are slits (the principal branch flips sides across them), so
-    iterates there must keep an angular margin from both rays.  Real targets
-    with real solutions stay below radius 1 and are unaffected.
-    """
-    if abs(z) < 1e-300:
-        return True
-    phi = cmath.phase(z)
-    if not (-_SECTOR_SLACK <= phi <= TWO_PI / n + _SECTOR_SLACK):
-        return False
-    if abs(z) <= 0.999999:
-        return True
-    margin = 1e-7
-    return margin <= phi <= TWO_PI / n - margin
-
-
-def _newton_basic(n: int, w: complex, z0: complex, tol: float,
-                  max_iter: int) -> NewtonResult:
-    beta = (n - 1) / n
-    z = z0
-    Fz = sector_ray_integral(n, z)
-    resid = abs(Fz - w)
-    steps = 0
-    while resid > tol and steps < max_iter:
-        try:
-            slope_inv = principal_power(n, z, beta)
-        except SingularityError:
-            slope_inv = principal_power(n, z * (1.0 - 1e-9) + 1e-12j, beta)
-        step = (Fz - w) * slope_inv
-        lam = 1.0
-        accepted = False
-        while lam >= 1.0 / 64.0:
-            z_new = z - lam * step
-            if not _in_sector(n, z_new) or (
-                    nearest_root_distance(n, z_new) < 1e-10):
-                lam *= 0.5
-                continue
-            F_new = sector_ray_integral(n, z_new)
-            r_new = abs(F_new - w)
-            if r_new < resid:
-                z, Fz, resid = z_new, F_new, r_new
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted:
-            break
-        steps += 1
-    return NewtonResult(z, resid, steps)
-
-
-def newton_invert(n: int, w: complex, z0: complex,
-                  tol: float = 1e-12, max_iter: int = 50) -> NewtonResult:
-    """Solve F(z) = w for the sector integral F, starting from z0.
-
-    One pass of damped Newton steps with the closed-form reciprocal slope
-    (1 - z**n)**((n-1)/n).  A step is halved, at most six times, until it
-    lowers the residual |F(z) - w| and its iterate stays in ``_in_sector``
-    and 1e-10 away from the roots of unity; the pass ends when the residual
-    is at most ``tol``, after ``max_iter`` steps, or when no halving helps.
-    ``iterations`` counts the steps taken.  Raises ConvergenceError with the
-    last residual if the pass ends above ``tol``.
-    """
-    res = _newton_basic(n, w, z0, tol, max_iter)
-    if res.residual > tol:
-        raise ConvergenceError(
-            f"could not invert the sector map at target {w}: Newton stalled "
-            f"at residual {res.residual:.3g} (tol {tol:g})", residual=res.residual)
-    return res
+_newton_basic = newton_invert
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,8 @@ import math
 import pytest
 import scipy.integrate
 
-from squig.errors import SingularityError
 from squig.geometry import make_context
 from squig.numerics import sector_ray_integral, sector_segment_integral
-from squig.reference import nearest_root_distance, principal_power
 from squig.squigfn import arcsin_n_sector
 
 from conftest import gamma_half_period, rk4_sine_continuation
@@ -22,32 +20,6 @@ def _beyond_root_magnitude(n, x):
         lambda t: (t ** n - 1.0) ** (-beta), 1.0, x,
         points=[1.0], epsabs=1e-13, limit=300)
     return val
-
-
-class TestRootsOfUnity:
-    def test_nearest_root_distance_brute_force(self, rng):
-        for n in (3, 4, 7):
-            roots = [cmath.exp(2j * math.pi * k / n) for k in range(n)]
-            for _ in range(50):
-                z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                brute = min(abs(z - r) for r in roots)
-                assert abs(nearest_root_distance(n, z) - brute) < 1e-12
-
-    def test_principal_power_matches_direct_power(self, rng):
-        # Inside the sector 1 - z^n stays off the negative reals, so the
-        # principal branch is Python's own complex power.
-        for n in (3, 4, 7):
-            beta = (n - 1) / n
-            for _ in range(50):
-                z = rng.uniform(0.0, 2.0) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi / n))
-                for exponent in (-beta, beta):
-                    direct = (1.0 - z ** n) ** exponent
-                    assert abs(principal_power(n, z, exponent) - direct) <= 1e-14 * abs(direct)
-
-    def test_root_evaluation_rejected(self):
-        for z in (1.0 + 0j, -1.0 + 0j, 1j):
-            with pytest.raises(SingularityError):
-                principal_power(4, z, -0.75)
 
 
 class TestPathIntegral:

@@ -129,43 +129,38 @@ class TestEval:
         assert code == 2 and payload == b""
         assert flag[0] in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n", [4, 5, 8, 16])
+    @pytest.mark.parametrize("n", [4, 5, 8, 16, 32, 64])
     def test_residual_covers_the_retry_outside_the_edge(self, tmp_path, n):
-        # a point 1e-9 to 5e-8 outside the edge A-P is evaluated at
-        # z (1 - 1e-7) and reported at z: residual must cover the step back
-        # (the shrunk point's own bound alone is 3e8 times too small).  The
-        # reference is 30 digits: verify._ode_pair is itself tens of ulps off
-        # next to the edge, while residual's slack is an ulp or so
+        # a point 1e-9 to 5e-8 |A| outside the edge A-P is evaluated at the
+        # edge point nearest it and reported at z: every such point returns,
+        # and residual covers the step back.  The reference is 30 digits:
+        # verify._ode_pair is itself tens of ulps off next to the edge, while
+        # residual's slack is an ulp or so
         ctx = make_context(n)
         edge = ctx.P - ctx.A
         outward = -1j * edge / abs(edge)
         rng = random.Random(f"retry:{n}")
-        evaluated = 0
-        for _ in range(6):
+        for _ in range(100):
             z = (ctx.A + rng.random() * edge
-                 + 10 ** rng.uniform(-9, math.log10(5e-8)) * outward)
+                 + 10 ** rng.uniform(-9, math.log10(5e-8)) * abs(ctx.A) * outward)
             with pytest.raises(DomainError):
                 sin_n(ctx, z)
-            literal = f"{z.real!r}+{z.imag!r}i"
             recs = {}
             for fn in ("sin", "cos"):
                 code, payload = run_cli(tmp_path, "eval", "--n", str(n), "--fn", fn,
-                                        "--z", literal)
-                recs[fn] = code, json.loads(payload) if code == 0 else None
-            if recs["sin"][0] == 3:
-                # too far out for the one shrink: refused, as documented
-                assert recs["cos"][0] == 3
-                with pytest.raises(DomainError):
-                    sin_n(ctx, z * (1.0 - 1e-7))
-                continue
-            (_, rec_s), (_, rec_c) = recs["sin"], recs["cos"]
-            value_s, value_c = (complex(r["value"]["re"], r["value"]["im"])
-                                for r in (rec_s, rec_c))
+                                        "--z", f"{z.real!r}+{z.imag!r}i")
+                assert code == 0, z
+                rec = json.loads(payload)
+                recs[fn] = complex(rec["value"]["re"], rec["value"]["im"]), rec["residual"]
+            (value_s, residual_s), (value_c, residual_c) = recs["sin"], recs["cos"]
             ref_s, ref_c = corner_oracle(n, z, value_c)
-            assert abs(value_s - ref_s) <= rec_s["residual"], z
-            assert abs(value_c - ref_c) <= rec_c["residual"], z
-            evaluated += 1
-        assert evaluated >= 4
+            assert abs(value_s - ref_s) <= residual_s, z
+            assert abs(value_c - ref_c) <= residual_c, z
+        # too far out for the retry: refused, as documented
+        z = ctx.A + 0.5 * edge + 1e-5 * abs(ctx.A) * outward
+        code, _ = run_cli(tmp_path, "eval", "--n", str(n), "--fn", "sin",
+                          "--z", f"{z.real!r}+{z.imag!r}i")
+        assert code == 3
 
     def test_numeric_failure_exit_4(self, tmp_path, monkeypatch):
         from squig.errors import ConvergenceError

@@ -37,7 +37,6 @@ from squig.numerics import (
     sector_segment_integral,
 )
 from squig import numerics, squigfn
-from squig.reference import nearest_root_distance
 from squig.regions import sample_domain
 from squig.series import _ode_coefficients
 from squig.squigfn import arcsin_n, arcsin_n_sector, cos_n, sin_n
@@ -45,6 +44,11 @@ from squig.verify import VerifyConfig, gamma_corner_radius, gamma_pi_n, run_all
 
 NS = (3, 4, 5, 8, 16, 32, 64)
 ALL_NS = tuple(range(3, 65))
+
+
+def nearest_root_distance(n: int, z: complex) -> float:
+    """Distance from z to the nearest n-th root of unity."""
+    return min(abs(z - cmath.exp(2j * math.pi * k / n)) for k in range(n))
 
 
 def hyp2f1_oracle(n: int, u: complex) -> complex:

@@ -450,6 +450,40 @@ class TestTracerPinnedViews:
         with pytest.raises(ConvergenceError):
             _invert_slit_edge(ctx, ctx.R)
 
+    @pytest.mark.parametrize("n", [3, 8, 64])
+    def test_newton_invert_round_trip(self, n):
+        # newton_invert is sin_n on the kite: F(z) goes back to z within the
+        # sine's bound plus F's rounding times the slope (1 - z**n)**beta
+        # (measured: within 0.6 of the bound on residual alone); an image
+        # in the pole's guard ball raises
+        ctx = make_context(n)
+        beta = (n - 1) / n
+        rng = random.Random(f"newton view:{n}")
+        solved = 0
+        for _ in range(40):
+            z = 10 ** rng.uniform(math.log10(0.05), math.log10(5.0)) * cmath.exp(
+                1j * rng.uniform(0.0, ctx.tau))
+            w = numerics.sector_ray_integral(n, z)
+            if abs(w - ctx.P) < 1e-6 * abs(ctx.P):
+                with pytest.raises(ConvergenceError):
+                    numerics.newton_invert(n, w)
+                continue
+            res = numerics.newton_invert(n, w)
+            assert res.iterations == 0
+            slope = abs(1.0 - z**n) ** beta
+            assert abs(res.z - z) <= res.residual + 4 * math.ulp(abs(w)) * slope, z
+            solved += 1
+        assert solved >= 20
+
+    @pytest.mark.parametrize("n", [3, 8, 64])
+    def test_newton_invert_refuses_outside_the_kite_and_at_the_pole(self, n):
+        ctx = make_context(n)
+        for w in (1.01 * ctx.P, -0.1 * ctx.A, 2.0 * ctx.A, 0.5 * ctx.A - 0.01j):
+            with pytest.raises(DomainError):
+                numerics.newton_invert(n, w)
+        with pytest.raises(ConvergenceError):
+            numerics.newton_invert(n, ctx.P)
+
 
 class TestSin3Global:
     def test_requires_n3(self):
