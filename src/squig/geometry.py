@@ -48,8 +48,7 @@ class SquigContext:
 
     ``SquigContext(n)`` takes ``n`` alone, an integer in ``[3, 64]``, and
     derives every other field from it, so no two of them can disagree.  It
-    is immutable after construction but for ``series_cache``, whose one
-    ``"maclaurin"`` entry a longer request replaces (it is never mutated).
+    is immutable after construction.
 
     ``A``, ``P`` and ``pi_n = 2 A`` are read from the kernel's series
     tables, with no quadrature or gamma function; ``omega`` is ``roots[1]``
@@ -81,7 +80,6 @@ class SquigContext:
         if not _MIN_N <= n <= _MAX_N:
             raise ParameterError(f"n must lie in [{_MIN_N}, {_MAX_N}], got {_shown(n)}")
         self.n = n
-        self.series_cache = {}
         self.tables = tables = _series_tables(n)
         self.roots = tuple(cmath.exp(2j * math.pi * k / n) for k in range(n))
         self.inv_roots = tuple(cmath.exp(-2j * math.pi * k / n) for k in range(n))

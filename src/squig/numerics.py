@@ -7,29 +7,25 @@ summed from (``_series_tables``).  The constants A and P come from the same
 series, with no quadrature and no gamma function.  Every sum is cut by
 a proven remainder bound at half an ulp of its leading term.
 
-The tables that only a recurrence can give, the ODE pair's scaled sine and
-cosine, the pole series that inverts the map near P and F's corner chart,
-are read at first use of each n from the package data file ``_tables.bin``,
-which ``squig.tablegen`` writes (``python -m squig.tablegen``): one reader,
-``_read_block``, unpacks n's block, and no process keeps the file's bytes.
-The file's layout constants live here, for the reader and the writer.  A
-missing, short or foreign file raises ``TableFileError``; nothing is
-rebuilt at runtime.  F's binomial tables, A and P are computed at first
-use of each n.
+Every per-n table (F's three with their radii, the ODE pair's scaled sine
+and cosine, and the pole series that inverts the map near P) and the
+constants A and R = |P| are read at first use of each n from the package
+data file ``_tables.bin``, which ``squig.tablegen`` writes
+(``python -m squig.tablegen``).  One reader, ``_read_block``, unpacks n's
+block, and no process keeps the file's bytes.  The file's layout constants
+live here, for the reader and the writer.  A missing, short or foreign
+file raises ``TableFileError``.  Nothing is rebuilt at runtime: a context
+computes only P, e^(i pi beta), omega and the discs' radius from R.
 
 The inverse routes (the discs at 0 and at A, and the pole series) sum their
 tables through one kernel with one cut rule and one bound, ``_series_sum``.
 ``F``'s tables, with per-table radii and no bound yet, use ``_binomial_sum``.
 
-The routes that ``verify`` and the tests compare against (the quadrature
-rules, series reversion, the GK15 leg of the sector map and the winding
-count) live in :mod:`squig.reference`, which ``import squig`` does not
-load, with the Newton names that are views of the sine.  The names of it that the benchmark's
-tracer wraps here still resolve, through the module ``__getattr__`` below,
-and load it at first use; every other user imports them from
-``reference``.  The exact rational series (``RationalSeries`` and the ODE
-pair's exact coefficients) live in :mod:`squig.series`, and
-``import squig`` does not load it either.
+The routes that ``verify`` and the tests compare against live in
+:mod:`squig.reference`, and the exact rational series in
+:mod:`squig.series`; ``import squig`` loads neither.  The names of
+``reference`` that the benchmark's tracer wraps here still resolve,
+through the module ``__getattr__`` below, and load it at first use.
 """
 
 from __future__ import annotations
@@ -37,6 +33,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import functools
+import itertools
 import math
 import os
 import struct
@@ -130,27 +127,6 @@ SERIES_OUTER = 2.0
 _SERIES_EPS = 2.0 ** -54
 
 
-def _binomial_table(n: int, d: int):
-    """Coefficients and term counts of sum_k c_k x**k / (d + n*k), |x| <= 1/2.
-
-    c_k = (beta)_k / k! with beta = (n-1)/n satisfies 0 < c_k <= 1, so the
-    remainder after term K is at most |x|**(K+1) / ((d + n*(K+1)) (1 - |x|)).
-    With 1 - |x| >= 1/2 that is below _SERIES_EPS / d once |x| <= radii[K];
-    terms are added until radii covers |x| = 1/2.
-    """
-    beta = (n - 1) / n
-    coeffs = []
-    radii = []
-    c = 1.0
-    k = 0
-    while not radii or radii[-1] < 0.5:
-        coeffs.append(c / (d + n * k))
-        c *= (beta + k) / (k + 1)
-        k += 1
-        radii.append((0.5 * _SERIES_EPS * (d + n * k) / d) ** (1.0 / k))
-    return coeffs, radii
-
-
 # Length of the ODE pair's float tables.  A sum of K terms of a table whose
 # entries are at most _ODE_TAIL in modulus leaves at most 2 rho**K / (1 - rho).
 ODE_TERMS = 64
@@ -194,34 +170,14 @@ def _series_sum(coeffs, w: complex, n: int, scale: float, rate: float, tail: flo
     return acc, bound
 
 
-def _real_chart(n: int, chart, delta: float) -> float:
-    """n^(1/n) |delta|^(1/n) Q(delta) for real delta: A - F(1 - delta) if
-    delta > 0, else the integral of (t**n - 1)**(-beta) over [1, 1 - delta],
-    the distance from A along the image of the lower slit edge."""
-    return n ** (1.0 / n) * abs(delta) ** (1.0 / n) * _binomial_sum(chart, delta).real
-
-
-def _corner_constants(n: int, chart) -> tuple:
-    """F's tables at 0 and at infinity, A and R = |P|, from the corner chart ``chart``.
-
-    A = F(c) + (A - F(c)) at c = 2^(-1/n), where the series at 0 meets the
-    chart, and R is the edge integral over [1, x] plus the tail beyond x at
-    x = 2^(1/n), where the chart meets the series at infinity.
-    """
-    inner, outer = _binomial_table(n, 1), _binomial_table(n, n - 2)
-    c, x = 2.0 ** (-1.0 / n), 2.0 ** (1.0 / n)
-    half = c * _binomial_sum(inner, c ** n).real + _real_chart(n, chart, 1.0 - c)
-    # the tail at x summed directly: _series_tail refuses x**-n a hair above 1/2
-    radius = _real_chart(n, chart, 1.0 - x) + x ** (2 - n) * _binomial_sum(outer, x ** -n).real
-    return inner, outer, half, radius
-
-
 class _SeriesTables(NamedTuple):
     """Per-n constants and tables of the kernel, the one source of A and P.
 
-    A and P come from the tables, with no gamma function or quadrature
-    (``_corner_constants``).  Both are within 3e-16 relative of the exact
-    values for n = 3..64.
+    The first ten fields are n's block of the table file, in its order
+    (``_read_block``); the last four are the unit constants that follow
+    from R.  A and R come from F's tables, with no gamma function or
+    quadrature (``tablegen._corner_constants``).  Both are within 3e-16
+    relative of the exact values for n = 3..64.
 
     The ODE pair's tables serve the inverse: their sums converge for
     |t**n| < R**n, and ``disc`` is the radius where 64 terms reach half an
@@ -232,40 +188,42 @@ class _SeriesTables(NamedTuple):
     (``tablegen._pole_coefficients`` and ``tablegen._pole_reach``).
     """
 
-    inner: tuple      # binomial table of the series at 0
-    outer: tuple      # binomial table of the series at infinity
-    chart: tuple      # table of Q, the corner chart
-    corner: complex   # P
-    phase: complex    # e^(i pi beta)
-    half: float       # A, the half period
+    scale: float      # R**n, the unit of x = t**n in both ODE tables
     sine: tuple       # a_k = S_k R**(n k), the ODE pair's sine table
     cosine: tuple     # b_k = C_k R**(n k), its cosine table
-    scale: float      # R**n, the unit of x = t**n in both
-    disc: float       # radius of the discs at 0 and at A that the tables cover
-    omega: complex    # e^(2 pi i/n), the root of the corner chart's upper half
+    inner: tuple      # (coefficients, radii) of F's binomial series at 0
+    outer: tuple      # (coefficients, radii) of F's binomial series at infinity
+    chart: tuple      # (coefficients, radii) of Q, the corner chart
+    half: float       # A, the half period
+    radius: float     # R = |P|
     rate: float       # 1/|X| at v's nearest singularity: |k_j| <= rate**j
     pole: tuple       # k_j of the pole series v = 1/u = W k(W**n)
+    corner: complex   # P = R e^(i pi/n)
+    phase: complex    # e^(i pi beta)
+    disc: float       # radius of the discs at 0 and at A that the tables cover
+    omega: complex    # e^(2 pi i/n), the root of the corner chart's upper half
 
 
 # The table file: the products of the recurrences in squig.tablegen for
 # every supported n, laid out by ``tablegen._pack_tables`` and written by
 # ``python -m squig.tablegen``.  A header (magic, format version, the n
 # range) and one entry per n (the offset of its block and the lengths of
-# its ODE, pole and chart tables) precede the blocks, each the
-# little-endian doubles scale, sine, cosine, the chart's coefficients and
-# radii, rate and the pole table.
+# its ODE tables, of F's three tables and of the pole table) precede the
+# blocks, each the little-endian doubles of ``_SeriesTables``' first ten
+# fields: scale, sine, cosine, the coefficients and radii of inner, outer
+# and chart, A, R, rate and the pole table.
 _TABLES_PATH = os.path.join(os.path.dirname(__file__), "_tables.bin")
 _TABLES_MAGIC = b"squigtab"
-_TABLES_VERSION = 1
+_TABLES_VERSION = 2
 _TABLES_HEADER = struct.Struct("<8sIII")
-_TABLES_ENTRY = struct.Struct("<IIII")
+_TABLES_ENTRY = struct.Struct("<IIIIII")
 _REGENERATE = "PYTHONPATH=src python -m squig.tablegen"
 
 
 def _read_block(path: str, n: int) -> tuple:
-    """n's block of the table file at ``path``: its scale, sine and cosine
-    tables, the corner chart's (coefficients, radii) as lists, and the pole
-    table's rate and coefficients.
+    """n's block of the table file at ``path``, as ``_SeriesTables``' first
+    ten fields: F's tables as (coefficients, radii) pairs of lists, the ODE
+    and pole tables as tuples.
 
     The header must name this format and the supported n range, every ODE
     table must have ODE_TERMS entries, and the blocks must follow the
@@ -290,33 +248,34 @@ def _read_block(path: str, n: int) -> tuple:
         raise refuse(f"has the header {header!r}, not "
                      f"{(_TABLES_MAGIC, _TABLES_VERSION, _MIN_N, _MAX_N)!r}")
     entries = tuple(_TABLES_ENTRY.iter_unpack(data[_TABLES_HEADER.size:offset]))
-    for m, (start, ode, pole, chart) in enumerate(entries, _MIN_N):
+    for m, (start, ode, *series, pole) in enumerate(entries, _MIN_N):
         if start != offset or ode != ODE_TERMS:
             raise refuse(f"has a wrong entry at n = {m}")
-        offset += 8 * (2 + 2 * ode + 2 * chart + pole)
+        offset += 8 * (4 + 2 * (ode + sum(series)) + pole)
     if offset != len(data):
         raise refuse(f"is {len(data)} bytes, not {offset}")
-    start, ode, pole, chart = entries[n - _MIN_N]
-    values = struct.unpack_from(f"<{2 + 2 * ode + 2 * chart + pole}d", data, start)
-    i = 1 + 2 * ode  # the end of the ODE tables
-    j = i + 2 * chart  # the end of the chart
-    return (values[0], values[1:1 + ode], values[1 + ode:i],
-            (list(values[i:i + chart]), list(values[i + chart:j])), values[j], values[j + 1:])
+    start, ode, *series, pole = entries[n - _MIN_N]
+    values = iter(struct.unpack_from(f"<{4 + 2 * (ode + sum(series)) + pole}d", data, start))
+
+    def take(count: int) -> tuple:
+        return tuple(itertools.islice(values, count))
+
+    scale, sine, cosine = next(values), take(ode), take(ode)
+    inner, outer, chart = ((list(take(k)), list(take(k))) for k in series)
+    half, radius, rate = take(3)
+    return scale, sine, cosine, inner, outer, chart, half, radius, rate, tuple(values)
 
 
 @functools.lru_cache(maxsize=None)
 def _series_tables(n: int) -> _SeriesTables:
-    return _series_record(n, *_read_block(_TABLES_PATH, n))
+    block = _read_block(_TABLES_PATH, n)
+    return _SeriesTables(*block, *_unit_constants(n, block[7]))
 
 
-def _series_record(n: int, scale: float, sine: tuple, cosine: tuple, chart, rate: float,
-                   pole: tuple) -> _SeriesTables:
-    """n's record around its block of the table file, and F's tables, A and P."""
-    inner, outer, half, radius = _corner_constants(n, chart)
-    return _SeriesTables(inner, outer, chart, radius * cmath.exp(1j * math.pi / n),
-                         cmath.exp(1j * math.pi * (n - 1) / n), half, sine, cosine, scale,
-                         ODE_RADII[-1] ** (1.0 / n) * radius, cmath.exp(2j * math.pi / n),
-                         rate, pole)
+def _unit_constants(n: int, radius: float) -> tuple:
+    """The record's last four fields, P, e^(i pi beta), disc and omega, from R."""
+    return (radius * cmath.exp(1j * math.pi / n), cmath.exp(1j * math.pi * (n - 1) / n),
+            ODE_RADII[-1] ** (1.0 / n) * radius, cmath.exp(2j * math.pi / n))
 
 
 def _binomial_sum(table, x: complex) -> complex:

@@ -14,7 +14,8 @@ with ``squig.verify`` or at the first use of one of its names through
 ``squig`` or ``squig.numerics``.
 
 The builders of the kernel's table file live in :mod:`squig.tablegen`,
-which this module does not load.
+which this module does not load.  The exact series that ``revert_series``
+runs on, :mod:`squig.series`, loads at its first call.
 
 Each quadrature rule takes one integrand form:
 
@@ -51,7 +52,6 @@ from .errors import (
 )
 from .geometry import make_context
 from .regions import _is_real, contains_Pi
-from .series import RationalSeries, _power_term
 from .squigfn import sin_n
 
 TWO_PI = 2.0 * math.pi
@@ -365,6 +365,8 @@ def revert_series(series: RationalSeries, terms: int) -> RationalSeries:
     gcd stay closed under reversion).
     """
     from fractions import Fraction
+
+    from .series import RationalSeries, _power_term
 
     if not isinstance(series, RationalSeries):
         raise ParameterError(f"reversion needs a RationalSeries, got {_shown(series)}")

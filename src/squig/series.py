@@ -9,7 +9,7 @@ from their ODE pair), the table builders and series reversion run on, and
 ratios.  No evaluation route runs any of it: ``import squig`` does not
 load this module.  ``maclaurin`` loads it at its first call, and
 ``squig.RationalSeries`` and ``squig.radius_estimate`` at their first use.
-``fractions`` is imported where exact arithmetic runs.
+Every user of this module runs exact arithmetic, so it imports ``fractions``.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import bisect
 import cmath
 import math
 import numbers
+from fractions import Fraction
 
 from .errors import InvalidSeriesError, ParameterError, _shown
 from .geometry import _as_point
@@ -56,8 +57,6 @@ class RationalSeries(_FrozenRecord):
         _set_coeffs(self, coeffs)
 
     def coefficient(self, degree: int) -> Fraction:
-        from fractions import Fraction
-
         _check_int(degree, "degree")
         for d, c in zip(self.degrees, self.coeffs):
             if d == degree:
@@ -127,8 +126,6 @@ def _lcm_sum(parts: list, den: int) -> Fraction:
     den > 0, exactly.  The numerators are summed over the lcm of the
     denominators: one Fraction (one gcd), not one per addition.
     """
-    from fractions import Fraction
-
     lcm = math.lcm(*(q for _, q in parts))
     return Fraction(sum(p * (lcm // q) for p, q in parts), lcm * den)
 
@@ -142,8 +139,6 @@ def _ode_coefficients(n: int, terms: int) -> tuple:
     n (k + 1) C_(k+1) = -[S**(n-1)]_k.  The powers are extended one term at
     a time by ``_power_term``.
     """
-    from fractions import Fraction
-
     s, c = [Fraction(1)], [Fraction(1)]
     s_pow, c_pow = [Fraction(1)], [Fraction(1)]  # S**(n-1) and C**(n-1)
     for m in range(1, terms):

@@ -100,23 +100,16 @@ def maclaurin(ctx: SquigContext, terms: int) -> RationalSeries:
 
     The coefficients come from the ODE pair s' = c^(n-1), c' = -s^(n-1)
     (``series._ode_coefficients``).  Nonzero degrees are
-    ``1, n+1, 2n+1, ...``; results are cached on the context and reused for
-    any smaller request.  ``numerics.revert_series``, a general series
+    ``1, n+1, 2n+1, ...``.  ``numerics.revert_series``, a general series
     reversion, gives the same coefficients by inverting the series of ``F``.
     """
     from .series import RationalSeries, _ode_coefficients
 
     if isinstance(terms, bool) or not isinstance(terms, int) or terms < 1:
         raise ParameterError(f"terms must be a positive integer, got {_shown(terms)}")
-    cached = ctx.series_cache.get("maclaurin")
-    if cached is None or cached.term_count() < terms:
-        n = ctx.n
-        pairs = [(n * k + 1, a) for k, a in enumerate(_ode_coefficients(n, terms)[0]) if a]
-        cached = RationalSeries(*zip(*pairs))
-        ctx.series_cache["maclaurin"] = cached
-    if cached.term_count() == terms:
-        return cached
-    return cached.head(terms)
+    n = ctx.n
+    pairs = [(n * k + 1, a) for k, a in enumerate(_ode_coefficients(n, terms)[0]) if a]
+    return RationalSeries(*zip(*pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """The builders of the kernel's table file, ``_tables.bin``.
 
-Miller's recurrence in exact rationals (``series._power_term``) for the
-ODE pair's tables and the pole table, each entry rounded once, and in
-floats for the corner chart.  ``_pack_tables`` returns the file's bytes,
-laid out with the layout constants of :mod:`squig.numerics`, which reads
-the file.  Regenerate the file with
+Every table is built by Miller's recurrence in exact rationals
+(``series._power_term``), each entry rounded once: the ODE pair's tables,
+the pole table, and F's three tables, whose entries are
+[x**k] base**(-beta) / (d + n k) with base 1 - x for the binomial series
+at 0 and at infinity and base h(delta) for the corner chart
+(``_f_table``).  A and R = |P| are summed from F's tables
+(``_corner_constants``).  ``_pack_tables`` returns the file's bytes, laid
+out with the layout constants of :mod:`squig.numerics`, which reads the
+file.  Regenerate the file with
 
     PYTHONPATH=src python -m squig.tablegen
 
@@ -34,38 +38,43 @@ from .numerics import (
     _TABLES_VERSION,
     ODE_RADII,
     ODE_TERMS,
-    _corner_constants,
-    _series_record,
+    _binomial_sum,
+    _unit_constants,
 )
 from .series import _ode_coefficients, _lcm_sum, _power_term
 
 
-def _miller_power(p: list, alpha: float, terms: int) -> list:
-    """First ``terms`` coefficients of p**alpha, for a power series with p[0] == 1.
+def _f_table(n: int, base: list, d: int, radii: list) -> tuple:
+    """F's table [x**k] base**(-beta) / (d + n k), k < len(radii), with ``radii``.
 
-    Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), in floats: the exact
-    ``series._power_term`` would move most of the chart's coefficients.
+    beta = (n-1)/n and base[0] = 1.  The power base**(-beta) is extended
+    one exact term at a time (``series._power_term``), and each
+    coefficient is its exact value rounded once.
     """
-    q = [1.0]
-    for m in range(1, terms):
-        acc = 0.0
-        for j in range(1, min(m, len(p) - 1) + 1):
-            acc += ((alpha + 1.0) * j - m) * p[j] * q[m - j]
-        q.append(acc / m)
-    return q
+    power = [Fraction(1)]
+    for m in range(1, len(radii)):
+        power.append(_power_term(base, power, m, 1 - n, n))
+    return [float(g / (d + n * k)) for k, g in enumerate(power)], radii
 
 
-def _ode_tables(n: int, scale: float) -> tuple:
-    """Tables a_k = S_k scale**k and b_k = C_k scale**k of the ODE pair, each
-    the exact value (``series._ode_coefficients``) rounded once.  With
-    scale = R**n every entry lies within [-2, 2] for n = 3..64."""
-    unit = Fraction(scale)
-    return tuple(tuple(float(c * unit**k) for k, c in enumerate(exact))
-                 for exact in _ode_coefficients(n, ODE_TERMS))
+def _binomial_radii(n: int, d: int) -> list:
+    """Term counts of the binomial table sum_k c_k x**k / (d + n*k), |x| <= 1/2.
+
+    c_k = (beta)_k / k!, the coefficients of (1 - x)**(-beta), satisfies
+    0 < c_k <= 1, so the remainder after term K is at most
+    |x|**(K+1) / ((d + n*(K+1)) (1 - |x|)).  With 1 - |x| >= 1/2 that is
+    below _SERIES_EPS / d once |x| <= radii[K]; terms are added until radii
+    covers |x| = 1/2.
+    """
+    radii = []
+    while not radii or radii[-1] < 0.5:
+        k = len(radii) + 1
+        radii.append((0.5 * _SERIES_EPS * (d + n * k) / d) ** (1.0 / k))
+    return radii
 
 
-def _corner_table(n: int):
-    """Coefficients and term counts of the corner chart Q(delta) = sum_k q_k delta**k.
+def _chart_radii(n: int) -> list:
+    """Term counts of the corner chart Q(delta) = sum_k q_k delta**k.
 
     A - F(1 - delta) = n^(1/n) delta^(1/n) Q(delta) with q_k = g_k / (n*k + 1),
     g = h**(-beta) and h(delta) = (1 - (1-delta)**n) / (n delta) =
@@ -92,13 +101,49 @@ def _corner_table(n: int):
         # t -> (c (1 - t))**(1/k) from there lands below it
         t = (c * (1.0 - c ** (1.0 / k))) ** (1.0 / k)
         radii.append(t * r)
-    h = [math.comb(n, j + 1) / n * (-1) ** j for j in range(n)]
-    g = _miller_power(h, -beta, len(radii))
-    return [a / (n * k + 1) for k, a in enumerate(g)], radii
+    return radii
 
 
-def _pole_reach(n: int, tables) -> tuple:
-    """Length and rate of the pole table, for n's ``numerics._SeriesTables``.
+def _f_tables(n: int) -> tuple:
+    """F's tables at 0, at infinity and at the corner, each (coefficients, radii)."""
+    binomial = [Fraction(1), Fraction(-1)]
+    h = [Fraction(math.comb(n, j + 1) * (-1) ** j, n) for j in range(n)]
+    return (_f_table(n, binomial, 1, _binomial_radii(n, 1)),
+            _f_table(n, binomial, n - 2, _binomial_radii(n, n - 2)),
+            _f_table(n, h, 1, _chart_radii(n)))
+
+
+def _corner_constants(n: int, inner, outer, chart) -> tuple:
+    """A and R = |P| from F's tables at 0, at infinity and at the corner.
+
+    A = F(c) + (A - F(c)) at c = 2^(-1/n), where the series at 0 meets the
+    chart, and R is the edge integral over [1, x] plus the tail beyond x at
+    x = 2^(1/n), where the chart meets the series at infinity.  For real
+    delta, n^(1/n) |delta|^(1/n) Q(delta) is A - F(1 - delta) if delta > 0,
+    else the integral of (t**n - 1)**(-beta) over [1, 1 - delta], the
+    distance from A along the image of the lower slit edge.
+    """
+    def real_chart(delta: float) -> float:
+        return n ** (1.0 / n) * abs(delta) ** (1.0 / n) * _binomial_sum(chart, delta).real
+
+    c, x = 2.0 ** (-1.0 / n), 2.0 ** (1.0 / n)
+    half = c * _binomial_sum(inner, c ** n).real + real_chart(1.0 - c)
+    # the tail at x summed directly: _series_tail refuses x**-n a hair above 1/2
+    radius = real_chart(1.0 - x) + x ** (2 - n) * _binomial_sum(outer, x ** -n).real
+    return half, radius
+
+
+def _ode_tables(n: int, scale: float) -> tuple:
+    """Tables a_k = S_k scale**k and b_k = C_k scale**k of the ODE pair, each
+    the exact value (``series._ode_coefficients``) rounded once.  With
+    scale = R**n every entry lies within [-2, 2] for n = 3..64."""
+    unit = Fraction(scale)
+    return tuple(tuple(float(c * unit**k) for k, c in enumerate(exact))
+                 for exact in _ode_coefficients(n, ODE_TERMS))
+
+
+def _pole_reach(n: int, half: float, radius: float) -> tuple:
+    """Length and rate of the pole table, from n's A and R.
 
     The rate is k's reciprocal radius: 1/|X| at the nearest singularity of
     v, the zero of u at t = 0 (|P - t| = R) or, from n = 6 on, the branch
@@ -111,14 +156,14 @@ def _pole_reach(n: int, tables) -> tuple:
     the discs part (n >= 9), where the disc at 0 meets the real axis:
     0.059 at n = 3, 3.25 at n = 9, 9 entries at n = 3 and 56 at n = 64.
     """
-    half, disc = tables.half, tables.disc
+    corner, _, disc, _ = _unit_constants(n, radius)
 
     def x_abs(dist):
         return ((n - 2) * dist) ** (n / (n - 2))
 
     rim = complex(half / 2, math.sqrt(disc * disc - half * half / 4)) if 2 * disc > half else disc
-    rate = 1.0 / x_abs(abs(tables.corner) * min(1.0, 2.0 * math.sin(math.pi / n)))
-    terms = bisect.bisect_left(ODE_RADII, rate * x_abs(abs(tables.corner - rim))) + 1
+    rate = 1.0 / x_abs(abs(corner) * min(1.0, 2.0 * math.sin(math.pi / n)))
+    terms = bisect.bisect_left(ODE_RADII, rate * x_abs(abs(corner - rim))) + 1
     return terms, rate
 
 
@@ -154,23 +199,25 @@ def _pole_coefficients(n: int, terms: int) -> tuple:
 def _pack_tables() -> bytes:
     """The bytes of ``numerics``' table file, built by the recurrences above.
 
-    For each supported n: the corner chart, the ODE tables at
-    scale = R**n with R from that chart, and the pole table with its rate,
-    in one block laid out as ``numerics._read_block`` returns it.  Nothing
-    here reads the file it writes.
+    For each supported n: F's three tables, A and R from them, the ODE
+    tables at scale = R**n and the pole table with its rate, in one block
+    laid out as ``numerics._read_block`` returns it.  Nothing here reads
+    the file it writes.
     """
     header = _TABLES_HEADER.pack(_TABLES_MAGIC, _TABLES_VERSION, _MIN_N, _MAX_N)
     offset = len(header) + (_MAX_N - _MIN_N + 1) * _TABLES_ENTRY.size
     entries, packed = [], []
     for n in range(_MIN_N, _MAX_N + 1):
-        chart = _corner_table(n)
-        scale = _corner_constants(n, chart)[3] ** n
+        tables = _f_tables(n)
+        half, radius = _corner_constants(n, *tables)
+        scale = radius ** n
         sine, cosine = _ode_tables(n, scale)
-        # the reach needs n's A, P and disc, not the pole table it sizes
-        terms, rate = _pole_reach(n, _series_record(n, scale, sine, cosine, chart, 0.0, ()))
+        terms, rate = _pole_reach(n, half, radius)
         pole = _pole_coefficients(n, terms)
-        values = (scale, *sine, *cosine, *chart[0], *chart[1], rate, *pole)
-        entries.append(_TABLES_ENTRY.pack(offset, len(sine), len(pole), len(chart[0])))
+        values = (scale, *sine, *cosine, *(x for table in tables for part in table for x in part),
+                  half, radius, rate, *pole)
+        entries.append(_TABLES_ENTRY.pack(offset, len(sine), *(len(t[0]) for t in tables),
+                                          len(pole)))
         packed.append(struct.pack(f"<{len(values)}d", *values))
         offset += 8 * len(values)
     return header + b"".join(entries + packed)

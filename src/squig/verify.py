@@ -93,7 +93,9 @@ def _report(name: str, n: int, tolerance: float | None,
             measure: Callable[[], tuple[complex, complex, float, str]]) -> VerificationReport:
     """Time ``measure()`` and make its row; a raised ``SquigError`` is a failed row.
 
-    ``measure`` returns ``(lhs, rhs, abs_error, note)``.  A tolerance of None
+    ``measure`` returns ``(lhs, rhs, abs_error, note)``.  A non-finite value
+    among them is a failed row too, with the values in its note, so that
+    strict JSON can carry the row.  A tolerance of None
     takes the family's class default; any other must be a positive finite
     real, as in ``VerifyConfig``, or the row would pass whatever was measured
     (infinity) or never pass (0 or less, NaN).
@@ -109,12 +111,20 @@ def _report(name: str, n: int, tolerance: float | None,
     try:
         lhs, rhs, err, note = measure()
         passed = err <= tol
+        if not (cmath.isfinite(lhs) and cmath.isfinite(rhs) and math.isfinite(err)):
+            note = f"non-finite measurement: abs_error {err!r}, lhs {lhs!r}, rhs {rhs!r}; {note}"
+            lhs, rhs, err, passed = 0j, 0j, _FAIL_SENTINEL, False
     except SquigError as exc:
         lhs, rhs, err, note = 0j, 0j, _FAIL_SENTINEL, f"{type(exc).__name__}: {exc}"
         passed = False
     ms = (time.perf_counter() - t0) * 1e3
     return VerificationReport(name, n, complex(lhs), complex(rhs),
                               float(err), tol, passed, ms, note)
+
+
+def _nan_largest(err: float) -> tuple:
+    """A ``max`` key under which a NaN error is the largest: ``>`` skips it."""
+    return err != err, err
 
 
 def _check_samples(name: str, samples) -> None:
@@ -211,11 +221,8 @@ def limit_profile(ctx: SquigContext, radii: Sequence[float],
     tau = ctx.tau
     out = []
     for r in radii:
-        worst = 0.0
-        for j in range(angles):
-            th = (j + 0.5) * tau / angles
-            worst = max(worst, abs(arcsin_n(ctx, r * cmath.exp(1j * th)) - ctx.P))
-        out.append(worst)
+        out.append(max((abs(arcsin_n(ctx, r * cmath.exp(1j * ((j + 0.5) * tau / angles))) - ctx.P)
+                        for j in range(angles)), key=_nan_largest))
     return out
 
 
@@ -239,7 +246,7 @@ def check_limit_at_infinity(ctx: SquigContext, radii: Sequence[float] | None = N
 
     def measure():
         maxima = limit_profile(ctx, rs)
-        err = max(m * (r / rs[-1]) for m, r in zip(maxima, rs))
+        err = max((m * (r / rs[-1]) for m, r in zip(maxima, rs)), key=_nan_largest)
         note = " ".join(f"R={r:g}:{m:.3e}" for r, m in zip(rs, maxima))
         return maxima[-1], 0.0, err, note
     return _report("limit_at_infinity", ctx.n, tolerance, measure)
@@ -392,8 +399,7 @@ def check_periodicity_sin3(ctx: SquigContext, samples: Sequence[complex],
     shifts = (period, period * ctx.omega)
 
     def measure():
-        worst = -1.0
-        wl, wr = 0j, 0j
+        rows = []
         steps = 0
         for z in samples:
             ref, _, taken = _ode_pair(3, complex(z))
@@ -402,9 +408,8 @@ def check_periodicity_sin3(ctx: SquigContext, samples: Sequence[complex],
                 res = sin3_global(ctx, complex(z) + shift)
                 if res.is_pole:
                     return 0j, ref, _FAIL_SENTINEL, f"unexpected pole flag at {z!r}"
-                d = abs(res.value - ref)
-                if d > worst:
-                    worst, wl, wr = d, res.value, ref
+                rows.append((abs(res.value - ref), res.value, ref))
+        worst, wl, wr = max(rows, key=lambda row: _nan_largest(row[0]))
         return wl, wr, worst, f"samples={len(samples)} steps={steps}"
     return _report("periodicity_sin3", 3, tolerance, measure)
 
@@ -466,14 +471,12 @@ def check_sc_factorization(ctx: SquigContext, samples: Sequence[complex],
     _check_samples("sc_factorization", samples)
 
     def measure():
-        worst = -1.0
-        wl, wr = 0j, 0j
+        rows = []
         for z in samples:
             lhs = arcsin_n_sector(ctx, complex(z))
             rhs = _triangle_map(n, complex(z) ** n)
-            d = abs(lhs - rhs)
-            if d > worst:
-                worst, wl, wr = d, lhs, rhs
+            rows.append((abs(lhs - rhs), lhs, rhs))
+        worst, wl, wr = max(rows, key=lambda row: _nan_largest(row[0]))
         return wl, wr, worst, f"samples={len(samples)}"
     return _report("sc_factorization", n, tolerance, measure)
 

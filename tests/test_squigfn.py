@@ -76,15 +76,13 @@ class TestMaclaurin:
             assert ser.degrees == (1, n + 1)
             assert ser.coefficient(n + 1) == -Fraction(n - 1, n * (n + 1))
 
-    def test_cache_reuse_and_heads(self):
+    def test_a_shorter_series_is_a_head_of_a_longer_one(self):
         ctx = make_context(3)
         long = maclaurin(ctx, 12)
         short = maclaurin(ctx, 5)
         assert short.term_count() == 5
         assert long.term_count() == 12
-        for d in short.degrees:
-            assert short.coefficient(d) == long.coefficient(d)
-        assert "maclaurin" in ctx.series_cache
+        assert short == long.head(5)
 
     def test_longer_request_after_shorter(self):
         ctx = make_context(5)

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import squig
 from conftest import slit_integral_oracle
-from squig import verify
+from squig import cli, verify
 from squig.geometry import make_context
 from squig.reference import winding_number
 from squig.squigfn import EvalResult
@@ -398,6 +399,34 @@ def test_failed_row_fails_under_any_tolerance(monkeypatch):
     # the largest tolerance a check takes, above the failed row's 1e308
     rep = check_integral_slit(make_context(4), tolerance=sys.float_info.max)
     assert rep.abs_error == 1e308 and rep.passed is False
+
+
+@pytest.mark.parametrize("check, n, samples", [
+    (check_sc_factorization, 4, [1e308]),
+    (check_sc_factorization, 4, [0.5, 1e308]),
+    (check_periodicity_sin3, 3, [1e10]),
+], ids=["sc-nan", "sc-finite-then-nan", "periodicity-nan"])
+def test_a_nan_error_is_a_failed_row(check, n, samples):
+    # the reference is NaN at these samples; the worst-error scan once
+    # skipped a NaN (d > worst is False), so the row passed with abs_error
+    # -1.0 or 0.0
+    rep = check(make_context(n), samples)
+    assert rep.passed is False and rep.abs_error == 1e308
+    assert (rep.lhs, rep.rhs) == (0j, 0j) and "non-finite measurement: abs_error nan" in rep.note
+    # the CLI's strict JSON takes the row
+    json.dumps(cli._report_dict(rep, stable=True), allow_nan=False)
+
+
+def test_a_nan_on_the_limit_profile_is_a_failed_row(monkeypatch):
+    # max() kept the first of a NaN and a number, whichever came first
+    ctx = make_context(4)
+    real = verify.arcsin_n
+    monkeypatch.setattr(verify, "arcsin_n",
+                        lambda c, w: complex(math.nan, 0.0) if abs(w) < 500 else real(c, w))
+    assert math.isnan(limit_profile(ctx, [100.0], angles=4)[0])
+    rep = check_limit_at_infinity(ctx, radii=[100.0, 1000.0])
+    assert rep.passed is False and rep.abs_error == 1e308
+    assert rep.note.startswith("non-finite measurement: abs_error nan")
 
 
 def test_verify_config_takes_family_and_class_tolerances():
