@@ -35,9 +35,8 @@ from .numerics import _MAX_N, _MIN_N, _FrozenRecord, _series_tables
 _EDGE_TOL = 1e-10
 # Half-width of the exclusion band around each slit ray.
 _SLIT_TOL = 1e-8
-# Relative radius of the "at the obstruction corner" flag.
-_POLE_TOL = 1e-6
-# Angular snap onto a wedge ray or bisector, shared by fold and arcsin_n_sector.
+# Angular slack at a wedge ray or bisector: fold's snap onto a ray, and how
+# far past its boundary rays arcsin_n_sector still takes a point.
 _RAY_SNAP = 1e-12
 # Rounding of a lattice translation, in units of |z| (64 ulps).
 _CELL_ROUND = 2.0**-46
@@ -62,7 +61,6 @@ class SquigContext:
     * ``edge_tol``: the triangle tests' area slack, 1e-10 ``|A|**2``;
     * ``half_kite``: ``(Re A, Im A, Re P - Re A, Im P - Im A, Re P, Im P)``,
       the terms of ``fold``'s test of the triangle ``(0, A, P)``;
-    * ``pole_tol``: the radius of the corner flag, 1e-6 ``|P|``;
     * ``tables``: the kernel's ``numerics._series_tables(n)``, so a call
       reads them without a cache lookup;
     * ``cell_shift_1``/``cell_shift_2``: ``A (1 - omega)`` and
@@ -92,7 +90,6 @@ class SquigContext:
         self.cos_phase = cmath.exp(-1j * math.pi / n)
         self.edge_tol = _EDGE_TOL * abs(a) ** 2
         self.half_kite = (a.real, a.imag, p.real - a.real, p.imag - a.imag, p.real, p.imag)
-        self.pole_tol = _POLE_TOL * abs(p)
         self.cell_shift_1 = c1 = a * (1.0 - omega)
         self.cell_shift_2 = c2 = a * (1.0 - omega * omega)
         self.det = self.tie = self.cell_inner = None
@@ -127,24 +124,22 @@ class FoldResult(_FrozenRecord):
     where the lattice part is zero unless ``n == 3``.
     """
 
-    __slots__ = ("folded", "rotation_k", "conjugated", "lattice_shift", "at_pole")
+    __slots__ = ("folded", "rotation_k", "conjugated", "lattice_shift")
     folded: complex
     rotation_k: int
     conjugated: bool
     lattice_shift: tuple[int, int]
-    at_pole: bool
 
-    def __init__(self, folded, rotation_k, conjugated, lattice_shift, at_pole):
+    def __init__(self, folded, rotation_k, conjugated, lattice_shift):
         # the slots' descriptors set each field directly, past the frozen
         # __setattr__
         _set_folded(self, folded)
         _set_rotation_k(self, rotation_k)
         _set_conjugated(self, conjugated)
         _set_lattice_shift(self, lattice_shift)
-        _set_at_pole(self, at_pole)
 
 
-_set_folded, _set_rotation_k, _set_conjugated, _set_lattice_shift, _set_at_pole = (
+_set_folded, _set_rotation_k, _set_conjugated, _set_lattice_shift = (
     getattr(FoldResult, name).__set__ for name in FoldResult.__slots__)
 _NO_SHIFT = (0, 0)
 
@@ -298,9 +293,9 @@ def fold(ctx: SquigContext, z: complex) -> FoldResult:
 
     The point is rotated onto its nearest wedge ray and, if it lies below
     that ray, conjugated.  Tie conventions: points within 1e-12 radians of
-    a ray fold without conjugation, points on a bisector fold with
-    ``conjugated=False``, and the obstruction-corner flag fires within
-    ``1e-6 * |P|`` of the corner.
+    a ray fold without conjugation, and points on a bisector fold with
+    ``conjugated=False``.  The fold does not judge the pole: a target at or
+    next to the corner ``P`` folds like any other, and ``sin_n`` decides.
     """
     return FoldResult(*_fold(ctx, z))
 
@@ -346,7 +341,7 @@ def _fold(ctx: SquigContext, z: complex) -> tuple:
                 region=f"Omega_{n}",
             )
 
-    return t, rotation_k, conjugated, shift, abs(t - ctx.P) <= ctx.pole_tol
+    return t, rotation_k, conjugated, shift
 
 
 def unfold(ctx: SquigContext, result: FoldResult) -> complex:

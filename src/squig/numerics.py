@@ -228,34 +228,37 @@ def _read_block(path: str, n: int) -> tuple:
     The header must name this format and the supported n range, every ODE
     table must have ODE_TERMS entries, and the blocks must follow the
     entries back to back up to the file's end.  Anything else raises
-    TableFileError: the tables are never rebuilt at runtime.
+    TableFileError: the tables are never rebuilt at runtime.  Of the
+    blocks, only n's is read.
     """
     def refuse(why: str):
         return TableFileError(f"series table file {path} {why}; regenerate it with "
                               f"`{_REGENERATE}`")
 
+    offset = _TABLES_HEADER.size + (_MAX_N - _MIN_N + 1) * _TABLES_ENTRY.size
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(offset)
+            if len(head) < offset:
+                raise refuse(f"is short: {size} bytes")
+            header = _TABLES_HEADER.unpack_from(head)
+            if header != (_TABLES_MAGIC, _TABLES_VERSION, _MIN_N, _MAX_N):
+                raise refuse(f"has the header {header!r}, not "
+                             f"{(_TABLES_MAGIC, _TABLES_VERSION, _MIN_N, _MAX_N)!r}")
+            entries = tuple(_TABLES_ENTRY.iter_unpack(head[_TABLES_HEADER.size:]))
+            for m, (start, ode, *series, pole) in enumerate(entries, _MIN_N):
+                if start != offset or ode != ODE_TERMS:
+                    raise refuse(f"has a wrong entry at n = {m}")
+                offset += 8 * (4 + 2 * (ode + sum(series)) + pole)
+            if offset != size:
+                raise refuse(f"is {size} bytes, not {offset}")
+            start, ode, *series, pole = entries[n - _MIN_N]
+            fh.seek(start)
+            length = 4 + 2 * (ode + sum(series)) + pole
+            values = iter(struct.unpack(f"<{length}d", fh.read(8 * length)))
     except OSError as exc:
         raise refuse(f"cannot be read ({exc.strerror})") from None
-    count = _MAX_N - _MIN_N + 1
-    offset = _TABLES_HEADER.size + count * _TABLES_ENTRY.size
-    if len(data) < offset:
-        raise refuse(f"is short: {len(data)} bytes")
-    header = _TABLES_HEADER.unpack_from(data)
-    if header != (_TABLES_MAGIC, _TABLES_VERSION, _MIN_N, _MAX_N):
-        raise refuse(f"has the header {header!r}, not "
-                     f"{(_TABLES_MAGIC, _TABLES_VERSION, _MIN_N, _MAX_N)!r}")
-    entries = tuple(_TABLES_ENTRY.iter_unpack(data[_TABLES_HEADER.size:offset]))
-    for m, (start, ode, *series, pole) in enumerate(entries, _MIN_N):
-        if start != offset or ode != ODE_TERMS:
-            raise refuse(f"has a wrong entry at n = {m}")
-        offset += 8 * (4 + 2 * (ode + sum(series)) + pole)
-    if offset != len(data):
-        raise refuse(f"is {len(data)} bytes, not {offset}")
-    start, ode, *series, pole = entries[n - _MIN_N]
-    values = iter(struct.unpack_from(f"<{4 + 2 * (ode + sum(series)) + pole}d", data, start))
 
     def take(count: int) -> tuple:
         return tuple(itertools.islice(values, count))
@@ -346,7 +349,8 @@ def _corner_series(tables: _SeriesTables, n: int, u: complex) -> complex:
     sector, where Im u > 0 and arg delta lies in (-pi, 0).  That is the
     principal root, except on the real ray itself, where it is
     |delta|^(1/n) e^(-i pi/n), and a hair below it, where rounding can put
-    the reflection of a point on the upper ray.
+    the reflection of a point on the upper ray and where ``arcsin_n_sector``
+    takes a point within its slack of the ray.
     """
     delta = 1.0 - u
     if delta.real < 0.0 and delta.imag >= 0.0:

@@ -68,11 +68,14 @@ _FOLD_ROUND = 7 * _ULP  # rounding of one rotation by a stored root (tested: 6.7
 class EvalResult(_FrozenRecord):
     """Value of an evaluation plus its certificate.
 
-    ``value`` is None exactly when ``is_pole`` is set.  On every call
-    ``residual`` is a forward-error bound: it bounds the distance of the
-    returned value from the exact one at the point itself, the fold and
-    the unfold included (at n = 16, z = 0.99 A it is one ulp for the
-    returned sine 1.0).
+    ``value`` is None exactly when ``is_pole`` is set, and ``is_pole`` is
+    set only where the folded target lies within its own error of the pole
+    ``P``: P's error, the fold's rounding and, at n == 3, the lattice
+    translation's.  Every other point returns a value, however near ``P``.
+    On every call ``residual`` is a forward-error bound: it bounds the
+    distance of the returned value from the exact one at the point itself,
+    the fold and the unfold included (at n = 16, z = 0.99 A it is one ulp
+    for the returned sine 1.0).
     """
 
     __slots__ = ("value", "is_pole", "residual")
@@ -205,31 +208,17 @@ def _pole_invert(ctx: SquigContext, t: complex, sine: bool):
 
 
 def arcsin_n_sector(ctx: SquigContext, z: complex) -> complex:
-    """Sector map F on the closed fundamental sector, boundary rays included."""
+    """Sector map F on the closed fundamental sector, boundary rays included:
+    the value at the float ``z`` itself, continued from inside the sector
+    onto both rays, slits included (``numerics.sector_ray_integral``)."""
     n = ctx.n
     if z.__class__ is not complex or not cmath.isfinite(z):
         z = _as_point(z, f"the closed sector V_{n}", f"V_{n}")
     if z == 0:
         return 0j
-    tau = ctx.tau
-    ph = cmath.phase(z)
-    if -_RAY_SNAP <= ph < 0.0:
-        ph = 0.0
-        z = complex(abs(z), 0.0)
-    if ph < 0.0 or ph > tau + _RAY_SNAP:
-        raise DomainError(
-            f"point {z} lies outside the closed sector V_{n}", region=f"V_{n}"
-        )
-    reflected = ph > tau / 2.0 + _RAY_SNAP
-    u = ctx.omega * z.conjugate() if reflected else z
-    if abs(u.imag) <= _RAY_SNAP * max(1.0, abs(u.real)):
-        u = complex(abs(u), 0.0)
-    # values move like |u - 1|^(1/n) at the corner, so absorb float fuzz
-    if abs(u - 1.0) <= 1e-14:
-        u = 1.0 + 0j
-
-    val = sector_ray_integral(n, u)
-    return ctx.omega * val.conjugate() if reflected else val
+    if not -_RAY_SNAP <= cmath.phase(z) <= ctx.tau + _RAY_SNAP:
+        raise DomainError(f"point {z} lies outside the closed sector V_{n}", region=f"V_{n}")
+    return sector_ray_integral(n, z)
 
 
 def arcsin_n(ctx: SquigContext, w: complex) -> complex:
@@ -260,11 +249,11 @@ def _evaluate(ctx: SquigContext, z: complex, sine: bool) -> EvalResult:
     (m1, m2) rotates the sine by omega**(m2 - m1) and the cosine by
     omega**(m1 - m2).  The errors of t reach ``residual`` here, through one
     slope read from the value before the unfold (module docstring); a point
-    the fold leaves in place carries no rounding of the fold.
+    the fold leaves in place carries no rounding of the fold.  The same sum
+    judges the pole: a target of the pole route whose |P - t| is within the
+    error of t is flagged, and every other target is evaluated.
     """
-    t, rotation_k, conjugated, shift, at_pole = _fold(ctx, z)
-    if at_pole:
-        return EvalResult(None, True, 0.0)
+    t, rotation_k, conjugated, shift = _fold(ctx, z)
     n = ctx.n
     # the nearer of the two discs: fewer terms, and the value that vanishes
     # at its centre (s at 0, c at A) comes out as a product, not a difference
@@ -281,19 +270,22 @@ def _evaluate(ctx: SquigContext, z: complex, sine: bool) -> EvalResult:
         got = _corner_invert(ctx, y, sine)
         err = _A_ERR * ctx.A.real
     if got is None:
-        got = _pole_invert(ctx, t, sine)
         err = _P_ERR * abs(ctx.P)
-    value, resid = got
-    if rotation_k or conjugated or shift != (0, 0):
-        # the rounding of the fold's rotation, and of the unfold's: |value|
-        # is the same after it
+    moved = rotation_k or conjugated or shift != (0, 0)
+    if moved:  # the rounding of the fold's rotation, and the translation's error
         err += _FOLD_ROUND * r
-        resid += _FOLD_ROUND * abs(value)
         if shift != (0, 0):
-            # the translation's error, and the rounding of its rotation
             m1, m2 = shift
             err += (_A_ERR * (abs(m1) * abs(ctx.cell_shift_1) + abs(m2) * abs(ctx.cell_shift_2))
                     + _CELL_ROUND * abs(z))
+    if got is None:
+        if abs(ctx.P - t) <= err:  # P lies within the error of t
+            return EvalResult(None, True, 0.0)
+        got = _pole_invert(ctx, t, sine)
+    value, resid = got
+    if moved:  # the rounding of the unfold's rotations: |value| is the same after each
+        resid += _FOLD_ROUND * abs(value)
+        if shift != (0, 0):
             resid += _FOLD_ROUND * abs(value)
     if err:
         resid += err * abs(1.0 - value**n) ** ((n - 1) / n)

@@ -66,7 +66,6 @@ _FAIL_SENTINEL = 1e308     # finite so reports stay strict-JSON serializable
 
 _LOOP_LEG_POINTS = 120
 _LOOP_ARC_POINTS = 64
-_LOOP_OFFSET = 1e-6        # angular offset keeping contour legs off the slits
 
 # run_all's fixed inputs; a caller who wants others passes them to the checks
 _SEED = 0x5157
@@ -259,28 +258,22 @@ def check_limit_at_infinity(ctx: SquigContext, radii: Sequence[float] | None = N
 def _boundary_image_loop(ctx: SquigContext, R: float) -> list[complex]:
     """Image of the circle |z| = R with keyhole detours along both slit edges.
 
-    One upper-edge leg and one arc in the base sector are evaluated point by
-    point with ``arcsin_n``, whose values on the slit plane are the
-    continuation along them; rotations and a conjugated copy assemble the
-    full loop.
+    One leg on the slit [1, R] and one arc over the closed base sector are
+    evaluated point by point with ``arcsin_n_sector``, which continues F from
+    inside onto both rays; rotations and a conjugated copy assemble the full
+    loop.  The leg starts at the tip, whose image is A exactly: the edge's
+    image is the segment [A, P], so the chord to the next sample stays on it.
     """
-    n = ctx.n
-    tau = ctx.tau
     om = ctx.omega
     m = _LOOP_LEG_POINTS
-    xs = [1.0 + (R - 1.0) * 10.0 ** (-9.0 * (1.0 - j / (m - 1))) for j in range(m)]
-    leg = [arcsin_n(ctx, x * cmath.exp(1j * _LOOP_OFFSET)) for x in xs]
+    xs = [1.0] + [1.0 + (R - 1.0) * 10.0 ** (-9.0 * (1.0 - j / (m - 1))) for j in range(m)]
+    leg = [arcsin_n_sector(ctx, complex(x)) for x in xs]
 
     a = _LOOP_ARC_POINTS
-    arc = [arcsin_n(ctx, R * cmath.exp(1j * (_LOOP_OFFSET + (tau - 2.0 * _LOOP_OFFSET) * i / a)))
-           for i in range(1, a + 1)]
+    arc = [arcsin_n_sector(ctx, R * cmath.exp(1j * ctx.tau * i / a)) for i in range(1, a + 1)]
 
     piece = leg + arc + [om * v.conjugate() for v in reversed(leg)]
-    loop: list[complex] = []
-    rot = 1.0 + 0j
-    for _ in range(n):
-        loop.extend(rot * v for v in piece)
-        rot *= om
+    loop = [rot * v for rot in ctx.roots for v in piece]
     dedup = [loop[0]]
     for v in loop[1:]:
         if abs(v - dedup[-1]) > 1e-12:

@@ -1,5 +1,5 @@
-"""Every module-level private function or class in ``squig`` has a user,
-and the errors of the folded target are propagated in one place.
+"""Every module-level private function, class or constant in ``squig`` has
+a user, and the errors of the folded target are propagated in one place.
 
 A private name counts as used when some ``src/squig`` module refers to it
 as a name or an attribute outside its own definition (a docstring does not
@@ -23,28 +23,37 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
+def assigned_names(stmt: ast.stmt) -> set[str]:
+    """The names a top-level statement defines: a def's or class's, or the
+    plain names (tuples of them included) that an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return {node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)}
+
+
 def unreferenced_private_names(sources: dict[str, str], wrapped: set[str]) -> list[str]:
-    """``module.name`` of each private top-level def or class that no
-    module refers to outside the definition itself and ``wrapped`` lacks."""
+    """``module.name`` of each private top-level def, class or assigned
+    name that no module refers to outside the statement defining it and
+    ``wrapped`` lacks."""
     defined = []
-    references = []  # (name, module, top-level definition it sits in)
+    references = []  # (name, module, names the top-level statement defines)
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
-            owner = None
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                owner = stmt.name
-                if _is_private(owner):
-                    defined.append((module, owner))
+            owners = assigned_names(stmt)
+            defined += [(module, name) for name in owners if _is_private(name)]
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    references.append((node.id, module, owner))
+                    references.append((node.id, module, owners))
                 elif isinstance(node, ast.Attribute):
-                    references.append((node.attr, module, owner))
+                    references.append((node.attr, module, owners))
     return sorted(
         f"{module}.{name}" for module, name in defined
         if name not in wrapped and not any(
-            ref == name and (where, owner) != (module, name)
-            for ref, where, owner in references))
+            ref == name and not (where == module and name in owners)
+            for ref, where, owners in references))
 
 
 def package_sources() -> dict[str, str]:
@@ -66,6 +75,34 @@ def test_the_check_sees_an_unused_private_function():
     }
     assert unreferenced_private_names(sources, {"_wrapped"}) == ["a._unused"]
     assert unreferenced_private_names(sources, set()) == ["a._unused", "a._wrapped"]
+
+
+def test_the_check_sees_an_unused_private_constant():
+    # a constant counts as read by any statement but its own assignment
+    sources = {
+        "a": ("_TOL = 1e-6  # _OFFSET's comment does not count\n"
+              "_OFFSET: float = 1e-6\n"
+              "_SELF = [_SELF for _SELF in ()]\n"
+              "_X, (_Y, _Z) = _PAIR = (1, (2, 3))\n"
+              "__all__ = ['public']\n"
+              "def public():\n    return _TOL + _X + _PAIR[0]\n"),
+        "b": "from . import a\n\nSTEP = a._Y\n",
+    }
+    assert unreferenced_private_names(sources, {"_Z"}) == ["a._OFFSET", "a._SELF"]
+
+
+def test_the_check_sees_a_constant_that_is_no_longer_read():
+    # with its reader gone, a module's private constant is refused
+    sources = package_sources()
+    verify = sources["verify"]
+    sources["verify"] = verify.replace("_LOOP_ARC_POINTS = 64",
+                                       "_LOOP_ARC_POINTS = 64\n_LOOP_OFFSET = 1e-6", 1)
+    geometry = sources["geometry"]
+    sources["geometry"] = geometry.replace("_EDGE_TOL = 1e-10", "_EDGE_TOL = 1e-10\n_POLE_TOL = 1e-6", 1)
+    assert sources["verify"] != verify and sources["geometry"] != geometry
+    wrapped = {name for _, name in span_targets()}
+    assert unreferenced_private_names(sources, wrapped) == ["geometry._POLE_TOL",
+                                                            "verify._LOOP_OFFSET"]
 
 
 # the errors of the folded target, each a constant of squigfn

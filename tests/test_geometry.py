@@ -240,13 +240,16 @@ class TestFold:
         assert not on_bisector.conjugated
         assert on_bisector.rotation_k == 0
 
-    def test_at_pole_flag(self):
+    def test_no_pole_flag(self):
+        # the fold does not judge the pole (sin_n does): a target next to P
+        # folds onto it like any other, and the result has four fields
+        assert FoldResult.__slots__ == ("folded", "rotation_k", "conjugated", "lattice_shift")
         for n in (3, 4, 6):
             ctx = make_context(n)
             near = ctx.P * (1.0 - 1e-8) * cmath.exp(2j * math.pi / n)
-            assert fold(ctx, near).at_pole
-            far = ctx.P * (1.0 - 1e-4)
-            assert not fold(ctx, far).at_pole
+            fr = fold(ctx, near)
+            assert fr.rotation_k == 1 and not fr.conjugated
+            assert abs(fr.folded - ctx.P * (1.0 - 1e-8)) <= 1e-15 * ctx.R
 
     def test_outside_rosette_raises(self):
         for n in (4, 6):

@@ -306,8 +306,8 @@ def edge_band_points(ctx, rng):
 
 
 def fold_key(folded):
-    t, rotation_k, conjugated, shift, at_pole = folded
-    return bits(t), rotation_k, conjugated, shift, at_pole
+    t, rotation_k, conjugated, shift = folded
+    return bits(t), rotation_k, conjugated, shift
 
 
 def test_n3_fold_sweeps_only_near_a_cell_edge(monkeypatch):
@@ -319,7 +319,7 @@ def test_n3_fold_sweeps_only_near_a_cell_edge(monkeypatch):
     band = edge_band_points(ctx, rng) + cell_points(ctx, rng)
     for z in band:
         ref = ref_fold(ctx, z)
-        want = (ref.folded, ref.rotation_k, ref.conjugated, ref.lattice_shift, ref.at_pole)
+        want = (ref.folded, ref.rotation_k, ref.conjugated, ref.lattice_shift)
         assert fold_key(geometry._fold(ctx, z)) == fold_key(want), z
     assert 0 < len(sweeps) < len(band)
     # points of the hexagon, inside the inscribed disc or not, take no sweep
@@ -356,7 +356,6 @@ def test_context_tables_are_the_per_call_expressions(n):
     assert ctx.tau == 2.0 * math.pi / n
     assert ctx.cos_phase == cmath.exp(-1j * math.pi / n)
     assert ctx.edge_tol == 1e-10 * abs(ctx.A) ** 2
-    assert ctx.pole_tol == 1e-6 * abs(ctx.P)
     assert ctx.half_kite == (ctx.A.real, ctx.A.imag, ctx.P.real - ctx.A.real,
                              ctx.P.imag - ctx.A.imag, ctx.P.real, ctx.P.imag)
     assert ctx.tables is tables
@@ -446,7 +445,6 @@ class RefFold:
     rotation_k: int
     conjugated: bool
     lattice_shift: tuple
-    at_pole: bool
 
 
 def ref_fold(ctx, z):
@@ -492,8 +490,7 @@ def ref_fold(ctx, z):
                 f"point {z} lies outside the closed region Omega_{n}",
                 region=f"Omega_{n}",
             )
-    at_pole = abs(t - ctx.P) <= ctx.pole_tol
-    return RefFold(t, rotation_k, conjugated, (m1, m2), at_pole)
+    return RefFold(t, rotation_k, conjugated, (m1, m2))
 
 
 def ref_disc_sum(ctx, w):
@@ -557,28 +554,42 @@ def ref_invert(ctx, t, routes):
                             + 4.0 * (n + 1) * ulp * abs(cosv)), squigfn._P_ERR * abs(ctx.P)
 
 
-def ref_eval(ctx, z, sine, routes):
-    """Reference: ``sin_n`` (or ``cos_n``) as (value, is_pole, residual)."""
-    fr = ref_fold(ctx, z)
-    if fr.at_pole:
-        routes["pole flag"] += 1
-        return None, True, 0.0
-    u, cosv, u_res, c_res, err = ref_invert(ctx, fr.folded, routes)
-    w, res = (u, u_res) if sine else (cosv, c_res)
+def ref_error_of_t(ctx, fr, z, err):
+    """Reference: the error of the folded target, from the route's own
+    ``err`` (A's or P's).  A point the fold moved adds the fold's rounding,
+    7 ulps of |t|; a lattice-shifted n == 3 point adds the translation's
+    error (the cell shifts' error from A's, plus the rounding of the
+    translated point)."""
     m1, m2 = fr.lattice_shift
-    # a point the fold moved adds the fold's rounding, 7 ulps of |t|, to
-    # the error of t, and the unfold's, 7 ulps of the value
-    fold_round = 7 * squigfn._ULP
     if fr.rotation_k or fr.conjugated or (m1, m2) != (0, 0):
-        err += fold_round * abs(fr.folded)
-        res += fold_round * abs(w)
-    # a lattice-shifted n == 3 point adds the translation's error (the cell
-    # shifts' error from A's, plus the rounding of the translated point),
-    # and the rounding of the unfold's second rotation
+        err += 7 * squigfn._ULP * abs(fr.folded)
     if (m1, m2) != (0, 0):
         err += (squigfn._A_ERR * (abs(m1) * abs(ctx.cell_shift_1)
                                   + abs(m2) * abs(ctx.cell_shift_2))
                 + 2.0**-46 * abs(z))
+    return err
+
+
+def ref_eval(ctx, z, sine, routes):
+    """Reference: ``sin_n`` (or ``cos_n``) as (value, is_pole, residual)."""
+    fr = ref_fold(ctx, z)
+    t = fr.folded
+    # a target beyond both discs is the pole where P lies within the error
+    # of t (P's plus the fold's): no value can be told from the pole there
+    if (min(abs(t), abs(ctx.A - t)) > ctx.tables.disc
+            and abs(t - ctx.P) <= ref_error_of_t(ctx, fr, z, squigfn._P_ERR * abs(ctx.P))):
+        routes["pole flag"] += 1
+        return None, True, 0.0
+    u, cosv, u_res, c_res, err = ref_invert(ctx, t, routes)
+    w, res = (u, u_res) if sine else (cosv, c_res)
+    err = ref_error_of_t(ctx, fr, z, err)
+    m1, m2 = fr.lattice_shift
+    # the unfold's rounding, 7 ulps of the value, and at n == 3 that of its
+    # second rotation
+    fold_round = 7 * squigfn._ULP
+    if fr.rotation_k or fr.conjugated or (m1, m2) != (0, 0):
+        res += fold_round * abs(w)
+    if (m1, m2) != (0, 0):
         res += fold_round * abs(w)
     # each error of t moves the value by that error times its slope, read
     # from the value itself through s**n + c**n = 1
@@ -809,7 +820,7 @@ def test_python_calls_per_warm_call(n):
 
 
 RESULTS = [EvalResult(0.5 - 0.25j, False, 2.0**-52), EvalResult(None, True, 0.0),
-           FoldResult(0.3 + 0.1j, 2, True, (1, -1), False),
+           FoldResult(0.3 + 0.1j, 2, True, (1, -1)),
            RationalSeries((1, 4), (Fraction(1), Fraction(-1, 4)))]
 
 
@@ -842,8 +853,7 @@ def test_result_objects_stay_frozen_records(obj):
 
 def test_result_reprs_unchanged():
     assert repr(EvalResult(1j, False, 0.0)) == "EvalResult(value=1j, is_pole=False, residual=0.0)"
-    assert repr(FoldResult(0.5, 0, False, (0, 0), False)) == (
-        "FoldResult(folded=0.5, rotation_k=0, conjugated=False, lattice_shift=(0, 0), "
-        "at_pole=False)")
+    assert repr(FoldResult(0.5, 0, False, (0, 0))) == (
+        "FoldResult(folded=0.5, rotation_k=0, conjugated=False, lattice_shift=(0, 0))")
     assert repr(RationalSeries((1,), (Fraction(1),))) == (
         "RationalSeries(degrees=(1,), coeffs=(Fraction(1, 1),))")

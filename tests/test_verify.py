@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from conftest import slit_integral_oracle
 from squig import cli, verify
 from squig.geometry import make_context
 from squig.reference import winding_number
+from squig.regions import in_rosette, sample_domain
 from squig.squigfn import EvalResult
 from squig.verify import (
     DEFAULT_TOLERANCES,
@@ -136,12 +138,31 @@ class TestWinding:
 
     @pytest.mark.parametrize("n", range(3, 65))
     def test_inside_and_outside_at_every_n(self, n):
-        # the loop is built from arcsin_n alone, for every supported n
+        # the loop is built from arcsin_n_sector alone, for every supported n
         ctx = make_context(n)
         inside = check_winding(ctx, 50.0, 0.4 * ctx.P)
         outside = check_winding(ctx, 50.0, 1.05 * ctx.P)
         assert inside.passed and inside.lhs == 1
         assert outside.passed and outside.lhs == 0
+
+    @pytest.mark.parametrize("n", [3, 4, 8, 16, 64])
+    def test_seeded_targets_on_both_sides(self, n):
+        # 32 rosette points (winding 1), and 32 points outside it whose four
+        # probes 0.05 |P| away are outside too (winding 0).  The leg starts
+        # at the slit tip, so the images next to the tip lie inside the
+        # loop; a leg 1e-6 rad off the slit, from 1 + 1e-9 (R - 1) on, left
+        # out 1, 4 and 13 of the inside points at n = 8, 16 and 64
+        ctx = make_context(n)
+        rng = random.Random(f"winding:{n}")
+        loop = verify._boundary_image_loop(ctx, 50.0)
+        inside = sample_domain(ctx, rng, 32)
+        outside = []
+        while len(outside) < 32:
+            w = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) * ctx.R
+            if not any(in_rosette(ctx, w + 0.05 * ctx.R * d) for d in (0, 1, 1j, -1, -1j)):
+                outside.append(w)
+        assert [winding_number(loop, w) for w in inside] == [1] * 32
+        assert [winding_number(loop, w) for w in outside] == [0] * 32
 
     def test_n3_hexagon(self):
         ctx = make_context(3)
