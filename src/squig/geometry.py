@@ -29,7 +29,7 @@ import cmath
 import math
 
 from .errors import DomainError, ParameterError, _shown
-from .numerics import _MAX_N, _MIN_N, _FrozenRecord, _series_tables
+from .numerics import _MAX_N, _MIN_N, _FrozenRecord, _block, _unit_constants
 
 # Membership slack for the triangle tests, in units of |A|^2 (signed areas).
 _EDGE_TOL = 1e-10
@@ -43,26 +43,35 @@ _CELL_ROUND = 2.0**-46
 
 
 class SquigContext:
-    """Fixed-n bundle of constants shared by every operation.
+    """Fixed-n bundle of constants and tables: the one per-n record.
 
     ``SquigContext(n)`` takes ``n`` alone, an integer in ``[3, 64]``, and
-    derives every other field from it, so no two of them can disagree.  It
-    is immutable after construction.
+    derives every other field from it, so no two of them can disagree.  The
+    kernel (``numerics.sector_ray_integral``) and every route read it.  The
+    library never changes a field; the tests replace one to inject a fault.
 
-    ``A``, ``P`` and ``pi_n = 2 A`` are read from the kernel's series
-    tables, with no quadrature or gamma function; ``omega`` is ``roots[1]``
-    and ``B = omega A``.  The per-call hot path reads derived fields, each
-    built by the expression it stands for, so every value matches the one
-    computed per call:
+    n's block of the table file (``numerics._read_block``) gives ``scale``
+    = R**n, the ODE pair's tables ``sine`` and ``cosine`` (S_k and C_k
+    times scale**k), F's (coefficients, radii) tables ``inner``, ``outer``
+    and ``chart`` (its series at 0 and at infinity, and the corner chart),
+    ``A`` and ``R = |P|`` (summed from F's tables, within 3e-16 relative of
+    the exact values), and the pole series' ``rate`` and table ``pole``
+    (``tablegen._pole_reach``).  From R, ``numerics._unit_constants`` gives
+    ``P = R e^(i pi/n)``, ``phase`` = e^(i pi beta) and ``disc``, the radius
+    of the discs at 0 and at A, where 64 terms of an ODE table reach half
+    an ulp (0.817 R at n = 3, 0.9905 R at n = 64).
+
+    ``omega`` is ``roots[1]``, ``B = omega A`` and ``pi_n = 2 A``.  The hot
+    path reads derived fields, each built by the expression it stands for,
+    so every value matches the one computed per call:
 
     * ``roots[k]`` and ``inv_roots[k]``: ``exp(+-2 pi i k / n)``, k < n;
     * ``tau``: the wedge angle ``2 pi / n``;
-    * ``cos_phase``: ``exp(-i pi / n)``, the pole series' cosine factor;
+    * ``cos_phase``: ``exp(-i pi / n)``, the pole series' cosine factor
+      (not ``-phase``, which differs from it in the last bit);
     * ``edge_tol``: the triangle tests' area slack, 1e-10 ``|A|**2``;
-    * ``half_kite``: ``(Re A, Im A, Re P - Re A, Im P - Im A, Re P, Im P)``,
-      the terms of ``fold``'s test of the triangle ``(0, A, P)``;
-    * ``tables``: the kernel's ``numerics._series_tables(n)``, so a call
-      reads them without a cache lookup;
+    * ``half_kite``: ``(Re A, Re P - Re A, Im P)``, the terms of ``fold``'s
+      test of the edge ``[A, P]`` of the triangle ``(0, A, P)``;
     * ``cell_shift_1``/``cell_shift_2``: ``A (1 - omega)`` and
       ``A (1 - omega**2)``, the generators of the n == 3 lattice (plain
       fields, not properties, since ``_reduce_to_cell`` reads them per call);
@@ -78,18 +87,19 @@ class SquigContext:
         if not _MIN_N <= n <= _MAX_N:
             raise ParameterError(f"n must lie in [{_MIN_N}, {_MAX_N}], got {_shown(n)}")
         self.n = n
-        self.tables = tables = _series_tables(n)
+        (self.scale, self.sine, self.cosine, self.inner, self.outer, self.chart, half,
+         self.R, self.rate, self.pole) = _block(n)
+        self.P, self.phase, self.disc = _unit_constants(n, self.R)
         self.roots = tuple(cmath.exp(2j * math.pi * k / n) for k in range(n))
         self.inv_roots = tuple(cmath.exp(-2j * math.pi * k / n) for k in range(n))
         self.omega = omega = self.roots[1]
-        self.pi_n = 2.0 * tables.half
-        self.A = a = complex(tables.half, 0.0)
+        self.pi_n = 2.0 * half
+        self.A = a = complex(half, 0.0)
         self.B = omega * a
-        self.P = p = tables.corner
         self.tau = 2.0 * math.pi / n
         self.cos_phase = cmath.exp(-1j * math.pi / n)
         self.edge_tol = _EDGE_TOL * abs(a) ** 2
-        self.half_kite = (a.real, a.imag, p.real - a.real, p.imag - a.imag, p.real, p.imag)
+        self.half_kite = (a.real, self.P.real - a.real, self.P.imag)
         self.cell_shift_1 = c1 = a * (1.0 - omega)
         self.cell_shift_2 = c2 = a * (1.0 - omega * omega)
         self.det = self.tie = self.cell_inner = None
@@ -106,11 +116,6 @@ class SquigContext:
     @property
     def beta(self) -> float:
         return (self.n - 1) / self.n
-
-    @property
-    def R(self) -> float:
-        """Distance from the origin to the obstruction corner ``P``."""
-        return abs(self.P)
 
 
 class FoldResult(_FrozenRecord):
@@ -327,15 +332,11 @@ def _fold(ctx: SquigContext, z: complex) -> tuple:
     # construction and is not raised: that guards against roundoff at the
     # hexagon corners
     if n != 3:
-        # regions._in_triangle(t, 0, A, P), inline
-        ax, ay, ex, ey, px, py = ctx.half_kite
-        tx, ty = t.real, t.imag
-        tol = -ctx.edge_tol
-        if not (
-            ax * ty - ay * tx >= tol
-            and ex * (ty - ay) - ey * (tx - ax) >= tol
-            and -px * (ty - py) + py * (tx - px) >= tol
-        ):
+        # the rotation leaves t's phase within the snap of [0, tau/2], the
+        # angle of the triangle (0, A, P) at 0, so of regions._in_triangle's
+        # three edge tests only that of [A, P] can fail (Im A = 0)
+        ax, ex, ey = ctx.half_kite
+        if ex * t.imag - ey * (t.real - ax) < -ctx.edge_tol:
             raise DomainError(
                 f"point {z} lies outside the closed region Omega_{n}",
                 region=f"Omega_{n}",

@@ -2,10 +2,10 @@
 
 This module holds what evaluation runs on: the three series of the sector
 map ``F``, at 0, at infinity and the corner chart between them
-(``sector_ray_integral``), and the per-n record of the tables they are
-summed from (``_series_tables``).  The constants A and P come from the same
-series, with no quadrature and no gamma function.  Every sum is cut by
-a proven remainder bound at half an ulp of its leading term.
+(``sector_ray_integral``), and the reader of the per-n tables they are
+summed from.  The constants A and P come from the same series, with no
+quadrature and no gamma function.  Every sum is cut by a proven remainder
+bound at half an ulp of its leading term.
 
 Every per-n table (F's three with their radii, the ODE pair's scaled sine
 and cosine, and the pole series that inverts the map near P) and the
@@ -14,8 +14,10 @@ data file ``_tables.bin``, which ``squig.tablegen`` writes
 (``python -m squig.tablegen``).  One reader, ``_read_block``, unpacks n's
 block, and no process keeps the file's bytes.  The file's layout constants
 live here, for the reader and the writer.  A missing, short or foreign
-file raises ``TableFileError``.  Nothing is rebuilt at runtime: a context
-computes only P, e^(i pi beta), omega and the discs' radius from R.
+file raises ``TableFileError``.  Nothing is rebuilt at runtime: the one
+per-n record, ``geometry.SquigContext``, holds n's block and computes only
+P, e^(i pi beta) and the discs' radius from R (``_unit_constants``), and
+its roots of unity.  The kernel takes that record.
 
 The inverse routes (the discs at 0 and at A, and the pole series) sum their
 tables through one kernel with one cut rule and one bound, ``_series_sum``.
@@ -37,7 +39,6 @@ import itertools
 import math
 import os
 import struct
-from typing import NamedTuple
 
 from .errors import TableFileError
 
@@ -170,48 +171,14 @@ def _series_sum(coeffs, w: complex, n: int, scale: float, rate: float, tail: flo
     return acc, bound
 
 
-class _SeriesTables(NamedTuple):
-    """Per-n constants and tables of the kernel, the one source of A and P.
-
-    The first ten fields are n's block of the table file, in its order
-    (``_read_block``); the last four are the unit constants that follow
-    from R.  A and R come from F's tables, with no gamma function or
-    quadrature (``tablegen._corner_constants``).  Both are within 3e-16
-    relative of the exact values for n = 3..64.
-
-    The ODE pair's tables serve the inverse: their sums converge for
-    |t**n| < R**n, and ``disc`` is the radius where 64 terms reach half an
-    ulp, ODE_RADII[-1]**(1/n) R (0.817 R at n = 3, 0.9905 R at n = 64).
-    Each disc sums the one table of the value asked for through
-    ``_series_sum``, with tail 2 and rate 1 in x = t**n / scale.  The pole
-    series sums ``pole`` with tail 1 and ``rate`` in X = W**n
-    (``tablegen._pole_coefficients`` and ``tablegen._pole_reach``).
-    """
-
-    scale: float      # R**n, the unit of x = t**n in both ODE tables
-    sine: tuple       # a_k = S_k R**(n k), the ODE pair's sine table
-    cosine: tuple     # b_k = C_k R**(n k), its cosine table
-    inner: tuple      # (coefficients, radii) of F's binomial series at 0
-    outer: tuple      # (coefficients, radii) of F's binomial series at infinity
-    chart: tuple      # (coefficients, radii) of Q, the corner chart
-    half: float       # A, the half period
-    radius: float     # R = |P|
-    rate: float       # 1/|X| at v's nearest singularity: |k_j| <= rate**j
-    pole: tuple       # k_j of the pole series v = 1/u = W k(W**n)
-    corner: complex   # P = R e^(i pi/n)
-    phase: complex    # e^(i pi beta)
-    disc: float       # radius of the discs at 0 and at A that the tables cover
-    omega: complex    # e^(2 pi i/n), the root of the corner chart's upper half
-
-
 # The table file: the products of the recurrences in squig.tablegen for
 # every supported n, laid out by ``tablegen._pack_tables`` and written by
 # ``python -m squig.tablegen``.  A header (magic, format version, the n
 # range) and one entry per n (the offset of its block and the lengths of
 # its ODE tables, of F's three tables and of the pole table) precede the
-# blocks, each the little-endian doubles of ``_SeriesTables``' first ten
-# fields: scale, sine, cosine, the coefficients and radii of inner, outer
-# and chart, A, R, rate and the pole table.
+# blocks, each the little-endian doubles of scale, sine, cosine, the
+# coefficients and radii of inner, outer and chart, A, R, rate and the pole
+# table, the fields of ``geometry.SquigContext`` that hold them.
 _TABLES_PATH = os.path.join(os.path.dirname(__file__), "_tables.bin")
 _TABLES_MAGIC = b"squigtab"
 _TABLES_VERSION = 2
@@ -221,9 +188,8 @@ _REGENERATE = "PYTHONPATH=src python -m squig.tablegen"
 
 
 def _read_block(path: str, n: int) -> tuple:
-    """n's block of the table file at ``path``, as ``_SeriesTables``' first
-    ten fields: F's tables as (coefficients, radii) pairs of lists, the ODE
-    and pole tables as tuples.
+    """n's block of the table file at ``path``, in its order: F's tables as
+    (coefficients, radii) pairs of lists, the ODE and pole tables as tuples.
 
     The header must name this format and the supported n range, every ODE
     table must have ODE_TERMS entries, and the blocks must follow the
@@ -270,15 +236,14 @@ def _read_block(path: str, n: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _series_tables(n: int) -> _SeriesTables:
-    block = _read_block(_TABLES_PATH, n)
-    return _SeriesTables(*block, *_unit_constants(n, block[7]))
+def _block(n: int) -> tuple:
+    return _read_block(_TABLES_PATH, n)
 
 
 def _unit_constants(n: int, radius: float) -> tuple:
-    """The record's last four fields, P, e^(i pi beta), disc and omega, from R."""
+    """P, e^(i pi beta) and the radius of the discs at 0 and at A, from R."""
     return (radius * cmath.exp(1j * math.pi / n), cmath.exp(1j * math.pi * (n - 1) / n),
-            ODE_RADII[-1] ** (1.0 / n) * radius, cmath.exp(2j * math.pi / n))
+            ODE_RADII[-1] ** (1.0 / n) * radius)
 
 
 def _binomial_sum(table, x: complex) -> complex:
@@ -291,7 +256,7 @@ def _binomial_sum(table, x: complex) -> complex:
     return acc
 
 
-def _series_tail(tables: _SeriesTables, n: int, u: complex) -> complex | None:
+def _series_tail(ctx, u: complex) -> complex | None:
     """Integral of t**(1-n) (1 - t**-n)**(-beta) from u to infinity, or None.
 
     Equals sum_k c_k u**(2-n-nk) / (n-2+nk) when |u**n| >= SERIES_OUTER and
@@ -301,14 +266,14 @@ def _series_tail(tables: _SeriesTables, n: int, u: complex) -> complex | None:
     if abs(u) <= 1.0:
         return None
     v = 1.0 / u
-    lead = v ** (n - 2)
+    lead = v ** (ctx.n - 2)
     y = lead * v * v
     if abs(y) > 1.0 / SERIES_OUTER:
         return None
-    return lead * _binomial_sum(tables.outer, y)
+    return lead * _binomial_sum(ctx.outer, y)
 
 
-def sector_ray_integral(n: int, u: complex) -> complex:
+def sector_ray_integral(ctx, u: complex) -> complex:
     """F(u), the integral of the arcsine kernel along [0, u], from three series.
 
     With x = u**n, beta = (n-1)/n and c_k = (beta)_k / k!:
@@ -321,28 +286,29 @@ def sector_ray_integral(n: int, u: complex) -> complex:
       above pi/n use the chart at omega through F(omega v) = omega F(v),
       with the real coefficients of Q.
 
-    A and P come from the same series (``_SeriesTables``).  Valid on the
-    closed base sector: the boundary rays past their roots of unity take the
-    value continued from inside, the lower slit edge included.  Each sum is
-    cut by its proven remainder bound at half an ulp of its leading term, so
-    the result carries only rounding error (about 1e-15 relative).
+    ``ctx`` is n's ``geometry.SquigContext``, which holds the tables and A
+    and P, summed from the same series.  Valid on the closed base sector:
+    the boundary rays past their roots of unity take the value continued
+    from inside, the lower slit edge included.  Each sum is cut by its
+    proven remainder bound at half an ulp of its leading term, so the
+    result carries only rounding error (about 1e-15 relative).
     """
-    tables = _series_tables(n)
+    n = ctx.n
     if abs(u) <= 1.0:
         x = u ** n
         if abs(x) <= SERIES_INNER:
-            return u * _binomial_sum(tables.inner, x)
+            return u * _binomial_sum(ctx.inner, x)
     else:
-        tail = _series_tail(tables, n, u)
+        tail = _series_tail(ctx, u)
         if tail is not None:
-            return tables.corner - tables.phase * tail
+            return ctx.P - ctx.phase * tail
     if cmath.phase(u) > math.pi / n:
-        omega = tables.omega
-        return omega * _corner_series(tables, n, omega * u.conjugate()).conjugate()
-    return _corner_series(tables, n, u)
+        omega = ctx.omega
+        return omega * _corner_series(ctx, omega * u.conjugate()).conjugate()
+    return _corner_series(ctx, u)
 
 
-def _corner_series(tables: _SeriesTables, n: int, u: complex) -> complex:
+def _corner_series(ctx, u: complex) -> complex:
     """F(u) from the chart at 1, for u in the lower half of the annulus.
 
     Beyond the root, delta^(1/n) takes the branch continued from inside the
@@ -352,9 +318,10 @@ def _corner_series(tables: _SeriesTables, n: int, u: complex) -> complex:
     the reflection of a point on the upper ray and where ``arcsin_n_sector``
     takes a point within its slack of the ray.
     """
+    n = ctx.n
     delta = 1.0 - u
     if delta.real < 0.0 and delta.imag >= 0.0:
         root = abs(delta) ** (1.0 / n) * cmath.exp(-1j * abs(cmath.phase(delta)) / n)
     else:
         root = delta ** (1.0 / n)
-    return tables.half - n ** (1.0 / n) * root * _binomial_sum(tables.chart, delta)
+    return ctx.A.real - n ** (1.0 / n) * root * _binomial_sum(ctx.chart, delta)

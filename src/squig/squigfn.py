@@ -12,14 +12,14 @@ regime of the folded target, and each sums one table through one kernel,
 ``numerics._series_sum``:
 
 1. the disc at 0: the ODE pair's Maclaurin series, s = t S(x), c = C(x)
-   with x = t**n, from the float tables ``ctx.tables.sine`` and ``cosine``,
+   with x = t**n, from the float tables ``ctx.sine`` and ``ctx.cosine``,
 2. the disc at the corner ``A``, whichever centre is nearer,
    ``_corner_invert``: the other table, by the symmetry
    sin_n(t) = cos_n(y), y = A - t,
 3. every other target, near the pole ``P`` and in the lens between the
    discs, ``_pole_invert``: the series at infinity inverted in closed form,
    v = 1/u = W k(W**n) with W a root of (n-2) (P - t) e^(-i pi (n-1)/n)
-   (the table ``ctx.tables.pole``); the cosine u e^(-i pi/n) (1 - v**n)**(1/n)
+   (the table ``ctx.pole``); the cosine u e^(-i pi/n) (1 - v**n)**(1/n)
    holds on the slit-edge image ``[A, P]`` as well.
 
 The kernel cuts the Horner sum where its tail bound falls below half an
@@ -38,7 +38,8 @@ So ``residual`` bounds the forward error of the whole call.
 Every forward value of ``F`` comes from one kernel,
 ``numerics.sector_ray_integral``: the binomial series at 0, the series at
 infinity and the corner chart between them, each cut by a proven remainder
-bound, so every value is accurate to about 1e-15 relative.
+bound, so every value is accurate to about 1e-15 relative.  Every route and
+the kernel read their tables from the one per-n record, the context.
 
 ``maclaurin`` gives the exact series of the sine; its rational arithmetic,
 and ``radius_estimate``, live in :mod:`squig.series`, which ``maclaurin``
@@ -103,8 +104,9 @@ def maclaurin(ctx: SquigContext, terms: int) -> RationalSeries:
 
     The coefficients come from the ODE pair s' = c^(n-1), c' = -s^(n-1)
     (``series._ode_coefficients``).  Nonzero degrees are
-    ``1, n+1, 2n+1, ...``.  ``numerics.revert_series``, a general series
-    reversion, gives the same coefficients by inverting the series of ``F``.
+    ``1, n+1, 2n+1, ...``.  ``squig.reference.revert_series``, a general
+    series reversion, gives the same coefficients by inverting the series of
+    ``F``.
     """
     from .series import RationalSeries, _ode_coefficients
 
@@ -124,11 +126,10 @@ def _corner_invert(ctx: SquigContext, y: complex, sine: bool):
     sin_n(t) = cos_n(y) if ``sine``, else cos_n(t) = sin_n(y), at t = A - y,
     by ``_series_sum`` over the other table.  Its bound covers the cut and
     the rounding; ``_evaluate`` adds the error of A that y carries."""
-    tables = ctx.tables
-    if abs(y) > tables.disc:
+    if abs(y) > ctx.disc:
         return None
-    return _series_sum(tables.cosine if sine else tables.sine, y, ctx.n, tables.scale,
-                       1.0, _ODE_TAIL, not sine)
+    return _series_sum(ctx.cosine if sine else ctx.sine, y, ctx.n, ctx.scale, 1.0, _ODE_TAIL,
+                       not sine)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +148,7 @@ def _edge_integral(ctx: SquigContext, x: float) -> float:
     [A, P]."""
     if x <= 1.0:
         return 0.0
-    return abs(sector_ray_integral(ctx.n, complex(x)) - ctx.A)
+    return abs(sector_ray_integral(ctx, complex(x)) - ctx.A)
 
 
 def _invert_slit_edge(ctx: SquigContext, m: float):
@@ -155,7 +156,7 @@ def _invert_slit_edge(ctx: SquigContext, m: float):
     at the point m along [A, P], A + m e^(i pi beta), and its bound.  Raises
     ConvergenceError where that point is P or beyond, or the sine flags it as
     the pole."""
-    res = None if m >= ctx.R else sin_n(ctx, ctx.A + m * ctx.tables.phase)
+    res = None if m >= ctx.R else sin_n(ctx, ctx.A + m * ctx.phase)
     if res is None or res.is_pole:
         raise ConvergenceError(
             f"target at or beyond the pole end of the edge segment (m={m}, limit {ctx.R})",
@@ -182,15 +183,14 @@ def _pole_invert(ctx: SquigContext, t: complex, sine: bool):
     factor here.
     """
     n = ctx.n
-    tables = ctx.tables
-    d = (n - 2) * (ctx.P - t) * tables.phase.conjugate()
+    d = (n - 2) * (ctx.P - t) * ctx.phase.conjugate()
     phi = cmath.phase(d)
     k = round((-(n - 2) * math.pi / (2 * n) - phi) / (2 * math.pi))
     size = abs(d)
     r = size ** (1.0 / (n - 2))
     w = cmath.rect(r, (phi + 2 * math.pi * k) / (n - 2))
-    v, v_err = _series_sum(tables.pole, w, n, 1.0, tables.rate, 1.0, True)
-    q = tables.rate * size * r * r
+    v, v_err = _series_sum(ctx.pole, w, n, 1.0, ctx.rate, 1.0, True)
+    q = ctx.rate * size * r * r
     v_err += 3 * n * _ULP * r * q / (1.0 - q) ** 2
     # |du| = |u|**2 |dv| plus the rounding of W, v and u; |dcos/du| =
     # |1 - v**n|**(-beta)
@@ -218,7 +218,7 @@ def arcsin_n_sector(ctx: SquigContext, z: complex) -> complex:
         return 0j
     if not -_RAY_SNAP <= cmath.phase(z) <= ctx.tau + _RAY_SNAP:
         raise DomainError(f"point {z} lies outside the closed sector V_{n}", region=f"V_{n}")
-    return sector_ray_integral(n, z)
+    return sector_ray_integral(ctx, z)
 
 
 def arcsin_n(ctx: SquigContext, w: complex) -> complex:
@@ -234,7 +234,7 @@ def arcsin_n(ctx: SquigContext, w: complex) -> complex:
     flip = u.imag < 0.0
     if flip:
         u = u.conjugate()
-    val = sector_ray_integral(n, u)
+    val = sector_ray_integral(ctx, u)
     if flip:
         val = val.conjugate()
     return val * ctx.roots[k]
@@ -262,15 +262,14 @@ def _evaluate(ctx: SquigContext, z: complex, sine: bool) -> EvalResult:
     got = None
     err = 0.0  # the error of t
     if r <= abs(y):
-        tables = ctx.tables
-        if r <= tables.disc:
-            got = _series_sum(tables.sine if sine else tables.cosine, t, n, tables.scale,
-                              1.0, _ODE_TAIL, sine)
+        if r <= ctx.disc:
+            got = _series_sum(ctx.sine if sine else ctx.cosine, t, n, ctx.scale, 1.0, _ODE_TAIL,
+                              sine)
     else:
         got = _corner_invert(ctx, y, sine)
         err = _A_ERR * ctx.A.real
     if got is None:
-        err = _P_ERR * abs(ctx.P)
+        err = _P_ERR * ctx.R
     moved = rotation_k or conjugated or shift != (0, 0)
     if moved:  # the rounding of the fold's rotation, and the translation's error
         err += _FOLD_ROUND * r

@@ -156,7 +156,7 @@ def _pole_reach(n: int, half: float, radius: float) -> tuple:
     the discs part (n >= 9), where the disc at 0 meets the real axis:
     0.059 at n = 3, 3.25 at n = 9, 9 entries at n = 3 and 56 at n = 64.
     """
-    corner, _, disc, _ = _unit_constants(n, radius)
+    corner, _, disc = _unit_constants(n, radius)
 
     def x_abs(dist):
         return ((n - 2) * dist) ** (n / (n - 2))

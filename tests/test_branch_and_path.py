@@ -29,8 +29,9 @@ class TestPathIntegral:
         n = 4
         z = 0.5 + 0.5j
         mid = 0.45 + 0.05j
-        direct = sector_ray_integral(n, z)
-        dog_leg = sector_ray_integral(n, mid) + sector_segment_integral(n, mid, z, 1e-13)
+        ctx = make_context(n)
+        direct = sector_ray_integral(ctx, z)
+        dog_leg = sector_ray_integral(ctx, mid) + sector_segment_integral(n, mid, z, 1e-13)
         assert abs(direct - dog_leg) < 1e-11
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -62,5 +63,5 @@ class TestPathIntegral:
         # value must land back on z.
         n = 3
         z = 0.9 * cmath.exp(1j * math.pi / 5)
-        w = sector_ray_integral(n, z)
+        w = sector_ray_integral(make_context(n), z)
         assert abs(rk4_sine_continuation(n, w) - z) < 1e-11

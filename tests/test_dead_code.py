@@ -8,6 +8,10 @@ is read as source.  Otherwise nothing can call it and it should go.
 
 The errors of A and P and the rounding of the fold reach ``residual``
 through one slope, in ``squigfn._evaluate``; no other code reads them.
+
+Every field that ``SquigContext.__init__`` sets is read as an attribute
+outside ``__init__``, and the fields of the second per-n record that the
+context replaced (``tables``, ``half``, ``corner``, ``radius``) stay gone.
 """
 
 import ast
@@ -139,3 +143,45 @@ def test_the_check_sees_a_planted_reader():
     }
     assert readers(sources, TARGET_ERRORS) == [
         "geometry.<module>", "squigfn._corner_invert", "squigfn._evaluate"]
+
+
+# fields of the former second per-n record, which the context replaced
+FORMER_FIELDS = ("tables", "half", "corner", "radius")
+
+
+def context_fields(sources: dict[str, str]) -> tuple[ast.FunctionDef, set[str]]:
+    """``geometry.SquigContext.__init__`` and the attributes it sets on self."""
+    cls = next(stmt for stmt in ast.parse(sources["geometry"]).body
+               if isinstance(stmt, ast.ClassDef) and stmt.name == "SquigContext")
+    init = next(stmt for stmt in cls.body
+                if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__")
+    return init, {node.attr for node in ast.walk(init)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name) and node.value.id == "self"}
+
+
+def unread_context_fields(sources: dict[str, str]) -> list[str]:
+    """The fields ``SquigContext.__init__`` sets that no module reads as
+    ``.name`` outside ``__init__`` itself."""
+    init, fields = context_fields(sources)
+    inside = {id(node) for node in ast.walk(init)}
+    read = {node.attr for source in sources.values() for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in inside}
+    return sorted(fields - read)
+
+
+def test_every_context_field_is_read():
+    sources = package_sources()
+    assert unread_context_fields(sources) == []
+    assert sorted(context_fields(sources)[1] & set(FORMER_FIELDS)) == []
+
+
+def test_the_check_sees_an_unread_context_field():
+    sources = package_sources()
+    geometry = sources["geometry"]
+    sources["geometry"] = geometry.replace(
+        "        self.n = n\n", "        self.n = n\n        self.spare = self.n + 1\n", 1)
+    assert sources["geometry"] != geometry
+    assert unread_context_fields(sources) == ["spare"]
+    assert {"n", "sine", "A", "P", "R", "omega", "spare"} <= context_fields(sources)[1]

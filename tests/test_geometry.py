@@ -126,7 +126,7 @@ class TestContainsPi:
 
 
 class TestInRosette:
-    @pytest.mark.parametrize("n", [4, 5, 8])
+    @pytest.mark.parametrize("n", [4, 5, 8, 16, 64])
     def test_agrees_with_fold(self, n, rng):
         # fold raises DomainError exactly outside the closed rosette
         ctx = make_context(n)

@@ -339,14 +339,23 @@ def test_context_tables_are_the_per_call_expressions(n):
     # n is the context's one settable value; every other field derives from it
     assert list(inspect.signature(SquigContext).parameters) == ["n"]
     assert type(ctx) is SquigContext and ctx.n == n
-    tables = numerics._series_tables(n)
+    # every field of n's block, bit for bit as the file stores it (repr
+    # tells signed zeros apart), and the unit constants by the expressions
+    # they stand for
+    block = dict(zip(("scale", "sine", "cosine", "inner", "outer", "chart", "A", "R", "rate",
+                      "pole"), numerics._read_block(numerics._TABLES_PATH, n)))
+    a, r = block.pop("A"), block["R"]
+    assert {name: repr(getattr(ctx, name)) for name in block} == {
+        name: repr(value) for name, value in block.items()}
+    assert bits(ctx.P) == bits(r * cmath.exp(1j * math.pi / n))
+    assert bits(ctx.phase) == bits(cmath.exp(1j * math.pi * (n - 1) / n))
+    assert bits(ctx.disc) == bits(ODE_RADII[-1] ** (1.0 / n) * r)
     omega = cmath.exp(2j * math.pi / n)
-    half = complex(tables.half, 0.0)
+    half = complex(a, 0.0)
     assert bits(ctx.omega) == bits(omega)
     assert bits(ctx.A) == bits(half)
     assert bits(ctx.B) == bits(omega * half)
-    assert bits(ctx.P) == bits(tables.corner)
-    assert bits(ctx.pi_n) == bits(2.0 * tables.half)
+    assert bits(ctx.pi_n) == bits(2.0 * a)
     assert ctx.roots == tuple(cmath.exp(2j * math.pi * k / n) for k in range(n))
     assert ctx.inv_roots == tuple(cmath.exp(-2j * math.pi * k / n) for k in range(n))
     for k in range(n):
@@ -356,12 +365,12 @@ def test_context_tables_are_the_per_call_expressions(n):
     assert ctx.tau == 2.0 * math.pi / n
     assert ctx.cos_phase == cmath.exp(-1j * math.pi / n)
     assert ctx.edge_tol == 1e-10 * abs(ctx.A) ** 2
-    assert ctx.half_kite == (ctx.A.real, ctx.A.imag, ctx.P.real - ctx.A.real,
-                             ctx.P.imag - ctx.A.imag, ctx.P.real, ctx.P.imag)
-    assert ctx.tables is tables
-    assert tables.omega == cmath.exp(2j * math.pi / n)
-    # the discs slice the tables themselves; no reversed copy is kept
-    assert not any(name.startswith("horner") for name in tables._fields)
+    assert ctx.half_kite == (ctx.A.real, ctx.P.real - ctx.A.real, ctx.P.imag)
+    # one record: no second copy of the tables or of A, P and R, and no
+    # reversed copy of a table (the discs slice the tables themselves)
+    for name in ("tables", "half", "corner", "radius"):
+        assert not hasattr(ctx, name), name
+    assert not any(name.startswith("horner") for name in vars(ctx))
     # the lattice generators are plain fields, not properties
     assert ctx.cell_shift_1 == ctx.A * (1.0 - ctx.omega)
     assert ctx.cell_shift_2 == ctx.A * (1.0 - ctx.omega * ctx.omega)
@@ -406,7 +415,7 @@ def test_warm_hot_path_makes_no_exp_calls(n, monkeypatch):
     pts, wpts = route_points(ctx), arcsin_points(ctx)
     # the kernel's chart at omega, reached through phases above pi/n
     upper = (1.0 + 0.1 / n) * cmath.exp(1.5j * math.pi / n)
-    for z in pts:  # warm: the pole table is built at first use
+    for z in pts:  # warm
         sin_n(ctx, z)
     monkeypatch.setattr(numerics, "newton_invert", lambda *a, **kw: pytest.fail("Newton"))
     hits = Counter()
@@ -427,7 +436,7 @@ def test_warm_hot_path_makes_no_exp_calls(n, monkeypatch):
         assert cos_n(ctx, z).value is not None
     for w in wpts:
         arcsin_n(ctx, w)
-    sector_ray_integral(n, upper)
+    sector_ray_integral(ctx, upper)
     assert calls == []
     # every route ran
     assert hits["_evaluate"] > 0 and hits["_corner_invert"] > 0
@@ -478,7 +487,9 @@ def ref_fold(ctx, z):
         rotation_k = k
         conjugated = False
     if n != 3:
-        ax, ay, ex, ey, px, py = ctx.half_kite
+        # regions._in_triangle(t, 0, A, P): all three edges
+        ax, ay, px, py = ctx.A.real, ctx.A.imag, ctx.P.real, ctx.P.imag
+        ex, ey = px - ax, py - ay
         tx, ty = t.real, t.imag
         tol = -ctx.edge_tol
         if not (
@@ -495,12 +506,11 @@ def ref_fold(ctx, z):
 
 def ref_disc_sum(ctx, w):
     """Reference: both tables summed in one pass, on either disc."""
-    tables = numerics._series_tables(ctx.n)
-    x = w**ctx.n / tables.scale
+    x = w**ctx.n / ctx.scale
     rho = abs(x)
     last = bisect.bisect_left(ODE_RADII, rho, 1, ODE_TERMS - 1)
     s = c = 0j
-    for a, b in tuple(zip(tables.sine, tables.cosine))[::-1][ODE_TERMS - 1 - last:]:
+    for a, b in tuple(zip(ctx.sine, ctx.cosine))[::-1][ODE_TERMS - 1 - last:]:
         s = s * x + a
         c = c * x + b
     terms = last + 1
@@ -514,25 +524,24 @@ def ref_invert(ctx, t, routes):
     (u, cos, u's residual, cos's residual, the error of t that the route
     reads: A's or P's); counts the route taken."""
     n = ctx.n
-    tables = numerics._series_tables(n)
     y = ctx.A - t
     if abs(t) <= abs(y):
-        if abs(t) <= tables.disc:
+        if abs(t) <= ctx.disc:
             routes["disc 0"] += 1
             return ref_disc_sum(ctx, t) + (0.0,)
-    elif abs(y) <= tables.disc:
+    elif abs(y) <= ctx.disc:
         routes["disc A"] += 1
         ys, c, ys_bound, c_bound = ref_disc_sum(ctx, y)
         return c, ys, c_bound, ys_bound, squigfn._A_ERR * ctx.A.real
     # the pole series, on every target beyond both discs; "lens" counts the
     # targets beyond |X| = 2/3, which Newton served before the series did
-    d = (n - 2) * (ctx.P - t) * tables.phase.conjugate()
+    d = (n - 2) * (ctx.P - t) * ctx.phase.conjugate()
     phi = cmath.phase(d)
     k = round((-(n - 2) * math.pi / (2 * n) - phi) / (2 * math.pi))
     w = cmath.rect(abs(d) ** (1.0 / (n - 2)), (phi + 2 * math.pi * k) / (n - 2))
     x = w**n
     routes["lens" if abs(x) > 2.0 / 3.0 else "pole"] += 1
-    table, rate = tables.pole, tables.rate
+    table, rate = ctx.pole, ctx.rate
     q = rate * abs(x)
     last = bisect.bisect_left(ODE_RADII, q, 1, len(table) - 1)
     acc = 0j
@@ -576,7 +585,7 @@ def ref_eval(ctx, z, sine, routes):
     t = fr.folded
     # a target beyond both discs is the pole where P lies within the error
     # of t (P's plus the fold's): no value can be told from the pole there
-    if (min(abs(t), abs(ctx.A - t)) > ctx.tables.disc
+    if (min(abs(t), abs(ctx.A - t)) > ctx.disc
             and abs(t - ctx.P) <= ref_error_of_t(ctx, fr, z, squigfn._P_ERR * abs(ctx.P))):
         routes["pole flag"] += 1
         return None, True, 0.0
@@ -631,7 +640,7 @@ def gate_points(ctx, rng):
     3) shifted by the lattice; P itself, and for n >= 4 points outside the
     rosette."""
     n, A, P = ctx.n, ctx.A, ctx.P
-    rim = ctx.tables.disc * (1.0 + 1e-6)
+    rim = ctx.disc * (1.0 + 1e-6)
     targets = [0.2 * A + 0.05 * P, 0.95 * A + 0.01 * P, P - 1e-3 * P, P - 0.05 * P]
     for j in range(9):
         targets.append(rim * cmath.exp(1j * math.pi * j / (8 * n)))
@@ -691,7 +700,7 @@ def disc_points(ctx, rng, at_corner):
     for z in sample_domain(ctx, rng, 80):
         t = fold(ctx, z).folded
         y = ctx.A - t
-        if (abs(y) < abs(t)) is at_corner and min(abs(t), abs(y)) <= ctx.tables.disc:
+        if (abs(y) < abs(t)) is at_corner and min(abs(t), abs(y)) <= ctx.disc:
             pts.append(z)
     return pts
 
@@ -699,7 +708,7 @@ def disc_points(ctx, rng, at_corner):
 def poisoned(ctx, table):
     """A context whose ``table`` ("sine" or "cosine") is all NaN."""
     bad = make_context(ctx.n)
-    bad.tables = ctx.tables._replace(**{table: (math.nan,) * ODE_TERMS})
+    setattr(bad, table, (math.nan,) * ODE_TERMS)
     return bad
 
 
@@ -744,7 +753,7 @@ def test_sine_never_builds_the_pole_cosine(n):
     ctx = make_context(n)
     folded = [fold(ctx, z).folded for z in sample_domain(ctx, random.Random(f"pole:{n}"), 80)]
     targets = [t for t in [ctx.P - 1e-3 * ctx.P] + folded
-               if min(abs(t), abs(ctx.A - t)) > ctx.tables.disc]
+               if min(abs(t), abs(ctx.A - t)) > ctx.disc]
     cosines = []
 
     class CountedPhase(complex):
@@ -806,7 +815,7 @@ def test_python_calls_per_warm_call(n):
              ("pole", P - 1e-3 * P)]
     for route, t in cases:
         for fn in (sin_n, cos_n):
-            fn(ctx, t)  # warm: the pole table is built at first use
+            fn(ctx, t)  # the count is of a warm call
             assert python_calls(fn, ctx, t) <= CALL_CEILINGS[route] + lattice, (route, fn)
     chart = (1.0 + 0.1 / n) * cmath.exp(0.5j * math.pi / n)
     for route, w in (("arcsin at 0", 0.3 * cmath.exp(0.2j / n)), ("arcsin chart", chart),

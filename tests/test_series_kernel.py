@@ -32,7 +32,6 @@ from squig.numerics import (
     SERIES_INNER,
     SERIES_OUTER,
     _SERIES_EPS,
-    _series_tables,
     sector_ray_integral,
     sector_segment_integral,
 )
@@ -57,13 +56,21 @@ def hyp2f1_oracle(n: int, u: complex) -> complex:
 
 
 def hyp2f1_mp(n: int, u) -> mpmath.mpc:
-    """F(u) at the working precision of mpmath."""
-    # Nudge real points above the cut x > 1 of 2F1, so the oracle takes
-    # the value continued from inside the sector, as the kernel does.
-    uu = mpmath.mpc(u) * mpmath.expjpi(mpmath.mpf(10) ** -25)
+    """F(u) at the working precision of mpmath, at the point u itself.
+
+    On the real ray beyond 1, where u**n lies on the cut of 2F1, mpmath
+    gives the value continued from below the cut.  The kernel takes the one
+    continued from inside the sector, from above (the sign-of-phase rule of
+    ``numerics._corner_series``): its conjugate, since 2F1 is real on the
+    real axis below 1.
+    """
+    uu = mpmath.mpc(u)
     a = mpmath.mpf(n - 1) / n
     b = mpmath.mpf(1) / n
-    return uu * mpmath.hyp2f1(a, b, 1 + b, uu ** n)
+    value = uu * mpmath.hyp2f1(a, b, 1 + b, uu ** n)
+    if uu.imag == 0 and uu.real > 1:
+        return mpmath.conj(value)
+    return value
 
 
 def straddle(n: int, x_abs: float, theta: float, width: int = 8) -> list:
@@ -96,6 +103,7 @@ def exact_chart_coefficients(n: int, terms: int) -> list:
 
 @pytest.mark.parametrize("n", NS)
 def test_matches_hypergeometric_oracle(n):
+    ctx = make_context(n)
     angles = (0.0, math.pi / n, 2.0 * math.pi / n - 1e-6)
     worst = 0.0
     for theta in angles:
@@ -103,7 +111,7 @@ def test_matches_hypergeometric_oracle(n):
         for x_abs in (SERIES_INNER, SERIES_OUTER):
             points += straddle(n, x_abs, theta, width=1)
         for u in points:
-            got = sector_ray_integral(n, u)
+            got = sector_ray_integral(ctx, u)
             ref = hyp2f1_oracle(n, u)
             worst = max(worst, abs(got - ref) / abs(ref))
     assert worst <= 2e-15
@@ -126,10 +134,11 @@ def test_annulus_matches_hypergeometric_oracle(n):
     upper = sum(1 for u in points if cmath.phase(u) > math.pi / n)
     assert 0 < upper < len(points)
     points += [complex(rng.uniform(1.0 + 1e-6, 2.0 ** (1.0 / n)), 0.0) for _ in range(4)]
+    ctx = make_context(n)
     worst = 0.0
     for u in points:
         ref = hyp2f1_oracle(n, u)
-        worst = max(worst, abs(sector_ray_integral(n, u) - ref) / abs(ref))
+        worst = max(worst, abs(sector_ray_integral(ctx, u) - ref) / abs(ref))
     assert worst <= 1e-14
 
 
@@ -138,17 +147,18 @@ def test_upper_ray_continues_from_inside(n):
     # Past omega the chart at omega must give the value continued from inside
     # the sector, the mirror image of the lower slit edge, although the
     # rotated point may land a hair off the real ray.
+    ctx = make_context(n)
     omega = cmath.exp(2j * math.pi / n)
     for r in (1.0 + 0.1 / n, 0.5 * (1.0 + 2.0 ** (1.0 / n))):
-        mirror = omega * sector_ray_integral(n, complex(r, 0.0)).conjugate()
-        assert abs(sector_ray_integral(n, r * omega) - mirror) <= 1e-14 * abs(mirror)
+        mirror = omega * sector_ray_integral(ctx, complex(r, 0.0)).conjugate()
+        assert abs(sector_ray_integral(ctx, r * omega) - mirror) <= 1e-14 * abs(mirror)
 
 
 @pytest.mark.parametrize("n", ALL_NS)
 def test_chart_coefficients_match_exact_recurrence(n):
     # Scaled by rho**k, rho = 2 sin(pi/n) the radius of convergence, every
     # coefficient is O(1) and errors weigh as they do at the chart's edge.
-    coeffs, _ = _series_tables(n).chart
+    coeffs, _ = make_context(n).chart
     exact = exact_chart_coefficients(n, len(coeffs))
     rho = 2.0 * math.sin(math.pi / n)
     worst = max(abs(c - float(e)) * rho ** k for k, (c, e) in enumerate(zip(coeffs, exact)))
@@ -160,10 +170,11 @@ def test_continuous_with_quadrature_at_thresholds(n):
     # Across |u**n| = 1/2 and 2 the kernel switches between a binomial series
     # and the corner chart: adjacent floats agree, and both sides agree with
     # GK15 quadrature of the ray.
+    ctx = make_context(n)
     for x_abs in (SERIES_INNER, SERIES_OUTER):
         for theta in (0.5 * math.pi / n, math.pi / n, 1.5 * math.pi / n):
             window = straddle(n, x_abs, theta)
-            values = [sector_ray_integral(n, u) for u in window]
+            values = [sector_ray_integral(ctx, u) for u in window]
             for a, b in zip(values, values[1:]):
                 assert abs(a - b) <= 1e-14 * abs(a)
             quad = sector_segment_integral(n, 0j, window[0], 1e-14)
@@ -184,19 +195,33 @@ def test_slit_edge_band_and_series(n):
 def test_sector_map_next_to_its_corner(n):
     # the value at the float point itself, however near the corner 1: F
     # moves like |1 - u|^(1/n) there, so at n = 64 a point 5e-15 below 1
-    # maps 0.64 from A, and no point may be snapped onto the corner.  The
-    # oracle is the plain formula at the float point: every point lies on
-    # the side of the cut of 2F1 that the sector continues, and a nudge as
-    # hyp2f1_mp's would move F by up to 0.4 here (measured: 2.5e-16)
+    # maps 0.64 from A, and no point may be snapped onto the corner; every
+    # point lies on the side of the cut of 2F1 that the sector continues
+    # (measured: 2.5e-16)
     ctx = make_context(n)
     points = (1.0 - 2.2e-16, 1.0 - 5e-15, 1.0 - 9e-15, cmath.exp(-5e-13j),
               (1.0 + 1e-13) * cmath.exp(5e-13j), (1.0 - 1e-13) * cmath.exp(3e-13j))
+    for u in points:
+        want = hyp2f1_oracle(n, u)
+        assert abs(arcsin_n_sector(ctx, u) - want) <= 1e-14 * abs(want), u
+
+
+def test_oracle_takes_the_point_itself():
+    # no nudge off the float point: at the corner 1 the oracle gives A, a
+    # hair below it the plain formula, and on the lower slit edge the
+    # kernel's branch (at n = 64 a nudge of 1e-25 rad moved F(1) by 0.44
+    # and F(1 - 2.2e-16) by 1.3e-11)
+    n = 64
+    ctx = make_context(n)
+    assert abs(hyp2f1_oracle(n, 1.0) - ctx.A) <= 2.5e-16 * ctx.A.real
+    u = 1.0 - 2.2e-16
     with mpmath.workdps(30):
         a, b = mpmath.mpf(n - 1) / n, mpmath.mpf(1) / n
-        for u in points:
-            uu = mpmath.mpc(u)
-            want = complex(uu * mpmath.hyp2f1(a, b, 1 + b, uu**n))
-            assert abs(arcsin_n_sector(ctx, u) - want) <= 1e-14 * abs(want), u
+        plain = complex(mpmath.mpf(u) * mpmath.hyp2f1(a, b, 1 + b, mpmath.mpf(u) ** n))
+    assert hyp2f1_oracle(n, u) == plain
+    want = sector_ray_integral(ctx, 1.5)
+    assert want.imag > 0.0
+    assert abs(hyp2f1_oracle(n, 1.5) - want) <= 1e-14 * abs(want)
 
 
 def exact_constants(n: int) -> tuple:
@@ -208,13 +233,15 @@ def exact_constants(n: int) -> tuple:
 
 @pytest.mark.parametrize("n", ALL_NS)
 def test_gamma_corner_matches_context(n):
-    # the context reads A and P from the kernel's tables: one source, so the
-    # series and the polygon agree bit for bit
-    tables = _series_tables(n)
+    # the context holds A and R as the table file stores them, P and pi_n
+    # follow from them, and the kernel reads the same context: one source,
+    # so the series and the polygon agree bit for bit
+    half, radius = numerics._read_block(numerics._TABLES_PATH, n)[6:8]
     ctx = make_context(n)
-    assert ctx.P == tables.corner
-    assert ctx.A == tables.half
-    assert ctx.pi_n == 2.0 * tables.half
+    assert ctx.A == complex(half, 0.0) and ctx.R == radius
+    assert ctx.P == radius * cmath.exp(1j * math.pi / n)
+    assert ctx.pi_n == 2.0 * half
+    assert sector_ray_integral(ctx, 1.0) == ctx.A
 
 
 def test_series_constants_against_mpmath():
@@ -288,11 +315,11 @@ def test_verify_suite_runs_at_large_n():
 def test_ode_tables_match_exact(n):
     # each entry is its exact scaled coefficient rounded once, so within an
     # ulp; and at most 2 in modulus, which the cut's remainder bound rests on
-    tables = _series_tables(n)
+    ctx = make_context(n)
     exact_s, exact_c = _ode_coefficients(n, ODE_TERMS)
-    unit = Fraction(tables.scale)
-    assert len(tables.sine) == len(tables.cosine) == ODE_TERMS
-    for k, (a, b, s, c) in enumerate(zip(tables.sine, tables.cosine, exact_s, exact_c)):
+    unit = Fraction(ctx.scale)
+    assert len(ctx.sine) == len(ctx.cosine) == ODE_TERMS
+    for k, (a, b, s, c) in enumerate(zip(ctx.sine, ctx.cosine, exact_s, exact_c)):
         for got, want in ((a, s * unit**k), (b, c * unit**k)):
             assert abs(Fraction(got) - want) <= Fraction(2.0**-52) * abs(want), (k, got)
             assert abs(got) <= 2.0, (k, got)
@@ -329,7 +356,7 @@ def disc_targets(ctx, rng, at_corner: bool) -> list:
     centre reach A / (2 cos(phase pi/n)) along it.
     """
     n = ctx.n
-    radius = _series_tables(n).disc
+    radius = ctx.disc
     draws = [(rng.uniform(0.1, 1.0), rng.random()) for _ in range(4)]
     draws += [(1.0 - 1e-12, rng.random()), (rng.uniform(0.1, 1.0), 0.0),
               (rng.uniform(0.1, 1.0), 1.0)]
@@ -383,7 +410,7 @@ def test_reflection_identity(n):
     # A - t folds onto the other disc, so each side takes the other table;
     # measured worst 3.4e-15
     ctx = make_context(n)
-    radius = _series_tables(n).disc
+    radius = ctx.disc
     checked = 0
     for z in sample_domain(ctx, random.Random(f"reflect:{n}"), 60):
         t = fold(ctx, z).folded
@@ -422,7 +449,7 @@ def test_corner_certificate_is_a_forward_bound():
     t = 0.99 * ctx.A
     s, c = sin_n(ctx, t), cos_n(ctx, t)
     assert s.value == 1.0
-    assert abs(sector_ray_integral(16, 1.0) - t) > 1e-2
+    assert abs(sector_ray_integral(ctx, 1.0) - t) > 1e-2
     ref_s, ref_c = corner_oracle(16, t, c.value)
     assert abs(s.value - ref_s) <= s.residual <= 2.0**-52
     assert abs(c.value - ref_c) <= c.residual
@@ -433,9 +460,8 @@ def test_corner_newton_steps(n, monkeypatch):
     # no Newton left at A: one one-table sum per inversion, cut within the
     # tables' length at half an ulp on the whole disc, its rim included
     ctx = make_context(n)
-    tables = _series_tables(n)
     rng = random.Random(f"steps:{n}")
-    rim = tables.disc * (1.0 - 1e-15)
+    rim = ctx.disc * (1.0 - 1e-15)
     ys = [rim * cmath.exp(2j * math.pi * k / 32) for k in range(32)]
     ys += [rim * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
            for _ in range(32)]
@@ -443,7 +469,7 @@ def test_corner_newton_steps(n, monkeypatch):
     series_sum = squigfn._series_sum
 
     def counted(table, w, *args):
-        sums.append((w, table is tables.sine))
+        sums.append((w, table is ctx.sine))
         return series_sum(table, w, *args)
 
     monkeypatch.setattr(squigfn, "_series_sum", counted)
@@ -455,10 +481,10 @@ def test_corner_newton_steps(n, monkeypatch):
             # one sum, of the other table: sin_n(A - y) = cos_n(y) and
             # cos_n(A - y) = sin_n(y)
             assert sums == [(y, not sine)], y
-        rho = abs(y**n / tables.scale)
+        rho = abs(y**n / ctx.scale)
         terms = min(bisect.bisect_left(ODE_RADII, rho) + 1, ODE_TERMS)
         assert 2.0 * rho**terms / (1.0 - rho) <= _SERIES_EPS, y
-    assert squigfn._corner_invert(ctx, tables.disc * 1.001, True) is None
+    assert squigfn._corner_invert(ctx, ctx.disc * 1.001, True) is None
 
 
 @pytest.mark.parametrize("n", NS)
@@ -469,7 +495,7 @@ def test_arcsin_near_corner_is_the_kernel(n):
     for u in (1.0 - r, 1.0 + r, 1.0 + r * cmath.exp(0.7j), 1.0 + r * 1j):
         # the real ray beyond 1 is a slit of arcsin_n, an edge of the sector
         value = arcsin_n_sector(ctx, u) if u == 1.0 + r else arcsin_n(ctx, u)
-        assert value == sector_ray_integral(n, u)
+        assert value == sector_ray_integral(ctx, u)
         ref = hyp2f1_oracle(n, u)
         assert abs(value - ref) <= 1e-14 * abs(ref)
 
@@ -511,7 +537,7 @@ def test_pole_table_matches_exact(n):
     # 0.97 of half an ulp), over the table's whole length at the n of
     # POLE_NS (whose oracle runs to twice it, for the rate test) and over
     # its first 24 entries at the others, to save time
-    table = _series_tables(n).pole
+    table = make_context(n).pole
     exact = exact_pole_coefficients(n, 2 * len(table) if n in POLE_NS else 24)
     for j, got in enumerate(table[:len(exact)]):
         assert abs(got - exact[j]) <= 2.0**-52 * abs(exact[j]), (j, got)
@@ -525,8 +551,8 @@ def test_pole_rate_bounds_later_coefficients(n):
     # recurrence at 1,500 bits for j < 200 and n = 3..64: at most 0.996 of
     # it, at n = 6, j = 2), and their root
     # test climbs towards the rate, so it is k's radius, not a guess above it
-    tables = _series_tables(n)
-    table, rate = tables.pole, tables.rate
+    ctx = make_context(n)
+    table, rate = ctx.pole, ctx.rate
     exact = exact_pole_coefficients(n, 2 * len(table))
     for j, k in enumerate(exact):
         assert abs(k) <= rate**j, j
@@ -535,7 +561,7 @@ def test_pole_rate_bounds_later_coefficients(n):
 
 def half_kite_beyond_discs(ctx, t: complex) -> bool:
     """t lies in the closed half-kite triangle O, A, P, outside both discs."""
-    n, radius = ctx.n, _series_tables(ctx.n).disc
+    n, radius = ctx.n, ctx.disc
     inside = (t.imag >= 0.0 and cmath.phase(t) <= math.pi / n
               and cmath.phase(t - ctx.A) >= math.pi - math.pi / n)
     return inside and min(abs(t), abs(ctx.A - t)) >= radius
@@ -550,7 +576,7 @@ def x_abs(ctx, t: complex) -> float:
 def rim_supremum(ctx, samples: int) -> complex:
     """The target of largest |X| the pole series is handed, by sampling both
     disc rims across the half kite: |P - t| is convex, so it lies on them."""
-    n, radius = ctx.n, _series_tables(ctx.n).disc
+    n, radius = ctx.n, ctx.disc
     rims = []
     for j in range(samples + 1):
         turn = cmath.exp(1j * math.pi / n * j / samples)
@@ -566,8 +592,7 @@ def test_pole_table_covers_the_lens(n):
     # entry fewer would not
     ctx = make_context(n)
     sup = x_abs(ctx, rim_supremum(ctx, 4000))
-    tables = _series_tables(n)
-    table, rate = tables.pole, tables.rate
+    table, rate = ctx.pole, ctx.rate
     q = rate * sup
     assert q**len(table) / (1.0 - q) <= _SERIES_EPS
     assert 2.0 * q ** (len(table) - 1) / (1.0 - q) > _SERIES_EPS
@@ -650,10 +675,9 @@ def test_exact_slit_edge_targets(n):
     # branch continued from inside the sector, not its conjugate.  Both
     # carry the rounding of t relative to |P - t|: 1.5e-13 at 0.999 R, n = 4
     ctx = make_context(n)
-    tables = _series_tables(n)
     for f in (0.0, 0.05, 0.2, 0.4, 0.6, 0.8, 0.95, 1.0):
-        m = tables.disc + f * (0.999 * ctx.R - tables.disc)
-        t = ctx.A + tables.phase * m
+        m = ctx.disc + f * (0.999 * ctx.R - ctx.disc)
+        t = ctx.A + ctx.phase * m
         s, c = sin_n(ctx, t).value, cos_n(ctx, t).value
         assert abs(s.imag) <= 1e-12 * abs(s) and s.real >= 1.0, (m, s)
         want = cmath.exp(-1j * math.pi / n) * (s.real**n - 1.0) ** (1.0 / n)
@@ -675,7 +699,7 @@ def audit_points(ctx, rng) -> list:
     rotated into one wedge and reflected there: once inside the former
     guard ball of 1e-6 R, now evaluated like any other."""
     n, A, P = ctx.n, ctx.A, ctx.P
-    radius = _series_tables(n).disc
+    radius = ctx.disc
     to_p, to_a, to_0 = cmath.phase(P - A), cmath.phase(A - P), cmath.phase(-P)
     targets = []
     for _ in range(3):
@@ -713,7 +737,7 @@ def unfolded_reference(ctx, z) -> tuple:
             * omega ** -fr.rotation_k
         if fr.conjugated:
             exact = mpmath.conj(exact)
-    radius, y = _series_tables(n).disc, ctx.A - t
+    radius, y = ctx.disc, ctx.A - t
     if abs(t) <= abs(y) and abs(t) <= radius:
         route = "disc 0"
         s, c = root_pair(n, exact, sin_n(ctx, t).value)

@@ -12,7 +12,7 @@ import pytest
 from squig import numerics, squigfn
 from squig.errors import ConvergenceError, DomainError, InvalidSeriesError, ParameterError
 from squig.geometry import fold, make_context
-from squig.numerics import ODE_TERMS, _ODE_TAIL, _series_sum, _series_tables
+from squig.numerics import ODE_TERMS, _ODE_TAIL, _series_sum
 from squig.regions import sample_domain
 from squig.series import radius_estimate
 from squig.squigfn import (
@@ -95,12 +95,11 @@ class TestMaclaurin:
         # tables' length and summed at 40 digits, lies within the certificate
         ctx = make_context(n)
         head = maclaurin(ctx, ODE_TERMS)
-        tables = _series_tables(n)
-        radius = tables.disc
+        radius = ctx.disc
         for frac in (0.05, 0.3, 0.55, 0.72, 1.0):
             for phase in (0.0, 0.4, 1.0):
                 t = frac * radius * cmath.exp(1j * math.pi / n * phase)
-                s, bound = _series_sum(tables.sine, t, n, tables.scale, 1.0, _ODE_TAIL, True)
+                s, bound = _series_sum(ctx.sine, t, n, ctx.scale, 1.0, _ODE_TAIL, True)
                 with mpmath.workdps(40):
                     ref = complex(sum(mpmath.mpf(c.numerator) / c.denominator * mpmath.mpc(t) ** d
                                       for d, c in zip(head.degrees, head.coeffs)))
@@ -447,7 +446,7 @@ class TestTracerPinnedViews:
         solved = 0
         for x in edge_x(n):
             m = _edge_integral(ctx, x)
-            if m >= ctx.R or sin_n(ctx, ctx.A + m * ctx.tables.phase).is_pole:
+            if m >= ctx.R or sin_n(ctx, ctx.A + m * ctx.phase).is_pole:
                 with pytest.raises(ConvergenceError):
                     _invert_slit_edge(ctx, m)
                 continue
@@ -471,7 +470,7 @@ class TestTracerPinnedViews:
         for _ in range(40):
             z = 10 ** rng.uniform(math.log10(0.05), math.log10(5.0)) * cmath.exp(
                 1j * rng.uniform(0.0, ctx.tau))
-            w = numerics.sector_ray_integral(n, z)
+            w = numerics.sector_ray_integral(ctx, z)
             if sin_n(ctx, w).is_pole:
                 assert abs(w - ctx.P) <= 2 * (squigfn._P_ERR + squigfn._FOLD_ROUND) * ctx.R
                 with pytest.raises(ConvergenceError):
@@ -569,7 +568,7 @@ def test_no_sin_cos_call_reaches_newton(monkeypatch):
     for n in range(3, 65):
         ctx = make_context(n)
         points = sample_domain(ctx, random.Random(f"route:{n}"), 30)
-        radius = _series_tables(n).disc * (1.0 + 1e-9)
+        radius = ctx.disc * (1.0 + 1e-9)
         # the disc rims, where the lens is widest
         turn = cmath.exp(0.5j * math.pi / n)
         points += [radius * turn, ctx.A - radius * turn.conjugate()]

@@ -21,13 +21,14 @@ from pathlib import Path
 import pytest
 
 import squig
-from squig import TableFileError, numerics, tablegen
+from squig import TableFileError, make_context, numerics, tablegen
 
 PACKAGE = Path(squig.__file__).resolve().parent
 PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
 NS = range(numerics._MIN_N, numerics._MAX_N + 1)
 STALE = f"the table file is stale; regenerate it with `{numerics._REGENERATE}`"
-BLOCK = ("scale", "sine", "cosine", "inner", "outer", "chart", "half", "radius", "rate", "pole")
+# the fields of n's block, in its order, by the context's names for them
+BLOCK = ("scale", "sine", "cosine", "inner", "outer", "chart", "A", "R", "rate", "pole")
 
 
 def ulps(a: float, b: float) -> float:
@@ -45,7 +46,7 @@ def test_the_table_file_holds_a_fresh_build(fresh_path):
     for n in NS:
         stored = dict(zip(BLOCK, numerics._read_block(numerics._TABLES_PATH, n)))
         fresh = dict(zip(BLOCK, numerics._read_block(fresh_path, n)))
-        for name in ("scale", "half", "radius", "rate"):
+        for name in ("scale", "A", "R", "rate"):
             assert ulps(stored[name], fresh[name]) <= 2, (n, name, STALE)
         if stored["scale"] != fresh["scale"]:
             fresh["sine"], fresh["cosine"] = tablegen._ode_tables(n, stored["scale"])
@@ -96,10 +97,14 @@ def test_f_tables_are_the_exact_values_rounded_once(fresh_path, n):
 
 
 def test_the_kernel_reads_the_file():
-    for n in (3, 8, 64):
-        block = numerics._read_block(numerics._TABLES_PATH, n)
-        tables = numerics._series_tables(n)
-        assert {name: getattr(tables, name) for name in BLOCK} == dict(zip(BLOCK, block))
+    # the context, which the kernel reads, holds every field of n's block
+    # bit for bit as read (A as complex(A, 0)); repr tells signed zeros apart
+    for n in NS:
+        ctx = make_context(n)
+        block = dict(zip(BLOCK, numerics._read_block(numerics._TABLES_PATH, n)))
+        block["A"] = complex(block["A"], 0.0)
+        assert {name: repr(getattr(ctx, name)) for name in BLOCK} == {
+            name: repr(value) for name, value in block.items()}, n
 
 
 def refused(path: Path, why: str):
