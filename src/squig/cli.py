@@ -128,15 +128,12 @@ def _eval_near_boundary(fn_impl, ctx: SquigContext, z: complex) -> EvalResult:
         # Inputs typed to a few printed digits can land a hair outside the
         # closed region.  Such a point is evaluated at the region point
         # nearest it, when that lies within 1e-7 |z|: the point of the edge
-        # [A, P] nearest z rotated into its wedge and reflected into the
-        # lower half, mapped back.  Farther points still raise, reporting
-        # the point as the user wrote it.
+        # [A, P] nearest z as _slit_wedge rotates it onto its slit and
+        # reflects it into the upper half, mapped back.  Farther points
+        # still raise, reporting the point as the user wrote it.
         if not cmath.isfinite(z):
             raise
-        k, t, _ = _slit_wedge(ctx, z)
-        flip = t.imag < 0.0
-        if flip:
-            t = t.conjugate()
+        k, t, flip, _ = _slit_wedge(ctx, z)
         edge = ctx.P - ctx.A
         s = min(max(((t - ctx.A) * edge.conjugate()).real / abs(edge) ** 2, 0.0), 1.0)
         near = ctx.A + s * edge
@@ -273,8 +270,6 @@ def _fmt_pt(z: complex) -> str:
 
 
 def _svg_polyline(points: list[complex], stroke: str, width: float) -> str:
-    if len(points) < 2:
-        return ""
     d = "M " + " L ".join(_fmt_pt(p) for p in points)
     return (f'<path d="{d}" fill="none" stroke="{stroke}" '
             f'stroke-width="{_SVG_PRECISION % width}"/>')
@@ -319,13 +314,13 @@ def _grid_image_F(ctx: SquigContext, density: int) -> list[list[complex]]:
     return curves
 
 
-def _grid_image_sin(ctx: SquigContext, density: int, in_rosette) -> list[list[complex]]:
+def _grid_image_sin(ctx: SquigContext, density: int, in_rosette,
+                    poles: list[complex]) -> list[list[complex]]:
     """Images of a Cartesian grid restricted to the polygon under sine;
-    ``in_rosette`` is ``regions.in_rosette``, which ``cmd_grid`` loads."""
-    n = ctx.n
+    ``in_rosette`` is ``regions.in_rosette``, which ``cmd_grid`` loads, and
+    the grid skips the points near ``poles``."""
     half = abs(ctx.A) * 1.01
     clip = _GRID_CLIP_FACTOR * abs(ctx.A)
-    poles = [ctx.P * r for r in ctx.roots] if n == 3 else []
     samples = 72
     curves = []
     for horizontal in (True, False):
@@ -351,6 +346,8 @@ def cmd_grid(n: int, map_name: str, density: int) -> bytes:
     from .regions import boundary_polyline, in_rosette
 
     ctx = make_context(n)
+    # the poles of the n == 3 sine in the rosette, kept off its grid and marked
+    poles = [ctx.P * r for r in ctx.roots] if map_name != "F" and n == 3 else []
 
     elements: list[str] = []
     drawn: list[complex] = []
@@ -365,19 +362,16 @@ def cmd_grid(n: int, map_name: str, density: int) -> bytes:
         curves = _grid_image_F(ctx, density)
     else:
         outline = boundary_polyline(ctx, "omega", samples_per_edge=24)
-        curves = _grid_image_sin(ctx, density, in_rosette)
+        curves = _grid_image_sin(ctx, density, in_rosette, poles)
     for curve in curves:
         draw(curve, "#4477aa", 0.004 * scale)
     draw(outline, "#000000", 0.01 * scale)
-    pole_marks: list[complex] = []
     if map_name != "F":
         # slit rays of the image plane
         reach = _GRID_CLIP_FACTOR * scale
         for k in range(n):
             w = ctx.omega ** k
             draw([w, w * reach], "#aa3333", 0.012 * scale)
-        if n == 3:
-            pole_marks = [ctx.P * r for r in ctx.roots]
     labels = [("A", ctx.A), ("P", ctx.P), ("B", ctx.B)]
 
     lo_x = min(p.real for p in drawn)
@@ -392,13 +386,13 @@ def cmd_grid(n: int, map_name: str, density: int) -> bytes:
             f'<text x="{_SVG_PRECISION % (pos.real * 1.06)}" '
             f'y="{_SVG_PRECISION % (-pos.imag * 1.06)}" '
             f'font-size="{_SVG_PRECISION % (0.06 * scale)}">{name}_{n}</text>')
-    for pos in pole_marks:
+    for pos in poles:
         elements.append(
             f'<circle cx="{_SVG_PRECISION % pos.real}" '
             f'cy="{_SVG_PRECISION % -pos.imag}" '
             f'r="{_SVG_PRECISION % (0.02 * scale)}" fill="#aa3333"/>')
 
-    body = "\n".join(e for e in elements if e)
+    body = "\n".join(elements)
     svg = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" '

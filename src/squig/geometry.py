@@ -181,13 +181,18 @@ def _as_point(z, where: str = "", region: str = "") -> complex:
 
 
 def _slit_wedge(ctx: SquigContext, w: complex) -> tuple:
-    """(k, u, on_slit) for a complex ``w`` that is not NaN: the slit
+    """(k, u, flip, on_slit) for a complex ``w`` that is not NaN: the slit
     omega**k [1, inf) nearest ``w`` in phase, ``u = w omega**-k`` rotated
-    onto it, and whether ``u`` lies within the 1e-8 guard band of that slit.
-    Only the nearest slit in phase can be that close."""
+    onto it and reflected into the upper half, whether that reflection
+    (``flip``: ``u`` was below the slit) was taken, and whether ``u`` lies
+    within the 1e-8 guard band of the slit.  Only the nearest slit in phase
+    can be that close."""
     k = round(cmath.phase(w) / ctx.tau) % ctx.n
     u = w * ctx.inv_roots[k]
-    return k, u, abs(u.imag) <= _SLIT_TOL and u.real >= 1.0 - _SLIT_TOL
+    flip = u.imag < 0.0
+    if flip:
+        u = u.conjugate()
+    return k, u, flip, u.imag <= _SLIT_TOL and u.real >= 1.0 - _SLIT_TOL
 
 
 def contains_Sigma(ctx: SquigContext, w: complex) -> bool:
@@ -197,7 +202,7 @@ def contains_Sigma(ctx: SquigContext, w: complex) -> bool:
         w = _as_point(w)
         if cmath.isnan(w):
             return True
-    return not _slit_wedge(ctx, w)[2]
+    return not _slit_wedge(ctx, w)[3]
 
 
 def _reduce_to_cell(ctx: SquigContext, z: complex) -> tuple[int, int, complex]:

@@ -1,11 +1,11 @@
 """The evaluation kernel: the series of the sector map and their tables.
 
-This module holds what evaluation runs on: the three series of the sector
-map ``F``, at 0, at infinity and the corner chart between them
-(``sector_ray_integral``), and the reader of the per-n tables they are
-summed from.  The constants A and P come from the same series, with no
-quadrature and no gamma function.  Every sum is cut by a proven remainder
-bound at half an ulp of its leading term.
+This module holds what evaluation runs on: the sector map ``F`` in one
+function, ``sector_ray_integral``, which sums its three series itself (at 0,
+at infinity and the corner chart between them), and the reader of the per-n
+tables they are summed from.  The constants A and P come from the same
+series, with no quadrature and no gamma function.  Every sum is cut by a
+proven remainder bound at half an ulp of its leading term.
 
 Every per-n table (F's three with their radii, the ODE pair's scaled sine
 and cosine, and the pole series that inverts the map near P) and the
@@ -21,7 +21,8 @@ its roots of unity.  The kernel takes that record.
 
 The inverse routes (the discs at 0 and at A, and the pole series) sum their
 tables through one kernel with one cut rule and one bound, ``_series_sum``.
-``F``'s tables, with per-table radii and no bound yet, use ``_binomial_sum``.
+``F``'s tables, with per-table radii and no bound yet, use ``_binomial_sum``,
+and each regime of ``F`` returns at one point of ``sector_ray_integral``.
 
 The routes that ``verify`` and the tests compare against live in
 :mod:`squig.reference`, and the exact rational series in
@@ -256,42 +257,37 @@ def _binomial_sum(table, x: complex) -> complex:
     return acc
 
 
-def _series_tail(ctx, u: complex) -> complex | None:
-    """Integral of t**(1-n) (1 - t**-n)**(-beta) from u to infinity, or None.
-
-    Equals sum_k c_k u**(2-n-nk) / (n-2+nk) when |u**n| >= SERIES_OUTER and
-    is None otherwise.  Only integer powers of u appear, so the value is the
-    continuation from inside the sector onto both of its boundary rays.
-    """
-    if abs(u) <= 1.0:
-        return None
-    v = 1.0 / u
-    lead = v ** (ctx.n - 2)
-    y = lead * v * v
-    if abs(y) > 1.0 / SERIES_OUTER:
-        return None
-    return lead * _binomial_sum(ctx.outer, y)
-
-
 def sector_ray_integral(ctx, u: complex) -> complex:
     """F(u), the integral of the arcsine kernel along [0, u], from three series.
 
     With x = u**n, beta = (n-1)/n and c_k = (beta)_k / k!:
 
     * |x| <= SERIES_INNER:  F(u) = u * sum_k c_k x**k / (n*k + 1);
-    * |x| >= SERIES_OUTER:  F(u) = P - e^(i pi beta) * _series_tail(..., u);
-      the leading term is the pole asymptote of F;
+    * |x| >= SERIES_OUTER:  F(u) = P - e^(i pi beta) * v**(n-2) * sum_k c_k
+      y**k / (n-2+nk), with v = 1/u and y = v**n: the integral of
+      t**(1-n) (1 - t**-n)**(-beta) from u to infinity, whose leading term
+      is the pole asymptote of F;
     * in the annulus between them, the chart at the corner
       F(1 - delta) = A - n^(1/n) delta^(1/n) Q(delta).  Points of phase
-      above pi/n use the chart at omega through F(omega v) = omega F(v),
-      with the real coefficients of Q.
+      above pi/n are reflected in the bisector (``flip``) onto the lower
+      half and back, through F(omega v) = omega F(v) with the real
+      coefficients of Q.
 
     ``ctx`` is n's ``geometry.SquigContext``, which holds the tables and A
     and P, summed from the same series.  Valid on the closed base sector:
     the boundary rays past their roots of unity take the value continued
-    from inside, the lower slit edge included.  Each sum is cut by its
-    proven remainder bound at half an ulp of its leading term, so the
-    result carries only rounding error (about 1e-15 relative).
+    from inside, the lower slit edge included.  The two series hold that
+    continuation on both rays, since only integer powers of u appear in
+    them.  In the chart, beyond the root, delta^(1/n) takes the branch
+    continued from inside the sector, where Im u > 0 and arg delta lies in
+    (-pi, 0).  That is the principal root, except on the real ray itself,
+    where it is |delta|^(1/n) e^(-i pi/n), and a hair below it, where
+    rounding can put the reflection of a point on the upper ray and where
+    ``arcsin_n_sector`` takes a point within its slack of the ray.
+
+    Each sum is cut by its proven remainder bound at half an ulp of its
+    leading term, so the result carries only rounding error (about 1e-15
+    relative).
     """
     n = ctx.n
     if abs(u) <= 1.0:
@@ -299,29 +295,20 @@ def sector_ray_integral(ctx, u: complex) -> complex:
         if abs(x) <= SERIES_INNER:
             return u * _binomial_sum(ctx.inner, x)
     else:
-        tail = _series_tail(ctx, u)
-        if tail is not None:
-            return ctx.P - ctx.phase * tail
-    if cmath.phase(u) > math.pi / n:
-        omega = ctx.omega
-        return omega * _corner_series(ctx, omega * u.conjugate()).conjugate()
-    return _corner_series(ctx, u)
-
-
-def _corner_series(ctx, u: complex) -> complex:
-    """F(u) from the chart at 1, for u in the lower half of the annulus.
-
-    Beyond the root, delta^(1/n) takes the branch continued from inside the
-    sector, where Im u > 0 and arg delta lies in (-pi, 0).  That is the
-    principal root, except on the real ray itself, where it is
-    |delta|^(1/n) e^(-i pi/n), and a hair below it, where rounding can put
-    the reflection of a point on the upper ray and where ``arcsin_n_sector``
-    takes a point within its slack of the ray.
-    """
-    n = ctx.n
+        v = 1.0 / u
+        lead = v ** (n - 2)
+        y = lead * v * v
+        if not abs(y) > 1.0 / SERIES_OUTER:  # so a NaN u gives NaN
+            return ctx.P - ctx.phase * (lead * _binomial_sum(ctx.outer, y))
+    flip = cmath.phase(u) > math.pi / n
+    if flip:
+        u = ctx.omega * u.conjugate()
     delta = 1.0 - u
     if delta.real < 0.0 and delta.imag >= 0.0:
         root = abs(delta) ** (1.0 / n) * cmath.exp(-1j * abs(cmath.phase(delta)) / n)
     else:
         root = delta ** (1.0 / n)
-    return ctx.A.real - n ** (1.0 / n) * root * _binomial_sum(ctx.chart, delta)
+    val = ctx.A.real - n ** (1.0 / n) * root * _binomial_sum(ctx.chart, delta)
+    if flip:
+        return ctx.omega * val.conjugate()
+    return val

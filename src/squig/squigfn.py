@@ -226,14 +226,11 @@ def arcsin_n(ctx: SquigContext, w: complex) -> complex:
     n = ctx.n
     if w.__class__ is not complex or not cmath.isfinite(w):
         w = _as_point(w, f"the slit plane Sigma_{n}", f"Sigma_{n}")
-    k, u, on_slit = _slit_wedge(ctx, w)
+    k, u, flip, on_slit = _slit_wedge(ctx, w)
     if on_slit:
         raise DomainError(f"point {w} lies on a slit of Sigma_{n}", region=f"Sigma_{n}")
     if w == 0:
         return 0j
-    flip = u.imag < 0.0
-    if flip:
-        u = u.conjugate()
     val = sector_ray_integral(ctx, u)
     if flip:
         val = val.conjugate()

@@ -128,7 +128,8 @@ def _corner_constants(n: int, inner, outer, chart) -> tuple:
 
     c, x = 2.0 ** (-1.0 / n), 2.0 ** (1.0 / n)
     half = c * _binomial_sum(inner, c ** n).real + real_chart(1.0 - c)
-    # the tail at x summed directly: _series_tail refuses x**-n a hair above 1/2
+    # the tail at x summed directly: sector_ray_integral takes the chart where
+    # x**-n rounds a hair above 1/2
     radius = real_chart(1.0 - x) + x ** (2 - n) * _binomial_sum(outer, x ** -n).real
     return half, radius
 

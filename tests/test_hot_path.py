@@ -41,7 +41,7 @@ from squig.geometry import (
 from squig.numerics import ODE_RADII, ODE_TERMS, sector_ray_integral
 from squig.regions import contains_Pi, in_rosette, sample_domain
 from squig.series import RationalSeries
-from squig.squigfn import EvalResult, arcsin_n, cos_n, sin_n
+from squig.squigfn import EvalResult, arcsin_n, arcsin_n_sector, cos_n, sin_n
 
 ALL_NS = range(3, 65)
 
@@ -419,13 +419,17 @@ def test_warm_hot_path_makes_no_exp_calls(n, monkeypatch):
         sin_n(ctx, z)
     monkeypatch.setattr(numerics, "newton_invert", lambda *a, **kw: pytest.fail("Newton"))
     hits = Counter()
-    for module, name in ((squigfn, "_series_sum"), (numerics, "_series_tail"),
-                         (numerics, "_corner_series")):
+    tables = {id(ctx.inner): "inner", id(ctx.outer): "outer", id(ctx.chart): "chart"}
+    for module, name in ((squigfn, "_series_sum"), (numerics, "_binomial_sum")):
         def counted(*args, _f=getattr(module, name), _name=name):
             # every inverse route sums through _series_sum, and its caller
             # names the route: _evaluate (the disc at 0), _corner_invert
-            # (the disc at A) or _pole_invert (the pole series)
-            hits[sys._getframe(1).f_code.co_name if _name == "_series_sum" else _name] += 1
+            # (the disc at A) or _pole_invert (the pole series); each regime
+            # of F sums one of its tables through _binomial_sum
+            if _name == "_series_sum":
+                hits[sys._getframe(1).f_code.co_name] += 1
+            else:
+                hits[tables[id(args[0])]] += 1
             return _f(*args)
         monkeypatch.setattr(module, name, counted)
     calls = []
@@ -440,8 +444,8 @@ def test_warm_hot_path_makes_no_exp_calls(n, monkeypatch):
     assert calls == []
     # every route ran
     assert hits["_evaluate"] > 0 and hits["_corner_invert"] > 0
-    assert hits["_pole_invert"] > 0 and hits["_corner_series"] > 0
-    assert hits["_series_tail"] > hits["_corner_series"]
+    assert hits["_pole_invert"] > 0 and hits["chart"] > 0
+    assert hits["inner"] > 0 and hits["outer"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -801,9 +805,12 @@ def python_calls(fn, *args):
 # EvalResult.__init__.  Every route sums through numerics._series_sum:
 # the disc at 0 calls it from _evaluate, the disc at A from _corner_invert,
 # and the pole from _pole_invert, which also builds cos_n's cosine: each
-# route's sin_n and cos_n make the same count, 6 on the pole route.
+# route's sin_n and cos_n make the same count, 6 on the pole route.  Each
+# regime of F is the entry point, sector_ray_integral and the one sum of its
+# table, numerics._binomial_sum; arcsin_n adds geometry._slit_wedge.
 CALL_CEILINGS = {"disc 0": 5, "disc A": 6, "pole": 6,
-                 "arcsin at 0": 4, "arcsin chart": 6, "arcsin at inf": 5}
+                 "arcsin at 0": 4, "arcsin chart": 4, "arcsin at inf": 4,
+                 "sector at 0": 3, "sector chart": 3, "sector at inf": 3}
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 32, 64])
@@ -822,6 +829,14 @@ def test_python_calls_per_warm_call(n):
                      ("arcsin at inf", 10.0 * cmath.exp(0.3j / n))):
         arcsin_n(ctx, w)
         assert python_calls(arcsin_n, ctx, w) <= CALL_CEILINGS[route], route
+    # the sector map, in its upper half too, where the chart reflects
+    upper = cmath.exp(1.5j * math.pi / n)
+    for route, z in (("sector at 0", 0.3 * cmath.exp(0.2j / n)),
+                     ("sector chart", (1.0 + 0.1 / n) * upper),
+                     ("sector chart", (1.0 - 0.1 / n) * upper),
+                     ("sector at inf", 10.0 * cmath.exp(0.3j / n))):
+        arcsin_n_sector(ctx, z)
+        assert python_calls(arcsin_n_sector, ctx, z) <= CALL_CEILINGS[route], (route, z)
 
 
 # ---------------------------------------------------------------------------

@@ -60,9 +60,9 @@ def hyp2f1_mp(n: int, u) -> mpmath.mpc:
 
     On the real ray beyond 1, where u**n lies on the cut of 2F1, mpmath
     gives the value continued from below the cut.  The kernel takes the one
-    continued from inside the sector, from above (the sign-of-phase rule of
-    ``numerics._corner_series``): its conjugate, since 2F1 is real on the
-    real axis below 1.
+    continued from inside the sector, from above (the branch rule for
+    delta**(1/n) of ``numerics.sector_ray_integral``'s chart): its
+    conjugate, since 2F1 is real on the real axis below 1.
     """
     uu = mpmath.mpc(u)
     a = mpmath.mpf(n - 1) / n
@@ -101,7 +101,7 @@ def exact_chart_coefficients(n: int, terms: int) -> list:
     return [c / (n * k + 1) for k, c in enumerate(g)]
 
 
-@pytest.mark.parametrize("n", NS)
+@pytest.mark.parametrize("n", ALL_NS)
 def test_matches_hypergeometric_oracle(n):
     ctx = make_context(n)
     angles = (0.0, math.pi / n, 2.0 * math.pi / n - 1e-6)
@@ -142,7 +142,7 @@ def test_annulus_matches_hypergeometric_oracle(n):
     assert worst <= 1e-14
 
 
-@pytest.mark.parametrize("n", NS)
+@pytest.mark.parametrize("n", ALL_NS)
 def test_upper_ray_continues_from_inside(n):
     # Past omega the chart at omega must give the value continued from inside
     # the sector, the mirror image of the lower slit edge, although the
