@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import DomainError, ParameterError, _shown
+from .errors import DomainError, ParameterError, _as_point, _is_int, _shown
 from .numerics import _MAX_N, _MIN_N, _FrozenRecord, _block, _unit_constants
 
 # Membership slack for the triangle tests, in units of |A|^2 (signed areas).
@@ -82,10 +82,7 @@ class SquigContext:
     """
 
     def __init__(self, n: int):
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ParameterError(f"n must be an integer, got {_shown(n)}")
-        if not _MIN_N <= n <= _MAX_N:
-            raise ParameterError(f"n must lie in [{_MIN_N}, {_MAX_N}], got {_shown(n)}")
+        _check_n(n)
         self.n = n
         (self.scale, self.sine, self.cosine, self.inner, self.outer, self.chart, half,
          self.R, self.rate, self.pole) = _block(n)
@@ -116,6 +113,14 @@ class SquigContext:
     @property
     def beta(self) -> float:
         return (self.n - 1) / self.n
+
+
+def _check_n(n) -> None:
+    """ParameterError unless ``n`` is an int (not a bool) in [3, 64]."""
+    if not _is_int(n):
+        raise ParameterError(f"n must be an integer, got {_shown(n)}")
+    if not _MIN_N <= n <= _MAX_N:
+        raise ParameterError(f"n must lie in [{_MIN_N}, {_MAX_N}], got {_shown(n)}")
 
 
 class FoldResult(_FrozenRecord):
@@ -152,32 +157,6 @@ _NO_SHIFT = (0, 0)
 def make_context(n: int) -> SquigContext:
     """Build the shared constant bundle for a given ``n``: ``SquigContext(n)``."""
     return SquigContext(n)
-
-
-def _as_point(z, where: str = "", region: str = "") -> complex:
-    """``z`` as a complex, for any number; ParameterError for anything else:
-    a str, bytes, None, a bool, or what ``complex()`` refuses.
-
-    With ``where``, a map's domain ("the slit plane Sigma_5"), a point that
-    is not finite raises DomainError naming it and ``region``; without, an
-    int beyond the float range becomes the infinity of its sign.  Callers
-    test ``z.__class__ is not complex`` (or not finite) first, so a finite
-    complex point makes no call.
-    """
-    if isinstance(z, (str, bool)):
-        raise ParameterError(f"a point must be a number, not {type(z).__name__}")
-    try:
-        z = complex(z)
-    except OverflowError:  # an int beyond the float range
-        if where:
-            raise DomainError(f"point beyond the float range lies outside {where}",
-                              region=region) from None
-        return complex(math.inf if z > 0 else -math.inf)
-    except (TypeError, ValueError):
-        raise ParameterError(f"a point must be a number, not {type(z).__name__}") from None
-    if where and not cmath.isfinite(z):
-        raise DomainError(f"point {z} lies outside {where}", region=region)
-    return z
 
 
 def _slit_wedge(ctx: SquigContext, w: complex) -> tuple:

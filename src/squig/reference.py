@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd
@@ -48,10 +47,14 @@ from .errors import (
     ParameterError,
     QuadratureError,
     RefinementNeededError,
+    _as_point,
+    _is_count,
+    _is_finite_number,
+    _is_real,
     _shown,
 )
-from .geometry import make_context
-from .regions import _is_real, contains_Pi
+from .geometry import _RAY_SNAP, _slit_wedge, make_context
+from .regions import contains_Pi
 from .squigfn import sin_n
 
 TWO_PI = 2.0 * math.pi
@@ -172,12 +175,16 @@ def _tanh_sinh(f3, a: float, b: float, tol: float, max_level: int):
     )
 
 
-def _check_integrand(f, *reals) -> None:
-    """ParameterError unless f is callable and each of ``reals`` a finite real."""
+def _check_integrand(f, tol, *reals) -> None:
+    """ParameterError unless f is callable, ``tol`` a positive finite real and
+    each of ``reals`` a finite real."""
     if not callable(f):
         raise ParameterError(f"the integrand must be callable, got {_shown(f)}")
+    if not (_is_real(tol) and tol > 0.0):
+        raise ParameterError(f"the tolerance tol must be a positive finite real, "
+                             f"got {_shown(tol)}")
     for x in reals:
-        if not (_is_real(x) and abs(x) <= sys.float_info.max):
+        if not _is_real(x):
             raise ParameterError(f"interval ends and exponents must be finite reals, "
                                  f"got {_shown(x)}")
 
@@ -191,7 +198,7 @@ def integrate_endpoint_singular(f, a: float, b: float,
     f ~ dr**-right_exp near b); both must be < 1 so the integral converges.
     With the exact offsets dl and dr the result reaches full double precision.
     """
-    _check_integrand(f, a, b)
+    _check_integrand(f, tol, a, b, left_exp, right_exp)
     if not (left_exp < 1.0 and right_exp < 1.0):
         raise DivergenceError(
             f"endpoint exponents must be < 1 for an integrable singularity, "
@@ -209,7 +216,7 @@ def integrate_tail(f, a: float, decay_exp: float,
     singularity of f at a itself is handled by the endpoint rule: f receives
     dl = t - a exactly and dr = inf.
     """
-    _check_integrand(f, a, decay_exp)
+    _check_integrand(f, tol, a, decay_exp)
     if decay_exp <= 1.0:
         raise DivergenceError(
             f"decay exponent {decay_exp} <= 1: tail integral diverges")
@@ -236,7 +243,11 @@ def integrate_tail(f, a: float, decay_exp: float,
     # estimate its scale once and drop nodes whose whole remaining mass is
     # negligible, so f is never evaluated at overflow-inducing arguments.
     t_ref = 8.0 * cut
-    scale = abs(f(t_ref, t_ref - a, math.inf)) * t_ref ** decay_exp
+    f_ref = abs(f(t_ref, t_ref - a, math.inf))
+    try:
+        scale = f_ref * t_ref ** decay_exp
+    except OverflowError:  # t_ref**decay_exp beyond the float range: no chop
+        scale = 0.0
     chop_mass = tol * 1e-2
 
     def tail_part(u: float, dl: float, dr: float) -> complex:
@@ -244,6 +255,8 @@ def integrate_tail(f, a: float, decay_exp: float,
             remaining = scale * u ** (decay_exp - 1.0) / (decay_exp - 1.0)
             if remaining < chop_mass:
                 return 0j
+        if u == 0.0:  # a node that underflowed onto u = 0, at a cut near the float range
+            return 0j
         t = 1.0 / u
         if a == cut:
             dl_t = a * dr * t  # t - a = a*(1/cut - u)/u exactly
@@ -316,7 +329,10 @@ def integrate_smooth(f, a: float, b: float, tol: float = DEFAULT_QUAD_TOL,
     """
     import heapq
 
-    _check_integrand(f, a, b)
+    _check_integrand(f, tol, a, b)
+    if not _is_count(max_evals, 0):
+        raise ParameterError(
+            f"max_evals must be an integer in [0, sys.maxsize], got {_shown(max_evals)}")
     val, err, kabs, evals = _gk15(f, a, b)
     # Heap entries: (-err, tiebreak, lo, hi, val, kabs).
     counter = 0
@@ -370,8 +386,8 @@ def revert_series(series: RationalSeries, terms: int) -> RationalSeries:
 
     if not isinstance(series, RationalSeries):
         raise ParameterError(f"reversion needs a RationalSeries, got {_shown(series)}")
-    if isinstance(terms, bool) or not isinstance(terms, int) or terms < 1:
-        raise ParameterError(f"terms must be an integer >= 1, got {_shown(terms)}")
+    if not _is_count(terms, 1):
+        raise ParameterError(f"terms must be an integer in [1, sys.maxsize], got {_shown(terms)}")
     if not series.degrees or series.degrees[0] != 1 or series.coeffs[0] != 1:
         raise InvalidSeriesError("reversion needs a series starting with 1*z")
     if series.term_count() == 1:
@@ -412,7 +428,17 @@ def sector_segment_integral(n: int, za: complex, zb: complex,
     branch is the continuous one.  Neither an evaluation route nor
     ``verify`` uses it; it is the independent quadrature that the tests
     check the series against.  The evaluation budget is deliberately small.
+    ``n`` is refused as ``SquigContext(n)`` refuses it, and an endpoint as
+    ``arcsin_n_sector`` refuses it, or within 1e-8 of a slit (DomainError);
+    where ``z**n`` leaves the float range, QuadratureError is raised.
     """
+    ctx = make_context(n)
+    za, zb = (_as_point(z, f"the closed sector V_{n}", f"V_{n}") for z in (za, zb))
+    for z in (za, zb):
+        outside = z and not -_RAY_SNAP <= cmath.phase(z) <= ctx.tau + _RAY_SNAP
+        if outside or _slit_wedge(ctx, z)[3]:
+            raise DomainError(f"point {z} lies outside the closed sector V_{n} off its slits",
+                              region=f"V_{n}")
     beta = (n - 1) / n
     seg = zb - za
 
@@ -421,7 +447,10 @@ def sector_segment_integral(n: int, za: complex, zb: complex,
         w = 1.0 - z ** n
         return cmath.exp(-beta * cmath.log(w))
 
-    res = integrate_smooth(f, 0.0, 1.0, tol, max_evals=max_evals)
+    try:
+        res = integrate_smooth(f, 0.0, 1.0, tol, max_evals=max_evals)
+    except OverflowError:
+        raise QuadratureError(f"the integrand leaves the float range on [{za}, {zb}]") from None
     return res.value * seg
 
 
@@ -460,12 +489,6 @@ _newton_basic = newton_invert
 # ---------------------------------------------------------------------------
 # Winding numbers of discrete loops
 # ---------------------------------------------------------------------------
-
-def _is_finite_number(value) -> bool:
-    """A finite complex, or a real number (not a bool) within the float range."""
-    return (isinstance(value, complex) and cmath.isfinite(value)
-            or _is_real(value) and abs(value) <= sys.float_info.max)
-
 
 def winding_number(loop_values, w: complex) -> int:
     """Winding count of a sampled closed loop around w.

@@ -15,14 +15,9 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 
-from .errors import ParameterError, _shown
-from .geometry import SquigContext, _as_point
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+from .errors import ParameterError, _as_point, _is_count, _is_real, _shown
+from .geometry import SquigContext
 
 
 def _cross(o: complex, a: complex, b: complex) -> float:
@@ -98,10 +93,9 @@ def boundary_polyline(
     ray, arc, return ray).  The first point is repeated at the end so the
     polyline closes exactly.
     """
-    if not isinstance(samples_per_edge, int) or samples_per_edge < 2:
-        raise ParameterError(
-            f"samples_per_edge must be an integer >= 2, got {_shown(samples_per_edge)}"
-        )
+    if not _is_count(samples_per_edge, 2):
+        raise ParameterError(f"samples_per_edge must be an integer in [2, sys.maxsize], "
+                             f"got {_shown(samples_per_edge)}")
 
     if which == "pi":
         return _sample_edges([0j, ctx.A, ctx.P, ctx.B], samples_per_edge)
@@ -114,7 +108,7 @@ def boundary_polyline(
         return _sample_edges(verts, samples_per_edge)
 
     if which == "gamma":
-        if not _is_real(radius) or not 0.0 < radius <= sys.float_info.max:
+        if not (_is_real(radius) and radius > 0.0):
             raise ParameterError(
                 f"the gamma boundary needs a positive finite radius, got {_shown(radius)}")
         tau = ctx.tau
@@ -142,9 +136,9 @@ def sample_domain(
 
     ``rng`` draws them through its ``random()`` and ``randrange(n)``, as a
     ``random.Random`` does; an object without both methods is refused.
-    ``count`` must be a nonnegative int (a bool is refused).  Keeps a
+    ``count`` must be an int (not a bool) from 0 to ``sys.maxsize``.  Keeps a
     relative distance of at least ``pole_clearance`` (in units of ``|P|``)
-    from every rotated obstruction corner; it must be a real number (not a
+    from every rotated obstruction corner; it must be a finite real (not a
     bool) below 1, as no kite point is ``|P|`` or more from P.  The two half-kite
     triangles have equal area, so a coin flip plus a barycentric draw is
     uniform on the kite, and a uniform rotation spreads it over the rosette.
@@ -152,15 +146,13 @@ def sample_domain(
     if not (callable(getattr(rng, "random", None))
             and callable(getattr(rng, "randrange", None))):
         raise ParameterError(f"rng must have random() and randrange(), got {_shown(rng)}")
-    if isinstance(count, bool) or not isinstance(count, int):
-        raise ParameterError(f"count must be an integer, got {_shown(count)}")
-    if count < 0:
-        raise ParameterError("count must be nonnegative")
+    if not _is_count(count, 0):
+        raise ParameterError(f"count must be an integer in [0, sys.maxsize], got {_shown(count)}")
     # every kite point lies within |P| of P: both half-kite triangles have
-    # their vertices in that disc, so a clearance of 1 or more leaves nothing;
-    # the comparison also refuses NaN, which would turn the clearance off
+    # their vertices in that disc, so a clearance of 1 or more leaves nothing
     if not (_is_real(pole_clearance) and pole_clearance < 1.0):
-        raise ParameterError(f"pole_clearance must be below 1, got {_shown(pole_clearance)}")
+        raise ParameterError(
+            f"pole_clearance must be a finite real below 1, got {_shown(pole_clearance)}")
     pts: list[complex] = []
     corners = [ctx.P * r for r in ctx.roots]
     while len(pts) < count:

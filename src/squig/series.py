@@ -20,8 +20,7 @@ import math
 import numbers
 from fractions import Fraction
 
-from .errors import InvalidSeriesError, ParameterError, _shown
-from .geometry import _as_point
+from .errors import InvalidSeriesError, ParameterError, _as_point, _is_int, _shown
 from .numerics import _FrozenRecord
 
 
@@ -46,7 +45,7 @@ class RationalSeries(_FrozenRecord):
             raise InvalidSeriesError("degrees and coeffs must align")
         last = 0
         for d, c in zip(degrees, coeffs):
-            if isinstance(d, bool) or not isinstance(d, int) or d <= last:
+            if not _is_int(d) or d <= last:
                 raise InvalidSeriesError(
                     f"degrees must be strictly increasing integers >= 1, got {_shown(d)}")
             if isinstance(c, bool) or not isinstance(c, numbers.Rational) or c == 0:
@@ -102,7 +101,7 @@ _set_degrees, _set_coeffs = (getattr(RationalSeries, name).__set__
 
 
 def _check_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ParameterError(f"{name} must be an integer, got {_shown(value)}")
     return value
 

@@ -51,8 +51,8 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import ConvergenceError, DomainError, ParameterError, _shown
-from .geometry import _CELL_ROUND, _RAY_SNAP, SquigContext, _as_point, _fold, _slit_wedge
+from .errors import ConvergenceError, DomainError, ParameterError, _as_point, _is_count, _shown
+from .geometry import _CELL_ROUND, _RAY_SNAP, SquigContext, _fold, _slit_wedge
 from .numerics import (
     _ODE_TAIL,
     _ULP,
@@ -110,8 +110,8 @@ def maclaurin(ctx: SquigContext, terms: int) -> RationalSeries:
     """
     from .series import RationalSeries, _ode_coefficients
 
-    if isinstance(terms, bool) or not isinstance(terms, int) or terms < 1:
-        raise ParameterError(f"terms must be a positive integer, got {_shown(terms)}")
+    if not _is_count(terms, 1):
+        raise ParameterError(f"terms must be an integer in [1, sys.maxsize], got {_shown(terms)}")
     n = ctx.n
     pairs = [(n * k + 1, a) for k, a in enumerate(_ode_coefficients(n, terms)[0]) if a]
     return RationalSeries(*zip(*pairs))

@@ -15,21 +15,20 @@ import cmath
 import math
 import operator
 import random
-import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .errors import ParameterError, SquigError, _shown
-from .geometry import SquigContext, make_context
+from .errors import (DomainError, ParameterError, SquigError, _is_count, _is_finite_number,
+                     _is_int, _is_real, _shown)
+from .geometry import SquigContext, _check_n, make_context
 from .reference import (
-    _is_finite_number,
     integrate_endpoint_singular,
     integrate_smooth,
     integrate_tail,
     winding_number,
 )
-from .regions import _is_real, in_rosette
+from .regions import in_rosette
 from .squigfn import arcsin_n, arcsin_n_sector, sin3_global, sin_n
 
 __all__ = [
@@ -90,7 +89,10 @@ class VerificationReport:
 
 def _report(name: str, n: int, tolerance: float | None,
             measure: Callable[[], tuple[complex, complex, float, str]]) -> VerificationReport:
-    """Time ``measure()`` and make its row; a raised ``SquigError`` is a failed row.
+    """Time ``measure()`` and make its row; a raised ``SquigError`` is a failed
+    row, and so is an ``ArithmeticError`` (an independent route that could not
+    produce a value at a sample, such as a quadrature whose integrand divides
+    by zero on a slit or overflows).
 
     ``measure`` returns ``(lhs, rhs, abs_error, note)``.  A non-finite value
     among them is a failed row too, with the values in its note, so that
@@ -101,7 +103,7 @@ def _report(name: str, n: int, tolerance: float | None,
     """
     if tolerance is None:
         tol = DEFAULT_TOLERANCES[_FAMILIES[name][0]]
-    elif _is_real(tolerance) and 0.0 < tolerance <= sys.float_info.max:
+    elif _is_real(tolerance) and tolerance > 0.0:
         tol = float(tolerance)
     else:
         raise ParameterError(
@@ -113,7 +115,7 @@ def _report(name: str, n: int, tolerance: float | None,
         if not (cmath.isfinite(lhs) and cmath.isfinite(rhs) and math.isfinite(err)):
             note = f"non-finite measurement: abs_error {err!r}, lhs {lhs!r}, rhs {rhs!r}; {note}"
             lhs, rhs, err, passed = 0j, 0j, _FAIL_SENTINEL, False
-    except SquigError as exc:
+    except (SquigError, ArithmeticError) as exc:
         lhs, rhs, err, note = 0j, 0j, _FAIL_SENTINEL, f"{type(exc).__name__}: {exc}"
         passed = False
     ms = (time.perf_counter() - t0) * 1e3
@@ -127,22 +129,19 @@ def _nan_largest(err: float) -> tuple:
 
 
 def _check_samples(name: str, samples) -> None:
-    """Refuse ``samples`` unless a sequence of one or more numbers (bools
-    excluded, and ints beyond the float range, which ``complex()`` cannot
-    take): with none a check would pass with abs_error -1."""
+    """Refuse ``samples`` unless a sequence of one or more floats, complexes
+    or ``_is_real`` ints: with none a check would pass with abs_error -1."""
     if not isinstance(samples, Sequence) or not samples or not all(
-            isinstance(z, (float, complex)) or _is_real(z) and abs(z) <= sys.float_info.max
-            for z in samples):
+            isinstance(z, (float, complex)) or _is_real(z) for z in samples):
         raise ParameterError(f"{name} needs a sequence of one or more numbers as samples, "
                              f"got {_shown(samples)}")
 
 
 def _check_radii(name: str, radii) -> None:
-    """Refuse ``radii`` unless a sequence of one or more positive finite reals
-    (bools excluded, and ints beyond the float range, which ``float()``
-    cannot take); the types are checked before anything sorts them."""
+    """Refuse ``radii`` unless a sequence of one or more positive ``_is_real``
+    numbers; the types are checked before anything sorts them."""
     if not isinstance(radii, Sequence) or not radii or not all(
-            _is_real(r) and 0.0 < r <= sys.float_info.max for r in radii):
+            _is_real(r) and r > 0.0 for r in radii):
         raise ParameterError(
             f"{name} needs one or more positive finite radii, got {_shown(radii)}")
 
@@ -152,7 +151,9 @@ def _check_radii(name: str, radii) -> None:
 
 
 def gamma_pi_n(n: int) -> float:
-    """Gamma-function closed form of pi_n, the checks' independent oracle."""
+    """Gamma-function closed form of pi_n, the checks' independent oracle;
+    ``n`` is refused as ``SquigContext(n)`` refuses it."""
+    _check_n(n)
     return 2.0 * math.gamma(1.0 / n) ** 2 / (n * math.gamma(2.0 / n))
 
 
@@ -211,10 +212,10 @@ def limit_profile(ctx: SquigContext, radii: Sequence[float],
 
     Angles are midpoints of a uniform split of one sector, so no sample ever
     lands on a slit.  ``radii`` follows ``check_limit_at_infinity``'s rule and
-    ``angles`` must be a positive ``int``.
+    ``angles`` must be an int (not a bool) from 1 to ``sys.maxsize``.
     """
     _check_radii("limit_profile", radii)
-    if not isinstance(angles, int) or isinstance(angles, bool) or angles < 1:
+    if not _is_count(angles, 1):
         raise ParameterError(
             f"limit_profile needs a positive integer angles, got {_shown(angles)}")
     tau = ctx.tau
@@ -291,7 +292,7 @@ def check_winding(ctx: SquigContext, R: float, w: complex,
     1: the keyhole loop runs out along the slit from its tip at 1 to ``R``.
     ``w`` must be a finite number (not a bool).
     """
-    if not _is_real(R) or not 1.0 < R <= sys.float_info.max:
+    if not (_is_real(R) and R > 1.0):
         raise ParameterError(f"winding needs a finite R above 1, got {_shown(R)}")
     if not _is_finite_number(w):
         raise ParameterError(f"winding needs a finite number as target w, got {_shown(w)}")
@@ -356,7 +357,9 @@ def _ode_pair(n: int, z: complex) -> tuple[complex, complex, int]:
 
     Branch-free: only integer powers of the running pair appear, so this route
     never consults the folding, chart, series or quadrature code it is
-    checking.
+    checking.  Where the segment runs into a corner, a pole of the pair, the
+    steps shrink until one adds nothing to the distance done, and
+    DomainError is raised.
     """
     radius = gamma_corner_radius(n)
     corners = [cmath.rect(radius, math.pi * (2 * k + 1) / n) for k in range(n)]
@@ -369,6 +372,8 @@ def _ode_pair(n: int, z: complex) -> tuple[complex, complex, int]:
         reach = _TAYLOR_REACH * min(abs(q - centre) for q in corners)
         if reach >= length - done:
             h, done = z - centre, length
+        elif done + reach == done:  # the steps shrank to nothing at a corner
+            raise DomainError(f"the path from 0 to {z} runs into a pole of the ODE pair")
         else:
             h, done = z * (reach / length), done + reach
         s, c = _taylor_step(n - 1, s, c, h)
@@ -395,10 +400,13 @@ def check_periodicity_sin3(ctx: SquigContext, samples: Sequence[complex],
         rows = []
         steps = 0
         for z in samples:
+            # the library first: it refuses a point beyond the lattice's reach
+            # at once, where the continuation takes thousands of steps (and
+            # never ends where |z| overflows)
+            got = [sin3_global(ctx, complex(z) + shift) for shift in shifts]
             ref, _, taken = _ode_pair(3, complex(z))
             steps += taken
-            for shift in shifts:
-                res = sin3_global(ctx, complex(z) + shift)
+            for res in got:
                 if res.is_pole:
                     return 0j, ref, _FAIL_SENTINEL, f"unexpected pole flag at {z!r}"
                 rows.append((abs(res.value - ref), res.value, ref))
@@ -521,8 +529,7 @@ class VerifyConfig:
         # family, an infinite tolerance) or could never pass (a tolerance of
         # 0 or less, or NaN)
         nv = self.n_values
-        if not isinstance(nv, Sequence) or not nv or not all(
-                isinstance(n, int) and not isinstance(n, bool) for n in nv):
+        if not isinstance(nv, Sequence) or not nv or not all(map(_is_int, nv)):
             raise ParameterError(
                 f"n_values must be a sequence of one or more integers, got {_shown(nv)}")
         families = self.families
@@ -540,7 +547,7 @@ class VerifyConfig:
             if name not in _FAMILIES and name not in DEFAULT_TOLERANCES:
                 raise ParameterError(f"unknown tolerance name {_shown(name)}; choose from "
                                      f"{sorted(set(_FAMILIES) | set(DEFAULT_TOLERANCES))}")
-            if not _is_real(value) or not 0.0 < value <= sys.float_info.max:
+            if not (_is_real(value) and value > 0.0):
                 raise ParameterError(
                     f"tolerance {_shown(name)} must be positive and finite, got {_shown(value)}")
 

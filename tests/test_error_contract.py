@@ -22,18 +22,32 @@ integers and coefficients that are not rationals, and its methods refuse
 arguments of the wrong kind and values beyond the float range.  The
 reference tools (series reversion, the winding count and the quadrature
 rules) refuse arguments of the wrong kind and non-finite interval ends.
+
+A hostile-argument sweep closes the file.  Its table ``SWEEP`` lists every
+function in ``squig.__all__`` and ``squig.verify.__all__`` (a test fails
+when one is missing), a few public classes, and ``sector_segment_integral``
+and ``newton_invert``, each with one valid call and its numeric parameters.
+Each numeric parameter in turn takes every value of ``HOSTILE`` (None,
+"1", True, NaN, +-inf, +-2**1100, +-1e308, 1+0j and 2**70), as one entry
+where it is a sequence or a mapping, the rest of the valid call left as it
+is.  Every call must return, or raise a SquigError, within 2 s; a
+``signal.setitimer`` timer ends a call that runs longer.
 """
 
 import cmath
 import functools
+import inspect
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import squig
+import squig.reference
 from squig.errors import DomainError, ParameterError, SquigError
 from squig.errors import InvalidSeriesError
 from squig.geometry import _CELL_ROUND, contains_Sigma, fold, make_context, unfold
@@ -332,3 +346,140 @@ def test_reference_tools_refuse_bad_arguments(call):
     # OverflowError
     with pytest.raises(ParameterError):
         call()
+
+
+# ---------------------------------------------------------------------------
+# the hostile-argument sweep over every public entry point
+
+
+def _valid(**kwargs):
+    return lambda: kwargs
+
+
+def _ctx(n, **kwargs):
+    return lambda: {"ctx": context(n), **kwargs}
+
+
+def _itself(value):
+    return value
+
+
+# name: (one valid call's arguments, {numeric parameter: how a value enters
+# it}); a sequence or mapping takes the value as one of its entries
+SWEEP = {
+    "SquigContext": (_valid(n=4), {"n": _itself}),
+    "make_context": (_valid(n=4), {"n": _itself}),
+    "fold": (_ctx(4, z=0.3 + 0.1j), {"z": _itself}),
+    "unfold": (lambda: {"ctx": context(4), "result": fold(context(4), 0.3 + 0.1j)}, {}),
+    "sin_n": (_ctx(4, z=0.3 + 0.1j), {"z": _itself}),
+    "cos_n": (_ctx(4, z=0.3 + 0.1j), {"z": _itself}),
+    "sin3_global": (_ctx(3, z=0.3 + 0.1j), {"z": _itself}),
+    "arcsin_n": (_ctx(4, w=0.5 + 0.1j), {"w": _itself}),
+    "arcsin_n_sector": (_ctx(4, z=0.5 + 0.1j), {"z": _itself}),
+    "contains_Pi": (_ctx(4, z=0.3 + 0.1j), {"z": _itself}),
+    "contains_Sigma": (_ctx(4, w=0.5 + 0.1j), {"w": _itself}),
+    "maclaurin": (_ctx(4, terms=5), {"terms": _itself}),
+    "boundary_polyline": (_ctx(4, which="gamma", samples_per_edge=4, radius=2.0),
+                          {"samples_per_edge": _itself, "radius": _itself}),
+    "sample_domain": (lambda: {"ctx": context(4), "rng": random.Random(1), "count": 3,
+                               "pole_clearance": 0.05},
+                      {"count": _itself, "pole_clearance": _itself}),
+    "RationalSeries": (_valid(degrees=(1, 4), coeffs=(1, Fraction(-1, 4))),
+                       {"degrees": lambda v: (1, v), "coeffs": lambda v: (1, v)}),
+    "radius_estimate": (_valid(series=RationalSeries((1, 2, 3, 4), (1, 1, 1, 1))), {}),
+    "revert_series": (_valid(series=RationalSeries((1, 4), (1, Fraction(-1, 4))), terms=4),
+                      {"terms": _itself}),
+    "integrate_smooth": (_valid(f=lambda x: x * x, a=0.0, b=1.0, tol=1e-12, max_evals=1000),
+                         {"a": _itself, "b": _itself, "tol": _itself, "max_evals": _itself}),
+    "integrate_endpoint_singular": (
+        _valid(f=lambda x, dl, dr: dl ** -0.5, a=0.0, b=1.0, left_exp=0.5, right_exp=0.0,
+               tol=1e-12),
+        {"a": _itself, "b": _itself, "left_exp": _itself, "right_exp": _itself,
+         "tol": _itself}),
+    "integrate_tail": (_valid(f=lambda t, dl, dr: 1.0 / (t * t), a=1.0, decay_exp=2.0,
+                              tol=1e-12),
+                       {"a": _itself, "decay_exp": _itself, "tol": _itself}),
+    "winding_number": (_valid(loop_values=[1, 1j, -1, -1j, 1], w=0),
+                       {"loop_values": lambda v: [v, 1j, -1, -1j, v], "w": _itself}),
+    "sector_segment_integral": (_valid(n=4, za=0j, zb=0.5 + 0.2j, tol=1e-12, max_evals=8000),
+                                {"n": _itself, "za": _itself, "zb": _itself, "tol": _itself,
+                                 "max_evals": _itself}),
+    "newton_invert": (_valid(n=4, w=0.3 + 0.1j), {"n": _itself, "w": _itself}),
+    "VerifyConfig": (_valid(n_values=(4,), tolerances={"identity": 1e-10}),
+                     {"n_values": lambda v: (v,), "tolerances": lambda v: {"identity": v}}),
+    "run_all": (lambda: {"config": squig.VerifyConfig(n_values=(4,),
+                                                      families=("riemann_normalization",))},
+                {}),
+    "gamma_pi_n": (_valid(n=4), {"n": _itself}),
+    "limit_profile": (_ctx(4, radii=[100.0], angles=8),
+                      {"radii": lambda v: [v], "angles": _itself}),
+    "check_integral_slit": (_ctx(4, tolerance=1e-8), {"tolerance": _itself}),
+    "check_integral_ray": (_ctx(4, tolerance=1e-8), {"tolerance": _itself}),
+    "check_riemann_normalization": (_ctx(4, tolerance=1e-6), {"tolerance": _itself}),
+    "check_trisection": (_ctx(3, tolerance=1e-8), {"tolerance": _itself}),
+    "check_limit_at_infinity": (_ctx(4, radii=[100.0, 1000.0], tolerance=1e-3),
+                                {"radii": lambda v: [v, 1000.0], "tolerance": _itself}),
+    "check_winding": (_ctx(4, R=50.0, w=0.1, tolerance=1e-10),
+                      {"R": _itself, "w": _itself, "tolerance": _itself}),
+    "check_periodicity_sin3": (_ctx(3, samples=[0.3 + 0.1j], tolerance=1e-10),
+                               {"samples": lambda v: [v], "tolerance": _itself}),
+    "check_sc_factorization": (_ctx(3, samples=[0.3 + 0.1j], tolerance=1e-9),
+                               {"samples": lambda v: [v], "tolerance": _itself}),
+}
+
+HOSTILE = {"none": None, "str": "1", "bool": True, "nan": math.nan, "inf": math.inf,
+           "-inf": -math.inf, "2**1100": 2**1100, "-2**1100": -(2**1100), "1e308": 1e308,
+           "-1e308": -1e308, "1+0j": 1 + 0j, "2**70": 2**70}
+_LIMIT_S = 2.0
+
+
+def _public(name):
+    module = next(m for m in (squig, squig.verify, squig.reference) if hasattr(m, name))
+    return getattr(module, name)
+
+
+class _Stall(BaseException):
+    """Raised by the timer in a call that runs past the sweep's limit; a
+    BaseException, so that no ``except Exception`` of the call takes it."""
+
+
+def _timed(call):
+    def alarm(signum, frame):
+        raise _Stall
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, _LIMIT_S)
+    try:
+        return call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("name", SWEEP)
+def test_each_valid_call_of_the_sweep_returns(name):
+    args, _ = SWEEP[name]
+    _timed(lambda: _public(name)(**args()))
+
+
+@pytest.mark.parametrize("name,param,value", [
+    pytest.param(name, param, value, id=f"{name}-{param}-{vid}")
+    for name, (_, params) in SWEEP.items() for param in params
+    for vid, value in HOSTILE.items()])
+def test_a_hostile_argument_returns_or_raises_a_squig_error(name, param, value):
+    # the valid call with this one argument replaced; at most 2 s, and no
+    # raw exception
+    args, params = SWEEP[name]
+    args = args()
+    args[param] = params[param](value)
+    try:
+        _timed(lambda: _public(name)(**args))
+    except SquigError:
+        pass
+    except _Stall:
+        pytest.fail(f"{name} with {param}={value!r} did not return within {_LIMIT_S} s")
+
+
+def test_the_sweep_lists_every_public_function():
+    public = {name for module in (squig, squig.verify) for name in module.__all__
+              if inspect.isfunction(getattr(module, name))}
+    assert public - set(SWEEP) == set()
