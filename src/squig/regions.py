@@ -19,6 +19,10 @@ import math
 from .errors import ParameterError, _as_point, _is_count, _is_real, _shown
 from .geometry import SquigContext
 
+# sample_domain's largest pole_clearance: the draws reject more of the kite
+# as it nears 1, where every kite point lies within |P| of P
+_MAX_CLEARANCE = 0.9
+
 
 def _cross(o: complex, a: complex, b: complex) -> float:
     """Signed area of the parallelogram spanned by ``a - o`` and ``b - o``."""
@@ -139,20 +143,21 @@ def sample_domain(
     ``count`` must be an int (not a bool) from 0 to ``sys.maxsize``.  Keeps a
     relative distance of at least ``pole_clearance`` (in units of ``|P|``)
     from every rotated obstruction corner; it must be a finite real (not a
-    bool) below 1, as no kite point is ``|P|`` or more from P.  The two half-kite
-    triangles have equal area, so a coin flip plus a barycentric draw is
-    uniform on the kite, and a uniform rotation spreads it over the rosette.
+    bool) of at most 0.9.  Beyond, the accepted share of the kite shrinks
+    toward 0 at 1, where no kite point is left, and the draws stall (18.5 s
+    for 10 points at 0.999 and n = 8, against at most 19 ms at 0.9).  The
+    two half-kite triangles have equal area, so a coin flip plus a
+    barycentric draw is uniform on the kite, and a uniform rotation spreads
+    it over the rosette.
     """
     if not (callable(getattr(rng, "random", None))
             and callable(getattr(rng, "randrange", None))):
         raise ParameterError(f"rng must have random() and randrange(), got {_shown(rng)}")
     if not _is_count(count, 0):
         raise ParameterError(f"count must be an integer in [0, sys.maxsize], got {_shown(count)}")
-    # every kite point lies within |P| of P: both half-kite triangles have
-    # their vertices in that disc, so a clearance of 1 or more leaves nothing
-    if not (_is_real(pole_clearance) and pole_clearance < 1.0):
-        raise ParameterError(
-            f"pole_clearance must be a finite real below 1, got {_shown(pole_clearance)}")
+    if not (_is_real(pole_clearance) and pole_clearance <= _MAX_CLEARANCE):
+        raise ParameterError(f"pole_clearance must be a finite real of at most "
+                             f"{_MAX_CLEARANCE}, got {_shown(pole_clearance)}")
     pts: list[complex] = []
     corners = [ctx.P * r for r in ctx.roots]
     while len(pts) < count:

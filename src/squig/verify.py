@@ -53,14 +53,18 @@ __all__ = [
 # finite differences are limited by the step size, and the limit check works
 # at finite radii so it gets its own coarse class.
 DEFAULT_TOLERANCES: Mapping[str, float] = {
-    "quadrature": 1e-8,
+    "quadrature": 1e-13,
     "identity": 1e-10,
     "derivative": 1e-6,
     "factorization": 1e-9,
     "limit": 1e-3,
 }
 
-_QUAD_TOL = 1e-11          # internal quadrature target, well under any class
+# The quadrature rule's targets.  The integral identities ask for an error
+# under their rounding, and come out within 5.4e-16 relative at n = 3..64;
+# the triangle map needs only to stay well under the factorization class.
+_QUAD_TOL = 1e-17
+_TRIANGLE_TOL = 1e-11
 _FAIL_SENTINEL = 1e308     # finite so reports stay strict-JSON serializable
 
 _LOOP_LEG_POINTS = 120
@@ -187,19 +191,22 @@ def check_integral_slit(ctx: SquigContext, tolerance: float | None = None) -> Ve
     return _report("integral_slit", ctx.n, tolerance, measure)
 
 
+def _ray_integral(n: int) -> float:
+    """Integrate (1 + t**n)**(-(n-1)/n) over [0, inf) by split quadrature."""
+    beta = (n - 1.0) / n
+    head = integrate_smooth(lambda t: (1.0 + t ** n) ** -beta, 0.0, 2.0, _QUAD_TOL)
+    tail = integrate_tail(lambda t, dl, dr: (1.0 + t ** n) ** -beta, 2.0, n - 1.0,
+                          tol=_QUAD_TOL)
+    return (head.value + tail.value).real
+
+
 def check_integral_ray(ctx: SquigContext, tolerance: float | None = None) -> VerificationReport:
     """Integral of (1 + t**n)**(-(n-1)/n) over [0, inf) against the gamma closed form."""
-    n = ctx.n
-    beta = (n - 1.0) / n
-
     def measure():
-        head = integrate_smooth(lambda t: (1.0 + t ** n) ** -beta, 0.0, 2.0, _QUAD_TOL)
-        tail = integrate_tail(lambda t, dl, dr: (1.0 + t ** n) ** -beta, 2.0, n - 1.0,
-                              tol=_QUAD_TOL)
-        lhs = (head.value + tail.value).real
-        rhs = gamma_corner_radius(n)
+        lhs = _ray_integral(ctx.n)
+        rhs = gamma_corner_radius(ctx.n)
         return lhs, rhs, abs(lhs - rhs), ""
-    return _report("integral_ray", n, tolerance, measure)
+    return _report("integral_ray", ctx.n, tolerance, measure)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +426,25 @@ def check_periodicity_sin3(ctx: SquigContext, samples: Sequence[complex],
 # area trisection for n = 3
 
 
+def _trisection_areas() -> tuple[float, float]:
+    """The areas between the cubic curve x**3 + y**3 = 1 and the axes in the
+    first quadrant, and between it and its asymptote in the fourth; each is
+    pi_3 / 4."""
+    third = 1.0 / 3.0
+    quadrant = integrate_endpoint_singular(
+        lambda x, dl, dr: (dr * (1.0 + x + x * x)) ** third,
+        0.0, 1.0, right_exp=-third, tol=_QUAD_TOL).value.real
+    # below the axis: a triangle piece, a bounded cube-root piece, and a tail
+    # with the cancellation removed
+    cube = integrate_endpoint_singular(
+        lambda x, dl, dr: (dl * (1.0 + x + x * x)) ** third,
+        1.0, 2.0, left_exp=-third, tol=_QUAD_TOL).value.real
+    tail = integrate_tail(
+        lambda x, dl, dr: -x * math.expm1(math.log1p(-x ** -3) / 3.0),
+        2.0, 2.0, tol=_QUAD_TOL).value.real
+    return quadrant, 0.5 + (1.5 - cube) + tail
+
+
 def check_trisection(ctx: SquigContext, tolerance: float | None = None) -> VerificationReport:
     """Areas between the cubic curve and its diagonal asymptote.
 
@@ -430,22 +456,10 @@ def check_trisection(ctx: SquigContext, tolerance: float | None = None) -> Verif
     """
     if ctx.n != 3:
         raise ParameterError(f"trisection needs an n == 3 context, got n = {ctx.n}")
-    third = 1.0 / 3.0
     rhs = gamma_pi_n(3) / 4.0
 
     def measure():
-        q1 = integrate_endpoint_singular(
-            lambda x, dl, dr: (dr * (1.0 + x + x * x)) ** third,
-            0.0, 1.0, right_exp=-third, tol=_QUAD_TOL).value.real
-        # area between curve and asymptote below the axis: a triangle piece,
-        # a bounded cube-root piece, and a tail with the cancellation removed
-        cube = integrate_endpoint_singular(
-            lambda x, dl, dr: (dl * (1.0 + x + x * x)) ** third,
-            1.0, 2.0, left_exp=-third, tol=_QUAD_TOL).value.real
-        tail = integrate_tail(
-            lambda x, dl, dr: -x * math.expm1(math.log1p(-x ** -3) / 3.0),
-            2.0, 2.0, tol=_QUAD_TOL).value.real
-        q4 = 0.5 + (1.5 - cube) + tail
+        q1, q4 = _trisection_areas()
         err = max(abs(q4 - rhs), abs(q1 - rhs),
                   abs((q1 + 2.0 * q4) - 3.0 * rhs),
                   abs(abs(ctx.P) / 2.0 - rhs))
@@ -462,7 +476,7 @@ def _triangle_map(n: int, w: complex) -> complex:
     a = 1.0 / n - 1.0
     # u = s**n * w absorbs the u**(1/n-1) endpoint singularity
     return (w ** (1.0 / n)) * integrate_smooth(
-        lambda s: (1.0 - s ** n * w) ** a, 0.0, 1.0, _QUAD_TOL).value
+        lambda s: (1.0 - s ** n * w) ** a, 0.0, 1.0, _TRIANGLE_TOL).value
 
 
 def check_sc_factorization(ctx: SquigContext, samples: Sequence[complex],

@@ -25,7 +25,7 @@ def _beyond_root_magnitude(n, x):
 class TestPathIntegral:
     def test_in_sector_path_independence(self):
         # The ray integral (binomial series here) and a dog-leg through a
-        # GK15 segment integral must reach the same value.
+        # quadrature segment integral must reach the same value.
         n = 4
         z = 0.5 + 0.5j
         mid = 0.45 + 0.05j

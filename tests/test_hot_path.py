@@ -12,7 +12,9 @@ value asked for on either disc, and builds one slotted ``EvalResult``.  The
 old n-slit loop, the full six-neighbour sweep (which ``ref_fold`` reduces
 by), the frozen-dataclass ``fold``, the two-table inversion, the n-kite
 loop and ``sample_domain``'s per-draw roots are kept here as references,
-and every answer must match them exactly.
+and every answer must match them exactly.  The Python-level calls per
+warm call and the integrand evaluations of a default ``run_all()`` are
+counted, deterministic cost guards.
 """
 
 import bisect
@@ -837,6 +839,29 @@ def test_python_calls_per_warm_call(n):
                      ("sector at inf", 10.0 * cmath.exp(0.3j / n))):
         arcsin_n_sector(ctx, z)
         assert python_calls(arcsin_n_sector, ctx, z) <= CALL_CEILINGS[route], (route, z)
+
+
+# Integrand evaluations of one default run_all(), all of them through the
+# one quadrature rule: 1,160 integral_slit, 1,944 integral_ray, 19,776
+# sc_factorization and 241 trisection.  Counts are deterministic, so the
+# guard allows 10% over them and no more.
+RUN_ALL_EVALUATIONS = 23_121
+
+
+def test_run_all_integrand_evaluations(monkeypatch):
+    from squig import reference, verify
+
+    counts = []
+    rule = reference._tanh_sinh
+
+    def counting(*args):
+        result = rule(*args)
+        counts.append(result[2])
+        return result
+
+    monkeypatch.setattr(reference, "_tanh_sinh", counting)
+    assert all(report.passed for report in verify.run_all())
+    assert sum(counts) <= 1.1 * RUN_ALL_EVALUATIONS
 
 
 # ---------------------------------------------------------------------------

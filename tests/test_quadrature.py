@@ -1,4 +1,5 @@
-"""Quadrature layer: tanh-sinh endpoint rule, GK15, tail folding."""
+"""Quadrature layer: the one double-exponential rule, tanh-sinh on [a, b]
+and exp-sinh on [a, inf), behind the four public quadrature names."""
 
 import math
 
@@ -78,9 +79,9 @@ class TestEndpointSingular:
 
 class TestSmoothRule:
     @pytest.mark.parametrize("degree", range(23))
-    def test_polynomial_exactness(self, degree):
-        # One Kronrod panel is exact through degree 22; this validates the
-        # hardcoded nodes and weights against exact antiderivatives.
+    def test_polynomials(self, degree):
+        # no longer exact through degree 22, as one Kronrod panel was, but
+        # within a few ulps
         res = integrate_smooth(lambda x: x ** degree, 0.0, 1.0, tol=1e-13)
         assert abs(res.value.real - 1.0 / (degree + 1)) < 5e-15
 
@@ -95,10 +96,17 @@ class TestSmoothRule:
         ref, ref_err = scipy.integrate.quad(f, 0.0, 1.0, epsabs=1e-13, limit=200)
         assert abs(ours.value.real - ref) < 1e-9
 
-    def test_eval_budget_raises(self):
+    def test_interior_kink_raises_at_the_level_cap(self):
+        # the rule's only budget is its level cap
         with pytest.raises(QuadratureError):
-            integrate_smooth(lambda x: abs(x - 1.0 / 3.0) ** -0.9,
-                             0.0, 1.0, tol=1e-13, max_evals=500)
+            integrate_smooth(lambda x: abs(x - 1.0 / 3.0) ** -0.9, 0.0, 1.0, tol=1e-13)
+
+    @pytest.mark.parametrize("f", [lambda x: x ** 2000, lambda x: (1.0 - x) ** 2000])
+    def test_mass_arriving_late(self, f):
+        # the terms at t = 1/2 and 1 are below tol; a side that ended there
+        # would miss the mass within 1e-2 of the end
+        res = integrate_smooth(f, 0.0, 1.0)
+        assert abs(res.value - 1.0 / 2001.0) <= 1e-13
 
     def test_result_type(self):
         res = integrate_smooth(lambda x: x, 0.0, 2.0, tol=1e-13)
@@ -143,6 +151,38 @@ class TestTail:
     def test_divergent_decay_rejected(self):
         with pytest.raises(DivergenceError):
             integrate_tail(lambda t, dl, dr: 1.0 / t, 1.0, decay_exp=1.0)
+
+    def test_singular_start(self):
+        # exp-sinh hands f the exact dl: (t - 1)**-0.5 t**-1.5 over [1, inf) is 2
+        res = integrate_tail(lambda t, dl, dr: dl ** -0.5 * t ** -1.5, 1.0,
+                             decay_exp=2.0, tol=1e-13)
+        assert abs(res.value.real - 2.0) < 1e-12
+
+    @pytest.mark.parametrize("a", [1e150, 1e300, 1e308])
+    def test_cut_near_the_float_range(self, a):
+        # the integral of t**-2 from a is 1/a; the u = 1/t fold of t**-2
+        # turned into 0 * inf at a = 1e308 and raised QuadratureError
+        res = integrate_tail(lambda t, dl, dr: 1.0 / (t * t), a, 2.0)
+        assert abs(res.value - 1.0 / a) <= 1e-12
+
+    def test_small_tail_is_relative(self):
+        # the slit tail at n = 34 is about 7e-12; with tol far below it only
+        # the relative cut ends a side
+        n = 34
+        beta = (n - 1) / n
+        res = integrate_tail(lambda t, dl, dr: (t ** n - 1.0) ** -beta, 2.0, n - 1.0,
+                             tol=1e-30)
+        want, _ = scipy.integrate.quad(lambda t: (t ** n - 1.0) ** -beta, 2.0, math.inf,
+                                       epsabs=0.0, epsrel=1e-13)
+        assert abs(res.value.real - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("c", [1e3, 1e6])
+    def test_mass_arriving_late(self, c):
+        # t**-2 exp(-c/t) has its mass near t = c, and its first terms
+        # beyond t = 0 underflow or lie below tol; the integral is 1/c
+        res = integrate_tail(lambda t, dl, dr: t ** -2 * math.exp(-c / t), 0.0, 2.0,
+                             tol=1e-13 / c)
+        assert abs(res.value - 1.0 / c) <= 1e-12 / c
 
     def test_negative_start_rejected(self):
         with pytest.raises(ParameterError):

@@ -3,7 +3,7 @@
 The oracle is mpmath's Gauss hypergeometric function through DLMF 15.6.1,
 F(u) = u * 2F1((n-1)/n, 1/n; 1 + 1/n; u**n), evaluated at 30 digits.  The
 corner-chart coefficients are checked against Miller's recurrence in exact
-rational arithmetic, and the kernel against GK15 quadrature of the ray.
+rational arithmetic, and the kernel against quadrature of the ray.
 The ODE pair's float tables are checked against its exact coefficients, and
 the two discs of the inverse against the same oracle: near 0 by solving
 F(u) = t with mpmath's findroot, near A through F(sin) + F(cos) = A, solved
@@ -169,7 +169,7 @@ def test_chart_coefficients_match_exact_recurrence(n):
 def test_continuous_with_quadrature_at_thresholds(n):
     # Across |u**n| = 1/2 and 2 the kernel switches between a binomial series
     # and the corner chart: adjacent floats agree, and both sides agree with
-    # GK15 quadrature of the ray.
+    # quadrature of the ray.
     ctx = make_context(n)
     for x_abs in (SERIES_INNER, SERIES_OUTER):
         for theta in (0.5 * math.pi / n, math.pi / n, 1.5 * math.pi / n):
@@ -259,12 +259,8 @@ def test_make_context_runs_no_quadrature(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("make_context ran a quadrature")
 
-    # every squig module that holds the rule, as the benchmark's tracer finds it
-    real = squig.numerics.integrate_smooth
-    for name in ("numerics", "geometry", "squigfn", "verify"):
-        module = getattr(squig, name)
-        if getattr(module, "integrate_smooth", None) is real:
-            monkeypatch.setattr(module, "integrate_smooth", refuse)
+    # the one rule, which every public quadrature name calls
+    monkeypatch.setattr(squig.reference, "_tanh_sinh", refuse)
     for n in ALL_NS:
         assert make_context(n).n == n
 

@@ -13,7 +13,7 @@ import pytest
 import squig
 from conftest import slit_integral_oracle
 from squig import cli, verify
-from squig.geometry import make_context
+from squig.geometry import SquigContext, make_context
 from squig.reference import winding_number
 from squig.regions import in_rosette, sample_domain
 from squig.squigfn import EvalResult
@@ -62,9 +62,19 @@ class TestIntegralChecks:
             assert a.passed and b.passed
 
     def test_report_invariant(self):
-        rep = check_integral_slit(make_context(4), tolerance=1e-15)
+        rep = check_integral_slit(make_context(4), tolerance=1e-17)
         assert rep.passed == (rep.abs_error <= rep.tolerance)
-        assert not rep.passed  # quadrature error sits above 1e-15
+        assert not rep.passed  # quadrature error sits above 1e-17 (2.2e-16)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_slit_row_sees_R_perturbed_by_1e12(self, n):
+        # the rows are within a few ulps, so the quadrature class sees a
+        # relative fault of 1e-12 in the series' |P|, which 1e-8 did not
+        ctx = SquigContext(n)
+        ctx.R *= 1.0 + 1e-12
+        rep = check_integral_slit(ctx)
+        assert not rep.passed and rep.abs_error > 5.0 * rep.tolerance
+        assert check_integral_slit(make_context(n)).passed
 
     def test_runtime_recorded(self):
         rep = check_integral_ray(make_context(3))
@@ -381,6 +391,31 @@ def test_verify_config_refuses_n_values_of_the_wrong_type(bad):
         VerifyConfig(n_values=bad)
 
 
+def _mp_corner_radius(n: int):
+    """|P| = pi_n / (4 cos(pi/n)) at 30 digits."""
+    with mpmath.workdps(30):
+        half = mpmath.gamma(mpmath.mpf(1) / n) ** 2 / (n * mpmath.gamma(mpmath.mpf(2) / n))
+        return half / (2 * mpmath.cos(mpmath.pi / n))
+
+
+@pytest.mark.parametrize("n", range(3, 65))
+def test_integral_identities_within_ulps_of_mpmath(n):
+    # the slit edge and the ray each integrate to |P|; measured worst over
+    # n = 3..64: 5.4e-16 (slit, n = 52) and 1.9e-16 (ray, n = 26), where the
+    # former three rules left 2.3e-14 to 1.8e-13
+    corner = _mp_corner_radius(n)
+    for value in (verify._slit_edge_integral(n), verify._ray_integral(n)):
+        assert abs(value - corner) <= 1e-15 * corner
+
+
+def test_trisection_areas_within_ulps_of_mpmath():
+    # both areas are pi_3 / 4
+    with mpmath.workdps(30):
+        area = mpmath.gamma(mpmath.mpf(1) / 3) ** 2 / (6 * mpmath.gamma(mpmath.mpf(2) / 3))
+    for value in verify._trisection_areas():
+        assert abs(value - area) <= 1e-15 * area
+
+
 # each family's independent route, the one a raised error can come from
 FAMILY_ROUTES = [
     ("integral_slit", "integrate_smooth"),
@@ -422,18 +457,18 @@ def test_failed_row_fails_under_any_tolerance(monkeypatch):
     assert rep.abs_error == 1e308 and rep.passed is False
 
 
-@pytest.mark.parametrize("check, n, samples", [
-    (check_sc_factorization, 4, [1e308]),
-    (check_sc_factorization, 4, [0.5, 1e308]),
-    (check_periodicity_sin3, 3, [1e10]),
+@pytest.mark.parametrize("check, n, samples, note", [
+    (check_sc_factorization, 4, [1e308], "QuadratureError: the double-exponential rule"),
+    (check_sc_factorization, 4, [0.5, 1e308], "QuadratureError: the double-exponential rule"),
+    (check_periodicity_sin3, 3, [1e10], "non-finite measurement: abs_error nan"),
 ], ids=["sc-nan", "sc-finite-then-nan", "periodicity-nan"])
-def test_a_nan_error_is_a_failed_row(check, n, samples):
+def test_a_nan_error_is_a_failed_row(check, n, samples, note):
     # the reference is NaN at these samples; the worst-error scan once
     # skipped a NaN (d > worst is False), so the row passed with abs_error
-    # -1.0 or 0.0
+    # -1.0 or 0.0.  The triangle map's quadrature now refuses its NaN terms.
     rep = check(make_context(n), samples)
     assert rep.passed is False and rep.abs_error == 1e308
-    assert (rep.lhs, rep.rhs) == (0j, 0j) and "non-finite measurement: abs_error nan" in rep.note
+    assert (rep.lhs, rep.rhs) == (0j, 0j) and note in rep.note
     # the CLI's strict JSON takes the row
     json.dumps(cli._report_dict(rep, stable=True), allow_nan=False)
 
@@ -528,7 +563,7 @@ class TestRunAll:
         assert [r.name for r in reports] == ["winding", "winding"]
 
     def test_tightened_tolerance_fails_quadrature(self):
-        cfg = VerifyConfig(n_values=(4,), tolerances={"quadrature": 1e-15},
+        cfg = VerifyConfig(n_values=(4,), tolerances={"quadrature": 1e-17},
                            families=("integral_slit", "winding"))
         by_name = {r.name: r for r in run_all(cfg)}
         assert not by_name["integral_slit"].passed
@@ -541,7 +576,7 @@ class TestRunAll:
         assert strip(run_all(cfg)) == strip(run_all(cfg))
 
     def test_default_tolerances_exposed(self):
-        assert DEFAULT_TOLERANCES["quadrature"] == 1e-8
+        assert DEFAULT_TOLERANCES["quadrature"] == 1e-13
         assert DEFAULT_TOLERANCES["identity"] == 1e-10
 
 
