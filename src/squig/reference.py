@@ -167,7 +167,8 @@ def _tanh_sinh(f3, a: float, b: float, tol: float, max_level: int):
 
     From level _MIN_LEVEL the iteration stops when the error that the last
     two changes leave (``_left_after``) is within ``tol``, and where a term
-    is not finite.  The sum is rounded once where the terms are real.
+    is not finite.  ``tol`` is absolute: 1/t**2 from 1e150 gives 6.3e-289
+    for 1e-150.  The sum is rounded once where the terms are real.
     Returns ``(value, err, evals, history)``, ``err`` being the last change.
     """
     if not a < b:
@@ -252,7 +253,7 @@ def _check_integrand(f, tol, *reals) -> None:
 
 
 def integrate_smooth(f, a: float, b: float, tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
-    """Integrate f(x), a smooth (complex-valued) integrand, over [a, b]."""
+    """Integrate f(x), a smooth (complex-valued) integrand, over [a, b] to an absolute tol."""
     _check_integrand(f, tol, a, b)
     return QuadratureResult(*_tanh_sinh(lambda x, dl, dr: f(x), a, b, tol, _MAX_QUAD_LEVEL)[:3])
 
@@ -264,7 +265,7 @@ def integrate_endpoint_singular(f, a: float, b: float,
 
     left_exp / right_exp are the singularity orders (f ~ dl**-left_exp near a,
     f ~ dr**-right_exp near b); both must be < 1 so the integral converges.
-    With the exact offsets dl and dr the result reaches full double precision.
+    With the exact offsets dl and dr it reaches double precision; tol is absolute.
     """
     _check_integrand(f, tol, a, b, left_exp, right_exp)
     if not (left_exp < 1.0 and right_exp < 1.0):
@@ -278,16 +279,14 @@ def integrate_tail(f, a: float, decay_exp: float,
                    tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
     """Integrate f(t, dl, dr) from a to infinity given algebraic decay |f| ~ t**-decay_exp.
 
-    decay_exp must exceed 1 or the integral diverges.  An integrable
-    singularity of f at a itself is taken too: f receives dl = t - a exactly
-    and dr = inf.
+    decay_exp must exceed 1 or the integral diverges.  ``a`` may be any
+    finite real.  An integrable singularity of f at a itself is taken too: f
+    receives dl = t - a exactly and dr = inf.  ``tol`` is absolute.
     """
     _check_integrand(f, tol, a, decay_exp)
     if decay_exp <= 1.0:
         raise DivergenceError(
             f"decay exponent {decay_exp} <= 1: tail integral diverges")
-    if a < 0.0:
-        raise ParameterError("tail integration requires a >= 0")
     return QuadratureResult(*_tanh_sinh(f, a, math.inf, tol, _MAX_QUAD_LEVEL)[:3])
 
 

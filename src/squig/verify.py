@@ -2,9 +2,9 @@
 
 Every check recomputes one advertised property through two routes that share
 as little code as possible (the library's series constants vs adaptive
-quadrature vs gamma-function closed forms, folded evaluation vs
-Taylor-series continuation of the ODE pair, contour images vs membership
-tests) and reports the discrepancy against a tolerance class.
+quadrature vs gamma-function closed forms, folded evaluation at n = 3 vs
+Dixon's elliptic function through theta series, contour images vs
+membership tests) and reports the discrepancy against a tolerance class.
 Failures are recorded in the report, never raised, so a full run always
 yields one row per (check, n) pair.
 """
@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import random
 import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .errors import (DomainError, ParameterError, SquigError, _is_count, _is_finite_number,
-                     _is_int, _is_real, _shown)
+from .errors import (ParameterError, SquigError, _is_count, _is_finite_number, _is_int,
+                     _is_real, _shown)
 from .geometry import SquigContext, _check_n, make_context
 from .reference import (
     integrate_endpoint_singular,
@@ -315,110 +314,82 @@ def check_winding(ctx: SquigContext, R: float, w: complex,
 # periodicity of the n = 3 extension
 
 
-_TAYLOR_TERMS = 28    # K: terms of the local series taken per step
-_TAYLOR_REACH = 0.25  # |h| as a fraction of the distance to the nearest corner
+# At n = 3, sin_3 and cos_3 are Dixon's sm and cm, elliptic functions of the
+# lattice of periods 2w = 1.5 pi_3 and 2w tau, tau = e^(i pi/3) (Dixon 1890;
+# Conrad & Flajolet 2006).  The theta series take q**(j*j/4), q = e^(i pi tau):
+# theta_1, theta_2 the odd j and theta_3, theta_4 the even.  With |Im v| <=
+# pi Im(tau)/2, term j is at most |q|**(j*j/4) e**(j |Im v|) = e**(-(pi
+# sqrt(3)/8) j (j - 2)), so j <= 8 drops below 2.6e-19 (j <= 7, 6.7e-15).
+_PERIOD = 1.5 * gamma_pi_n(3)
+_TAU = cmath.exp(1j * math.pi / 3)
+_NOME_POWERS = tuple(cmath.exp(0.25j * math.pi * _TAU * j * j) for j in range(1, 9))
 
 
-def _taylor_step(p: int, s: complex, c: complex, h: complex) -> tuple[complex, complex]:
-    """Advance (s, c) by h along s' = c**p, c' = -s**p with one truncated Taylor series.
-
-    The coefficients are taken in tau = (t - t0) / h, so the new pair is their
-    plain sum at tau = 1.  Both p-th powers are built as chains of Cauchy
-    products extended one coefficient at a time, so a step costs O(p K**2)
-    and never divides by a leading coefficient (which vanishes at the origin
-    and at the zeros of c).
-    """
-    a, b = [s], [c]
-    # spow[j] and cpow[j] hold the coefficients of s**(j+1) and c**(j+1)
-    spow = [a] + [[] for _ in range(p - 1)]
-    cpow = [b] + [[] for _ in range(p - 1)]
-    for k in range(_TAYLOR_TERMS - 1):
-        ra, rb = a[::-1], b[::-1]
-        for j in range(1, p):
-            spow[j].append(sum(map(operator.mul, spow[j - 1], ra)))
-            cpow[j].append(sum(map(operator.mul, cpow[j - 1], rb)))
-        scale = h / (k + 1)
-        a.append(scale * cpow[-1][k])
-        b.append(-scale * spow[-1][k])
-    return sum(reversed(a)), sum(reversed(b))
-
-
-def _ode_pair(n: int, z: complex) -> tuple[complex, complex, int]:
-    """Taylor-series continuation of s' = c**(n-1), c' = -s**(n-1) from (0, 1) to z.
-
-    Returns ``(sin_n(z), cos_n(z), steps)``.  The path is the segment 0 -> z.
-    For z in the rosette it stays inside (each kite is star-shaped from 0),
-    and the only singularities near it are the corners omega**k * P.
-
-    Step rule: each step takes ``_TAYLOR_TERMS`` (K = 28) terms of the local
-    series and has |h| <= 1/4 of the distance rho from its centre to the
-    nearest corner.  By Cauchy's estimate on a disc of radius r < rho, the
-    dropped terms are below M(r) * (rho / 4r)**K, where M(r) bounds the pair
-    on that disc: roughly 4**-28 ~ 1.4e-17 of its size.  Against mpmath at
-    n = 3 and |z| <= 0.9, K = 24 leaves 1e-14 and K = 28 leaves rounding
-    (below 2.5e-16).  Next to the edge [A, P] it is tens of ulps off: 1e-6
-    inside it, 23 to 58 ulps of max(1, |value|) at n = 3, 8, 16, 32 and 64,
-    and 1,774 next to P at n = 4 (against 30 digits), so no check should
-    take it as an ulp-level reference there.  |P| comes from the gamma
-    closed form and only places the steps.
-
-    Branch-free: only integer powers of the running pair appear, so this route
-    never consults the folding, chart, series or quadrature code it is
-    checking.  Where the segment runs into a corner, a pole of the pair, the
-    steps shrink until one adds nothing to the distance done, and
-    DomainError is raised.
-    """
-    radius = gamma_corner_radius(n)
-    corners = [cmath.rect(radius, math.pi * (2 * k + 1) / n) for k in range(n)]
-    length = abs(z)
-    s, c = 0j, 1.0 + 0j
-    done = 0.0
-    steps = 0
-    while done < length:
-        centre = z * (done / length)
-        reach = _TAYLOR_REACH * min(abs(q - centre) for q in corners)
-        if reach >= length - done:
-            h, done = z - centre, length
-        elif done + reach == done:  # the steps shrank to nothing at a corner
-            raise DomainError(f"the path from 0 to {z} runs into a pole of the ODE pair")
+def _thetas(v: complex) -> tuple[complex, complex, complex, complex]:
+    """Jacobi's theta_1 .. theta_4 at v for the nome e^(i pi tau) (DLMF 20.2.1-4)."""
+    t1 = t2 = t3 = t4 = 0j
+    for j, qj in enumerate(_NOME_POWERS, 1):
+        sign = -1 if j & 2 else 1  # (-1)**(j // 2)
+        cos = qj * cmath.cos(j * v)
+        if j % 2:
+            t1, t2 = t1 + sign * qj * cmath.sin(j * v), t2 + cos
         else:
-            h, done = z * (reach / length), done + reach
-        s, c = _taylor_step(n - 1, s, c, h)
-        steps += 1
-    return s, c, steps
+            t3, t4 = t3 + cos, t4 + sign * cos
+    return 2.0 * t1, 2.0 * t2, 1.0 + 2.0 * t3, 1.0 + 2.0 * t4
+
+
+_T2, _T3, _T4 = _thetas(0j)[1:]
+_C, _E1 = math.pi / _PERIOD, 108.0 ** (-1.0 / 3.0)
+
+
+def _dixon(z: complex) -> tuple[complex, complex]:
+    """``(sm(z), cm(z))``, that is ``(sin_3(z), cos_3(z))``, in closed form.
+
+    ``sm = 6P/(1 - 3P')`` and ``cm = (3P' + 1)/(3P' - 1)`` for ``P = wp(z;
+    0, 1/27)``, from theta series at ``v = c z``, ``c = pi/2w`` (DLMF
+    23.6.2), both over ``theta_1(v)**3``, so z = 0 and the lattice points
+    give (0, 1).  z first moves by a lattice point to |Re| <= w, |Im| <= w
+    Im(tau); no table, fold or lattice of the library is read.  Against 30
+    digits this is within 7.1e-16 of max(1, |value|) for |z| <= 0.9; far
+    out the reduction carries the period's rounding, about an ulp of |z|
+    times the slope.
+    """
+    r = z - round(z.imag / (_PERIOD * _TAU.imag)) * _PERIOD * _TAU
+    r -= round(r.real / _PERIOD) * _PERIOD
+    t1, t2, t3, t4 = _thetas(_C * r)
+    cube = t1 ** 3
+    # theta_1**3 P = e1 theta_1**3 + (c theta_3 theta_4(0) theta_2)**2 theta_1, and
+    # -3 theta_1**3 P' = 6 c**3 (theta_2 theta_3 theta_4)(0)**2 theta_2 theta_3 theta_4
+    wp = _E1 * cube + (_C * _T3 * _T4 * t2) ** 2 * t1
+    slope = 6.0 * _C ** 3 * (_T2 * _T3 * _T4) ** 2 * t2 * t3 * t4
+    return 6.0 * wp / (cube + slope), (slope - cube) / (slope + cube)
 
 
 def check_periodicity_sin3(ctx: SquigContext, samples: Sequence[complex],
                            tolerance: float | None = None) -> VerificationReport:
-    """Both lattice period shifts against direct continuation to the base point.
+    """Both lattice period shifts against Dixon's closed form at the base point.
 
     The folded evaluation reduces z + period and z to the same cell, so using
     the library on both sides would compare a value with itself; the reference
-    side is an independent Taylor-series continuation of the ODE pair
-    instead.  The note reports the samples and the route's total Taylor steps.
+    side is ``_dixon``'s theta series instead.
     """
     if ctx.n != 3:
         raise ParameterError(f"periodicity_sin3 needs an n == 3 context, got n = {ctx.n}")
     _check_samples("periodicity_sin3", samples)
-    period = 1.5 * ctx.pi_n
-    shifts = (period, period * ctx.omega)
+    shifts = (1.5 * ctx.pi_n, 1.5 * ctx.pi_n * ctx.omega)
 
     def measure():
         rows = []
-        steps = 0
         for z in samples:
             # the library first: it refuses a point beyond the lattice's reach
-            # at once, where the continuation takes thousands of steps (and
-            # never ends where |z| overflows)
             got = [sin3_global(ctx, complex(z) + shift) for shift in shifts]
-            ref, _, taken = _ode_pair(3, complex(z))
-            steps += taken
+            ref = _dixon(complex(z))[0]
             for res in got:
                 if res.is_pole:
                     return 0j, ref, _FAIL_SENTINEL, f"unexpected pole flag at {z!r}"
                 rows.append((abs(res.value - ref), res.value, ref))
         worst, wl, wr = max(rows, key=lambda row: _nan_largest(row[0]))
-        return wl, wr, worst, f"samples={len(samples)} steps={steps}"
+        return wl, wr, worst, f"samples={len(samples)}"
     return _report("periodicity_sin3", 3, tolerance, measure)
 
 

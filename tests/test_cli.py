@@ -133,9 +133,8 @@ class TestEval:
     def test_residual_covers_the_retry_outside_the_edge(self, tmp_path, n):
         # a point 1e-9 to 5e-8 |A| outside the edge A-P is evaluated at the
         # edge point nearest it and reported at z: every such point returns,
-        # and residual covers the step back.  The reference is 30 digits:
-        # verify._ode_pair is itself tens of ulps off next to the edge, while
-        # residual's slack is an ulp or so
+        # and residual covers the step back.  The reference is 30 digits,
+        # since residual's slack is an ulp or so
         ctx = make_context(n)
         edge = ctx.P - ctx.A
         outward = -1j * edge / abs(edge)

@@ -184,6 +184,8 @@ class TestTail:
                              tol=1e-13 / c)
         assert abs(res.value - 1.0 / c) <= 1e-12 / c
 
-    def test_negative_start_rejected(self):
-        with pytest.raises(ParameterError):
-            integrate_tail(lambda t, dl, dr: t ** -3.0, -1.0, decay_exp=3.0)
+    def test_negative_start(self):
+        # exp-sinh takes any finite start: 1/(1 + t**2) from -1 is 3 pi / 4
+        res = integrate_tail(lambda t, dl, dr: 1.0 / (1.0 + t * t), -1.0,
+                             decay_exp=2.0, tol=1e-13)
+        assert abs(res.value - 0.75 * math.pi) <= 1e-13

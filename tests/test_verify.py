@@ -190,28 +190,78 @@ def _ode_oracle(n, z):
         return complex(s), complex(c)
 
 
-class TestOdePair:
-    # two points at |z| = 0.9 face a corner omega**k * P, where the steps are
-    # shortest and the local series converge slowest
+def _jtheta_oracle(z):
+    """(sm, cm) at z from mpmath's jtheta at 30 digits, through wp (DLMF 23.6.2)."""
+    with mpmath.workdps(30):
+        third = mpmath.mpf(1) / 3
+        period = mpmath.gamma(third) ** 2 / mpmath.gamma(2 * third)
+        q = mpmath.expjpi(mpmath.expjpi(third))
+        c = mpmath.pi / period
+        v = c * mpmath.mpc(z)
+        null = [mpmath.jtheta(k, 0, q) for k in (2, 3, 4)]
+        th = [mpmath.jtheta(k, v, q) for k in (1, 2, 3, 4)]
+        wp = mpmath.cbrt(mpmath.mpf(1) / 108) + (c * null[1] * null[2] * th[1] / th[0]) ** 2
+        dwp = -2 * c ** 3 * (null[0] * null[1] * null[2]) ** 2 * th[1] * th[2] * th[3] / th[0] ** 3
+        return complex(6 * wp / (1 - 3 * dwp)), complex((3 * dwp + 1) / (3 * dwp - 1))
+
+
+class TestDixon:
+    # two points at |z| = 0.9 face a corner omega**k * P, a pole of sm
     POINTS = (0.9 * cmath.exp(1j * math.pi / 3), -0.9 + 0.0j,
               0.9 + 0.0j, 0.5 + 0.5j, -0.3 - 0.8j, 0.05 + 0.02j)
 
-    def test_matches_mpmath(self):
+    def test_matches_the_ode_pair(self):
+        # measured worst 6.7e-16 of max(1, |value|)
         for z in self.POINTS:
-            s, c, steps = verify._ode_pair(3, z)
+            s, c = verify._dixon(z)
             ref_s, ref_c = _ode_oracle(3, z)
-            assert abs(s - ref_s) <= 1e-15, z
-            assert abs(c - ref_c) <= 1e-15, z
-            assert steps >= 1
+            assert abs(s - ref_s) <= 1e-15 * max(1.0, abs(ref_s)), z
+            assert abs(c - ref_c) <= 1e-15 * max(1.0, abs(ref_c)), z
 
-    def test_origin_takes_no_step(self):
-        assert verify._ode_pair(3, 0j) == (0j, 1.0 + 0j, 0)
+    @pytest.mark.parametrize("radius", [3.0, 30.0])
+    def test_far_points_match_jtheta(self, radius):
+        # the period 1.5 * gamma_pi_n(3) is 0.63 ulp off 2w, and the reduction
+        # carries that times the lattice translation: far out the reference
+        # is off by about an ulp of |z| times the slope (cm**2 for sm, sm**2
+        # for cm), up to 1.3e-15 of max(1, |value|) at |z| = 3 and 6.6e-15 at 30
+        ulp = math.ulp(radius)
+        for k in range(8):
+            z = cmath.rect(radius, (2 * k + 1) * math.pi / 8)
+            s, c = verify._dixon(z)
+            ref_s, ref_c = _jtheta_oracle(z)
+            assert abs(s - ref_s) <= 1e-15 * max(1.0, abs(ref_s)) + 2 * ulp * abs(ref_c) ** 2, z
+            assert abs(c - ref_c) <= 1e-15 * max(1.0, abs(ref_c)) + 2 * ulp * abs(ref_s) ** 2, z
 
-    def test_note_reports_total_steps(self):
+    def test_lattice_points_divide_by_nothing(self):
+        for z in (0j, verify._PERIOD, verify._PERIOD * verify._TAU, -2.0 * verify._PERIOD):
+            assert verify._dixon(z) == (0j, 1.0 + 0j), z
+
+    def test_term_count_meets_its_bound(self):
+        # after the reduction |Im v| <= pi Im(tau) / 2, so term j of the theta
+        # series is at most |q|**(j*j/4) e**(j |Im v|): the first one dropped
+        # is far below an ulp of the O(1) sums, and one term fewer is not
+        q = abs(cmath.exp(1j * math.pi * verify._TAU))
+        bound = lambda j: q ** (j * j / 4) * math.exp(j * math.pi * verify._TAU.imag / 2)
+        count = len(verify._NOME_POWERS)
+        assert bound(count + 1) < 2.0 ** -60 < bound(count)
+
+    def test_reads_no_library_table_fold_or_lattice(self, monkeypatch):
+        from squig import geometry, numerics
+        points = self.POINTS + (3.0 + 1.0j, -30.0 + 7.0j, -2.0 + 0j)
+        before = [verify._dixon(z) for z in points]
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the reference reached the library")
+
+        for module, name in ((geometry, "_reduce_to_cell"), (numerics, "_block"),
+                             (numerics, "_series_sum")):
+            monkeypatch.setattr(module, name, boom)
+        assert [verify._dixon(z) for z in points] == before
+
+    def test_note_reports_the_samples(self):
         samples = verify._periodicity_samples()
-        total = sum(verify._ode_pair(3, z)[2] for z in samples)
         rep = check_periodicity_sin3(make_context(3), samples)
-        assert rep.note == f"samples={len(samples)} steps={total}"
+        assert rep.note == f"samples={len(samples)}"
 
 
 class TestPeriodicity:
@@ -422,7 +472,7 @@ FAMILY_ROUTES = [
     ("integral_ray", "integrate_tail"),
     ("limit_at_infinity", "limit_profile"),
     ("winding", "winding_number"),
-    ("periodicity_sin3", "_ode_pair"),
+    ("periodicity_sin3", "_dixon"),
     ("trisection", "integrate_endpoint_singular"),
     ("sc_factorization", "_triangle_map"),
     ("riemann_normalization", "sin_n"),
@@ -462,15 +512,31 @@ def test_failed_row_fails_under_any_tolerance(monkeypatch):
     (check_sc_factorization, 4, [0.5, 1e308], "QuadratureError: the double-exponential rule"),
     (check_periodicity_sin3, 3, [1e10], "non-finite measurement: abs_error nan"),
 ], ids=["sc-nan", "sc-finite-then-nan", "periodicity-nan"])
-def test_a_nan_error_is_a_failed_row(check, n, samples, note):
+def test_a_nan_error_is_a_failed_row(monkeypatch, check, n, samples, note):
     # the reference is NaN at these samples; the worst-error scan once
     # skipped a NaN (d > worst is False), so the row passed with abs_error
-    # -1.0 or 0.0.  The triangle map's quadrature now refuses its NaN terms.
+    # -1.0 or 0.0.  The triangle map's quadrature now refuses its NaN terms,
+    # and Dixon's closed form is finite at 1e10, so it is made NaN here
+    monkeypatch.setattr(verify, "_dixon", lambda z: (complex(math.nan, 0.0), 1.0 + 0j))
     rep = check(make_context(n), samples)
     assert rep.passed is False and rep.abs_error == 1e308
     assert (rep.lhs, rep.rhs) == (0j, 0j) and note in rep.note
     # the CLI's strict JSON takes the row
     json.dumps(cli._report_dict(rep, stable=True), allow_nan=False)
+
+
+@pytest.mark.parametrize("z", [1e13, -2.0])
+def test_periodicity_far_out_and_past_a_pole(z):
+    # the float ODE continuation, its former reference, returned NaN at 1e13
+    # (54 ms) and raised DomainError at -2.0, where the segment from 0 runs
+    # into the pole at -|P|; the closed form is finite at both, within the
+    # sweep's 2 s
+    rep = check_periodicity_sin3(make_context(3), [z])
+    assert cmath.isfinite(rep.lhs) and cmath.isfinite(rep.rhs)
+    assert rep.note == "samples=1" and rep.runtime_ms < 2e3
+    # at 1e13 both sides round their lattice reduction by about an ulp of
+    # |z|, 0.002, so only -2.0 is held to the identity class
+    assert rep.passed or z == 1e13
 
 
 def test_a_nan_on_the_limit_profile_is_a_failed_row(monkeypatch):
@@ -582,7 +648,7 @@ class TestRunAll:
 
 def test_runtime_is_stdlib_only():
     # a fresh interpreter, so modules that other tests imported cannot leak in;
-    # it runs periodicity_sin3's Taylor route, every route of the inverse
+    # it runs periodicity_sin3's theta series, every route of the inverse
     # (the discs at 0 and at A, and the pole series, which also serves the
     # lens between the discs), the kernel near A and the CLI
     code = (
