@@ -84,9 +84,9 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_count(value, least: int) -> bool:
-    """An int from ``least`` to sys.maxsize, the most a list or range can index."""
-    return _is_int(value) and least <= value <= sys.maxsize
+def _is_count(value, least: int, most: int = sys.maxsize) -> bool:
+    """An int from ``least`` to ``most`` (sys.maxsize: the most a list or range can index)."""
+    return _is_int(value) and least <= value <= most
 
 
 def _is_real(value) -> bool:

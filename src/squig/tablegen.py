@@ -1,11 +1,11 @@
 """The builders of the kernel's table file, ``_tables.bin``.
 
-Every table is built by Miller's recurrence in exact rationals
-(``series._power_term``), each entry rounded once: the ODE pair's tables,
-the pole table, and F's three tables, whose entries are
-[x**k] base**(-beta) / (d + n k) with base 1 - x for the binomial series
-at 0 and at infinity and base h(delta) for the corner chart
-(``_f_table``).  A and R = |P| are summed from F's tables
+Every table is built in exact rationals, each entry rounded once: the ODE
+pair's tables (``series._ode_coefficients``), F's three tables, whose
+entries are [x**k] base**(-beta) / (d + n k) with base 1 - x for the
+binomial series at 0 and at infinity and base h(delta) for the corner
+chart (``_f_tables``), and the pole table, F's series at infinity reverted
+(``_pole_table``).  A and R = |P| are summed from F's tables
 (``_corner_constants``).  ``_pack_tables`` returns the file's bytes, laid
 out with the layout constants of :mod:`squig.numerics`, which reads the
 file.  Regenerate the file with
@@ -41,20 +41,16 @@ from .numerics import (
     _binomial_sum,
     _unit_constants,
 )
-from .series import _ode_coefficients, _lcm_sum, _power_term
+from .reference import revert_series
+from .series import RationalSeries, _ode_coefficients, _power_term
 
 
-def _f_table(n: int, base: list, d: int, radii: list) -> tuple:
-    """F's table [x**k] base**(-beta) / (d + n k), k < len(radii), with ``radii``.
-
-    beta = (n-1)/n and base[0] = 1.  The power base**(-beta) is extended
-    one exact term at a time (``series._power_term``), and each
-    coefficient is its exact value rounded once.
-    """
-    power = [Fraction(1)]
-    for m in range(1, len(radii)):
-        power.append(_power_term(base, power, m, 1 - n, n))
-    return [float(g / (d + n * k)) for k, g in enumerate(power)], radii
+def _binomial(n: int, c: list, terms: int) -> list:
+    """``c`` extended in place to c_k = [x**k] (1 - x)**(-beta) = (beta)_k / k!,
+    k < terms, exactly: c_k = c_(k-1) (n k - 1) / (n k)."""
+    for k in range(len(c), terms):
+        c.append(c[-1] * Fraction(n * k - 1, n * k))
+    return c
 
 
 def _binomial_radii(n: int, d: int) -> list:
@@ -104,13 +100,22 @@ def _chart_radii(n: int) -> list:
     return radii
 
 
-def _f_tables(n: int) -> tuple:
-    """F's tables at 0, at infinity and at the corner, each (coefficients, radii)."""
-    binomial = [Fraction(1), Fraction(-1)]
+def _f_tables(n: int, c: list) -> tuple:
+    """F's tables at 0, at infinity and at the corner, each (coefficients, radii).
+
+    Entry k is [x**k] base**(-beta) / (d + n k), its exact value rounded
+    once: the binomial coefficients ``c``, extended as far as the tables at
+    0 and at infinity reach, and the chart's h**(-beta), extended one exact
+    term at a time (``series._power_term``).
+    """
+    inner, outer, chart = _binomial_radii(n, 1), _binomial_radii(n, n - 2), _chart_radii(n)
+    _binomial(n, c, max(len(inner), len(outer)))
     h = [Fraction(math.comb(n, j + 1) * (-1) ** j, n) for j in range(n)]
-    return (_f_table(n, binomial, 1, _binomial_radii(n, 1)),
-            _f_table(n, binomial, n - 2, _binomial_radii(n, n - 2)),
-            _f_table(n, h, 1, _chart_radii(n)))
+    power = [Fraction(1)]
+    for m in range(1, len(chart)):
+        power.append(_power_term(h, power, m, 1 - n, n))
+    return tuple(([float(a / (d + n * k)) for k, a in enumerate(exact[:len(radii)])], radii)
+                 for exact, d, radii in ((c, 1, inner), (c, n - 2, outer), (power, 1, chart)))
 
 
 def _corner_constants(n: int, inner, outer, chart) -> tuple:
@@ -168,37 +173,27 @@ def _pole_reach(n: int, half: float, radius: float) -> tuple:
     return terms, rate
 
 
-def _pole_coefficients(n: int, terms: int) -> tuple:
+def _pole_table(n: int, c: list, terms: int) -> tuple:
     """The first ``terms`` coefficients k_j of the pole series v = W k(W**n).
 
-    With v = 1/u, D = (n-2) (P - F(u)) e^(-i pi beta) = v**(n-2) g(v**n) and
-    W = D**(1/(n-2)), dD/dv = (n-2) v**(n-3) (1 - v**n)**(-beta), so
-    dv/dW = (W/v)**(n-3) (1 - v**n)**beta.  With v = W k(X), X = W**n, that
-    reads (1 + n j) k_j = [k**(3-n) (1 - X k**n)**beta]_j, whose right side
-    holds k_j only in k**(3-n)'s term (3-n) k_j.  So (n (j+1) - 2) k_j is the
-    rest, from k_0 .. k_(j-1); each step extends the powers k**(3-n), k**n
-    and h**beta, h = 1 - X k**n, by one exact term (``series._power_term``),
-    the rest is summed over one lcm as those terms are (``series._lcm_sum``),
-    and each entry is its exact value rounded once.
+    With v = 1/u, F's series at infinity gives
+    D = (n-2) (P - F(u)) e^(-i pi beta) = v**(n-2) g(v**n),
+    g_k = (n-2) c_k / (n-2+nk) on the binomial coefficients ``c``, extended
+    to ``terms`` entries, so W = D**(1/(n-2)) = v g(v**n)**(1/(n-2)),
+    whose root takes one exact pass of ``series._power_term``.  The table is
+    that series reverted exactly (``reference.revert_series``), each entry
+    rounded once.
     """
-    one = Fraction(1)
-    k, h = [one], [one]
-    inv_pow, n_pow, h_pow = [one], [one], [one]  # k**(3-n), k**n and h**beta
-    for j in range(1, terms):
-        h.append(-n_pow[j - 1])
-        h_pow.append(_power_term(h, h_pow, j, n - 1, n))
-        rest = _power_term(k, inv_pow, j, 3 - n)  # k has no k_j yet
-        parts = [(a.numerator * b.numerator, a.denominator * b.denominator)
-                 for a, b in zip(inv_pow, h_pow[j:0:-1])]
-        kj = _lcm_sum([(rest.numerator, rest.denominator), *parts], n * (j + 1) - 2)
-        k.append(kj)
-        inv_pow.append(rest - (n - 3) * kj)
-        n_pow.append(_power_term(k, n_pow, j, n))
-    return tuple(map(float, k))
+    g = [Fraction(n - 2, n - 2 + n * k) * ck for k, ck in enumerate(_binomial(n, c, terms))]
+    root = [Fraction(1)]
+    for m in range(1, terms):
+        root.append(_power_term(g, root, m, 1, n - 2))
+    inverse = revert_series(RationalSeries(tuple(range(1, n * terms, n)), tuple(root)), terms)
+    return tuple(float(inverse.coefficient(1 + n * j)) for j in range(terms))
 
 
 def _pack_tables() -> bytes:
-    """The bytes of ``numerics``' table file, built by the recurrences above.
+    """The bytes of ``numerics``' table file, built by the functions above.
 
     For each supported n: F's three tables, A and R from them, the ODE
     tables at scale = R**n and the pole table with its rate, in one block
@@ -209,12 +204,13 @@ def _pack_tables() -> bytes:
     offset = len(header) + (_MAX_N - _MIN_N + 1) * _TABLES_ENTRY.size
     entries, packed = [], []
     for n in range(_MIN_N, _MAX_N + 1):
-        tables = _f_tables(n)
+        c = [Fraction(1)]
+        tables = _f_tables(n, c)
         half, radius = _corner_constants(n, *tables)
         scale = radius ** n
         sine, cosine = _ode_tables(n, scale)
         terms, rate = _pole_reach(n, half, radius)
-        pole = _pole_coefficients(n, terms)
+        pole = _pole_table(n, c, terms)
         values = (scale, *sine, *cosine, *(x for table in tables for part in table for x in part),
                   half, radius, rate, *pole)
         entries.append(_TABLES_ENTRY.pack(offset, len(sine), *(len(t[0]) for t in tables),

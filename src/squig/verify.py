@@ -68,6 +68,7 @@ _FAIL_SENTINEL = 1e308     # finite so reports stay strict-JSON serializable
 
 _LOOP_LEG_POINTS = 120
 _LOOP_ARC_POINTS = 64
+_MAX_ANGLES = 10**5  # limit_profile's ceiling: 0.3 s a radius, in constant memory
 
 # run_all's fixed inputs; a caller who wants others passes them to the checks
 _SEED = 0x5157
@@ -218,12 +219,12 @@ def limit_profile(ctx: SquigContext, radii: Sequence[float],
 
     Angles are midpoints of a uniform split of one sector, so no sample ever
     lands on a slit.  ``radii`` follows ``check_limit_at_infinity``'s rule and
-    ``angles`` must be an int (not a bool) from 1 to ``sys.maxsize``.
+    ``angles`` must be an int (not a bool) from 1 to the ceiling of 10**5.
     """
     _check_radii("limit_profile", radii)
-    if not _is_count(angles, 1):
-        raise ParameterError(
-            f"limit_profile needs a positive integer angles, got {_shown(angles)}")
+    if not _is_count(angles, 1, _MAX_ANGLES):
+        raise ParameterError(f"limit_profile needs an integer angles in [1, {_MAX_ANGLES}], "
+                             f"its ceiling, got {_shown(angles)}")
     tau = ctx.tau
     out = []
     for r in radii:
@@ -270,6 +271,7 @@ def _boundary_image_loop(ctx: SquigContext, R: float) -> list[complex]:
     inside onto both rays; rotations and a conjugated copy assemble the full
     loop.  The leg starts at the tip, whose image is A exactly: the edge's
     image is the segment [A, P], so the chord to the next sample stays on it.
+    A sample repeats where two pieces meet: a zero step to ``winding_number``.
     """
     om = ctx.omega
     m = _LOOP_LEG_POINTS
@@ -281,12 +283,7 @@ def _boundary_image_loop(ctx: SquigContext, R: float) -> list[complex]:
 
     piece = leg + arc + [om * v.conjugate() for v in reversed(leg)]
     loop = [rot * v for rot in ctx.roots for v in piece]
-    dedup = [loop[0]]
-    for v in loop[1:]:
-        if abs(v - dedup[-1]) > 1e-12:
-            dedup.append(v)
-    dedup.append(dedup[0])
-    return dedup
+    return loop + loop[:1]
 
 
 def check_winding(ctx: SquigContext, R: float, w: complex,

@@ -206,10 +206,11 @@ class TestSeries:
         assert code == 2
 
     def test_terms_beyond_200_exit_2_at_once(self, tmp_path, capsys):
-        # 400 terms at n = 8 would run for seconds; 200 is the cap
+        # 400 terms at n = 8 would run for seconds; 200 is maclaurin's
+        # ceiling, and the command exits 2 through its refusal
         code, payload = run_cli(tmp_path, "series", "--n", "8", "--terms", "201")
         assert code == 2 and payload == b""
-        assert "series terms must lie in 1..200" in capsys.readouterr().err
+        assert "[1, 200], maclaurin's ceiling" in capsys.readouterr().err
         code, payload = run_cli(tmp_path, "series", "--n", "3", "--terms", "200")
         assert code == 0 and len(json.loads(payload)["rows"]) == 200
 

@@ -15,7 +15,10 @@ lattice translation's rounding, with finite values, or raises DomainError
 beyond the reach of the lattice reduction.
 
 The tools off the evaluation path keep the same contract: ``unfold`` and
-``sample_domain`` refuse arguments of the wrong kind, and ``radius_estimate``
+``sample_domain`` refuse arguments of the wrong kind, each costly count
+(the terms of ``maclaurin`` and ``revert_series``, ``boundary_polyline``'s
+samples per edge and ``limit_profile``'s angles) returns at its ceiling
+within the 2 s limit below and is refused beyond it, and ``radius_estimate``
 returns a value for coefficients of any size and refuses what is not a
 ``RationalSeries``.  ``RationalSeries`` refuses degrees that are not
 integers and coefficients that are not rationals, and its methods refuse
@@ -58,9 +61,11 @@ from squig.reference import (
     revert_series,
     winding_number,
 )
-from squig.regions import contains_Pi, in_rosette, sample_domain
+from squig.regions import boundary_polyline, contains_Pi, in_rosette, sample_domain
 from squig.series import RationalSeries, radius_estimate
-from squig.squigfn import arcsin_n, arcsin_n_sector, cos_n, sin3_global, sin_n
+from squig.squigfn import arcsin_n, arcsin_n_sector, cos_n, maclaurin, sin3_global, sin_n
+from squig.verify import limit_profile
+from test_series import forward_series
 
 context = functools.lru_cache(maxsize=None)(make_context)
 
@@ -267,6 +272,33 @@ def test_sample_domain_refuses_a_clearance_above_its_ceiling(clearance):
 def test_sample_domain_at_its_ceiling_returns(n):
     assert len(_timed(lambda: sample_domain(context(n), random.Random(1), 10,
                                             pole_clearance=0.9))) == 10
+
+
+# each costly count at its ceiling, on the costliest case that stays within
+# the 2 s limit: the exact series at n = 3, where they are quickest (200
+# terms of maclaurin take up to 1.9 s at n = 64), and the linear counts at
+# their most costly n; name: (ceiling, the call at a count)
+CEILINGS = {
+    "maclaurin": (200, lambda terms: maclaurin(context(3), terms)),
+    "revert_series": (100, lambda terms: revert_series(forward_series(3, terms + 1), terms)),
+    "boundary_polyline": (10**4, lambda count: boundary_polyline(context(64), "omega", count)),
+    "limit_profile": (10**5, lambda count: limit_profile(context(64), [1e2, 1e3], count)),
+}
+
+
+@pytest.mark.parametrize("name", CEILINGS)
+def test_a_count_at_its_ceiling_returns(name):
+    ceiling, call = CEILINGS[name]
+    _timed(lambda: call(ceiling))
+
+
+@pytest.mark.parametrize("name", CEILINGS)
+def test_a_count_beyond_its_ceiling_is_refused(name):
+    # each once ran on, about cubic in the count for the exact series and
+    # linear, in time and for boundary_polyline in memory, for the others
+    ceiling, call = CEILINGS[name]
+    with pytest.raises(ParameterError, match=rf"{ceiling}\], .*ceiling"):
+        _timed(lambda: call(ceiling + 1))
 
 
 def _series(*exponents):
