@@ -29,7 +29,15 @@ passes ``f(x, dl, dr)`` the exact distances ``dl = x - a`` and
 nodes placed within a few ulps of an end, ``x`` alone can no longer
 resolve the distance to it, while the map gives ``dl`` and ``dr`` exactly.
 Integrands without an endpoint singularity ignore them, and
-``integrate_smooth`` takes a plain ``f(x)``.
+``integrate_smooth`` takes a plain ``f(x)``.  ``verify``'s triangle map,
+whose integrand and interval it builds itself, calls ``_tanh_sinh``
+directly, past the wrappers' checks and their extra call per node.
+
+``winding_number`` checks its samples and hands them to ``_winding_count``,
+which ``verify`` calls directly on the loops it builds.  The records
+``QuadratureResult`` and ``NewtonResult`` are frozen, slotted classes on
+``numerics._FrozenRecord``, not dataclasses, so this module loads neither
+``dataclasses`` nor ``inspect``.
 """
 
 from __future__ import annotations
@@ -38,9 +46,9 @@ import cmath
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import sub, truediv
 
 from .errors import (
     ConvergenceError,
@@ -58,6 +66,7 @@ from .errors import (
     _shown,
 )
 from .geometry import _RAY_SNAP, _slit_wedge, make_context
+from .numerics import _FrozenRecord
 from .regions import contains_Pi
 from .squigfn import sin_n
 
@@ -75,10 +84,17 @@ _MAX_QUAD_LEVEL = 10
 _MIN_LEVEL = 2
 _CUT = 1e-18
 _T_FLOOR = 3.0
+# the level-0 nodes t = k/2 short of _T_FLOOR, which a finite side always takes
+_FLOOR_NODES = math.ceil(2.0 * _T_FLOOR) - 1
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+def _set_fields(record, *values) -> None:
+    """Set a frozen record's slots in order, past its refusing __setattr__."""
+    for name, value in zip(record.__slots__, values):
+        object.__setattr__(record, name, value)
+
+
+class QuadratureResult(_FrozenRecord):
     """Value of a quadrature together with its error estimate.
 
     err_estimate is the change produced by the final level doubling, so it
@@ -86,9 +102,13 @@ class QuadratureResult:
     rule is designed for.
     """
 
+    __slots__ = ("value", "err_estimate", "evaluations")
     value: complex
     err_estimate: float
     evaluations: int
+
+    def __init__(self, value, err_estimate, evaluations):
+        _set_fields(self, value, err_estimate, evaluations)
 
     @property
     def real(self) -> float:
@@ -126,10 +146,9 @@ def _level_nodes(tail: bool, level: int) -> tuple[tuple, tuple]:
 
 def _fsum(values: list) -> complex:
     """The sum of ``values``: rounded once where all are real, added in
-    order where some are complex."""
-    if any(isinstance(v, complex) for v in values):
-        return sum(values)
-    return math.fsum(values)
+    order where some are complex (the plain sum is complex exactly then)."""
+    total = sum(values)
+    return total if isinstance(total, complex) else math.fsum(values)
 
 
 def _left_after(err: float, before: float, size: float) -> float:
@@ -156,7 +175,8 @@ def _tanh_sinh(f3, a: float, b: float, tol: float, max_level: int):
     On a finite [a, b] the map is tanh-sinh, x = (a + b)/2 + (b - a)/2 *
     tanh((pi/2) sinh t); for b = inf it is exp-sinh, x = a + exp((pi/2)
     sinh t), under which dl is exact and dr is inf.  Level 0 takes the
-    nodes t = k/2 outward from 0, one at a time: each side ends at a node
+    nodes t = k/2 outward from 0, one at a time past those short of
+    _T_FLOOR, which a finite side takes in one pass: each side ends at a node
     that leaves the float range, or at the second node in a row whose term
     is at most _CUT of the sum before the side, or adds at most ``tol`` to
     the estimate, counted from t = _T_FLOOR on or, under exp-sinh, once the
@@ -197,9 +217,12 @@ def _tanh_sinh(f3, a: float, b: float, tol: float, max_level: int):
         # by tol
         limit = max(_CUT * abs(sum(values)), 2.0 * tol / scale)
         start = len(values)
+        # a finite side takes its nodes short of t = _T_FLOOR in one pass
+        side = evaluate(nodes, left)
+        values += itertools.islice(side, 0 if tail else _FLOOR_NODES)
         small = fallen = False
         last = abs(values[0])
-        for k, value in enumerate(evaluate(nodes, left), 1):
+        for k, value in enumerate(side, len(values) - start + 1):
             values.append(value)
             fallen, last = fallen or abs(value) < last, abs(value)
             if last > limit or not (k >= 2 * _T_FLOOR or tail and fallen):
@@ -391,11 +414,14 @@ def sector_segment_integral(n: int, za: complex, zb: complex,
 # them
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NewtonResult:
+class NewtonResult(_FrozenRecord):
+    __slots__ = ("z", "residual", "iterations")
     z: complex
     residual: float
     iterations: int
+
+    def __init__(self, z, residual, iterations):
+        _set_fields(self, z, residual, iterations)
 
 
 def newton_invert(n: int, w: complex) -> NewtonResult:
@@ -421,6 +447,10 @@ _newton_basic = newton_invert
 # Winding numbers of discrete loops
 # ---------------------------------------------------------------------------
 
+# the largest argument increment of one step that still counts unambiguously
+_MAX_INCREMENT = 0.999 * math.pi
+
+
 def winding_number(loop_values, w: complex) -> int:
     """Winding count of a sampled closed loop around w.
 
@@ -428,28 +458,34 @@ def winding_number(loop_values, w: complex) -> int:
     that consecutive argument increments stay below pi; otherwise a
     RefinementNeededError asks the caller for more samples.  ``w`` and the
     samples must be finite numbers (not bools), else ParameterError is
-    raised.
+    raised.  A loop through the target is a DegenerateLoopError, whatever
+    else is wrong with it.
     """
     if not _is_finite_number(w):
         raise ParameterError(f"the winding target must be a finite number, got {_shown(w)}")
     if not (isinstance(loop_values, Sequence) and all(map(_is_finite_number, loop_values))):
         raise ParameterError(f"the loop must be a sequence of finite numbers, got "
                              f"{type(loop_values).__name__}")
-    values = [complex(v) for v in loop_values]
+    return _winding_count([complex(v) for v in loop_values], w)
+
+
+def _winding_count(values: list, w: complex) -> int:
+    """``winding_number`` on a list of complex samples, taking them and the
+    target as finite numbers unchecked."""
     if len(values) < 4:
         raise DegenerateLoopError("a loop needs at least 4 samples")
     if abs(values[0] - values[-1]) > 1e-9 * max(1.0, abs(values[0])):
         raise DegenerateLoopError("loop is not closed (first != last sample)")
     # distance below which a sample counts as the target itself
-    near = 1e-12 * max(1.0, max(abs(v) for v in values))
+    near = 1e-12 * max(1.0, max(map(abs, values)))
+    offsets = list(map(sub, values, itertools.repeat(w)))
+    if min(map(abs, offsets)) < near:
+        raise DegenerateLoopError(f"loop passes through the target point {w:.6g}")
+    # each step's argument increment, the phase of (b - w) / (a - w), summed
+    # in order
     total = 0.0
-    for va, vb in zip(values, values[1:]):
-        da, db = va - w, vb - w
-        if abs(da) < near or abs(db) < near:
-            raise DegenerateLoopError(
-                f"loop passes through the target point {w:.6g}")
-        inc = cmath.phase(db / da)
-        if abs(inc) >= math.pi * 0.999:
+    for inc in map(cmath.phase, map(truediv, itertools.islice(offsets, 1, None), offsets)):
+        if abs(inc) >= _MAX_INCREMENT:
             raise RefinementNeededError(
                 "consecutive loop samples subtend an angle of almost pi at "
                 "the target; the count is ambiguous, refine the sampling")

@@ -23,6 +23,7 @@ from .geometry import SquigContext
 # as it nears 1, where every kite point lies within |P| of P
 _MAX_CLEARANCE = 0.9
 _MAX_SAMPLES_PER_EDGE = 10**4  # the rosette at n = 64: 1.28 million points, 52 MB, 0.3 s
+_MAX_POINTS = 10**3  # sample_domain's ceiling: 0.8 s at n = 64 and the 0.9 clearance
 
 
 def _cross(o: complex, a: complex, b: complex) -> float:
@@ -142,7 +143,9 @@ def sample_domain(
 
     ``rng`` draws them through its ``random()`` and ``randrange(n)``, as a
     ``random.Random`` does; an object without both methods is refused.
-    ``count`` must be an int (not a bool) from 0 to ``sys.maxsize``.  Keeps a
+    ``count`` must be an int (not a bool) from 0 to the ceiling of 10**3,
+    checked before the first draw: 10**3 points take 0.8 s at n = 64 and
+    the largest clearance, 8 ms at the default.  Keeps a
     relative distance of at least ``pole_clearance`` (in units of ``|P|``)
     from every rotated obstruction corner; it must be a finite real (not a
     bool) of at most 0.9.  Beyond, the accepted share of the kite shrinks
@@ -155,8 +158,9 @@ def sample_domain(
     if not (callable(getattr(rng, "random", None))
             and callable(getattr(rng, "randrange", None))):
         raise ParameterError(f"rng must have random() and randrange(), got {_shown(rng)}")
-    if not _is_count(count, 0):
-        raise ParameterError(f"count must be an integer in [0, sys.maxsize], got {_shown(count)}")
+    if not _is_count(count, 0, _MAX_POINTS):
+        raise ParameterError(f"count must be an integer in [0, {_MAX_POINTS}], sample_domain's "
+                             f"ceiling, got {_shown(count)}")
     if not (_is_real(pole_clearance) and pole_clearance <= _MAX_CLEARANCE):
         raise ParameterError(f"pole_clearance must be a finite real of at most "
                              f"{_MAX_CLEARANCE}, got {_shown(pole_clearance)}")

@@ -7,6 +7,14 @@ Dixon's elliptic function through theta series, contour images vs
 membership tests) and reports the discrepancy against a tolerance class.
 Failures are recorded in the report, never raised, so a full run always
 yields one row per (check, n) pair.
+
+The suite runs its references on inputs it builds itself, so it skips
+their argument checks: the triangle map calls the quadrature rule
+``reference._tanh_sinh`` bare, and the winding check hands its loop
+straight to ``reference._winding_count``.  ``VerificationReport`` and
+``VerifyConfig`` are frozen, slotted classes on ``numerics._FrozenRecord``,
+not dataclasses, so a fresh ``squig verify`` loads neither ``dataclasses``
+nor ``inspect``.
 """
 
 from __future__ import annotations
@@ -15,17 +23,20 @@ import cmath
 import math
 import random
 import time
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import (ParameterError, SquigError, _is_count, _is_finite_number, _is_int,
                      _is_real, _shown)
-from .geometry import SquigContext, _check_n, make_context
+from .geometry import _MAX_N, _MIN_N, SquigContext, _check_n, make_context
+from .numerics import _FrozenRecord
 from .reference import (
+    _MAX_QUAD_LEVEL,
+    _set_fields,
+    _tanh_sinh,
+    _winding_count,
     integrate_endpoint_singular,
     integrate_smooth,
     integrate_tail,
-    winding_number,
 )
 from .regions import in_rosette
 from .squigfn import arcsin_n, arcsin_n_sector, sin3_global, sin_n
@@ -69,6 +80,7 @@ _FAIL_SENTINEL = 1e308     # finite so reports stay strict-JSON serializable
 _LOOP_LEG_POINTS = 120
 _LOOP_ARC_POINTS = 64
 _MAX_ANGLES = 10**5  # limit_profile's ceiling: 0.3 s a radius, in constant memory
+_MAX_N_VALUES = _MAX_N - _MIN_N + 1  # VerifyConfig's ceiling: the size of the range
 
 # run_all's fixed inputs; a caller who wants others passes them to the checks
 _SEED = 0x5157
@@ -76,10 +88,11 @@ _SAMPLES_PER_N = 64
 _WINDING_RADIUS = 50.0
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_FrozenRecord):
     """One check outcome; ``passed`` is equivalent to abs_error <= tolerance."""
 
+    __slots__ = ("name", "n", "lhs", "rhs", "abs_error", "tolerance", "passed",
+                 "runtime_ms", "note")
     name: str
     n: int
     lhs: complex
@@ -88,7 +101,10 @@ class VerificationReport:
     tolerance: float
     passed: bool
     runtime_ms: float
-    note: str = ""
+    note: str
+
+    def __init__(self, name, n, lhs, rhs, abs_error, tolerance, passed, runtime_ms, note=""):
+        _set_fields(self, name, n, lhs, rhs, abs_error, tolerance, passed, runtime_ms, note)
 
 
 def _report(name: str, n: int, tolerance: float | None,
@@ -283,7 +299,8 @@ def _boundary_image_loop(ctx: SquigContext, R: float) -> list[complex]:
 
     piece = leg + arc + [om * v.conjugate() for v in reversed(leg)]
     loop = [rot * v for rot in ctx.roots for v in piece]
-    return loop + loop[:1]
+    loop.append(loop[0])
+    return loop
 
 
 def check_winding(ctx: SquigContext, R: float, w: complex,
@@ -301,7 +318,9 @@ def check_winding(ctx: SquigContext, R: float, w: complex,
         raise ParameterError(f"winding needs a finite number as target w, got {_shown(w)}")
 
     def measure():
-        got = winding_number(_boundary_image_loop(ctx, float(R)), complex(w))
+        # the loop is a list of finite complexes: nothing for winding_number
+        # to check
+        got = _winding_count(_boundary_image_loop(ctx, float(R)), complex(w))
         expected = 1 if in_rosette(ctx, complex(w)) else 0
         return got, expected, abs(got - expected), f"target={w!r}"
     return _report("winding", ctx.n, tolerance, measure)
@@ -442,9 +461,10 @@ def check_trisection(ctx: SquigContext, tolerance: float | None = None) -> Verif
 def _triangle_map(n: int, w: complex) -> complex:
     """(1/n) * integral of u**(1/n-1) (1-u)**(1/n-1) along [0, w], |w| < 1."""
     a = 1.0 / n - 1.0
-    # u = s**n * w absorbs the u**(1/n-1) endpoint singularity
-    return (w ** (1.0 / n)) * integrate_smooth(
-        lambda s: (1.0 - s ** n * w) ** a, 0.0, 1.0, _TRIANGLE_TOL).value
+    # u = s**n * w absorbs the u**(1/n-1) endpoint singularity; the rule runs
+    # bare, as integrate_smooth would run it, on a smooth integrand of s alone
+    return (w ** (1.0 / n)) * _tanh_sinh(
+        lambda s, dl, dr: (1.0 - s ** n * w) ** a, 0.0, 1.0, _TRIANGLE_TOL, _MAX_QUAD_LEVEL)[0]
 
 
 def check_sc_factorization(ctx: SquigContext, samples: Sequence[complex],
@@ -500,28 +520,38 @@ _FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
-    n_values: tuple[int, ...] = (3, 4, 5, 6, 7, 8)
-    tolerances: Mapping[str, float] | None = None
-    families: tuple[str, ...] | None = None
+class VerifyConfig(_FrozenRecord):
+    """What ``run_all`` runs: the n values, tolerance overrides by family or
+    class, and the families (None for all).
 
-    def __post_init__(self):
+    ``n_values`` holds from 1 to ``_MAX_N_VALUES`` (62, the size of the
+    supported range) integers; its length is checked before any entry.
+    """
+
+    __slots__ = ("n_values", "tolerances", "families")
+    n_values: tuple[int, ...]
+    tolerances: Mapping[str, float] | None
+    families: tuple[str, ...] | None
+
+    def __init__(self, n_values=(3, 4, 5, 6, 7, 8), tolerances=None, families=None):
+        _set_fields(self, n_values, tolerances, families)
         # each refusal below stops a run that would pass vacuously (no n, no
         # family, an infinite tolerance) or could never pass (a tolerance of
-        # 0 or less, or NaN)
-        nv = self.n_values
-        if not isinstance(nv, Sequence) or not nv or not all(map(_is_int, nv)):
+        # 0 or less, or NaN); the length comes first, so that a long range
+        # is refused without a walk over it
+        if not (isinstance(n_values, Sequence) and 1 <= len(n_values) <= _MAX_N_VALUES
+                and all(map(_is_int, n_values))):
             raise ParameterError(
-                f"n_values must be a sequence of one or more integers, got {_shown(nv)}")
-        families = self.families
+                f"n_values must be a sequence of integers whose length lies in "
+                f"[1, {_MAX_N_VALUES}], VerifyConfig's ceiling, got {_shown(n_values)}")
         if families is not None and (not families or not set(families) <= set(_FAMILIES)):
             raise ParameterError(f"families must name one or more of {sorted(_FAMILIES)}, "
                                  f"got {_shown(families)}")
-        if families and not any(n == 3 or not _FAMILIES[f][1] for f in families for n in nv):
+        if families and not any(n == 3 or not _FAMILIES[f][1]
+                                for f in families for n in n_values):
             raise ParameterError(f"families {_shown(families)} run at n = 3 only, and n_values "
-                                 f"{_shown(nv)} has no 3")
-        tolerances = {} if self.tolerances is None else self.tolerances
+                                 f"{_shown(n_values)} has no 3")
+        tolerances = {} if tolerances is None else tolerances
         if not isinstance(tolerances, Mapping):
             raise ParameterError(f"tolerances must be a mapping of names to values, "
                                  f"got {_shown(tolerances)}")

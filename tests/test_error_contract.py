@@ -17,7 +17,8 @@ beyond the reach of the lattice reduction.
 The tools off the evaluation path keep the same contract: ``unfold`` and
 ``sample_domain`` refuse arguments of the wrong kind, each costly count
 (the terms of ``maclaurin`` and ``revert_series``, ``boundary_polyline``'s
-samples per edge and ``limit_profile``'s angles) returns at its ceiling
+samples per edge, ``limit_profile``'s angles, ``sample_domain``'s points and
+the length of ``VerifyConfig``'s ``n_values``) returns at its ceiling
 within the 2 s limit below and is refused beyond it, and ``radius_estimate``
 returns a value for coefficients of any size and refuses what is not a
 ``RationalSeries``.  ``RationalSeries`` refuses degrees that are not
@@ -43,6 +44,7 @@ import inspect
 import math
 import random
 import signal
+import sys
 from fractions import Fraction
 
 import pytest
@@ -64,7 +66,7 @@ from squig.reference import (
 from squig.regions import boundary_polyline, contains_Pi, in_rosette, sample_domain
 from squig.series import RationalSeries, radius_estimate
 from squig.squigfn import arcsin_n, arcsin_n_sector, cos_n, maclaurin, sin3_global, sin_n
-from squig.verify import limit_profile
+from squig.verify import VerifyConfig, limit_profile
 from test_series import forward_series
 
 context = functools.lru_cache(maxsize=None)(make_context)
@@ -268,6 +270,27 @@ def test_sample_domain_refuses_a_clearance_above_its_ceiling(clearance):
         _timed(lambda: sample_domain(context(8), random.Random(1), 10, pole_clearance=clearance))
 
 
+class _NoDraws:
+    def random(self):
+        raise AssertionError("drew a point")
+
+    randrange = random
+
+
+def test_sample_domain_refuses_a_count_beyond_its_ceiling_before_a_draw():
+    # sys.maxsize was accepted, and would have been drawn toward until
+    # memory ran out
+    with pytest.raises(ParameterError, match="ceiling"):
+        sample_domain(context(64), _NoDraws(), sys.maxsize)
+
+
+def test_verify_config_refuses_a_long_n_values_before_reading_it():
+    # range(3, 10**7) once took 1.8 s to check entry by entry, and was
+    # accepted
+    with pytest.raises(ParameterError, match=r"62\], VerifyConfig's ceiling"):
+        _timed(lambda: VerifyConfig(n_values=range(3, 10**9)))
+
+
 @pytest.mark.parametrize("n", [3, 8, 64])
 def test_sample_domain_at_its_ceiling_returns(n):
     assert len(_timed(lambda: sample_domain(context(n), random.Random(1), 10,
@@ -277,12 +300,17 @@ def test_sample_domain_at_its_ceiling_returns(n):
 # each costly count at its ceiling, on the costliest case that stays within
 # the 2 s limit: the exact series at n = 3, where they are quickest (200
 # terms of maclaurin take up to 1.9 s at n = 64), and the linear counts at
-# their most costly n; name: (ceiling, the call at a count)
+# their most costly n (and, for sample_domain, clearance); name: (ceiling,
+# the call at a count)
 CEILINGS = {
     "maclaurin": (200, lambda terms: maclaurin(context(3), terms)),
     "revert_series": (100, lambda terms: revert_series(forward_series(3, terms + 1), terms)),
     "boundary_polyline": (10**4, lambda count: boundary_polyline(context(64), "omega", count)),
     "limit_profile": (10**5, lambda count: limit_profile(context(64), [1e2, 1e3], count)),
+    "sample_domain": (10**3, lambda count: sample_domain(context(64), random.Random(1), count,
+                                                         pole_clearance=0.9)),
+    # the length of n_values, which VerifyConfig checks before its entries
+    "VerifyConfig": (62, lambda count: VerifyConfig(n_values=range(3, 3 + count))),
 }
 
 

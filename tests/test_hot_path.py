@@ -11,8 +11,9 @@ folds through the tuple-returning ``_fold``, sums the one table of the
 value asked for on either disc, and builds one slotted ``EvalResult``.  The
 old n-slit loop, the full six-neighbour sweep (which ``ref_fold`` reduces
 by), the frozen-dataclass ``fold``, the two-table inversion, the n-kite
-loop and ``sample_domain``'s per-draw roots are kept here as references,
-and every answer must match them exactly.  The Python-level calls per
+loop, ``sample_domain``'s per-draw roots, the quadrature rule's generator
+loop and the winding count's segment loop are kept here as references, and
+every answer must match them exactly.  The Python-level calls per
 warm call and the integrand evaluations of a default ``run_all()`` are
 counted, deterministic cost guards.
 """
@@ -32,6 +33,7 @@ from fractions import Fraction
 import pytest
 
 from squig import geometry, numerics, regions, squigfn
+from squig.errors import DegenerateLoopError, RefinementNeededError
 from squig.geometry import (
     FoldResult,
     SquigContext,
@@ -42,8 +44,10 @@ from squig.geometry import (
 )
 from squig.numerics import ODE_RADII, ODE_TERMS, sector_ray_integral
 from squig.regions import contains_Pi, in_rosette, sample_domain
+from squig.reference import NewtonResult, QuadratureResult
 from squig.series import RationalSeries
 from squig.squigfn import EvalResult, arcsin_n, arcsin_n_sector, cos_n, sin_n
+from squig.verify import VerificationReport, VerifyConfig
 
 ALL_NS = range(3, 65)
 
@@ -844,7 +848,7 @@ def test_python_calls_per_warm_call(n):
 # Integrand evaluations of one default run_all(), all of them through the
 # one quadrature rule: 1,160 integral_slit, 1,944 integral_ray, 19,776
 # sc_factorization and 241 trisection.  Counts are deterministic, so the
-# guard allows 10% over them and no more.
+# guard allows 10% off them either way and no more.
 RUN_ALL_EVALUATIONS = 23_121
 
 
@@ -859,9 +863,150 @@ def test_run_all_integrand_evaluations(monkeypatch):
         counts.append(result[2])
         return result
 
-    monkeypatch.setattr(reference, "_tanh_sinh", counting)
+    # every binding of the rule, verify's own included: the triangle map
+    # calls it by name, past the quadrature wrappers
+    bound = [module for module in (reference, verify) if module._tanh_sinh is rule]
+    assert verify in bound
+    for module in bound:
+        monkeypatch.setattr(module, "_tanh_sinh", counting)
     assert all(report.passed for report in verify.run_all())
-    assert sum(counts) <= 1.1 * RUN_ALL_EVALUATIONS
+    assert 0.9 * RUN_ALL_EVALUATIONS <= sum(counts) <= 1.1 * RUN_ALL_EVALUATIONS
+
+
+# ---------------------------------------------------------------------------
+# the suite's quadrature rule and winding count against their former loops
+
+
+def ref_tanh_sinh(f3, a, b, tol, max_level):
+    """Reference: the double-exponential rule as it was, every term through a
+    generator, every level-0 node through the stopping test and a scan for a
+    complex term before each sum."""
+    from squig.reference import _CUT, _MIN_LEVEL, _T_FLOOR, _left_after, _level_nodes
+
+    def fsum(values):
+        if any(isinstance(v, complex) for v in values):
+            return sum(values)
+        return math.fsum(values)
+
+    tail = b == math.inf
+    width = b - a
+    scale = 1.0 if tail else width
+
+    def evaluate(nodes, left):
+        if tail:
+            return (w * f3(x, dl, math.inf) for dl, w in nodes if (x := a + dl) < math.inf)
+        if left:
+            return (w * f3(a + d, d, width - d) for q, w in nodes if (d := width * q))
+        return (w * f3(b - d, width - d, d) for q, w in nodes if (d := width * q))
+
+    values = [*evaluate([(1.0, 0.5 * math.pi) if tail else (0.5, 0.25 * math.pi)], False)]
+    reach = []
+    for left, nodes in zip((False, True), _level_nodes(tail, 0)):
+        limit = max(_CUT * abs(sum(values)), 2.0 * tol / scale)
+        start = len(values)
+        small = fallen = False
+        last = abs(values[0])
+        for k, value in enumerate(evaluate(nodes, left), 1):
+            values.append(value)
+            fallen, last = fallen or abs(value) < last, abs(value)
+            if last > limit or not (k >= 2 * _T_FLOOR or tail and fallen):
+                small = False
+            elif small:
+                reach.append(k - 1)
+                break
+            else:
+                small = True
+        else:
+            reach.append(len(values) - start + 1)
+    history = []
+    err = math.inf
+    for level in range(max_level + 1):
+        if level:
+            plus, minus = _level_nodes(tail, level)
+            values += evaluate(plus[:reach[0] << (level - 1)], False)
+            values += evaluate(minus[:reach[1] << (level - 1)], True)
+        value = 0.5 ** (level + 1) * scale * fsum(values)
+        if history:
+            err = abs(value - history[-1])
+        history.append(value)
+        if not cmath.isfinite(value):
+            break
+        if level >= _MIN_LEVEL and _left_after(err, abs(history[-2] - history[-3]),
+                                               abs(value)) <= tol:
+            return value, max(err, 1e-16 * abs(value)), len(values), history
+    return history[-1], err, len(values), history
+
+
+RULE_CASES = [
+    ("monomial", lambda x, dl, dr: x ** 7, 0.0, 1.0),
+    ("late mass", lambda x, dl, dr: x ** 2000, 0.0, 1.0),
+    ("oscillation", lambda x, dl, dr: cmath.exp(1j * x), 0.0, math.pi),
+    ("end singularities", lambda x, dl, dr: dl ** -0.5 * dr ** -0.3, -2.0, 3.5),
+    ("real then complex", lambda x, dl, dr: complex(x * x) if x > 0.5 else x * x, 0.0, 1.0),
+    ("triangle map", lambda x, dl, dr: (1.0 - x ** 5 * (0.3 + 0.6j)) ** -0.8, 0.0, 1.0),
+    ("no t = 0 mass", lambda x, dl, dr: 1e-300 * x, 0.0, 1.0),
+    ("a width of 1e-12", lambda x, dl, dr: math.sin(x), 1.0, 1.0 + 1e-12),
+    ("tail", lambda x, dl, dr: x ** -2.5, 1.0, math.inf),
+    ("tail with a singular end", lambda x, dl, dr: dl ** -0.5 / (1.0 + x * x), 0.0, math.inf),
+    ("complex tail", lambda x, dl, dr: cmath.exp(-x * (1 + 1j)), -3.0, math.inf),
+    ("far tail", lambda x, dl, dr: 1.0 / (x * x), 1e150, math.inf),
+]
+
+
+@pytest.mark.parametrize("name, f3, a, b", RULE_CASES, ids=[case[0] for case in RULE_CASES])
+@pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-17])
+def test_rule_is_bit_identical_to_its_former_loop(name, f3, a, b, tol):
+    from squig.reference import _tanh_sinh
+
+    got = _tanh_sinh(f3, a, b, tol, 10)
+    want = ref_tanh_sinh(f3, a, b, tol, 10)
+    # a value, an error, the evaluation count and every level's estimate
+    assert [bits(x) for x in got[3]] == [bits(x) for x in want[3]], name
+    assert (bits(got[0]), bits(got[1]), got[2]) == (bits(want[0]), bits(want[1]), want[2])
+
+
+def ref_winding(values, w):
+    """Reference: the winding count as a loop over the segments, which it
+    checks one at a time."""
+    near = 1e-12 * max(1.0, max(abs(v) for v in values))
+    total = 0.0
+    for va, vb in zip(values, values[1:]):
+        da, db = va - w, vb - w
+        if abs(da) < near or abs(db) < near:
+            return "through the target"
+        inc = cmath.phase(db / da)
+        if abs(inc) >= math.pi * 0.999:
+            return "refine"
+        total += inc
+    return total / (2.0 * math.pi)
+
+
+@pytest.mark.parametrize("n", [3, 8, 64])
+def test_winding_count_matches_its_former_loop(n):
+    from squig.reference import _winding_count
+    from squig.verify import _WINDING_RADIUS, _boundary_image_loop
+
+    ctx = make_context(n)
+    loop = _boundary_image_loop(ctx, _WINDING_RADIUS)
+    cases = [(loop, w) for w in (0.4 * ctx.P, 0j, 0.99 * ctx.A, 10.0 * ctx.P, 1e3 + 0j, ctx.A)]
+    # twice round, a step of almost pi, a sample on the target, a loop
+    # closed to 1e-12 and steps that overflow to a NaN sum; the count refuses
+    # a loop through the target before it looks at the steps, so no case
+    # has both faults
+    twice = [cmath.exp(2j * math.pi * k / 7) for k in range(15)]
+    cases += [(twice, 0j), ([1, -1 + 1e-9j, -1j, 1], 0j), ([1, 1j, 0j, -1j, 1], 0j),
+              ([1, 1j, -1, -1j, 1 + 1e-12j], 0j),
+              ([1e308, 1e308j, -1e308, -1e308j, 1e308], -1e308 - 1e308j)]
+    for loop, w in cases:
+        want = ref_winding(loop, w)
+        try:
+            got = _winding_count(loop, w)
+        except DegenerateLoopError:
+            assert want == "through the target", w
+        except RefinementNeededError:
+            assert want == "refine" or not math.isfinite(want) or abs(want - round(want)) > 1e-6
+        else:
+            assert got == round(want), w
 
 
 # ---------------------------------------------------------------------------
@@ -870,10 +1015,14 @@ def test_run_all_integrand_evaluations(monkeypatch):
 
 RESULTS = [EvalResult(0.5 - 0.25j, False, 2.0**-52), EvalResult(None, True, 0.0),
            FoldResult(0.3 + 0.1j, 2, True, (1, -1)),
-           RationalSeries((1, 4), (Fraction(1), Fraction(-1, 4)))]
+           RationalSeries((1, 4), (Fraction(1), Fraction(-1, 4))),
+           QuadratureResult(0.25 + 0j, 1e-16, 51), NewtonResult(0.5 + 0.1j, 2.0**-52, 0),
+           VerificationReport("winding", 4, 1 + 0j, 1 + 0j, 0.0, 1e-10, True, 0.5, "target=0.3"),
+           VerifyConfig((4, 3), None, ("winding", "trisection"))]
 
 
-@pytest.mark.parametrize("obj", RESULTS, ids=["value", "pole", "fold", "series"])
+@pytest.mark.parametrize("obj", RESULTS, ids=["value", "pole", "fold", "series", "quadrature",
+                                              "newton", "report", "config"])
 def test_result_objects_stay_frozen_records(obj):
     names = type(obj).__slots__
     first = names[0]
@@ -891,8 +1040,9 @@ def test_result_objects_stay_frozen_records(obj):
     assert type(obj)(**dict(zip(names, values))) == obj
     # as a dataclass: another class is never equal, match takes the fields
     assert obj != tuple(values) and type(obj).__match_args__ == names
-    # 7 for the first field; the series' degrees take a valid (1, 7)
-    seven = (1, 7) if isinstance(obj, RationalSeries) else 7
+    # 7 for the first field; the series' degrees take a valid (1, 7) and a
+    # config's n_values (7,)
+    seven = {RationalSeries: (1, 7), VerifyConfig: (7,)}.get(type(obj), 7)
     changed = type(obj)(seven, *values[1:])
     assert changed != obj and getattr(changed, first) == seven
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
@@ -906,3 +1056,10 @@ def test_result_reprs_unchanged():
         "FoldResult(folded=0.5, rotation_k=0, conjugated=False, lattice_shift=(0, 0))")
     assert repr(RationalSeries((1,), (Fraction(1),))) == (
         "RationalSeries(degrees=(1,), coeffs=(Fraction(1, 1),))")
+    assert repr(VerifyConfig()) == (
+        "VerifyConfig(n_values=(3, 4, 5, 6, 7, 8), tolerances=None, families=None)")
+    assert repr(VerificationReport("winding", 4, 1 + 0j, 1 + 0j, 0.0, 1e-10, True, 0.5)) == (
+        "VerificationReport(name='winding', n=4, lhs=(1+0j), rhs=(1+0j), abs_error=0.0, "
+        "tolerance=1e-10, passed=True, runtime_ms=0.5, note='')")
+    assert repr(QuadratureResult(0.25, 1e-16, 51)) == (
+        "QuadratureResult(value=0.25, err_estimate=1e-16, evaluations=51)")

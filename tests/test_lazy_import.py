@@ -12,9 +12,11 @@ loads at its first use, which no evaluation route makes: ``squig.series``
 ``squig.reference`` (quadrature, series reversion, Newton, the winding
 count) with the suite, which loads neither ``series`` nor ``fractions``,
 and ``squig.tablegen`` (the builders of the table file) only with the
-generator.  ``dataclasses`` and ``inspect``
-do not load: the result records are plain slotted classes.  Nor does a
-process keep the table file's bytes once it has read its blocks.
+generator.  ``dataclasses`` and ``inspect`` do not load, not even with
+``squig verify`` or ``run_all()``: the result records, the suite's reports
+and config and the quadrature's results among them, are plain slotted
+classes.  Nor does a process keep the table file's bytes once it has read
+its blocks.
 """
 
 import os
@@ -174,17 +176,27 @@ def test_every_route_at_every_n_runs_without_the_table_builders():
 
 
 def test_import_and_cli_load_neither_dataclasses_nor_inspect():
-    # the result records are plain slotted classes; dataclasses (and the
-    # inspect it imports) loads only when a frozen record refuses a write
+    # the result records, the suite's and the quadrature's too, are plain
+    # slotted classes; dataclasses (and the inspect it imports) loads only
+    # when a frozen record refuses a write
     run_fresh("""
         import squig
         from squig import cli
         for argv in (["eval", "--n", "4", "--fn", "sin", "--z", "0.3+0.2i"],
                      ["constants", "--n", "5"], ["grid", "--n", "4", "--map", "F"],
-                     ["series", "--n", "4", "--terms", "5"]):
+                     ["series", "--n", "4", "--terms", "5"],
+                     ["verify", "--n", "3,4", "--stable"]):
             with quiet():
                 assert cli.main(argv) == 0, argv
             assert not {"dataclasses", "inspect"} & set(sys.modules), argv
+    """)
+
+
+def test_run_all_loads_neither_dataclasses_nor_inspect():
+    run_fresh("""
+        import squig
+        assert all(report.passed for report in squig.run_all())
+        assert not {"dataclasses", "inspect"} & set(sys.modules)
     """)
 
 

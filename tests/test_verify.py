@@ -471,7 +471,7 @@ FAMILY_ROUTES = [
     ("integral_slit", "integrate_smooth"),
     ("integral_ray", "integrate_tail"),
     ("limit_at_infinity", "limit_profile"),
-    ("winding", "winding_number"),
+    ("winding", "_winding_count"),
     ("periodicity_sin3", "_dixon"),
     ("trisection", "integrate_endpoint_singular"),
     ("sc_factorization", "_triangle_map"),
