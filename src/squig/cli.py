@@ -28,8 +28,8 @@ import sys
 
 from . import verify  # loaded lazily: its body runs at the first read, in `verify`
 from .errors import DomainError, ParameterError, SquigError
-from .geometry import SquigContext, _slit_wedge, make_context
-from .squigfn import EvalResult, arcsin_n, cos_n, maclaurin, sin_n
+from .geometry import SquigContext, make_context
+from .squigfn import arcsin_n, cos_n, maclaurin, sin_n
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -121,47 +121,13 @@ def _csv_doc(header: list[str], rows: list[list]) -> bytes:
 # ---------------------------------------------------------------------------
 # eval
 
-def _eval_near_boundary(fn_impl, ctx: SquigContext, z: complex) -> EvalResult:
-    try:
-        return fn_impl(ctx, z)
-    except DomainError:
-        # Inputs typed to a few printed digits can land a hair outside the
-        # closed region.  Such a point is evaluated at the region point
-        # nearest it, when that lies within 1e-7 |z|: the point of the edge
-        # [A, P] nearest z as _slit_wedge rotates it onto its slit and
-        # reflects it into the upper half, mapped back.  Farther points
-        # still raise, reporting the point as the user wrote it.
-        if not cmath.isfinite(z):
-            raise
-        k, t, flip, _ = _slit_wedge(ctx, z)
-        edge = ctx.P - ctx.A
-        s = min(max(((t - ctx.A) * edge.conjugate()).real / abs(edge) ** 2, 0.0), 1.0)
-        near = ctx.A + s * edge
-        near = (near.conjugate() if flip else near) * ctx.roots[k]
-        if not abs(z - near) <= 1e-7 * abs(z):
-            raise
-    res = fn_impl(ctx, near)
-    if res.is_pole:
-        return res
-    # The value is the nearest point's, reported at z, so residual widens by
-    # the step back to z times the slope |1 - v**n|**((n-1)/n), which the
-    # sine and the cosine share, plus the step squared times their second
-    # derivative's modulus (n-1) |v|**(n-1) |1 - v**n|**((n-2)/n): twice the
-    # Taylor remainder, for its change along the step.
-    n, v = ctx.n, res.value
-    step = abs(z - near)
-    h = abs(1.0 - v**n)
-    return EvalResult(v, False, res.residual + step * h ** ((n - 1) / n)
-                      + step * step * (n - 1) * abs(v) ** (n - 1) * h ** ((n - 2) / n))
-
-
 def cmd_eval(n: int, fn: str, z: complex, fmt: str) -> bytes:
     ctx = make_context(n)
     if fn in ("arcsin", "F"):
         value = arcsin_n(ctx, z)
         record_value, is_pole, residual = value, False, 0.0
     else:
-        res = _eval_near_boundary(sin_n if fn == "sin" else cos_n, ctx, z)
+        res = (sin_n if fn == "sin" else cos_n)(ctx, z)
         record_value, is_pole, residual = res.value, res.is_pole, res.residual
     if fmt == "json":
         return _json_doc({

@@ -31,8 +31,9 @@ import math
 from .errors import DomainError, ParameterError, _as_point, _is_int, _shown
 from .numerics import _MAX_N, _MIN_N, _FrozenRecord, _block, _unit_constants
 
-# Membership slack for the triangle tests, in units of |A|^2 (signed areas).
-_EDGE_TOL = 1e-10
+# Half-width of fold's band beyond the rosette's edges, in units of |A| (>= |P|): it
+# holds every point within 1e-7 |z| of the region (|z| <= |A| (1 + 1e-7) there)
+_EDGE_BAND = 1.2e-7
 # Half-width of the exclusion band around each slit ray.
 _SLIT_TOL = 1e-8
 # Angular slack at a wedge ray or bisector: fold's snap onto a ray, and how
@@ -69,7 +70,8 @@ class SquigContext:
     * ``tau``: the wedge angle ``2 pi / n``;
     * ``cos_phase``: ``exp(-i pi / n)``, the pole series' cosine factor
       (not ``-phase``, which differs from it in the last bit);
-    * ``edge_tol``: the triangle tests' area slack, 1e-10 ``|A|**2``;
+    * ``edge_tol``: the triangle tests' area slack, the band
+      ``_EDGE_BAND |A|`` times the edge length ``|P - A|``;
     * ``half_kite``: ``(Re A, Re P - Re A, Im P)``, the terms of ``fold``'s
       test of the edge ``[A, P]`` of the triangle ``(0, A, P)``;
     * ``cell_shift_1``/``cell_shift_2``: ``A (1 - omega)`` and
@@ -95,7 +97,7 @@ class SquigContext:
         self.B = omega * a
         self.tau = 2.0 * math.pi / n
         self.cos_phase = cmath.exp(-1j * math.pi / n)
-        self.edge_tol = _EDGE_TOL * abs(a) ** 2
+        self.edge_tol = _EDGE_BAND * abs(a) * abs(self.P - a)
         self.half_kite = (a.real, self.P.real - a.real, self.P.imag)
         self.cell_shift_1 = c1 = a * (1.0 - omega)
         self.cell_shift_2 = c2 = a * (1.0 - omega * omega)
@@ -276,9 +278,13 @@ def fold(ctx: SquigContext, z: complex) -> FoldResult:
     """Reduce ``z`` to the canonical half-kite triangle ``(0, A, P)``.
 
     For n == 3 the whole plane folds (lattice translation, then rotation and
-    reflection); for n >= 4 the point must lie in the closed rosette, else a
-    DomainError naming the region is raised.  A non-finite point lies in
-    neither, and raises the same DomainError.
+    reflection); for n >= 4 the point must lie in the closed rosette or
+    within ``_EDGE_BAND`` |A| (1.2e-7 |A|) of the line through an edge
+    beyond it, else a DomainError naming the region is raised.  A point of
+    that band folds to a target just beyond ``[A, P]``, where ``sin_n`` is
+    analytic away from P: the routes give its continuation, the Schwarz
+    reflection sin(t) = conj(sin(m)) of the value at the mirror image m.
+    A non-finite point lies in neither, and raises the same DomainError.
 
     The point is rotated onto its nearest wedge ray and, if it lies below
     that ray, conjugated.  Tie conventions: points within 1e-12 radians of

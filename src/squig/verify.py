@@ -79,7 +79,10 @@ _FAIL_SENTINEL = 1e308     # finite so reports stay strict-JSON serializable
 
 _LOOP_LEG_POINTS = 120
 _LOOP_ARC_POINTS = 64
-_MAX_ANGLES = 10**5  # limit_profile's ceiling: 0.3 s a radius, in constant memory
+_MAX_PROFILE_CALLS = 10**5  # limit_profile's ceiling on radii times angles: 0.4 s
+# the checks' ceiling on samples and radii: at most 0.22 ms a sample (sc_factorization
+# next to a slit) and 0.23 ms a radius (limit_at_infinity's 32 angles), so 0.2 s
+_MAX_SAMPLES = _MAX_RADII = 10**3
 _MAX_N_VALUES = _MAX_N - _MIN_N + 1  # VerifyConfig's ceiling: the size of the range
 
 # run_all's fixed inputs; a caller who wants others passes them to the checks
@@ -148,22 +151,31 @@ def _nan_largest(err: float) -> tuple:
     return err != err, err
 
 
+def _check_sequence(name: str, what: str, seq, most: int, entry_ok) -> None:
+    """Refuse ``seq`` unless a sequence of 1 to ``most`` entries that each
+    pass ``entry_ok``.  The length comes first, by ``len`` alone, so a longer
+    sequence is neither walked nor shown."""
+    try:
+        size = len(seq) if isinstance(seq, Sequence) else 0
+    except OverflowError:  # a range beyond sys.maxsize
+        size = most + 1
+    if 1 <= size <= most and all(map(entry_ok, seq)):
+        return
+    shown = _shown(seq) if size <= most else f"a {type(seq).__name__} of more than {most}"
+    raise ParameterError(f"{name} needs {what}, a sequence whose length lies in [1, {most}], "
+                         f"{name}'s ceiling, got {shown}")
+
+
 def _check_samples(name: str, samples) -> None:
-    """Refuse ``samples`` unless a sequence of one or more floats, complexes
-    or ``_is_real`` ints: with none a check would pass with abs_error -1."""
-    if not isinstance(samples, Sequence) or not samples or not all(
-            isinstance(z, (float, complex)) or _is_real(z) for z in samples):
-        raise ParameterError(f"{name} needs a sequence of one or more numbers as samples, "
-                             f"got {_shown(samples)}")
+    """Floats, complexes or ``_is_real`` ints; with none, a check would pass."""
+    _check_sequence(name, "numbers as samples", samples, _MAX_SAMPLES,
+                    lambda z: isinstance(z, (float, complex)) or _is_real(z))
 
 
 def _check_radii(name: str, radii) -> None:
-    """Refuse ``radii`` unless a sequence of one or more positive ``_is_real``
-    numbers; the types are checked before anything sorts them."""
-    if not isinstance(radii, Sequence) or not radii or not all(
-            _is_real(r) and r > 0.0 for r in radii):
-        raise ParameterError(
-            f"{name} needs one or more positive finite radii, got {_shown(radii)}")
+    """Positive ``_is_real`` numbers, checked before anything sorts them."""
+    _check_sequence(name, "positive finite radii", radii, _MAX_RADII,
+                    lambda r: _is_real(r) and r > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +247,14 @@ def limit_profile(ctx: SquigContext, radii: Sequence[float],
 
     Angles are midpoints of a uniform split of one sector, so no sample ever
     lands on a slit.  ``radii`` follows ``check_limit_at_infinity``'s rule and
-    ``angles`` must be an int (not a bool) from 1 to the ceiling of 10**5.
+    ``angles`` must be an int (not a bool) from 1 to the ceiling of 10**5
+    over the number of radii: 10**5 ``arcsin_n`` calls in all.
     """
     _check_radii("limit_profile", radii)
-    if not _is_count(angles, 1, _MAX_ANGLES):
-        raise ParameterError(f"limit_profile needs an integer angles in [1, {_MAX_ANGLES}], "
-                             f"its ceiling, got {_shown(angles)}")
+    most = _MAX_PROFILE_CALLS // len(radii)
+    if not _is_count(angles, 1, most):
+        raise ParameterError(f"limit_profile needs an integer angles in [1, {most}], its "
+                             f"ceiling at {len(radii)} radii, got {_shown(angles)}")
     tau = ctx.tau
     out = []
     for r in radii:
@@ -539,11 +553,7 @@ class VerifyConfig(_FrozenRecord):
         # family, an infinite tolerance) or could never pass (a tolerance of
         # 0 or less, or NaN); the length comes first, so that a long range
         # is refused without a walk over it
-        if not (isinstance(n_values, Sequence) and 1 <= len(n_values) <= _MAX_N_VALUES
-                and all(map(_is_int, n_values))):
-            raise ParameterError(
-                f"n_values must be a sequence of integers whose length lies in "
-                f"[1, {_MAX_N_VALUES}], VerifyConfig's ceiling, got {_shown(n_values)}")
+        _check_sequence("VerifyConfig", "integers as n_values", n_values, _MAX_N_VALUES, _is_int)
         if families is not None and (not families or not set(families) <= set(_FAMILIES)):
             raise ParameterError(f"families must name one or more of {sorted(_FAMILIES)}, "
                                  f"got {_shown(families)}")

@@ -12,7 +12,7 @@ from squig import cli
 from squig.cli import UsageError, main, parse_complex
 from squig.errors import DomainError
 from squig.geometry import make_context
-from squig.squigfn import sin_n
+from squig.squigfn import cos_n, sin_n
 from test_series_kernel import corner_oracle
 
 
@@ -130,11 +130,11 @@ class TestEval:
         assert flag[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", [4, 5, 8, 16, 32, 64])
-    def test_residual_covers_the_retry_outside_the_edge(self, tmp_path, n):
-        # a point 1e-9 to 5e-8 |A| outside the edge A-P is evaluated at the
-        # edge point nearest it and reported at z: every such point returns,
-        # and residual covers the step back.  The reference is 30 digits,
-        # since residual's slack is an ulp or so
+    def test_residual_covers_the_band_outside_the_edge(self, tmp_path, n):
+        # a point 1e-9 to 5e-8 |A| outside the edge A-P lies in the fold's
+        # band: the library evaluates it where it is, the continuation of
+        # sin_n across the edge, and the CLI prints that record unchanged.
+        # The reference is 30 digits, since residual's slack is an ulp or so
         ctx = make_context(n)
         edge = ctx.P - ctx.A
         outward = -1j * edge / abs(edge)
@@ -142,21 +142,24 @@ class TestEval:
         for _ in range(100):
             z = (ctx.A + rng.random() * edge
                  + 10 ** rng.uniform(-9, math.log10(5e-8)) * abs(ctx.A) * outward)
-            with pytest.raises(DomainError):
-                sin_n(ctx, z)
             recs = {}
-            for fn in ("sin", "cos"):
+            for fn, impl in (("sin", sin_n), ("cos", cos_n)):
                 code, payload = run_cli(tmp_path, "eval", "--n", str(n), "--fn", fn,
                                         "--z", f"{z.real!r}+{z.imag!r}i")
                 assert code == 0, z
                 rec = json.loads(payload)
-                recs[fn] = complex(rec["value"]["re"], rec["value"]["im"]), rec["residual"]
-            (value_s, residual_s), (value_c, residual_c) = recs["sin"], recs["cos"]
-            ref_s, ref_c = corner_oracle(n, z, value_c)
-            assert abs(value_s - ref_s) <= residual_s, z
-            assert abs(value_c - ref_c) <= residual_c, z
-        # too far out for the retry: refused, as documented
+                res = impl(ctx, z)
+                assert not res.is_pole and rec["is_pole"] is False, z
+                assert complex(rec["value"]["re"], rec["value"]["im"]) == res.value, z
+                assert rec["residual"] == res.residual, z
+                recs[fn] = res
+            ref_s, ref_c = corner_oracle(n, z, recs["cos"].value)
+            assert abs(recs["sin"].value - ref_s) <= recs["sin"].residual, z
+            assert abs(recs["cos"].value - ref_c) <= recs["cos"].residual, z
+        # beyond the band: refused, as documented
         z = ctx.A + 0.5 * edge + 1e-5 * abs(ctx.A) * outward
+        with pytest.raises(DomainError):
+            sin_n(ctx, z)
         code, _ = run_cli(tmp_path, "eval", "--n", str(n), "--fn", "sin",
                           "--z", f"{z.real!r}+{z.imag!r}i")
         assert code == 3

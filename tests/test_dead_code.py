@@ -102,7 +102,7 @@ def test_the_check_sees_a_constant_that_is_no_longer_read():
     sources["verify"] = verify.replace("_LOOP_ARC_POINTS = 64",
                                        "_LOOP_ARC_POINTS = 64\n_LOOP_OFFSET = 1e-6", 1)
     geometry = sources["geometry"]
-    sources["geometry"] = geometry.replace("_EDGE_TOL = 1e-10", "_EDGE_TOL = 1e-10\n_POLE_TOL = 1e-6", 1)
+    sources["geometry"] = geometry.replace("_EDGE_BAND = 1.2e-7", "_EDGE_BAND = 1.2e-7\n_POLE_TOL = 1e-6", 1)
     assert sources["verify"] != verify and sources["geometry"] != geometry
     wrapped = {name for _, name in span_targets()}
     assert unreferenced_private_names(sources, wrapped) == ["geometry._POLE_TOL",

@@ -17,9 +17,11 @@ beyond the reach of the lattice reduction.
 The tools off the evaluation path keep the same contract: ``unfold`` and
 ``sample_domain`` refuse arguments of the wrong kind, each costly count
 (the terms of ``maclaurin`` and ``revert_series``, ``boundary_polyline``'s
-samples per edge, ``limit_profile``'s angles, ``sample_domain``'s points and
-the length of ``VerifyConfig``'s ``n_values``) returns at its ceiling
-within the 2 s limit below and is refused beyond it, and ``radius_estimate``
+samples per edge, ``limit_profile``'s radii times angles,
+``sample_domain``'s points, the length of ``VerifyConfig``'s ``n_values``
+and of the checks' samples and radii) returns at its ceiling within the
+2 s limit below and is refused beyond it, a long sequence by its length
+alone, and ``radius_estimate``
 returns a value for coefficients of any size and refuses what is not a
 ``RationalSeries``.  ``RationalSeries`` refuses degrees that are not
 integers and coefficients that are not rationals, and its methods refuse
@@ -45,6 +47,7 @@ import math
 import random
 import signal
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -66,7 +69,13 @@ from squig.reference import (
 from squig.regions import boundary_polyline, contains_Pi, in_rosette, sample_domain
 from squig.series import RationalSeries, radius_estimate
 from squig.squigfn import arcsin_n, arcsin_n_sector, cos_n, maclaurin, sin3_global, sin_n
-from squig.verify import VerifyConfig, limit_profile
+from squig.verify import (
+    VerifyConfig,
+    check_limit_at_infinity,
+    check_periodicity_sin3,
+    check_sc_factorization,
+    limit_profile,
+)
 from test_series import forward_series
 
 context = functools.lru_cache(maxsize=None)(make_context)
@@ -291,6 +300,35 @@ def test_verify_config_refuses_a_long_n_values_before_reading_it():
         _timed(lambda: VerifyConfig(n_values=range(3, 10**9)))
 
 
+class _Unread(Sequence):
+    """Ten million entries, none of which may be read."""
+
+    def __len__(self):
+        return 10**7
+
+    def __getitem__(self, index):
+        raise AssertionError("an entry was read")
+
+
+LONG_SEQUENCES = {
+    "periodicity_sin3": lambda seq: check_periodicity_sin3(context(3), seq),
+    "sc_factorization": lambda seq: check_sc_factorization(context(8), seq),
+    "limit_at_infinity": lambda seq: check_limit_at_infinity(context(8), seq),
+    "limit_profile": lambda seq: limit_profile(context(8), seq),
+    "VerifyConfig": lambda seq: VerifyConfig(n_values=seq),
+}
+
+
+@pytest.mark.parametrize("seq", [_Unread(), range(1, 10**20)], ids=["unread", "beyond-maxsize"])
+@pytest.mark.parametrize("name", LONG_SEQUENCES)
+def test_a_long_sequence_is_refused_by_its_length_alone(name, seq):
+    # range(1, 10**7) once took 4.1 s to accept as samples, and the check
+    # then evaluated every one; a range beyond sys.maxsize, which has no
+    # len, raised a raw OverflowError from VerifyConfig
+    with pytest.raises(ParameterError, match=r"\], \w+'s ceiling, got a \w+ of more than"):
+        _timed(lambda: LONG_SEQUENCES[name](seq))
+
+
 @pytest.mark.parametrize("n", [3, 8, 64])
 def test_sample_domain_at_its_ceiling_returns(n):
     assert len(_timed(lambda: sample_domain(context(n), random.Random(1), 10,
@@ -306,11 +344,19 @@ CEILINGS = {
     "maclaurin": (200, lambda terms: maclaurin(context(3), terms)),
     "revert_series": (100, lambda terms: revert_series(forward_series(3, terms + 1), terms)),
     "boundary_polyline": (10**4, lambda count: boundary_polyline(context(64), "omega", count)),
-    "limit_profile": (10**5, lambda count: limit_profile(context(64), [1e2, 1e3], count)),
+    # radii times angles: 10**5 arcsin_n calls
+    "limit_profile": (5 * 10**4, lambda count: limit_profile(context(64), [1e2, 1e3], count)),
     "sample_domain": (10**3, lambda count: sample_domain(context(64), random.Random(1), count,
                                                          pole_clearance=0.9)),
     # the length of n_values, which VerifyConfig checks before its entries
     "VerifyConfig": (62, lambda count: VerifyConfig(n_values=range(3, 3 + count))),
+    # the lengths of the checks' samples and radii, at their costliest
+    # entries measured: next to the slit, and just beyond the unit circle
+    "sc_factorization": (10**3, lambda count: check_sc_factorization(context(8),
+                                                                     [0.999999] * count)),
+    "periodicity_sin3": (10**3, lambda count: check_periodicity_sin3(context(3), [0.5] * count)),
+    "limit_at_infinity": (10**3, lambda count: check_limit_at_infinity(context(64),
+                                                                       [1.000001] * count)),
 }
 
 

@@ -68,7 +68,8 @@ def kite_loop(ctx, z):
 
 
 def ref_sample_domain(ctx, rng, count, pole_clearance=0.05):
-    """Reference: ``sample_domain`` with its roots built per draw."""
+    """Reference: ``sample_domain`` with its roots built per draw, and each
+    point measured against all n rotated corners."""
     pts = []
     corners = [ctx.P * cmath.exp(2j * math.pi * k / ctx.n) for k in range(ctx.n)]
     while len(pts) < count:
@@ -158,22 +159,27 @@ def test_contains_sigma_non_finite():
 
 
 def rosette_points(ctx, rng):
-    """Points 1e-9 and 1e-11 |A| either side of every edge of five kites,
-    at its ends and at a seeded point; and 1e-9 and 1e-11 radians either
-    side of their wedge rays and bisectors, inside the kite and just beyond
-    A and P.  The kites are those next to the phases 0 and pi, where the
-    wedge index wraps."""
+    """Points a tenth of the edge band and 8 bands (``geometry._EDGE_BAND``
+    |A|) either side of every edge of five kites, at its ends and at a
+    seeded point; and 1e-9 and 1e-11 radians either side of their wedge
+    rays and bisectors, inside the kite and just beyond A and P, at a tenth
+    of the band's reach along their rays and at 8 times it.  That reach is
+    band / sin(pi/n) of |A| or |P|, since the edges meet each ray at pi/n
+    (P's at 2 pi/n, from |A| = 2 cos(pi/n) |P|).  The kites are those next
+    to the phases 0 and pi, where the wedge index wraps."""
     n = ctx.n
-    scale = abs(ctx.A)
+    band = geometry._EDGE_BAND
+    scale = band * abs(ctx.A)
+    reach = band / math.sin(math.pi / n)
     pts = []
     for r in (ctx.roots[k] for k in sorted({0, 1, n // 2 - 1, n // 2, n - 1})):
         verts = [0j, ctx.A * r, ctx.P * r, ctx.B * r]
         for a, b in zip(verts, verts[1:] + verts[:1]):
             normal = 1j * (b - a) / abs(b - a)
             for p in (a, a + rng.random() * (b - a), b):
-                pts += [p + e * scale * normal for e in (1e-9, -1e-9, 1e-11, -1e-11)]
+                pts += [p + e * scale * normal for e in (8.0, -8.0, 0.1, -0.1)]
         for v in verts[1:3]:
-            for t in (rng.random(), 1.0 + 1e-9):
+            for t in (rng.random(), 1.0 + 0.1 * reach, 1.0 + 8.0 * reach):
                 pts += [t * v * cmath.exp(1j * e) for e in (1e-9, -1e-9, 1e-11, -1e-11)]
     return pts
 
@@ -193,18 +199,15 @@ def in_fold_domain(ctx, z):
 @pytest.mark.parametrize("n", ALL_NS)
 def test_in_rosette_matches_the_kite_loop(n):
     # the kites meet at a sharp tip omega**k A, and there the loop can also
-    # accept a point 1e-9 |A| beyond the tip and 1e-11 radians across the
-    # ray, within the slack of the neighbouring kite's edge; one rotation
-    # tests the kite of the point's own wedge, as fold does, and refuses it
-    # (here at n = 16 only, on 10 of its 320 points)
+    # accept a point at the band's reach beyond the tip and 1e-11 radians
+    # across the ray, within the band of the neighbouring kite's edge; one
+    # rotation tests the kite of the point's own wedge, as fold does, and
+    # refuses it.  These points lie clear of that reach, and every answer
+    # matches
     ctx = make_context(n)
     pts = rosette_points(ctx, random.Random(f"kites:{n}"))
     got = [in_rosette(ctx, z) for z in pts]
-    want = [kite_loop(ctx, z) for z in pts]
-    for z, inside, loop in zip(pts, got, want):
-        if inside != loop:
-            assert loop and not in_fold_domain(ctx, z), z
-            assert min(abs(z - ctx.A * r) for r in ctx.roots) < 2e-9 * abs(ctx.A), z
+    assert got == [kite_loop(ctx, z) for z in pts]
     if n != 3:  # at n == 3 the whole plane folds
         assert got == [in_fold_domain(ctx, z) for z in pts]
     # the points straddle the boundary: both answers occur, at every kite
@@ -242,7 +245,7 @@ def test_in_rosette_tests_one_kite_and_takes_no_power(n, monkeypatch):
 @pytest.mark.parametrize("n", ALL_NS)
 def test_sample_domain_matches_its_per_draw_roots(n):
     ctx = make_context(n)
-    for clearance in (0.0, 0.3):
+    for clearance in (0.0, 0.3, 0.9):
         got = sample_domain(ctx, random.Random(f"draw:{n}"), 6, pole_clearance=clearance)
         want = ref_sample_domain(ctx, random.Random(f"draw:{n}"), 6, pole_clearance=clearance)
         assert [bits(z) for z in got] == [bits(z) for z in want]
@@ -370,7 +373,7 @@ def test_context_tables_are_the_per_call_expressions(n):
     assert ctx.roots[1] == ctx.omega == cmath.exp(2j * math.pi / n)
     assert ctx.tau == 2.0 * math.pi / n
     assert ctx.cos_phase == cmath.exp(-1j * math.pi / n)
-    assert ctx.edge_tol == 1e-10 * abs(ctx.A) ** 2
+    assert ctx.edge_tol == geometry._EDGE_BAND * abs(ctx.A) * abs(ctx.P - ctx.A)
     assert ctx.half_kite == (ctx.A.real, ctx.P.real - ctx.A.real, ctx.P.imag)
     # one record: no second copy of the tables or of A, P and R, and no
     # reversed copy of a table (the discs slice the tables themselves)

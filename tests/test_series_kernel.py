@@ -10,7 +10,9 @@ F(u) = t with mpmath's findroot, near A through F(sin) + F(cos) = A, solved
 for the cosine.  The pole table is checked against Lagrange inversion at 250
 digits, and the pole series, which takes every target beyond both discs,
 against findroot in the pole chart, up to 1e-14 R from P.  A seeded audit checks ``residual`` against the same
-references on points that the fold rotates, reflects and shifts.
+references on points that the fold rotates, reflects and shifts, and on
+points of the fold's band beyond an edge, against the Schwarz reflection of
+the reference at their mirror image.
 """
 
 import bisect
@@ -35,7 +37,7 @@ from squig.numerics import (
     sector_ray_integral,
     sector_segment_integral,
 )
-from squig import numerics, squigfn
+from squig import geometry, numerics, squigfn
 from squig.regions import sample_domain
 from squig.series import _ode_coefficients
 from squig.squigfn import arcsin_n, arcsin_n_sector, cos_n, sin_n
@@ -718,21 +720,56 @@ def audit_points(ctx, rng) -> list:
     return pts
 
 
-def unfolded_reference(ctx, z) -> tuple:
+def band_points(ctx, rng) -> list:
+    """Points of the fold's band beyond the edge [A, P]: 1e-12 |A| to 0.99
+    band (``geometry._EDGE_BAND`` |A|) out, log-uniform, beyond a seeded
+    point of the edge, one in four of them 1e-6 to 10**-2.5 |P - A| from P,
+    on the pole route, and one in four beyond the tip A, between its ray
+    and the edge's outward normal; each rotated into one wedge, and
+    reflected there."""
+    n, A = ctx.n, ctx.A
+    edge = ctx.P - A
+    out = -1j * edge / abs(edge)
+    top = math.log10(0.99 * geometry._EDGE_BAND)
+    pts = []
+    for i in range(16):
+        d = 10.0 ** rng.uniform(-12.0, top) * abs(A)
+        if i % 4 == 0:
+            t = A + d * cmath.exp(1j * rng.uniform(0.0, math.pi / 2 - math.pi / n))
+        elif i % 4 == 1:
+            t = ctx.P - 10.0 ** rng.uniform(-6.0, -2.5) * edge + d * out
+        else:
+            t = A + rng.random() * edge + d * out
+        k = rng.randrange(n)
+        pts += [t * ctx.roots[k], t.conjugate() * ctx.roots[k]]
+    return pts
+
+
+def unfolded_reference(ctx, z, mirror=False) -> tuple:
     """(sin, cos, route) at z, at 30 digits: the fold's own decisions undone
     exactly on z, the reference of the route at that exact target (rounded
-    to a double, half an ulp), and the unfold redone exactly on it."""
+    to a double, half an ulp), and the unfold redone exactly on it.
+
+    With ``mirror``, the target lies in the band beyond the edge [A, P], and
+    the route's reference is taken at its mirror image m across the edge:
+    sin_n takes the edge into the real slit, so by the Schwarz reflection
+    sin(t) = conj(sin(m)) and cos(t) = e^(-2 i pi/n) conj(cos(m)) (cos_n
+    e^(i pi/n) is real on the edge)."""
     n = ctx.n
     fr = fold(ctx, z)
     t = fr.folded
     m1, m2 = fr.lattice_shift
     with mpmath.workdps(30):
         omega = mpmath.expjpi(mpmath.mpf(2) / n)
-        a = exact_constants(n)[0]
+        a, corner = exact_constants(n)
         exact = (mpmath.mpc(z) - m1 * a * (1 - omega) - m2 * a * (1 - omega**2)) \
             * omega ** -fr.rotation_k
         if fr.conjugated:
             exact = mpmath.conj(exact)
+        if mirror:
+            edge = corner * mpmath.expjpi(mpmath.mpf(1) / n) - a
+            exact = a + edge * mpmath.conj((exact - a) / edge)
+            t = complex(exact)
     radius, y = ctx.disc, ctx.A - t
     if abs(t) <= abs(y) and abs(t) <= radius:
         route = "disc 0"
@@ -745,6 +782,8 @@ def unfolded_reference(ctx, z) -> tuple:
         s, c = pole_root(n, exact, sin_n(ctx, t).value)
     with mpmath.workdps(30):
         s, c = mpmath.mpc(s), mpmath.mpc(c)
+        if mirror:
+            s, c = mpmath.conj(s), omega**-1 * mpmath.conj(c)
         if fr.conjugated:
             s, c = mpmath.conj(s), mpmath.conj(c)
         return (s * omega ** (fr.rotation_k + m2 - m1), c * omega ** (m1 - m2), route)
@@ -799,6 +838,18 @@ def test_residual_bounds_every_folded_call(n):
     assert set(routes) == {"disc 0", "disc A", "pole"}, routes
     moved = sum(fold(ctx, z).folded != z for z in pts)
     assert moved >= 0.8 * len(pts), (moved, len(pts))
+    if n == 3:  # the whole plane folds: no point lies beyond an edge
+        return
+    # the fold's band beyond the edge [A, P]: each route continues sin_n
+    # across it, and residual bounds the value against the reflection of the
+    # reference at the mirror image
+    routes.clear()
+    for z in band_points(ctx, random.Random(f"band:{n}")):
+        s_ref, c_ref, route = unfolded_reference(ctx, z, mirror=True)
+        routes[route] += 1
+        for fn, exact in ((sin_n, s_ref), (cos_n, c_ref)):
+            assert certified_ratio(fn(ctx, z), exact) <= 1.0, (fn.__name__, z, route)
+    assert set(routes) == {"disc A", "pole"}, routes
 
 
 @pytest.mark.parametrize("n", ALL_NS)
